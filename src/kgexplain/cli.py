@@ -93,6 +93,16 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm: {algo!r}")
+            # these heuristics rank removals of training triples
+            if algo in ("data-poisoning-direct", "criage-first-order") and self.mode != "necessary":
+                raise ConfigurationError(
+                    f"algorithm {algo!r} only explains mode 'necessary', not {self.mode!r}"
+                )
+            if algo == "variable-length-builder" and self.mode.startswith("latent-"):
+                raise ConfigurationError(
+                    f"algorithm {algo!r} cannot run in mode {self.mode!r}: its prefilter "
+                    "proposes training triples, which latent explanations exclude"
+                )
 
 
 def parse_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:

@@ -19,13 +19,13 @@ deterministic.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TrainingError
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, _one_hop_entities
 from .model import EmbeddingModel, TrainConfig, init_model, rank, score
 from .training import post_train, train
 
@@ -75,7 +75,6 @@ class EffectivenessResult:
     warnings: tuple[str, ...] = ()
     score_before: float | None = None
     score_after: float | None = None
-    multi_seed: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -117,25 +116,13 @@ def _ordered_addition(kg: KnowledgeGraph, added: Iterable[Triple]) -> tuple[Trip
     return kg.train + tuple(sorted(set(added)))
 
 
-def _neighborhood_entities(kg: KnowledgeGraph, entity: int) -> set[int]:
-    near = {entity}
-    for t in kg.train_adjacency.get(entity, ()):
-        near.add(t.subject)
-        near.add(t.object)
-    return near
-
-
-def _incident_relations(kg: KnowledgeGraph, entity: int) -> set[int]:
-    return {t.relation for t in kg.train_adjacency.get(entity, ())}
-
-
 def _retrained(
     kg: KnowledgeGraph,
     base: EmbeddingModel,
     new_train: tuple[Triple, ...],
     evaluator: str,
     config: TrainConfig,
-    trainable_entities: set[int] | None = None,
+    trainable_entities: Iterable[int] | None = None,
     trainable_relations: set[int] | None = None,
     reinit: bool = False,
     post_epochs: int | None = None,
@@ -175,8 +162,6 @@ def effectiveness_necessary(
     config: TrainConfig,
     *,
     post_epochs: int | None = None,
-    relations_trainable: bool = False,
-    extra_seeds: tuple[int, ...] = (),
     meter: RetrainMeter | None = None,
 ) -> EffectivenessResult:
     """Rank change caused by removing the candidate and retraining.
@@ -195,39 +180,18 @@ def effectiveness_necessary(
             "filtered candidate count"
         )
     new_train = _ordered_removal(kg, triples)
-    trainable = _neighborhood_entities(kg, prediction.subject)
-    trainable_rel = _incident_relations(kg, prediction.subject) if relations_trainable else None
     retrained = _retrained(
         kg, model, new_train, evaluator, config,
-        trainable_entities=trainable, trainable_relations=trainable_rel,
+        trainable_entities=_one_hop_entities(kg, prediction.subject),
         post_epochs=post_epochs, meter=meter,
     )
     rank_after = rank(retrained, prediction, kg)
-    psi = float(rank_after - rank_before)
-
-    multi_seed = None
-    if extra_seeds:
-        if evaluator != "full-retrain":
-            raise ConfigurationError("multi-seed spread is only defined for full retraining")
-        psis = [psi]
-        for seed in extra_seeds:
-            seeded = replace(config, seed=seed)
-            alt = _retrained(kg, model, new_train, evaluator, seeded, meter=meter)
-            psis.append(float(rank(alt, prediction, kg) - rank_before))
-        multi_seed = {
-            "seeds": (config.seed, *extra_seeds),
-            "psi_values": tuple(psis),
-            "psi_mean": float(np.mean(psis)),
-            "psi_sd": float(np.std(psis, ddof=1)) if len(psis) > 1 else 0.0,
-        }
-
     return EffectivenessResult(
-        psi=psi,
+        psi=float(rank_after - rank_before),
         rank_before=rank_before,
         rank_after=rank_after,
         operator="remove-retrain",
         evaluator=evaluator,
-        multi_seed=multi_seed,
     )
 
 
@@ -347,9 +311,6 @@ def effectiveness_c_sufficient(
     evaluator: str,
     config: TrainConfig,
     *,
-    aggregate: str = "mean",
-    normalize_by_new_rank: bool = False,
-    batched: bool = False,
     post_epochs: int | None = None,
     meter: RetrainMeter | None = None,
 ) -> EffectivenessResult:
@@ -357,10 +318,8 @@ def effectiveness_c_sufficient(
 
     Every candidate triple must contain the prediction's subject; it is
     swapped for each target entity and the swapped copies are added to the
-    training set, retraining once per target (or once in total with
-    ``batched``). Per-target outcomes are retained; single targets may
-    worsen. ``aggregate`` is ``mean`` or ``all-decrease`` (the minimum, so a
-    positive value means every target improved).
+    training set, retraining once per target. Per-target outcomes are
+    retained; single targets may worsen, and the result is their mean.
     """
     triples = _as_triples(candidate)
     s_x = prediction.subject
@@ -369,8 +328,6 @@ def effectiveness_c_sufficient(
             raise DomainError(f"candidate triple {t} does not contain the prediction subject")
     if not triples <= kg.train_set:
         raise DomainError("a targeted-sufficiency candidate must be a subset of the training set")
-    if aggregate not in ("mean", "all-decrease"):
-        raise ConfigurationError(f"unknown aggregate mode: {aggregate!r}")
 
     swapped: dict[int, list[Triple]] = {}
     skipped: dict[int, int] = {}
@@ -387,45 +344,25 @@ def effectiveness_c_sufficient(
         swapped[c] = kept
         skipped[c] = n_skipped
 
-    batched_model = None
-    if batched:
-        additions = [t for ts in swapped.values() for t in ts]
-        if additions:
-            trainable = set()
-            for c in targets.entities:
-                trainable |= _neighborhood_entities(kg, c)
-                trainable |= {t.subject for t in swapped[c]} | {t.object for t in swapped[c]}
-            batched_model = _retrained(
-                kg, model, _ordered_addition(kg, additions), evaluator, config,
-                trainable_entities=trainable, post_epochs=post_epochs, meter=meter,
-            )
-
     outcomes: list[TargetOutcome] = []
     for c in targets.entities:
         probe = Triple(c, prediction.relation, prediction.object)
         before = rank(model, probe, kg)
         additions = swapped[c]
-        if batched:
-            after_model = batched_model if batched_model is not None else model
-        elif not additions:
+        if not additions:
             after_model = model  # nothing to add: the operator is the identity
         else:
-            trainable = _neighborhood_entities(kg, c)
+            trainable = _one_hop_entities(kg, c)
             trainable |= {t.subject for t in additions} | {t.object for t in additions}
             after_model = _retrained(
                 kg, model, _ordered_addition(kg, additions), evaluator, config,
                 trainable_entities=trainable, post_epochs=post_epochs, meter=meter,
             )
         after = rank(after_model, probe, kg)
-        psi_c = float(before - after)
-        if normalize_by_new_rank:
-            psi_c /= max(after - 1, 1)
-        outcomes.append(TargetOutcome(c, before, after, psi_c, skipped[c]))
+        outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped[c]))
 
-    psis = [o.psi for o in outcomes]
-    psi = float(np.mean(psis)) if aggregate == "mean" else float(np.min(psis))
     return EffectivenessResult(
-        psi=psi,
+        psi=float(np.mean([o.psi for o in outcomes])),
         rank_before=float(np.mean([o.rank_before for o in outcomes])),
         rank_after=float(np.mean([o.rank_after for o in outcomes])),
         operator="add-swap-retrain",
@@ -471,7 +408,7 @@ def effectiveness_latent(
     else:
         raise ConfigurationError(f"unknown polarity: {polarity!r}")
 
-    trainable = _neighborhood_entities(kg, prediction.subject)
+    trainable = _one_hop_entities(kg, prediction.subject)
     trainable |= {t.subject for t in triples} | {t.object for t in triples}
     retrained = _retrained(
         kg, model, _ordered_addition(kg, triples), evaluator, config,

@@ -38,7 +38,16 @@ from .effectiveness import (
 )
 from .errors import ConfigurationError, DomainError
 from .kg import KnowledgeGraph, SearchSpace, Triple
-from .model import EmbeddingModel, TrainConfig, grad_score_wrt_subject, rank, score, score_objects
+from .model import (
+    EmbeddingModel,
+    TrainConfig,
+    _cmul,
+    _cmul_conj,
+    grad_score_wrt_subject,
+    rank,
+    score,
+    score_objects,
+)
 from .pareto import ParetoFront, pareto_front
 
 logger = logging.getLogger(__name__)
@@ -52,6 +61,12 @@ ALGORITHMS = (
 MODES = ("necessary", "sufficient", "c-sufficient", "latent-positive", "latent-negative")
 
 RUN_SCHEMA_VERSION = 1
+
+# Annealing schedule of the builder: the temperature starts at 1 and decays
+# geometrically by 0.9 after every 50 proposals.
+_ANNEAL_INITIAL_TEMPERATURE = 1.0
+_ANNEAL_DECAY = 0.9
+_ANNEAL_PROPOSALS = 50
 
 
 @dataclass
@@ -68,9 +83,6 @@ class ExplainerConfig:
     influence_step: float = 0.1
     top_m: int = 1
     acceptance_threshold: float = 1.0
-    anneal_initial_temperature: float = 1.0
-    anneal_decay: float = 0.9
-    anneal_proposals: int = 50
     max_evals_per_length: int = 256
     post_train_epochs: int | None = None
     seed: int = 0
@@ -84,10 +96,8 @@ class ExplainerConfig:
             raise ConfigurationError("prefilter_k must be >= 1")
         if self.top_m < 1:
             raise ConfigurationError("top_m must be >= 1")
-        for name in ("lambda_weight", "perturbation_step", "influence_step",
-                     "acceptance_threshold", "anneal_initial_temperature", "anneal_decay"):
-            value = getattr(self, name)
-            if not np.isfinite(value) and name != "acceptance_threshold":
+        for name in ("lambda_weight", "perturbation_step", "influence_step"):
+            if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
 
 
@@ -314,13 +324,8 @@ def data_poisoning_direct(
             rank_before, warnings=("no eligible neighbors",),
         )
 
-    grad = grad_score_wrt_subject(model, prediction)
-    d = model.dimension
-    shift_re = config.perturbation_step * grad[:d]
-    shift_im = config.perturbation_step * grad[d:]
     shifted = model.clone()
-    shifted.ent_re[s_x] -= shift_re
-    shifted.ent_im[s_x] -= shift_im
+    shifted.ent[s_x] -= config.perturbation_step * grad_score_wrt_subject(model, prediction)
 
     scored = []
     for t in neighbors:
@@ -348,14 +353,11 @@ def data_poisoning_direct(
 def _score_gradients(model: EmbeddingModel, triple: Triple) -> dict[tuple[str, int], np.ndarray]:
     """Score gradient w.r.t. each of the triple's own embeddings, keyed by row."""
     s, r, o = triple
-    a, b = model.ent_re[s], model.ent_im[s]
-    c, d = model.rel_re[r], model.rel_im[r]
-    e, f = model.ent_re[o], model.ent_im[o]
+    subject, relation, obj = model.ent[s], model.rel[r], model.ent[o]
     grads: dict[tuple[str, int], np.ndarray] = {}
-    grads[("e", s)] = np.concatenate([c * e + d * f, c * f - d * e])
-    grads[("r", r)] = np.concatenate([a * e + b * f, a * f - b * e])
-    q = np.concatenate([a * c - b * d, a * d + b * c])
-    grads[("e", o)] = grads.get(("e", o), 0) + q
+    grads[("e", s)] = _cmul_conj(obj, relation)
+    grads[("r", r)] = _cmul_conj(obj, subject)
+    grads[("e", o)] = grads.get(("e", o), 0) + _cmul(subject, relation)
     return grads
 
 
@@ -370,18 +372,13 @@ def _loss_gradients(model: EmbeddingModel, triple: Triple) -> dict[tuple[str, in
     shift = scores.max()
     exps = np.exp(scores - shift)
     probs = exps / exps.sum()
-    mean_re = probs @ model.ent_re
-    mean_im = probs @ model.ent_im
 
-    a, b = model.ent_re[s], model.ent_im[s]
-    c, d = model.rel_re[r], model.rel_im[r]
-    v_re = mean_re - model.ent_re[o]
-    v_im = mean_im - model.ent_im[o]
+    subject, relation = model.ent[s], model.rel[r]
+    v = probs @ model.ent - model.ent[o]
     grads: dict[tuple[str, int], np.ndarray] = {}
-    grads[("e", s)] = np.concatenate([c * v_re + d * v_im, c * v_im - d * v_re])
-    grads[("r", r)] = np.concatenate([a * v_re + b * v_im, a * v_im - b * v_re])
-    q = np.concatenate([a * c - b * d, a * d + b * c])
-    target_grad = (probs[o] - 1.0) * q
+    grads[("e", s)] = _cmul_conj(v, relation)
+    grads[("r", r)] = _cmul_conj(v, subject)
+    target_grad = (probs[o] - 1.0) * _cmul(subject, relation)
     grads[("e", o)] = grads.get(("e", o), 0) + target_grad
     return grads
 
@@ -581,7 +578,7 @@ def _anneal_length(
     record = evaluate(frozenset(current), heuristic=relevance[current])
     if record.result.psi >= config.acceptance_threshold:
         return True
-    temperature = config.anneal_initial_temperature
+    temperature = _ANNEAL_INITIAL_TEMPERATURE
     proposals = 0
     evals = 1
     while evals < config.max_evals_per_length:
@@ -592,8 +589,8 @@ def _anneal_length(
         add = replacements[int(rng.integers(len(replacements)))]
         proposal = tuple(sorted(set(current) - {current[drop]} | {add}))
         proposals += 1
-        if proposals % config.anneal_proposals == 0:
-            temperature *= config.anneal_decay
+        if proposals % _ANNEAL_PROPOSALS == 0:
+            temperature *= _ANNEAL_DECAY
         gain = relevance[proposal] - relevance[current]
         if gain >= 0 or rng.random() < np.exp(gain / max(temperature, 1e-9)):
             current = proposal

@@ -24,7 +24,6 @@ SEARCH_SPACE_PRESETS = (
     "subject-match",
     "one-hop",
     "wcc",
-    "unobserved",
 )
 
 
@@ -351,15 +350,13 @@ def weakly_connected_component(kg: KnowledgeGraph, entity: int) -> frozenset[Tri
 class SearchSpace:
     """Candidate-triple space defined by an ordered conjunction of constraints.
 
-    Membership equals the conjunction of all constraints. Explicit presets
-    enumerate a finite set; the unobserved preset enumerates the complement
-    of the training set lazily.
+    Membership equals the conjunction of all constraints; ``enumerate``
+    yields the members in a fixed order.
     """
 
     preset: str
     constraints: tuple[Callable[[Triple], bool], ...]
     _enumerator: Callable[[], Iterator[Triple]]
-    lazy: bool = False
 
     def __contains__(self, t: Triple) -> bool:
         return all(c(t) for c in self.constraints)
@@ -372,6 +369,7 @@ class SearchSpace:
 
 
 def _one_hop_entities(kg: KnowledgeGraph, entity: int) -> frozenset[int]:
+    """The entity plus every endpoint of its incident training triples."""
     near = {entity}
     for t in kg.train_adjacency.get(entity, ()):
         near.add(t.subject)
@@ -390,15 +388,13 @@ def build_search_space(
     ``shares-entity`` (an endpoint is the prediction's subject or object),
     ``subject-match`` (subject equals the prediction's subject), ``one-hop``
     (both endpoints within one hop of the prediction's subject), ``wcc``
-    (the subject's weakly connected component). ``unobserved`` enumerates
-    all possible triples absent from the training set, lazily.
+    (the subject's weakly connected component).
     """
     if preset not in SEARCH_SPACE_PRESETS:
         raise ConfigurationError(
             f"unknown search-space preset {preset!r}; expected one of {SEARCH_SPACE_PRESETS}"
         )
-    needs_prediction = preset in ("shares-entity", "subject-match", "one-hop", "wcc")
-    if needs_prediction and prediction is None:
+    if preset != "train-all" and prediction is None:
         raise ConfigurationError(f"preset {preset!r} requires a prediction triple")
 
     train_set = kg.train_set
@@ -415,21 +411,9 @@ def build_search_space(
     elif preset == "one-hop":
         near = _one_hop_entities(kg, prediction.subject)
         constraints = (in_train, lambda t: t.subject in near and t.object in near)
-    elif preset == "wcc":
+    else:  # wcc
         component = weakly_connected_component(kg, prediction.subject)
         constraints = (in_train, lambda t: t in component)
-    else:  # unobserved
-        constraints = (kg.contains_ids, lambda t: t not in train_set)
-
-        def enumerate_unobserved() -> Iterator[Triple]:
-            for s in range(kg.num_entities):
-                for r in range(kg.num_relations):
-                    for o in range(kg.num_entities):
-                        t = Triple(s, r, o)
-                        if t not in train_set:
-                            yield t
-
-        return SearchSpace(preset, constraints, enumerate_unobserved, lazy=True)
 
     members = tuple(sorted(t for t in train_set if all(c(t) for c in constraints)))
     return SearchSpace(preset, constraints, lambda: iter(members))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigurationError, DomainError
 from .kg import KnowledgeGraph, Triple
@@ -57,6 +56,9 @@ def fit_logistic_calibration(
     scores: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
     """Maximum-likelihood (scale, bias) of a sigmoid over 1-d scores."""
+    # deferred: importing scipy.optimize dominates CLI start-up, and only latent modes fit
+    from scipy.optimize import minimize
+
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
 

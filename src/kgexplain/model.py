@@ -1,6 +1,11 @@
 """Complex-bilinear embedding scorer with filtered ranking.
 
-Embeddings are complex vectors stored as paired real arrays (re, im).
+Embeddings are complex vectors packed as real rows ``[re | im]``: one
+``(rows, 2 * dimension)`` array per table. With that layout the score
+Re<e_s, w_r, conj(e_o)> is one complex product followed by a plain real dot
+product, so scoring every entity is one matrix-vector product. Checkpoints
+still store the four real halves, so older files keep loading.
+
 Subject completion is served by materialized reciprocal relations: relation
 ``r`` owns a twin row ``r + num_relations`` and subject queries are scored
 as object queries under the twin. Ranking follows the filtered protocol:
@@ -19,8 +24,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .kg import KnowledgeGraph, Triple
 
-MODEL_KINDS = ("complex-bilinear", "translation", "real-bilinear")
-
 
 @dataclass
 class TrainConfig:
@@ -37,8 +40,6 @@ class TrainConfig:
     reg_weight: float = 1e-3
     batch_size: int = 512
     seed: int = 0
-    optimizer: str = "adagrad"
-    negative_mode: str = "full-softmax"
 
     def validate(self) -> None:
         if self.dimension < 1:
@@ -51,53 +52,75 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be finite and >= 0")
         if self.reg_weight < 0 or not np.isfinite(self.reg_weight):
             raise ConfigurationError("reg_weight must be finite and >= 0")
-        if self.optimizer != "adagrad":
-            raise ConfigurationError(f"unsupported optimizer: {self.optimizer!r}")
-        if self.negative_mode != "full-softmax":
-            raise ConfigurationError(f"unsupported negative mode: {self.negative_mode!r}")
 
 
 @dataclass
 class EmbeddingModel:
     """Entity and relation embeddings plus bookkeeping.
 
-    Relation arrays hold ``2 * num_relations`` rows: the second half are the
-    reciprocal twins used for subject completion. ``history`` carries the
+    ``ent`` and ``rel`` are packed ``[re | im]`` tables; the relation table
+    holds ``2 * num_relations`` rows, the second half being the reciprocal
+    twins used for subject completion. ``ent_re``, ``ent_im``, ``rel_re`` and
+    ``rel_im`` are write-through views of the halves. ``history`` carries the
     per-epoch train/validation negative log-likelihood of the last fit.
     """
 
-    ent_re: np.ndarray
-    ent_im: np.ndarray
-    rel_re: np.ndarray
-    rel_im: np.ndarray
+    ent: np.ndarray
+    rel: np.ndarray
     dimension: int
     seed: int
-    model_kind: str = "complex-bilinear"
     history: list[dict] = field(default_factory=list)
 
     @property
+    def ent_re(self) -> np.ndarray:
+        return self.ent[:, : self.dimension]
+
+    @property
+    def ent_im(self) -> np.ndarray:
+        return self.ent[:, self.dimension :]
+
+    @property
+    def rel_re(self) -> np.ndarray:
+        return self.rel[:, : self.dimension]
+
+    @property
+    def rel_im(self) -> np.ndarray:
+        return self.rel[:, self.dimension :]
+
+    @property
     def num_entities(self) -> int:
-        return self.ent_re.shape[0]
+        return self.ent.shape[0]
 
     @property
     def num_relations(self) -> int:
-        return self.rel_re.shape[0] // 2
+        return self.rel.shape[0] // 2
 
     def clone(self) -> "EmbeddingModel":
         """Value-independent copy; mutating it never touches the original."""
         return replace(
-            self,
-            ent_re=self.ent_re.copy(),
-            ent_im=self.ent_im.copy(),
-            rel_re=self.rel_re.copy(),
-            rel_im=self.rel_im.copy(),
-            history=list(self.history),
+            self, ent=self.ent.copy(), rel=self.rel.copy(), history=list(self.history)
         )
 
     def assert_finite(self) -> None:
-        for arr in (self.ent_re, self.ent_im, self.rel_re, self.rel_im):
+        for arr in (self.ent, self.rel):
             if not np.all(np.isfinite(arr)):
                 raise DomainError("model contains non-finite embedding entries")
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex product of packed ``[re | im]`` rows (last axis)."""
+    d = x.shape[-1] // 2
+    a, b = x[..., :d], x[..., d:]
+    c, e = y[..., :d], y[..., d:]
+    return np.concatenate([a * c - b * e, a * e + b * c], axis=-1)
+
+
+def _cmul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex product ``x * conj(y)`` of packed ``[re | im]`` rows (last axis)."""
+    d = x.shape[-1] // 2
+    a, b = x[..., :d], x[..., d:]
+    c, e = y[..., :d], y[..., d:]
+    return np.concatenate([a * c + b * e, b * c - a * e], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -114,19 +137,12 @@ class RankedPrediction:
             raise DomainError("rank must be >= 1")
 
 
-def init_model(
-    kg: KnowledgeGraph, config: TrainConfig, model_kind: str = "complex-bilinear"
-) -> EmbeddingModel:
+def init_model(kg: KnowledgeGraph, config: TrainConfig) -> EmbeddingModel:
     """Draw fresh embeddings, i.i.d. zero-mean with scale 1/sqrt(dimension).
 
-    Deterministic under a fixed seed. Only the complex-bilinear scorer is
-    implemented; the other declared kinds raise.
+    Deterministic under a fixed seed.
     """
     config.validate()
-    if model_kind not in MODEL_KINDS:
-        raise ConfigurationError(f"unknown model kind: {model_kind!r}")
-    if model_kind != "complex-bilinear":
-        raise NotImplementedError(f"model kind {model_kind!r} is declared but not implemented")
     if kg.num_entities == 0 or kg.num_relations == 0:
         raise ConfigurationError("cannot initialize a model over empty dictionaries")
     d = config.dimension
@@ -134,14 +150,7 @@ def init_model(
     scale = 1.0 / np.sqrt(d)
     ent = rng.standard_normal((kg.num_entities, 2 * d)) * scale
     rel = rng.standard_normal((2 * kg.num_relations, 2 * d)) * scale
-    return EmbeddingModel(
-        ent_re=ent[:, :d].copy(),
-        ent_im=ent[:, d:].copy(),
-        rel_re=rel[:, :d].copy(),
-        rel_im=rel[:, d:].copy(),
-        dimension=d,
-        seed=config.seed,
-    )
+    return EmbeddingModel(ent=ent, rel=rel, dimension=d, seed=config.seed)
 
 
 def _check_ids(model: EmbeddingModel, triple: Triple) -> None:
@@ -155,10 +164,7 @@ def score(model: EmbeddingModel, triple: Triple) -> float:
     """Real part of the trilinear product <e_s, w_r, conj(e_o)>."""
     _check_ids(model, triple)
     s, r, o = triple
-    a, b = model.ent_re[s], model.ent_im[s]
-    c, d = model.rel_re[r], model.rel_im[r]
-    e, f = model.ent_re[o], model.ent_im[o]
-    return float(np.sum((a * c - b * d) * e + (a * d + b * c) * f))
+    return float(_cmul(model.ent[s], model.rel[r]) @ model.ent[o])
 
 
 def score_objects(model: EmbeddingModel, head: int, relation_row: int) -> np.ndarray:
@@ -167,11 +173,7 @@ def score_objects(model: EmbeddingModel, head: int, relation_row: int) -> np.nda
     ``relation_row`` indexes the doubled relation table, so reciprocal rows
     serve subject completion.
     """
-    a, b = model.ent_re[head], model.ent_im[head]
-    c, d = model.rel_re[relation_row], model.rel_im[relation_row]
-    q_re = a * c - b * d
-    q_im = a * d + b * c
-    return model.ent_re @ q_re + model.ent_im @ q_im
+    return model.ent @ _cmul(model.ent[head], model.rel[relation_row])
 
 
 def rank(
@@ -225,16 +227,10 @@ def grad_score_wrt_subject(model: EmbeddingModel, triple: Triple) -> np.ndarray:
     """Analytic gradient of the score w.r.t. the subject embedding.
 
     Returned as 2*dimension reals: first the real coordinates, then the
-    imaginary ones. Equals the complex product of the relation with the
-    conjugated object, conjugated back into gradient coordinates.
+    imaginary ones. Equals the object times the conjugated relation.
     """
     _check_ids(model, triple)
-    r, o = triple.relation, triple.object
-    c, d = model.rel_re[r], model.rel_im[r]
-    e, f = model.ent_re[o], model.ent_im[o]
-    grad_re = c * e + d * f
-    grad_im = c * f - d * e
-    return np.concatenate([grad_re, grad_im])
+    return _cmul_conj(model.ent[triple.object], model.rel[triple.relation])
 
 
 def kg_fingerprint(kg: KnowledgeGraph) -> str:
@@ -253,13 +249,12 @@ def kg_fingerprint(kg: KnowledgeGraph) -> str:
 
 
 def save_checkpoint(model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path) -> None:
-    """Write embeddings plus metadata (graph hash, dimension, seed) to one file."""
-    meta = {
-        "kg_hash": kg_fingerprint(kg),
-        "dimension": model.dimension,
-        "seed": model.seed,
-        "model_kind": model.model_kind,
-    }
+    """Write embeddings plus metadata (graph hash, dimension, seed) to one file.
+
+    The packed tables are stored as their four real halves (``ent_re``,
+    ``ent_im``, ``rel_re``, ``rel_im``), the layout every checkpoint has had.
+    """
+    meta = {"kg_hash": kg_fingerprint(kg), "dimension": model.dimension, "seed": model.seed}
     with open(path, "wb") as fh:
         np.savez(
             fh,
@@ -280,11 +275,8 @@ def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
                 "checkpoint does not match the loaded dataset (graph hash differs)"
             )
         return EmbeddingModel(
-            ent_re=data["ent_re"],
-            ent_im=data["ent_im"],
-            rel_re=data["rel_re"],
-            rel_im=data["rel_im"],
+            ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
+            rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
             dimension=int(meta["dimension"]),
             seed=int(meta["seed"]),
-            model_kind=meta["model_kind"],
         )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, TrainingError
 from .kg import KnowledgeGraph, Triple
-from .model import EmbeddingModel, TrainConfig, init_model
+from .model import EmbeddingModel, TrainConfig, _cmul, _cmul_conj, init_model
 
 logger = logging.getLogger(__name__)
 
@@ -44,74 +44,85 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> Non
     )
 
 
+class Gradients(tuple):
+    """Gradients of the packed ``ent`` and ``rel`` tables.
+
+    As a tuple it holds the four real halves, ordered (ent_re, ent_im,
+    rel_re, rel_im) like the model's views; ``ent`` and ``rel`` are the
+    packed tables the optimizer updates.
+    """
+
+    def __new__(cls, ent: np.ndarray, rel: np.ndarray) -> "Gradients":
+        d = ent.shape[1] // 2
+        grads = super().__new__(cls, (ent[:, :d], ent[:, d:], rel[:, :d], rel[:, d:]))
+        grads.ent, grads.rel = ent, rel
+        return grads
+
+
+def _n3(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cubed-modulus (N3) penalty of packed ``[re | im]`` rows, and ``|x| * x``.
+
+    The second value is the penalty's gradient divided by three.
+    """
+    d = x.shape[1] // 2
+    modulus = np.sqrt(x[:, :d] ** 2 + x[:, d:] ** 2)
+    return float((modulus**3).sum()), np.concatenate([modulus, modulus], axis=1) * x
+
+
 def batch_loss_and_grads(
     model: EmbeddingModel, batch: np.ndarray, reg_weight: float
-) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[float, float, Gradients]:
     """Mean loss over a batch of query rows plus analytic gradients.
 
-    Returns (total loss, data-only negative log-likelihood, gradients) with
-    gradients ordered (ent_re, ent_im, rel_re, rel_im). Real and imaginary
-    halves are stacked into single arrays so each step runs one matmul and
-    one scatter per parameter table.
+    Returns (total loss, data-only negative log-likelihood, gradients). Each
+    step runs one matmul and one scatter per packed parameter table.
     """
-    ent_re, ent_im = model.ent_re, model.ent_im
-    rel_re, rel_im = model.rel_re, model.rel_im
+    ent, rel = model.ent, model.rel
     heads = batch[:, 0]
     rels = batch[:, 1]
     targets = batch[:, 2]
     n = len(batch)
-    d = model.dimension
+    rows = np.arange(n)
 
-    ent = np.hstack([ent_re, ent_im])
-    h_re, h_im = ent_re[heads], ent_im[heads]
-    r_re, r_im = rel_re[rels], rel_im[rels]
-    q = np.hstack([h_re * r_re - h_im * r_im, h_re * r_im + h_im * r_re])
+    h, r = ent[heads], rel[rels]
+    q = _cmul(h, r)
     scores = q @ ent.T
     shift = scores.max(axis=1, keepdims=True)
     exps = np.exp(scores - shift)
     z = exps.sum(axis=1, keepdims=True)
-    log_probs = scores - shift - np.log(z)
-    data_loss = float(-log_probs[np.arange(n), targets].mean())
+    data_loss = float(-(scores[rows, targets] - shift[:, 0] - np.log(z[:, 0])).mean())
 
     grad_scores = exps / z
-    grad_scores[np.arange(n), targets] -= 1.0
+    grad_scores[rows, targets] -= 1.0
     grad_scores /= n
 
     d_ent = grad_scores.T @ q
     dq = grad_scores @ ent
-    dq_re, dq_im = dq[:, :d], dq[:, d:]
-    dh = np.hstack([dq_re * r_re + dq_im * r_im, -dq_re * r_im + dq_im * r_re])
-    dr = np.hstack([dq_re * h_re + dq_im * h_im, -dq_re * h_im + dq_im * h_re])
-    d_rel = np.zeros((rel_re.shape[0], 2 * d))
+    dh = _cmul_conj(dq, r)
+    dr = _cmul_conj(dq, h)
+    d_rel = np.zeros_like(rel)
 
     loss = data_loss
     if reg_weight > 0:
-        t_re, t_im = ent_re[targets], ent_im[targets]
-        mh = np.sqrt(h_re**2 + h_im**2)
-        mr = np.sqrt(r_re**2 + r_im**2)
-        mt = np.sqrt(t_re**2 + t_im**2)
-        loss += reg_weight * float((mh**3).sum() + (mr**3).sum() + (mt**3).sum()) / n
+        (ph, gh), (pr, gr), (pt, gt) = _n3(h), _n3(r), _n3(ent[targets])
+        loss += reg_weight * (ph + pr + pt) / n
         c = 3.0 * reg_weight / n
-        dh += c * np.hstack([mh * h_re, mh * h_im])
-        dr += c * np.hstack([mr * r_re, mr * r_im])
-        _scatter_rows(d_ent, targets, c * np.hstack([mt * t_re, mt * t_im]))
+        dh += c * gh
+        dr += c * gr
+        _scatter_rows(d_ent, targets, c * gt)
 
     _scatter_rows(d_ent, heads, dh)
     _scatter_rows(d_rel, rels, dr)
-    return loss, data_loss, (d_ent[:, :d], d_ent[:, d:], d_rel[:, :d], d_rel[:, d:])
+    return loss, data_loss, Gradients(d_ent, d_rel)
 
 
 def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
     """Data negative log-likelihood averaged over query rows, no regularization."""
-    ent_re, ent_im = model.ent_re, model.ent_im
+    ent, rel = model.ent, model.rel
     total = 0.0
     for start in range(0, len(examples), 4096):
         batch = examples[start : start + 4096]
-        h_re, h_im = ent_re[batch[:, 0]], ent_im[batch[:, 0]]
-        r_re, r_im = model.rel_re[batch[:, 1]], model.rel_im[batch[:, 1]]
-        q_re = h_re * r_re - h_im * r_im
-        q_im = h_re * r_im + h_im * r_re
-        scores = q_re @ ent_re.T + q_im @ ent_im.T
+        scores = _cmul(ent[batch[:, 0]], rel[batch[:, 1]]) @ ent.T
         shift = scores.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
         total += float((log_z - scores[np.arange(len(batch)), batch[:, 2]]).sum())
@@ -135,9 +146,9 @@ def _fit(
     same example set replay the same batches.
     """
     lr = config.learning_rate
-    acc = [np.zeros_like(a) for a in (model.ent_re, model.ent_im, model.rel_re, model.rel_im)]
-    params = [model.ent_re, model.ent_im, model.rel_re, model.rel_im]
-    masks = [ent_idx, ent_idx, rel_idx, rel_idx]
+    params = (model.ent, model.rel)
+    acc = [np.zeros_like(a) for a in params]
+    masks = (ent_idx, rel_idx)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     model.history = []
 
@@ -150,7 +161,7 @@ def _fit(
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged (non-finite) at epoch {epoch}")
             epoch_nll += data_loss * len(batch)
-            for param, accum, grad, idx in zip(params, acc, grads, masks):
+            for param, accum, grad, idx in zip(params, acc, (grads.ent, grads.rel), masks):
                 if idx is None:
                     accum += grad * grad
                     param -= lr * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
@@ -229,11 +240,9 @@ def post_train(
     tuned = model.clone()
     if reinit_trainable:
         fresh = init_model(kg, config)
-        tuned.ent_re[ent_idx] = fresh.ent_re[ent_idx]
-        tuned.ent_im[ent_idx] = fresh.ent_im[ent_idx]
+        tuned.ent[ent_idx] = fresh.ent[ent_idx]
         if len(rel_idx):
-            tuned.rel_re[rel_idx] = fresh.rel_re[rel_idx]
-            tuned.rel_im[rel_idx] = fresh.rel_im[rel_idx]
+            tuned.rel[rel_idx] = fresh.rel[rel_idx]
     if epochs == 0:
         return tuned
     examples = build_examples(modified, model.num_relations)

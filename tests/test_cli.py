@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgexplain
 from kgexplain import Triple, load_dataset, load_checkpoint, rank
 from kgexplain.cli import (
     EXIT_OK,
@@ -261,3 +265,40 @@ class TestSeedOverride:
         assert config.train.seed == 99
         assert config.selection_seed == 99
         assert config.explainer.seed == 99
+
+
+@pytest.mark.parametrize(
+    "mode, algorithm, rejected",
+    [
+        ("sufficient", "data-poisoning-direct", True),
+        ("latent-positive", "criage-first-order", True),
+        ("latent-negative", "variable-length-builder", True),
+        ("c-sufficient", "variable-length-builder", False),
+    ],
+)
+def test_unsupported_mode_algorithm_pair_is_validation_error(
+    workspace, tmp_path, caplog, mode, algorithm, rejected
+):
+    root, config_path = workspace
+    text = config_path.read_text().replace("mode = necessary", f"mode = {mode}")
+    text = text.replace("exhaustive-length-1, data-poisoning-direct", algorithm)
+    path = tmp_path / "pair.ini"
+    path.write_text(text)
+    if not rejected:
+        parse_experiment_config(path).validate()
+        return
+    argv = ["explain", "--config", str(path), "--checkpoint", "none.npz", "--selection", "none.json"]
+    assert main(argv) == EXIT_VALIDATION
+    assert repr(algorithm) in caplog.text and repr(mode) in caplog.text
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(kgexplain.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kgexplain.cli; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

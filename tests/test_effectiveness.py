@@ -111,18 +111,6 @@ class TestNecessary:
         effectiveness_necessary(kg, model, kg.train[0], {kg.train[1]}, "full-retrain", config)
         assert unchanged(model, snap)
 
-    def test_multi_seed_spread(self, pipeline):
-        kg, config, model = pipeline
-        prediction = kg.train[0]
-        result = effectiveness_necessary(
-            kg, model, prediction, {kg.train[1]}, "full-retrain", config,
-            extra_seeds=(101, 102),
-        )
-        assert len(result.multi_seed["psi_values"]) == 3
-        assert result.multi_seed["psi_mean"] == pytest.approx(
-            np.mean(result.multi_seed["psi_values"])
-        )
-
     def test_meter_counts_retrains(self, pipeline):
         kg, config, model = pipeline
         meter = RetrainMeter()
@@ -305,32 +293,6 @@ class TestCSufficient:
                 after = rank_oracle(retrained, probe, kg)
             expected.append(before - after)
         assert result.psi == pytest.approx(np.mean(expected))
-
-    def test_all_decrease_aggregate_is_minimum(self, pipeline):
-        kg, config, model = pipeline
-        prediction = Triple(0, 0, 1)
-        candidate = {Triple(0, 0, 1)}
-        targets = build_target_set(kg, model, prediction, size=3, seed=5)
-        mean_result = effectiveness_c_sufficient(
-            kg, model, prediction, candidate, targets, "post-train", config
-        )
-        min_result = effectiveness_c_sufficient(
-            kg, model, prediction, candidate, targets, "post-train", config,
-            aggregate="all-decrease",
-        )
-        assert min_result.psi == min(o.psi for o in mean_result.per_target)
-
-    def test_batched_single_retrain(self, pipeline):
-        kg, config, model = pipeline
-        prediction = Triple(0, 0, 1)
-        candidate = {Triple(0, 0, 1)}
-        targets = build_target_set(kg, model, prediction, size=3, seed=5)
-        meter = RetrainMeter()
-        effectiveness_c_sufficient(
-            kg, model, prediction, candidate, targets, "post-train", config,
-            batched=True, meter=meter,
-        )
-        assert meter.count == 1
 
     def test_one_retrain_per_target_by_default(self, pipeline):
         kg, config, model = pipeline

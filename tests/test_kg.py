@@ -244,15 +244,3 @@ class TestSearchSpaces:
         members = list(space.enumerate())
         assert set(members) == expected
         assert len(members) == len(expected)  # each exactly once
-
-    def test_unobserved_is_lazy_and_complete(self):
-        kg = KnowledgeGraph(["a", "b"], ["r"], (Triple(0, 0, 1),))
-        space = build_search_space(kg, "unobserved")
-        assert space.lazy
-        members = set(space.enumerate())
-        omega = {
-            Triple(s, 0, o) for s in range(2) for o in range(2)
-        }
-        assert members == omega - {Triple(0, 0, 1)}
-        assert Triple(0, 0, 1) not in space
-        assert Triple(1, 0, 0) in space

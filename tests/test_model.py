@@ -62,10 +62,6 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             init_model(kg, TrainConfig(learning_rate=-1.0))
 
-    def test_declared_kinds_unimplemented(self):
-        with pytest.raises(NotImplementedError):
-            init_model(simple_kg(), TrainConfig(), model_kind="translation")
-
     def test_clone_is_value_independent(self):
         model = init_model(simple_kg(), TrainConfig(dimension=3, seed=0))
         twin = model.clone()
@@ -277,6 +273,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, kg)
         assert all(np.array_equal(getattr(model, n), getattr(loaded, n)) for n in ARRAYS)
         assert loaded.dimension == 4 and loaded.seed == 8
+        with np.load(path) as data:  # the on-disk format other tools read
+            assert set(data.files) == {"ent_re", "ent_im", "rel_re", "rel_im", "meta"}
 
     def test_mismatched_graph_rejected(self, tmp_path):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
