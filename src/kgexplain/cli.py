@@ -33,6 +33,7 @@ from .explainers import (
     exhaustive_length1,
     load_run_payload,
     variable_length_builder,
+    write_text_atomic,
 )
 from .kg import KnowledgeGraph, SearchSpace, Triple, build_search_space, load_dataset
 from .latent import calibrate_ensemble, sample_latent_candidates
@@ -111,18 +112,25 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
         raise ConfigurationError(f"config file not found: {path}")
     raw_text = path.read_text(encoding="utf-8")
     parser = configparser.ConfigParser()
-    parser.read_string(raw_text)
+    try:
+        parser.read_string(raw_text, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigurationError(f"cannot parse config file {path}: {exc}") from None
 
-    def get(section: str, key: str, fallback):
+    def get(section: str, key: str, fallback, kind: type | None = None):
         if not parser.has_option(section, key):
             return fallback
-        value = parser.get(section, key)
-        if isinstance(fallback, bool):
-            return value.strip().lower() in ("1", "true", "yes", "on")
-        if isinstance(fallback, int):
-            return int(value)
-        if isinstance(fallback, float):
-            return float(value)
+        kind = kind or type(fallback)
+        try:
+            value = parser.get(section, key)
+            if kind is bool:
+                return value.strip().lower() in ("1", "true", "yes", "on")
+            if kind in (int, float):
+                return kind(value)
+        except (configparser.Error, ValueError) as exc:
+            raise ConfigurationError(
+                f"config [{section}] {key}: expected {kind.__name__}: {exc}"
+            ) from None
         return value
 
     if not parser.has_option("dataset", "path"):
@@ -147,11 +155,7 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
         top_m=get("explain", "top_m", 1),
         acceptance_threshold=get("explain", "acceptance_threshold", 1.0),
         max_evals_per_length=get("explain", "max_evals_per_length", 256),
-        post_train_epochs=(
-            int(parser.get("explain", "post_train_epochs"))
-            if parser.has_option("explain", "post_train_epochs")
-            else None
-        ),
+        post_train_epochs=get("explain", "post_train_epochs", None, int),
         seed=get("explain", "seed", 0),
     )
     algorithms = tuple(
@@ -415,7 +419,7 @@ def _simultaneous_removal(
             "after_ranks": entries,
         }
         path = runs_dir / f"simultaneous_{algorithm}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+        write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
         logger.info("simultaneous removal for %s: %d triples removed", algorithm, len(removed))
 
 
@@ -431,7 +435,7 @@ def _rank_table_for_algorithm(
 
     after_ranks: dict[Triple, int] = {}
     if simultaneous.exists():
-        data = json.loads(simultaneous.read_text(encoding="utf-8"))
+        data = load_run_payload(simultaneous)
         for entry in data["after_ranks"]:
             after_ranks[Triple(*entry["ids"])] = entry["rank_after"]
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -172,13 +174,34 @@ class ExplanationRun:
         }
 
     def save(self, path: str | Path, kg: KnowledgeGraph) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_payload(kg), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        write_text_atomic(path, json.dumps(self.to_payload(kg), indent=2, sort_keys=True))
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write through a temporary sibling file and rename it into place.
+
+    A writer killed part-way leaves at most a stray hidden ``.tmp`` file,
+    never a truncated ``path``.
+    """
+    path = Path(path)
+    fh = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp",
+        delete=False,
+    )
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(fh.name, path)
+    finally:
+        Path(fh.name).unlink(missing_ok=True)
 
 
 def load_run_payload(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a run (or simultaneous-removal) file; an unreadable one names itself."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"unreadable run file {path}: {exc}") from None
 
 
 def _evaluate_candidate(

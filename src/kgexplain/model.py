@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -267,16 +268,25 @@ def save_checkpoint(model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path)
 
 
 def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
-    """Read a checkpoint, verifying it was trained against this graph."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["kg_hash"] != kg_fingerprint(kg):
-            raise ConfigurationError(
-                "checkpoint does not match the loaded dataset (graph hash differs)"
+    """Read a checkpoint, verifying it was trained against this graph.
+
+    A file that is missing, not an ``.npz`` archive, or lacks the checkpoint
+    arrays and metadata raises :class:`ConfigurationError` naming the file.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            model = EmbeddingModel(
+                ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
+                rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
+                dimension=int(meta["dimension"]),
+                seed=int(meta["seed"]),
             )
-        return EmbeddingModel(
-            ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
-            rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
-            dimension=int(meta["dimension"]),
-            seed=int(meta["seed"]),
+            kg_hash = meta["kg_hash"]
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"not a readable checkpoint: {path} ({exc})") from None
+    if kg_hash != kg_fingerprint(kg):
+        raise ConfigurationError(
+            "checkpoint does not match the loaded dataset (graph hash differs)"
         )
+    return model

@@ -7,10 +7,29 @@ the object query (s, r) -> o and the reciprocal subject query
 (o, r + R) -> s. Optimization is adaptive-gradient with per-coordinate
 accumulators; accumulators always start at zero, so post-training does not
 depend on the original optimizer trajectory.
+
+Full training, and a post-train whose mask covers every row, run the dense
+step :func:`batch_loss_and_grads`. A post-train with any frozen row runs a
+restricted step instead. A query row whose head entity or relation row is
+trainable keeps the dense softmax over all entities. Every other row is
+fixed: its query and its scores against frozen entities cannot change during
+the fit, so the max and shifted exp-sum of those scores are computed once
+from the base model and kept in a frozen context; each step scores fixed
+rows against the trainable entities only and merges the two parts into the
+normaliser. Gradients are formed for the trainable rows alone. Contexts are
+cached under a digest of the embedding tables, the trainable entity and
+relation sets and the base training set, so all candidates of a prediction
+share one. Frozen rows stay bit-identical; trainable rows differ from the
+dense masked fit only by summation order (measured at most 1.8e-13 after 60
+desk-graph epochs and 9e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
+import hashlib
 import logging
+import threading
+from collections import OrderedDict
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,14 +44,19 @@ _ADAGRAD_EPS = 1e-10
 
 
 def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
-    """Expand triples into (head, relation_row, target) query rows, both directions."""
-    rows = []
-    for s, r, o in triples:
-        rows.append((s, r, o))
-        rows.append((o, r + num_relations, s))
-    if not rows:
+    """Expand triples into (head, relation_row, target) query rows, both directions.
+
+    Row 2i is triple i's object query (s, r, o), row 2i + 1 its reciprocal
+    subject query (o, r + num_relations, s).
+    """
+    forward = np.fromiter(chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
+    if not len(forward):
         raise DomainError("no training examples: the triple set is empty")
-    return np.asarray(rows, dtype=np.int64)
+    rows = np.empty((2 * len(forward), 3), dtype=np.int64)
+    rows[0::2] = forward
+    rows[1::2] = forward[:, ::-1]
+    rows[1::2, 1] += num_relations
+    return rows
 
 
 def _scatter_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -59,14 +83,14 @@ class Gradients(tuple):
         return grads
 
 
-def _n3(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cubed-modulus (N3) penalty of packed ``[re | im]`` rows, and ``|x| * x``.
+def _n3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cubed-modulus (N3) penalty of each packed ``[re | im]`` row, and ``|x| * x``.
 
     The second value is the penalty's gradient divided by three.
     """
     d = x.shape[1] // 2
     modulus = np.sqrt(x[:, :d] ** 2 + x[:, d:] ** 2)
-    return float((modulus**3).sum()), np.concatenate([modulus, modulus], axis=1) * x
+    return (modulus**3).sum(axis=1), np.concatenate([modulus, modulus], axis=1) * x
 
 
 def batch_loss_and_grads(
@@ -105,7 +129,7 @@ def batch_loss_and_grads(
     loss = data_loss
     if reg_weight > 0:
         (ph, gh), (pr, gr), (pt, gt) = _n3(h), _n3(r), _n3(ent[targets])
-        loss += reg_weight * (ph + pr + pt) / n
+        loss += reg_weight * float(ph.sum() + pr.sum() + pt.sum()) / n
         c = 3.0 * reg_weight / n
         dh += c * gh
         dr += c * gr
@@ -129,26 +153,258 @@ def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
     return total / len(examples)
 
 
+def _query_keys(model: EmbeddingModel, examples: np.ndarray) -> np.ndarray:
+    """One integer per (head, relation_row) query of each example row."""
+    return examples[:, 0] * len(model.rel) + examples[:, 1]
+
+
+def _frozen_partials(
+    model: EmbeddingModel, keys: np.ndarray, ent_trainable: np.ndarray, chunk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max and shifted exp-sum of each query's scores over the frozen columns.
+
+    Works ``chunk`` queries at a time, so no score block is larger than a
+    training step's.
+    """
+    heads, rels = np.divmod(keys, len(model.rel))
+    maxes = np.empty(len(keys))
+    sums = np.empty(len(keys))
+    for start in range(0, len(keys), chunk):
+        part = slice(start, start + chunk)
+        scores = _cmul(model.ent[heads[part]], model.rel[rels[part]]) @ model.ent.T
+        scores[:, ent_trainable] = -np.inf
+        maxes[part] = scores.max(axis=1)
+        scores -= maxes[part, None]
+        sums[part] = np.exp(scores, out=scores).sum(axis=1)
+    return maxes, sums
+
+
+class _FrozenContext:
+    """Frozen-column softmax partials of fixed queries, for one base model and mask.
+
+    A query (head, relation_row) is fixed during a post-train when neither
+    its head entity nor its relation row is trainable: its embedding and its
+    scores against every frozen entity column never change. For each fixed
+    query of the base training set the context keeps the max of those scores
+    and the sum of their exps shifted by it, computed once, in one pass,
+    from the base model. A fit that brings queries outside that set computes
+    them on its own, so every value a fit reads is the same whichever fits
+    ran before it or beside it in other threads.
+    """
+
+    def __init__(
+        self, ent_trainable: np.ndarray, rel_trainable: np.ndarray, train: Sequence[Triple]
+    ) -> None:
+        self.ent_trainable = ent_trainable
+        self.rel_trainable = rel_trainable
+        self.train = train
+        self.keys: np.ndarray | None = None
+        self._lock = threading.Lock()
+
+    def partials(
+        self, model: EmbeddingModel, keys: np.ndarray, chunk: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(max, exp-sum) per query key; ``model`` must be the context's base model."""
+        with self._lock:
+            if self.keys is None:
+                examples = build_examples(self.train, model.num_relations)
+                moving = self.ent_trainable[examples[:, 0]] | self.rel_trainable[examples[:, 1]]
+                base = np.unique(_query_keys(model, examples[~moving]))
+                self.maxes, self.sums = _frozen_partials(model, base, self.ent_trainable, chunk)
+                self.keys = base
+        at = np.searchsorted(self.keys, keys)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == keys[found]
+        maxes = np.empty(len(keys))
+        sums = np.empty(len(keys))
+        maxes[found] = self.maxes[at[found]]
+        sums[found] = self.sums[at[found]]
+        if not found.all():
+            missing, back = np.unique(keys[~found], return_inverse=True)
+            extra_maxes, extra_sums = _frozen_partials(model, missing, self.ent_trainable, chunk)
+            maxes[~found] = extra_maxes[back]
+            sums[~found] = extra_sums[back]
+        return maxes, sums
+
+
+# Contexts of the most recent (base model, mask, base training set) triples.
+# Every candidate of a prediction under one operator shares them, so a
+# handful covers a sweep with a few workers. The key holds a digest of the
+# embedding tables, so a context is never served for other embeddings; it
+# holds the training set's id, which stays unique while the context keeps
+# that set alive.
+_CONTEXT_LIMIT = 8
+_CONTEXTS: "OrderedDict[tuple, _FrozenContext]" = OrderedDict()
+_CONTEXTS_LOCK = threading.Lock()
+
+
+def _frozen_context(
+    model: EmbeddingModel,
+    ent_trainable: np.ndarray,
+    rel_trainable: np.ndarray,
+    train: Sequence[Triple],
+) -> _FrozenContext:
+    """The shared context of this model's content, trainable rows and training set."""
+    digest = hashlib.sha256()
+    for table in (model.ent, model.rel):
+        digest.update(np.asarray(table.shape, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(table).data)
+    key = (digest.digest(), ent_trainable.tobytes(), rel_trainable.tobytes(), id(train))
+    with _CONTEXTS_LOCK:
+        context = _CONTEXTS.get(key)
+        if context is None:
+            context = _CONTEXTS[key] = _FrozenContext(ent_trainable, rel_trainable, train)
+            if len(_CONTEXTS) > _CONTEXT_LIMIT:
+                _CONTEXTS.popitem(last=False)
+        else:
+            _CONTEXTS.move_to_end(key)
+        return context
+
+
+class _RestrictedStep:
+    """A training step that computes only what the trainable rows need.
+
+    Query rows whose head entity or relation row is trainable ("moving")
+    keep the dense softmax over all entity columns. Every other row is fixed:
+    it is scored against the trainable columns only, and the frozen-column
+    partials of its query, read once from the shared :class:`_FrozenContext`,
+    complete its normaliser. Entity gradients are formed for the trainable
+    rows alone, so a step costs O(n |T| d + n_moving E d) instead of
+    O(n E d).
+    """
+
+    def __init__(
+        self,
+        model: EmbeddingModel,
+        examples: np.ndarray,
+        ent_idx: np.ndarray,
+        rel_idx: np.ndarray,
+        train: Sequence[Triple],
+        chunk: int,
+    ) -> None:
+        self.examples = examples
+        self.ent_idx = ent_idx
+        self.rel_idx = rel_idx
+        self.column = np.full(model.num_entities, -1, dtype=np.int64)
+        self.column[ent_idx] = np.arange(len(ent_idx))
+        self.rel_slot = np.full(len(model.rel), -1, dtype=np.int64)
+        self.rel_slot[rel_idx] = np.arange(len(rel_idx))
+        ent_trainable = self.column >= 0
+        rel_trainable = self.rel_slot >= 0
+        self.moving = ent_trainable[examples[:, 0]] | rel_trainable[examples[:, 1]]
+        self.frozen_max = np.zeros(len(examples))
+        self.frozen_sum = np.zeros(len(examples))
+        fixed = ~self.moving
+        if fixed.any():
+            context = _frozen_context(model, ent_trainable, rel_trainable, train)
+            self.frozen_max[fixed], self.frozen_sum[fixed] = context.partials(
+                model, _query_keys(model, examples[fixed]), chunk
+            )
+        # N3 penalty of every row; the trainable rows' entries are refreshed each step
+        self.ent_penalty = _n3(model.ent)[0]
+        self.rel_penalty = _n3(model.rel)[0]
+
+    def __call__(
+        self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
+    ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+        """Loss, data loss and the trainable entity and relation rows' gradients.
+
+        Covers the example rows ``sel`` and equals the dense step's values up
+        to the order of summation.
+        """
+        ent, rel = model.ent, model.rel
+        batch = self.examples[sel]
+        heads, rels, targets = batch[:, 0], batch[:, 1], batch[:, 2]
+        n = len(batch)
+        head_col, target_col = self.column[heads], self.column[targets]
+        ent_t = ent[self.ent_idx]
+        nll = np.empty(n)
+        d_ent = np.zeros_like(ent_t)
+        d_rel = np.zeros((len(self.rel_idx), rel.shape[1]))
+        moving = self.moving[sel]
+
+        mv = np.flatnonzero(moving)
+        if len(mv):
+            h, r = ent[heads[mv]], rel[rels[mv]]
+            qm = _cmul(h, r)
+            rows = np.arange(len(mv))
+            scores = qm @ ent.T
+            target_score = scores[rows, targets[mv]]
+            shift = scores.max(axis=1, keepdims=True)
+            scores -= shift
+            probs = np.exp(scores, out=scores)
+            z = probs.sum(axis=1, keepdims=True)
+            nll[mv] = shift[:, 0] + np.log(z[:, 0]) - target_score
+            probs /= z
+            probs[rows, targets[mv]] -= 1.0
+            probs /= n
+            d_ent += probs[:, self.ent_idx].T @ qm
+            dq = probs @ ent
+            cols = head_col[mv]
+            live = cols >= 0
+            _scatter_rows(d_ent, cols[live], _cmul_conj(dq[live], r[live]))
+            slots = self.rel_slot[rels[mv]]
+            live = slots >= 0
+            _scatter_rows(d_rel, slots[live], _cmul_conj(dq[live], h[live]))
+
+        fx = np.flatnonzero(~moving)
+        if len(fx):
+            qf = _cmul(ent[heads[fx]], rel[rels[fx]])
+            scores = qf @ ent_t.T
+            frozen_max = self.frozen_max[sel[fx]]
+            top = np.maximum(frozen_max, scores.max(axis=1))
+            probs = np.exp(scores - top[:, None])
+            z = self.frozen_sum[sel[fx]] * np.exp(frozen_max - top) + probs.sum(axis=1)
+            cols = target_col[fx]
+            hit = np.flatnonzero(cols >= 0)
+            target_score = np.einsum("ij,ij->i", qf, ent[targets[fx]])
+            target_score[hit] = scores[hit, cols[hit]]
+            nll[fx] = top + np.log(z) - target_score
+            probs /= z[:, None]
+            probs[hit, cols[hit]] -= 1.0
+            probs /= n
+            d_ent += probs.T @ qf
+
+        data_loss = float(nll.mean())
+        loss = data_loss
+        if reg_weight > 0:
+            # every occurrence of a row as a head, relation or target adds its penalty
+            self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
+            self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
+            penalty = self.ent_penalty[heads].sum() + self.ent_penalty[targets].sum()
+            loss += reg_weight * float(penalty + self.rel_penalty[rels].sum()) / n
+            c = 3.0 * reg_weight / n
+            uses = np.bincount(head_col[head_col >= 0], minlength=len(self.ent_idx))
+            uses += np.bincount(target_col[target_col >= 0], minlength=len(self.ent_idx))
+            d_ent += (c * uses)[:, None] * g_ent
+            slots = self.rel_slot[rels]
+            uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
+            d_rel += (c * uses)[:, None] * g_rel
+        return loss, data_loss, (d_ent, d_rel)
+
+
 def _fit(
     model: EmbeddingModel,
     examples: np.ndarray,
     config: TrainConfig,
     epochs: int,
-    ent_idx: np.ndarray | None = None,
-    rel_idx: np.ndarray | None = None,
+    step: _RestrictedStep | None = None,
     valid_examples: np.ndarray | None = None,
 ) -> None:
-    """Run adaptive-gradient epochs in place, optionally masked to index sets.
+    """Run adaptive-gradient epochs in place.
 
-    With both index sets absent every row updates; otherwise only the listed
+    Without ``step`` every row updates through the dense
+    :func:`batch_loss_and_grads`. With a restricted step only its trainable
     rows move and everything else stays bit-identical. Batch order is drawn
     from a stream keyed only by (seed, example count), so two fits over the
     same example set replay the same batches.
     """
     lr = config.learning_rate
-    params = (model.ent, model.rel)
-    acc = [np.zeros_like(a) for a in params]
-    masks = (ent_idx, rel_idx)
+    if step is None:
+        slots = [(model.ent, slice(None)), (model.rel, slice(None))]
+    else:
+        slots = [(model.ent, step.ent_idx), (model.rel, step.rel_idx)]
+    acc = [np.zeros_like(param[idx]) for param, idx in slots]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     model.history = []
 
@@ -156,20 +412,22 @@ def _fit(
         perm = shuffle_rng.permutation(len(examples))
         epoch_nll = 0.0
         for start in range(0, len(examples), config.batch_size):
-            batch = examples[perm[start : start + config.batch_size]]
-            loss, data_loss, grads = batch_loss_and_grads(model, batch, config.reg_weight)
+            sel = perm[start : start + config.batch_size]
+            if step is None:
+                loss, data_loss, grads = batch_loss_and_grads(
+                    model, examples[sel], config.reg_weight
+                )
+                grads = (grads.ent, grads.rel)
+            else:
+                loss, data_loss, grads = step(model, sel, config.reg_weight)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged (non-finite) at epoch {epoch}")
-            epoch_nll += data_loss * len(batch)
-            for param, accum, grad, idx in zip(params, acc, (grads.ent, grads.rel), masks):
-                if idx is None:
+            epoch_nll += data_loss * len(sel)
+            for (param, idx), accum, grad in zip(slots, acc, grads):
+                if len(accum):
                     accum += grad * grad
-                    param -= lr * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-                elif len(idx):
-                    g = grad[idx]
-                    accum[idx] += g * g
-                    param[idx] -= lr * g / (np.sqrt(accum[idx]) + _ADAGRAD_EPS)
-        for param in params:
+                    param[idx] -= lr * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
+        for param, _ in slots:
             if not np.all(np.isfinite(param)):
                 raise TrainingError(f"embeddings became non-finite at epoch {epoch}")
         record = {"epoch": epoch, "train_nll": epoch_nll / len(examples)}
@@ -216,6 +474,8 @@ def post_train(
     ``reinit_trainable`` restores trainable rows to their seeded initial
     values before fitting, so a full mask plus the original training set
     reproduces :func:`train` exactly. ``epochs=0`` returns an identical copy.
+    A full mask fits with the dense step; any frozen row selects the
+    restricted step and its shared frozen context (see the module notes).
     """
     config.validate()
     ent_idx = np.asarray(sorted(set(trainable_entities)), dtype=np.int64)
@@ -246,5 +506,9 @@ def post_train(
     if epochs == 0:
         return tuned
     examples = build_examples(modified, model.num_relations)
-    _fit(tuned, examples, config, epochs, ent_idx=ent_idx, rel_idx=rel_idx)
+    if len(ent_idx) == model.num_entities and np.array_equal(rel_idx, np.arange(len(model.rel))):
+        _fit(tuned, examples, config, epochs)
+    else:
+        step = _RestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size)
+        _fit(tuned, examples, config, epochs, step=step)
     return tuned

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgexplain
@@ -193,7 +196,36 @@ class TestExplain:
         assert removed and removed <= kg.train_set
 
 
+    def test_interrupted_save_leaves_no_run_file(self, explained, tmp_path, monkeypatch):
+        root, config, checkpoint, selection, _ = explained
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_explain(config, checkpoint, selection, out=tmp_path / "cut")
+        assert list((tmp_path / "cut" / "runs").iterdir()) == []
+
+
 class TestEvaluate:
+    def test_truncated_run_file_is_validation_error_naming_it(self, explained, tmp_path, caplog):
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        victim = sorted(runs.glob("run_*.json"))[0]
+        victim.write_text(victim.read_text()[:100])
+        argv = [
+            "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
+            "--runs", str(runs), "--out", str(tmp_path / "ev"),
+        ]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+        caplog.clear()
+        argv = ["pareto", "--runs", str(runs), "--out", str(tmp_path / "front.json")]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+
     def test_reports_and_comparison_written(self, explained, tmp_path):
         root, config, checkpoint, selection, _ = explained
         path = cmd_evaluate(config, selection, root / "out" / "runs", out=tmp_path / "ev")
@@ -290,6 +322,33 @@ def test_unsupported_mode_algorithm_pair_is_validation_error(
     argv = ["explain", "--config", str(path), "--checkpoint", "none.npz", "--selection", "none.json"]
     assert main(argv) == EXIT_VALIDATION
     assert repr(algorithm) in caplog.text and repr(mode) in caplog.text
+
+
+@pytest.mark.parametrize(
+    "case", ["ini-value", "ini-no-section", "checkpoint-truncated", "checkpoint-foreign"]
+)
+def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, caplog, case):
+    root, config_path, config, checkpoint = trained
+    bad = tmp_path / "bad"
+    out = str(tmp_path / "out")
+    argv = ["train", "--config", str(bad), "--out", out]
+    if case == "ini-value":
+        bad.write_text(config_path.read_text().replace("dimension = 16", "dimension = abc"))
+        expected = ("[training]", "dimension")
+    elif case == "ini-no-section":
+        bad.write_text("path = data\n")
+        expected = (str(bad),)
+    else:
+        if case == "checkpoint-truncated":
+            blob = checkpoint.read_bytes()
+            bad.write_bytes(blob[: len(blob) // 2])
+        else:
+            with bad.open("wb") as fh:
+                np.savez(fh, weights=np.zeros(3))
+        argv = ["select", "--config", str(config_path), "--checkpoint", str(bad), "--out", out]
+        expected = (str(bad),)
+    assert main(argv) == EXIT_VALIDATION
+    assert all(text in caplog.text for text in expected)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

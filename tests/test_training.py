@@ -1,6 +1,9 @@
 """Training loop: loss behavior, gradients, determinism, masked post-training."""
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,13 @@ from kgexplain import (
     post_train,
     train,
 )
-from kgexplain.training import batch_loss_and_grads, build_examples
+from kgexplain import training
+from kgexplain.training import (
+    _RestrictedStep,
+    _relation_rows,
+    batch_loss_and_grads,
+    build_examples,
+)
 
 from conftest import make_random_kg
 
@@ -108,6 +117,93 @@ class TestLossGradients:
         with pytest.raises(DomainError):
             build_examples((), 1)
 
+    def test_examples_interleave_forward_and_reciprocal_rows(self):
+        kg = make_random_kg(seed=3, n_entities=12, n_relations=3, n_triples=40)
+        expected = []
+        for s, r, o in kg.train:
+            expected += [(s, r, o), (o, r + kg.num_relations, s)]
+        built = build_examples(kg.train, kg.num_relations)
+        assert built.dtype == np.int64
+        assert np.array_equal(built, np.asarray(expected, dtype=np.int64))
+
+
+def _dense_masked_fit(model, examples, config, epochs, ent_idx, rel_idx):
+    """Reference: the dense step with every frozen row's gradient discarded."""
+    lr = config.learning_rate
+    params = (model.ent, model.rel)
+    acc = [np.zeros_like(a) for a in params]
+    rng = np.random.default_rng([config.seed, 1])
+    for _ in range(epochs):
+        perm = rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
+            batch = examples[perm[start : start + config.batch_size]]
+            _, _, grads = batch_loss_and_grads(model, batch, config.reg_weight)
+            pairs = ((grads.ent, ent_idx), (grads.rel, rel_idx))
+            for param, accum, (grad, idx) in zip(params, acc, pairs):
+                if len(idx):
+                    g = grad[idx]
+                    accum[idx] += g * g
+                    param[idx] -= lr * g / (np.sqrt(accum[idx]) + 1e-10)
+
+
+class TestRestrictedStep:
+    """The frozen-context step against the dense step it replaces in post-training."""
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-2])
+    @pytest.mark.parametrize("with_relations", [False, True])
+    def test_trainable_gradients_and_loss_match_dense_step(self, reg_weight, with_relations):
+        seen = {"head": 0, "target": 0, "fixed_target_in": 0, "fixed_target_out": 0}
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            kg = make_random_kg(seed=seed, n_entities=15, n_relations=3, n_triples=60)
+            config = TrainConfig(dimension=5, epochs=5, seed=seed)
+            model = train(init_model(kg, config), kg, config)
+            examples = build_examples(kg.train, kg.num_relations)
+            ent_idx = np.sort(rng.choice(15, size=int(rng.integers(1, 8)), replace=False))
+            relations = {int(rng.integers(3))} if with_relations else set()
+            rel_idx = _relation_rows(relations, kg.num_relations)
+            # half the triples seed the shared context, the rest are computed per fit;
+            # chunk 7 makes the frozen-column partials span several blocks
+            step = _RestrictedStep(model, examples, ent_idx, rel_idx, kg.train[::2], chunk=7)
+            sel = rng.permutation(len(examples))[:50]
+            loss, data_loss, (g_ent, g_rel) = step(model, sel, reg_weight)
+            dense_loss, dense_data, dense = batch_loss_and_grads(model, examples[sel], reg_weight)
+
+            np.testing.assert_allclose(loss, dense_loss, rtol=1e-12)
+            np.testing.assert_allclose(data_loss, dense_data, rtol=1e-12)
+            np.testing.assert_allclose(g_ent, dense.ent[ent_idx], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(g_rel, dense.rel[rel_idx], rtol=1e-12, atol=1e-15)
+            batch = examples[sel]
+            in_t = np.isin(batch, ent_idx)
+            fixed = ~step.moving[sel]
+            seen["head"] += int(in_t[:, 0].sum())
+            seen["target"] += int(in_t[:, 2].sum())
+            seen["fixed_target_in"] += int((fixed & in_t[:, 2]).sum())
+            seen["fixed_target_out"] += int((fixed & ~in_t[:, 2]).sum())
+        assert all(seen.values()), seen
+
+    def test_post_train_matches_dense_masked_reference(self):
+        kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
+        config = TrainConfig(dimension=6, epochs=20, batch_size=32, seed=5)
+        model = train(init_model(kg, config), kg, config)
+        modified = kg.train[1:]
+        for entities, relations in (({0, 3, 4}, set()), ({2, 7}, {1})):
+            tuned = post_train(
+                model, kg, modified, entities, config, epochs=15, trainable_relations=relations
+            )
+            reference = model.clone()
+            ent_idx = np.asarray(sorted(entities))
+            rel_idx = _relation_rows(relations, kg.num_relations)
+            _dense_masked_fit(
+                reference, build_examples(modified, kg.num_relations), config, 15, ent_idx, rel_idx
+            )
+            frozen = np.setdiff1d(np.arange(kg.num_entities), ent_idx)
+            assert np.array_equal(tuned.ent[frozen], model.ent[frozen])
+            np.testing.assert_allclose(
+                tuned.ent[ent_idx], reference.ent[ent_idx], rtol=1e-11, atol=1e-13
+            )
+            np.testing.assert_allclose(tuned.rel, reference.rel, rtol=1e-11, atol=1e-13)
+
 
 class TestPostTrain:
     def setup_method(self):
@@ -158,6 +254,60 @@ class TestPostTrain:
             reinit_trainable=True,
         )
         assert arrays_equal(reproduced, self.model)
+
+    def test_context_shared_per_mask_and_never_served_for_another_model(self):
+        def fit(model, triples, entities):
+            return post_train(model, self.kg, triples, entities, self.config, epochs=3)
+
+        training._CONTEXTS.clear()
+        mask = {self.kg.train[0].subject}
+        frozen_row = next(e for e in range(self.kg.num_entities) if e not in mask)
+        other = self.model.clone()
+        other.ent[frozen_row, 0] += 0.25
+        fit(self.model, self.kg.train[1:], mask)
+        fit(self.model, self.kg.train[2:], mask)
+        assert len(training._CONTEXTS) == 1
+        cached = fit(other, self.kg.train, mask)
+        wider = fit(self.model, self.kg.train, mask | {frozen_row})
+        assert len(training._CONTEXTS) == 3
+        training._CONTEXTS.clear()
+        assert arrays_equal(cached, fit(other, self.kg.train, mask))
+        training._CONTEXTS.clear()
+        assert arrays_equal(wider, fit(self.model, self.kg.train, mask | {frozen_row}))
+
+    def test_concurrent_fits_sharing_a_context_match_serial_fits(self):
+        # each fit adds a triple outside the shared context's training set, so every
+        # thread reads the shared context while computing its own extra queries
+        mask = {0, 1}
+        additions = [
+            (Triple(e, 0, (e * 3 + 1) % self.kg.num_entities),) for e in range(2, 10)
+        ]
+        jobs = [
+            tuple(t for t in self.kg.train if t not in extra) + extra for extra in additions
+        ]
+        serial = []
+        for job in jobs:
+            training._CONTEXTS.clear()
+            serial.append(post_train(self.model, self.kg, job, mask, self.config, epochs=2))
+        training._CONTEXTS.clear()
+        results = [None] * len(jobs)
+
+        def run(i):
+            results[i] = post_train(self.model, self.kg, jobs[i], mask, self.config, epochs=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert arrays_equal(got, want)
 
     def test_trainable_relations_move_both_twin_rows(self):
         tuned = post_train(
