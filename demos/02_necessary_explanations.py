@@ -59,10 +59,10 @@ reverse = Triple(prediction.object, prediction.relation, prediction.subject)
 print(f"its reverse link {kg.label_triple(reverse)} is in training: {reverse in kg.train_set}")
 
 space = build_search_space(kg, "shares-entity", prediction)
+# every explainer reads its evaluator from the config, so all of them below
+# score candidates the same way
 ec = ExplainerConfig(evaluator="full-retrain")
-oracle = exhaustive_length1(
-    kg, model, prediction, space, "necessary", "full-retrain", ec, config
-)
+oracle = exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
 print(f"\nexhaustive oracle evaluated {len(oracle.candidates)} removals "
       f"({oracle.retrain_count} retrains, {oracle.wall_clock_s:.1f}s)")
 best = oracle.best

@@ -2,10 +2,10 @@
 
 Subcommands: ``train`` (fit and checkpoint a scorer), ``select`` (sample an
 evaluation set from a rank cohort), ``explain`` (run explainers per
-prediction, resumable by file presence), ``evaluate`` (metrics reports and
-the cross-algorithm comparison), ``pareto`` (front export). Configuration
-is one INI file, echoed verbatim into every output directory. Exit codes:
-0 success, 2 validation error, 3 runtime error.
+prediction, resumable: readable run files are kept), ``evaluate``
+(metrics reports and the cross-algorithm comparison), ``pareto`` (front
+export). Configuration is one INI file, echoed verbatim into every output
+directory. Exit codes: 0 success, 2 validation error, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .effectiveness import build_target_set
+from .effectiveness import _retrained, build_target_set
 from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplainError
 from .explainers import (
     ALGORITHMS,
@@ -267,13 +267,7 @@ def _latent_space(
     sample = sample_latent_candidates(
         ensemble, kg, config.latent_epsilon, config.latent_budget, config.latent_seed
     )
-    members = tuple(sorted(sample))
-    member_set = frozenset(members)
-    return SearchSpace(
-        preset="latent-sample",
-        constraints=(lambda t: t in member_set,),
-        _enumerator=lambda: iter(members),
-    )
+    return SearchSpace("latent-sample", tuple(sample))
 
 
 def _run_one(
@@ -293,17 +287,11 @@ def _run_one(
     if algorithm == "exhaustive-length-1":
         if config.mode == "c-sufficient":
             s_x = prediction.subject
-            members = tuple(
-                t for t in space.enumerate() if s_x in (t.subject, t.object)
-            )
             space = SearchSpace(
-                preset=space.preset,
-                constraints=space.constraints + (lambda t: s_x in (t.subject, t.object),),
-                _enumerator=lambda: iter(members),
+                space.preset, tuple(t for t in space.members if s_x in (t.subject, t.object))
             )
         return exhaustive_length1(
-            kg, model, prediction, space, config.mode, explainer.evaluator,
-            explainer, config.train, targets=targets,
+            kg, model, prediction, space, config.mode, explainer, config.train, targets=targets
         )
     if algorithm == "data-poisoning-direct":
         return data_poisoning_direct(kg, model, prediction, explainer, config.train)
@@ -323,7 +311,10 @@ def cmd_explain(
     out: str | None = None,
     workers: int = 1,
 ) -> list[Path]:
-    """One run file per (prediction, algorithm); existing files are kept.
+    """One run file per (prediction, algorithm); existing readable files are kept.
+
+    An existing run file that does not parse (say, one truncated by a
+    killed writer) is logged and recomputed in place.
 
     Per-prediction failures are isolated and logged; the command continues.
     With simultaneous removal enabled, each algorithm's best necessary
@@ -358,8 +349,13 @@ def cmd_explain(
         index, prediction, algorithm, pred_space = task
         path = runs_dir / f"run_{algorithm}_{index:04d}.json"
         if path.exists():
-            logger.info("run file %s already exists; skipping", path.name)
-            return path
+            try:
+                load_run_payload(path)
+            except ConfigurationError as exc:
+                logger.warning("recomputing %s: %s", path.name, exc)
+            else:
+                logger.info("run file %s already exists; skipping", path.name)
+                return path
         try:
             run = _run_one(config, kg, model, prediction, algorithm, pred_space)
         except KgExplainError as exc:
@@ -399,7 +395,7 @@ def _simultaneous_removal(
         if not removed:
             continue
         new_train = tuple(t for t in kg.train if t not in removed)
-        retrained = train(init_model(kg, config.train), kg.with_train(new_train), config.train)
+        retrained = _retrained(kg, model, new_train, "full-retrain", config.train)
         checkpoint = runs_dir / f"simultaneous_{algorithm}_model.npz"
         save_checkpoint(retrained, kg, checkpoint)
         entries = []

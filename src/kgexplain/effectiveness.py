@@ -12,9 +12,11 @@ Four operators are offered, one per explanation mode:
   rank shift in either direction.
 
 Every mode is signed so that a no-op candidate scores 0 and higher is
-better. The base model is never mutated; retraining always happens on a
-clone or a fresh initialization, with the original seed, so results are
-deterministic.
+better. Each result reports its own retraining cost in ``retrains``. The
+base model is never mutated; retraining always happens on a clone or a
+fresh initialization, with the original seed, so results are
+deterministic. :func:`_retrained` is the one place that dispatches a
+retrain to full retraining or post-training.
 """
 from __future__ import annotations
 
@@ -64,13 +66,14 @@ class TargetOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class EffectivenessResult:
-    """Signed effectiveness with the ranks and operator that produced it."""
+    """Signed effectiveness with the ranks, operator and retrain count that produced it."""
 
     psi: float
     rank_before: float
     rank_after: float
     operator: str
     evaluator: str
+    retrains: int
     per_target: tuple[TargetOutcome, ...] | None = None
     warnings: tuple[str, ...] = ()
     score_before: float | None = None
@@ -83,16 +86,6 @@ class TargetSet:
 
     entities: tuple[int, ...]
     prediction: Triple
-
-
-class RetrainMeter:
-    """Counts evaluator invocations so runs can report their retrain cost."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def tick(self, n: int = 1) -> None:
-        self.count += n
 
 
 def _as_triples(x) -> frozenset[Triple]:
@@ -126,12 +119,9 @@ def _retrained(
     trainable_relations: set[int] | None = None,
     reinit: bool = False,
     post_epochs: int | None = None,
-    meter: RetrainMeter | None = None,
 ) -> EmbeddingModel:
     if evaluator not in EVALUATORS:
         raise ConfigurationError(f"unknown evaluator: {evaluator!r}")
-    if meter is not None:
-        meter.tick()
     if evaluator == "full-retrain":
         if not new_train:
             raise TrainingError("degenerate retraining: the modified training set is empty")
@@ -162,7 +152,6 @@ def effectiveness_necessary(
     config: TrainConfig,
     *,
     post_epochs: int | None = None,
-    meter: RetrainMeter | None = None,
 ) -> EffectivenessResult:
     """Rank change caused by removing the candidate and retraining.
 
@@ -183,7 +172,7 @@ def effectiveness_necessary(
     retrained = _retrained(
         kg, model, new_train, evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject),
-        post_epochs=post_epochs, meter=meter,
+        post_epochs=post_epochs,
     )
     rank_after = rank(retrained, prediction, kg)
     return EffectivenessResult(
@@ -192,6 +181,7 @@ def effectiveness_necessary(
         rank_after=rank_after,
         operator="remove-retrain",
         evaluator=evaluator,
+        retrains=1,
     )
 
 
@@ -205,7 +195,6 @@ def effectiveness_sufficient(
     *,
     perturbation: str = "signed",
     post_epochs: int | None = None,
-    meter: RetrainMeter | None = None,
 ) -> EffectivenessResult:
     """How well the candidate alone preserves the prediction's rank.
 
@@ -240,11 +229,10 @@ def effectiveness_sufficient(
             trainable_relations=covered_relations,
             reinit=True,
             post_epochs=post_epochs if post_epochs is not None else config.epochs,
-            meter=meter,
         )
         evaluator = "post-train"
     elif context_policy == "none":
-        retrained = _retrained(kg, model, kept, "full-retrain", config, meter=meter)
+        retrained = _retrained(kg, model, kept, "full-retrain", config)
         warnings = ("training on the candidate alone likely produced meaningless embeddings",)
         evaluator = "full-retrain"
     else:
@@ -259,6 +247,7 @@ def effectiveness_sufficient(
         rank_after=rank_after,
         operator="keep-only-retrain",
         evaluator=evaluator,
+        retrains=1,
         warnings=warnings,
     )
 
@@ -312,14 +301,14 @@ def effectiveness_c_sufficient(
     config: TrainConfig,
     *,
     post_epochs: int | None = None,
-    meter: RetrainMeter | None = None,
 ) -> EffectivenessResult:
     """Average rank improvement of target completions after grafting the candidate.
 
     Every candidate triple must contain the prediction's subject; it is
     swapped for each target entity and the swapped copies are added to the
-    training set, retraining once per target. Per-target outcomes are
-    retained; single targets may worsen, and the result is their mean.
+    training set, retraining once per target that gains at least one
+    triple. Per-target outcomes are retained; single targets may worsen,
+    and the result is their mean.
     """
     triples = _as_triples(candidate)
     s_x = prediction.subject
@@ -345,6 +334,7 @@ def effectiveness_c_sufficient(
         skipped[c] = n_skipped
 
     outcomes: list[TargetOutcome] = []
+    retrains = 0
     for c in targets.entities:
         probe = Triple(c, prediction.relation, prediction.object)
         before = rank(model, probe, kg)
@@ -356,8 +346,9 @@ def effectiveness_c_sufficient(
             trainable |= {t.subject for t in additions} | {t.object for t in additions}
             after_model = _retrained(
                 kg, model, _ordered_addition(kg, additions), evaluator, config,
-                trainable_entities=trainable, post_epochs=post_epochs, meter=meter,
+                trainable_entities=trainable, post_epochs=post_epochs,
             )
+            retrains += 1
         after = rank(after_model, probe, kg)
         outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped[c]))
 
@@ -367,6 +358,7 @@ def effectiveness_c_sufficient(
         rank_after=float(np.mean([o.rank_after for o in outcomes])),
         operator="add-swap-retrain",
         evaluator=evaluator,
+        retrains=retrains,
         per_target=tuple(outcomes),
     )
 
@@ -381,7 +373,6 @@ def effectiveness_latent(
     config: TrainConfig,
     *,
     post_epochs: int | None = None,
-    meter: RetrainMeter | None = None,
 ) -> EffectivenessResult:
     """Rank shift from adding unobserved triples and retraining.
 
@@ -412,7 +403,7 @@ def effectiveness_latent(
     trainable |= {t.subject for t in triples} | {t.object for t in triples}
     retrained = _retrained(
         kg, model, _ordered_addition(kg, triples), evaluator, config,
-        trainable_entities=trainable, post_epochs=post_epochs, meter=meter,
+        trainable_entities=trainable, post_epochs=post_epochs,
     )
     rank_after = rank(retrained, prediction, kg)
     psi = float(rank_before - rank_after) if polarity == "positive" else float(rank_after - rank_before)
@@ -422,6 +413,7 @@ def effectiveness_latent(
         rank_after=rank_after,
         operator="add-retrain",
         evaluator=evaluator,
+        retrains=1,
         score_before=score(model, prediction),
         score_after=score(retrained, prediction),
     )

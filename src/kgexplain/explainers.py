@@ -12,8 +12,12 @@ Four strategies over the joint (length, effectiveness) objective:
   shortest-path prefilter, ordering multi-triple candidates by the sum of
   their members' singleton effectiveness.
 
-Runs record every evaluated candidate, the non-dominated front, and the
-exact retrain count spent, and serialize to JSON for the metrics layer.
+All four go through one private search object, :class:`_Search`: it
+scores each candidate with the mode's effectiveness operator and the
+configured evaluator, records it, and closes the run. Runs record every
+evaluated candidate, the non-dominated front, and the exact retrain count
+spent (the sum of the candidates' own counts), and serialize to JSON for
+the metrics layer.
 """
 from __future__ import annotations
 
@@ -31,7 +35,6 @@ import numpy as np
 from .effectiveness import (
     CandidateExplanation,
     EffectivenessResult,
-    RetrainMeter,
     TargetSet,
     effectiveness_c_sufficient,
     effectiveness_latent,
@@ -69,6 +72,7 @@ RUN_SCHEMA_VERSION = 1
 _ANNEAL_INITIAL_TEMPERATURE = 1.0
 _ANNEAL_DECAY = 0.9
 _ANNEAL_PROPOSALS = 50
+_BUILDER_PROVENANCE = "prefilter-top-k"
 
 
 @dataclass
@@ -109,8 +113,11 @@ class CandidateRecord:
 
     explanation: CandidateExplanation
     result: EffectivenessResult
-    retrains: int
     heuristic_score: float | None = None
+
+    @property
+    def retrains(self) -> int:
+        return self.result.retrains
 
 
 @dataclass
@@ -123,11 +130,14 @@ class ExplanationRun:
     candidates: list[CandidateRecord]
     front: ParetoFront | None
     best: CandidateRecord | None
-    retrain_count: int
     wall_clock_s: float
     config: ExplainerConfig
     rank_before: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def retrain_count(self) -> int:
+        return sum(c.retrains for c in self.candidates)
 
     def to_payload(self, kg: KnowledgeGraph) -> dict:
         def triple_entry(t: Triple) -> dict:
@@ -210,35 +220,34 @@ def _evaluate_candidate(
     prediction: Triple,
     explanation: CandidateExplanation,
     mode: str,
-    evaluator: str,
     config: ExplainerConfig,
     train_config: TrainConfig,
     targets: TargetSet | None,
-    meter: RetrainMeter,
 ) -> EffectivenessResult:
+    evaluator = config.evaluator
     if mode == "necessary":
         return effectiveness_necessary(
             kg, model, prediction, explanation, evaluator, train_config,
-            post_epochs=config.post_train_epochs, meter=meter,
+            post_epochs=config.post_train_epochs,
         )
     if mode == "sufficient":
         policy = "frozen-neighborhood" if evaluator == "post-train" else "none"
         return effectiveness_sufficient(
             kg, model, prediction, explanation, policy, train_config,
-            post_epochs=config.post_train_epochs, meter=meter,
+            post_epochs=config.post_train_epochs,
         )
     if mode == "c-sufficient":
         if targets is None:
             raise ConfigurationError("c-sufficient mode requires a target set")
         return effectiveness_c_sufficient(
             kg, model, prediction, explanation, targets, evaluator, train_config,
-            post_epochs=config.post_train_epochs, meter=meter,
+            post_epochs=config.post_train_epochs,
         )
     if mode in ("latent-positive", "latent-negative"):
         return effectiveness_latent(
             kg, model, prediction, explanation, mode.removeprefix("latent-"),
             evaluator, train_config,
-            post_epochs=config.post_train_epochs, meter=meter,
+            post_epochs=config.post_train_epochs,
         )
     raise ConfigurationError(f"unknown mode: {mode!r}")
 
@@ -250,33 +259,63 @@ def _best_record(candidates: list[CandidateRecord]) -> CandidateRecord | None:
     return min(candidates, key=lambda c: (-c.result.psi, c.explanation.sorted_triples()))
 
 
-def _finish_run(
-    algorithm: str,
-    mode: str,
-    prediction: Triple,
-    candidates: list[CandidateRecord],
-    config: ExplainerConfig,
-    meter: RetrainMeter,
-    started: float,
-    rank_before: int,
-    warnings: tuple[str, ...] = (),
-) -> ExplanationRun:
-    front = (
-        pareto_front([(c.explanation, c.result) for c in candidates]) if candidates else None
-    )
-    return ExplanationRun(
-        algorithm=algorithm,
-        mode=mode,
-        prediction=prediction,
-        candidates=candidates,
-        front=front,
-        best=_best_record(candidates),
-        retrain_count=meter.count,
-        wall_clock_s=time.perf_counter() - started,
-        config=config,
-        rank_before=rank_before,
-        warnings=warnings,
-    )
+class _Search:
+    """One explainer's search for one prediction: evaluates, records, finishes.
+
+    Every candidate is scored through :func:`_evaluate_candidate` with the
+    mode's operator and ``config.evaluator``, so all explainers share one
+    evaluation path and the run's retrain count is the sum of its
+    candidates' own counts.
+    """
+
+    def __init__(
+        self,
+        kg: KnowledgeGraph,
+        model: EmbeddingModel,
+        prediction: Triple,
+        mode: str,
+        config: ExplainerConfig,
+        train_config: TrainConfig | None,
+        targets: TargetSet | None = None,
+    ) -> None:
+        self.started = time.perf_counter()
+        self.kg = kg
+        self.model = model
+        self.prediction = prediction
+        self.mode = mode
+        self.config = config
+        self.train_config = train_config or TrainConfig()
+        self.targets = targets
+        self.rank_before = rank(model, prediction, kg)
+        self.candidates: list[CandidateRecord] = []
+
+    def evaluate(self, triples, provenance: str, heuristic: float | None = None) -> CandidateRecord:
+        explanation = CandidateExplanation(triples, provenance=provenance)
+        result = _evaluate_candidate(
+            self.kg, self.model, self.prediction, explanation, self.mode, self.config,
+            self.train_config, self.targets,
+        )
+        record = CandidateRecord(explanation, result, heuristic_score=heuristic)
+        self.candidates.append(record)
+        return record
+
+    def finish(self, algorithm: str, warnings: tuple[str, ...] = ()) -> ExplanationRun:
+        candidates = self.candidates
+        front = (
+            pareto_front([(c.explanation, c.result) for c in candidates]) if candidates else None
+        )
+        return ExplanationRun(
+            algorithm=algorithm,
+            mode=self.mode,
+            prediction=self.prediction,
+            candidates=candidates,
+            front=front,
+            best=_best_record(candidates),
+            wall_clock_s=time.perf_counter() - self.started,
+            config=self.config,
+            rank_before=self.rank_before,
+            warnings=warnings,
+        )
 
 
 def exhaustive_length1(
@@ -285,8 +324,7 @@ def exhaustive_length1(
     prediction: Triple,
     space: SearchSpace,
     mode: str,
-    evaluator: str,
-    config: ExplainerConfig | None = None,
+    config: ExplainerConfig,
     train_config: TrainConfig | None = None,
     targets: TargetSet | None = None,
 ) -> ExplanationRun:
@@ -295,26 +333,12 @@ def exhaustive_length1(
     Ties on effectiveness go to the lowest triple ids. This is the oracle
     any heuristic over the same space and evaluator is bounded by.
     """
-    config = config or ExplainerConfig(algorithm="exhaustive-length-1", evaluator=evaluator)
-    train_config = train_config or TrainConfig()
-    started = time.perf_counter()
-    members = sorted(space.enumerate())
-    if not members:
+    if not space.members:
         raise DomainError(f"search space {space.preset!r} is empty")
-    meter = RetrainMeter()
-    rank_before = rank(model, prediction, kg)
-    candidates: list[CandidateRecord] = []
-    for t in members:
-        explanation = CandidateExplanation(frozenset([t]), provenance=space.preset)
-        before = meter.count
-        result = _evaluate_candidate(
-            kg, model, prediction, explanation, mode, evaluator, config,
-            train_config, targets, meter,
-        )
-        candidates.append(CandidateRecord(explanation, result, meter.count - before))
-    return _finish_run(
-        "exhaustive-length-1", mode, prediction, candidates, config, meter, started, rank_before
-    )
+    search = _Search(kg, model, prediction, mode, config, train_config, targets)
+    for t in space.members:
+        search.evaluate((t,), space.preset)
+    return search.finish("exhaustive-length-1")
 
 
 def data_poisoning_direct(
@@ -332,20 +356,14 @@ def data_poisoning_direct(
     subject. The ``top_m`` maximizers are kept and only then evaluated with
     the configured effectiveness evaluator for reporting.
     """
-    train_config = train_config or TrainConfig()
-    started = time.perf_counter()
-    meter = RetrainMeter()
-    rank_before = rank(model, prediction, kg)
+    search = _Search(kg, model, prediction, "necessary", config, train_config)
     s_x = prediction.subject
     neighbors = sorted(
         t for t in kg.train_adjacency.get(s_x, ()) if t.subject == s_x
     )
     if not neighbors:
         logger.warning("prediction subject has no outgoing training triples")
-        return _finish_run(
-            "data-poisoning-direct", "necessary", prediction, [], config, meter, started,
-            rank_before, warnings=("no eligible neighbors",),
-        )
+        return search.finish("data-poisoning-direct", warnings=("no eligible neighbors",))
 
     shifted = model.clone()
     shifted.ent[s_x] -= config.perturbation_step * grad_score_wrt_subject(model, prediction)
@@ -356,21 +374,9 @@ def data_poisoning_direct(
         scored.append((heuristic, t))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
 
-    candidates: list[CandidateRecord] = []
     for heuristic, t in scored[: config.top_m]:
-        explanation = CandidateExplanation(frozenset([t]), provenance="subject-match")
-        before = meter.count
-        result = effectiveness_necessary(
-            kg, model, prediction, explanation, config.evaluator, train_config,
-            post_epochs=config.post_train_epochs, meter=meter,
-        )
-        candidates.append(
-            CandidateRecord(explanation, result, meter.count - before, heuristic_score=heuristic)
-        )
-    return _finish_run(
-        "data-poisoning-direct", "necessary", prediction, candidates, config, meter, started,
-        rank_before,
-    )
+        search.evaluate((t,), "subject-match", heuristic)
+    return search.finish("data-poisoning-direct")
 
 
 def _score_gradients(model: EmbeddingModel, triple: Triple) -> dict[tuple[str, int], np.ndarray]:
@@ -438,20 +444,14 @@ def criage_first_order(
     change (most negative first); each candidate's true effectiveness is
     attached with the configured evaluator for reporting.
     """
-    train_config = train_config or TrainConfig()
-    started = time.perf_counter()
-    meter = RetrainMeter()
-    rank_before = rank(model, prediction, kg)
+    search = _Search(kg, model, prediction, "necessary", config, train_config)
     o_x = prediction.object
     neighbors = sorted(
         t for t in kg.train_adjacency.get(o_x, ()) if t.object == o_x
     )
     if not neighbors:
         logger.warning("prediction object has no incoming training triples")
-        return _finish_run(
-            "criage-first-order", "necessary", prediction, [], config, meter, started,
-            rank_before, warnings=("no eligible neighbors",),
-        )
+        return search.finish("criage-first-order", warnings=("no eligible neighbors",))
 
     estimates = [
         (first_order_score_change(model, prediction, t, config.influence_step), t)
@@ -459,21 +459,9 @@ def criage_first_order(
     ]
     estimates.sort(key=lambda pair: (pair[0], pair[1]))
 
-    candidates: list[CandidateRecord] = []
     for estimate, t in estimates:
-        explanation = CandidateExplanation(frozenset([t]), provenance="shares-entity")
-        before = meter.count
-        result = effectiveness_necessary(
-            kg, model, prediction, explanation, config.evaluator, train_config,
-            post_epochs=config.post_train_epochs, meter=meter,
-        )
-        candidates.append(
-            CandidateRecord(explanation, result, meter.count - before, heuristic_score=estimate)
-        )
-    return _finish_run(
-        "criage-first-order", "necessary", prediction, candidates, config, meter, started,
-        rank_before,
-    )
+        search.evaluate((t,), "shares-entity", estimate)
+    return search.finish("criage-first-order")
 
 
 def prefilter_topk(kg: KnowledgeGraph, prediction: Triple, k: int) -> tuple[Triple, ...]:
@@ -534,31 +522,15 @@ def variable_length_builder(
     config.validate()
     if not 1 <= config.max_length <= 4:
         raise ConfigurationError("builder max_length must lie in [1, 4]")
-    train_config = train_config or TrainConfig()
-    started = time.perf_counter()
-    meter = RetrainMeter()
-    rank_before = rank(model, prediction, kg)
+    search = _Search(kg, model, prediction, mode, config, train_config, targets)
 
     pool = prefilter_topk(kg, prediction, config.prefilter_k)
     if not pool:
         raise DomainError("builder prefilter produced an empty candidate pool")
 
-    candidates: list[CandidateRecord] = []
     singleton_psi: dict[Triple, float] = {}
-
-    def evaluate(triples: frozenset[Triple], heuristic: float | None = None) -> CandidateRecord:
-        explanation = CandidateExplanation(triples, provenance="prefilter-top-k")
-        before = meter.count
-        result = _evaluate_candidate(
-            kg, model, prediction, explanation, mode, config.evaluator, config,
-            train_config, targets, meter,
-        )
-        record = CandidateRecord(explanation, result, meter.count - before, heuristic_score=heuristic)
-        candidates.append(record)
-        return record
-
     for t in sorted(pool):
-        record = evaluate(frozenset([t]))
+        record = search.evaluate((t,), _BUILDER_PROVENANCE)
         singleton_psi[t] = record.result.psi
 
     best_psi = max(singleton_psi.values())
@@ -571,26 +543,21 @@ def variable_length_builder(
         ordered = sorted(combos, key=lambda combo: (-relevance[combo], combo))
         if len(ordered) <= config.max_evals_per_length:
             for combo in ordered:
-                record = evaluate(frozenset(combo), heuristic=relevance[combo])
+                record = search.evaluate(combo, _BUILDER_PROVENANCE, relevance[combo])
                 if record.result.psi >= config.acceptance_threshold:
                     accepted = True
                     break
         else:
-            accepted = _anneal_length(
-                ordered, relevance, evaluate, config
-            )
+            accepted = _anneal_length(ordered, relevance, search, config)
         length += 1
 
-    return _finish_run(
-        "variable-length-builder", mode, prediction, candidates, config, meter, started,
-        rank_before,
-    )
+    return search.finish("variable-length-builder")
 
 
 def _anneal_length(
     ordered: list[tuple[Triple, ...]],
     relevance: dict[tuple[Triple, ...], float],
-    evaluate,
+    search: _Search,
     config: ExplainerConfig,
 ) -> bool:
     """Seeded annealing walk over one length's combinations; True if accepted."""
@@ -598,7 +565,7 @@ def _anneal_length(
     universe = sorted({t for combo in ordered for t in combo})
     current = ordered[0]  # start from the top preliminary relevance
     seen = {current}
-    record = evaluate(frozenset(current), heuristic=relevance[current])
+    record = search.evaluate(current, _BUILDER_PROVENANCE, relevance[current])
     if record.result.psi >= config.acceptance_threshold:
         return True
     temperature = _ANNEAL_INITIAL_TEMPERATURE
@@ -620,7 +587,7 @@ def _anneal_length(
         if proposal not in seen:
             seen.add(proposal)
             evals += 1
-            record = evaluate(frozenset(proposal), heuristic=relevance[proposal])
+            record = search.evaluate(proposal, _BUILDER_PROVENANCE, relevance[proposal])
             if record.result.psi >= config.acceptance_threshold:
                 return True
     return False

@@ -10,7 +10,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ConfigurationError, DatasetParseError, DomainError
 
@@ -348,24 +348,29 @@ def weakly_connected_component(kg: KnowledgeGraph, entity: int) -> frozenset[Tri
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Candidate-triple space defined by an ordered conjunction of constraints.
+    """A named set of candidate triples, stored once in sorted order.
 
-    Membership equals the conjunction of all constraints; ``enumerate``
-    yields the members in a fixed order.
+    ``enumerate`` yields each member exactly once, in that order.
     """
 
     preset: str
-    constraints: tuple[Callable[[Triple], bool], ...]
-    _enumerator: Callable[[], Iterator[Triple]]
+    members: tuple[Triple, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
     def __contains__(self, t: Triple) -> bool:
-        return all(c(t) for c in self.constraints)
+        return t in self.as_set()
 
     def enumerate(self) -> Iterator[Triple]:
-        return self._enumerator()
+        return iter(self.members)
 
     def as_set(self) -> frozenset[Triple]:
-        return frozenset(self.enumerate())
+        return self._member_set
+
+    @cached_property
+    def _member_set(self) -> frozenset[Triple]:
+        return frozenset(self.members)
 
 
 def _one_hop_entities(kg: KnowledgeGraph, entity: int) -> frozenset[int]:
@@ -397,23 +402,16 @@ def build_search_space(
     if preset != "train-all" and prediction is None:
         raise ConfigurationError(f"preset {preset!r} requires a prediction triple")
 
-    train_set = kg.train_set
-    in_train = lambda t: t in train_set  # noqa: E731
-
     if preset == "train-all":
-        constraints = (in_train,)
+        members = kg.train
     elif preset == "shares-entity":
         anchor = {prediction.subject, prediction.object}
-        constraints = (in_train, lambda t: t.subject in anchor or t.object in anchor)
+        members = (t for t in kg.train if t.subject in anchor or t.object in anchor)
     elif preset == "subject-match":
-        s_x = prediction.subject
-        constraints = (in_train, lambda t: t.subject == s_x)
+        members = (t for t in kg.train if t.subject == prediction.subject)
     elif preset == "one-hop":
         near = _one_hop_entities(kg, prediction.subject)
-        constraints = (in_train, lambda t: t.subject in near and t.object in near)
+        members = (t for t in kg.train if t.subject in near and t.object in near)
     else:  # wcc
-        component = weakly_connected_component(kg, prediction.subject)
-        constraints = (in_train, lambda t: t in component)
-
-    members = tuple(sorted(t for t in train_set if all(c(t) for c in constraints)))
-    return SearchSpace(preset, constraints, lambda: iter(members))
+        members = weakly_connected_component(kg, prediction.subject)
+    return SearchSpace(preset, tuple(members))

@@ -155,8 +155,7 @@ def desk_oracle_runs(desk_kg, desk_model, desk_config, desk_predictions):
     for pred in desk_predictions:
         space = build_search_space(desk_kg, "shares-entity", pred)
         runs[pred] = exhaustive_length1(
-            desk_kg, desk_model, pred, space, "necessary", "full-retrain",
-            config, desk_config,
+            desk_kg, desk_model, pred, space, "necessary", config, desk_config,
         )
     return runs
 

@@ -171,6 +171,30 @@ class TestExplain:
         finally:
             target.write_text(original)
 
+    def test_unreadable_run_file_is_recomputed(self, explained, tmp_path, caplog):
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "out" / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        victim = sorted(runs.glob("run_*.json"))[0]
+        original = json.loads(victim.read_text())
+        victim.write_text(victim.read_text()[:100])
+        ini = str(root / "experiment.ini")
+        argv = [
+            "explain", "--config", ini, "--checkpoint", str(checkpoint),
+            "--selection", str(selection), "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EXIT_OK
+        assert victim.name in caplog.text
+        rewritten = json.loads(victim.read_text())
+        original["counters"].pop("wall_clock_s")
+        rewritten["counters"].pop("wall_clock_s")
+        assert rewritten == original
+        argv = [
+            "evaluate", "--config", ini, "--selection", str(selection),
+            "--runs", str(runs), "--out", str(tmp_path / "ev"),
+        ]
+        assert main(argv) == EXIT_OK
+
     def test_worker_pool_produces_identical_run_files(self, explained, tmp_path):
         root, config, checkpoint, selection, _ = explained
         serial_dir = root / "out" / "runs"

@@ -8,7 +8,6 @@ from kgexplain import (
     CandidateExplanation,
     DomainError,
     KnowledgeGraph,
-    RetrainMeter,
     TrainConfig,
     TrainingError,
     Triple,
@@ -113,11 +112,11 @@ class TestNecessary:
 
     def test_meter_counts_retrains(self, pipeline):
         kg, config, model = pipeline
-        meter = RetrainMeter()
-        effectiveness_necessary(
-            kg, model, kg.train[0], {kg.train[1]}, "post-train", config, meter=meter
-        )
-        assert meter.count == 1
+        for evaluator in ("post-train", "full-retrain"):
+            result = effectiveness_necessary(
+                kg, model, kg.train[0], {kg.train[1]}, evaluator, config
+            )
+            assert result.retrains == 1
 
 
 class TestSufficient:
@@ -299,12 +298,11 @@ class TestCSufficient:
         prediction = Triple(0, 0, 1)
         candidate = {Triple(0, 0, 1)}
         targets = build_target_set(kg, model, prediction, size=3, seed=5)
-        meter = RetrainMeter()
         result = effectiveness_c_sufficient(
-            kg, model, prediction, candidate, targets, "post-train", config, meter=meter
+            kg, model, prediction, candidate, targets, "post-train", config
         )
         added = sum(1 for o in result.per_target if o.skipped == 0)
-        assert meter.count == added
+        assert result.retrains == added
 
 
 class TestLatent:

@@ -41,9 +41,7 @@ def setup(tiny_kg, tiny_config, tiny_model):
 
 
 def explicit_space(members, preset="custom"):
-    members = tuple(sorted(members))
-    member_set = frozenset(members)
-    return SearchSpace(preset, (lambda t: t in member_set,), lambda: iter(members))
+    return SearchSpace(preset, tuple(members))
 
 
 class TestExhaustive:
@@ -51,8 +49,7 @@ class TestExhaustive:
         kg, config, model, prediction = setup
         space = explicit_space([kg.train[1]])
         run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train",
-            ExplainerConfig(), config,
+            kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
         assert len(run.candidates) == 1
         assert run.best.explanation.triples == {kg.train[1]}
@@ -61,7 +58,7 @@ class TestExhaustive:
         kg, config, model, prediction = setup
         with pytest.raises(DomainError):
             exhaustive_length1(
-                kg, model, prediction, explicit_space([]), "necessary", "post-train",
+                kg, model, prediction, explicit_space([]), "necessary",
                 ExplainerConfig(), config,
             )
 
@@ -71,10 +68,10 @@ class TestExhaustive:
         big = build_search_space(kg, "one-hop", prediction)
         assert small.as_set() <= big.as_set()
         run_small = exhaustive_length1(
-            kg, model, prediction, small, "necessary", "post-train", ExplainerConfig(), config
+            kg, model, prediction, small, "necessary", ExplainerConfig(), config
         )
         run_big = exhaustive_length1(
-            kg, model, prediction, big, "necessary", "post-train", ExplainerConfig(), config
+            kg, model, prediction, big, "necessary", ExplainerConfig(), config
         )
         assert run_big.best.result.psi >= run_small.best.result.psi
 
@@ -85,8 +82,7 @@ class TestExhaustive:
         prediction = next(t for t in kg.eval_split("test") if rank(model, t, kg) == 1)
         space = build_search_space(kg, "shares-entity", prediction)
         run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train",
-            ExplainerConfig(), config,
+            kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
         # independent sweep over the same members, composed from primitives
         base_rank = rank(model, prediction, kg)
@@ -107,20 +103,37 @@ class TestExhaustive:
         kg, config, model, prediction = setup
         space = build_search_space(kg, "shares-entity", prediction)
         run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train", ExplainerConfig(), config
+            kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
         assert len(run.candidates) == len(space.as_set())
         evaluated = {c.explanation.triples for c in run.candidates}
         for p in run.front.points:
             assert p.explanation.triples in evaluated
 
-    def test_retrain_count_matches_candidates(self, setup):
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            "exhaustive-length-1",
+            "data-poisoning-direct",
+            "criage-first-order",
+            "variable-length-builder",
+        ],
+    )
+    def test_retrain_count_matches_candidates(self, setup, algorithm):
         kg, config, model, prediction = setup
-        space = build_search_space(kg, "shares-entity", prediction)
-        run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train", ExplainerConfig(), config
-        )
-        assert run.retrain_count == len(run.candidates)
+        ec = ExplainerConfig(algorithm=algorithm, top_m=3, max_length=2, prefilter_k=4)
+        if algorithm == "exhaustive-length-1":
+            space = build_search_space(kg, "shares-entity", prediction)
+            run = exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
+        elif algorithm == "data-poisoning-direct":
+            run = data_poisoning_direct(kg, model, prediction, ec, config)
+        elif algorithm == "criage-first-order":
+            run = criage_first_order(kg, model, prediction, ec, config)
+        else:
+            run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        assert run.candidates
+        assert run.retrain_count == sum(c.retrains for c in run.candidates) == len(run.candidates)
+        assert {c.result.evaluator for c in run.candidates} == {run.config.evaluator}
 
 
 class TestDataPoisoning:
@@ -151,7 +164,7 @@ class TestDataPoisoning:
         heuristic = data_poisoning_direct(kg, model, prediction, ec, config)
         space = build_search_space(kg, "shares-entity", prediction)
         oracle = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train", ec, config
+            kg, model, prediction, space, "necessary", ec, config
         )
         assert oracle.best.result.psi >= heuristic.best.result.psi
 
@@ -212,7 +225,7 @@ class TestCriageFirstOrder:
         heuristic = criage_first_order(kg, model, prediction, ec, config)
         space = build_search_space(kg, "shares-entity", prediction)
         oracle = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train", ec, config
+            kg, model, prediction, space, "necessary", ec, config
         )
         assert oracle.best.result.psi >= heuristic.best.result.psi
 
@@ -396,7 +409,7 @@ class TestRunSerialization:
         kg, config, model, prediction = setup
         space = build_search_space(kg, "shares-entity", prediction)
         run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", "post-train", ExplainerConfig(), config
+            kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
         path = tmp_path / "run.json"
         run.save(path, kg)

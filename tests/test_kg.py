@@ -189,6 +189,32 @@ class TestWeaklyConnectedComponent:
         )
 
 
+def _all_triples(kg: KnowledgeGraph) -> set[Triple]:
+    return {
+        Triple(s, r, o)
+        for s in range(kg.num_entities)
+        for r in range(kg.num_relations)
+        for o in range(kg.num_entities)
+    }
+
+
+def _preset_predicate(kg: KnowledgeGraph, preset: str, prediction: Triple):
+    """Each preset's membership rule over training triples, written out directly."""
+    s_x, o_x = prediction.subject, prediction.object
+    near = {s_x}
+    for t in kg.train:
+        if s_x in (t.subject, t.object):
+            near.update((t.subject, t.object))
+    component = _bfs_component(kg, s_x)
+    return {
+        "train-all": lambda t: True,
+        "shares-entity": lambda t: bool({t.subject, t.object} & {s_x, o_x}),
+        "subject-match": lambda t: t.subject == s_x,
+        "one-hop": lambda t: t.subject in near and t.object in near,
+        "wcc": lambda t: t in component,
+    }[preset]
+
+
 class TestSearchSpaces:
     def setup_method(self):
         # prediction (a, r, b); c and d are both subjects of a and bridged
@@ -224,8 +250,10 @@ class TestSearchSpaces:
 
     def test_membership_equals_constraint_conjunction(self):
         space = build_search_space(self.kg, "one-hop", self.prediction)
-        for t in self.kg.train:
-            assert (t in space) == all(c(t) for c in space.constraints)
+        near = {0, 2, 3}  # a and both endpoints of its two training triples
+        for t in _all_triples(self.kg):
+            in_train = t in self.kg.train_set
+            assert (t in space) == (in_train and t.subject in near and t.object in near)
 
     @pytest.mark.parametrize(
         "preset", ["train-all", "shares-entity", "subject-match", "one-hop", "wcc"]
@@ -234,13 +262,8 @@ class TestSearchSpaces:
         kg = make_random_kg(seed=8, n_entities=8, n_relations=2, n_triples=20)
         prediction = kg.train[0]
         space = build_search_space(kg, preset, prediction)
-        omega = {
-            Triple(s, r, o)
-            for s in range(kg.num_entities)
-            for r in range(kg.num_relations)
-            for o in range(kg.num_entities)
-        }
-        expected = {t for t in omega if all(c(t) for c in space.constraints)}
+        predicate = _preset_predicate(kg, preset, prediction)
+        expected = {t for t in _all_triples(kg) if t in kg.train_set and predicate(t)}
         members = list(space.enumerate())
         assert set(members) == expected
         assert len(members) == len(expected)  # each exactly once

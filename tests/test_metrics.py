@@ -164,8 +164,7 @@ class TestEmitReport(object):
         for p in predictions:
             space = build_search_space(tiny_kg, "shares-entity", p)
             run = exhaustive_length1(
-                tiny_kg, tiny_model, p, space, "necessary", "post-train",
-                ExplainerConfig(), tiny_config,
+                tiny_kg, tiny_model, p, space, "necessary", ExplainerConfig(), tiny_config,
             )
             runs.append(run)
             rows.append(RankRow(p, run.rank_before, int(run.best.result.rank_after)))

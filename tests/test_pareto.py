@@ -21,7 +21,7 @@ def candidate(length: int, psi: float):
     triples = frozenset(Triple(i, 0, i + 1) for i in range(length))
     result = EffectivenessResult(
         psi=psi, rank_before=1, rank_after=1 + psi, operator="remove-retrain",
-        evaluator="post-train",
+        evaluator="post-train", retrains=1,
     )
     return CandidateExplanation(triples), result
 
