@@ -8,7 +8,7 @@ filtered-rank protocol.
 import tempfile
 from pathlib import Path
 
-from kgexplain import TrainConfig, init_model, load_dataset, ranked_prediction, train
+from kgexplain import TrainConfig, init_model, load_dataset, rank, score, train
 
 CHAINS = [
     ("paris", "ile_de_france", "france", "europe"),
@@ -43,9 +43,8 @@ print(f"final train NLL: {model.history[-1]['train_nll']:.4f}")
 
 print("\nheld-out completions (filtered ranks, lower is better):")
 for t in kg.eval_split("test"):
-    rp = ranked_prediction(model, t, kg)
     s, r, o = kg.label_triple(t)
-    print(f"  ({s}, {r}, {o})  score {rp.score:+.3f}  rank {rp.rank}")
+    print(f"  ({s}, {r}, {o})  score {score(model, t):+.3f}  rank {rank(model, t, kg)}")
 
 print("\nsame seed, same data -> byte-identical model:")
 again = train(init_model(kg, config), kg, config)

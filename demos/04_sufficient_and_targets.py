@@ -57,11 +57,11 @@ path = [
     t("ile_de_france", "located_in", "france"),
     t("france", "located_in", "europe"),
 ]
-print("\nkeep-only retraining (frozen context), psi = rank preserved/improved:")
-whole = effectiveness_sufficient(kg, model, prediction, set(path), "frozen-neighborhood", config)
+print("\nkeep-only post-training (frozen context), psi = rank preserved/improved:")
+whole = effectiveness_sufficient(kg, model, prediction, set(path), "post-train", config)
 print(f"  full chain        psi {whole.psi:+.0f}  (rank {whole.rank_before:.0f} -> {whole.rank_after:.0f})")
 for link in path:
-    res = effectiveness_sufficient(kg, model, prediction, {link}, "frozen-neighborhood", config)
+    res = effectiveness_sufficient(kg, model, prediction, {link}, "post-train", config)
     s, r, o = kg.label_triple(link)
     print(f"  only {s}->{o:<14} psi {res.psi:+.0f}  (rank {res.rank_before:.0f} -> {res.rank_after:.0f})")
 

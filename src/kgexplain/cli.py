@@ -16,7 +16,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,12 @@ class ExperimentConfig:
 
 
 def parse_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
+    """Read an experiment INI; a key no setting reads is a validation error.
+
+    ``[training]`` holds the :class:`TrainConfig` fields and ``[explain]``
+    the :class:`ExplainerConfig` fields but ``algorithm``; each takes the
+    dataclass default and the type of that default (``int`` for ``None``).
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -116,8 +122,10 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
         parser.read_string(raw_text, source=str(path))
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse config file {path}: {exc}") from None
+    asked: set[tuple[str, str]] = set()
 
     def get(section: str, key: str, fallback, kind: type | None = None):
+        asked.add((section, key))
         if not parser.has_option(section, key):
             return fallback
         kind = kind or type(fallback)
@@ -133,45 +141,30 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
             ) from None
         return value
 
-    if not parser.has_option("dataset", "path"):
-        raise ConfigurationError("config must set [dataset] path")
+    def section(name: str, cls: type, skip: tuple[str, ...] = ()):
+        return cls(**{
+            f.name: get(name, f.name, f.default, int if f.default is None else None)
+            for f in fields(cls)
+            if f.name not in skip
+        })
 
-    train_config = TrainConfig(
-        dimension=get("training", "dimension", 32),
-        epochs=get("training", "epochs", 100),
-        learning_rate=get("training", "learning_rate", 0.1),
-        reg_weight=get("training", "reg_weight", 1e-3),
-        batch_size=get("training", "batch_size", 512),
-        seed=get("training", "seed", 0),
-    )
-    explainer = ExplainerConfig(
-        search_space=get("explain", "search_space", "shares-entity"),
-        max_length=get("explain", "max_length", 1),
-        prefilter_k=get("explain", "prefilter_k", 20),
-        evaluator=get("explain", "evaluator", "post-train"),
-        lambda_weight=get("explain", "lambda_weight", 1.0),
-        perturbation_step=get("explain", "perturbation_step", 0.1),
-        influence_step=get("explain", "influence_step", 0.1),
-        top_m=get("explain", "top_m", 1),
-        acceptance_threshold=get("explain", "acceptance_threshold", 1.0),
-        max_evals_per_length=get("explain", "max_evals_per_length", 256),
-        post_train_epochs=get("explain", "post_train_epochs", None, int),
-        seed=get("explain", "seed", 0),
-    )
+    dataset_path = get("dataset", "path", None, str)
+    if dataset_path is None:
+        raise ConfigurationError("config must set [dataset] path")
     algorithms = tuple(
         name.strip()
         for name in get("explain", "algorithms", "exhaustive-length-1").split(",")
         if name.strip()
     )
     config = ExperimentConfig(
-        dataset_path=Path(parser.get("dataset", "path")),
-        train=train_config,
+        dataset_path=Path(dataset_path),
+        train=section("training", TrainConfig),
         selection_count=get("selection", "count", 20),
         selection_seed=get("selection", "seed", 0),
         cohort_rank=get("selection", "cohort_rank", 1),
         mode=get("explain", "mode", "necessary"),
         algorithms=algorithms,
-        explainer=explainer,
+        explainer=section("explain", ExplainerConfig, skip=("algorithm",)),
         simultaneous_removal=get("explain", "simultaneous_removal", False),
         latent_epsilon=get("latent", "epsilon", 0.1),
         latent_budget=get("latent", "budget", 10),
@@ -181,6 +174,10 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
         output_dir=Path(get("output", "directory", "runs/experiment")),
         raw_text=raw_text,
     )
+    for name in parser.sections():
+        for key in parser.options(name):
+            if (name, key) not in asked:
+                raise ConfigurationError(f"config {path}: unknown key [{name}] {key}")
     if seed_override is not None:
         config.train = replace(config.train, seed=seed_override)
         config.explainer = replace(config.explainer, seed=seed_override)
@@ -419,6 +416,17 @@ def _simultaneous_removal(
         logger.info("simultaneous removal for %s: %d triples removed", algorithm, len(removed))
 
 
+_RUN_KEYS = ("algorithm", "prediction", "candidates", "best", "front")
+
+
+def _load_run(path: Path) -> dict:
+    """A run file's payload; a file that parses but is not a run names itself."""
+    payload = load_run_payload(path)
+    if not isinstance(payload, dict) or not all(key in payload for key in _RUN_KEYS):
+        raise ConfigurationError(f"not a run file: {path} (expected keys {', '.join(_RUN_KEYS)})")
+    return payload
+
+
 def _rank_table_for_algorithm(
     algorithm: str,
     predictions: list[tuple[Triple, int]],
@@ -440,7 +448,7 @@ def _rank_table_for_algorithm(
         if not path.exists():
             gaps.append(path.name)
             continue
-        payload = load_run_payload(path)
+        payload = _load_run(path)
         payloads.append(payload)
         if prediction in after_ranks:
             rank_after = after_ranks[prediction]
@@ -476,7 +484,7 @@ def cmd_evaluate(
         all_gaps.extend(gaps)
         if not table.rows:
             continue
-        emit_report(table, payloads, kg, out_dir / f"metrics_{algorithm}", prefix="report")
+        emit_report(table, payloads, kg, out_dir / f"metrics_{algorithm}")
         report = build_metrics_report(table, payloads, kg)
         summaries.append(
             {
@@ -517,7 +525,7 @@ def cmd_pareto(
         raise ConfigurationError(f"no run files found under {runs_dir}")
     by_algorithm: dict[str, list[dict]] = {}
     for path in run_files:
-        payload = load_run_payload(path)
+        payload = _load_run(path)
         by_algorithm.setdefault(payload["algorithm"], []).extend(payload["candidates"])
 
     fronts = {}

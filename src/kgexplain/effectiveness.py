@@ -190,59 +190,43 @@ def effectiveness_sufficient(
     model: EmbeddingModel,
     prediction: Triple,
     candidate,
-    context_policy: str,
+    evaluator: str,
     config: TrainConfig,
     *,
-    perturbation: str = "signed",
     post_epochs: int | None = None,
 ) -> EffectivenessResult:
     """How well the candidate alone preserves the prediction's rank.
 
-    ``frozen-neighborhood`` reinitializes the candidate's entities and
-    relearns them from the candidate's triples only, against the frozen
+    Under ``post-train`` the candidate's entities are reinitialized and
+    relearned from the candidate's triples only, against the frozen
     remainder of the trained model; a relation is relearned the same way
     only when the candidate holds its entire training evidence, so shared
-    relation geometry stays anchored. ``none`` retrains from scratch on the
+    relation geometry stays anchored. ``post_epochs`` defaults to the
+    training epochs. ``full-retrain`` retrains from scratch on the
     candidate alone; with this scorer that rarely produces meaningful
-    embeddings, so the result carries a warning. The default signed measure
-    rewards preservation or improvement; ``absolute`` penalizes any rank
-    movement.
+    embeddings, so the result carries a warning. Preserving or improving
+    the rank scores at least 0.
     """
     triples = _as_triples(candidate)
     if not triples <= kg.train_set:
         raise DomainError("a sufficient explanation must be a subset of the training set")
-    if perturbation not in ("signed", "absolute"):
-        raise ConfigurationError(f"unknown perturbation measure: {perturbation!r}")
     rank_before = rank(model, prediction, kg)
-    kept = _ordered_keep(kg, triples)
+    support: dict[int, set[Triple]] = {}
+    for t in kg.train:
+        support.setdefault(t.relation, set()).add(t)
+    retrained = _retrained(
+        kg, model, _ordered_keep(kg, triples), evaluator, config,
+        trainable_entities={t.subject for t in triples} | {t.object for t in triples},
+        trainable_relations={r for r, sup in support.items() if sup <= triples},
+        reinit=True,
+        post_epochs=post_epochs,
+    )
     warnings: tuple[str, ...] = ()
-
-    if context_policy == "frozen-neighborhood":
-        trainable_entities = {t.subject for t in triples} | {t.object for t in triples}
-        support: dict[int, set[Triple]] = {}
-        for t in kg.train:
-            support.setdefault(t.relation, set()).add(t)
-        covered_relations = {r for r, sup in support.items() if sup <= triples}
-        retrained = _retrained(
-            kg, model, kept, "post-train", config,
-            trainable_entities=trainable_entities,
-            trainable_relations=covered_relations,
-            reinit=True,
-            post_epochs=post_epochs if post_epochs is not None else config.epochs,
-        )
-        evaluator = "post-train"
-    elif context_policy == "none":
-        retrained = _retrained(kg, model, kept, "full-retrain", config)
+    if evaluator == "full-retrain":
         warnings = ("training on the candidate alone likely produced meaningless embeddings",)
-        evaluator = "full-retrain"
-    else:
-        raise ConfigurationError(f"unknown context policy: {context_policy!r}")
-
     rank_after = rank(retrained, prediction, kg)
-    diff = float(rank_before - rank_after)
-    psi = diff if perturbation == "signed" else -abs(diff)
     return EffectivenessResult(
-        psi=psi,
+        psi=float(rank_before - rank_after),
         rank_before=rank_before,
         rank_after=rank_after,
         operator="keep-only-retrain",

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .effectiveness import (
+    EVALUATORS,
     CandidateExplanation,
     EffectivenessResult,
     TargetSet,
@@ -96,6 +97,8 @@ class ExplainerConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm: {self.algorithm!r}")
+        if self.evaluator not in EVALUATORS:
+            raise ConfigurationError(f"unknown evaluator: {self.evaluator!r}")
         if self.max_length < 1:
             raise ConfigurationError("max_length must be >= 1")
         if self.prefilter_k < 1:
@@ -231,9 +234,8 @@ def _evaluate_candidate(
             post_epochs=config.post_train_epochs,
         )
     if mode == "sufficient":
-        policy = "frozen-neighborhood" if evaluator == "post-train" else "none"
         return effectiveness_sufficient(
-            kg, model, prediction, explanation, policy, train_config,
+            kg, model, prediction, explanation, evaluator, train_config,
             post_epochs=config.post_train_epochs,
         )
     if mode == "c-sufficient":

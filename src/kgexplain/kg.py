@@ -159,18 +159,10 @@ class KnowledgeGraph:
         )
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[Triple, ...]]:
-        """Per-entity incident triples over all splits, once per incident entity."""
-        return self._build_adjacency(self.train + self.valid + self.test)
-
-    @cached_property
     def train_adjacency(self) -> dict[int, tuple[Triple, ...]]:
-        return self._build_adjacency(self.train)
-
-    @staticmethod
-    def _build_adjacency(triples: tuple[Triple, ...]) -> dict[int, tuple[Triple, ...]]:
+        """Per-entity incident training triples, once per incident entity."""
         adj: dict[int, list[Triple]] = {}
-        for t in triples:
+        for t in self.train:
             adj.setdefault(t.subject, []).append(t)
             if t.object != t.subject:
                 adj.setdefault(t.object, []).append(t)
@@ -348,29 +340,13 @@ def weakly_connected_component(kg: KnowledgeGraph, entity: int) -> frozenset[Tri
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """A named set of candidate triples, stored once in sorted order.
-
-    ``enumerate`` yields each member exactly once, in that order.
-    """
+    """A named set of candidate triples, each member stored once in sorted order."""
 
     preset: str
     members: tuple[Triple, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-
-    def __contains__(self, t: Triple) -> bool:
-        return t in self.as_set()
-
-    def enumerate(self) -> Iterator[Triple]:
-        return iter(self.members)
-
-    def as_set(self) -> frozenset[Triple]:
-        return self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset[Triple]:
-        return frozenset(self.members)
 
 
 def _one_hop_entities(kg: KnowledgeGraph, entity: int) -> frozenset[int]:

@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 # Above this many possible triples the sampler switches from exhaustive
 # enumeration to seeded stochastic search around high-scoring patterns.
 EXHAUSTIVE_SPACE_CAP = 2_000_000
+NEGATIVES_PER_POSITIVE = 4
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -80,12 +81,12 @@ def calibrate_ensemble(
     kg: KnowledgeGraph,
     heldout: Iterable[Triple],
     seed: int = 0,
-    negatives_per_positive: int = 4,
 ) -> GenerativeEnsemble:
     """Fit the sigmoid over scores with heldout positives and random corruptions.
 
-    Corruptions replace the object (or subject, alternating) with a random
-    entity, rejecting any corruption that forms a known triple. If all
+    Each positive gets ``NEGATIVES_PER_POSITIVE`` corruptions, which
+    replace the object (or subject, alternating) with a random entity,
+    rejecting any corruption that forms a known triple. If all
     scores coincide the fit is degenerate: a warning is logged and the
     identity calibration (scale 1, bias 0) is returned.
     """
@@ -97,7 +98,7 @@ def calibrate_ensemble(
 
     negatives: list[Triple] = []
     for t in positives:
-        for i in range(negatives_per_positive):
+        for i in range(NEGATIVES_PER_POSITIVE):
             for _ in range(50):
                 e = int(rng.integers(kg.num_entities))
                 cand = Triple(t.subject, t.relation, e) if i % 2 == 0 else Triple(e, t.relation, t.object)

@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .pareto import non_dominated
 logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
-DEFAULT_HITS_KS = (1, 2, 10)
+HITS_KS = (1, 2, 10)
 
 PER_TRIPLE_CSV_COLUMNS = (
     "subject",
@@ -171,13 +171,12 @@ def build_metrics_report(
     table: RankTable,
     runs: Sequence = (),
     kg: KnowledgeGraph | None = None,
-    ks: Iterable[int] = DEFAULT_HITS_KS,
 ) -> MetricsReport:
-    """Compute the aggregate metrics for a table and its explanation runs."""
+    """Compute the aggregate metrics, Hits at each of ``HITS_KS``, for a table and its runs."""
     if not table.rows:
         raise DomainError("cannot build a metrics report from an empty table")
     hits = {}
-    for k in ks:
+    for k in HITS_KS:
         hits[str(k)] = {
             "count_before": hits_at_k(table, k, "before"),
             "count_after": hits_at_k(table, k, "after"),
@@ -221,10 +220,8 @@ def emit_report(
     runs: Sequence,
     kg: KnowledgeGraph,
     out_dir: str | Path,
-    ks: Iterable[int] = DEFAULT_HITS_KS,
-    prefix: str = "report",
 ) -> dict[str, Path]:
-    """Write the metrics JSON, the per-triple CSV, and the front CSV.
+    """Write ``report.json``, ``report_per_triple.csv`` and ``report_pareto.csv``.
 
     Runs must describe predictions present in the table. Returns the paths
     written, keyed ``json``, ``per_triple``, and ``pareto``.
@@ -238,13 +235,13 @@ def emit_report(
         if pred not in table_triples:
             raise DomainError(f"run prediction {pred} is missing from the rank table")
 
-    report = build_metrics_report(table, payloads, kg, ks)
-    json_path = out_dir / f"{prefix}.json"
+    report = build_metrics_report(table, payloads, kg)
+    json_path = out_dir / "report.json"
     json_path.write_text(
         json.dumps(report.to_payload(), indent=2, sort_keys=True), encoding="utf-8"
     )
 
-    per_triple_path = out_dir / f"{prefix}_per_triple.csv"
+    per_triple_path = out_dir / "report_per_triple.csv"
     with per_triple_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PER_TRIPLE_CSV_COLUMNS)
@@ -263,7 +260,7 @@ def emit_report(
                 ]
             )
 
-    pareto_path = out_dir / f"{prefix}_pareto.csv"
+    pareto_path = out_dir / "report_pareto.csv"
     with pareto_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["length", "psi", "triples"])

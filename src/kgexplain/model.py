@@ -102,11 +102,6 @@ class EmbeddingModel:
             self, ent=self.ent.copy(), rel=self.rel.copy(), history=list(self.history)
         )
 
-    def assert_finite(self) -> None:
-        for arr in (self.ent, self.rel):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("model contains non-finite embedding entries")
-
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Complex product of packed ``[re | im]`` rows (last axis)."""
@@ -122,20 +117,6 @@ def _cmul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     a, b = x[..., :d], x[..., d:]
     c, e = y[..., :d], y[..., d:]
     return np.concatenate([a * c + b * e, b * c - a * e], axis=-1)
-
-
-@dataclass(frozen=True)
-class RankedPrediction:
-    """A scored triple with its filtered rank."""
-
-    triple: Triple
-    score: float
-    rank: int
-    direction: str = "object"
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise DomainError("rank must be >= 1")
 
 
 def init_model(kg: KnowledgeGraph, config: TrainConfig) -> EmbeddingModel:
@@ -211,17 +192,6 @@ def rank(
     else:
         raise ConfigurationError(f"unknown tie convention: {ties!r}")
     return 1 + int(np.count_nonzero(worse))
-
-
-def ranked_prediction(
-    model: EmbeddingModel, triple: Triple, kg: KnowledgeGraph, direction: str = "object"
-) -> RankedPrediction:
-    return RankedPrediction(
-        triple=triple,
-        score=score(model, triple),
-        rank=rank(model, triple, kg, direction=direction),
-        direction=direction,
-    )
 
 
 def grad_score_wrt_subject(model: EmbeddingModel, triple: Triple) -> np.ndarray:

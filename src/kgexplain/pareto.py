@@ -27,9 +27,6 @@ class ParetoFront:
     def __len__(self) -> int:
         return len(self.points)
 
-    def objectives(self) -> list[tuple[float, float]]:
-        return [(p.length, p.psi) for p in self.points]
-
 
 def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
     """True when `a` is no longer and at least as effective as `b`, one strictly."""

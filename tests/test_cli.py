@@ -250,6 +250,25 @@ class TestEvaluate:
         assert main(argv) == EXIT_VALIDATION
         assert victim.name in caplog.text
 
+    def test_parsed_file_that_is_not_a_run_is_validation_error_naming_it(
+        self, explained, tmp_path, caplog
+    ):
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        victim = sorted(runs.glob("run_*.json"))[0]
+        victim.write_text('{"sentinel": true}')
+        argv = [
+            "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
+            "--runs", str(runs), "--out", str(tmp_path / "ev"),
+        ]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+        caplog.clear()
+        argv = ["pareto", "--runs", str(runs), "--out", str(tmp_path / "front.json")]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+
     def test_reports_and_comparison_written(self, explained, tmp_path):
         root, config, checkpoint, selection, _ = explained
         path = cmd_evaluate(config, selection, root / "out" / "runs", out=tmp_path / "ev")
@@ -348,8 +367,42 @@ def test_unsupported_mode_algorithm_pair_is_validation_error(
     assert repr(algorithm) in caplog.text and repr(mode) in caplog.text
 
 
+@pytest.mark.parametrize("mode", ["necessary", "sufficient"])
+def test_unknown_evaluator_is_validation_error(explained, tmp_path, caplog, mode):
+    root, config, checkpoint, selection, _ = explained
+    text = (root / "experiment.ini").read_text()
+    text = text.replace("evaluator = post-train", "evaluator = post_train")
+    text = text.replace("mode = necessary", f"mode = {mode}")
+    text = text.replace("exhaustive-length-1, data-poisoning-direct", "exhaustive-length-1")
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    argv = [
+        "explain", "--config", str(path), "--checkpoint", str(checkpoint),
+        "--selection", str(selection), "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == EXIT_VALIDATION
+    assert "unknown evaluator: 'post_train'" in caplog.text
+    assert not (tmp_path / "out" / "runs").exists()
+
+
+def test_readme_ini_block_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    config = parse_experiment_config(path)
+    config.train.validate()
+    config.explainer.validate()
+    assert config.explainer.post_train_epochs == 30
+    assert config.simultaneous_removal
+
+
 @pytest.mark.parametrize(
-    "case", ["ini-value", "ini-no-section", "checkpoint-truncated", "checkpoint-foreign"]
+    "case",
+    [
+        "ini-value", "ini-no-section", "ini-unknown-key",
+        "checkpoint-truncated", "checkpoint-foreign",
+    ],
 )
 def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, caplog, case):
     root, config_path, config, checkpoint = trained
@@ -362,6 +415,9 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
     elif case == "ini-no-section":
         bad.write_text("path = data\n")
         expected = (str(bad),)
+    elif case == "ini-unknown-key":
+        bad.write_text(config_path.read_text().replace("post_train_epochs", "post_train_epoch"))
+        expected = (str(bad), "[explain] post_train_epoch")
     else:
         if case == "checkpoint-truncated":
             blob = checkpoint.read_bytes()

@@ -123,7 +123,7 @@ class TestSufficient:
     def test_whole_training_set_preserves_everything_exactly(self, pipeline):
         kg, config, model = pipeline
         result = effectiveness_sufficient(
-            kg, model, kg.train[0], set(kg.train), "frozen-neighborhood", config
+            kg, model, kg.train[0], set(kg.train), "post-train", config
         )
         assert result.psi == 0.0
         assert result.rank_after == result.rank_before
@@ -131,29 +131,20 @@ class TestSufficient:
     def test_empty_candidate_rejected(self, pipeline):
         kg, config, model = pipeline
         with pytest.raises(DomainError):
-            effectiveness_sufficient(kg, model, kg.train[0], set(), "frozen-neighborhood", config)
+            effectiveness_sufficient(kg, model, kg.train[0], set(), "post-train", config)
 
     def test_none_policy_flags_meaningless_embeddings(self, pipeline):
         kg, config, model = pipeline
         result = effectiveness_sufficient(
-            kg, model, kg.train[0], {kg.train[0]}, "none", config
+            kg, model, kg.train[0], {kg.train[0]}, "full-retrain", config
         )
         assert any("meaningless" in w for w in result.warnings)
         assert result.operator == "keep-only-retrain"
 
-    def test_absolute_perturbation_never_positive(self, pipeline):
-        kg, config, model = pipeline
-        for t in list(kg.train)[:3]:
-            result = effectiveness_sufficient(
-                kg, model, kg.train[0], {t}, "frozen-neighborhood", config,
-                perturbation="absolute",
-            )
-            assert result.psi <= 0.0
-
     def test_base_model_never_mutated(self, pipeline):
         kg, config, model = pipeline
         snap = snapshot(model)
-        effectiveness_sufficient(kg, model, kg.train[0], {kg.train[1]}, "frozen-neighborhood", config)
+        effectiveness_sufficient(kg, model, kg.train[0], {kg.train[1]}, "post-train", config)
         assert unchanged(model, snap)
 
 
@@ -194,10 +185,10 @@ class TestSufficientPathExample:
         model = train(init_model(kg, config), kg, config)
         assert rank(model, prediction, kg) > 1
         path_psi = effectiveness_sufficient(
-            kg, model, prediction, set(path), "frozen-neighborhood", config
+            kg, model, prediction, set(path), "post-train", config
         ).psi
         single_psis = [
-            effectiveness_sufficient(kg, model, prediction, {x}, "frozen-neighborhood", config).psi
+            effectiveness_sufficient(kg, model, prediction, {x}, "post-train", config).psi
             for x in path
         ]
         assert all(path_psi > s for s in single_psis)

@@ -66,7 +66,7 @@ class TestExhaustive:
         kg, config, model, prediction = setup
         small = build_search_space(kg, "subject-match", prediction)
         big = build_search_space(kg, "one-hop", prediction)
-        assert small.as_set() <= big.as_set()
+        assert set(small.members) <= set(big.members)
         run_small = exhaustive_length1(
             kg, model, prediction, small, "necessary", ExplainerConfig(), config
         )
@@ -90,7 +90,7 @@ class TestExhaustive:
         trainable = {prediction.subject}
         for t in kg.train_adjacency[prediction.subject]:
             trainable.update((t.subject, t.object))
-        for t in sorted(space.enumerate()):
+        for t in sorted(space.members):
             modified = tuple(x for x in kg.train if x != t)
             tuned = post_train(model, kg, modified, trainable, config)
             psi = rank(tuned, prediction, kg) - base_rank
@@ -105,7 +105,7 @@ class TestExhaustive:
         run = exhaustive_length1(
             kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
-        assert len(run.candidates) == len(space.as_set())
+        assert len(run.candidates) == len(space.members)
         evaluated = {c.explanation.triples for c in run.candidates}
         for p in run.front.points:
             assert p.explanation.triples in evaluated

@@ -118,9 +118,9 @@ class TestAdjacency:
         )
         t_ab = kg.triple_from_labels("a", "r", "b")
         t_aa = kg.triple_from_labels("a", "r", "a")
-        assert kg.adjacency[0].count(t_ab) == 1
-        assert kg.adjacency[1].count(t_ab) == 1
-        assert kg.adjacency[0].count(t_aa) == 1  # self-loop listed once
+        assert kg.train_adjacency[0].count(t_ab) == 1
+        assert kg.train_adjacency[1].count(t_ab) == 1
+        assert kg.train_adjacency[0].count(t_aa) == 1  # self-loop listed once
 
 
 def _bfs_component(kg: KnowledgeGraph, entity: int) -> frozenset[Triple]:
@@ -228,16 +228,16 @@ class TestSearchSpaces:
     def test_train_all_size(self):
         kg = KnowledgeGraph(["a", "b", "c"], ["r"], (Triple(0, 0, 1), Triple(1, 0, 2)))
         space = build_search_space(kg, "train-all")
-        assert len(space.as_set()) == 2
+        assert len(space.members) == 2
 
     def test_shares_entity_membership(self):
         kg = KnowledgeGraph(["a", "b", "c", "d"], ["r"], (Triple(0, 0, 2), Triple(2, 0, 3)))
         space = build_search_space(kg, "shares-entity", Triple(0, 0, 1))
-        assert space.as_set() == {Triple(0, 0, 2)}
+        assert space.members == (Triple(0, 0, 2),)
 
     def test_one_hop_strictly_contains_subject_match(self):
-        one_hop = build_search_space(self.kg, "one-hop", self.prediction).as_set()
-        subject = build_search_space(self.kg, "subject-match", self.prediction).as_set()
+        one_hop = set(build_search_space(self.kg, "one-hop", self.prediction).members)
+        subject = set(build_search_space(self.kg, "subject-match", self.prediction).members)
         assert subject < one_hop  # bigger space may hold shorter explanations
 
     def test_missing_prediction_is_configuration_error(self):
@@ -253,7 +253,7 @@ class TestSearchSpaces:
         near = {0, 2, 3}  # a and both endpoints of its two training triples
         for t in _all_triples(self.kg):
             in_train = t in self.kg.train_set
-            assert (t in space) == (in_train and t.subject in near and t.object in near)
+            assert (t in space.members) == (in_train and t.subject in near and t.object in near)
 
     @pytest.mark.parametrize(
         "preset", ["train-all", "shares-entity", "subject-match", "one-hop", "wcc"]
@@ -264,6 +264,6 @@ class TestSearchSpaces:
         space = build_search_space(kg, preset, prediction)
         predicate = _preset_predicate(kg, preset, prediction)
         expected = {t for t in _all_triples(kg) if t in kg.train_set and predicate(t)}
-        members = list(space.enumerate())
+        members = list(space.members)
         assert set(members) == expected
         assert len(members) == len(expected)  # each exactly once

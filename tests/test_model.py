@@ -17,7 +17,7 @@ from kgexplain import (
     save_checkpoint,
     score,
 )
-from kgexplain.model import RankedPrediction, kg_fingerprint
+from kgexplain.model import kg_fingerprint
 
 from conftest import make_random_kg
 
@@ -221,10 +221,6 @@ class TestRank:
         for t in kg.train:
             known = kg.known_objects.get((t.subject, t.relation), frozenset())
             assert 1 <= rank(model, t, kg) <= 1 + kg.num_entities - len(known)
-
-    def test_ranked_prediction_validates(self):
-        with pytest.raises(DomainError):
-            RankedPrediction(Triple(0, 0, 1), 0.0, 0)
 
 
 class TestGradScoreWrtSubject:

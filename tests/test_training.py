@@ -79,7 +79,7 @@ class TestTrain:
         kg = make_random_kg(seed=7, n_entities=12, n_relations=2, n_triples=30)
         config = TrainConfig(dimension=8, epochs=30, seed=1)
         trained = train(init_model(kg, config), kg, config)
-        trained.assert_finite()
+        assert np.isfinite(trained.ent).all() and np.isfinite(trained.rel).all()
 
     def test_input_model_untouched(self):
         kg = make_random_kg(seed=5, n_entities=10, n_relations=2, n_triples=25)
