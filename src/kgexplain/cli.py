@@ -387,6 +387,8 @@ def _simultaneous_removal(
             if not path.exists():
                 continue
             payload = load_run_payload(path)
+            if not isinstance(payload, dict):
+                raise ConfigurationError(f"not a run file: {path} (expected a JSON object)")
             if payload.get("best"):
                 removed.update(Triple(*t["ids"]) for t in payload["best"]["triples"])
         if not removed:
@@ -440,7 +442,13 @@ def _rank_table_for_algorithm(
     after_ranks: dict[Triple, int] = {}
     if simultaneous.exists():
         data = load_run_payload(simultaneous)
-        for entry in data["after_ranks"]:
+        entries = data.get("after_ranks") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and {"ids", "rank_after"} <= e.keys() for e in entries
+        ):
+            want = "expected an after_ranks list of {ids, rank_after}"
+            raise ConfigurationError(f"not a simultaneous-removal file: {simultaneous} ({want})")
+        for entry in entries:
             after_ranks[Triple(*entry["ids"])] = entry["rank_after"]
 
     for index, (prediction, rank_before) in enumerate(predictions):

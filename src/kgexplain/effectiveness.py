@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, TrainingError
 from .kg import KnowledgeGraph, Triple, _one_hop_entities
 from .model import EmbeddingModel, TrainConfig, init_model, rank, score
-from .training import post_train, train
+from .training import post_train
 
 logger = logging.getLogger(__name__)
 
@@ -125,7 +125,11 @@ def _retrained(
     if evaluator == "full-retrain":
         if not new_train:
             raise TrainingError("degenerate retraining: the modified training set is empty")
-        return train(init_model(kg, config), kg.with_train(new_train), config)
+        # a fresh model with every row trainable: full retraining without the
+        # per-epoch validation NLL, which only the train command's loss curve reads
+        entities, relations = range(kg.num_entities), range(kg.num_relations)
+        fresh = init_model(kg, config)
+        return post_train(fresh, kg, new_train, entities, config, trainable_relations=relations)
     return post_train(
         base,
         kg,

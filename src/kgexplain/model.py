@@ -103,20 +103,26 @@ class EmbeddingModel:
         )
 
 
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Complex product of packed ``[re | im]`` rows (last axis)."""
+def _cmul(x: np.ndarray, y: np.ndarray, out=None, tmp=None, conj: bool = False) -> np.ndarray:
+    """Complex product of packed ``[re | im]`` rows (last axis); ``x * conj(y)`` with ``conj``.
+
+    With ``out`` it runs the same operations in place, ``tmp`` (half as
+    wide) taking the one intermediate, and allocates nothing.
+    """
     d = x.shape[-1] // 2
-    a, b = x[..., :d], x[..., d:]
-    c, e = y[..., :d], y[..., d:]
-    return np.concatenate([a * c - b * e, a * e + b * c], axis=-1)
+    a, b, c, e = x[..., :d], x[..., d:], y[..., :d], y[..., d:]
+    first, second = (np.add, np.subtract) if conj else (np.subtract, np.add)
+    if out is None:
+        return np.concatenate([first(a * c, b * e), second(b * c, a * e)], axis=-1)
+    re, im = out[..., :d], out[..., d:]
+    first(np.multiply(a, c, out=re), np.multiply(b, e, out=tmp), out=re)
+    second(np.multiply(b, c, out=im), np.multiply(a, e, out=tmp), out=im)
+    return out
 
 
-def _cmul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Complex product ``x * conj(y)`` of packed ``[re | im]`` rows (last axis)."""
-    d = x.shape[-1] // 2
-    a, b = x[..., :d], x[..., d:]
-    c, e = y[..., :d], y[..., d:]
-    return np.concatenate([a * c + b * e, b * c - a * e], axis=-1)
+def _cmul_conj(x: np.ndarray, y: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Complex product ``x * conj(y)`` of packed ``[re | im]`` rows, as :func:`_cmul`."""
+    return _cmul(x, y, out, tmp, conj=True)
 
 
 def init_model(kg: KnowledgeGraph, config: TrainConfig) -> EmbeddingModel:

@@ -8,20 +8,24 @@ the object query (s, r) -> o and the reciprocal subject query
 accumulators; accumulators always start at zero, so post-training does not
 depend on the original optimizer trajectory.
 
-Full training, and a post-train whose mask covers every row, run the dense
-step :func:`batch_loss_and_grads`. A post-train with any frozen row runs a
-restricted step instead. A query row whose head entity or relation row is
-trainable keeps the dense softmax over all entities. Every other row is
-fixed: its query and its scores against frozen entities cannot change during
-the fit, so the max and shifted exp-sum of those scores are computed once
-from the base model and kept in a frozen context; each step scores fixed
-rows against the trainable entities only and merges the two parts into the
-normaliser. Gradients are formed for the trainable rows alone. Contexts are
-cached under a digest of the embedding tables, the trainable entity and
-relation sets and the base training set, so all candidates of a prediction
-share one. Frozen rows stay bit-identical; trainable rows differ from the
-dense masked fit only by summation order (measured at most 1.8e-13 after 60
-desk-graph epochs and 9e-15 after one mid-graph epoch).
+Every fit runs :func:`_fit` over a step object. Full training, and a
+post-train whose mask covers every row, run :class:`_DenseStep`, whose
+workspaces are allocated once per fit; from a fresh model that post-train is
+a full retrain without the validation NLL that :func:`train` records.
+
+A post-train with any frozen row runs a restricted step instead. A query
+row whose head entity or relation row is trainable keeps the dense softmax
+over all entities. Every other row is fixed: its query and its scores
+against frozen entities cannot change during the fit, so the max and
+shifted exp-sum of those scores are computed once from the base model and
+kept in a frozen context; each step scores fixed rows against the trainable
+entities only and merges the two parts into the normaliser. Gradients are
+formed for the trainable rows alone. Contexts are cached under a digest of
+the embedding tables, the trainable entity and relation sets and the base
+training set, so all candidates of a prediction share one. Frozen rows stay
+bit-identical; trainable rows differ from the dense masked fit only by
+summation order (measured at most 1.8e-13 after 60 desk-graph epochs and
+9e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
@@ -59,11 +63,12 @@ def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
     return rows
 
 
-def _scatter_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """out[index] += values with repeated indices, via flat bincount."""
+def _scatter_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray, flat=None) -> None:
+    """out[index] += values with repeated indices, via flat bincount (index built in ``flat``)."""
     n_rows, n_cols = out.shape
-    flat = (index[:, None] * n_cols + np.arange(n_cols)).ravel()
-    out += np.bincount(flat, weights=values.ravel(), minlength=n_rows * n_cols).reshape(
+    flat = np.empty(values.shape, dtype=np.int64) if flat is None else flat
+    np.add(np.multiply(index[:, None], n_cols, out=flat), np.arange(n_cols), out=flat)
+    out += np.bincount(flat.ravel(), weights=values.ravel(), minlength=n_rows * n_cols).reshape(
         n_rows, n_cols
     )
 
@@ -93,51 +98,98 @@ def _n3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (modulus**3).sum(axis=1), np.concatenate([modulus, modulus], axis=1) * x
 
 
+def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[rows]`` into ``out``; ids are range-checked when a step is built."""
+    return np.take(table, rows, axis=0, out=out, mode="clip")
+
+
+class _DenseStep:
+    """The full training step: every row trainable, softmax over all entities.
+
+    Its workspaces are allocated once per fit, so a step allocates nothing of
+    batch size (only the table-sized N3 terms). It runs the plain loss expression's operations in the same
+    order, so it gives the same bits. The returned gradients are workspaces,
+    overwritten by the next call.
+    """
+
+    ent_idx = rel_idx = slice(None)
+
+    def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int) -> None:
+        entities, width = model.ent.shape
+        bounds = (entities, len(model.rel), entities)
+        if examples.min() < 0 or (examples.max(axis=0) >= bounds).any():
+            raise DomainError("example row id out of range for the model")
+        n = min(batch_size, len(examples))
+        self.columns = np.ascontiguousarray(examples.T)
+        self.ids, self.target_at = np.empty(3 * n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        self.row_start = np.arange(n) * entities
+        self.flat = np.empty((n, width), dtype=np.int64)
+        self.h, self.r, self.q, self.dq, self.dh, self.dr, self.g = np.empty((7, n, width))
+        self.half, self.scores = np.empty((n, width // 2)), np.empty((n, entities))
+        self.target, self.shift, self.z, self.per_row = np.empty((4, n))
+        self.d_ent, self.d_rel = np.empty_like(model.ent), np.empty_like(model.rel)
+
+    def __call__(
+        self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
+    ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+        """Loss, data loss and the ``ent`` and ``rel`` gradients over example rows ``sel``."""
+        ent, rel, n = model.ent, model.rel, len(sel)
+        heads, rels, targets = ids = self.ids[: 3 * n].reshape(3, n)
+        np.take(self.columns, sel, axis=1, out=ids, mode="clip")
+        h, r = _gather(ent, heads, self.h[:n]), _gather(rel, rels, self.r[:n])
+        half, per_row, flat, g = self.half[:n], self.per_row[:n], self.flat[:n], self.g[:n]
+        q = _cmul(h, r, out=self.q[:n], tmp=half)
+
+        # softmax in place; the target scores are read before the shift
+        scores = np.matmul(q, ent.T, out=self.scores[:n])
+        flat_scores = scores.reshape(-1)
+        at = np.add(self.row_start[:n], targets, out=self.target_at[:n])
+        target = _gather(flat_scores, at, self.target[:n])
+        shift = np.max(scores, axis=1, out=self.shift[:n])
+        scores -= shift[:, None]
+        z = np.sum(np.exp(scores, out=scores), axis=1, out=self.z[:n])
+        target -= shift
+        target -= np.log(z, out=per_row)
+        data_loss = float(-target.mean())
+
+        scores /= z[:, None]
+        hit = np.subtract(_gather(flat_scores, at, per_row), 1.0, out=per_row)
+        np.put(flat_scores, at, hit)
+        scores /= n
+        d_ent = np.matmul(scores.T, q, out=self.d_ent)
+        dq = np.matmul(scores, ent, out=self.dq[:n])
+        dh = _cmul_conj(dq, r, out=self.dh[:n], tmp=half)
+        dr = _cmul_conj(dq, h, out=self.dr[:n], tmp=half)
+
+        loss = data_loss
+        if reg_weight > 0:
+            # N3 terms once per table row (table-sized), then gathered for each use of a row
+            (ent_penalty, ent_grad), (rel_penalty, rel_grad) = _n3(ent), _n3(rel)
+            uses = ((ent_penalty, heads), (rel_penalty, rels), (ent_penalty, targets))
+            penalty = sum(_gather(pen, rows, per_row).sum() for pen, rows in uses)
+            loss += reg_weight * float(penalty) / n
+            c = 3.0 * reg_weight / n
+            dh += np.multiply(_gather(ent_grad, heads, g), c, out=g)
+            dr += np.multiply(_gather(rel_grad, rels, g), c, out=g)
+            np.multiply(_gather(ent_grad, targets, g), c, out=g)
+            _scatter_rows(d_ent, targets, g, flat)
+
+        _scatter_rows(d_ent, heads, dh, flat)
+        self.d_rel.fill(0.0)
+        _scatter_rows(self.d_rel, rels, dr, flat)
+        return loss, data_loss, (d_ent, self.d_rel)
+
+
 def batch_loss_and_grads(
     model: EmbeddingModel, batch: np.ndarray, reg_weight: float
 ) -> tuple[float, float, Gradients]:
-    """Mean loss over a batch of query rows plus analytic gradients.
+    """(Total loss, data-only negative log-likelihood, analytic gradients) of a batch.
 
-    Returns (total loss, data-only negative log-likelihood, gradients). Each
-    step runs one matmul and one scatter per packed parameter table.
+    One :class:`_DenseStep` over the whole batch: the step every dense fit runs.
     """
-    ent, rel = model.ent, model.rel
-    heads = batch[:, 0]
-    rels = batch[:, 1]
-    targets = batch[:, 2]
-    n = len(batch)
-    rows = np.arange(n)
-
-    h, r = ent[heads], rel[rels]
-    q = _cmul(h, r)
-    scores = q @ ent.T
-    shift = scores.max(axis=1, keepdims=True)
-    exps = np.exp(scores - shift)
-    z = exps.sum(axis=1, keepdims=True)
-    data_loss = float(-(scores[rows, targets] - shift[:, 0] - np.log(z[:, 0])).mean())
-
-    grad_scores = exps / z
-    grad_scores[rows, targets] -= 1.0
-    grad_scores /= n
-
-    d_ent = grad_scores.T @ q
-    dq = grad_scores @ ent
-    dh = _cmul_conj(dq, r)
-    dr = _cmul_conj(dq, h)
-    d_rel = np.zeros_like(rel)
-
-    loss = data_loss
-    if reg_weight > 0:
-        (ph, gh), (pr, gr), (pt, gt) = _n3(h), _n3(r), _n3(ent[targets])
-        loss += reg_weight * float(ph.sum() + pr.sum() + pt.sum()) / n
-        c = 3.0 * reg_weight / n
-        dh += c * gh
-        dr += c * gr
-        _scatter_rows(d_ent, targets, c * gt)
-
-    _scatter_rows(d_ent, heads, dh)
-    _scatter_rows(d_rel, rels, dr)
-    return loss, data_loss, Gradients(d_ent, d_rel)
+    step = _DenseStep(model, batch, len(batch))
+    loss, data_loss, grads = step(model, np.arange(len(batch)), reg_weight)
+    return loss, data_loss, Gradients(*grads)
 
 
 def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
@@ -147,9 +199,11 @@ def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
     for start in range(0, len(examples), 4096):
         batch = examples[start : start + 4096]
         scores = _cmul(ent[batch[:, 0]], rel[batch[:, 1]]) @ ent.T
-        shift = scores.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
-        total += float((log_z - scores[np.arange(len(batch)), batch[:, 2]]).sum())
+        target = scores[np.arange(len(batch)), batch[:, 2]]
+        shift = scores.max(axis=1)
+        scores -= shift[:, None]
+        log_z = np.log(np.exp(scores, out=scores).sum(axis=1)) + shift
+        total += float((log_z - target).sum())
     return total / len(examples)
 
 
@@ -388,22 +442,18 @@ def _fit(
     examples: np.ndarray,
     config: TrainConfig,
     epochs: int,
-    step: _RestrictedStep | None = None,
+    step: _DenseStep | _RestrictedStep,
     valid_examples: np.ndarray | None = None,
 ) -> None:
     """Run adaptive-gradient epochs in place.
 
-    Without ``step`` every row updates through the dense
-    :func:`batch_loss_and_grads`. With a restricted step only its trainable
-    rows move and everything else stays bit-identical. Batch order is drawn
-    from a stream keyed only by (seed, example count), so two fits over the
-    same example set replay the same batches.
+    ``step(model, sel, reg_weight)`` gives the loss, the data loss and the
+    gradients of the rows in its ``ent_idx`` and ``rel_idx`` slots; only those
+    rows move. Batch order is drawn from a stream keyed only by (seed, example
+    count), so two fits over the same example set replay the same batches.
     """
     lr = config.learning_rate
-    if step is None:
-        slots = [(model.ent, slice(None)), (model.rel, slice(None))]
-    else:
-        slots = [(model.ent, step.ent_idx), (model.rel, step.rel_idx)]
+    slots = [(model.ent, step.ent_idx), (model.rel, step.rel_idx)]
     acc = [np.zeros_like(param[idx]) for param, idx in slots]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     model.history = []
@@ -413,13 +463,7 @@ def _fit(
         epoch_nll = 0.0
         for start in range(0, len(examples), config.batch_size):
             sel = perm[start : start + config.batch_size]
-            if step is None:
-                loss, data_loss, grads = batch_loss_and_grads(
-                    model, examples[sel], config.reg_weight
-                )
-                grads = (grads.ent, grads.rel)
-            else:
-                loss, data_loss, grads = step(model, sel, config.reg_weight)
+            loss, data_loss, grads = step(model, sel, config.reg_weight)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged (non-finite) at epoch {epoch}")
             epoch_nll += data_loss * len(sel)
@@ -448,7 +492,8 @@ def train(model: EmbeddingModel, kg: KnowledgeGraph, config: TrainConfig) -> Emb
     examples = build_examples(kg.train, model.num_relations)
     valid = kg.eval_split("valid")
     valid_examples = build_examples(valid, model.num_relations) if valid else None
-    _fit(trained, examples, config, config.epochs, valid_examples=valid_examples)
+    step = _DenseStep(trained, examples, config.batch_size)
+    _fit(trained, examples, config, config.epochs, step, valid_examples)
     return trained
 
 
@@ -474,7 +519,8 @@ def post_train(
     ``reinit_trainable`` restores trainable rows to their seeded initial
     values before fitting, so a full mask plus the original training set
     reproduces :func:`train` exactly. ``epochs=0`` returns an identical copy.
-    A full mask fits with the dense step; any frozen row selects the
+    A full mask fits with the dense step (from a fresh model, that is a full
+    retrain without the validation NLL); any frozen row selects the
     restricted step and its shared frozen context (see the module notes).
     """
     config.validate()
@@ -507,8 +553,8 @@ def post_train(
         return tuned
     examples = build_examples(modified, model.num_relations)
     if len(ent_idx) == model.num_entities and np.array_equal(rel_idx, np.arange(len(model.rel))):
-        _fit(tuned, examples, config, epochs)
+        step = _DenseStep(tuned, examples, config.batch_size)
     else:
         step = _RestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size)
-        _fit(tuned, examples, config, epochs, step=step)
+    _fit(tuned, examples, config, epochs, step)
     return tuned

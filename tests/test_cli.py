@@ -220,6 +220,21 @@ class TestExplain:
         assert removed and removed <= kg.train_set
 
 
+    def test_kept_run_file_that_is_not_an_object_is_validation_error_naming_it(
+        self, explained, tmp_path, caplog
+    ):
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "out" / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        victim = sorted(runs.glob("run_*.json"))[0]
+        victim.write_text("[1]")  # parses, so resume keeps it
+        argv = [
+            "explain", "--config", str(root / "experiment.ini"), "--checkpoint", str(checkpoint),
+            "--selection", str(selection), "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+
     def test_interrupted_save_leaves_no_run_file(self, explained, tmp_path, monkeypatch):
         root, config, checkpoint, selection, _ = explained
 
@@ -266,6 +281,26 @@ class TestEvaluate:
         assert victim.name in caplog.text
         caplog.clear()
         argv = ["pareto", "--runs", str(runs), "--out", str(tmp_path / "front.json")]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+
+    @pytest.mark.parametrize(
+        "content",
+        ["{}", "[1]", '{"after_ranks": 3}', '{"after_ranks": [{"ids": [0, 0, 1]}]}'],
+        ids=["empty-object", "list", "after-ranks-not-a-list", "entry-without-rank"],
+    )
+    def test_malformed_simultaneous_file_is_validation_error_naming_it(
+        self, explained, tmp_path, caplog, content
+    ):
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        victim = sorted(runs.glob("simultaneous_*.json"))[0]
+        victim.write_text(content)
+        argv = [
+            "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
+            "--runs", str(runs), "--out", str(tmp_path / "ev"),
+        ]
         assert main(argv) == EXIT_VALIDATION
         assert victim.name in caplog.text
 

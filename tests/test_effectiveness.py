@@ -21,6 +21,9 @@ from kgexplain import (
     train,
 )
 
+from kgexplain.effectiveness import _retrained
+
+from conftest import make_random_kg
 from test_model import rank_oracle
 
 ARRAYS = ("ent_re", "ent_im", "rel_re", "rel_im")
@@ -102,6 +105,22 @@ class TestNecessary:
             expected_before = rank_oracle(model, prediction, kg)
             assert result.psi == expected_after - expected_before
             assert result.rank_after == expected_after
+
+    def test_full_retrain_equals_train_without_validation_nll(self):
+        kg = make_random_kg(seed=21, n_entities=12, n_relations=2, n_triples=40)
+        kg = KnowledgeGraph(
+            kg.entity_labels, kg.relation_labels, kg.train[:-4], valid=kg.train[-4:]
+        )
+        config = TrainConfig(dimension=6, epochs=12, batch_size=32, seed=7)
+        base = train(init_model(kg, config), kg, config)
+        new_train = kg.train[1:]
+        retrained = _retrained(kg, base, new_train, "full-retrain", config)
+        reference = train(init_model(kg, config), kg.with_train(new_train), config)
+        assert np.array_equal(retrained.ent, reference.ent)
+        assert np.array_equal(retrained.rel, reference.rel)
+        assert all("valid_nll" in record for record in reference.history)
+        assert len(retrained.history) == config.epochs
+        assert not any("valid_nll" in record for record in retrained.history)
 
     def test_base_model_never_mutated(self, pipeline):
         kg, config, model = pipeline

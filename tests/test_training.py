@@ -20,6 +20,8 @@ from kgexplain import (
 )
 from kgexplain import training
 from kgexplain.training import (
+    Gradients,
+    _DenseStep,
     _RestrictedStep,
     _relation_rows,
     batch_loss_and_grads,
@@ -127,7 +129,139 @@ class TestLossGradients:
         assert np.array_equal(built, np.asarray(expected, dtype=np.int64))
 
 
-def _dense_masked_fit(model, examples, config, epochs, ent_idx, rel_idx):
+# Reference: the allocating dense step as it was written before the workspace
+# step replaced it, helpers included, kept verbatim so the workspace step is
+# checked bit for bit against the plain expression of the loss.
+def _reference_cmul(x, y):
+    d = x.shape[-1] // 2
+    a, b = x[..., :d], x[..., d:]
+    c, e = y[..., :d], y[..., d:]
+    return np.concatenate([a * c - b * e, a * e + b * c], axis=-1)
+
+
+def _reference_cmul_conj(x, y):
+    d = x.shape[-1] // 2
+    a, b = x[..., :d], x[..., d:]
+    c, e = y[..., :d], y[..., d:]
+    return np.concatenate([a * c + b * e, b * c - a * e], axis=-1)
+
+
+def _reference_scatter_rows(out, index, values):
+    n_rows, n_cols = out.shape
+    flat = (index[:, None] * n_cols + np.arange(n_cols)).ravel()
+    out += np.bincount(flat, weights=values.ravel(), minlength=n_rows * n_cols).reshape(
+        n_rows, n_cols
+    )
+
+
+def _reference_n3(x):
+    d = x.shape[1] // 2
+    modulus = np.sqrt(x[:, :d] ** 2 + x[:, d:] ** 2)
+    return (modulus**3).sum(axis=1), np.concatenate([modulus, modulus], axis=1) * x
+
+
+def _reference_batch_loss_and_grads(model, batch, reg_weight):
+    ent, rel = model.ent, model.rel
+    heads = batch[:, 0]
+    rels = batch[:, 1]
+    targets = batch[:, 2]
+    n = len(batch)
+    rows = np.arange(n)
+
+    h, r = ent[heads], rel[rels]
+    q = _reference_cmul(h, r)
+    scores = q @ ent.T
+    shift = scores.max(axis=1, keepdims=True)
+    exps = np.exp(scores - shift)
+    z = exps.sum(axis=1, keepdims=True)
+    data_loss = float(-(scores[rows, targets] - shift[:, 0] - np.log(z[:, 0])).mean())
+
+    grad_scores = exps / z
+    grad_scores[rows, targets] -= 1.0
+    grad_scores /= n
+
+    d_ent = grad_scores.T @ q
+    dq = grad_scores @ ent
+    dh = _reference_cmul_conj(dq, r)
+    dr = _reference_cmul_conj(dq, h)
+    d_rel = np.zeros_like(rel)
+
+    loss = data_loss
+    if reg_weight > 0:
+        (ph, gh), (pr, gr), (pt, gt) = (
+            _reference_n3(h), _reference_n3(r), _reference_n3(ent[targets])
+        )
+        loss += reg_weight * float(ph.sum() + pr.sum() + pt.sum()) / n
+        c = 3.0 * reg_weight / n
+        dh += c * gh
+        dr += c * gr
+        _reference_scatter_rows(d_ent, targets, c * gt)
+
+    _reference_scatter_rows(d_ent, heads, dh)
+    _reference_scatter_rows(d_rel, rels, dr)
+    return loss, data_loss, Gradients(d_ent, d_rel)
+
+
+class TestDenseStep:
+    """The workspace step against the allocating reference, bit for bit."""
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_repeated_full_and_ragged_batches_match_reference(self, reg_weight):
+        kg = make_random_kg(seed=4, n_entities=15, n_relations=3, n_triples=60)
+        config = TrainConfig(dimension=5, epochs=5, seed=4)
+        model = train(init_model(kg, config), kg, config)
+        examples = build_examples(kg.train, kg.num_relations)
+        step = _DenseStep(model, examples, batch_size=50)
+        perm = np.random.default_rng(0).permutation(len(examples))
+        # full, ragged (20 rows), full again and ragged again: a workspace
+        # row left over from a longer batch would show in the second pair
+        for sel in (perm[:50], perm[100:], perm[50:100], perm[100:]):
+            loss, data_loss, (d_ent, d_rel) = step(model, sel, reg_weight)
+            ref_loss, ref_data, ref = _reference_batch_loss_and_grads(
+                model, examples[sel], reg_weight
+            )
+            assert loss == ref_loss and data_loss == ref_data
+            assert np.array_equal(d_ent, ref.ent) and np.array_equal(d_rel, ref.rel)
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_one_batch_wrapper_matches_reference(self, reg_weight):
+        kg = make_random_kg(seed=6, n_entities=12, n_relations=2, n_triples=40)
+        config = TrainConfig(dimension=4, epochs=3, seed=6)
+        model = train(init_model(kg, config), kg, config)
+        examples = build_examples(kg.train, kg.num_relations)
+        loss, data_loss, grads = batch_loss_and_grads(model, examples, reg_weight)
+        ref_loss, ref_data, ref = _reference_batch_loss_and_grads(model, examples, reg_weight)
+        assert loss == ref_loss and data_loss == ref_data
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
+        assert np.array_equal(grads.ent, ref.ent) and np.array_equal(grads.rel, ref.rel)
+
+    def test_train_with_ragged_last_batch_matches_reference_loop(self):
+        kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
+        config = TrainConfig(dimension=4, epochs=6, batch_size=16, seed=2)
+        assert len(kg.train) * 2 % config.batch_size
+        model = init_model(kg, config)
+        reference = model.clone()
+        _dense_masked_fit(
+            reference,
+            build_examples(kg.train, kg.num_relations),
+            config,
+            config.epochs,
+            np.arange(kg.num_entities),
+            np.arange(2 * kg.num_relations),
+            step=_reference_batch_loss_and_grads,
+        )
+        assert arrays_equal(train(model, kg, config), reference)
+
+    def test_out_of_range_example_is_domain_error(self):
+        kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
+        model = init_model(kg, TrainConfig(dimension=4, seed=2))
+        with pytest.raises(DomainError):
+            _DenseStep(model, np.asarray([[0, 0, 12]]), batch_size=4)
+
+
+def _dense_masked_fit(
+    model, examples, config, epochs, ent_idx, rel_idx, step=batch_loss_and_grads
+):
     """Reference: the dense step with every frozen row's gradient discarded."""
     lr = config.learning_rate
     params = (model.ent, model.rel)
@@ -137,7 +271,7 @@ def _dense_masked_fit(model, examples, config, epochs, ent_idx, rel_idx):
         perm = rng.permutation(len(examples))
         for start in range(0, len(examples), config.batch_size):
             batch = examples[perm[start : start + config.batch_size]]
-            _, _, grads = batch_loss_and_grads(model, batch, config.reg_weight)
+            _, _, grads = step(model, batch, config.reg_weight)
             pairs = ((grads.ent, ent_idx), (grads.rel, rel_idx))
             for param, accum, (grad, idx) in zip(params, acc, pairs):
                 if len(idx):
