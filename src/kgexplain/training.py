@@ -15,24 +15,28 @@ a full retrain without the validation NLL that :func:`train` records.
 
 A post-train with any frozen row runs a restricted step instead. A query
 row whose head entity or relation row is trainable keeps the dense softmax
-over all entities. Every other row is fixed: its query and its scores
-against frozen entities cannot change during the fit, so the max and
-shifted exp-sum of those scores are computed once from the base model and
-kept in a frozen context; each step scores fixed rows against the trainable
-entities only and merges the two parts into the normaliser. Gradients are
-formed for the trainable rows alone. Contexts are cached under a digest of
-the embedding tables, the trainable entity and relation sets and the base
-training set, so all candidates of a prediction share one. Frozen rows stay
-bit-identical; trainable rows differ from the dense masked fit only by
-summation order (measured at most 1.8e-13 after 60 desk-graph epochs and
-9e-15 after one mid-graph epoch).
+over all entities. Every other row is fixed: its query ``q = h∘r`` and its
+scores against frozen entities cannot change during the fit. A query table
+keeps ``q`` for every query of the base training set, computed once from the
+base model; a frozen context keeps, for each fixed query, the max and
+shifted exp-sum of its frozen-entity scores. Once per fit the step resolves
+each fixed example's query row and partials (queries the base set lacks are
+computed for that fit alone) and, when its target is frozen, its target
+score. Each step then scores fixed rows against the trainable entities only
+and merges the two parts into the normaliser. Gradients are formed for the
+trainable rows alone. Contexts are cached under a digest of the embedding
+tables, the trainable entity and relation sets and the base training set, so
+all candidates of a prediction share one, and all contexts of one base model
+share its query table. Frozen rows stay bit-identical; trainable rows differ
+from the dense masked fit only by summation order (measured at most 1.8e-13
+after 60 desk-graph epochs and 9e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -212,25 +216,61 @@ def _query_keys(model: EmbeddingModel, examples: np.ndarray) -> np.ndarray:
     return examples[:, 0] * len(model.rel) + examples[:, 1]
 
 
-def _frozen_partials(
-    model: EmbeddingModel, keys: np.ndarray, ent_trainable: np.ndarray, chunk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max and shifted exp-sum of each query's scores over the frozen columns.
-
-    Works ``chunk`` queries at a time, so no score block is larger than a
-    training step's.
-    """
+def _query_rows(model: EmbeddingModel, keys: np.ndarray, chunk: int) -> np.ndarray:
+    """The query row ``h∘r`` of each (head, relation_row) key, ``chunk`` keys at a time."""
     heads, rels = np.divmod(keys, len(model.rel))
-    maxes = np.empty(len(keys))
-    sums = np.empty(len(keys))
+    queries = np.empty((len(keys), model.ent.shape[1]))
     for start in range(0, len(keys), chunk):
         part = slice(start, start + chunk)
-        scores = _cmul(model.ent[heads[part]], model.rel[rels[part]]) @ model.ent.T
+        queries[part] = _cmul(model.ent[heads[part]], model.rel[rels[part]])
+    return queries
+
+
+def _frozen_partials(
+    model: EmbeddingModel,
+    queries: np.ndarray,
+    rows: np.ndarray,
+    ent_trainable: np.ndarray,
+    chunk: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max and shifted exp-sum of the scores of ``queries[rows]`` over the frozen columns.
+
+    Works ``chunk`` rows at a time, so no score block is larger than a
+    training step's.
+    """
+    maxes = np.empty(len(rows))
+    sums = np.empty(len(rows))
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        scores = queries[rows[part]] @ model.ent.T
         scores[:, ent_trainable] = -np.inf
         maxes[part] = scores.max(axis=1)
         scores -= maxes[part, None]
         sums[part] = np.exp(scores, out=scores).sum(axis=1)
     return maxes, sums
+
+
+class _QueryTable:
+    """The query row ``q = h∘r`` of every query of one base model and training set.
+
+    A row depends on the base model alone, so every context of that model
+    and training set shares the table, whatever its trainable rows.
+    """
+
+    def __init__(self, train: Sequence[Triple]) -> None:
+        self.train = train
+        self.keys: np.ndarray | None = None
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def fill(self, model: EmbeddingModel, chunk: int) -> None:
+        with self._lock:
+            if self.keys is None:
+                examples = build_examples(self.train, model.num_relations)
+                keys = np.unique(_query_keys(model, examples))
+                self.queries = _query_rows(model, keys, chunk)
+                self.keys = keys
+                self.nbytes = keys.nbytes + self.queries.nbytes
 
 
 class _FrozenContext:
@@ -241,55 +281,94 @@ class _FrozenContext:
     scores against every frozen entity column never change. For each fixed
     query of the base training set the context keeps the max of those scores
     and the sum of their exps shifted by it, computed once, in one pass,
-    from the base model. A fit that brings queries outside that set computes
-    them on its own, so every value a fit reads is the same whichever fits
-    ran before it or beside it in other threads.
+    from the base model and the rows of its shared :class:`_QueryTable`. A
+    fit that brings queries outside that set computes them on its own, so
+    every value a fit reads is the same whichever fits ran before it or
+    beside it in other threads.
     """
 
     def __init__(
-        self, ent_trainable: np.ndarray, rel_trainable: np.ndarray, train: Sequence[Triple]
+        self, ent_trainable: np.ndarray, rel_trainable: np.ndarray, table: _QueryTable
     ) -> None:
         self.ent_trainable = ent_trainable
         self.rel_trainable = rel_trainable
-        self.train = train
-        self.keys: np.ndarray | None = None
+        self.table = table
+        self.maxes: np.ndarray | None = None
         self._lock = threading.Lock()
 
-    def partials(
+    def lookup(
         self, model: EmbeddingModel, keys: np.ndarray, chunk: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(max, exp-sum) per query key; ``model`` must be the context's base model."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(row, max, exp-sum) per fixed query key, and the query table the rows index.
+
+        ``model`` must be the context's base model. Keys outside the base
+        training set get rows appended to a copy of the table, for the
+        calling fit alone.
+        """
+        table = self.table
         with self._lock:
-            if self.keys is None:
-                examples = build_examples(self.train, model.num_relations)
-                moving = self.ent_trainable[examples[:, 0]] | self.rel_trainable[examples[:, 1]]
-                base = np.unique(_query_keys(model, examples[~moving]))
-                self.maxes, self.sums = _frozen_partials(model, base, self.ent_trainable, chunk)
-                self.keys = base
-        at = np.searchsorted(self.keys, keys)
-        found = at < len(self.keys)
-        found[found] = self.keys[at[found]] == keys[found]
-        maxes = np.empty(len(keys))
-        sums = np.empty(len(keys))
-        maxes[found] = self.maxes[at[found]]
-        sums[found] = self.sums[at[found]]
+            fills = self.maxes is None
+            if fills:
+                table.fill(model, chunk)
+                heads, rels = np.divmod(table.keys, len(model.rel))
+                fixed = np.flatnonzero(~(self.ent_trainable[heads] | self.rel_trainable[rels]))
+                # indexed like the table; the entries of moving queries stay unread
+                self.maxes, self.sums = np.zeros((2, len(table.keys)))
+                self.maxes[fixed], self.sums[fixed] = _frozen_partials(
+                    model, table.queries, fixed, self.ent_trainable, chunk
+                )
+        if fills:
+            _trim_contexts(self)
+        at = np.searchsorted(table.keys, keys)
+        found = at < len(table.keys)
+        found[found] = table.keys[at[found]] == keys[found]
+        maxes, sums, queries = self.maxes, self.sums, table.queries
         if not found.all():
             missing, back = np.unique(keys[~found], return_inverse=True)
-            extra_maxes, extra_sums = _frozen_partials(model, missing, self.ent_trainable, chunk)
-            maxes[~found] = extra_maxes[back]
-            sums[~found] = extra_sums[back]
-        return maxes, sums
+            extra = _query_rows(model, missing, chunk)
+            extra_maxes, extra_sums = _frozen_partials(
+                model, extra, np.arange(len(missing)), self.ent_trainable, chunk
+            )
+            maxes, sums, queries = map(
+                np.concatenate, zip((maxes, sums, queries), (extra_maxes, extra_sums, extra))
+            )
+            at[~found] = len(table.keys) + back
+        return at, maxes[at], sums[at], queries
 
 
 # Contexts of the most recent (base model, mask, base training set) triples.
-# Every candidate of a prediction under one operator shares them, so a
-# handful covers a sweep with a few workers. The key holds a digest of the
-# embedding tables, so a context is never served for other embeddings; it
-# holds the training set's id, which stays unique while the context keeps
-# that set alive.
+# Every candidate of a prediction under one operator shares one, so a handful
+# covers a sweep with a few workers; each context costs two floats per query
+# of the base training set. The query tables, 2 * dimension floats per query,
+# are shared by every context of one base model and training set, so a sweep
+# holds one. The byte budget, two mid-graph tables (about 3 MB each at
+# dimension 32), bounds the tables that a single context holds, as in a
+# sufficient sweep, whose reinitialised rows give each candidate its own base
+# model. The key holds a digest of the embedding tables, so a context is never
+# served for other embeddings; it holds the training set's id, which stays
+# unique while the context's table keeps that set alive.
 _CONTEXT_LIMIT = 8
+_TABLE_BYTES = 8 << 20
 _CONTEXTS: "OrderedDict[tuple, _FrozenContext]" = OrderedDict()
 _CONTEXTS_LOCK = threading.Lock()
+
+
+def _trim_contexts(keep: _FrozenContext) -> None:
+    """Drop old contexts that hold a table alone while the tables pass the byte budget.
+
+    Contexts go least recently used first, never ``keep``. A context that shares its table is never dropped for bytes, since that
+    frees nothing, so the contexts of concurrent sweeps over one base model
+    stay, whatever the size of its table.
+    """
+    with _CONTEXTS_LOCK:
+        holders = Counter(context.table for context in _CONTEXTS.values())
+        total = sum(table.nbytes for table in holders)
+        for key, context in list(_CONTEXTS.items()):
+            if total <= _TABLE_BYTES:
+                break
+            if context is not keep and holders[context.table] == 1:
+                total -= context.table.nbytes
+                del _CONTEXTS[key]
 
 
 def _frozen_context(
@@ -303,11 +382,14 @@ def _frozen_context(
     for table in (model.ent, model.rel):
         digest.update(np.asarray(table.shape, dtype=np.int64).tobytes())
         digest.update(np.ascontiguousarray(table).data)
-    key = (digest.digest(), ent_trainable.tobytes(), rel_trainable.tobytes(), id(train))
+    base = (digest.digest(), id(train))
+    key = (*base, ent_trainable.tobytes(), rel_trainable.tobytes())
     with _CONTEXTS_LOCK:
         context = _CONTEXTS.get(key)
         if context is None:
-            context = _CONTEXTS[key] = _FrozenContext(ent_trainable, rel_trainable, train)
+            shared = (c.table for k, c in _CONTEXTS.items() if k[:2] == base)
+            table = next(shared, None) or _QueryTable(train)
+            context = _CONTEXTS[key] = _FrozenContext(ent_trainable, rel_trainable, table)
             if len(_CONTEXTS) > _CONTEXT_LIMIT:
                 _CONTEXTS.popitem(last=False)
         else:
@@ -319,12 +401,15 @@ class _RestrictedStep:
     """A training step that computes only what the trainable rows need.
 
     Query rows whose head entity or relation row is trainable ("moving")
-    keep the dense softmax over all entity columns. Every other row is fixed:
-    it is scored against the trainable columns only, and the frozen-column
-    partials of its query, read once from the shared :class:`_FrozenContext`,
-    complete its normaliser. Entity gradients are formed for the trainable
-    rows alone, so a step costs O(n |T| d + n_moving E d) instead of
-    O(n E d).
+    keep the dense softmax over all entity columns. Every other row is fixed.
+    Once per fit the step resolves, for each fixed row, its query's row in
+    the shared :class:`_QueryTable`, the frozen-column partials of that
+    query from the shared :class:`_FrozenContext` and, when its target is
+    frozen, its target score ``q·e_o``. A step then gathers each fixed row's
+    query, scores it against the trainable columns only and completes its
+    normaliser with the frozen partials. Entity gradients are formed for the
+    trainable rows alone, so a step costs O(n |T| d + n_moving E d) instead
+    of O(n E d).
     """
 
     def __init__(
@@ -346,14 +431,25 @@ class _RestrictedStep:
         ent_trainable = self.column >= 0
         rel_trainable = self.rel_slot >= 0
         self.moving = ent_trainable[examples[:, 0]] | rel_trainable[examples[:, 1]]
+        self.query_row = np.zeros(len(examples), dtype=np.int64)
         self.frozen_max = np.zeros(len(examples))
         self.frozen_sum = np.zeros(len(examples))
-        fixed = ~self.moving
-        if fixed.any():
+        self.target_score = np.zeros(len(examples))
+        self.queries = np.empty((0, model.ent.shape[1]))
+        fixed = np.flatnonzero(~self.moving)
+        if len(fixed):
             context = _frozen_context(model, ent_trainable, rel_trainable, train)
-            self.frozen_max[fixed], self.frozen_sum[fixed] = context.partials(
+            rows, maxes, sums, self.queries = context.lookup(
                 model, _query_keys(model, examples[fixed]), chunk
             )
+            self.query_row[fixed] = rows
+            self.frozen_max[fixed], self.frozen_sum[fixed] = maxes, sums
+            # a fixed row's score against its frozen target never changes either
+            out = fixed[~ent_trainable[examples[fixed, 2]]]
+            for start in range(0, len(out), chunk):
+                part = out[start : start + chunk]
+                q = self.queries[self.query_row[part]]
+                self.target_score[part] = np.einsum("ij,ij->i", q, model.ent[examples[part, 2]])
         # N3 penalty of every row; the trainable rows' entries are refreshed each step
         self.ent_penalty = _n3(model.ent)[0]
         self.rel_penalty = _n3(model.rel)[0]
@@ -403,15 +499,16 @@ class _RestrictedStep:
 
         fx = np.flatnonzero(~moving)
         if len(fx):
-            qf = _cmul(ent[heads[fx]], rel[rels[fx]])
+            fixed = sel[fx]
+            qf = self.queries[self.query_row[fixed]]
             scores = qf @ ent_t.T
-            frozen_max = self.frozen_max[sel[fx]]
+            frozen_max = self.frozen_max[fixed]
             top = np.maximum(frozen_max, scores.max(axis=1))
             probs = np.exp(scores - top[:, None])
-            z = self.frozen_sum[sel[fx]] * np.exp(frozen_max - top) + probs.sum(axis=1)
+            z = self.frozen_sum[fixed] * np.exp(frozen_max - top) + probs.sum(axis=1)
             cols = target_col[fx]
             hit = np.flatnonzero(cols >= 0)
-            target_score = np.einsum("ij,ij->i", qf, ent[targets[fx]])
+            target_score = self.target_score[fixed]
             target_score[hit] = scores[hit, cols[hit]]
             nll[fx] = top + np.log(z) - target_score
             probs /= z[:, None]
@@ -497,9 +594,19 @@ def train(model: EmbeddingModel, kg: KnowledgeGraph, config: TrainConfig) -> Emb
     return trained
 
 
+def _distinct_ids(kind: str, ids: Iterable[int], count: int) -> np.ndarray:
+    """The sorted distinct ``ids``; :class:`DomainError` naming one outside [0, count)."""
+    ids = np.asarray(sorted(set(ids)), dtype=np.int64)
+    if len(ids) and (ids[0] < 0 or ids[-1] >= count):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise DomainError(f"trainable {kind} id {bad} out of range [0, {count})")
+    return ids
+
+
 def _relation_rows(relations: Iterable[int], num_relations: int) -> np.ndarray:
-    base = sorted(set(relations))
-    return np.asarray([r for r in base] + [r + num_relations for r in base], dtype=np.int64)
+    """The rows of the distinct ``relations``, then of their reciprocal twins."""
+    ids = _distinct_ids("relation", relations, num_relations)
+    return np.concatenate([ids, ids + num_relations])
 
 
 def post_train(
@@ -524,11 +631,11 @@ def post_train(
     restricted step and its shared frozen context (see the module notes).
     """
     config.validate()
-    ent_idx = np.asarray(sorted(set(trainable_entities)), dtype=np.int64)
+    ent_idx = _distinct_ids("entity", trainable_entities, model.num_entities)
     if ent_idx.size == 0:
         raise ConfigurationError("post-training requires a non-empty trainable entity set")
-    if ent_idx.min() < 0 or ent_idx.max() >= model.num_entities:
-        raise DomainError("trainable entity id out of range")
+    relations = () if trainable_relations is None else trainable_relations
+    rel_idx = _relation_rows(relations, model.num_relations)
     modified = tuple(modified_train)
     if not modified:
         raise DomainError("post-training requires a non-empty modified training set")
@@ -536,12 +643,6 @@ def post_train(
         epochs = config.epochs
     if epochs < 0:
         raise ConfigurationError("epochs must be >= 0")
-
-    rel_idx = (
-        _relation_rows(trainable_relations, model.num_relations)
-        if trainable_relations is not None
-        else np.asarray([], dtype=np.int64)
-    )
 
     tuned = model.clone()
     if reinit_trainable:

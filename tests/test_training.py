@@ -1,6 +1,7 @@
 """Training loop: loss behavior, gradients, determinism, masked post-training."""
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -19,11 +20,16 @@ from kgexplain import (
     train,
 )
 from kgexplain import training
+from kgexplain.kg import _one_hop_entities
+from kgexplain.model import _cmul, _cmul_conj
 from kgexplain.training import (
     Gradients,
     _DenseStep,
     _RestrictedStep,
+    _n3,
+    _query_keys,
     _relation_rows,
+    _scatter_rows,
     batch_loss_and_grads,
     build_examples,
 )
@@ -339,6 +345,228 @@ class TestRestrictedStep:
             np.testing.assert_allclose(tuned.rel, reference.rel, rtol=1e-11, atol=1e-13)
 
 
+# Reference: the restricted step and its frozen-context partials as they were
+# written before the query table and the step's per-fit constants, kept
+# verbatim (but for the names, and a fresh context in place of the shared
+# cache), so the step is checked bit for bit against the one that recomputed
+# every fixed query and target score at every step.
+def _reference_frozen_partials(model, keys, ent_trainable, chunk):
+    heads, rels = np.divmod(keys, len(model.rel))
+    maxes = np.empty(len(keys))
+    sums = np.empty(len(keys))
+    for start in range(0, len(keys), chunk):
+        part = slice(start, start + chunk)
+        scores = _cmul(model.ent[heads[part]], model.rel[rels[part]]) @ model.ent.T
+        scores[:, ent_trainable] = -np.inf
+        maxes[part] = scores.max(axis=1)
+        scores -= maxes[part, None]
+        sums[part] = np.exp(scores, out=scores).sum(axis=1)
+    return maxes, sums
+
+
+class _ReferenceFrozenContext:
+    def __init__(self, ent_trainable, rel_trainable, train):
+        self.ent_trainable = ent_trainable
+        self.rel_trainable = rel_trainable
+        self.train = train
+        self.keys = None
+        self._lock = threading.Lock()
+
+    def partials(self, model, keys, chunk):
+        with self._lock:
+            if self.keys is None:
+                examples = build_examples(self.train, model.num_relations)
+                moving = self.ent_trainable[examples[:, 0]] | self.rel_trainable[examples[:, 1]]
+                base = np.unique(_query_keys(model, examples[~moving]))
+                self.maxes, self.sums = _reference_frozen_partials(
+                    model, base, self.ent_trainable, chunk
+                )
+                self.keys = base
+        at = np.searchsorted(self.keys, keys)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == keys[found]
+        maxes = np.empty(len(keys))
+        sums = np.empty(len(keys))
+        maxes[found] = self.maxes[at[found]]
+        sums[found] = self.sums[at[found]]
+        if not found.all():
+            missing, back = np.unique(keys[~found], return_inverse=True)
+            extra_maxes, extra_sums = _reference_frozen_partials(
+                model, missing, self.ent_trainable, chunk
+            )
+            maxes[~found] = extra_maxes[back]
+            sums[~found] = extra_sums[back]
+        return maxes, sums
+
+
+class _ReferenceRestrictedStep:
+    def __init__(self, model, examples, ent_idx, rel_idx, train, chunk):
+        self.examples = examples
+        self.ent_idx = ent_idx
+        self.rel_idx = rel_idx
+        self.column = np.full(model.num_entities, -1, dtype=np.int64)
+        self.column[ent_idx] = np.arange(len(ent_idx))
+        self.rel_slot = np.full(len(model.rel), -1, dtype=np.int64)
+        self.rel_slot[rel_idx] = np.arange(len(rel_idx))
+        ent_trainable = self.column >= 0
+        rel_trainable = self.rel_slot >= 0
+        self.moving = ent_trainable[examples[:, 0]] | rel_trainable[examples[:, 1]]
+        self.frozen_max = np.zeros(len(examples))
+        self.frozen_sum = np.zeros(len(examples))
+        fixed = ~self.moving
+        if fixed.any():
+            context = _ReferenceFrozenContext(ent_trainable, rel_trainable, train)
+            self.frozen_max[fixed], self.frozen_sum[fixed] = context.partials(
+                model, _query_keys(model, examples[fixed]), chunk
+            )
+        self.ent_penalty = _n3(model.ent)[0]
+        self.rel_penalty = _n3(model.rel)[0]
+
+    def __call__(self, model, sel, reg_weight):
+        ent, rel = model.ent, model.rel
+        batch = self.examples[sel]
+        heads, rels, targets = batch[:, 0], batch[:, 1], batch[:, 2]
+        n = len(batch)
+        head_col, target_col = self.column[heads], self.column[targets]
+        ent_t = ent[self.ent_idx]
+        nll = np.empty(n)
+        d_ent = np.zeros_like(ent_t)
+        d_rel = np.zeros((len(self.rel_idx), rel.shape[1]))
+        moving = self.moving[sel]
+
+        mv = np.flatnonzero(moving)
+        if len(mv):
+            h, r = ent[heads[mv]], rel[rels[mv]]
+            qm = _cmul(h, r)
+            rows = np.arange(len(mv))
+            scores = qm @ ent.T
+            target_score = scores[rows, targets[mv]]
+            shift = scores.max(axis=1, keepdims=True)
+            scores -= shift
+            probs = np.exp(scores, out=scores)
+            z = probs.sum(axis=1, keepdims=True)
+            nll[mv] = shift[:, 0] + np.log(z[:, 0]) - target_score
+            probs /= z
+            probs[rows, targets[mv]] -= 1.0
+            probs /= n
+            d_ent += probs[:, self.ent_idx].T @ qm
+            dq = probs @ ent
+            cols = head_col[mv]
+            live = cols >= 0
+            _scatter_rows(d_ent, cols[live], _cmul_conj(dq[live], r[live]))
+            slots = self.rel_slot[rels[mv]]
+            live = slots >= 0
+            _scatter_rows(d_rel, slots[live], _cmul_conj(dq[live], h[live]))
+
+        fx = np.flatnonzero(~moving)
+        if len(fx):
+            qf = _cmul(ent[heads[fx]], rel[rels[fx]])
+            scores = qf @ ent_t.T
+            frozen_max = self.frozen_max[sel[fx]]
+            top = np.maximum(frozen_max, scores.max(axis=1))
+            probs = np.exp(scores - top[:, None])
+            z = self.frozen_sum[sel[fx]] * np.exp(frozen_max - top) + probs.sum(axis=1)
+            cols = target_col[fx]
+            hit = np.flatnonzero(cols >= 0)
+            target_score = np.einsum("ij,ij->i", qf, ent[targets[fx]])
+            target_score[hit] = scores[hit, cols[hit]]
+            nll[fx] = top + np.log(z) - target_score
+            probs /= z[:, None]
+            probs[hit, cols[hit]] -= 1.0
+            probs /= n
+            d_ent += probs.T @ qf
+
+        data_loss = float(nll.mean())
+        loss = data_loss
+        if reg_weight > 0:
+            self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
+            self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
+            penalty = self.ent_penalty[heads].sum() + self.ent_penalty[targets].sum()
+            loss += reg_weight * float(penalty + self.rel_penalty[rels].sum()) / n
+            c = 3.0 * reg_weight / n
+            uses = np.bincount(head_col[head_col >= 0], minlength=len(self.ent_idx))
+            uses += np.bincount(target_col[target_col >= 0], minlength=len(self.ent_idx))
+            d_ent += (c * uses)[:, None] * g_ent
+            slots = self.rel_slot[rels]
+            uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
+            d_rel += (c * uses)[:, None] * g_rel
+        return loss, data_loss, (d_ent, d_rel)
+
+
+def _reference_post_train(model, kg, modified, entities, config, epochs, relations, reinit):
+    """``post_train``'s set-up around the reference step."""
+    tuned = model.clone()
+    ent_idx = np.asarray(sorted(entities), dtype=np.int64)
+    rel_idx = _relation_rows(relations, kg.num_relations)
+    if reinit:
+        fresh = init_model(kg, config)
+        tuned.ent[ent_idx] = fresh.ent[ent_idx]
+        if len(rel_idx):
+            tuned.rel[rel_idx] = fresh.rel[rel_idx]
+    examples = build_examples(modified, kg.num_relations)
+    step = _ReferenceRestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size)
+    training._fit(tuned, examples, config, epochs, step)
+    return tuned
+
+
+class TestRestrictedStepExact:
+    """Post-training with per-fit constants against the per-step reference, bit for bit."""
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_post_train_sweeps_match_reference(self, desk_kg, desk_model, desk_config, reg_weight):
+        kg = desk_kg
+        # 460 examples in batches of 128: three full batches and a ragged one per epoch
+        config = dataclasses.replace(desk_config, batch_size=128, reg_weight=reg_weight)
+        r_count = kg.num_relations
+        s = kg.train[0].subject
+        near = _one_hop_entities(kg, s)
+        touching = [t for t in kg.train if s in (t.subject, t.object)]
+        base_queries = {(t.subject, t.relation) for t in kg.train}
+        base_queries |= {(t.object, t.relation + r_count) for t in kg.train}
+        far = sorted(set(range(kg.num_entities)) - near)
+        # latent additions between frozen entities, so their queries are fixed rows:
+        # one whose two queries the base set has, one whose (head, relation) query is new
+        known = next(
+            Triple(h, 0, o) for h in far for o in far
+            if h != o and Triple(h, 0, o) not in kg.train_set
+            and {(h, 0), (o, r_count)} <= base_queries
+        )
+        new = next(Triple(h, 1, known.object) for h in far if (h, 1) not in base_queries)
+        # c-sufficient: the candidate triple with s swapped for a target entity c
+        c, t = far[-1], touching[0]
+        subject, obj = (c if e == s else e for e in (t.subject, t.object))
+        swapped = Triple(subject, t.relation, obj)
+        assert swapped not in kg.train_set
+        grafted = _one_hop_entities(kg, c) | {swapped.subject, swapped.object}
+        kept = tuple(touching[:3])
+        sweeps = {
+            # two removals share one mask, so the second reads the cached context
+            "necessary": [
+                (tuple(x for x in kg.train if x != removed), near, (), False)
+                for removed in touching[:2]
+            ],
+            "latent": [(kg.train + (added,), near, (), False) for added in (known, new)],
+            "c-sufficient": [(kg.train + (swapped,), grafted, (), False)],
+            "sufficient": [
+                (kept, {e for x in kept for e in (x.subject, x.object)}, {t.relation}, True)
+            ],
+        }
+        training._CONTEXTS.clear()
+        for name, fits in sweeps.items():
+            for modified, entities, relations, reinit in fits:
+                got = post_train(
+                    desk_model, kg, modified, entities, config, epochs=12,
+                    trainable_relations=relations, reinit_trainable=reinit,
+                )
+                want = _reference_post_train(
+                    desk_model, kg, modified, entities, config, 12, relations, reinit
+                )
+                assert np.array_equal(got.ent, want.ent), name
+                assert np.array_equal(got.rel, want.rel), name
+                assert got.history == want.history, name
+        training._CONTEXTS.clear()
+
+
 class TestPostTrain:
     def setup_method(self):
         self.kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
@@ -408,6 +636,74 @@ class TestPostTrain:
         assert arrays_equal(cached, fit(other, self.kg.train, mask))
         training._CONTEXTS.clear()
         assert arrays_equal(wider, fit(self.model, self.kg.train, mask | {frozen_row}))
+
+    @pytest.mark.parametrize("relation", [-1, 2])
+    def test_out_of_range_trainable_relation_is_domain_error_naming_it(self, relation):
+        with pytest.raises(DomainError, match=f"relation id {relation} "):
+            post_train(
+                self.model, self.kg, self.kg.train, {0}, self.config, epochs=1,
+                trainable_relations={relation},
+            )
+
+    def test_contexts_of_one_model_share_its_query_table_within_the_count_limit(self):
+        def fit(entities):
+            return post_train(self.model, self.kg, self.kg.train[1:], entities, self.config, 2)
+
+        masks = [{e} for e in range(training._CONTEXT_LIMIT + 2)]
+        training._CONTEXTS.clear()
+        results = [fit(mask) for mask in masks]
+        contexts = list(training._CONTEXTS.values())
+        assert len(contexts) == training._CONTEXT_LIMIT
+        assert all(context.table is contexts[0].table for context in contexts)
+        for mask, got in zip(masks, results):
+            training._CONTEXTS.clear()
+            assert arrays_equal(got, fit(mask))
+        training._CONTEXTS.clear()
+
+    def test_tables_held_by_one_context_stay_within_the_byte_budget(self, monkeypatch):
+        def fit(model, entities=frozenset({0})):
+            return post_train(model, self.kg, self.kg.train[1:], entities, self.config, 2)
+
+        def table_bytes():
+            tables = {id(c.table): c.table for c in training._CONTEXTS.values()}
+            return sum(table.nbytes for table in tables.values())
+
+        # base models that differ in a frozen row, as the reinitialised rows of a
+        # sufficient sweep make them, so that each context holds its own table
+        models = [self.model.clone() for _ in range(6)]
+        for e, model in enumerate(models):
+            model.ent[e + 1, 0] += 0.25
+        training._CONTEXTS.clear()
+        fit(models[0])
+        one = table_bytes()
+        monkeypatch.setattr(training, "_TABLE_BYTES", 2 * one + one // 2)
+        training._CONTEXTS.clear()
+        results = []
+        for model in models:
+            results.append(fit(model))
+            assert 0 < table_bytes() <= training._TABLE_BYTES
+        assert len(training._CONTEXTS) == 2
+        for model, got in zip(models, results):
+            training._CONTEXTS.clear()
+            assert arrays_equal(got, fit(model))
+        # a table larger than the budget stays for the fits that follow
+        monkeypatch.setattr(training, "_TABLE_BYTES", 1)
+        training._CONTEXTS.clear()
+        fit(models[0])
+        fit(models[1])
+        assert len(training._CONTEXTS) == 1
+        # two sweeps over one base model share its table, so neither drops the
+        # other's context: each mask's partials are computed once
+        passes = []
+        partials = training._frozen_partials
+        monkeypatch.setattr(
+            training, "_frozen_partials", lambda *args: passes.append(1) or partials(*args)
+        )
+        for _ in range(3):
+            fit(models[2], {1})
+            fit(models[2], {2})
+        assert len(passes) == 2 and len(training._CONTEXTS) == 2
+        training._CONTEXTS.clear()
 
     def test_concurrent_fits_sharing_a_context_match_serial_fits(self):
         # each fit adds a triple outside the shared context's training set, so every
