@@ -256,6 +256,31 @@ def cmd_select(
     return path
 
 
+def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[dict]:
+    """The ``triples`` entries of a selection file, each holding ``keys``.
+
+    ``ids`` must be three integers. A file that does not parse, or is not
+    such a list, names itself.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"unreadable selection file {path}: {exc}") from None
+    entries = data.get("triples") if isinstance(data, dict) else None
+
+    def valid(entry) -> bool:
+        ids = entry.get("ids") if isinstance(entry, dict) else None
+        return (
+            isinstance(ids, list) and len(ids) == 3 and all(isinstance(i, int) for i in ids)
+            and set(keys) <= entry.keys()
+        )
+
+    if not isinstance(entries, list) or not all(map(valid, entries)):
+        want = f"expected a triples list of {{{', '.join(keys)}}}, ids three integers"
+        raise ConfigurationError(f"not a selection file: {path} ({want})")
+    return entries
+
+
 def _latent_space(
     config: ExperimentConfig, kg: KnowledgeGraph, model
 ) -> SearchSpace:
@@ -319,13 +344,14 @@ def cmd_explain(
     model produces every after-rank.
     """
     config.validate()
+    if workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {workers}")
     out_dir = _prepare_output(config, out)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(exist_ok=True)
     kg = load_dataset(config.dataset_path)
     model = load_checkpoint(checkpoint, kg)
-    selection_data = json.loads(Path(selection).read_text(encoding="utf-8"))
-    predictions = [Triple(*entry["ids"]) for entry in selection_data["triples"]]
+    predictions = [Triple(*entry["ids"]) for entry in _load_selection(selection)]
 
     if config.mode in ("latent-positive", "latent-negative"):
         space = _latent_space(config, kg, model)
@@ -480,9 +506,9 @@ def cmd_evaluate(
     out_dir = _prepare_output(config, out)
     runs_dir = Path(runs_dir)
     kg = load_dataset(config.dataset_path)
-    selection_data = json.loads(Path(selection).read_text(encoding="utf-8"))
     predictions = [
-        (Triple(*entry["ids"]), int(entry["rank"])) for entry in selection_data["triples"]
+        (Triple(*entry["ids"]), int(entry["rank"]))
+        for entry in _load_selection(selection, ("ids", "rank"))
     ]
 
     summaries = []

@@ -95,9 +95,10 @@ class _UnionFind:
 class KnowledgeGraph:
     """Immutable triple store with dictionaries, splits, and adjacency indices.
 
-    Instances are safe for concurrent reads. Modified training sets are
-    produced as derived views via :meth:`with_train`, never in-place edits;
-    the derived view shares the dictionaries and rebuilds its indices lazily.
+    Instances are safe for concurrent reads and never edited in place. The
+    retraining operators take a modified training set as a plain tuple of
+    triples; :meth:`with_train` wraps one in a derived graph (sharing the
+    dictionaries, rebuilding its indices lazily) for callers that want one.
     """
 
     def __init__(

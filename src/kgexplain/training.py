@@ -16,27 +16,28 @@ a full retrain without the validation NLL that :func:`train` records.
 A post-train with any frozen row runs a restricted step instead. A query
 row whose head entity or relation row is trainable keeps the dense softmax
 over all entities. Every other row is fixed: its query ``q = h∘r`` and its
-scores against frozen entities cannot change during the fit. A query table
-keeps ``q`` for every query of the base training set, computed once from the
-base model; a frozen context keeps, for each fixed query, the max and
-shifted exp-sum of its frozen-entity scores. Once per fit the step resolves
-each fixed example's query row and partials (queries the base set lacks are
-computed for that fit alone) and, when its target is frozen, its target
-score. Each step then scores fixed rows against the trainable entities only
-and merges the two parts into the normaliser. Gradients are formed for the
-trainable rows alone. Contexts are cached under a digest of the embedding
-tables, the trainable entity and relation sets and the base training set, so
-all candidates of a prediction share one, and all contexts of one base model
-share its query table. Frozen rows stay bit-identical; trainable rows differ
-from the dense masked fit only by summation order (measured at most 1.8e-13
-after 60 desk-graph epochs and 9e-15 after one mid-graph epoch).
+scores against frozen entities cannot change during the fit. One cache holds
+the most recent base model: ``q`` for every query of its training set,
+computed once when that base is set, and a frozen context per recent mask
+that keeps, for each fixed query, the max and shifted exp-sum of its
+frozen-entity scores. Once per fit the step resolves each fixed example's
+query row and partials (queries the base set lacks are computed for that fit
+alone) and, when its target is frozen, its target score. Each step then
+scores fixed rows against the trainable entities only and merges the two
+parts into the normaliser. Gradients are formed for the trainable rows
+alone. The cache is keyed by a digest of the embedding tables and the base
+training set, and its contexts by the trainable entity and relation sets, so
+all candidates of a prediction share one context. Frozen rows stay
+bit-identical; trainable rows differ from the dense masked fit only by
+summation order (measured at most 1.8e-13 after 60 desk-graph epochs and
+9e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -107,6 +108,13 @@ def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(table, rows, axis=0, out=out, mode="clip")
 
 
+def _check_ids(model: EmbeddingModel, examples: np.ndarray) -> None:
+    """:class:`DomainError` unless every (head, relation_row, target) id fits the model."""
+    bounds = (len(model.ent), len(model.rel), len(model.ent))
+    if examples.min() < 0 or (examples.max(axis=0) >= bounds).any():
+        raise DomainError("example row id out of range for the model")
+
+
 class _DenseStep:
     """The full training step: every row trainable, softmax over all entities.
 
@@ -119,10 +127,8 @@ class _DenseStep:
     ent_idx = rel_idx = slice(None)
 
     def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int) -> None:
+        _check_ids(model, examples)
         entities, width = model.ent.shape
-        bounds = (entities, len(model.rel), entities)
-        if examples.min() < 0 or (examples.max(axis=0) >= bounds).any():
-            raise DomainError("example row id out of range for the model")
         n = min(batch_size, len(examples))
         self.columns = np.ascontiguousarray(examples.T)
         self.ids, self.target_at = np.empty(3 * n, dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -250,79 +256,50 @@ def _frozen_partials(
     return maxes, sums
 
 
-class _QueryTable:
-    """The query row ``q = h∘r`` of every query of one base model and training set.
-
-    A row depends on the base model alone, so every context of that model
-    and training set shares the table, whatever its trainable rows.
-    """
-
-    def __init__(self, train: Sequence[Triple]) -> None:
-        self.train = train
-        self.keys: np.ndarray | None = None
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def fill(self, model: EmbeddingModel, chunk: int) -> None:
-        with self._lock:
-            if self.keys is None:
-                examples = build_examples(self.train, model.num_relations)
-                keys = np.unique(_query_keys(model, examples))
-                self.queries = _query_rows(model, keys, chunk)
-                self.keys = keys
-                self.nbytes = keys.nbytes + self.queries.nbytes
-
-
 class _FrozenContext:
-    """Frozen-column softmax partials of fixed queries, for one base model and mask.
+    """Frozen-column softmax partials of fixed queries, for one mask over a base model.
 
     A query (head, relation_row) is fixed during a post-train when neither
     its head entity nor its relation row is trainable: its embedding and its
     scores against every frozen entity column never change. For each fixed
     query of the base training set the context keeps the max of those scores
-    and the sum of their exps shifted by it, computed once, in one pass,
-    from the base model and the rows of its shared :class:`_QueryTable`. A
-    fit that brings queries outside that set computes them on its own, so
-    every value a fit reads is the same whichever fits ran before it or
-    beside it in other threads.
+    and the sum of their exps shifted by it, computed once, in one pass, from
+    the query rows of its :class:`_BaseModel`. A fit that brings queries
+    outside that set computes them on its own, so every value a fit reads is
+    the same whichever fits ran before it or beside it in other threads.
     """
 
     def __init__(
-        self, ent_trainable: np.ndarray, rel_trainable: np.ndarray, table: _QueryTable
+        self, ent_trainable: np.ndarray, rel_trainable: np.ndarray, base: _BaseModel
     ) -> None:
         self.ent_trainable = ent_trainable
         self.rel_trainable = rel_trainable
-        self.table = table
+        self.keys, self.queries = base.keys, base.queries
         self.maxes: np.ndarray | None = None
         self._lock = threading.Lock()
 
     def lookup(
         self, model: EmbeddingModel, keys: np.ndarray, chunk: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(row, max, exp-sum) per fixed query key, and the query table the rows index.
+        """(row, max, exp-sum) per fixed query key, and the query rows the rows index.
 
         ``model`` must be the context's base model. Keys outside the base
-        training set get rows appended to a copy of the table, for the
+        training set get rows appended to a copy of the query rows, for the
         calling fit alone.
         """
-        table = self.table
         with self._lock:
-            fills = self.maxes is None
-            if fills:
-                table.fill(model, chunk)
-                heads, rels = np.divmod(table.keys, len(model.rel))
+            if self.maxes is None:
+                heads, rels = np.divmod(self.keys, len(model.rel))
                 fixed = np.flatnonzero(~(self.ent_trainable[heads] | self.rel_trainable[rels]))
-                # indexed like the table; the entries of moving queries stay unread
-                self.maxes, self.sums = np.zeros((2, len(table.keys)))
+                # indexed like the query rows; the entries of moving queries stay unread
+                self.maxes, self.sums = np.zeros((2, len(self.keys)))
                 self.maxes[fixed], self.sums[fixed] = _frozen_partials(
-                    model, table.queries, fixed, self.ent_trainable, chunk
+                    model, self.queries, fixed, self.ent_trainable, chunk
                 )
-        if fills:
-            _trim_contexts(self)
-        at = np.searchsorted(table.keys, keys)
-        found = at < len(table.keys)
-        found[found] = table.keys[at[found]] == keys[found]
-        maxes, sums, queries = self.maxes, self.sums, table.queries
+        at = np.searchsorted(self.keys, keys)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == keys[found]
+        maxes, sums, queries = self.maxes, self.sums, self.queries
         if not found.all():
             missing, back = np.unique(keys[~found], return_inverse=True)
             extra = _query_rows(model, missing, chunk)
@@ -332,43 +309,34 @@ class _FrozenContext:
             maxes, sums, queries = map(
                 np.concatenate, zip((maxes, sums, queries), (extra_maxes, extra_sums, extra))
             )
-            at[~found] = len(table.keys) + back
+            at[~found] = len(self.keys) + back
         return at, maxes[at], sums[at], queries
 
 
-# Contexts of the most recent (base model, mask, base training set) triples.
-# Every candidate of a prediction under one operator shares one, so a handful
-# covers a sweep with a few workers; each context costs two floats per query
-# of the base training set. The query tables, 2 * dimension floats per query,
-# are shared by every context of one base model and training set, so a sweep
-# holds one. The byte budget, two mid-graph tables (about 3 MB each at
-# dimension 32), bounds the tables that a single context holds, as in a
-# sufficient sweep, whose reinitialised rows give each candidate its own base
-# model. The key holds a digest of the embedding tables, so a context is never
-# served for other embeddings; it holds the training set's id, which stays
-# unique while the context's table keeps that set alive.
-_CONTEXT_LIMIT = 8
-_TABLE_BYTES = 8 << 20
-_CONTEXTS: "OrderedDict[tuple, _FrozenContext]" = OrderedDict()
-_CONTEXTS_LOCK = threading.Lock()
+class _BaseModel:
+    """One base model and training set: its query rows and its masks' contexts.
 
-
-def _trim_contexts(keep: _FrozenContext) -> None:
-    """Drop old contexts that hold a table alone while the tables pass the byte budget.
-
-    Contexts go least recently used first, never ``keep``. A context that shares its table is never dropped for bytes, since that
-    frees nothing, so the contexts of concurrent sweeps over one base model
-    stay, whatever the size of its table.
+    The query row ``q = h∘r`` of every base query depends on the base model
+    alone, so it is computed once, here, and read by the context of every mask.
     """
-    with _CONTEXTS_LOCK:
-        holders = Counter(context.table for context in _CONTEXTS.values())
-        total = sum(table.nbytes for table in holders)
-        for key, context in list(_CONTEXTS.items()):
-            if total <= _TABLE_BYTES:
-                break
-            if context is not keep and holders[context.table] == 1:
-                total -= context.table.nbytes
-                del _CONTEXTS[key]
+
+    def __init__(self, key: tuple, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
+        self.key = key
+        self.train = train  # held, so that the key's id of it stays unique
+        self.keys = np.unique(_query_keys(model, build_examples(train, model.num_relations)))
+        self.queries = _query_rows(model, self.keys, chunk)
+        self.contexts: "OrderedDict[tuple[bytes, bytes], _FrozenContext]" = OrderedDict()
+
+
+# The base model of the latest post-train with a frozen row. A sweep post-trains
+# from one base model (the sufficient operator leaves no row fixed and never
+# comes here), so one is kept; a post-train from other embeddings or another
+# training set replaces it whole. The candidates of a prediction under one
+# operator share a mask, so the most recent few contexts cover a sweep with a
+# few workers; each costs two floats per query of the base training set.
+_CONTEXT_LIMIT = 8
+_CACHE: _BaseModel | None = None
+_CACHE_LOCK = threading.Lock()
 
 
 def _frozen_context(
@@ -376,24 +344,24 @@ def _frozen_context(
     ent_trainable: np.ndarray,
     rel_trainable: np.ndarray,
     train: Sequence[Triple],
+    chunk: int,
 ) -> _FrozenContext:
     """The shared context of this model's content, trainable rows and training set."""
+    global _CACHE
     digest = hashlib.sha256()
     for table in (model.ent, model.rel):
         digest.update(np.asarray(table.shape, dtype=np.int64).tobytes())
         digest.update(np.ascontiguousarray(table).data)
-    base = (digest.digest(), id(train))
-    key = (*base, ent_trainable.tobytes(), rel_trainable.tobytes())
-    with _CONTEXTS_LOCK:
-        context = _CONTEXTS.get(key)
-        if context is None:
-            shared = (c.table for k, c in _CONTEXTS.items() if k[:2] == base)
-            table = next(shared, None) or _QueryTable(train)
-            context = _CONTEXTS[key] = _FrozenContext(ent_trainable, rel_trainable, table)
-            if len(_CONTEXTS) > _CONTEXT_LIMIT:
-                _CONTEXTS.popitem(last=False)
-        else:
-            _CONTEXTS.move_to_end(key)
+    key = (digest.digest(), id(train))
+    mask = (ent_trainable.tobytes(), rel_trainable.tobytes())
+    with _CACHE_LOCK:
+        if _CACHE is None or _CACHE.key != key:
+            _CACHE = _BaseModel(key, model, train, chunk)
+        contexts = _CACHE.contexts
+        context = contexts.pop(mask, None) or _FrozenContext(ent_trainable, rel_trainable, _CACHE)
+        contexts[mask] = context
+        if len(contexts) > _CONTEXT_LIMIT:
+            contexts.popitem(last=False)
         return context
 
 
@@ -402,14 +370,13 @@ class _RestrictedStep:
 
     Query rows whose head entity or relation row is trainable ("moving")
     keep the dense softmax over all entity columns. Every other row is fixed.
-    Once per fit the step resolves, for each fixed row, its query's row in
-    the shared :class:`_QueryTable`, the frozen-column partials of that
-    query from the shared :class:`_FrozenContext` and, when its target is
-    frozen, its target score ``q·e_o``. A step then gathers each fixed row's
-    query, scores it against the trainable columns only and completes its
-    normaliser with the frozen partials. Entity gradients are formed for the
-    trainable rows alone, so a step costs O(n |T| d + n_moving E d) instead
-    of O(n E d).
+    Once per fit the step resolves, for each fixed row, its query's row and
+    frozen-column partials from the shared :class:`_FrozenContext` and, when
+    its target is frozen, its target score ``q·e_o``. A step then gathers each
+    fixed row's query, scores it against the trainable columns only and
+    completes its normaliser with the frozen partials. Entity gradients are
+    formed for the trainable rows alone, so a step costs
+    O(n |T| d + n_moving E d) instead of O(n E d).
     """
 
     def __init__(
@@ -421,6 +388,7 @@ class _RestrictedStep:
         train: Sequence[Triple],
         chunk: int,
     ) -> None:
+        _check_ids(model, examples)
         self.examples = examples
         self.ent_idx = ent_idx
         self.rel_idx = rel_idx
@@ -438,7 +406,7 @@ class _RestrictedStep:
         self.queries = np.empty((0, model.ent.shape[1]))
         fixed = np.flatnonzero(~self.moving)
         if len(fixed):
-            context = _frozen_context(model, ent_trainable, rel_trainable, train)
+            context = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
             rows, maxes, sums, self.queries = context.lookup(
                 model, _query_keys(model, examples[fixed]), chunk
             )

@@ -378,6 +378,41 @@ class TestSeedOverride:
 
 
 @pytest.mark.parametrize(
+    "content",
+    ["{not json", "{}", "[]", '{"triples": [{"ids": [0, 1], "rank": 1}]}'],
+    ids=["not-json", "empty-object", "list", "two-ids"],
+)
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_malformed_selection_file_is_validation_error_naming_it(
+    explained, tmp_path, caplog, command, content
+):
+    root, config, checkpoint, selection, _ = explained
+    bad = tmp_path / "selection.json"
+    bad.write_text(content)
+    argv = [command, "--config", str(root / "experiment.ini"), "--selection", str(bad)]
+    if command == "explain":
+        argv += ["--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")]
+    else:
+        argv += ["--runs", str(root / "out" / "runs"), "--out", str(tmp_path / "ev")]
+    assert main(argv) == EXIT_VALIDATION
+    assert str(bad) in caplog.text
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_is_validation_error_naming_the_flag(
+    explained, tmp_path, caplog, workers
+):
+    root, config, checkpoint, selection, _ = explained
+    argv = [
+        "explain", "--config", str(root / "experiment.ini"), "--checkpoint", str(checkpoint),
+        "--selection", str(selection), "--out", str(tmp_path / "out"), "--workers", str(workers),
+    ]
+    assert main(argv) == EXIT_VALIDATION
+    assert "--workers" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "mode, algorithm, rejected",
     [
         ("sufficient", "data-poisoning-direct", True),

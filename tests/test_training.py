@@ -11,10 +11,15 @@ import pytest
 from kgexplain import (
     ConfigurationError,
     DomainError,
+    ExplainerConfig,
     KnowledgeGraph,
+    SearchSpace,
     TrainConfig,
     TrainingError,
     Triple,
+    build_search_space,
+    build_target_set,
+    exhaustive_length1,
     init_model,
     post_train,
     train,
@@ -551,7 +556,7 @@ class TestRestrictedStepExact:
                 (kept, {e for x in kept for e in (x.subject, x.object)}, {t.relation}, True)
             ],
         }
-        training._CONTEXTS.clear()
+        training._CACHE = None
         for name, fits in sweeps.items():
             for modified, entities, relations, reinit in fits:
                 got = post_train(
@@ -564,7 +569,7 @@ class TestRestrictedStepExact:
                 assert np.array_equal(got.ent, want.ent), name
                 assert np.array_equal(got.rel, want.rel), name
                 assert got.history == want.history, name
-        training._CONTEXTS.clear()
+        training._CACHE = None
 
 
 class TestPostTrain:
@@ -621,20 +626,22 @@ class TestPostTrain:
         def fit(model, triples, entities):
             return post_train(model, self.kg, triples, entities, self.config, epochs=3)
 
-        training._CONTEXTS.clear()
+        training._CACHE = None
         mask = {self.kg.train[0].subject}
         frozen_row = next(e for e in range(self.kg.num_entities) if e not in mask)
         other = self.model.clone()
         other.ent[frozen_row, 0] += 0.25
         fit(self.model, self.kg.train[1:], mask)
         fit(self.model, self.kg.train[2:], mask)
-        assert len(training._CONTEXTS) == 1
+        base = training._CACHE
+        assert len(base.contexts) == 1
         cached = fit(other, self.kg.train, mask)
+        assert training._CACHE is not base and len(training._CACHE.contexts) == 1
         wider = fit(self.model, self.kg.train, mask | {frozen_row})
-        assert len(training._CONTEXTS) == 3
-        training._CONTEXTS.clear()
+        assert len(training._CACHE.contexts) == 1
+        training._CACHE = None
         assert arrays_equal(cached, fit(other, self.kg.train, mask))
-        training._CONTEXTS.clear()
+        training._CACHE = None
         assert arrays_equal(wider, fit(self.model, self.kg.train, mask | {frozen_row}))
 
     @pytest.mark.parametrize("relation", [-1, 2])
@@ -645,65 +652,46 @@ class TestPostTrain:
                 trainable_relations={relation},
             )
 
+    @pytest.mark.parametrize("entity", [-1, 10], ids=["negative", "at-bound"])
+    @pytest.mark.parametrize("full", [True, False], ids=["full-mask", "frozen-mask"])
+    def test_out_of_range_example_id_is_domain_error(self, full, entity):
+        entities = range(self.kg.num_entities) if full else {0}
+        relations = range(self.kg.num_relations) if full else None
+        with pytest.raises(DomainError, match="example row id out of range"):
+            post_train(
+                self.model, self.kg, self.kg.train + (Triple(entity, 0, 1),), entities,
+                self.config, epochs=1, trainable_relations=relations,
+            )
+
     def test_contexts_of_one_model_share_its_query_table_within_the_count_limit(self):
         def fit(entities):
             return post_train(self.model, self.kg, self.kg.train[1:], entities, self.config, 2)
 
         masks = [{e} for e in range(training._CONTEXT_LIMIT + 2)]
-        training._CONTEXTS.clear()
+        training._CACHE = None
         results = [fit(mask) for mask in masks]
-        contexts = list(training._CONTEXTS.values())
+        contexts = list(training._CACHE.contexts.values())
         assert len(contexts) == training._CONTEXT_LIMIT
-        assert all(context.table is contexts[0].table for context in contexts)
+        assert all(context.queries is training._CACHE.queries for context in contexts)
         for mask, got in zip(masks, results):
-            training._CONTEXTS.clear()
+            training._CACHE = None
             assert arrays_equal(got, fit(mask))
-        training._CONTEXTS.clear()
+        training._CACHE = None
 
-    def test_tables_held_by_one_context_stay_within_the_byte_budget(self, monkeypatch):
-        def fit(model, entities=frozenset({0})):
-            return post_train(model, self.kg, self.kg.train[1:], entities, self.config, 2)
-
-        def table_bytes():
-            tables = {id(c.table): c.table for c in training._CONTEXTS.values()}
-            return sum(table.nbytes for table in tables.values())
-
-        # base models that differ in a frozen row, as the reinitialised rows of a
-        # sufficient sweep make them, so that each context holds its own table
-        models = [self.model.clone() for _ in range(6)]
-        for e, model in enumerate(models):
-            model.ent[e + 1, 0] += 0.25
-        training._CONTEXTS.clear()
-        fit(models[0])
-        one = table_bytes()
-        monkeypatch.setattr(training, "_TABLE_BYTES", 2 * one + one // 2)
-        training._CONTEXTS.clear()
-        results = []
-        for model in models:
-            results.append(fit(model))
-            assert 0 < table_bytes() <= training._TABLE_BYTES
-        assert len(training._CONTEXTS) == 2
-        for model, got in zip(models, results):
-            training._CONTEXTS.clear()
-            assert arrays_equal(got, fit(model))
-        # a table larger than the budget stays for the fits that follow
-        monkeypatch.setattr(training, "_TABLE_BYTES", 1)
-        training._CONTEXTS.clear()
-        fit(models[0])
-        fit(models[1])
-        assert len(training._CONTEXTS) == 1
-        # two sweeps over one base model share its table, so neither drops the
-        # other's context: each mask's partials are computed once
+    def test_alternating_masks_of_one_base_model_run_the_partials_pass_once_each(
+        self, monkeypatch
+    ):
         passes = []
         partials = training._frozen_partials
         monkeypatch.setattr(
             training, "_frozen_partials", lambda *args: passes.append(1) or partials(*args)
         )
+        training._CACHE = None
         for _ in range(3):
-            fit(models[2], {1})
-            fit(models[2], {2})
-        assert len(passes) == 2 and len(training._CONTEXTS) == 2
-        training._CONTEXTS.clear()
+            for mask in ({1}, {2}):
+                post_train(self.model, self.kg, self.kg.train[1:], mask, self.config, 2)
+        assert len(passes) == 2 and len(training._CACHE.contexts) == 2
+        training._CACHE = None
 
     def test_concurrent_fits_sharing_a_context_match_serial_fits(self):
         # each fit adds a triple outside the shared context's training set, so every
@@ -717,9 +705,9 @@ class TestPostTrain:
         ]
         serial = []
         for job in jobs:
-            training._CONTEXTS.clear()
+            training._CACHE = None
             serial.append(post_train(self.model, self.kg, job, mask, self.config, epochs=2))
-        training._CONTEXTS.clear()
+        training._CACHE = None
         results = [None] * len(jobs)
 
         def run(i):
@@ -753,3 +741,46 @@ class TestPostTrain:
         assert not np.array_equal(tuned.rel_re[0], self.model.rel_re[0])
         assert not np.array_equal(tuned.rel_re[n_rel], self.model.rel_re[n_rel])
         assert np.array_equal(tuned.rel_re[1], self.model.rel_re[1])
+
+
+def test_desk_sweeps_post_train_from_one_base_model(
+    desk_kg, desk_model, desk_config, desk_predictions, monkeypatch
+):
+    """The traffic the one-base cache rests on, on the desk fixture.
+
+    Necessary, c-sufficient and latent sweeps over one prediction build
+    frozen contexts, and their query rows are filled once for all three; a
+    sufficient sweep leaves no row fixed and builds none.
+    """
+    kg, model, prediction = desk_kg, desk_model, desk_predictions[0]
+    s_x = prediction.subject
+    config = ExplainerConfig(evaluator="post-train", post_train_epochs=2)
+    space = build_search_space(kg, "shares-entity", prediction)
+    touching = tuple(t for t in space.members if s_x in (t.subject, t.object))
+    unseen = (Triple(s_x, 1, o) for o in range(kg.num_entities))
+    latent = tuple(t for t in unseen if t not in kg.train_set)[:3]
+    targets = build_target_set(kg, model, prediction, 2, seed=0)
+    fills, contexts = [], []
+    base_init, frozen_context = training._BaseModel.__init__, training._frozen_context
+    monkeypatch.setattr(
+        training._BaseModel, "__init__", lambda *args: fills.append(1) or base_init(*args)
+    )
+    monkeypatch.setattr(
+        training, "_frozen_context", lambda *args: contexts.append(1) or frozen_context(*args)
+    )
+    training._CACHE = None
+    exhaustive_length1(kg, model, prediction, space, "sufficient", config, desk_config)
+    assert not contexts and training._CACHE is None
+    sweeps = [
+        ("necessary", space, None),
+        ("c-sufficient", SearchSpace(space.preset, touching), targets),
+        ("latent-negative", SearchSpace("latent-sample", latent), None),
+    ]
+    for mode, members, mode_targets in sweeps:
+        before = len(contexts)
+        exhaustive_length1(
+            kg, model, prediction, members, mode, config, desk_config, targets=mode_targets
+        )
+        assert len(contexts) > before, mode
+    assert len(fills) == 1
+    training._CACHE = None
