@@ -103,25 +103,36 @@ class EmbeddingModel:
         )
 
 
+def _split(x: np.ndarray) -> np.ndarray:
+    """The ``(2, rows, d)`` view of packed ``[re | im]`` rows: real block, imaginary block."""
+    return x.reshape(len(x), 2, -1).transpose(1, 0, 2)
+
+
 def _cmul(x: np.ndarray, y: np.ndarray, out=None, tmp=None, conj: bool = False) -> np.ndarray:
     """Complex product of packed ``[re | im]`` rows (last axis); ``x * conj(y)`` with ``conj``.
 
-    With ``out`` it runs the same operations in place, ``tmp`` (half as
-    wide) taking the one intermediate, and allocates nothing.
+    With ``out`` it runs the same operations in place on split operands:
+    ``x``, ``y`` and ``out`` are ``(2, rows, d)`` arrays holding the real
+    rows, then the imaginary rows (the layout of :func:`_split`), and
+    ``tmp``, one ``(rows, d)`` block, takes the one intermediate (allocated
+    when not given). On contiguous blocks every ufunc reads unit-stride
+    operands, which numpy runs faster than the strided halves of packed
+    rows; the values are the same. ``out`` must not overlap the operands.
     """
-    d = x.shape[-1] // 2
-    a, b, c, e = x[..., :d], x[..., d:], y[..., :d], y[..., d:]
     first, second = (np.add, np.subtract) if conj else (np.subtract, np.add)
     if out is None:
+        d = x.shape[-1] // 2
+        a, b, c, e = x[..., :d], x[..., d:], y[..., :d], y[..., d:]
         return np.concatenate([first(a * c, b * e), second(b * c, a * e)], axis=-1)
-    re, im = out[..., :d], out[..., d:]
+    (a, b), (c, e), (re, im) = x, y, out
+    tmp = np.empty_like(re) if tmp is None else tmp
     first(np.multiply(a, c, out=re), np.multiply(b, e, out=tmp), out=re)
     second(np.multiply(b, c, out=im), np.multiply(a, e, out=tmp), out=im)
     return out
 
 
 def _cmul_conj(x: np.ndarray, y: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """Complex product ``x * conj(y)`` of packed ``[re | im]`` rows, as :func:`_cmul`."""
+    """Complex product ``x * conj(y)``, packed or (with ``out``) split, as :func:`_cmul`."""
     return _cmul(x, y, out, tmp, conj=True)
 
 
@@ -250,7 +261,7 @@ def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
     arrays and metadata raises :class:`ConfigurationError` naming the file.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             model = EmbeddingModel(
                 ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),

@@ -11,7 +11,10 @@ depend on the original optimizer trajectory.
 Every fit runs :func:`_fit` over a step object. Full training, and a
 post-train whose mask covers every row, run :class:`_DenseStep`, whose
 workspaces are allocated once per fit; from a fresh model that post-train is
-a full retrain without the validation NLL that :func:`train` records.
+a full retrain without the validation NLL that :func:`train` records. Its
+per-row complex values are split, real rows then imaginary rows, so each
+complex product runs on contiguous blocks; the matrix products read and
+write packed ``[re | im]`` rows, and the tables stay packed.
 
 A post-train with any frozen row runs a restricted step instead. A query
 row whose head entity or relation row is trainable keeps the dense softmax
@@ -45,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, TrainingError
 from .kg import KnowledgeGraph, Triple
-from .model import EmbeddingModel, TrainConfig, _cmul, _cmul_conj, init_model
+from .model import EmbeddingModel, TrainConfig, _cmul, _cmul_conj, _split, init_model
 
 logger = logging.getLogger(__name__)
 
@@ -69,13 +72,37 @@ def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
 
 
 def _scatter_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray, flat=None) -> None:
-    """out[index] += values with repeated indices, via flat bincount (index built in ``flat``)."""
+    """out[index] += values with repeated indices, via flat bincount (index built in ``flat``).
+
+    ``index`` may have any shape; ``values`` has that shape plus one row of
+    ``out``. Each bin receives its values in the order they are laid out.
+    """
     n_rows, n_cols = out.shape
     flat = np.empty(values.shape, dtype=np.int64) if flat is None else flat
-    np.add(np.multiply(index[:, None], n_cols, out=flat), np.arange(n_cols), out=flat)
+    np.add(np.multiply(index[..., None], n_cols, out=flat), np.arange(n_cols), out=flat)
     out += np.bincount(flat.ravel(), weights=values.ravel(), minlength=n_rows * n_cols).reshape(
         n_rows, n_cols
     )
+
+
+def _halves(table: np.ndarray) -> np.ndarray:
+    """The ``(2 * rows, d)`` view of a packed table; row i's halves are its rows 2i and 2i + 1."""
+    return table.reshape(-1, table.shape[1] // 2)
+
+
+def _half_ids(ids: np.ndarray, out=None) -> np.ndarray:
+    """Rows ``2 * ids`` and ``2 * ids + 1`` of :func:`_halves`, stacked on a new next-to-last axis.
+
+    Gathering them from :func:`_halves` gives the split ``(2, len(ids), d)``
+    form of ``table[ids]``, contiguous, in one ``np.take`` that reads a
+    contiguous source (``np.take`` along the rows of the transposed
+    ``(2, rows, d)`` view would first copy the whole table). Scattering to
+    them adds split rows back into a packed table.
+    """
+    out = np.empty(ids.shape[:-1] + (2,) + ids.shape[-1:], dtype=np.int64) if out is None else out
+    np.multiply(ids, 2, out=out[..., 0, :])
+    np.add(out[..., 0, :], 1, out=out[..., 1, :])
+    return out
 
 
 class Gradients(tuple):
@@ -119,9 +146,16 @@ class _DenseStep:
     """The full training step: every row trainable, softmax over all entities.
 
     Its workspaces are allocated once per fit, so a step allocates nothing of
-    batch size (only the table-sized N3 terms). It runs the plain loss expression's operations in the same
-    order, so it gives the same bits. The returned gradients are workspaces,
-    overwritten by the next call.
+    batch size (only the table-sized N3 terms). Per-row complex values live
+    in split ``(2, rows, d)`` workspaces, real rows then imaginary rows, so
+    the three complex products and the N3 gradient terms run on contiguous
+    blocks. Rows are gathered into that layout, and scattered back, through
+    the ``(2 * rows, d)`` view of each packed table (:func:`_half_ids`); one
+    packed ``(rows, 2d)`` workspace carries ``q`` into the matrix products
+    and ``dq`` out of them. The step runs the plain loss expression's
+    operations in the same order, and each scatter bin receives its rows in
+    batch order, so it gives the same bits. The returned gradients are
+    workspaces, overwritten by the next call.
     """
 
     ent_idx = rel_idx = slice(None)
@@ -133,9 +167,12 @@ class _DenseStep:
         self.columns = np.ascontiguousarray(examples.T)
         self.ids, self.target_at = np.empty(3 * n, dtype=np.int64), np.empty(n, dtype=np.int64)
         self.row_start = np.arange(n) * entities
-        self.flat = np.empty((n, width), dtype=np.int64)
-        self.h, self.r, self.q, self.dq, self.dh, self.dr, self.g = np.empty((7, n, width))
-        self.half, self.scores = np.empty((n, width // 2)), np.empty((n, entities))
+        # flat buffers: a batch of m rows uses the first m * width values of each,
+        # so its split halves are contiguous whatever m is
+        self.half_ids = np.empty(6 * n, dtype=np.int64)
+        self.flat = np.empty(n * width, dtype=np.int64)
+        self.work, self.half = np.empty((7, n * width)), np.empty(n * width // 2)
+        self.scores = np.empty((n, entities))
         self.target, self.shift, self.z, self.per_row = np.empty((4, n))
         self.d_ent, self.d_rel = np.empty_like(model.ent), np.empty_like(model.rel)
 
@@ -144,14 +181,20 @@ class _DenseStep:
     ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
         """Loss, data loss and the ``ent`` and ``rel`` gradients over example rows ``sel``."""
         ent, rel, n = model.ent, model.rel, len(sel)
+        width = ent.shape[1]
         heads, rels, targets = ids = self.ids[: 3 * n].reshape(3, n)
         np.take(self.columns, sel, axis=1, out=ids, mode="clip")
-        h, r = _gather(ent, heads, self.h[:n]), _gather(rel, rels, self.r[:n])
-        half, per_row, flat, g = self.half[:n], self.per_row[:n], self.flat[:n], self.g[:n]
-        q = _cmul(h, r, out=self.q[:n], tmp=half)
+        at_heads, at_rels, at_targets = _half_ids(ids, self.half_ids[: 6 * n].reshape(3, 2, n))
+        packed = self.work[0, : n * width].reshape(n, width)
+        h, r, q, dh, dr, g = self.work[1:, : n * width].reshape(6, 2, n, -1)
+        half, per_row = self.half[: n * width // 2].reshape(n, -1), self.per_row[:n]
+        flat = self.flat[: n * width].reshape(2, n, -1)
+        _gather(_halves(ent), at_heads, h)
+        _gather(_halves(rel), at_rels, r)
+        np.copyto(_split(packed), _cmul(h, r, out=q, tmp=half))
 
         # softmax in place; the target scores are read before the shift
-        scores = np.matmul(q, ent.T, out=self.scores[:n])
+        scores = np.matmul(packed, ent.T, out=self.scores[:n])
         flat_scores = scores.reshape(-1)
         at = np.add(self.row_start[:n], targets, out=self.target_at[:n])
         target = _gather(flat_scores, at, self.target[:n])
@@ -166,10 +209,11 @@ class _DenseStep:
         hit = np.subtract(_gather(flat_scores, at, per_row), 1.0, out=per_row)
         np.put(flat_scores, at, hit)
         scores /= n
-        d_ent = np.matmul(scores.T, q, out=self.d_ent)
-        dq = np.matmul(scores, ent, out=self.dq[:n])
-        dh = _cmul_conj(dq, r, out=self.dh[:n], tmp=half)
-        dr = _cmul_conj(dq, h, out=self.dr[:n], tmp=half)
+        d_ent = np.matmul(scores.T, packed, out=self.d_ent)
+        dq = q  # q's split rows are spent once packed; dq takes their place
+        np.copyto(dq, _split(np.matmul(scores, ent, out=packed)))
+        _cmul_conj(dq, r, out=dh, tmp=half)
+        _cmul_conj(dq, h, out=dr, tmp=half)
 
         loss = data_loss
         if reg_weight > 0:
@@ -179,14 +223,14 @@ class _DenseStep:
             penalty = sum(_gather(pen, rows, per_row).sum() for pen, rows in uses)
             loss += reg_weight * float(penalty) / n
             c = 3.0 * reg_weight / n
-            dh += np.multiply(_gather(ent_grad, heads, g), c, out=g)
-            dr += np.multiply(_gather(rel_grad, rels, g), c, out=g)
-            np.multiply(_gather(ent_grad, targets, g), c, out=g)
-            _scatter_rows(d_ent, targets, g, flat)
+            dh += np.multiply(_gather(_halves(ent_grad), at_heads, g), c, out=g)
+            dr += np.multiply(_gather(_halves(rel_grad), at_rels, g), c, out=g)
+            np.multiply(_gather(_halves(ent_grad), at_targets, g), c, out=g)
+            _scatter_rows(_halves(d_ent), at_targets, g, flat)
 
-        _scatter_rows(d_ent, heads, dh, flat)
+        _scatter_rows(_halves(d_ent), at_heads, dh, flat)
         self.d_rel.fill(0.0)
-        _scatter_rows(self.d_rel, rels, dr, flat)
+        _scatter_rows(_halves(self.d_rel), at_rels, dr, flat)
         return loss, data_loss, (d_ent, self.d_rel)
 
 
@@ -443,8 +487,11 @@ class _RestrictedStep:
 
         mv = np.flatnonzero(moving)
         if len(mv):
-            h, r = ent[heads[mv]], rel[rels[mv]]
-            qm = _cmul(h, r)
+            # complex products on contiguous split rows, as in the dense step
+            h = _halves(ent)[_half_ids(heads[mv])]
+            r = _halves(rel)[_half_ids(rels[mv])]
+            qm = np.empty((len(mv), ent.shape[1]))
+            np.copyto(_split(qm), _cmul(h, r, out=np.empty_like(h)))
             rows = np.arange(len(mv))
             scores = qm @ ent.T
             target_score = scores[rows, targets[mv]]
@@ -457,13 +504,17 @@ class _RestrictedStep:
             probs[rows, targets[mv]] -= 1.0
             probs /= n
             d_ent += probs[:, self.ent_idx].T @ qm
-            dq = probs @ ent
-            cols = head_col[mv]
-            live = cols >= 0
-            _scatter_rows(d_ent, cols[live], _cmul_conj(dq[live], r[live]))
-            slots = self.rel_slot[rels[mv]]
-            live = slots >= 0
-            _scatter_rows(d_rel, slots[live], _cmul_conj(dq[live], h[live]))
+            dq = _halves(probs @ ent)
+            head_and_relation = [(d_ent, head_col[mv], r)]
+            if len(self.rel_idx):  # without a trainable relation row there is no d_rel to form
+                head_and_relation.append((d_rel, self.rel_slot[rels[mv]], h))
+            for grad, slot, factor in head_and_relation:
+                live = np.flatnonzero(slot >= 0)
+                dq_live = dq[_half_ids(live)]
+                product = _cmul_conj(
+                    dq_live, np.take(factor, live, axis=1), out=np.empty_like(dq_live)
+                )
+                _scatter_rows(_halves(grad), _half_ids(slot[live]), product)
 
         fx = np.flatnonzero(~moving)
         if len(fx):
@@ -488,17 +539,18 @@ class _RestrictedStep:
         loss = data_loss
         if reg_weight > 0:
             # every occurrence of a row as a head, relation or target adds its penalty
-            self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
-            self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
-            penalty = self.ent_penalty[heads].sum() + self.ent_penalty[targets].sum()
-            loss += reg_weight * float(penalty + self.rel_penalty[rels].sum()) / n
             c = 3.0 * reg_weight / n
+            self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
             uses = np.bincount(head_col[head_col >= 0], minlength=len(self.ent_idx))
             uses += np.bincount(target_col[target_col >= 0], minlength=len(self.ent_idx))
             d_ent += (c * uses)[:, None] * g_ent
-            slots = self.rel_slot[rels]
-            uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
-            d_rel += (c * uses)[:, None] * g_rel
+            if len(self.rel_idx):
+                self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
+                slots = self.rel_slot[rels]
+                uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
+                d_rel += (c * uses)[:, None] * g_rel
+            penalty = self.ent_penalty[heads].sum() + self.ent_penalty[targets].sum()
+            loss += reg_weight * float(penalty + self.rel_penalty[rels].sum()) / n
         return loss, data_loss, (d_ent, d_rel)
 
 

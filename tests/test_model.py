@@ -1,6 +1,9 @@
 """Scorer: initialization, scoring, filtered ranking, gradients, checkpoints."""
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from kgexplain import (
     save_checkpoint,
     score,
 )
-from kgexplain.model import kg_fingerprint
+from kgexplain.model import _cmul, _cmul_conj, _split, kg_fingerprint
 
 from conftest import make_random_kg
 
@@ -152,6 +155,25 @@ def rank_oracle(model, triple, kg, direction="object"):
     return 1 + better
 
 
+class TestComplexProduct:
+    """The in-place product on split halves against the allocating packed product."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("conj", [False, True])
+    def test_split_in_place_equals_packed(self, rows, conj):
+        rng = np.random.default_rng(rows)
+        x, y = rng.standard_normal((2, rows, 10))
+        packed = _cmul_conj(x, y) if conj else _cmul(x, y)
+        split_x, split_y = np.ascontiguousarray(_split(x)), np.ascontiguousarray(_split(y))
+        out = np.full_like(split_x, np.nan)
+        # a workspace longer than the rows, as a step's ragged last batch reads
+        tmp = np.full((rows + 3, 5), np.nan)[:rows]
+        got = _cmul(split_x, split_y, out=out, tmp=tmp, conj=conj)
+        assert got is out
+        assert np.array_equal(_split(packed), out)
+        assert np.array_equal(_cmul(split_x, split_y, out=np.empty_like(out), conj=conj), out)
+
+
 class TestRank:
     def test_unique_maximum_is_rank_one(self):
         kg = simple_kg(4)
@@ -280,6 +302,18 @@ class TestCheckpoint:
         save_checkpoint(model, kg, path)
         with pytest.raises(ConfigurationError):
             load_checkpoint(path, other)
+
+    def test_truncated_checkpoint_closes_its_file(self, tmp_path):
+        kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_model(kg, TrainConfig(dimension=4, seed=8)), kg, path)
+        path.write_bytes(path.read_bytes()[:200])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="model.npz"):
+                load_checkpoint(path, kg)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_fingerprint_sensitive_to_splits(self):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
