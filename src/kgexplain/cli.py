@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .effectiveness import _retrained, build_target_set
+from .effectiveness import _retrained, _rows_without, build_target_set
 from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplainError
 from .explainers import (
     ALGORITHMS,
@@ -46,6 +46,7 @@ from .metrics import (
 )
 from .model import (
     TrainConfig,
+    _check_train_config,
     init_model,
     load_checkpoint,
     rank,
@@ -201,7 +202,7 @@ def cmd_train(config: ExperimentConfig, out: str | None = None) -> Path:
     kg = load_dataset(config.dataset_path)
     model = train(init_model(kg, config.train), kg, config.train)
     checkpoint = out_dir / "checkpoint.npz"
-    save_checkpoint(model, kg, checkpoint)
+    save_checkpoint(model, kg, checkpoint, config.train)
     with (out_dir / "loss_curve.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_nll", "valid_nll"])
@@ -335,10 +336,16 @@ def cmd_explain(
 ) -> list[Path]:
     """One run file per (prediction, algorithm); existing readable files are kept.
 
+    A checkpoint trained with a ``[training]`` configuration other than the
+    INI's is a validation error naming each field that differs.
+
     An existing run file that does not parse (say, one truncated by a
     killed writer) is logged and recomputed in place.
 
-    Per-prediction failures are isolated and logged; the command continues.
+    A failed (prediction, algorithm) task is logged and the remaining tasks
+    still run; then ``runs/failures.json`` lists every failure (prediction
+    index and ids, algorithm, exception class and message) and the command
+    raises, so it exits 3. A run without failures removes a stale manifest.
     With simultaneous removal enabled, each algorithm's best necessary
     explanations are pooled, removed in one shot, and a single retrained
     model produces every after-rank.
@@ -346,6 +353,8 @@ def cmd_explain(
     config.validate()
     if workers < 1:
         raise ConfigurationError(f"--workers must be >= 1, got {workers}")
+    # full-retrain psi would otherwise measure a change of hyperparameters
+    _check_train_config(checkpoint, config.train)
     out_dir = _prepare_output(config, out)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(exist_ok=True)
@@ -366,9 +375,8 @@ def cmd_explain(
         for algorithm in config.algorithms:
             tasks.append((index, prediction, algorithm, pred_space))
 
-    written: list[Path] = []
-
-    def execute(task) -> Path | None:
+    def execute(task) -> Path | dict:
+        """The task's run file, or its failure as a manifest entry."""
         index, prediction, algorithm, pred_space = task
         path = runs_dir / f"run_{algorithm}_{index:04d}.json"
         if path.exists():
@@ -383,7 +391,13 @@ def cmd_explain(
             run = _run_one(config, kg, model, prediction, algorithm, pred_space)
         except KgExplainError as exc:
             logger.error("run failed for %s / %s: %s", prediction, algorithm, exc)
-            return None
+            return {
+                "index": index,
+                "prediction": list(prediction),
+                "algorithm": algorithm,
+                "error": type(exc).__name__,
+                "message": str(exc),
+            }
         run.save(path, kg)
         return path
 
@@ -392,11 +406,17 @@ def cmd_explain(
             results = list(pool.map(execute, tasks))
     else:
         results = [execute(task) for task in tasks]
-    written = [p for p in results if p is not None]
+    written = [r for r in results if isinstance(r, Path)]
+    failures = [r for r in results if isinstance(r, dict)]
 
     if config.simultaneous_removal and config.mode == "necessary":
         _simultaneous_removal(config, kg, model, predictions, runs_dir)
-    return written
+    manifest = runs_dir / "failures.json"
+    if not failures:
+        manifest.unlink(missing_ok=True)
+        return written
+    write_text_atomic(manifest, json.dumps({"failures": failures}, indent=2, sort_keys=True))
+    raise KgExplainError(f"{len(failures)} of {len(tasks)} explain tasks failed; see {manifest}")
 
 
 def _simultaneous_removal(
@@ -419,10 +439,11 @@ def _simultaneous_removal(
                 removed.update(Triple(*t["ids"]) for t in payload["best"]["triples"])
         if not removed:
             continue
-        new_train = tuple(t for t in kg.train if t not in removed)
-        retrained = _retrained(kg, model, new_train, "full-retrain", config.train)
+        retrained = _retrained(
+            kg, model, _rows_without(kg, frozenset(removed)), "full-retrain", config.train
+        )
         checkpoint = runs_dir / f"simultaneous_{algorithm}_model.npz"
-        save_checkpoint(retrained, kg, checkpoint)
+        save_checkpoint(retrained, kg, checkpoint, config.train)
         entries = []
         for prediction in predictions:
             entries.append(

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, TrainingError
 from .kg import KnowledgeGraph, Triple, _one_hop_entities
 from .model import EmbeddingModel, TrainConfig, init_model, rank, score
-from .training import post_train
+from .training import _pair_rows, _train_rows, _TrainRows, post_train
 
 logger = logging.getLogger(__name__)
 
@@ -97,22 +97,34 @@ def _as_triples(x) -> frozenset[Triple]:
     return triples
 
 
-def _ordered_removal(kg: KnowledgeGraph, removed: frozenset[Triple]) -> tuple[Triple, ...]:
-    return tuple(t for t in kg.train if t not in removed)
+def _positions(kg: KnowledgeGraph, triples: frozenset[Triple]) -> np.ndarray:
+    """The sorted positions in ``kg.train`` of every occurrence of these training triples."""
+    index = kg.train_index
+    if len(index) == len(kg.train):
+        return np.sort(np.fromiter((index[t] for t in triples), dtype=np.int64, count=len(triples)))
+    return np.flatnonzero([t in triples for t in kg.train])  # a repeated training triple
 
 
-def _ordered_keep(kg: KnowledgeGraph, kept: frozenset[Triple]) -> tuple[Triple, ...]:
-    return tuple(t for t in kg.train if t in kept)
+def _rows_without(kg: KnowledgeGraph, removed: frozenset[Triple]) -> _TrainRows:
+    """The training set less ``removed``: every base row but rows 2i and 2i + 1 of each."""
+    return _TrainRows(np.delete(np.arange(2 * len(kg.train)), _pair_rows(_positions(kg, removed))))
 
 
-def _ordered_addition(kg: KnowledgeGraph, added: Iterable[Triple]) -> tuple[Triple, ...]:
-    return kg.train + tuple(sorted(set(added)))
+def _rows_of(kg: KnowledgeGraph, kept: frozenset[Triple]) -> _TrainRows:
+    """Only the ``kept`` training triples, in training-set order."""
+    return _TrainRows(_pair_rows(_positions(kg, kept)))
+
+
+def _rows_with(kg: KnowledgeGraph, added: Iterable[Triple]) -> _TrainRows:
+    """The training set followed by the sorted ``added`` triples, which it lacks."""
+    added = tuple(sorted(set(added)))
+    return _TrainRows(np.arange(2 * (len(kg.train) + len(added))), added)
 
 
 def _retrained(
     kg: KnowledgeGraph,
     base: EmbeddingModel,
-    new_train: tuple[Triple, ...],
+    new_train: _TrainRows | tuple[Triple, ...],
     evaluator: str,
     config: TrainConfig,
     trainable_entities: Iterable[int] | None = None,
@@ -122,18 +134,19 @@ def _retrained(
 ) -> EmbeddingModel:
     if evaluator not in EVALUATORS:
         raise ConfigurationError(f"unknown evaluator: {evaluator!r}")
+    fit = new_train if isinstance(new_train, _TrainRows) else _train_rows(kg, new_train)
     if evaluator == "full-retrain":
-        if not new_train:
+        if not len(fit.rows):
             raise TrainingError("degenerate retraining: the modified training set is empty")
         # a fresh model with every row trainable: full retraining without the
         # per-epoch validation NLL, which only the train command's loss curve reads
         entities, relations = range(kg.num_entities), range(kg.num_relations)
         fresh = init_model(kg, config)
-        return post_train(fresh, kg, new_train, entities, config, trainable_relations=relations)
+        return post_train(fresh, kg, fit, entities, config, trainable_relations=relations)
     return post_train(
         base,
         kg,
-        new_train,
+        fit,
         trainable_entities or set(),
         config,
         epochs=post_epochs,
@@ -172,9 +185,8 @@ def effectiveness_necessary(
             "necessary effectiveness requires the base rank to be below the "
             "filtered candidate count"
         )
-    new_train = _ordered_removal(kg, triples)
     retrained = _retrained(
-        kg, model, new_train, evaluator, config,
+        kg, model, _rows_without(kg, triples), evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject),
         post_epochs=post_epochs,
     )
@@ -219,7 +231,7 @@ def effectiveness_sufficient(
     for t in kg.train:
         support.setdefault(t.relation, set()).add(t)
     retrained = _retrained(
-        kg, model, _ordered_keep(kg, triples), evaluator, config,
+        kg, model, _rows_of(kg, triples), evaluator, config,
         trainable_entities={t.subject for t in triples} | {t.object for t in triples},
         trainable_relations={r for r, sup in support.items() if sup <= triples},
         reinit=True,
@@ -333,7 +345,7 @@ def effectiveness_c_sufficient(
             trainable = _one_hop_entities(kg, c)
             trainable |= {t.subject for t in additions} | {t.object for t in additions}
             after_model = _retrained(
-                kg, model, _ordered_addition(kg, additions), evaluator, config,
+                kg, model, _rows_with(kg, additions), evaluator, config,
                 trainable_entities=trainable, post_epochs=post_epochs,
             )
             retrains += 1
@@ -390,7 +402,7 @@ def effectiveness_latent(
     trainable = _one_hop_entities(kg, prediction.subject)
     trainable |= {t.subject for t in triples} | {t.object for t in triples}
     retrained = _retrained(
-        kg, model, _ordered_addition(kg, triples), evaluator, config,
+        kg, model, _rows_with(kg, triples), evaluator, config,
         trainable_entities=trainable, post_epochs=post_epochs,
     )
     rank_after = rank(retrained, prediction, kg)

@@ -96,9 +96,11 @@ class KnowledgeGraph:
     """Immutable triple store with dictionaries, splits, and adjacency indices.
 
     Instances are safe for concurrent reads and never edited in place. The
-    retraining operators take a modified training set as a plain tuple of
-    triples; :meth:`with_train` wraps one in a derived graph (sharing the
-    dictionaries, rebuilding its indices lazily) for callers that want one.
+    retraining operators describe a modified training set as rows of the
+    training set's example table, found through :attr:`train_index`;
+    :meth:`with_train` wraps a plain triple sequence in a derived graph
+    (sharing the dictionaries, rebuilding its indices lazily) for callers that
+    want one.
     """
 
     def __init__(
@@ -130,6 +132,14 @@ class KnowledgeGraph:
     @cached_property
     def train_set(self) -> frozenset[Triple]:
         return frozenset(self.train)
+
+    @cached_property
+    def train_index(self) -> dict[Triple, int]:
+        """The position of each training triple in ``train`` (its first, if repeated)."""
+        index: dict[Triple, int] = {}
+        for i, t in enumerate(self.train):
+            index.setdefault(t, i)
+        return index
 
     @cached_property
     def all_triples(self) -> frozenset[Triple]:

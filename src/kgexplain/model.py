@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .kg import KnowledgeGraph, Triple
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -62,15 +66,19 @@ class EmbeddingModel:
     ``ent`` and ``rel`` are packed ``[re | im]`` tables; the relation table
     holds ``2 * num_relations`` rows, the second half being the reciprocal
     twins used for subject completion. ``ent_re``, ``ent_im``, ``rel_re`` and
-    ``rel_im`` are write-through views of the halves. ``history`` carries the
+    ``rel_im`` are write-through views of the halves, and ``dimension`` is the
+    complex dimension the tables' width implies. ``history`` carries the
     per-epoch train/validation negative log-likelihood of the last fit.
     """
 
     ent: np.ndarray
     rel: np.ndarray
-    dimension: int
     seed: int
     history: list[dict] = field(default_factory=list)
+
+    @property
+    def dimension(self) -> int:
+        return self.ent.shape[1] // 2
 
     @property
     def ent_re(self) -> np.ndarray:
@@ -149,7 +157,7 @@ def init_model(kg: KnowledgeGraph, config: TrainConfig) -> EmbeddingModel:
     scale = 1.0 / np.sqrt(d)
     ent = rng.standard_normal((kg.num_entities, 2 * d)) * scale
     rel = rng.standard_normal((2 * kg.num_relations, 2 * d)) * scale
-    return EmbeddingModel(ent=ent, rel=rel, dimension=d, seed=config.seed)
+    return EmbeddingModel(ent=ent, rel=rel, seed=config.seed)
 
 
 def _check_ids(model: EmbeddingModel, triple: Triple) -> None:
@@ -231,18 +239,26 @@ def kg_fingerprint(kg: KnowledgeGraph) -> str:
         h.update(label.encode("utf-8") + b"\x1f")
     for split in (kg.train, kg.valid, kg.test):
         h.update(b"\x1e")
-        for t in split:
-            h.update(np.array(t, dtype=np.int64).tobytes())
+        # the split's ids as one int64 array: the bytes of its triples in order
+        ids = np.fromiter(chain.from_iterable(split), dtype=np.int64, count=3 * len(split))
+        h.update(ids.tobytes())
     return h.hexdigest()
 
 
-def save_checkpoint(model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path) -> None:
+def save_checkpoint(
+    model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path, config: TrainConfig | None = None
+) -> None:
     """Write embeddings plus metadata (graph hash, dimension, seed) to one file.
 
     The packed tables are stored as their four real halves (``ent_re``,
     ``ent_im``, ``rel_re``, ``rel_im``), the layout every checkpoint has had.
+    ``config``, the training configuration that produced the embeddings, is
+    stored whole under ``train_config``, so that a later command can refuse
+    to pair the checkpoint with another one.
     """
     meta = {"kg_hash": kg_fingerprint(kg), "dimension": model.dimension, "seed": model.seed}
+    if config is not None:
+        meta["train_config"] = asdict(config)
     with open(path, "wb") as fh:
         np.savez(
             fh,
@@ -254,8 +270,8 @@ def save_checkpoint(model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path)
         )
 
 
-def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
-    """Read a checkpoint, verifying it was trained against this graph.
+def _read_checkpoint(path: str | Path, tables: bool = True) -> tuple[EmbeddingModel | None, dict]:
+    """The model (``None`` without ``tables``) and the metadata of a checkpoint file.
 
     A file that is missing, not an ``.npz`` archive, or lacks the checkpoint
     arrays and metadata raises :class:`ConfigurationError` naming the file.
@@ -263,17 +279,61 @@ def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-            model = EmbeddingModel(
-                ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
-                rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
-                dimension=int(meta["dimension"]),
-                seed=int(meta["seed"]),
-            )
-            kg_hash = meta["kg_hash"]
+            model = None
+            if tables:
+                model = EmbeddingModel(
+                    ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
+                    rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
+                    seed=int(meta["seed"]),
+                )
+                if model.dimension != int(meta["dimension"]):
+                    raise ValueError("the stored dimension does not match the tables")
+            if not isinstance(meta["kg_hash"], str):
+                raise ValueError("the graph hash is not a string")
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"not a readable checkpoint: {path} ({exc})") from None
-    if kg_hash != kg_fingerprint(kg):
+    return model, meta
+
+
+def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
+    """Read a checkpoint, verifying it was trained against this graph.
+
+    A file that is missing, not an ``.npz`` archive, or lacks the checkpoint
+    arrays and metadata raises :class:`ConfigurationError` naming the file. A
+    checkpoint written before its training configuration was stored still
+    loads, with a warning that names the missing ``train_config`` field.
+    """
+    model, meta = _read_checkpoint(path)
+    if meta["kg_hash"] != kg_fingerprint(kg):
         raise ConfigurationError(
             "checkpoint does not match the loaded dataset (graph hash differs)"
         )
+    if "train_config" not in meta:
+        logger.warning(
+            "checkpoint %s has no train_config field; its training configuration "
+            "cannot be checked",
+            path,
+        )
     return model
+
+
+def _check_train_config(path: str | Path, config: TrainConfig) -> None:
+    """:class:`ConfigurationError` naming each field where the checkpoint's config differs.
+
+    A checkpoint without a stored configuration passes (:func:`load_checkpoint`
+    warns about it).
+    """
+    stored = _read_checkpoint(path, tables=False)[1].get("train_config")
+    if stored is None:
+        return
+    wanted = asdict(config)
+    differ = [
+        f"{name} (checkpoint {stored.get(name)!r}, config {value!r})"
+        for name, value in wanted.items()
+        if stored.get(name) != value
+    ]
+    if differ:
+        raise ConfigurationError(
+            f"checkpoint {path} was trained with another [training] configuration: "
+            + ", ".join(differ)
+        )

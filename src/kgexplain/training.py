@@ -37,12 +37,11 @@ summation order (measured at most 1.8e-13 after 60 desk-graph epochs and
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import threading
 from collections import OrderedDict
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,11 +134,45 @@ def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(table, rows, axis=0, out=out, mode="clip")
 
 
-def _check_ids(model: EmbeddingModel, examples: np.ndarray) -> None:
-    """:class:`DomainError` unless every (head, relation_row, target) id fits the model."""
-    bounds = (len(model.ent), len(model.rel), len(model.ent))
-    if examples.min() < 0 or (examples.max(axis=0) >= bounds).any():
+def _row_max(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)`` into ``out``.
+
+    With a few columns it runs one ``np.maximum`` per column, much faster
+    than a reduction over a short last axis; a max is exact, so the values are
+    the same.
+    """
+    if x.shape[1] > 16:
+        return np.max(x, axis=1, out=out)
+    np.copyto(out, x[:, 0])
+    for j in range(1, x.shape[1]):
+        np.maximum(out, x[:, j], out=out)
+    return out
+
+
+def _check_ids(model: EmbeddingModel, columns: np.ndarray) -> None:
+    """:class:`DomainError` unless every (head, relation_row, target) id fits the model.
+
+    ``columns`` holds the heads, relation rows and targets as its three rows.
+    """
+    bounds = np.array([[len(model.ent)], [len(model.rel)], [len(model.ent)]])
+    if columns.size and (columns.min() < 0 or (columns.max(axis=1, keepdims=True) >= bounds).any()):
         raise DomainError("example row id out of range for the model")
+
+
+def _fit_columns(model: EmbeddingModel, examples: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The contiguous ``(3, n)`` columns of the fit's example rows, range-checked.
+
+    ``rows`` selects the fit's rows of ``examples`` in fit order; without it
+    the fit is ``examples`` itself. A row outside the table or an id outside
+    the model raises :class:`DomainError`.
+    """
+    if rows is not None:
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(examples)):
+            raise DomainError("example row out of range for the fit's example table")
+        examples = np.take(examples, rows, axis=0)
+    columns = np.ascontiguousarray(examples.T)
+    _check_ids(model, columns)
+    return columns
 
 
 class _DenseStep:
@@ -155,16 +188,22 @@ class _DenseStep:
     and ``dq`` out of them. The step runs the plain loss expression's
     operations in the same order, and each scatter bin receives its rows in
     batch order, so it gives the same bits. The returned gradients are
-    workspaces, overwritten by the next call.
+    workspaces, overwritten by the next call. The fit's examples are
+    ``examples[rows]`` (:func:`_fit_columns`), gathered once per fit.
     """
 
     ent_idx = rel_idx = slice(None)
 
-    def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int) -> None:
-        _check_ids(model, examples)
+    def __init__(
+        self,
+        model: EmbeddingModel,
+        examples: np.ndarray,
+        batch_size: int,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        self.columns = _fit_columns(model, examples, rows)
         entities, width = model.ent.shape
-        n = min(batch_size, len(examples))
-        self.columns = np.ascontiguousarray(examples.T)
+        n = min(batch_size, self.columns.shape[1])
         self.ids, self.target_at = np.empty(3 * n, dtype=np.int64), np.empty(n, dtype=np.int64)
         self.row_start = np.arange(n) * entities
         # flat buffers: a batch of m rows uses the first m * width values of each,
@@ -300,6 +339,62 @@ def _frozen_partials(
     return maxes, sums
 
 
+def _target_scores(
+    model: EmbeddingModel,
+    queries: np.ndarray,
+    query_row: np.ndarray,
+    targets: np.ndarray,
+    rows: np.ndarray,
+    chunk: int,
+    out: np.ndarray,
+) -> None:
+    """``out[rows]`` = the score ``q·e_o`` of each of ``rows``, ``chunk`` rows at a time."""
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        out[part] = np.einsum("ij,ij->i", queries[query_row[part]], model.ent[targets[part]])
+
+
+def _examples_table(train: Sequence[Triple], num_relations: int) -> np.ndarray:
+    """:func:`build_examples` of ``train``, which may be empty."""
+    return build_examples(train, num_relations) if train else np.empty((0, 3), dtype=np.int64)
+
+
+# The example table of the latest base training set, with that set (held, so
+# that its identity stays unique) and the relation count it was built for.
+# Every fit draws its rows from it, full retrains and fits without a fixed row
+# included, so it is kept apart from the one-base cache below.
+_EXAMPLES: tuple[Sequence[Triple], int, np.ndarray] | None = None
+
+
+def _base_examples(train: Sequence[Triple], num_relations: int) -> np.ndarray:
+    """``build_examples(train)``, built once per training set."""
+    global _EXAMPLES
+    held = _EXAMPLES
+    if held is None or held[0] is not train or held[1] != num_relations:
+        held = _EXAMPLES = (train, num_relations, _examples_table(train, num_relations))
+    return held[2]
+
+
+def _slots(trainable: np.ndarray) -> np.ndarray:
+    """Each row's slot among the trainable rows, in row order; -1 for a frozen row."""
+    slots = np.full(len(trainable), -1, dtype=np.int64)
+    slots[trainable] = np.arange(np.count_nonzero(trainable))
+    return slots
+
+
+def _record(columns: np.ndarray, column: np.ndarray, rel_slot: np.ndarray) -> np.ndarray:
+    """Rows of the per-example record (see :class:`_RestrictedStep`) of ``(3, n)`` id columns.
+
+    Fills the ids and the trainable slots of each example's head, target and
+    relation row (``column`` and ``rel_slot`` map rows to slots); the rest is zero.
+    """
+    heads, rels, targets = columns
+    record = np.zeros((len(heads), 11), dtype=np.int64)
+    record[:, :3] = columns.T
+    record[:, 3], record[:, 4], record[:, 5] = column[heads], column[targets], rel_slot[rels]
+    return record
+
+
 class _FrozenContext:
     """Frozen-column softmax partials of fixed queries, for one mask over a base model.
 
@@ -308,9 +403,14 @@ class _FrozenContext:
     scores against every frozen entity column never change. For each fixed
     query of the base training set the context keeps the max of those scores
     and the sum of their exps shifted by it, computed once, in one pass, from
-    the query rows of its :class:`_BaseModel`. A fit that brings queries
-    outside that set computes them on its own, so every value a fit reads is
-    the same whichever fits ran before it or beside it in other threads.
+    the query rows of its :class:`_BaseModel`. In the same fill it resolves
+    every base example into a row of the per-example record that
+    :class:`_RestrictedStep` reads: its ids, trainable slots and query row,
+    its query's max and exp-sum and, when its row is fixed and its target
+    frozen, its target score ``q·e_o``. Fits take their rows of it. A fit that
+    brings rows outside that set resolves them on its own (:meth:`lookup`), so
+    every value a fit reads is the same whichever fits ran before it or beside
+    it in other threads.
     """
 
     def __init__(
@@ -318,28 +418,44 @@ class _FrozenContext:
     ) -> None:
         self.ent_trainable = ent_trainable
         self.rel_trainable = rel_trainable
+        self.base = base
         self.keys, self.queries = base.keys, base.queries
         self.maxes: np.ndarray | None = None
         self._lock = threading.Lock()
+
+    def fill(self, model: EmbeddingModel, chunk: int) -> "_FrozenContext":
+        """Compute the partials and the base examples' record once; ``model`` is the base."""
+        with self._lock:
+            if self.maxes is None:
+                heads, rels = np.divmod(self.keys, len(model.rel))
+                fixed = np.flatnonzero(~(self.ent_trainable[heads] | self.rel_trainable[rels]))
+                # indexed like the query rows; the entries of moving queries stay unread
+                maxes, sums = np.zeros((2, len(self.keys)))
+                maxes[fixed], sums[fixed] = _frozen_partials(
+                    model, self.queries, fixed, self.ent_trainable, chunk
+                )
+                examples, query_of = self.base.examples, self.base.query_of
+                record = _record(examples.T, _slots(self.ent_trainable), _slots(self.rel_trainable))
+                moving = (record[:, 3] >= 0) | (record[:, 5] >= 0)
+                record[:, 6] = np.where(moving, 0, query_of)
+                resolved = record[:, 8:].view(np.float64)
+                resolved[:, 0], resolved[:, 1] = maxes[query_of], sums[query_of]
+                # a fixed row's score against its frozen target never changes either
+                out = np.flatnonzero(~moving & (record[:, 4] < 0))
+                _target_scores(
+                    model, self.queries, query_of, examples[:, 2], out, chunk, resolved[:, 2]
+                )
+                self.record, self.sums, self.maxes = record, sums, maxes
+        return self
 
     def lookup(
         self, model: EmbeddingModel, keys: np.ndarray, chunk: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(row, max, exp-sum) per fixed query key, and the query rows the rows index.
 
-        ``model`` must be the context's base model. Keys outside the base
-        training set get rows appended to a copy of the query rows, for the
-        calling fit alone.
+        The context must be filled. Keys outside the base training set get
+        rows appended to a copy of the query rows, for the calling fit alone.
         """
-        with self._lock:
-            if self.maxes is None:
-                heads, rels = np.divmod(self.keys, len(model.rel))
-                fixed = np.flatnonzero(~(self.ent_trainable[heads] | self.rel_trainable[rels]))
-                # indexed like the query rows; the entries of moving queries stay unread
-                self.maxes, self.sums = np.zeros((2, len(self.keys)))
-                self.maxes[fixed], self.sums[fixed] = _frozen_partials(
-                    model, self.queries, fixed, self.ent_trainable, chunk
-                )
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == keys[found]
@@ -358,18 +474,32 @@ class _FrozenContext:
 
 
 class _BaseModel:
-    """One base model and training set: its query rows and its masks' contexts.
+    """One base model and training set: what depends on them alone, and the masks' contexts.
 
-    The query row ``q = h∘r`` of every base query depends on the base model
-    alone, so it is computed once, here, and read by the context of every mask.
+    That is a copy of the embedding tables, which identifies the base, the
+    base example table (:func:`_base_examples`), the query row ``q = h∘r`` of
+    every distinct base query with each base example's index into them
+    (``query_of``), and the N3 penalty of every table row; each is computed
+    once, here, and read by every fit and the context of every mask.
     """
 
-    def __init__(self, key: tuple, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
-        self.key = key
-        self.train = train  # held, so that the key's id of it stays unique
-        self.keys = np.unique(_query_keys(model, build_examples(train, model.num_relations)))
+    def __init__(self, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
+        self.tables = (model.ent.copy(), model.rel.copy())
+        self.train = train  # held, so that its identity stays unique
+        self.examples = _base_examples(train, model.num_relations)
+        _check_ids(model, self.examples.T)
+        keys = _query_keys(model, self.examples)
+        self.keys, self.query_of = np.unique(keys, return_inverse=True)
         self.queries = _query_rows(model, self.keys, chunk)
+        self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
         self.contexts: "OrderedDict[tuple[bytes, bytes], _FrozenContext]" = OrderedDict()
+
+    def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
+        """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
+        return train is self.train and all(
+            table.shape == mine.shape and np.array_equal(table.view(np.int64), mine.view(np.int64))
+            for table, mine in zip((model.ent, model.rel), self.tables)
+        )
 
 
 # The base model of the latest post-train with a frozen row. A sweep post-trains
@@ -377,7 +507,7 @@ class _BaseModel:
 # comes here), so one is kept; a post-train from other embeddings or another
 # training set replaces it whole. The candidates of a prediction under one
 # operator share a mask, so the most recent few contexts cover a sweep with a
-# few workers; each costs two floats per query of the base training set.
+# few workers; each costs three floats per base example and two per query.
 _CONTEXT_LIMIT = 8
 _CACHE: _BaseModel | None = None
 _CACHE_LOCK = threading.Lock()
@@ -392,15 +522,10 @@ def _frozen_context(
 ) -> _FrozenContext:
     """The shared context of this model's content, trainable rows and training set."""
     global _CACHE
-    digest = hashlib.sha256()
-    for table in (model.ent, model.rel):
-        digest.update(np.asarray(table.shape, dtype=np.int64).tobytes())
-        digest.update(np.ascontiguousarray(table).data)
-    key = (digest.digest(), id(train))
     mask = (ent_trainable.tobytes(), rel_trainable.tobytes())
     with _CACHE_LOCK:
-        if _CACHE is None or _CACHE.key != key:
-            _CACHE = _BaseModel(key, model, train, chunk)
+        if _CACHE is None or not _CACHE.serves(model, train):
+            _CACHE = _BaseModel(model, train, chunk)
         contexts = _CACHE.contexts
         context = contexts.pop(mask, None) or _FrozenContext(ent_trainable, rel_trainable, _CACHE)
         contexts[mask] = context
@@ -414,13 +539,22 @@ class _RestrictedStep:
 
     Query rows whose head entity or relation row is trainable ("moving")
     keep the dense softmax over all entity columns. Every other row is fixed.
-    Once per fit the step resolves, for each fixed row, its query's row and
-    frozen-column partials from the shared :class:`_FrozenContext` and, when
-    its target is frozen, its target score ``q·e_o``. A step then gathers each
-    fixed row's query, scores it against the trainable columns only and
-    completes its normaliser with the frozen partials. Entity gradients are
-    formed for the trainable rows alone, so a step costs
-    O(n |T| d + n_moving E d) instead of O(n E d).
+    Once per fit the step resolves each fixed row's query row and
+    frozen-column partials and, when its target is frozen, its target score
+    ``q·e_o``: rows of the base example table are sliced from the shared
+    :class:`_FrozenContext`, other rows are resolved for this fit alone. It
+    keeps every per-example value in one record, one column per example, so
+    a step gathers its batch's constants in one ``np.take``, and it allocates
+    its batch-sized workspaces once per fit. A step then gathers each fixed
+    row's query, scores it against the trainable columns only and completes
+    its normaliser with the frozen partials. Entity gradients are formed for
+    the trainable rows alone, so a step costs O(n |T| d + n_moving E d)
+    instead of O(n E d). Every value comes from the same operations, in the
+    same order, as the step that built its indices at every call.
+
+    ``rows`` selects the fit's rows of ``examples``, which then starts with
+    the example table of ``train`` (:func:`_base_examples`); without ``rows``
+    the fit is ``examples``, and every row of it is resolved for this fit.
     """
 
     def __init__(
@@ -431,40 +565,137 @@ class _RestrictedStep:
         rel_idx: np.ndarray,
         train: Sequence[Triple],
         chunk: int,
+        rows: np.ndarray | None = None,
     ) -> None:
-        _check_ids(model, examples)
-        self.examples = examples
+        columns = _fit_columns(model, examples, rows)
+        heads, rels, targets = columns
+        n, width = columns.shape[1], model.ent.shape[1]
         self.ent_idx = ent_idx
         self.rel_idx = rel_idx
-        self.column = np.full(model.num_entities, -1, dtype=np.int64)
-        self.column[ent_idx] = np.arange(len(ent_idx))
-        self.rel_slot = np.full(len(model.rel), -1, dtype=np.int64)
-        self.rel_slot[rel_idx] = np.arange(len(rel_idx))
-        ent_trainable = self.column >= 0
-        rel_trainable = self.rel_slot >= 0
-        self.moving = ent_trainable[examples[:, 0]] | rel_trainable[examples[:, 1]]
-        self.query_row = np.zeros(len(examples), dtype=np.int64)
-        self.frozen_max = np.zeros(len(examples))
-        self.frozen_sum = np.zeros(len(examples))
-        self.target_score = np.zeros(len(examples))
-        self.queries = np.empty((0, model.ent.shape[1]))
+        ent_trainable = np.zeros(model.num_entities, dtype=bool)
+        ent_trainable[ent_idx] = True
+        rel_trainable = np.zeros(len(model.rel), dtype=bool)
+        rel_trainable[rel_idx] = True
+        column, rel_slot = _slots(ent_trainable), _slots(rel_trainable)
+        self.moving = ent_trainable[heads] | rel_trainable[rels]
+        self.queries = np.empty((0, width))
         fixed = np.flatnonzero(~self.moving)
-        if len(fixed):
+        if not len(fixed):
+            self.record = _record(columns, column, rel_slot)
+            self.ent_penalty = _n3(model.ent)[0]
+            self.rel_penalty = _n3(model.rel)[0]
+        else:
             context = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
-            rows, maxes, sums, self.queries = context.lookup(
-                model, _query_keys(model, examples[fixed]), chunk
-            )
-            self.query_row[fixed] = rows
-            self.frozen_max[fixed], self.frozen_sum[fixed] = maxes, sums
-            # a fixed row's score against its frozen target never changes either
-            out = fixed[~ent_trainable[examples[fixed, 2]]]
-            for start in range(0, len(out), chunk):
-                part = out[start : start + chunk]
-                q = self.queries[self.query_row[part]]
-                self.target_score[part] = np.einsum("ij,ij->i", q, model.ent[examples[part, 2]])
-        # N3 penalty of every row; the trainable rows' entries are refreshed each step
-        self.ent_penalty = _n3(model.ent)[0]
-        self.rel_penalty = _n3(model.rel)[0]
+            context.fill(model, chunk)
+            self.queries = context.queries
+            own = np.ones(n, dtype=bool)
+            if rows is not None:
+                own = rows >= len(context.base.examples)
+            if not own.any():
+                self.record = context.record.take(rows, axis=0)
+            else:
+                self.record = _record(columns, column, rel_slot)
+                if rows is not None:
+                    self.record[~own] = context.record.take(rows[~own], axis=0)
+                own = np.flatnonzero(own & ~self.moving)
+                at, maxes, sums, self.queries = context.lookup(
+                    model, _query_keys(model, columns[:, own].T), chunk
+                )
+                resolved = self.record[:, 8:].view(np.float64)
+                self.record[own, 6] = at
+                resolved[own, 0], resolved[own, 1] = maxes, sums
+                out = own[~ent_trainable[targets[own]]]
+                _target_scores(
+                    model, self.queries, self.record[:, 6], targets, out, chunk, resolved[:, 2]
+                )
+            # N3 penalty of every row; the trainable rows' entries are refreshed each step
+            self.ent_penalty = context.base.ent_penalty.copy()
+            self.rel_penalty = context.base.rel_penalty.copy()
+        # the moving rows: their slot in the record, and the half-row ids
+        # (:func:`_half_ids`) of their head, relation, head column and relation slot
+        moving = np.flatnonzero(self.moving)
+        self.record[:, 7] = -1
+        self.record[moving, 7] = np.arange(len(moving))
+        self.halves = np.empty((8, len(moving)), dtype=np.int64)
+        for i, field in enumerate((0, 1, 3, 5)):
+            _half_ids(self.record[moving, field], self.halves[2 * i : 2 * i + 2])
+        # without a trainable relation row, every moving row has a trainable head
+        self.heads_live = not len(rel_idx)
+        self.capacity = 0
+        self.ent_t = np.empty((len(ent_idx), width))
+        self.d_ent = np.empty((len(ent_idx), width))
+        self.d_rel = np.empty((len(rel_idx), width))
+        self.entities = model.num_entities
+
+    def _reserve(self, n: int) -> None:
+        """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
+        if n <= self.capacity:
+            return
+        self.capacity = n
+        trainable, width = self.ent_t.shape
+        self.batch, self.fixed_rows = np.empty((2, n * 11), dtype=np.int64)
+        self.vectors = np.empty((4, n))
+        self.at, self.cols = np.empty(n, dtype=np.int64), np.empty(2 * n, dtype=np.int64)
+        self.row_start = np.arange(n) * self.entities
+        self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * trainable)
+        self.fixed_probs, self.fixed_grad = np.empty(n * trainable), np.empty((trainable, width))
+        moving = min(n, int(self.moving.sum()))
+        self.moving_scores = np.empty(moving * self.entities)
+        self.moving_halves = np.empty(4 * moving * width)
+        self.moving_q, self.moving_tmp = np.empty(moving * width), np.empty(moving * width // 2)
+        self.flat = np.empty(moving * width, dtype=np.int64)
+
+    def _moving_rows(
+        self,
+        model: EmbeddingModel,
+        batch: np.ndarray,
+        sel: np.ndarray,
+        mv: np.ndarray,
+        nll: np.ndarray,
+    ) -> None:
+        """The dense softmax of the batch's moving rows ``mv`` and their gradient terms."""
+        ent, rel = model.ent, model.rel
+        n, m, width = len(sel), len(mv), ent.shape[1]
+        targets = batch[mv, 2]
+        at_h, at_r, at_col, at_slot = self.halves.take(batch[mv, 7], axis=1).reshape(4, 2, m)
+        h, r, q, dq = self.moving_halves[: 4 * m * width].reshape(4, 2, m, -1)
+        tmp = self.moving_tmp[: m * width // 2].reshape(m, -1)
+        _gather(_halves(ent), at_h, h)
+        _gather(_halves(rel), at_r, r)
+        # complex products on contiguous split rows, as in the dense step
+        qm = self.moving_q[: m * width].reshape(m, width)
+        np.copyto(_split(qm), _cmul(h, r, out=q, tmp=tmp))
+        scores = np.matmul(qm, ent.T, out=self.moving_scores[: m * self.entities].reshape(m, -1))
+        flat_scores = scores.reshape(-1)
+        at = np.add(self.row_start[:m], targets, out=self.at[:m])
+        target_score = flat_scores.take(at)
+        shift, z, value = self.vectors[:3, :m]
+        np.maximum.reduce(scores, axis=1, out=shift)
+        scores -= shift[:, None]
+        probs = np.exp(scores, out=scores)
+        np.add.reduce(probs, axis=1, out=z)
+        np.add(shift, np.log(z, out=value), out=value)
+        value -= target_score
+        nll.put(mv, value)
+        probs /= z[:, None]
+        flat_scores.put(at, flat_scores.take(at) - 1.0)
+        probs /= n
+        self.d_ent += probs.take(self.ent_idx, axis=1).T @ qm
+        np.copyto(dq, _split(np.matmul(probs, ent, out=qm)))
+        head_and_relation = [(self.d_ent, at_col, r, self.heads_live)]
+        if len(self.rel_idx):  # without a trainable relation row there is no d_rel to form
+            head_and_relation.append((self.d_rel, at_slot, h, False))
+        for grad, at_slot_rows, factor, every in head_and_relation:
+            if every:
+                dq_live, factor_live, slot_live = dq, factor, at_slot_rows
+            else:
+                live = (at_slot_rows[0] >= 0).nonzero()[0]
+                dq_live = dq.take(live, axis=1)
+                factor_live = factor.take(live, axis=1)
+                slot_live = at_slot_rows.take(live, axis=1)
+            product = _cmul_conj(dq_live, factor_live, out=np.empty_like(dq_live))
+            flat = self.flat[: product.size].reshape(product.shape)
+            _scatter_rows(_halves(grad), slot_live, product, flat)
 
     def __call__(
         self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
@@ -472,81 +703,69 @@ class _RestrictedStep:
         """Loss, data loss and the trainable entity and relation rows' gradients.
 
         Covers the example rows ``sel`` and equals the dense step's values up
-        to the order of summation.
+        to the order of summation. The gradients are workspaces, overwritten
+        by the next call.
         """
-        ent, rel = model.ent, model.rel
-        batch = self.examples[sel]
-        heads, rels, targets = batch[:, 0], batch[:, 1], batch[:, 2]
-        n = len(batch)
-        head_col, target_col = self.column[heads], self.column[targets]
-        ent_t = ent[self.ent_idx]
-        nll = np.empty(n)
-        d_ent = np.zeros_like(ent_t)
-        d_rel = np.zeros((len(self.rel_idx), rel.shape[1]))
-        moving = self.moving[sel]
+        ent, rel, n = model.ent, model.rel, len(sel)
+        trainable, width = self.ent_t.shape
+        self._reserve(n)
+        batch = self.record.take(sel, axis=0, out=self.batch[: 11 * n].reshape(n, 11))
+        heads, rels, targets, head_col, target_col, slots, _, moving = batch[:, :8].T
+        moving = moving >= 0
+        ent_t = ent.take(self.ent_idx, axis=0, out=self.ent_t)
+        nll = self.vectors[3, :n]
+        d_ent, d_rel = self.d_ent, self.d_rel
+        d_ent.fill(0.0)
+        d_rel.fill(0.0)
 
-        mv = np.flatnonzero(moving)
+        mv = moving.nonzero()[0]
         if len(mv):
-            # complex products on contiguous split rows, as in the dense step
-            h = _halves(ent)[_half_ids(heads[mv])]
-            r = _halves(rel)[_half_ids(rels[mv])]
-            qm = np.empty((len(mv), ent.shape[1]))
-            np.copyto(_split(qm), _cmul(h, r, out=np.empty_like(h)))
-            rows = np.arange(len(mv))
-            scores = qm @ ent.T
-            target_score = scores[rows, targets[mv]]
-            shift = scores.max(axis=1, keepdims=True)
-            scores -= shift
-            probs = np.exp(scores, out=scores)
-            z = probs.sum(axis=1, keepdims=True)
-            nll[mv] = shift[:, 0] + np.log(z[:, 0]) - target_score
-            probs /= z
-            probs[rows, targets[mv]] -= 1.0
-            probs /= n
-            d_ent += probs[:, self.ent_idx].T @ qm
-            dq = _halves(probs @ ent)
-            head_and_relation = [(d_ent, head_col[mv], r)]
-            if len(self.rel_idx):  # without a trainable relation row there is no d_rel to form
-                head_and_relation.append((d_rel, self.rel_slot[rels[mv]], h))
-            for grad, slot, factor in head_and_relation:
-                live = np.flatnonzero(slot >= 0)
-                dq_live = dq[_half_ids(live)]
-                product = _cmul_conj(
-                    dq_live, np.take(factor, live, axis=1), out=np.empty_like(dq_live)
-                )
-                _scatter_rows(_halves(grad), _half_ids(slot[live]), product)
-
-        fx = np.flatnonzero(~moving)
-        if len(fx):
-            fixed = sel[fx]
-            qf = self.queries[self.query_row[fixed]]
-            scores = qf @ ent_t.T
-            frozen_max = self.frozen_max[fixed]
-            top = np.maximum(frozen_max, scores.max(axis=1))
-            probs = np.exp(scores - top[:, None])
-            z = self.frozen_sum[fixed] * np.exp(frozen_max - top) + probs.sum(axis=1)
-            cols = target_col[fx]
-            hit = np.flatnonzero(cols >= 0)
-            target_score = self.target_score[fixed]
-            target_score[hit] = scores[hit, cols[hit]]
-            nll[fx] = top + np.log(z) - target_score
+            self._moving_rows(model, batch, sel, mv, nll)
+        # the fixed rows' part of the record; all of the batch when no row moves
+        fx = (~moving).nonzero()[0] if len(mv) else None
+        fixed = batch if fx is None else batch.take(fx, axis=0, out=self.fixed_rows[: 11 * len(fx)].reshape(-1, 11))
+        nf = len(fixed)
+        if nf:
+            frozen_max, frozen_sum, target_score = fixed[:, 8:].view(np.float64).T
+            qf = _gather(self.queries, fixed[:, 6], self.fixed_q[: nf * width].reshape(nf, -1))
+            scores = np.matmul(qf, ent_t.T, out=self.fixed_scores[: nf * trainable].reshape(nf, -1))
+            top, z, value = self.vectors[:3, :nf]
+            np.maximum(frozen_max, _row_max(scores, top), out=top)
+            probs = np.subtract(
+                scores, top[:, None], out=self.fixed_probs[: nf * trainable].reshape(nf, -1)
+            )
+            np.exp(probs, out=probs)
+            np.exp(np.subtract(frozen_max, top, out=z), out=z)
+            z *= frozen_sum
+            z += np.add.reduce(probs, axis=1, out=value)
+            cols = fixed[:, 4]
+            hit = (cols >= 0).nonzero()[0]
+            if len(hit):
+                target_score[hit] = scores[hit, cols[hit]]
+            np.add(top, np.log(z, out=value), out=value)
+            value -= target_score
+            if fx is None:
+                nll[:] = value
+            else:
+                nll.put(fx, value)
             probs /= z[:, None]
-            probs[hit, cols[hit]] -= 1.0
+            if len(hit):
+                probs[hit, cols[hit]] -= 1.0
             probs /= n
-            d_ent += probs.T @ qf
+            d_ent += np.matmul(probs.T, qf, out=self.fixed_grad)
 
-        data_loss = float(nll.mean())
+        data_loss = float(np.add.reduce(nll) / n)
         loss = data_loss
         if reg_weight > 0:
             # every occurrence of a row as a head, relation or target adds its penalty
             c = 3.0 * reg_weight / n
             self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
-            uses = np.bincount(head_col[head_col >= 0], minlength=len(self.ent_idx))
-            uses += np.bincount(target_col[target_col >= 0], minlength=len(self.ent_idx))
+            # head and target columns, shifted so that frozen rows count in bin 0
+            cols = np.add(batch[:, 3:5], 1, out=self.cols[: 2 * n].reshape(n, 2))
+            uses = np.bincount(cols.reshape(-1), minlength=trainable + 1)[1:]
             d_ent += (c * uses)[:, None] * g_ent
             if len(self.rel_idx):
                 self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
-                slots = self.rel_slot[rels]
                 uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
                 d_rel += (c * uses)[:, None] * g_rel
             penalty = self.ent_penalty[heads].sum() + self.ent_penalty[targets].sum()
@@ -629,10 +848,42 @@ def _relation_rows(relations: Iterable[int], num_relations: int) -> np.ndarray:
     return np.concatenate([ids, ids + num_relations])
 
 
+class _TrainRows(NamedTuple):
+    """A fit's training set as rows of one example table.
+
+    The table is ``build_examples(kg.train)`` followed by the example rows of
+    ``added``, triples the base training set lacks; ``rows`` lists the fit's
+    rows of it in fit order.
+    """
+
+    rows: np.ndarray
+    added: tuple[Triple, ...] = ()
+
+
+def _pair_rows(positions: np.ndarray) -> np.ndarray:
+    """The example rows ``2i`` and ``2i + 1`` of each triple position ``i``, in order."""
+    return (2 * positions[:, None] + np.arange(2)).ravel()
+
+
+def _train_rows(kg: KnowledgeGraph, triples: Iterable[Triple]) -> _TrainRows:
+    """A plain triple sequence as rows, in its order, through ``kg.train_index``.
+
+    A triple of the base training set maps to its two rows; any other is
+    appended once to the table, in order of first appearance.
+    """
+    index, base = kg.train_index, len(kg.train)
+    added: dict[Triple, int] = {}
+    positions = np.fromiter(
+        (index[t] if t in index else base + added.setdefault(t, len(added)) for t in triples),
+        dtype=np.int64,
+    )
+    return _TrainRows(_pair_rows(positions), tuple(added))
+
+
 def post_train(
     model: EmbeddingModel,
     kg: KnowledgeGraph,
-    modified_train: Sequence[Triple],
+    modified_train: Sequence[Triple] | _TrainRows,
     trainable_entities: Iterable[int],
     config: TrainConfig,
     epochs: int | None = None,
@@ -646,9 +897,12 @@ def post_train(
     ``reinit_trainable`` restores trainable rows to their seeded initial
     values before fitting, so a full mask plus the original training set
     reproduces :func:`train` exactly. ``epochs=0`` returns an identical copy.
-    A full mask fits with the dense step (from a fresh model, that is a full
-    retrain without the validation NLL); any frozen row selects the
-    restricted step and its shared frozen context (see the module notes).
+    ``modified_train`` is a triple sequence, mapped to rows of the training
+    set's example table through ``kg.train_index``, or the operators' rows of
+    that table directly. A full mask fits with the dense step (from a fresh
+    model, that is a full retrain without the validation NLL); any frozen row
+    selects the restricted step and its shared frozen context (see the module
+    notes).
     """
     config.validate()
     ent_idx = _distinct_ids("entity", trainable_entities, model.num_entities)
@@ -656,8 +910,10 @@ def post_train(
         raise ConfigurationError("post-training requires a non-empty trainable entity set")
     relations = () if trainable_relations is None else trainable_relations
     rel_idx = _relation_rows(relations, model.num_relations)
-    modified = tuple(modified_train)
-    if not modified:
+    fit = modified_train
+    if not isinstance(fit, _TrainRows):
+        fit = _train_rows(kg, modified_train)
+    if not len(fit.rows):
         raise DomainError("post-training requires a non-empty modified training set")
     if epochs is None:
         epochs = config.epochs
@@ -672,10 +928,14 @@ def post_train(
             tuned.rel[rel_idx] = fresh.rel[rel_idx]
     if epochs == 0:
         return tuned
-    examples = build_examples(modified, model.num_relations)
+    examples = _base_examples(kg.train, model.num_relations)
+    if fit.added:
+        examples = np.concatenate([examples, build_examples(fit.added, model.num_relations)])
     if len(ent_idx) == model.num_entities and np.array_equal(rel_idx, np.arange(len(model.rel))):
-        step = _DenseStep(tuned, examples, config.batch_size)
+        step = _DenseStep(tuned, examples, config.batch_size, fit.rows)
     else:
-        step = _RestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size)
-    _fit(tuned, examples, config, epochs, step)
+        step = _RestrictedStep(
+            tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size, fit.rows
+        )
+    _fit(tuned, fit.rows, config, epochs, step)
     return tuned

@@ -1,6 +1,7 @@
 """Command-line workflow: train, select, explain, evaluate, pareto."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 
 import kgexplain
-from kgexplain import Triple, load_dataset, load_checkpoint, rank
+from kgexplain import DomainError, Triple, load_dataset, load_checkpoint, rank
+from kgexplain import cli
 from kgexplain.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     cmd_evaluate,
     cmd_explain,
@@ -511,3 +514,76 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def _explain_argv(config_path, checkpoint, selection, out):
+    return [
+        "explain", "--config", str(config_path), "--checkpoint", str(checkpoint),
+        "--selection", str(selection), "--out", str(out),
+    ]
+
+
+class TestTrainingConfigPairing:
+    def test_checkpoint_stores_the_training_config(self, trained):
+        _, _, config, checkpoint = trained
+        with np.load(checkpoint) as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta["train_config"] == dataclasses.asdict(config.train)
+
+    def test_explain_with_another_training_config_is_validation_error_naming_fields(
+        self, explained, tmp_path, caplog
+    ):
+        root, _, checkpoint, selection, _ = explained
+        other = tmp_path / "other.ini"
+        text = (root / "experiment.ini").read_text()
+        other.write_text(
+            text.replace("epochs = 40", "epochs = 41").replace("batch_size = 256", "batch_size = 128")
+        )
+        out = tmp_path / "out"
+        assert main(_explain_argv(other, checkpoint, selection, out)) == EXIT_VALIDATION
+        assert "epochs (checkpoint 40, config 41)" in caplog.text
+        assert "batch_size (checkpoint 256, config 128)" in caplog.text
+        assert "seed (" not in caplog.text and str(checkpoint) in caplog.text
+        assert not out.exists()
+
+
+def test_failed_task_goes_to_the_failures_manifest_and_explain_exits_3(
+    explained, tmp_path, monkeypatch, caplog
+):
+    root, config, checkpoint, selection, _ = explained
+    first = Triple(*json.loads(selection.read_text())["triples"][0]["ids"])
+    run_one = cli._run_one
+
+    def failing(config, kg, model, prediction, algorithm, space):
+        if prediction == first and algorithm == "data-poisoning-direct":
+            raise DomainError("forced failure")
+        return run_one(config, kg, model, prediction, algorithm, space)
+
+    monkeypatch.setattr(cli, "_run_one", failing)
+    out = tmp_path / "out"
+    argv = _explain_argv(root / "experiment.ini", checkpoint, selection, out)
+    assert main(argv) == EXIT_RUNTIME
+    manifest = out / "runs" / "failures.json"
+    assert json.loads(manifest.read_text()) == {
+        "failures": [
+            {
+                "index": 0,
+                "prediction": list(first),
+                "algorithm": "data-poisoning-direct",
+                "error": "DomainError",
+                "message": "forced failure",
+            }
+        ]
+    }
+    assert "failures.json" in caplog.text
+    # the remaining tasks all ran, and the simultaneous removal after them
+    expected = sorted(p.name for p in (root / "out" / "runs").glob("run_*.json"))
+    written = sorted(p.name for p in (out / "runs").glob("run_*.json"))
+    assert written == [name for name in expected if name != "run_data-poisoning-direct_0000.json"]
+    assert (out / "runs" / "simultaneous_exhaustive-length-1.json").exists()
+    # pareto reads only run files, so the manifest does not disturb it
+    assert main(["pareto", "--runs", str(out / "runs"), "--out", str(tmp_path / "f.json")]) == EXIT_OK
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    assert main(argv) == EXIT_OK
+    assert not manifest.exists()

@@ -1,7 +1,10 @@
 """Scorer: initialization, scoring, filtered ranking, gradients, checkpoints."""
 from __future__ import annotations
 
+import dataclasses
 import gc
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -20,7 +23,7 @@ from kgexplain import (
     save_checkpoint,
     score,
 )
-from kgexplain.model import _cmul, _cmul_conj, _split, kg_fingerprint
+from kgexplain.model import _check_train_config, _cmul, _cmul_conj, _split, kg_fingerprint
 
 from conftest import make_random_kg
 
@@ -321,3 +324,61 @@ class TestCheckpoint:
             kg.entity_labels, kg.relation_labels, kg.train[:-1]
         )
         assert kg_fingerprint(kg) != kg_fingerprint(shorter)
+
+
+def _reference_fingerprint(kg: KnowledgeGraph) -> str:
+    """The graph hash as first written: one ``np.array`` per triple."""
+    h = hashlib.sha256()
+    for label in kg.entity_labels:
+        h.update(label.encode("utf-8") + b"\x1f")
+    h.update(b"\x1e")
+    for label in kg.relation_labels:
+        h.update(label.encode("utf-8") + b"\x1f")
+    for split in (kg.train, kg.valid, kg.test):
+        h.update(b"\x1e")
+        for t in split:
+            h.update(np.array(t, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestFingerprintAndStoredConfig:
+    def test_fingerprint_equals_the_per_triple_reference(self, desk_kg):
+        no_valid = KnowledgeGraph(
+            desk_kg.entity_labels, desk_kg.relation_labels, desk_kg.train, (), desk_kg.test
+        )
+        assert not no_valid.valid
+        for kg in (desk_kg, no_valid):
+            assert kg_fingerprint(kg) == _reference_fingerprint(kg)
+        assert kg_fingerprint(desk_kg) != kg_fingerprint(no_valid)
+
+    def test_checkpoint_without_stored_config_loads_with_a_warning_naming_it(
+        self, desk_kg, desk_model, tmp_path, caplog
+    ):
+        # the layout and metadata every checkpoint had before the config was stored
+        path = tmp_path / "old.npz"
+        meta = {
+            "kg_hash": _reference_fingerprint(desk_kg),
+            "dimension": desk_model.dimension,
+            "seed": desk_model.seed,
+        }
+        np.savez(
+            path, **{name: getattr(desk_model, name) for name in ARRAYS},
+            meta=np.array(json.dumps(meta, sort_keys=True)),
+        )
+        loaded = load_checkpoint(path, desk_kg)
+        assert np.array_equal(loaded.ent, desk_model.ent)
+        assert np.array_equal(loaded.rel, desk_model.rel)
+        assert "train_config" in caplog.text and str(path) in caplog.text
+
+    def test_stored_config_round_trips_and_names_each_differing_field(self, tmp_path):
+        kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
+        config = TrainConfig(dimension=4, seed=8, epochs=7)
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_model(kg, config), kg, path, config)
+        _check_train_config(path, config)
+        other = dataclasses.replace(config, learning_rate=0.05, seed=9)
+        with pytest.raises(ConfigurationError) as caught:
+            _check_train_config(path, other)
+        message = str(caught.value)
+        assert "learning_rate (checkpoint 0.1, config 0.05)" in message
+        assert "seed (checkpoint 8, config 9)" in message and "epochs" not in message
