@@ -98,10 +98,10 @@ def _as_triples(x) -> frozenset[Triple]:
 
 
 def _positions(kg: KnowledgeGraph, triples: frozenset[Triple]) -> np.ndarray:
-    """The sorted positions in ``kg.train`` of every occurrence of these training triples."""
+    """The sorted positions in ``kg.train`` of every occurrence of ``triples``."""
     index = kg.train_index
     if len(index) == len(kg.train):
-        return np.sort(np.fromiter((index[t] for t in triples), dtype=np.int64, count=len(triples)))
+        return np.sort(np.asarray([index[t] for t in triples if t in index], dtype=np.int64))
     return np.flatnonzero([t in triples for t in kg.train])  # a repeated training triple
 
 

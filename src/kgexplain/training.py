@@ -8,6 +8,12 @@ the object query (s, r) -> o and the reciprocal subject query
 accumulators; accumulators always start at zero, so post-training does not
 depend on the original optimizer trajectory.
 
+Every fit's training set is a row array into one example table: the
+examples of the base training set (``build_examples(kg.train)``, built once
+per training set), followed by the examples of any triples the base lacks
+(:class:`_TrainRows`). The retraining operators build that array directly;
+:func:`post_train` maps a plain triple sequence onto it.
+
 Every fit runs :func:`_fit` over a step object. Full training, and a
 post-train whose mask covers every row, run :class:`_DenseStep`, whose
 workspaces are allocated once per fit; from a fresh model that post-train is
@@ -20,20 +26,24 @@ A post-train with any frozen row runs a restricted step instead. A query
 row whose head entity or relation row is trainable keeps the dense softmax
 over all entities. Every other row is fixed: its query ``q = h∘r`` and its
 scores against frozen entities cannot change during the fit. One cache holds
-the most recent base model: ``q`` for every query of its training set,
-computed once when that base is set, and a frozen context per recent mask
-that keeps, for each fixed query, the max and shifted exp-sum of its
-frozen-entity scores. Once per fit the step resolves each fixed example's
-query row and partials (queries the base set lacks are computed for that fit
-alone) and, when its target is frozen, its target score. Each step then
-scores fixed rows against the trainable entities only and merges the two
-parts into the normaliser. Gradients are formed for the trainable rows
-alone. The cache is keyed by a digest of the embedding tables and the base
-training set, and its contexts by the trainable entity and relation sets, so
-all candidates of a prediction share one context. Frozen rows stay
-bit-identical; trainable rows differ from the dense masked fit only by
-summation order (measured at most 1.8e-13 after 60 desk-graph epochs and
-9e-15 after one mid-graph epoch).
+the most recent base model (:class:`_BaseModel`): what depends on it alone
+(the example table, ``q`` for every query of its training set and the N3
+penalty of every table row), computed once when that base is set, and a
+frozen context per recent mask that keeps, for each fixed query, the max and
+shifted exp-sum of its frozen-entity scores, and for each base example one
+resolved row of the step's per-example record: its ids and trainable slots,
+its query row, those partials and, when its target is frozen, its target
+score. Once per fit the step takes its rows of that record; rows the base
+lacks are resolved for that fit alone. Each step gathers its batch's record
+rows in one operation, scores fixed rows against the trainable entities
+only and merges the two parts into the normaliser; its batch-sized
+temporaries live in workspaces allocated once per fit. Gradients are formed
+for the trainable rows alone. The cache is identified by the embedding
+tables, compared bit for bit, and the base training set, and its contexts by
+the trainable entity and relation sets, so all candidates of a prediction
+share one context. Frozen rows stay bit-identical; trainable rows differ
+from the dense masked fit only by summation order (measured at most 1.8e-13
+after 60 desk-graph epochs and 9e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
@@ -354,11 +364,6 @@ def _target_scores(
         out[part] = np.einsum("ij,ij->i", queries[query_row[part]], model.ent[targets[part]])
 
 
-def _examples_table(train: Sequence[Triple], num_relations: int) -> np.ndarray:
-    """:func:`build_examples` of ``train``, which may be empty."""
-    return build_examples(train, num_relations) if train else np.empty((0, 3), dtype=np.int64)
-
-
 # The example table of the latest base training set, with that set (held, so
 # that its identity stays unique) and the relation count it was built for.
 # Every fit draws its rows from it, full retrains and fits without a fixed row
@@ -367,11 +372,12 @@ _EXAMPLES: tuple[Sequence[Triple], int, np.ndarray] | None = None
 
 
 def _base_examples(train: Sequence[Triple], num_relations: int) -> np.ndarray:
-    """``build_examples(train)``, built once per training set."""
+    """``build_examples(train)`` (empty for an empty set), built once per training set."""
     global _EXAMPLES
     held = _EXAMPLES
     if held is None or held[0] is not train or held[1] != num_relations:
-        held = _EXAMPLES = (train, num_relations, _examples_table(train, num_relations))
+        table = build_examples(train, num_relations) if train else np.empty((0, 3), dtype=np.int64)
+        held = _EXAMPLES = (train, num_relations, table)
     return held[2]
 
 
@@ -497,7 +503,7 @@ class _BaseModel:
     def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
         """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
         return train is self.train and all(
-            table.shape == mine.shape and np.array_equal(table.view(np.int64), mine.view(np.int64))
+            np.array_equal(table.view(np.int64), mine.view(np.int64))
             for table, mine in zip((model.ent, model.rel), self.tables)
         )
 
@@ -507,7 +513,8 @@ class _BaseModel:
 # comes here), so one is kept; a post-train from other embeddings or another
 # training set replaces it whole. The candidates of a prediction under one
 # operator share a mask, so the most recent few contexts cover a sweep with a
-# few workers; each costs three floats per base example and two per query.
+# few workers; each costs one record row (11 words) per base example and two
+# floats per query.
 _CONTEXT_LIMIT = 8
 _CACHE: _BaseModel | None = None
 _CACHE_LOCK = threading.Lock()
@@ -539,22 +546,27 @@ class _RestrictedStep:
 
     Query rows whose head entity or relation row is trainable ("moving")
     keep the dense softmax over all entity columns. Every other row is fixed.
-    Once per fit the step resolves each fixed row's query row and
-    frozen-column partials and, when its target is frozen, its target score
-    ``q·e_o``: rows of the base example table are sliced from the shared
-    :class:`_FrozenContext`, other rows are resolved for this fit alone. It
-    keeps every per-example value in one record, one column per example, so
-    a step gathers its batch's constants in one ``np.take``, and it allocates
-    its batch-sized workspaces once per fit. A step then gathers each fixed
-    row's query, scores it against the trainable columns only and completes
-    its normaliser with the frozen partials. Entity gradients are formed for
-    the trainable rows alone, so a step costs O(n |T| d + n_moving E d)
-    instead of O(n E d). Every value comes from the same operations, in the
-    same order, as the step that built its indices at every call.
+    Every per-example value lives in one record, a row of 11 words per
+    example: the head, relation row and target, the head's and target's
+    column among the trainable entities and the relation's slot (-1 when
+    frozen), the query row, the moving row's slot (-1 for a fixed row), and
+    the bits of a fixed row's frozen-column max and exp-sum and, when its
+    target is frozen, its target score ``q·e_o``. Once per fit the step takes
+    the rows of base examples from the shared :class:`_FrozenContext` and
+    resolves other rows for this fit alone; the moving rows' half-row ids are
+    built once per fit too. A step gathers its batch's record rows in one
+    ``np.take``, keeps its batch-sized temporaries in workspaces allocated once
+    per fit, gathers each fixed row's query, scores it against the trainable
+    columns only and completes its normaliser with the frozen partials.
+    Entity gradients are formed for the trainable rows alone, so a step costs
+    O(n |T| d + n_moving E d) instead of O(n E d). Every value comes from the
+    same operations, in the same order, as the step that built its indices
+    at every call.
 
     ``rows`` selects the fit's rows of ``examples``, which then starts with
     the example table of ``train`` (:func:`_base_examples`); without ``rows``
     the fit is ``examples``, and every row of it is resolved for this fit.
+    The trainable ids ``ent_idx`` and ``rel_idx`` are sorted.
     """
 
     def __init__(
@@ -579,35 +591,30 @@ class _RestrictedStep:
         column, rel_slot = _slots(ent_trainable), _slots(rel_trainable)
         self.moving = ent_trainable[heads] | rel_trainable[rels]
         self.queries = np.empty((0, width))
-        fixed = np.flatnonzero(~self.moving)
-        if not len(fixed):
+        if self.moving.all():
             self.record = _record(columns, column, rel_slot)
-            self.ent_penalty = _n3(model.ent)[0]
-            self.rel_penalty = _n3(model.rel)[0]
+            self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
         else:
             context = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
             context.fill(model, chunk)
             self.queries = context.queries
-            own = np.ones(n, dtype=bool)
-            if rows is not None:
-                own = rows >= len(context.base.examples)
-            if not own.any():
+            shared = np.zeros(n, dtype=bool) if rows is None else rows < len(context.base.examples)
+            if shared.all():
                 self.record = context.record.take(rows, axis=0)
             else:
-                self.record = _record(columns, column, rel_slot)
-                if rows is not None:
-                    self.record[~own] = context.record.take(rows[~own], axis=0)
-                own = np.flatnonzero(own & ~self.moving)
+                # rows the base lacks: their queries' partials, and frozen targets' scores
+                self.record = record = _record(columns, column, rel_slot)
+                if shared.any():
+                    record[shared] = context.record.take(rows[shared], axis=0)
+                own = np.flatnonzero(~(shared | self.moving))
                 at, maxes, sums, self.queries = context.lookup(
                     model, _query_keys(model, columns[:, own].T), chunk
                 )
-                resolved = self.record[:, 8:].view(np.float64)
-                self.record[own, 6] = at
+                resolved = record[:, 8:].view(np.float64)
+                record[own, 6] = at
                 resolved[own, 0], resolved[own, 1] = maxes, sums
                 out = own[~ent_trainable[targets[own]]]
-                _target_scores(
-                    model, self.queries, self.record[:, 6], targets, out, chunk, resolved[:, 2]
-                )
+                _target_scores(model, self.queries, record[:, 6], targets, out, chunk, resolved[:, 2])
             # N3 penalty of every row; the trainable rows' entries are refreshed each step
             self.ent_penalty = context.base.ent_penalty.copy()
             self.rel_penalty = context.base.rel_penalty.copy()
@@ -619,8 +626,6 @@ class _RestrictedStep:
         self.halves = np.empty((8, len(moving)), dtype=np.int64)
         for i, field in enumerate((0, 1, 3, 5)):
             _half_ids(self.record[moving, field], self.halves[2 * i : 2 * i + 2])
-        # without a trainable relation row, every moving row has a trainable head
-        self.heads_live = not len(rel_idx)
         self.capacity = 0
         self.ent_t = np.empty((len(ent_idx), width))
         self.d_ent = np.empty((len(ent_idx), width))
@@ -635,7 +640,7 @@ class _RestrictedStep:
         trainable, width = self.ent_t.shape
         self.batch, self.fixed_rows = np.empty((2, n * 11), dtype=np.int64)
         self.vectors = np.empty((4, n))
-        self.at, self.cols = np.empty(n, dtype=np.int64), np.empty(2 * n, dtype=np.int64)
+        self.at = np.empty(n, dtype=np.int64)
         self.row_start = np.arange(n) * self.entities
         self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * trainable)
         self.fixed_probs, self.fixed_grad = np.empty(n * trainable), np.empty((trainable, width))
@@ -682,20 +687,15 @@ class _RestrictedStep:
         probs /= n
         self.d_ent += probs.take(self.ent_idx, axis=1).T @ qm
         np.copyto(dq, _split(np.matmul(probs, ent, out=qm)))
-        head_and_relation = [(self.d_ent, at_col, r, self.heads_live)]
+        head_and_relation = [(self.d_ent, at_col, r)]
         if len(self.rel_idx):  # without a trainable relation row there is no d_rel to form
-            head_and_relation.append((self.d_rel, at_slot, h, False))
-        for grad, at_slot_rows, factor, every in head_and_relation:
-            if every:
-                dq_live, factor_live, slot_live = dq, factor, at_slot_rows
-            else:
-                live = (at_slot_rows[0] >= 0).nonzero()[0]
-                dq_live = dq.take(live, axis=1)
-                factor_live = factor.take(live, axis=1)
-                slot_live = at_slot_rows.take(live, axis=1)
-            product = _cmul_conj(dq_live, factor_live, out=np.empty_like(dq_live))
+            head_and_relation.append((self.d_rel, at_slot, h))
+        for grad, at_slot_rows, factor in head_and_relation:
+            live = (at_slot_rows[0] >= 0).nonzero()[0]
+            dq_live = dq.take(live, axis=1)
+            product = _cmul_conj(dq_live, factor.take(live, axis=1), out=np.empty_like(dq_live))
             flat = self.flat[: product.size].reshape(product.shape)
-            _scatter_rows(_halves(grad), slot_live, product, flat)
+            _scatter_rows(_halves(grad), at_slot_rows.take(live, axis=1), product, flat)
 
     def __call__(
         self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
@@ -760,10 +760,10 @@ class _RestrictedStep:
             # every occurrence of a row as a head, relation or target adds its penalty
             c = 3.0 * reg_weight / n
             self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
-            # head and target columns, shifted so that frozen rows count in bin 0
-            cols = np.add(batch[:, 3:5], 1, out=self.cols[: 2 * n].reshape(n, 2))
-            uses = np.bincount(cols.reshape(-1), minlength=trainable + 1)[1:]
-            d_ent += (c * uses)[:, None] * g_ent
+            # columns shifted by one, so that frozen heads and targets count in bin 0
+            uses = np.bincount(head_col + 1, minlength=trainable + 1)
+            uses += np.bincount(target_col + 1, minlength=trainable + 1)
+            d_ent += (c * uses[1:])[:, None] * g_ent
             if len(self.rel_idx):
                 self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
                 uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
