@@ -66,19 +66,15 @@ class EmbeddingModel:
     ``ent`` and ``rel`` are packed ``[re | im]`` tables; the relation table
     holds ``2 * num_relations`` rows, the second half being the reciprocal
     twins used for subject completion. ``ent_re``, ``ent_im``, ``rel_re`` and
-    ``rel_im`` are write-through views of the halves, and ``dimension`` is the
-    complex dimension the tables' width implies. ``history`` carries the
+    ``rel_im`` are write-through views of the halves. ``history`` carries the
     per-epoch train/validation negative log-likelihood of the last fit.
     """
 
     ent: np.ndarray
     rel: np.ndarray
+    dimension: int
     seed: int
     history: list[dict] = field(default_factory=list)
-
-    @property
-    def dimension(self) -> int:
-        return self.ent.shape[1] // 2
 
     @property
     def ent_re(self) -> np.ndarray:
@@ -157,7 +153,7 @@ def init_model(kg: KnowledgeGraph, config: TrainConfig) -> EmbeddingModel:
     scale = 1.0 / np.sqrt(d)
     ent = rng.standard_normal((kg.num_entities, 2 * d)) * scale
     rel = rng.standard_normal((2 * kg.num_relations, 2 * d)) * scale
-    return EmbeddingModel(ent=ent, rel=rel, seed=config.seed)
+    return EmbeddingModel(ent=ent, rel=rel, dimension=d, seed=config.seed)
 
 
 def _check_ids(model: EmbeddingModel, triple: Triple) -> None:
@@ -246,7 +242,7 @@ def kg_fingerprint(kg: KnowledgeGraph) -> str:
 
 
 def save_checkpoint(
-    model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path, config: TrainConfig | None = None
+    model: EmbeddingModel, kg: KnowledgeGraph, path: str | Path, config: TrainConfig
 ) -> None:
     """Write embeddings plus metadata (graph hash, dimension, seed) to one file.
 
@@ -256,9 +252,12 @@ def save_checkpoint(
     stored whole under ``train_config``, so that a later command can refuse
     to pair the checkpoint with another one.
     """
-    meta = {"kg_hash": kg_fingerprint(kg), "dimension": model.dimension, "seed": model.seed}
-    if config is not None:
-        meta["train_config"] = asdict(config)
+    meta = {
+        "kg_hash": kg_fingerprint(kg),
+        "dimension": model.dimension,
+        "seed": model.seed,
+        "train_config": asdict(config),
+    }
     with open(path, "wb") as fh:
         np.savez(
             fh,
@@ -284,10 +283,9 @@ def _read_checkpoint(path: str | Path, tables: bool = True) -> tuple[EmbeddingMo
                 model = EmbeddingModel(
                     ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
                     rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
+                    dimension=int(meta["dimension"]),
                     seed=int(meta["seed"]),
                 )
-                if model.dimension != int(meta["dimension"]):
-                    raise ValueError("the stored dimension does not match the tables")
             if not isinstance(meta["kg_hash"], str):
                 raise ValueError("the graph hash is not a string")
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:

@@ -30,18 +30,18 @@ the most recent base model (:class:`_BaseModel`): what depends on it alone
 (the example table, ``q`` for every query of its training set and the N3
 penalty of every table row), computed once when that base is set, and a
 frozen context per recent mask that keeps, for each fixed query, the max and
-shifted exp-sum of its frozen-entity scores, and for each base example one
-resolved row of the step's per-example record: its ids and trainable slots,
-its query row, those partials and, when its target is frozen, its target
-score. Once per fit the step takes its rows of that record; rows the base
-lacks are resolved for that fit alone. Each step gathers its batch's record
-rows in one operation, scores fixed rows against the trainable entities
-only and merges the two parts into the normaliser; its batch-sized
-temporaries live in workspaces allocated once per fit. Gradients are formed
-for the trainable rows alone. The cache is identified by the embedding
-tables, compared bit for bit, and the base training set, and its contexts by
-the trainable entity and relation sets, so all candidates of a prediction
-share one context. Frozen rows stay bit-identical; trainable rows differ
+shifted exp-sum of its frozen-entity scores, and for each base example four
+resolved words: its query row, those partials and, when its target is
+frozen, its target score. Once per fit the step takes its rows of those
+words and builds its ids and trainable slots; rows the base lacks are
+resolved for that fit alone. Each step gathers its batch's ids in one
+operation and its fixed rows' words in another, scores fixed rows against
+the trainable entities only and merges the two parts into the normaliser;
+its batch-sized temporaries live in workspaces allocated once per fit.
+Gradients are formed for the trainable rows alone. The cache is identified
+by the embedding tables, compared bit for bit, and the base training set,
+and its contexts by the trainable entity and relation sets, so all
+candidates of a prediction share one context. Frozen rows stay bit-identical; trainable rows differ
 from the dense masked fit only by summation order (measured at most 1.8e-13
 after 60 desk-graph epochs and 9e-15 after one mid-graph epoch).
 """
@@ -144,19 +144,17 @@ def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(table, rows, axis=0, out=out, mode="clip")
 
 
-def _row_max(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1)`` into ``out``.
+def _row_max(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)`` into ``out``, through ``work``, the ``x.T``-shaped workspace.
 
-    With a few columns it runs one ``np.maximum`` per column, much faster
-    than a reduction over a short last axis; a max is exact, so the values are
-    the same.
+    The max runs over the leading axis of a transposed copy: a reduction over
+    a short last axis costs several times as much (measured 40 against 8 µs
+    for 512 rows of 6 columns, the trainable entity counts of the restricted
+    steps being 5 to 8), and the copy costs no more than the reduction at any
+    width. A max is exact, so the values are the same.
     """
-    if x.shape[1] > 16:
-        return np.max(x, axis=1, out=out)
-    np.copyto(out, x[:, 0])
-    for j in range(1, x.shape[1]):
-        np.maximum(out, x[:, j], out=out)
-    return out
+    np.copyto(work, x.T)
+    return np.max(work, axis=0, out=out)
 
 
 def _check_ids(model: EmbeddingModel, columns: np.ndarray) -> None:
@@ -388,19 +386,6 @@ def _slots(trainable: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _record(columns: np.ndarray, column: np.ndarray, rel_slot: np.ndarray) -> np.ndarray:
-    """Rows of the per-example record (see :class:`_RestrictedStep`) of ``(3, n)`` id columns.
-
-    Fills the ids and the trainable slots of each example's head, target and
-    relation row (``column`` and ``rel_slot`` map rows to slots); the rest is zero.
-    """
-    heads, rels, targets = columns
-    record = np.zeros((len(heads), 11), dtype=np.int64)
-    record[:, :3] = columns.T
-    record[:, 3], record[:, 4], record[:, 5] = column[heads], column[targets], rel_slot[rels]
-    return record
-
-
 class _FrozenContext:
     """Frozen-column softmax partials of fixed queries, for one mask over a base model.
 
@@ -410,13 +395,13 @@ class _FrozenContext:
     query of the base training set the context keeps the max of those scores
     and the sum of their exps shifted by it, computed once, in one pass, from
     the query rows of its :class:`_BaseModel`. In the same fill it resolves
-    every base example into a row of the per-example record that
-    :class:`_RestrictedStep` reads: its ids, trainable slots and query row,
-    its query's max and exp-sum and, when its row is fixed and its target
-    frozen, its target score ``q·e_o``. Fits take their rows of it. A fit that
-    brings rows outside that set resolves them on its own (:meth:`lookup`), so
-    every value a fit reads is the same whichever fits ran before it or beside
-    it in other threads.
+    every base example into the four words of the step's record that depend
+    on the mask and the base model (``resolved``): its query row, its query's
+    max and exp-sum and, when its row is fixed and its target frozen, its
+    target score ``q·e_o`` (zeros for a moving row). Fits take their rows of
+    it. A fit that brings rows outside that set resolves them on its own
+    (:meth:`lookup`), so every value a fit reads is the same whichever fits
+    ran before it or beside it in other threads.
     """
 
     def __init__(
@@ -430,7 +415,7 @@ class _FrozenContext:
         self._lock = threading.Lock()
 
     def fill(self, model: EmbeddingModel, chunk: int) -> "_FrozenContext":
-        """Compute the partials and the base examples' record once; ``model`` is the base."""
+        """Compute the partials and the base examples' resolved words once; ``model`` is the base."""
         with self._lock:
             if self.maxes is None:
                 heads, rels = np.divmod(self.keys, len(model.rel))
@@ -440,18 +425,17 @@ class _FrozenContext:
                 maxes[fixed], sums[fixed] = _frozen_partials(
                     model, self.queries, fixed, self.ent_trainable, chunk
                 )
-                examples, query_of = self.base.examples, self.base.query_of
-                record = _record(examples.T, _slots(self.ent_trainable), _slots(self.rel_trainable))
-                moving = (record[:, 3] >= 0) | (record[:, 5] >= 0)
-                record[:, 6] = np.where(moving, 0, query_of)
-                resolved = record[:, 8:].view(np.float64)
-                resolved[:, 0], resolved[:, 1] = maxes[query_of], sums[query_of]
+                query_of = self.base.query_of
+                heads, rels, targets = self.base.examples.T
+                moving = self.ent_trainable[heads] | self.rel_trainable[rels]
+                resolved = np.zeros((len(query_of), 4), dtype=np.int64)
+                resolved[:, 0] = np.where(moving, 0, query_of)
+                partials = resolved[:, 1:].view(np.float64)
+                partials[:, 0], partials[:, 1] = maxes[query_of], sums[query_of]
                 # a fixed row's score against its frozen target never changes either
-                out = np.flatnonzero(~moving & (record[:, 4] < 0))
-                _target_scores(
-                    model, self.queries, query_of, examples[:, 2], out, chunk, resolved[:, 2]
-                )
-                self.record, self.sums, self.maxes = record, sums, maxes
+                out = np.flatnonzero(~(moving | self.ent_trainable[targets]))
+                _target_scores(model, self.queries, query_of, targets, out, chunk, partials[:, 2])
+                self.resolved, self.sums, self.maxes = resolved, sums, maxes
         return self
 
     def lookup(
@@ -513,8 +497,7 @@ class _BaseModel:
 # comes here), so one is kept; a post-train from other embeddings or another
 # training set replaces it whole. The candidates of a prediction under one
 # operator share a mask, so the most recent few contexts cover a sweep with a
-# few workers; each costs one record row (11 words) per base example and two
-# floats per query.
+# few workers; each costs four words per base example and two floats per query.
 _CONTEXT_LIMIT = 8
 _CACHE: _BaseModel | None = None
 _CACHE_LOCK = threading.Lock()
@@ -546,18 +529,21 @@ class _RestrictedStep:
 
     Query rows whose head entity or relation row is trainable ("moving")
     keep the dense softmax over all entity columns. Every other row is fixed.
-    Every per-example value lives in one record, a row of 11 words per
-    example: the head, relation row and target, the head's and target's
-    column among the trainable entities and the relation's slot (-1 when
-    frozen), the query row, the moving row's slot (-1 for a fixed row), and
+    The per-example values are resolved once per fit into two tables. ``ids``
+    holds seven rows of one column per example: the head, relation row and
+    target, the head's and target's column among the trainable entities and
+    the relation's slot (-1 when frozen), and the moving row's slot (-1 for a
+    fixed row). ``resolved`` holds four words per example: the query row and
     the bits of a fixed row's frozen-column max and exp-sum and, when its
-    target is frozen, its target score ``q·e_o``. Once per fit the step takes
-    the rows of base examples from the shared :class:`_FrozenContext` and
-    resolves other rows for this fit alone; the moving rows' half-row ids are
-    built once per fit too. A step gathers its batch's record rows in one
-    ``np.take``, keeps its batch-sized temporaries in workspaces allocated once
-    per fit, gathers each fixed row's query, scores it against the trainable
-    columns only and completes its normaliser with the frozen partials.
+    target is frozen, its target score ``q·e_o`` (zeros for a moving row).
+    Base examples take their ``resolved`` rows from the shared
+    :class:`_FrozenContext`; other rows are resolved for this fit alone. The
+    moving rows' half-row ids are built once per fit too. A step gathers its
+    batch's ``ids`` columns in one ``np.take`` and its fixed rows' ``resolved``
+    rows in another, keeps its batch-sized temporaries in workspaces
+    allocated once per fit, gathers each fixed row's query, scores it against
+    the trainable columns only and completes its normaliser with the frozen
+    partials.
     Entity gradients are formed for the trainable rows alone, so a step costs
     O(n |T| d + n_moving E d) instead of O(n E d). Every value comes from the
     same operations, in the same order, as the step that built its indices
@@ -581,51 +567,57 @@ class _RestrictedStep:
     ) -> None:
         columns = _fit_columns(model, examples, rows)
         heads, rels, targets = columns
-        n, width = columns.shape[1], model.ent.shape[1]
+        width = model.ent.shape[1]
         self.ent_idx = ent_idx
         self.rel_idx = rel_idx
         ent_trainable = np.zeros(model.num_entities, dtype=bool)
         ent_trainable[ent_idx] = True
         rel_trainable = np.zeros(len(model.rel), dtype=bool)
         rel_trainable[rel_idx] = True
+        self.ids = ids = np.empty((7, len(heads)), dtype=np.int64)
+        ids[:3] = columns
         column, rel_slot = _slots(ent_trainable), _slots(rel_trainable)
+        for row, table, of in ((3, column, heads), (4, column, targets), (5, rel_slot, rels)):
+            np.take(table, of, out=ids[row])
         self.moving = ent_trainable[heads] | rel_trainable[rels]
+        self.resolved = resolved = np.zeros((len(heads), 4), dtype=np.int64)
         self.queries = np.empty((0, width))
         if self.moving.all():
-            self.record = _record(columns, column, rel_slot)
             self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
         else:
             context = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
             context.fill(model, chunk)
             self.queries = context.queries
-            shared = np.zeros(n, dtype=bool) if rows is None else rows < len(context.base.examples)
-            if shared.all():
-                self.record = context.record.take(rows, axis=0)
-            else:
-                # rows the base lacks: their queries' partials, and frozen targets' scores
-                self.record = record = _record(columns, column, rel_slot)
-                if shared.any():
-                    record[shared] = context.record.take(rows[shared], axis=0)
-                own = np.flatnonzero(~(shared | self.moving))
+            fixed = ~self.moving
+            if rows is not None and len(context.resolved):
+                # rows of the base set take the words the context resolved for them;
+                # rows past it (clipped to its last row here) start again from zeros
+                np.take(context.resolved, rows, axis=0, out=resolved, mode="clip")
+                past = rows >= len(context.resolved)
+                resolved[past] = 0
+                fixed &= past
+            # other fixed rows are resolved for this fit alone
+            own = np.flatnonzero(fixed)
+            if len(own):
                 at, maxes, sums, self.queries = context.lookup(
                     model, _query_keys(model, columns[:, own].T), chunk
                 )
-                resolved = record[:, 8:].view(np.float64)
-                record[own, 6] = at
-                resolved[own, 0], resolved[own, 1] = maxes, sums
+                partials = resolved[:, 1:].view(np.float64)
+                resolved[own, 0] = at
+                partials[own, 0], partials[own, 1] = maxes, sums
                 out = own[~ent_trainable[targets[own]]]
-                _target_scores(model, self.queries, record[:, 6], targets, out, chunk, resolved[:, 2])
+                _target_scores(model, self.queries, resolved[:, 0], targets, out, chunk, partials[:, 2])
             # N3 penalty of every row; the trainable rows' entries are refreshed each step
             self.ent_penalty = context.base.ent_penalty.copy()
             self.rel_penalty = context.base.rel_penalty.copy()
-        # the moving rows: their slot in the record, and the half-row ids
-        # (:func:`_half_ids`) of their head, relation, head column and relation slot
+        # the moving rows: their slot, and the half-row ids (:func:`_half_ids`)
+        # of their head, relation, head column and relation slot
         moving = np.flatnonzero(self.moving)
-        self.record[:, 7] = -1
-        self.record[moving, 7] = np.arange(len(moving))
+        ids[6] = -1
+        ids[6, moving] = np.arange(len(moving))
         self.halves = np.empty((8, len(moving)), dtype=np.int64)
-        for i, field in enumerate((0, 1, 3, 5)):
-            _half_ids(self.record[moving, field], self.halves[2 * i : 2 * i + 2])
+        for i, row in enumerate((0, 1, 3, 5)):
+            _half_ids(ids[row, moving], self.halves[2 * i : 2 * i + 2])
         self.capacity = 0
         self.ent_t = np.empty((len(ent_idx), width))
         self.d_ent = np.empty((len(ent_idx), width))
@@ -638,7 +630,8 @@ class _RestrictedStep:
             return
         self.capacity = n
         trainable, width = self.ent_t.shape
-        self.batch, self.fixed_rows = np.empty((2, n * 11), dtype=np.int64)
+        self.batch = np.empty(7 * n, dtype=np.int64)
+        self.fixed_rows, self.fixed_sel = np.empty((n, 4), dtype=np.int64), np.empty(n, dtype=np.int64)
         self.vectors = np.empty((4, n))
         self.at = np.empty(n, dtype=np.int64)
         self.row_start = np.arange(n) * self.entities
@@ -653,7 +646,7 @@ class _RestrictedStep:
     def _moving_rows(
         self,
         model: EmbeddingModel,
-        batch: np.ndarray,
+        ids: np.ndarray,
         sel: np.ndarray,
         mv: np.ndarray,
         nll: np.ndarray,
@@ -661,8 +654,8 @@ class _RestrictedStep:
         """The dense softmax of the batch's moving rows ``mv`` and their gradient terms."""
         ent, rel = model.ent, model.rel
         n, m, width = len(sel), len(mv), ent.shape[1]
-        targets = batch[mv, 2]
-        at_h, at_r, at_col, at_slot = self.halves.take(batch[mv, 7], axis=1).reshape(4, 2, m)
+        targets = ids[2].take(mv)
+        at_h, at_r, at_col, at_slot = self.halves.take(ids[6].take(mv), axis=1).reshape(4, 2, m)
         h, r, q, dq = self.moving_halves[: 4 * m * width].reshape(4, 2, m, -1)
         tmp = self.moving_tmp[: m * width // 2].reshape(m, -1)
         _gather(_halves(ent), at_h, h)
@@ -709,8 +702,8 @@ class _RestrictedStep:
         ent, rel, n = model.ent, model.rel, len(sel)
         trainable, width = self.ent_t.shape
         self._reserve(n)
-        batch = self.record.take(sel, axis=0, out=self.batch[: 11 * n].reshape(n, 11))
-        heads, rels, targets, head_col, target_col, slots, _, moving = batch[:, :8].T
+        ids = np.take(self.ids, sel, axis=1, out=self.batch[: 7 * n].reshape(7, n), mode="clip")
+        heads, rels, targets, head_col, target_col, slots, moving = ids
         moving = moving >= 0
         ent_t = ent.take(self.ent_idx, axis=0, out=self.ent_t)
         nll = self.vectors[3, :n]
@@ -720,25 +713,25 @@ class _RestrictedStep:
 
         mv = moving.nonzero()[0]
         if len(mv):
-            self._moving_rows(model, batch, sel, mv, nll)
-        # the fixed rows' part of the record; all of the batch when no row moves
+            self._moving_rows(model, ids, sel, mv, nll)
+        # the fixed rows' resolved words; all of the batch when no row moves
         fx = (~moving).nonzero()[0] if len(mv) else None
-        fixed = batch if fx is None else batch.take(fx, axis=0, out=self.fixed_rows[: 11 * len(fx)].reshape(-1, 11))
-        nf = len(fixed)
+        at = sel if fx is None else sel.take(fx, out=self.fixed_sel[: len(fx)])
+        nf = len(at)
         if nf:
-            frozen_max, frozen_sum, target_score = fixed[:, 8:].view(np.float64).T
-            qf = _gather(self.queries, fixed[:, 6], self.fixed_q[: nf * width].reshape(nf, -1))
+            fixed = _gather(self.resolved, at, self.fixed_rows[:nf])
+            frozen_max, frozen_sum, target_score = fixed[:, 1:].view(np.float64).T
+            qf = _gather(self.queries, fixed[:, 0], self.fixed_q[: nf * width].reshape(nf, -1))
             scores = np.matmul(qf, ent_t.T, out=self.fixed_scores[: nf * trainable].reshape(nf, -1))
             top, z, value = self.vectors[:3, :nf]
-            np.maximum(frozen_max, _row_max(scores, top), out=top)
-            probs = np.subtract(
-                scores, top[:, None], out=self.fixed_probs[: nf * trainable].reshape(nf, -1)
-            )
+            work = self.fixed_probs[: nf * trainable]  # the transposed scores, then the probs
+            np.maximum(frozen_max, _row_max(scores, top, work.reshape(trainable, nf)), out=top)
+            probs = np.subtract(scores, top[:, None], out=work.reshape(nf, trainable))
             np.exp(probs, out=probs)
             np.exp(np.subtract(frozen_max, top, out=z), out=z)
             z *= frozen_sum
             z += np.add.reduce(probs, axis=1, out=value)
-            cols = fixed[:, 4]
+            cols = target_col if fx is None else target_col.take(fx)
             hit = (cols >= 0).nonzero()[0]
             if len(hit):
                 target_score[hit] = scores[hit, cols[hit]]

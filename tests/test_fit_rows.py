@@ -196,7 +196,8 @@ def test_sliced_resolution_equals_a_fresh_per_fit_resolution(desk_kg, desk_model
         sliced, fresh = _resolutions(kg, model, mask, fit)
         assert (~sliced.moving).any(), name
         assert np.array_equal(sliced.moving, fresh.moving), name
-        assert np.array_equal(sliced.record, fresh.record), name
+        assert np.array_equal(sliced.ids, fresh.ids), name
+        assert np.array_equal(sliced.resolved, fresh.resolved), name
         assert np.array_equal(sliced.queries, fresh.queries), name
         assert np.array_equal(sliced.halves, fresh.halves), name
     training._CACHE = None

@@ -288,9 +288,10 @@ class TestGradScoreWrtSubject:
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
-        model = init_model(kg, TrainConfig(dimension=4, seed=8))
+        config = TrainConfig(dimension=4, seed=8)
+        model = init_model(kg, config)
         path = tmp_path / "model.npz"
-        save_checkpoint(model, kg, path)
+        save_checkpoint(model, kg, path, config)
         loaded = load_checkpoint(path, kg)
         assert all(np.array_equal(getattr(model, n), getattr(loaded, n)) for n in ARRAYS)
         assert loaded.dimension == 4 and loaded.seed == 8
@@ -300,16 +301,18 @@ class TestCheckpoint:
     def test_mismatched_graph_rejected(self, tmp_path):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
         other = make_random_kg(seed=5, n_entities=8, n_relations=2, n_triples=15)
-        model = init_model(kg, TrainConfig(dimension=4, seed=8))
+        config = TrainConfig(dimension=4, seed=8)
+        model = init_model(kg, config)
         path = tmp_path / "model.npz"
-        save_checkpoint(model, kg, path)
+        save_checkpoint(model, kg, path, config)
         with pytest.raises(ConfigurationError):
             load_checkpoint(path, other)
 
     def test_truncated_checkpoint_closes_its_file(self, tmp_path):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
         path = tmp_path / "model.npz"
-        save_checkpoint(init_model(kg, TrainConfig(dimension=4, seed=8)), kg, path)
+        config = TrainConfig(dimension=4, seed=8)
+        save_checkpoint(init_model(kg, config), kg, path, config)
         path.write_bytes(path.read_bytes()[:200])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
