@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .effectiveness import _retrained, _rows_without, build_target_set
+from .effectiveness import TargetSet, _retrained, _rows_without, build_target_set
 from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplainError
 from .explainers import (
     ALGORITHMS,
@@ -299,14 +299,11 @@ def _run_one(
     model,
     prediction: Triple,
     algorithm: str,
-    space: SearchSpace | None,
+    inputs: tuple[SearchSpace, TargetSet | None],
 ) -> ExplanationRun:
+    """One algorithm's run; ``inputs`` are the prediction's search space and c-sufficient targets."""
     explainer = replace(config.explainer, algorithm=algorithm)
-    targets = None
-    if config.mode == "c-sufficient":
-        targets = build_target_set(
-            kg, model, prediction, config.targets_size, config.targets_seed
-        )
+    space, targets = inputs
     if algorithm == "exhaustive-length-1":
         if config.mode == "c-sufficient":
             s_x = prediction.subject
@@ -339,16 +336,19 @@ def cmd_explain(
     A checkpoint trained with a ``[training]`` configuration other than the
     INI's is a validation error naming each field that differs.
 
-    An existing run file that does not parse (say, one truncated by a
-    killed writer) is logged and recomputed in place.
+    One task per prediction runs every algorithm in order, from one search
+    space and one c-sufficient target set, so a worker thread (``workers``)
+    post-trains from one prediction at a time. An existing run file that does
+    not parse (say, one truncated by a killed writer) is logged and recomputed.
 
-    A failed (prediction, algorithm) task is logged and the remaining tasks
-    still run; then ``runs/failures.json`` lists every failure (prediction
-    index and ids, algorithm, exception class and message) and the command
-    raises, so it exits 3. A run without failures removes a stale manifest.
-    With simultaneous removal enabled, each algorithm's best necessary
-    explanations are pooled, removed in one shot, and a single retrained
-    model produces every after-rank.
+    A failed (prediction, algorithm) run is logged and the remaining runs
+    still go ahead; then ``runs/failures.json`` lists every failure
+    (prediction index and ids, algorithm, exception class and message) and
+    the command raises, so it exits 3. A run without failures removes a stale
+    manifest. With simultaneous removal enabled, each algorithm's best
+    necessary explanations are pooled, removed in one shot, and a single
+    retrained model produces every after-rank. A last line counts the run
+    files written, resumed, recomputed and failed.
     """
     config.validate()
     if workers < 1:
@@ -372,51 +372,68 @@ def cmd_explain(
         pred_space = space
         if space is None:
             pred_space = build_search_space(kg, config.explainer.search_space, prediction)
-        for algorithm in config.algorithms:
-            tasks.append((index, prediction, algorithm, pred_space))
+        tasks.append((index, prediction, pred_space))
 
-    def execute(task) -> Path | dict:
-        """The task's run file, or its failure as a manifest entry."""
-        index, prediction, algorithm, pred_space = task
-        path = runs_dir / f"run_{algorithm}_{index:04d}.json"
-        if path.exists():
+    def execute(task) -> list[tuple[str, Path | dict]]:
+        """Each algorithm's status and run file, or its failure as a manifest entry."""
+        index, prediction, pred_space = task
+        targets = None  # built for the first algorithm that runs, then shared
+        outcomes = []
+        for algorithm in config.algorithms:
+            path = runs_dir / f"run_{algorithm}_{index:04d}.json"
+            status = "written"
+            if path.exists():
+                try:
+                    load_run_payload(path)
+                except ConfigurationError as exc:
+                    logger.warning("recomputing %s: %s", path.name, exc)
+                    status = "recomputed"
+                else:
+                    logger.info("run file %s already exists; skipping", path.name)
+                    outcomes.append(("resumed", path))
+                    continue
             try:
-                load_run_payload(path)
-            except ConfigurationError as exc:
-                logger.warning("recomputing %s: %s", path.name, exc)
-            else:
-                logger.info("run file %s already exists; skipping", path.name)
-                return path
-        try:
-            run = _run_one(config, kg, model, prediction, algorithm, pred_space)
-        except KgExplainError as exc:
-            logger.error("run failed for %s / %s: %s", prediction, algorithm, exc)
-            return {
-                "index": index,
-                "prediction": list(prediction),
-                "algorithm": algorithm,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        run.save(path, kg)
-        return path
+                if targets is None and config.mode == "c-sufficient":
+                    targets = build_target_set(
+                        kg, model, prediction, config.targets_size, config.targets_seed
+                    )
+                run = _run_one(config, kg, model, prediction, algorithm, (pred_space, targets))
+            except KgExplainError as exc:
+                logger.error("run failed for %s / %s: %s", prediction, algorithm, exc)
+                outcomes.append(("failed", {
+                    "index": index,
+                    "prediction": list(prediction),
+                    "algorithm": algorithm,
+                    "error": type(exc).__name__,
+                    "message": str(exc),
+                }))
+                continue
+            run.save(path, kg)
+            outcomes.append((status, path))
+        return outcomes
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(execute, tasks))
+            grouped = list(pool.map(execute, tasks))
     else:
-        results = [execute(task) for task in tasks]
-    written = [r for r in results if isinstance(r, Path)]
-    failures = [r for r in results if isinstance(r, dict)]
+        grouped = [execute(task) for task in tasks]
+    results = [outcome for outcomes in grouped for outcome in outcomes]
+    written = [r for status, r in results if status != "failed"]
+    failures = [r for status, r in results if status == "failed"]
 
     if config.simultaneous_removal and config.mode == "necessary":
         _simultaneous_removal(config, kg, model, predictions, runs_dir)
+    statuses = [status for status, _ in results]
+    logger.info(
+        "explain: %d run files written, %d resumed, %d recomputed, %d failed",
+        *map(statuses.count, ("written", "resumed", "recomputed", "failed")),
+    )
     manifest = runs_dir / "failures.json"
     if not failures:
         manifest.unlink(missing_ok=True)
         return written
     write_text_atomic(manifest, json.dumps({"failures": failures}, indent=2, sort_keys=True))
-    raise KgExplainError(f"{len(failures)} of {len(tasks)} explain tasks failed; see {manifest}")
+    raise KgExplainError(f"{len(failures)} of {len(results)} explain runs failed; see {manifest}")
 
 
 def _simultaneous_removal(

@@ -25,31 +25,37 @@ write packed ``[re | im]`` rows, and the tables stay packed.
 A post-train with any frozen row runs a restricted step instead. A query
 row whose head entity or relation row is trainable keeps the dense softmax
 over all entities. Every other row is fixed: its query ``q = h∘r`` and its
-scores against frozen entities cannot change during the fit. One cache holds
-the most recent base model (:class:`_BaseModel`): what depends on it alone
-(the example table, ``q`` for every query of its training set and the N3
-penalty of every table row), computed once when that base is set, and a
-frozen context per recent mask that keeps, for each fixed query, the max and
-shifted exp-sum of its frozen-entity scores, and for each base example four
-resolved words: its query row, those partials and, when its target is
+scores against frozen entities cannot change during the fit. Each thread
+holds its own post-train state: the example table of its latest base
+training set and the base model of its latest post-train with a frozen row
+(:class:`_BaseModel`). The base holds what depends on it alone (the example
+table, ``q`` for every query of its training set and the N3 penalty of every
+table row), computed when it is created, and the frozen context of its
+latest mask, computed when that mask arrives: for each fixed query, the max
+and shifted exp-sum of its frozen-entity scores, and for each base example
+four resolved words: its query row, those partials and, when its target is
 frozen, its target score. Once per fit the step takes its rows of those
 words and builds its ids and trainable slots; rows the base lacks are
 resolved for that fit alone. Each step gathers its batch's ids in one
 operation and its fixed rows' words in another, scores fixed rows against
 the trainable entities only and merges the two parts into the normaliser;
 its batch-sized temporaries live in workspaces allocated once per fit.
-Gradients are formed for the trainable rows alone. The cache is identified
-by the embedding tables, compared bit for bit, and the base training set,
-and its contexts by the trainable entity and relation sets, so all
-candidates of a prediction share one context. Frozen rows stay bit-identical; trainable rows differ
-from the dense masked fit only by summation order (measured at most 1.8e-13
-after 60 desk-graph epochs and 9e-15 after one mid-graph epoch).
+Gradients are formed for the trainable rows alone. The base is identified
+by the embedding tables, compared bit for bit, and the base training set; a
+post-train from another replaces it whole, and one with another trainable
+entity or relation set replaces its context. The removal candidates of a
+prediction share one mask, whichever algorithm proposed them, and a worker
+thread runs one prediction's algorithms at a time (``cli.cmd_explain``), so
+their context is computed once per prediction. Threads share none of this
+state, so none of it is locked. Frozen rows stay bit-identical; trainable
+rows differ from the dense masked fit only by summation order (measured at
+most 1.8e-13 after 60 desk-graph epochs and 9e-15 after one mid-graph
+epoch).
 """
 from __future__ import annotations
 
 import logging
 import threading
-from collections import OrderedDict
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -362,20 +368,20 @@ def _target_scores(
         out[part] = np.einsum("ij,ij->i", queries[query_row[part]], model.ent[targets[part]])
 
 
-# The example table of the latest base training set, with that set (held, so
-# that its identity stays unique) and the relation count it was built for.
-# Every fit draws its rows from it, full retrains and fits without a fixed row
-# included, so it is kept apart from the one-base cache below.
-_EXAMPLES: tuple[Sequence[Triple], int, np.ndarray] | None = None
+# Each thread's post-train state: ``examples``, the example table of its latest
+# base training set (with that set, held so that its identity stays unique, and
+# the relation count it was built for), which every fit draws its rows from,
+# and ``base``, the base model of its latest post-train with a frozen row.
+# Threads share none of it, so none of it is locked.
+_STATE = threading.local()
 
 
 def _base_examples(train: Sequence[Triple], num_relations: int) -> np.ndarray:
     """``build_examples(train)`` (empty for an empty set), built once per training set."""
-    global _EXAMPLES
-    held = _EXAMPLES
+    held = getattr(_STATE, "examples", None)
     if held is None or held[0] is not train or held[1] != num_relations:
         table = build_examples(train, num_relations) if train else np.empty((0, 3), dtype=np.int64)
-        held = _EXAMPLES = (train, num_relations, table)
+        held = _STATE.examples = (train, num_relations, table)
     return held[2]
 
 
@@ -386,65 +392,80 @@ def _slots(trainable: np.ndarray) -> np.ndarray:
     return slots
 
 
-class _FrozenContext:
-    """Frozen-column softmax partials of fixed queries, for one mask over a base model.
+class _BaseModel:
+    """One base model and training set, and the frozen context of one mask over them.
 
-    A query (head, relation_row) is fixed during a post-train when neither
-    its head entity nor its relation row is trainable: its embedding and its
-    scores against every frozen entity column never change. For each fixed
-    query of the base training set the context keeps the max of those scores
-    and the sum of their exps shifted by it, computed once, in one pass, from
-    the query rows of its :class:`_BaseModel`. In the same fill it resolves
-    every base example into the four words of the step's record that depend
-    on the mask and the base model (``resolved``): its query row, its query's
-    max and exp-sum and, when its row is fixed and its target frozen, its
-    target score ``q·e_o`` (zeros for a moving row). Fits take their rows of
-    it. A fit that brings rows outside that set resolves them on its own
-    (:meth:`lookup`), so every value a fit reads is the same whichever fits
-    ran before it or beside it in other threads.
+    What depends on the base alone is computed once, when it is created: a
+    copy of the embedding tables, which identifies the base, the base example
+    table (:func:`_base_examples`), the query row ``q = h∘r`` of every
+    distinct base query with each base example's index into them
+    (``query_of``), and the N3 penalty of every table row.
+
+    The frozen context is that of the latest mask (:meth:`set_mask`). A query
+    (head, relation_row) is fixed during a post-train when neither its head
+    entity nor its relation row is trainable: its embedding and its scores
+    against every frozen entity column never change. For each fixed base
+    query the context keeps the max of those scores and the sum of their exps
+    shifted by it, computed in one pass from the query rows. In the same pass
+    it resolves every base example into the four words of the step's record
+    that depend on the mask (``resolved``): its query row, its query's max and
+    exp-sum and, when its row is fixed and its target frozen, its target score
+    ``q·e_o`` (zeros for a moving row). Fits take their rows of it. A fit that
+    brings rows outside that set resolves them on its own (:meth:`lookup`), so
+    every value a fit reads is the same whichever fits ran before it.
     """
 
-    def __init__(
-        self, ent_trainable: np.ndarray, rel_trainable: np.ndarray, base: _BaseModel
-    ) -> None:
-        self.ent_trainable = ent_trainable
-        self.rel_trainable = rel_trainable
-        self.base = base
-        self.keys, self.queries = base.keys, base.queries
-        self.maxes: np.ndarray | None = None
-        self._lock = threading.Lock()
+    def __init__(self, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
+        self.tables = (model.ent.copy(), model.rel.copy())
+        self.train = train  # held, so that its identity stays unique
+        self.examples = _base_examples(train, model.num_relations)
+        _check_ids(model, self.examples.T)
+        keys = _query_keys(model, self.examples)
+        self.keys, self.query_of = np.unique(keys, return_inverse=True)
+        self.queries = _query_rows(model, self.keys, chunk)
+        self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
+        self.mask: tuple[bytes, bytes] | None = None
 
-    def fill(self, model: EmbeddingModel, chunk: int) -> "_FrozenContext":
-        """Compute the partials and the base examples' resolved words once; ``model`` is the base."""
-        with self._lock:
-            if self.maxes is None:
-                heads, rels = np.divmod(self.keys, len(model.rel))
-                fixed = np.flatnonzero(~(self.ent_trainable[heads] | self.rel_trainable[rels]))
-                # indexed like the query rows; the entries of moving queries stay unread
-                maxes, sums = np.zeros((2, len(self.keys)))
-                maxes[fixed], sums[fixed] = _frozen_partials(
-                    model, self.queries, fixed, self.ent_trainable, chunk
-                )
-                query_of = self.base.query_of
-                heads, rels, targets = self.base.examples.T
-                moving = self.ent_trainable[heads] | self.rel_trainable[rels]
-                resolved = np.zeros((len(query_of), 4), dtype=np.int64)
-                resolved[:, 0] = np.where(moving, 0, query_of)
-                partials = resolved[:, 1:].view(np.float64)
-                partials[:, 0], partials[:, 1] = maxes[query_of], sums[query_of]
-                # a fixed row's score against its frozen target never changes either
-                out = np.flatnonzero(~(moving | self.ent_trainable[targets]))
-                _target_scores(model, self.queries, query_of, targets, out, chunk, partials[:, 2])
-                self.resolved, self.sums, self.maxes = resolved, sums, maxes
-        return self
+    def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
+        """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
+        return train is self.train and all(
+            np.array_equal(table.view(np.int64), mine.view(np.int64))
+            for table, mine in zip((model.ent, model.rel), self.tables)
+        )
+
+    def set_mask(
+        self, model: EmbeddingModel, ent_trainable: np.ndarray, rel_trainable: np.ndarray, chunk: int
+    ) -> None:
+        """Compute the frozen context of this mask, unless it is the latest; ``model`` is the base."""
+        mask = (ent_trainable.tobytes(), rel_trainable.tobytes())
+        if mask == self.mask:
+            return
+        heads, rels = np.divmod(self.keys, len(model.rel))
+        fixed = np.flatnonzero(~(ent_trainable[heads] | rel_trainable[rels]))
+        # indexed like the query rows; the entries of moving queries stay unread
+        maxes, sums = np.zeros((2, len(self.keys)))
+        maxes[fixed], sums[fixed] = _frozen_partials(model, self.queries, fixed, ent_trainable, chunk)
+        query_of = self.query_of
+        heads, rels, targets = self.examples.T
+        moving = ent_trainable[heads] | rel_trainable[rels]
+        resolved = np.zeros((len(query_of), 4), dtype=np.int64)
+        resolved[:, 0] = np.where(moving, 0, query_of)
+        partials = resolved[:, 1:].view(np.float64)
+        partials[:, 0], partials[:, 1] = maxes[query_of], sums[query_of]
+        # a fixed row's score against its frozen target never changes either
+        out = np.flatnonzero(~(moving | ent_trainable[targets]))
+        _target_scores(model, self.queries, query_of, targets, out, chunk, partials[:, 2])
+        self.mask, self.ent_trainable, self.maxes, self.sums, self.resolved = (
+            mask, ent_trainable, maxes, sums, resolved
+        )
 
     def lookup(
         self, model: EmbeddingModel, keys: np.ndarray, chunk: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(row, max, exp-sum) per fixed query key, and the query rows the rows index.
+        """(row, max, exp-sum) per fixed query key of the latest mask, and the query rows they index.
 
-        The context must be filled. Keys outside the base training set get
-        rows appended to a copy of the query rows, for the calling fit alone.
+        Keys outside the base training set get rows appended to a copy of the
+        query rows, for the calling fit alone.
         """
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
@@ -463,65 +484,23 @@ class _FrozenContext:
         return at, maxes[at], sums[at], queries
 
 
-class _BaseModel:
-    """One base model and training set: what depends on them alone, and the masks' contexts.
-
-    That is a copy of the embedding tables, which identifies the base, the
-    base example table (:func:`_base_examples`), the query row ``q = h∘r`` of
-    every distinct base query with each base example's index into them
-    (``query_of``), and the N3 penalty of every table row; each is computed
-    once, here, and read by every fit and the context of every mask.
-    """
-
-    def __init__(self, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
-        self.tables = (model.ent.copy(), model.rel.copy())
-        self.train = train  # held, so that its identity stays unique
-        self.examples = _base_examples(train, model.num_relations)
-        _check_ids(model, self.examples.T)
-        keys = _query_keys(model, self.examples)
-        self.keys, self.query_of = np.unique(keys, return_inverse=True)
-        self.queries = _query_rows(model, self.keys, chunk)
-        self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
-        self.contexts: "OrderedDict[tuple[bytes, bytes], _FrozenContext]" = OrderedDict()
-
-    def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
-        """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
-        return train is self.train and all(
-            np.array_equal(table.view(np.int64), mine.view(np.int64))
-            for table, mine in zip((model.ent, model.rel), self.tables)
-        )
-
-
-# The base model of the latest post-train with a frozen row. A sweep post-trains
-# from one base model (the sufficient operator leaves no row fixed and never
-# comes here), so one is kept; a post-train from other embeddings or another
-# training set replaces it whole. The candidates of a prediction under one
-# operator share a mask, so the most recent few contexts cover a sweep with a
-# few workers; each costs four words per base example and two floats per query.
-_CONTEXT_LIMIT = 8
-_CACHE: _BaseModel | None = None
-_CACHE_LOCK = threading.Lock()
-
-
 def _frozen_context(
     model: EmbeddingModel,
     ent_trainable: np.ndarray,
     rel_trainable: np.ndarray,
     train: Sequence[Triple],
     chunk: int,
-) -> _FrozenContext:
-    """The shared context of this model's content, trainable rows and training set."""
-    global _CACHE
-    mask = (ent_trainable.tobytes(), rel_trainable.tobytes())
-    with _CACHE_LOCK:
-        if _CACHE is None or not _CACHE.serves(model, train):
-            _CACHE = _BaseModel(model, train, chunk)
-        contexts = _CACHE.contexts
-        context = contexts.pop(mask, None) or _FrozenContext(ent_trainable, rel_trainable, _CACHE)
-        contexts[mask] = context
-        if len(contexts) > _CONTEXT_LIMIT:
-            contexts.popitem(last=False)
-        return context
+) -> _BaseModel:
+    """This thread's base model of this model's content and training set, set to this mask.
+
+    A post-train from other embeddings or another training set replaces the
+    base whole; one with another mask replaces its context.
+    """
+    base = getattr(_STATE, "base", None)
+    if base is None or not base.serves(model, train):
+        base = _STATE.base = _BaseModel(model, train, chunk)
+    base.set_mask(model, ent_trainable, rel_trainable, chunk)
+    return base
 
 
 class _RestrictedStep:
@@ -536,8 +515,8 @@ class _RestrictedStep:
     fixed row). ``resolved`` holds four words per example: the query row and
     the bits of a fixed row's frozen-column max and exp-sum and, when its
     target is frozen, its target score ``q·e_o`` (zeros for a moving row).
-    Base examples take their ``resolved`` rows from the shared
-    :class:`_FrozenContext`; other rows are resolved for this fit alone. The
+    Base examples take their ``resolved`` rows from the thread's
+    :class:`_BaseModel`; other rows are resolved for this fit alone. The
     moving rows' half-row ids are built once per fit too. A step gathers its
     batch's ``ids`` columns in one ``np.take`` and its fixed rows' ``resolved``
     rows in another, keeps its batch-sized temporaries in workspaces
@@ -585,21 +564,20 @@ class _RestrictedStep:
         if self.moving.all():
             self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
         else:
-            context = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
-            context.fill(model, chunk)
-            self.queries = context.queries
+            base = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
+            self.queries = base.queries
             fixed = ~self.moving
-            if rows is not None and len(context.resolved):
+            if rows is not None and len(base.resolved):
                 # rows of the base set take the words the context resolved for them;
                 # rows past it (clipped to its last row here) start again from zeros
-                np.take(context.resolved, rows, axis=0, out=resolved, mode="clip")
-                past = rows >= len(context.resolved)
+                np.take(base.resolved, rows, axis=0, out=resolved, mode="clip")
+                past = rows >= len(base.resolved)
                 resolved[past] = 0
                 fixed &= past
             # other fixed rows are resolved for this fit alone
             own = np.flatnonzero(fixed)
             if len(own):
-                at, maxes, sums, self.queries = context.lookup(
+                at, maxes, sums, self.queries = base.lookup(
                     model, _query_keys(model, columns[:, own].T), chunk
                 )
                 partials = resolved[:, 1:].view(np.float64)
@@ -608,8 +586,8 @@ class _RestrictedStep:
                 out = own[~ent_trainable[targets[own]]]
                 _target_scores(model, self.queries, resolved[:, 0], targets, out, chunk, partials[:, 2])
             # N3 penalty of every row; the trainable rows' entries are refreshed each step
-            self.ent_penalty = context.base.ent_penalty.copy()
-            self.rel_penalty = context.base.rel_penalty.copy()
+            self.ent_penalty = base.ent_penalty.copy()
+            self.rel_penalty = base.rel_penalty.copy()
         # the moving rows: their slot, and the half-row ids (:func:`_half_ids`)
         # of their head, relation, head column and relation slot
         moving = np.flatnonzero(self.moving)
@@ -894,7 +872,7 @@ def post_train(
     set's example table through ``kg.train_index``, or the operators' rows of
     that table directly. A full mask fits with the dense step (from a fresh
     model, that is a full retrain without the validation NLL); any frozen row
-    selects the restricted step and its shared frozen context (see the module
+    selects the restricted step and the thread's frozen context (see the module
     notes).
     """
     config.validate()

@@ -15,7 +15,7 @@ import pytest
 
 import kgexplain
 from kgexplain import DomainError, Triple, load_dataset, load_checkpoint, rank
-from kgexplain import cli
+from kgexplain import cli, training
 from kgexplain.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -209,6 +209,54 @@ class TestExplain:
             a["counters"].pop("wall_clock_s")
             b["counters"].pop("wall_clock_s")
             assert a == b
+
+    def test_worker_threads_fill_one_context_per_prediction(
+        self, explained, tmp_path, monkeypatch
+    ):
+        root, config, checkpoint, selection, _ = explained
+        fills = []
+        set_mask = training._BaseModel.set_mask
+
+        def counting(base, *args):
+            before = getattr(base, "resolved", None)
+            set_mask(base, *args)
+            if base.resolved is not before:
+                fills.append(base.mask)
+
+        monkeypatch.setattr(training._BaseModel, "set_mask", counting)
+        cmd_explain(config, checkpoint, selection, out=tmp_path / "par", workers=2)
+        assert len(fills) == len(set(fills)) == len(json.loads(selection.read_text())["triples"])
+        for serial in sorted((root / "out" / "runs").glob("run_*.json")):
+            a = json.loads(serial.read_text())
+            b = json.loads((tmp_path / "par" / "runs" / serial.name).read_text())
+            a["counters"].pop("wall_clock_s")
+            b["counters"].pop("wall_clock_s")
+            assert a == b
+
+    def test_last_line_counts_written_resumed_recomputed_and_failed_runs(
+        self, explained, tmp_path, monkeypatch, caplog
+    ):
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "out" / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        truncated, missing, failing = sorted(runs.glob("run_*.json"))[:3]
+        truncated.write_text(truncated.read_text()[:100])
+        missing.unlink()
+        failing.unlink()
+        algorithm, index = failing.stem.removeprefix("run_").rsplit("_", 1)
+        prediction = Triple(*json.loads(selection.read_text())["triples"][int(index)]["ids"])
+        run_one = cli._run_one
+
+        def run(config, kg, model, *task):
+            if task[:2] == (prediction, algorithm):
+                raise DomainError("forced failure")
+            return run_one(config, kg, model, *task)
+
+        monkeypatch.setattr(cli, "_run_one", run)
+        with caplog.at_level("INFO"), pytest.raises(kgexplain.KgExplainError):
+            cmd_explain(config, checkpoint, selection, out=tmp_path / "out")
+        summary = "explain: 1 run files written, 3 resumed, 1 recomputed, 1 failed"
+        assert caplog.records[-1].getMessage() == summary
 
     def test_simultaneous_removal_reuses_one_retrained_model(self, explained):
         root, config, checkpoint, selection, _ = explained

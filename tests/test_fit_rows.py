@@ -191,7 +191,6 @@ def test_sliced_resolution_equals_a_fresh_per_fit_resolution(desk_kg, desk_model
         "known addition": effectiveness._rows_with(kg, [known]),
         "new addition": effectiveness._rows_with(kg, [new]),
     }
-    training._CACHE = None
     for name, fit in fits.items():
         sliced, fresh = _resolutions(kg, model, mask, fit)
         assert (~sliced.moving).any(), name
@@ -200,7 +199,6 @@ def test_sliced_resolution_equals_a_fresh_per_fit_resolution(desk_kg, desk_model
         assert np.array_equal(sliced.resolved, fresh.resolved), name
         assert np.array_equal(sliced.queries, fresh.queries), name
         assert np.array_equal(sliced.halves, fresh.halves), name
-    training._CACHE = None
 
 
 @pytest.mark.parametrize("row", [-1, "past"])

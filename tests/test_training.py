@@ -27,6 +27,7 @@ from kgexplain import (
 from kgexplain import training
 from kgexplain.kg import _one_hop_entities
 from kgexplain.model import _cmul, _cmul_conj
+from conftest import reset_post_train_state
 from kgexplain.training import (
     Gradients,
     _DenseStep,
@@ -556,7 +557,6 @@ class TestRestrictedStepExact:
                 (kept, {e for x in kept for e in (x.subject, x.object)}, {t.relation}, True)
             ],
         }
-        training._CACHE = None
         for name, fits in sweeps.items():
             for modified, entities, relations, reinit in fits:
                 got = post_train(
@@ -569,7 +569,6 @@ class TestRestrictedStepExact:
                 assert np.array_equal(got.ent, want.ent), name
                 assert np.array_equal(got.rel, want.rel), name
                 assert got.history == want.history, name
-        training._CACHE = None
 
 
 class TestPostTrain:
@@ -626,22 +625,20 @@ class TestPostTrain:
         def fit(model, triples, entities):
             return post_train(model, self.kg, triples, entities, self.config, epochs=3)
 
-        training._CACHE = None
         mask = {self.kg.train[0].subject}
         frozen_row = next(e for e in range(self.kg.num_entities) if e not in mask)
         other = self.model.clone()
         other.ent[frozen_row, 0] += 0.25
         fit(self.model, self.kg.train[1:], mask)
+        base = training._STATE.base
         fit(self.model, self.kg.train[2:], mask)
-        base = training._CACHE
-        assert len(base.contexts) == 1
+        assert training._STATE.base is base
         cached = fit(other, self.kg.train, mask)
-        assert training._CACHE is not base and len(training._CACHE.contexts) == 1
+        assert training._STATE.base is not base
         wider = fit(self.model, self.kg.train, mask | {frozen_row})
-        assert len(training._CACHE.contexts) == 1
-        training._CACHE = None
+        reset_post_train_state()
         assert arrays_equal(cached, fit(other, self.kg.train, mask))
-        training._CACHE = None
+        reset_post_train_state()
         assert arrays_equal(wider, fit(self.model, self.kg.train, mask | {frozen_row}))
 
     @pytest.mark.parametrize("relation", [-1, 2])
@@ -663,35 +660,53 @@ class TestPostTrain:
                 self.config, epochs=1, trainable_relations=relations,
             )
 
-    def test_contexts_of_one_model_share_its_query_table_within_the_count_limit(self):
-        def fit(entities):
-            return post_train(self.model, self.kg, self.kg.train[1:], entities, self.config, 2)
+    def _fit(self, entities, triples=None):
+        triples = self.kg.train[1:] if triples is None else triples
+        return post_train(self.model, self.kg, triples, entities, self.config, 2)
 
-        masks = [{e} for e in range(training._CONTEXT_LIMIT + 2)]
-        training._CACHE = None
-        results = [fit(mask) for mask in masks]
-        contexts = list(training._CACHE.contexts.values())
-        assert len(contexts) == training._CONTEXT_LIMIT
-        assert all(context.queries is training._CACHE.queries for context in contexts)
-        for mask, got in zip(masks, results):
-            training._CACHE = None
-            assert arrays_equal(got, fit(mask))
-        training._CACHE = None
-
-    def test_alternating_masks_of_one_base_model_run_the_partials_pass_once_each(
-        self, monkeypatch
-    ):
+    def _partials_passes(self, monkeypatch) -> list:
         passes = []
         partials = training._frozen_partials
         monkeypatch.setattr(
             training, "_frozen_partials", lambda *args: passes.append(1) or partials(*args)
         )
-        training._CACHE = None
-        for _ in range(3):
-            for mask in ({1}, {2}):
-                post_train(self.model, self.kg, self.kg.train[1:], mask, self.config, 2)
-        assert len(passes) == 2 and len(training._CACHE.contexts) == 2
-        training._CACHE = None
+        return passes
+
+    def test_the_same_mask_twice_runs_the_partials_pass_once(self, monkeypatch):
+        passes = self._partials_passes(monkeypatch)
+        self._fit({1})
+        self._fit({1}, self.kg.train[2:])
+        assert len(passes) == 1
+
+    def test_a_new_mask_replaces_the_old_one(self, monkeypatch):
+        first = self._fit({1})
+        base, context = training._STATE.base, training._STATE.base.resolved
+        self._fit({2})
+        assert training._STATE.base is base and base.resolved is not context
+        passes = self._partials_passes(monkeypatch)
+        assert arrays_equal(self._fit({1}), first)
+        assert len(passes) == 1
+
+    def test_a_second_thread_builds_its_own_base_and_never_reads_the_first_threads(self):
+        want = self._fit({1})
+        mine = training._STATE.base
+        # were the other thread to read this state, its fit would differ
+        mine.queries[:] = np.nan
+        mine.resolved[:] = 0
+        seen = {}
+
+        def run():
+            seen["before"] = getattr(training._STATE, "base", None)
+            seen["got"] = self._fit({1})
+            seen["base"] = training._STATE.base
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen["before"] is None and seen["base"] is not mine
+        assert training._STATE.base is mine
+        assert arrays_equal(seen["got"], want)
 
     def test_concurrent_fits_sharing_a_context_match_serial_fits(self):
         # each fit adds a triple outside the shared context's training set, so every
@@ -705,9 +720,9 @@ class TestPostTrain:
         ]
         serial = []
         for job in jobs:
-            training._CACHE = None
+            reset_post_train_state()
             serial.append(post_train(self.model, self.kg, job, mask, self.config, epochs=2))
-        training._CACHE = None
+        reset_post_train_state()
         results = [None] * len(jobs)
 
         def run(i):
@@ -768,9 +783,8 @@ def test_desk_sweeps_post_train_from_one_base_model(
     monkeypatch.setattr(
         training, "_frozen_context", lambda *args: contexts.append(1) or frozen_context(*args)
     )
-    training._CACHE = None
     exhaustive_length1(kg, model, prediction, space, "sufficient", config, desk_config)
-    assert not contexts and training._CACHE is None
+    assert not contexts and not fills
     sweeps = [
         ("necessary", space, None),
         ("c-sufficient", SearchSpace(space.preset, touching), targets),
@@ -783,4 +797,3 @@ def test_desk_sweeps_post_train_from_one_base_model(
         )
         assert len(contexts) > before, mode
     assert len(fills) == 1
-    training._CACHE = None
