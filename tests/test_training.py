@@ -110,13 +110,32 @@ class TestLossGradients:
         config = TrainConfig(dimension=5, epochs=10, seed=6)
         model = train(init_model(kg, config), kg, config)
         examples = build_examples(kg.train, kg.num_relations)
+        self._check_against_central_differences(model, examples, [])
+        # the first example twice: its (query, target) cell takes 1/n off twice,
+        # which reaches its head's, relation row's and target's gradients
+        head, relation_row, target = (int(i) for i in examples[0])
+        rows = [(which, i) for which in (0, 1) for i in (head, target)]
+        rows += [(2, relation_row), (3, relation_row)]
+        self._check_against_central_differences(
+            model, np.concatenate([examples, examples[:1]]), rows
+        )
+
+    @staticmethod
+    def _check_against_central_differences(model, examples, rows):
+        """Ten random coordinates, then one random column of each (array, row) in ``rows``."""
         _, _, grads = batch_loss_and_grads(model, examples, reg_weight=1e-3)
         rng = np.random.default_rng(0)
         h = 1e-5
-        for _ in range(10):
-            which = int(rng.integers(4))
-            arr = getattr(model, ARRAYS[which])
-            i, j = int(rng.integers(arr.shape[0])), int(rng.integers(arr.shape[1]))
+
+        def coords():
+            for _ in range(10):
+                which = int(rng.integers(4))
+                arr = getattr(model, ARRAYS[which])
+                yield which, int(rng.integers(arr.shape[0])), int(rng.integers(arr.shape[1]))
+            for which, i in rows:
+                yield which, i, int(rng.integers(getattr(model, ARRAYS[which]).shape[1]))
+
+        for which, i, j in coords():
             plus, minus = model.clone(), model.clone()
             getattr(plus, ARRAYS[which])[i, j] += h
             getattr(minus, ARRAYS[which])[i, j] -= h
@@ -142,8 +161,8 @@ class TestLossGradients:
 
 
 # Reference: the allocating dense step as it was written before the workspace
-# step replaced it, helpers included, kept verbatim so the workspace step is
-# checked bit for bit against the plain expression of the loss.
+# step replaced it, helpers included, kept verbatim: the plain per-example
+# expression of the loss, which the per-query step is checked against.
 def _reference_cmul(x, y):
     d = x.shape[-1] // 2
     a, b = x[..., :d], x[..., d:]
@@ -214,8 +233,27 @@ def _reference_batch_loss_and_grads(model, batch, reg_weight):
     return loss, data_loss, Gradients(d_ent, d_rel)
 
 
+# The per-query dense step sums in another order than the reference, so they
+# agree to this bound rather than bit for bit.
+TOLERANCE = {"rtol": 1e-12, "atol": 1e-15}
+
+
+def assert_matches_reference(got, want):
+    """A step's (loss, data loss, (d_ent, d_rel)) against the reference's, to the bound."""
+    (loss, data_loss, (d_ent, d_rel)), (ref_loss, ref_data, ref) = got, want
+    np.testing.assert_allclose(loss, ref_loss, **TOLERANCE)
+    np.testing.assert_allclose(data_loss, ref_data, **TOLERANCE)
+    np.testing.assert_allclose(d_ent, ref.ent, **TOLERANCE)
+    np.testing.assert_allclose(d_rel, ref.rel, **TOLERANCE)
+
+
+def assert_fits_match(got, want):
+    np.testing.assert_allclose(got.ent, want.ent, **TOLERANCE)
+    np.testing.assert_allclose(got.rel, want.rel, **TOLERANCE)
+
+
 class TestDenseStep:
-    """The workspace step against the allocating reference, bit for bit."""
+    """The per-query workspace step against the per-example reference, to the bound."""
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
     def test_repeated_full_and_ragged_batches_match_reference(self, reg_weight):
@@ -228,12 +266,10 @@ class TestDenseStep:
         # full, ragged (20 rows), full again and ragged again: a workspace
         # row left over from a longer batch would show in the second pair
         for sel in (perm[:50], perm[100:], perm[50:100], perm[100:]):
-            loss, data_loss, (d_ent, d_rel) = step(model, sel, reg_weight)
-            ref_loss, ref_data, ref = _reference_batch_loss_and_grads(
-                model, examples[sel], reg_weight
+            assert_matches_reference(
+                step(model, sel, reg_weight),
+                _reference_batch_loss_and_grads(model, examples[sel], reg_weight),
             )
-            assert loss == ref_loss and data_loss == ref_data
-            assert np.array_equal(d_ent, ref.ent) and np.array_equal(d_rel, ref.rel)
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
     def test_one_batch_wrapper_matches_reference(self, reg_weight):
@@ -242,10 +278,10 @@ class TestDenseStep:
         model = train(init_model(kg, config), kg, config)
         examples = build_examples(kg.train, kg.num_relations)
         loss, data_loss, grads = batch_loss_and_grads(model, examples, reg_weight)
-        ref_loss, ref_data, ref = _reference_batch_loss_and_grads(model, examples, reg_weight)
-        assert loss == ref_loss and data_loss == ref_data
-        assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
-        assert np.array_equal(grads.ent, ref.ent) and np.array_equal(grads.rel, ref.rel)
+        want = _reference_batch_loss_and_grads(model, examples, reg_weight)
+        assert_matches_reference((loss, data_loss, (grads.ent, grads.rel)), want)
+        for got_half, want_half in zip(grads, want[2]):
+            np.testing.assert_allclose(got_half, want_half, **TOLERANCE)
 
     def test_train_with_ragged_last_batch_matches_reference_loop(self):
         kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
@@ -262,7 +298,62 @@ class TestDenseStep:
             np.arange(2 * kg.num_relations),
             step=_reference_batch_loss_and_grads,
         )
-        assert arrays_equal(train(model, kg, config), reference)
+        assert_fits_match(train(model, kg, config), reference)
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_batch_repeating_every_query_matches_reference(self, reg_weight):
+        # every head points at every object under both relations, so each of the
+        # 16 queries, forward (h, r) and reciprocal (o, r + 2), serves four examples
+        triples = tuple(Triple(h, r, o) for h in range(4) for r in range(2) for o in range(4, 8))
+        kg = KnowledgeGraph([f"e{i}" for i in range(8)], ["r0", "r1"], triples)
+        config = TrainConfig(dimension=4, epochs=3, seed=3)
+        model = train(init_model(kg, config), kg, config)
+        examples = build_examples(kg.train, kg.num_relations)
+        uses = np.unique(_query_keys(model, examples), return_counts=True)[1]
+        assert len(uses) == 16 and uses.min() >= 3
+        step = _DenseStep(model, examples, batch_size=len(examples))
+        sel = np.random.default_rng(1).permutation(len(examples))
+        assert_matches_reference(
+            step(model, sel, reg_weight),
+            _reference_batch_loss_and_grads(model, examples[sel], reg_weight),
+        )
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_repeated_examples_match_reference(self, reg_weight):
+        # an example the batch holds twice takes 1/n off its target's score-gradient
+        # entry twice: once per use, as in the per-example reference
+        kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
+        config = TrainConfig(dimension=4, epochs=6, batch_size=16, seed=2, reg_weight=reg_weight)
+        model = train(init_model(kg, config), kg, config)
+        examples = build_examples(kg.train, kg.num_relations)
+        batch = np.concatenate([examples[:9], examples[2:5], examples[2:3]])
+        step = _DenseStep(model, batch, batch_size=len(batch))
+        assert_matches_reference(
+            step(model, np.arange(len(batch)), reg_weight),
+            _reference_batch_loss_and_grads(model, batch, reg_weight),
+        )
+        # a post-train whose modified set lists a triple twice, under a full mask, and
+        # training on a graph built with a repeated triple: both fit with the dense step,
+        # one batch per epoch, so each batch holds both copies
+        config = dataclasses.replace(config, batch_size=128)
+        repeated = kg.train + kg.train[3:5]
+        tuned = post_train(
+            model, kg, repeated, range(kg.num_entities), config,
+            trainable_relations=range(kg.num_relations),
+        )
+        twice = KnowledgeGraph(kg.entity_labels, kg.relation_labels, repeated)
+        for got in (tuned, train(model, twice, config)):
+            reference = model.clone()
+            _dense_masked_fit(
+                reference,
+                build_examples(repeated, kg.num_relations),
+                config,
+                config.epochs,
+                np.arange(kg.num_entities),
+                np.arange(2 * kg.num_relations),
+                step=_reference_batch_loss_and_grads,
+            )
+            assert_fits_match(got, reference)
 
     def test_out_of_range_example_is_domain_error(self):
         kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
