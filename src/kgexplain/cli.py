@@ -485,11 +485,35 @@ def _simultaneous_removal(
 _RUN_KEYS = ("algorithm", "prediction", "candidates", "best", "front")
 
 
+def _has_numbers(entry, keys: tuple[str, ...]) -> bool:
+    """Whether ``entry`` is an object holding a number under each of ``keys``."""
+    return isinstance(entry, dict) and all(
+        isinstance(entry.get(key), (int, float)) and not isinstance(entry.get(key), bool)
+        for key in keys
+    )
+
+
 def _load_run(path: Path) -> dict:
-    """A run file's payload; a file that parses but is not a run names itself."""
+    """A run file's payload; a file that parses but is not a run names itself.
+
+    Beyond its keys, the entries ``evaluate`` and ``pareto`` read are checked:
+    each candidate and front point has a numeric ``length`` and ``psi``, and
+    ``best`` is null or has a numeric ``length`` and ``rank_after``.
+    """
     payload = load_run_payload(path)
     if not isinstance(payload, dict) or not all(key in payload for key in _RUN_KEYS):
         raise ConfigurationError(f"not a run file: {path} (expected keys {', '.join(_RUN_KEYS)})")
+    for key in ("candidates", "front"):
+        entries = payload[key]
+        if not isinstance(entries, list) or not all(
+            _has_numbers(e, ("length", "psi")) for e in entries
+        ):
+            want = "a list of objects with numeric length and psi"
+            raise ConfigurationError(f"not a run file: {path} ({key} must be {want})")
+    best = payload["best"]
+    if best is not None and not _has_numbers(best, ("length", "rank_after")):
+        want = "null or an object with numeric length and rank_after"
+        raise ConfigurationError(f"not a run file: {path} (best must be {want})")
     return payload
 
 

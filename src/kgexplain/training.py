@@ -14,46 +14,44 @@ per training set), followed by the examples of any triples the base lacks
 (:class:`_TrainRows`). The retraining operators build that array directly;
 :func:`post_train` maps a plain triple sequence onto it.
 
-Every fit runs :func:`_fit` over a step object. Full training, and a
-post-train whose mask covers every row, run :class:`_DenseStep`, whose
-workspaces are allocated once per fit; from a fresh model that post-train is
-a full retrain without the validation NLL that :func:`train` records. It
-scores each distinct (head, relation_row) query of a batch once (the desk
-graph's 460 examples hold 150), so it sums in another order than the
-per-example loss, within a stated bound of it. Its per-query complex values
+Every fit runs :func:`_fit` over a step object, and both steps run one
+kernel (:class:`_QuerySoftmax`): the softmax over all entities, scored once
+per distinct (head, relation_row) query of a batch (the desk graph's 460
+examples hold 150), and its gradient products. Its per-query complex values
 are split, real rows then imaginary rows, so each complex product runs on
 contiguous blocks; the matrix products read and write packed ``[re | im]``
-rows, and the tables stay packed.
+rows, and the tables stay packed. Full training, and a post-train whose mask
+covers every row, run :class:`_DenseStep`, which passes the kernel the whole
+batch; from a fresh model that post-train is a full retrain without the
+validation NLL that :func:`train` records. It sums in another order than the
+per-example loss, within a stated bound of it.
 
-A post-train with any frozen row runs a restricted step instead. A query
-row whose head entity or relation row is trainable keeps the dense softmax
-over all entities. Every other row is fixed: its query ``q = h∘r`` and its
-scores against frozen entities cannot change during the fit. Each thread
-holds its own post-train state: the example table of its latest base
-training set and the base model of its latest post-train with a frozen row
-(:class:`_BaseModel`). The base holds what depends on it alone (the example
-table, ``q`` for every query of its training set and the N3 penalty of every
-table row), computed when it is created, and the frozen context of its
-latest mask, computed when that mask arrives: for each fixed query, the max
-and shifted exp-sum of its frozen-entity scores, and for each base example
-four resolved words: its query row, those partials and, when its target is
-frozen, its target score. Once per fit the step takes its rows of those
-words and builds its ids and trainable slots; rows the base lacks are
-resolved for that fit alone. Each step gathers its batch's ids in one
-operation and its fixed rows' words in another, scores fixed rows against
-the trainable entities only and merges the two parts into the normaliser;
-its batch-sized temporaries live in workspaces allocated once per fit.
-Gradients are formed for the trainable rows alone. The base is identified
-by the embedding tables, compared bit for bit, and the base training set; a
-post-train from another replaces it whole, and one with another trainable
-entity or relation set replaces its context. The removal candidates of a
-prediction share one mask, whichever algorithm proposed them, and a worker
-thread runs one prediction's algorithms at a time (``cli.cmd_explain``), so
-their context is computed once per prediction. Threads share none of this
-state, so none of it is locked. Frozen rows stay bit-identical; trainable
-rows differ from the dense masked fit only by summation order (measured at
-most 1.8e-13 after 60 desk-graph epochs and 9e-15 after one mid-graph
-epoch).
+A post-train with any frozen row runs a restricted step instead. A fit row is
+fixed when its head entity and relation row are frozen and it lies in the
+base example table: its query ``q = h∘r`` and its scores against frozen
+entities cannot change during the fit. Every other row moves, and the moving
+rows run the kernel, grouped by query once per fit. Each thread holds its own
+post-train state: the example table of its latest base training set and the
+base model of its latest post-train with a frozen row (:class:`_BaseModel`).
+The base holds what depends on it alone (the example table, ``q`` for every
+query of its training set and the N3 penalty of every table row), computed
+when it is created, and the frozen context of its latest mask, computed when
+that mask arrives: for each fixed query, the max and shifted exp-sum of its
+frozen-entity scores, and for each base example four resolved words: its
+query row, those partials and, when its target is frozen, its target score.
+Once per fit the step takes its rows of those words. Each step scores its
+fixed rows against the trainable entities only and merges the two parts into
+the normaliser; gradients are formed for the trainable rows alone. The base is
+identified by the embedding tables, compared bit for bit, and the base
+training set; a post-train from another replaces it whole, and one with
+another trainable entity or relation set replaces its context. The removal
+candidates of a prediction share one mask, whichever algorithm proposed them,
+and a worker thread runs one prediction's algorithms at a time
+(``cli.cmd_explain``), so their context is computed once per prediction.
+Threads share none of this state, so none of it is locked. Frozen rows stay
+bit-identical; trainable rows differ from a per-example restricted step only
+by summation order (measured at most 3.4e-13 after 60 desk-graph epochs and
+4.4e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
@@ -150,7 +148,7 @@ def _n3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``table[rows]`` into ``out``; ids are range-checked when a step is built."""
-    return np.take(table, rows, axis=0, out=out, mode="clip")
+    return table.take(rows, axis=0, out=out, mode="clip")
 
 
 def _row_max(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -163,7 +161,7 @@ def _row_max(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     the reduction at any width. A max is exact, so the values are the same.
     """
     np.copyto(work, x.T)
-    return np.max(work, axis=0, out=out)
+    return np.maximum.reduce(work, axis=0, out=out)
 
 
 def _check_ids(model: EmbeddingModel, columns: np.ndarray) -> None:
@@ -192,26 +190,138 @@ def _fit_columns(model: EmbeddingModel, examples: np.ndarray, rows: np.ndarray |
     return columns
 
 
+class _QueryBatch(NamedTuple):
+    """One batch through :class:`_QuerySoftmax`, as views of its workspaces.
+
+    ``value`` holds each example's target score less its query's
+    log-normaliser and ``targets`` each example's target. The rest hold one
+    entry per query of the batch: ``held``, its index among the fit's
+    queries; ``counts``, its examples in the batch; ``ids``, its head and
+    relation row as two rows, and ``halves`` their half-row ids
+    (:func:`_half_ids`); ``q``, its packed query row; ``grad``, its
+    scores-gradient row; ``dh`` and ``dr``, the split gradients of its head
+    and relation rows. ``flat`` is the scatter workspace of ``dh`` and ``dr``.
+    """
+
+    value: np.ndarray
+    targets: np.ndarray
+    held: np.ndarray
+    counts: np.ndarray
+    ids: np.ndarray
+    halves: np.ndarray
+    q: np.ndarray
+    grad: np.ndarray
+    dh: np.ndarray
+    dr: np.ndarray
+    flat: np.ndarray
+
+
+class _QuerySoftmax:
+    """The softmax over all entities of a fit's example rows, per query, and its gradient products.
+
+    The one kernel of both steps. It scores each distinct query (head,
+    relation_row) of a batch once ("1-N scoring", as in ConvE): the query's
+    examples share its score row and normaliser. Each fit example's query, an
+    index into the fit's queries in key order, is resolved once per fit. The
+    scores-gradient row of query u is ``count_u · softmax_u / n``, less
+    ``1/n`` at each of its examples' targets, once per use; ``n`` is the row
+    count of the whole batch, of which the kernel may see a part.
+
+    Per-query complex values live in split ``(2, queries, d)`` workspaces,
+    real rows then imaginary rows, gathered through the ``(2 * rows, d)`` view
+    of each packed table (:func:`_half_ids`); ``q`` goes into the matrix
+    products packed, ``(queries, 2d)``, and ``dq`` comes out of them packed.
+    The workspaces are allocated by :meth:`reserve`, and every call
+    overwrites them.
+    """
+
+    def __init__(self, model: EmbeddingModel, columns: np.ndarray) -> None:
+        self.targets = columns[2]
+        keys, self.query_of = np.unique(_query_keys(model, columns.T), return_inverse=True)
+        # each fit query's head and relation row, as the two rows of one array
+        self.query_ids = np.stack(np.divmod(keys, len(model.rel)))
+        # each fit query's slot among its batch's queries, rewritten by every call
+        self.slot = np.empty(len(keys), dtype=np.int64)
+        self.shape = model.ent.shape
+        self.capacity = -1
+
+    def reserve(self, n: int) -> None:
+        """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
+        if n <= self.capacity:
+            return
+        self.capacity = n
+        entities, width = self.shape
+        self.ids = np.empty((4, n), dtype=np.int64)
+        # flat buffers: a batch of m queries uses the first m * width values of each,
+        # so its split halves are contiguous whatever m is
+        self.half_ids = np.empty(4 * n, dtype=np.int64)
+        self.flat = np.empty(n * width, dtype=np.int64)
+        self.work, self.half = np.empty((6, n * width)), np.empty(n * width // 2)
+        self.scores = np.empty((n, entities))
+        self.target, self.per_row, self.shift, self.z, self.scale = np.empty((5, n))
+
+    def __call__(self, ent: np.ndarray, rel: np.ndarray, sel: np.ndarray, n: int) -> _QueryBatch:
+        """The fit rows ``sel`` of a batch of ``n`` rows: their losses and gradient terms."""
+        entities, width = ent.shape
+        k = len(sel)
+        targets, fit_query, of_query, at = self.ids[:, :k]
+        self.targets.take(sel, out=targets, mode="clip")
+        # the batch's distinct queries, in key order, and each example's among them
+        self.query_of.take(sel, out=fit_query, mode="clip")
+        counts = np.bincount(fit_query, minlength=len(self.slot))
+        held = counts.nonzero()[0]
+        m = len(held)
+        self.slot[held] = np.arange(m)
+        _gather(self.slot, fit_query, of_query)
+        counts = counts.take(held)
+        query_ids = self.query_ids.take(held, axis=1)
+        halves = _half_ids(query_ids, self.half_ids[: 4 * m].reshape(2, 2, m))
+        packed = self.work[0, : m * width].reshape(m, width)
+        h, r, q, dh, dr = self.work[1:, : m * width].reshape(5, 2, m, -1)
+        half = self.half[: m * width // 2].reshape(m, -1)
+        _gather(_halves(ent), halves[0], h)
+        _gather(_halves(rel), halves[1], r)
+        np.copyto(_split(packed), _cmul(h, r, out=q, tmp=half))
+
+        # softmax in place, one row per query; the target scores are read before the shift
+        scores = np.matmul(packed, ent.T, out=self.scores[:m])
+        flat_scores = scores.reshape(-1)
+        np.multiply(of_query, entities, out=at)
+        at += targets
+        target = _gather(flat_scores, at, self.target[:k])
+        shift = np.maximum.reduce(scores, axis=1, out=self.shift[:m])
+        scores -= shift[:, None]
+        z = np.add.reduce(np.exp(scores, out=scores), axis=1, out=self.z[:m])
+        # each query's log-normaliser shift + log z, read by each of its examples
+        log_z = np.add(shift, np.log(z, out=self.scale[:m]), out=shift)
+        target -= _gather(log_z, of_query, self.per_row[:k])
+
+        # one pass normalises each row, weights it by its query's count and divides by n;
+        # then each example takes 1/n off its target's entry, once per use (np.put would
+        # keep one write of an example the batch holds twice)
+        scale = np.divide(counts, z, out=self.scale[:m])
+        scale /= n
+        scores *= scale[:, None]
+        np.subtract.at(flat_scores, at, 1.0 / n)
+        # packed q stays for the caller; the product lands in dh's rows, copied out before dh fills
+        dq = q  # q's split rows are spent once packed; dq takes their place
+        np.copyto(dq, _split(np.matmul(scores, ent, out=dh.reshape(m, width))))
+        _cmul_conj(dq, r, out=dh, tmp=half)
+        _cmul_conj(dq, h, out=dr, tmp=half)
+        flat = self.flat[: m * width].reshape(2, m, -1)
+        return _QueryBatch(target, targets, held, counts, query_ids, halves, packed, scores, dh, dr, flat)
+
+
 class _DenseStep:
     """The full training step: every row trainable, softmax over all entities.
 
-    A step scores each distinct query (head, relation_row) of its batch once
-    ("1-N scoring", as in ConvE): the query's examples share its score row
-    and normaliser. Each fit example's query, an index into the fit's queries
-    in key order, is resolved once per fit. The scores-gradient row of query
-    u is ``count_u · softmax_u / n``, less ``1/n`` at each of its examples'
-    targets, once per use. Each example keeps its own target score and
-    data-loss term. The N3 terms are taken on the tables, each row's weighted
-    by its uses in the batch. The result is within ``rtol=1e-12, atol=1e-15``
-    of the per-example expression of the loss, which sums in another order.
-
-    Workspaces are allocated once per fit. Per-query complex values live in
-    split ``(2, queries, d)`` workspaces, real rows then imaginary rows,
-    gathered and scattered through the ``(2 * rows, d)`` view of each packed
-    table (:func:`_half_ids`); one packed ``(queries, 2d)`` workspace carries
-    ``q`` into the matrix products and ``dq`` out of them. The returned
-    gradients are workspaces, overwritten by the next call. The fit's
-    examples are ``examples[rows]`` (:func:`_fit_columns`).
+    The kernel (:class:`_QuerySoftmax`) runs on the whole batch. Each example
+    keeps its own target score and data-loss term. The N3 terms are taken on
+    the tables, each row's weighted by its uses in the batch. The result is
+    within ``rtol=1e-12, atol=1e-15`` of the per-example expression of the
+    loss, which sums in another order. The returned gradients are workspaces,
+    overwritten by the next call. The fit's examples are ``examples[rows]``
+    (:func:`_fit_columns`).
     """
 
     ent_idx = rel_idx = slice(None)
@@ -224,22 +334,8 @@ class _DenseStep:
         rows: np.ndarray | None = None,
     ) -> None:
         columns = _fit_columns(model, examples, rows)
-        entities, width = model.ent.shape
-        n = min(batch_size, columns.shape[1])
-        self.targets = columns[2]
-        keys, self.query_of = np.unique(_query_keys(model, columns.T), return_inverse=True)
-        # each fit query's head and relation row, as the two rows of one array
-        self.query_ids = np.stack(np.divmod(keys, len(model.rel)))
-        # each fit query's slot among its batch's queries, rewritten by every step
-        self.slot = np.empty(len(keys), dtype=np.int64)
-        self.ids = np.empty((4, n), dtype=np.int64)
-        # flat buffers: a batch of m queries uses the first m * width values of each,
-        # so its split halves are contiguous whatever m is
-        self.half_ids = np.empty(4 * n, dtype=np.int64)
-        self.flat = np.empty(n * width, dtype=np.int64)
-        self.work, self.half = np.empty((6, n * width)), np.empty(n * width // 2)
-        self.scores = np.empty((n, entities))
-        self.target, self.per_row, self.shift, self.z, self.scale = np.empty((5, n))
+        self.softmax = _QuerySoftmax(model, columns)
+        self.softmax.reserve(min(batch_size, columns.shape[1]))
         self.d_ent, self.d_rel = np.empty_like(model.ent), np.empty_like(model.rel)
 
     def __call__(
@@ -247,60 +343,18 @@ class _DenseStep:
     ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
         """Loss, data loss and the ``ent`` and ``rel`` gradients over example rows ``sel``."""
         ent, rel, n = model.ent, model.rel, len(sel)
-        entities, width = ent.shape
-        targets, fit_query, of_query, at = self.ids[:, :n]
-        np.take(self.targets, sel, out=targets, mode="clip")
-        # the batch's distinct queries, in key order, and each example's among them
-        np.take(self.query_of, sel, out=fit_query, mode="clip")
-        counts = np.bincount(fit_query, minlength=len(self.slot))
-        held = np.flatnonzero(counts)
-        m = len(held)
-        self.slot[held] = np.arange(m)
-        _gather(self.slot, fit_query, of_query)
-        counts = counts.take(held)
-        query_ids = self.query_ids.take(held, axis=1)
-        at_heads, at_rels = _half_ids(query_ids, self.half_ids[: 4 * m].reshape(2, 2, m))
-        packed = self.work[0, : m * width].reshape(m, width)
-        h, r, q, dh, dr = self.work[1:, : m * width].reshape(5, 2, m, -1)
-        half = self.half[: m * width // 2].reshape(m, -1)
-        _gather(_halves(ent), at_heads, h)
-        _gather(_halves(rel), at_rels, r)
-        np.copyto(_split(packed), _cmul(h, r, out=q, tmp=half))
-
-        # softmax in place, one row per query; the target scores are read before the shift
-        scores = np.matmul(packed, ent.T, out=self.scores[:m])
-        flat_scores = scores.reshape(-1)
-        np.multiply(of_query, entities, out=at)
-        at += targets
-        target = _gather(flat_scores, at, self.target[:n])
-        shift = np.max(scores, axis=1, out=self.shift[:m])
-        scores -= shift[:, None]
-        z = np.sum(np.exp(scores, out=scores), axis=1, out=self.z[:m])
-        # each query's log-normaliser shift + log z, read by each of its examples
-        log_z = np.add(shift, np.log(z, out=self.scale[:m]), out=shift)
-        target -= _gather(log_z, of_query, self.per_row[:n])
-        data_loss = float(-target.mean())
-
-        # one pass normalises each row, weights it by its query's count and divides by n;
-        # then each example takes 1/n off its target's entry, once per use (np.put would
-        # keep one write of an example the batch holds twice)
-        scale = np.divide(counts, z, out=self.scale[:m])
-        scale /= n
-        scores *= scale[:, None]
-        np.subtract.at(flat_scores, at, 1.0 / n)
-        d_ent = np.matmul(scores.T, packed, out=self.d_ent)
-        dq = q  # q's split rows are spent once packed; dq takes their place
-        np.copyto(dq, _split(np.matmul(scores, ent, out=packed)))
-        _cmul_conj(dq, r, out=dh, tmp=half)
-        _cmul_conj(dq, h, out=dr, tmp=half)
+        batch = self.softmax(ent, rel, sel, n)
+        data_loss = float(-batch.value.mean())
+        d_ent = np.matmul(batch.grad.T, batch.q, out=self.d_ent)
 
         loss, d_rel = data_loss, self.d_rel
         if reg_weight > 0:
             # N3 terms on the tables: each row's, weighted by its uses as a head, relation or target
+            entities = len(ent)
             (ent_penalty, ent_grad), (rel_penalty, rel_grad) = _n3(ent), _n3(rel)
-            ent_uses = np.bincount(query_ids[0], weights=counts, minlength=entities)
-            ent_uses += np.bincount(targets, minlength=entities)
-            rel_uses = np.bincount(query_ids[1], weights=counts, minlength=len(rel))
+            ent_uses = np.bincount(batch.ids[0], weights=batch.counts, minlength=entities)
+            ent_uses += np.bincount(batch.targets, minlength=entities)
+            rel_uses = np.bincount(batch.ids[1], weights=batch.counts, minlength=len(rel))
             loss += reg_weight * float(ent_penalty @ ent_uses + rel_penalty @ rel_uses) / n
             c = 3.0 * reg_weight / n
             d_ent += np.multiply(ent_grad, (c * ent_uses)[:, None], out=ent_grad)
@@ -308,9 +362,9 @@ class _DenseStep:
         else:
             d_rel.fill(0.0)
 
-        flat = self.flat[: m * width].reshape(2, m, -1)
-        _scatter_rows(_halves(d_ent), at_heads, dh, flat)
-        _scatter_rows(_halves(d_rel), at_rels, dr, flat)
+        at_heads, at_rels = batch.halves
+        _scatter_rows(_halves(d_ent), at_heads, batch.dh, batch.flat)
+        _scatter_rows(_halves(d_rel), at_rels, batch.dr, batch.flat)
         return loss, data_loss, (d_ent, d_rel)
 
 
@@ -437,9 +491,9 @@ class _BaseModel:
     it resolves every base example into the four words of the step's record
     that depend on the mask (``resolved``): its query row, its query's max and
     exp-sum and, when its row is fixed and its target frozen, its target score
-    ``q·e_o`` (zeros for a moving row). Fits take their rows of it. A fit that
-    brings rows outside that set resolves them on its own (:meth:`lookup`), so
-    every value a fit reads is the same whichever fits ran before it.
+    ``q·e_o`` (zeros for a moving row). Fits take their rows of it; a fit's
+    rows past the base example table are moving rows of that fit, so every
+    value a fit reads is the same whichever fits ran before it.
     """
 
     def __init__(self, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
@@ -482,33 +536,7 @@ class _BaseModel:
         # a fixed row's score against its frozen target never changes either
         out = np.flatnonzero(~(moving | ent_trainable[targets]))
         _target_scores(model, self.queries, query_of, targets, out, chunk, partials[:, 2])
-        self.mask, self.ent_trainable, self.maxes, self.sums, self.resolved = (
-            mask, ent_trainable, maxes, sums, resolved
-        )
-
-    def lookup(
-        self, model: EmbeddingModel, keys: np.ndarray, chunk: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(row, max, exp-sum) per fixed query key of the latest mask, and the query rows they index.
-
-        Keys outside the base training set get rows appended to a copy of the
-        query rows, for the calling fit alone.
-        """
-        at = np.searchsorted(self.keys, keys)
-        found = at < len(self.keys)
-        found[found] = self.keys[at[found]] == keys[found]
-        maxes, sums, queries = self.maxes, self.sums, self.queries
-        if not found.all():
-            missing, back = np.unique(keys[~found], return_inverse=True)
-            extra = _query_rows(model, missing, chunk)
-            extra_maxes, extra_sums = _frozen_partials(
-                model, extra, np.arange(len(missing)), self.ent_trainable, chunk
-            )
-            maxes, sums, queries = map(
-                np.concatenate, zip((maxes, sums, queries), (extra_maxes, extra_sums, extra))
-            )
-            at[~found] = len(self.keys) + back
-        return at, maxes[at], sums[at], queries
+        self.mask, self.resolved = mask, resolved
 
 
 def _frozen_context(
@@ -533,32 +561,33 @@ def _frozen_context(
 class _RestrictedStep:
     """A training step that computes only what the trainable rows need.
 
-    Query rows whose head entity or relation row is trainable ("moving")
-    keep the dense softmax over all entity columns. Every other row is fixed.
-    The per-example values are resolved once per fit into two tables. ``ids``
-    holds seven rows of one column per example: the head, relation row and
-    target, the head's and target's column among the trainable entities and
-    the relation's slot (-1 when frozen), and the moving row's slot (-1 for a
-    fixed row). ``resolved`` holds four words per example: the query row and
+    A fit row is moving when its head entity or relation row is trainable, or
+    when it lies past the base example table, which the frozen context does
+    not cover; every other row is fixed. The per-example values are resolved
+    once per fit into two tables. ``ids`` holds seven rows of one column per
+    example: the head, relation row and target, the head's and target's
+    column among the trainable entities and the relation's slot (-1 when
+    frozen), and the moving row's index among the fit's moving rows (-1 for
+    a fixed row). ``resolved`` holds four words per example, taken from the
+    thread's :class:`_BaseModel` (unread for a moving row): the query row and
     the bits of a fixed row's frozen-column max and exp-sum and, when its
-    target is frozen, its target score ``q·e_o`` (zeros for a moving row).
-    Base examples take their ``resolved`` rows from the thread's
-    :class:`_BaseModel`; other rows are resolved for this fit alone. The
-    moving rows' half-row ids are built once per fit too. A step gathers its
-    batch's ``ids`` columns in one ``np.take`` and its fixed rows' ``resolved``
-    rows in another, keeps its batch-sized temporaries in workspaces
-    allocated once per fit, gathers each fixed row's query, scores it against
-    the trainable columns only and completes its normaliser with the frozen
-    partials.
-    Entity gradients are formed for the trainable rows alone, so a step costs
-    O(n |T| d + n_moving E d) instead of O(n E d). Every value comes from the
-    same operations, in the same order, as the step that built its indices
-    at every call.
+    target is frozen, its target score ``q·e_o``.
 
-    ``rows`` selects the fit's rows of ``examples``, which then starts with
-    the example table of ``train`` (:func:`_base_examples`); without ``rows``
-    the fit is ``examples``, and every row of it is resolved for this fit.
-    The trainable ids ``ent_idx`` and ``rel_idx`` are sorted.
+    The moving rows of a batch run the kernel of the dense step
+    (:class:`_QuerySoftmax`), over the moving rows' queries, grouped once per
+    fit; their entity gradient is formed for the trainable columns alone, and
+    the gradients of their heads and relations are scattered into the
+    trainable rows, those of frozen ones into a spare last row of each
+    gradient workspace. A step gathers its batch's ``ids`` columns in one
+    ``np.take`` and its fixed rows' ``resolved`` rows in another, gathers each
+    fixed row's query, scores it against the trainable columns only and
+    completes its normaliser with the frozen partials. A step costs
+    O(n |T| d + n_moving E d) instead of O(n E d). Its batch-sized
+    temporaries live in workspaces that grow to the longest batch.
+
+    ``rows`` selects the fit's rows of ``examples``, which starts with the
+    example table of ``train`` (:func:`_base_examples`). The trainable ids
+    ``ent_idx`` and ``rel_idx`` are sorted.
     """
 
     def __init__(
@@ -569,7 +598,7 @@ class _RestrictedStep:
         rel_idx: np.ndarray,
         train: Sequence[Triple],
         chunk: int,
-        rows: np.ndarray | None = None,
+        rows: np.ndarray,
     ) -> None:
         columns = _fit_columns(model, examples, rows)
         heads, rels, targets = columns
@@ -585,49 +614,33 @@ class _RestrictedStep:
         column, rel_slot = _slots(ent_trainable), _slots(rel_trainable)
         for row, table, of in ((3, column, heads), (4, column, targets), (5, rel_slot, rels)):
             np.take(table, of, out=ids[row])
-        self.moving = ent_trainable[heads] | rel_trainable[rels]
-        self.resolved = resolved = np.zeros((len(heads), 4), dtype=np.int64)
-        self.queries = np.empty((0, width))
+        self.moving = ent_trainable[heads] | rel_trainable[rels] | (rows >= 2 * len(train))
+        moving = np.flatnonzero(self.moving)
+        ids[6] = -1
+        ids[6, moving] = np.arange(len(moving))
+        self.softmax = _QuerySoftmax(model, columns[:, moving])
+        # each moving query's head column and relation slot, a frozen one sent to the
+        # spare last row of its gradient workspace, as half-row ids
+        query_heads, query_rels = self.softmax.query_ids
+        slots = np.stack([column.take(query_heads), rel_slot.take(query_rels)])
+        spare = np.array([[len(ent_idx)], [len(rel_idx)]])
+        self.trainable_halves = _half_ids(np.where(slots < 0, spare, slots))
+        self.resolved = np.zeros((len(heads), 4), dtype=np.int64)
         if self.moving.all():
+            self.queries = np.empty((0, width))
             self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
         else:
             base = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
             self.queries = base.queries
-            fixed = ~self.moving
-            if rows is not None and len(base.resolved):
-                # rows of the base set take the words the context resolved for them;
-                # rows past it (clipped to its last row here) start again from zeros
-                np.take(base.resolved, rows, axis=0, out=resolved, mode="clip")
-                past = rows >= len(base.resolved)
-                resolved[past] = 0
-                fixed &= past
-            # other fixed rows are resolved for this fit alone
-            own = np.flatnonzero(fixed)
-            if len(own):
-                at, maxes, sums, self.queries = base.lookup(
-                    model, _query_keys(model, columns[:, own].T), chunk
-                )
-                partials = resolved[:, 1:].view(np.float64)
-                resolved[own, 0] = at
-                partials[own, 0], partials[own, 1] = maxes, sums
-                out = own[~ent_trainable[targets[own]]]
-                _target_scores(model, self.queries, resolved[:, 0], targets, out, chunk, partials[:, 2])
+            # rows past the base set are moving; clipped here, their words stay unread
+            np.take(base.resolved, rows, axis=0, out=self.resolved, mode="clip")
             # N3 penalty of every row; the trainable rows' entries are refreshed each step
             self.ent_penalty = base.ent_penalty.copy()
             self.rel_penalty = base.rel_penalty.copy()
-        # the moving rows: their slot, and the half-row ids (:func:`_half_ids`)
-        # of their head, relation, head column and relation slot
-        moving = np.flatnonzero(self.moving)
-        ids[6] = -1
-        ids[6, moving] = np.arange(len(moving))
-        self.halves = np.empty((8, len(moving)), dtype=np.int64)
-        for i, row in enumerate((0, 1, 3, 5)):
-            _half_ids(ids[row, moving], self.halves[2 * i : 2 * i + 2])
         self.capacity = 0
         self.ent_t = np.empty((len(ent_idx), width))
-        self.d_ent = np.empty((len(ent_idx), width))
-        self.d_rel = np.empty((len(rel_idx), width))
-        self.entities = model.num_entities
+        self.d_ent = np.empty((len(ent_idx) + 1, width))
+        self.d_rel = np.empty((len(rel_idx) + 1, width))
 
     def _reserve(self, n: int) -> None:
         """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
@@ -638,62 +651,9 @@ class _RestrictedStep:
         self.batch = np.empty(7 * n, dtype=np.int64)
         self.fixed_rows, self.fixed_sel = np.empty((n, 4), dtype=np.int64), np.empty(n, dtype=np.int64)
         self.vectors = np.empty((4, n))
-        self.at = np.empty(n, dtype=np.int64)
-        self.row_start = np.arange(n) * self.entities
         self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * trainable)
         self.fixed_probs, self.fixed_grad = np.empty(n * trainable), np.empty((trainable, width))
-        moving = min(n, int(self.moving.sum()))
-        self.moving_scores = np.empty(moving * self.entities)
-        self.moving_halves = np.empty(4 * moving * width)
-        self.moving_q, self.moving_tmp = np.empty(moving * width), np.empty(moving * width // 2)
-        self.flat = np.empty(moving * width, dtype=np.int64)
-
-    def _moving_rows(
-        self,
-        model: EmbeddingModel,
-        ids: np.ndarray,
-        sel: np.ndarray,
-        mv: np.ndarray,
-        nll: np.ndarray,
-    ) -> None:
-        """The dense softmax of the batch's moving rows ``mv`` and their gradient terms."""
-        ent, rel = model.ent, model.rel
-        n, m, width = len(sel), len(mv), ent.shape[1]
-        targets = ids[2].take(mv)
-        at_h, at_r, at_col, at_slot = self.halves.take(ids[6].take(mv), axis=1).reshape(4, 2, m)
-        h, r, q, dq = self.moving_halves[: 4 * m * width].reshape(4, 2, m, -1)
-        tmp = self.moving_tmp[: m * width // 2].reshape(m, -1)
-        _gather(_halves(ent), at_h, h)
-        _gather(_halves(rel), at_r, r)
-        # complex products on contiguous split rows, as in the dense step
-        qm = self.moving_q[: m * width].reshape(m, width)
-        np.copyto(_split(qm), _cmul(h, r, out=q, tmp=tmp))
-        scores = np.matmul(qm, ent.T, out=self.moving_scores[: m * self.entities].reshape(m, -1))
-        flat_scores = scores.reshape(-1)
-        at = np.add(self.row_start[:m], targets, out=self.at[:m])
-        target_score = flat_scores.take(at)
-        shift, z, value = self.vectors[:3, :m]
-        np.maximum.reduce(scores, axis=1, out=shift)
-        scores -= shift[:, None]
-        probs = np.exp(scores, out=scores)
-        np.add.reduce(probs, axis=1, out=z)
-        np.add(shift, np.log(z, out=value), out=value)
-        value -= target_score
-        nll.put(mv, value)
-        probs /= z[:, None]
-        flat_scores.put(at, flat_scores.take(at) - 1.0)
-        probs /= n
-        self.d_ent += probs.take(self.ent_idx, axis=1).T @ qm
-        np.copyto(dq, _split(np.matmul(probs, ent, out=qm)))
-        head_and_relation = [(self.d_ent, at_col, r)]
-        if len(self.rel_idx):  # without a trainable relation row there is no d_rel to form
-            head_and_relation.append((self.d_rel, at_slot, h))
-        for grad, at_slot_rows, factor in head_and_relation:
-            live = (at_slot_rows[0] >= 0).nonzero()[0]
-            dq_live = dq.take(live, axis=1)
-            product = _cmul_conj(dq_live, factor.take(live, axis=1), out=np.empty_like(dq_live))
-            flat = self.flat[: product.size].reshape(product.shape)
-            _scatter_rows(_halves(grad), at_slot_rows.take(live, axis=1), product, flat)
+        self.softmax.reserve(min(n, len(self.softmax.targets)))
 
     def __call__(
         self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
@@ -707,18 +667,23 @@ class _RestrictedStep:
         ent, rel, n = model.ent, model.rel, len(sel)
         trainable, width = self.ent_t.shape
         self._reserve(n)
-        ids = np.take(self.ids, sel, axis=1, out=self.batch[: 7 * n].reshape(7, n), mode="clip")
-        heads, rels, targets, head_col, target_col, slots, moving = ids
-        moving = moving >= 0
+        ids = self.ids.take(sel, axis=1, out=self.batch[: 7 * n].reshape(7, n), mode="clip")
+        heads, rels, targets, head_col, target_col, slots, moving_row = ids
+        moving = moving_row >= 0
         ent_t = ent.take(self.ent_idx, axis=0, out=self.ent_t)
         nll = self.vectors[3, :n]
-        d_ent, d_rel = self.d_ent, self.d_rel
-        d_ent.fill(0.0)
-        d_rel.fill(0.0)
+        self.d_ent.fill(0.0)
+        self.d_rel.fill(0.0)
+        d_ent, d_rel = self.d_ent[:-1], self.d_rel[:-1]
 
         mv = moving.nonzero()[0]
         if len(mv):
-            self._moving_rows(model, ids, sel, mv, nll)
+            batch = self.softmax(ent, rel, moving_row.take(mv), n)
+            nll.put(mv, np.negative(batch.value))
+            d_ent += batch.grad.take(self.ent_idx, axis=1).T @ batch.q
+            at_col, at_slot = self.trainable_halves.take(batch.held, axis=2)
+            _scatter_rows(_halves(self.d_ent), at_col, batch.dh, batch.flat)
+            _scatter_rows(_halves(self.d_rel), at_slot, batch.dr, batch.flat)
         # the fixed rows' resolved words; all of the batch when no row moves
         fx = (~moving).nonzero()[0] if len(mv) else None
         at = sel if fx is None else sel.take(fx, out=self.fixed_sel[: len(fx)])

@@ -323,17 +323,31 @@ class TestEvaluate:
         runs = tmp_path / "runs"
         shutil.copytree(root / "out" / "runs", runs)
         victim = sorted(runs.glob("run_*.json"))[0]
-        victim.write_text('{"sentinel": true}')
-        argv = [
-            "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
-            "--runs", str(runs), "--out", str(tmp_path / "ev"),
+        run = json.loads(victim.read_text())
+        assert run["candidates"] and run["best"] and run["front"]
+        candidate, point = run["candidates"][0], run["front"][0]
+        malformed = [
+            {"sentinel": True},
+            {**run, "candidates": [{k: v for k, v in candidate.items() if k != "length"}]},
+            {**run, "candidates": {"length": 1, "psi": 0}},
+            {**run, "candidates": [{**candidate, "psi": "high"}]},
+            {**run, "best": {"length": 1}},
+            {**run, "best": [1]},
+            {**run, "front": [{k: v for k, v in point.items() if k != "psi"}]},
         ]
-        assert main(argv) == EXIT_VALIDATION
-        assert victim.name in caplog.text
-        caplog.clear()
-        argv = ["pareto", "--runs", str(runs), "--out", str(tmp_path / "front.json")]
-        assert main(argv) == EXIT_VALIDATION
-        assert victim.name in caplog.text
+        for payload in malformed:
+            victim.write_text(json.dumps(payload))
+            argv = [
+                "evaluate", "--config", str(root / "experiment.ini"), "--selection",
+                str(selection), "--runs", str(runs), "--out", str(tmp_path / "ev"),
+            ]
+            caplog.clear()
+            assert main(argv) == EXIT_VALIDATION, payload
+            assert victim.name in caplog.text
+            caplog.clear()
+            argv = ["pareto", "--runs", str(runs), "--out", str(tmp_path / "front.json")]
+            assert main(argv) == EXIT_VALIDATION, payload
+            assert victim.name in caplog.text
 
     @pytest.mark.parametrize(
         "content",

@@ -23,6 +23,7 @@ from kgexplain import effectiveness, training
 from kgexplain.effectiveness import _retrained
 from kgexplain.kg import _one_hop_entities
 from kgexplain.training import _RestrictedStep, _TrainRows, _base_examples, build_examples
+from test_training import _ReferenceRestrictedStep
 
 EVALUATORS = ("post-train", "full-retrain")
 
@@ -157,19 +158,7 @@ def test_plain_sequence_maps_to_its_own_examples(desk_kg):
     assert np.array_equal(table[fit.rows], build_examples(sequence, kg.num_relations))
 
 
-def _resolutions(kg, model, mask, fit: _TrainRows, chunk=37):
-    """The restricted step built from the fit's rows, and from its examples alone."""
-    table = _base_examples(kg.train, kg.num_relations)
-    if fit.added:
-        table = np.concatenate([table, build_examples(fit.added, kg.num_relations)])
-    ent_idx = np.asarray(sorted(mask), dtype=np.int64)
-    rel_idx = np.empty(0, dtype=np.int64)
-    sliced = _RestrictedStep(model, table, ent_idx, rel_idx, kg.train, chunk, fit.rows)
-    fresh = _RestrictedStep(model, table[fit.rows], ent_idx, rel_idx, kg.train, chunk)
-    return sliced, fresh
-
-
-def test_sliced_resolution_equals_a_fresh_per_fit_resolution(desk_kg, desk_model, desk_predictions):
+def test_row_fit_steps_match_the_reference_step(desk_kg, desk_model, desk_predictions):
     kg, model = desk_kg, desk_model
     s = desk_predictions[0].subject
     mask = _one_hop_entities(kg, s)
@@ -178,7 +167,7 @@ def test_sliced_resolution_equals_a_fresh_per_fit_resolution(desk_kg, desk_model
     base_queries |= {(t.object, t.relation + kg.num_relations) for t in kg.train}
     far = sorted(set(range(kg.num_entities)) - mask)
     # additions between frozen entities: one whose two queries the base set has,
-    # one whose (head, relation) query it lacks
+    # one whose (head, relation) query it lacks; both lie past the base table
     known = next(
         Triple(h, 0, o) for h in far for o in far
         if h != o and Triple(h, 0, o) not in kg.train_set
@@ -191,14 +180,20 @@ def test_sliced_resolution_equals_a_fresh_per_fit_resolution(desk_kg, desk_model
         "known addition": effectiveness._rows_with(kg, [known]),
         "new addition": effectiveness._rows_with(kg, [new]),
     }
+    ent_idx = np.asarray(sorted(mask), dtype=np.int64)
+    rel_idx = np.empty(0, dtype=np.int64)
     for name, fit in fits.items():
-        sliced, fresh = _resolutions(kg, model, mask, fit)
-        assert (~sliced.moving).any(), name
-        assert np.array_equal(sliced.moving, fresh.moving), name
-        assert np.array_equal(sliced.ids, fresh.ids), name
-        assert np.array_equal(sliced.resolved, fresh.resolved), name
-        assert np.array_equal(sliced.queries, fresh.queries), name
-        assert np.array_equal(sliced.halves, fresh.halves), name
+        table = _base_examples(kg.train, kg.num_relations)
+        if fit.added:
+            table = np.concatenate([table, build_examples(fit.added, kg.num_relations)])
+        step = _RestrictedStep(model, table, ent_idx, rel_idx, kg.train, 37, fit.rows)
+        reference = _ReferenceRestrictedStep(model, table[fit.rows], ent_idx, rel_idx, kg.train, 37)
+        assert (~step.moving).any(), name
+        assert step.moving[fit.rows >= 2 * len(kg.train)].all(), name
+        for sel in np.array_split(np.random.default_rng(0).permutation(len(fit.rows)), 3):
+            (loss, data_loss, grads), want = step(model, sel, 1e-3), reference(model, sel, 1e-3)
+            for got, expected in zip((loss, data_loss, *grads), (*want[:2], *want[2])):
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 @pytest.mark.parametrize("row", [-1, "past"])

@@ -9,6 +9,7 @@ import kgexplain
 SURFACE = Path(__file__).resolve().parents[1] / "tools" / "surface.py"
 MAX_SETTABLE_VALUES = 95
 MAX_ALL_NAMES = 57
+MAX_SRC_LINES = 4078
 
 
 def _surface():
@@ -24,3 +25,7 @@ def test_settable_values_do_not_exceed_the_ratchet():
 
 def test_all_names_do_not_exceed_the_ratchet():
     assert len(kgexplain.__all__) <= MAX_ALL_NAMES
+
+
+def test_src_lines_do_not_exceed_the_ratchet():
+    assert _surface().src_lines() <= MAX_SRC_LINES

@@ -33,12 +33,16 @@ def settable_values() -> int:
     return count
 
 
-def main() -> None:
-    lines = sum(
+def src_lines() -> int:
+    """The line count of the package's modules."""
+    return sum(
         len(path.read_text(encoding="utf-8").splitlines())
         for path in sorted((SRC / "kgexplain").glob("*.py"))
     )
-    print(f"src/kgexplain lines: {lines}")
+
+
+def main() -> None:
+    print(f"src/kgexplain lines: {src_lines()}")
     print(f"__all__ names: {len(kgexplain.__all__)}")
     print(f"settable values: {settable_values()}")
 
