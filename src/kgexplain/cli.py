@@ -2,10 +2,11 @@
 
 Subcommands: ``train`` (fit and checkpoint a scorer), ``select`` (sample an
 evaluation set from a rank cohort), ``explain`` (run explainers per
-prediction, resumable: readable run files are kept), ``evaluate``
-(metrics reports and the cross-algorithm comparison), ``pareto`` (front
-export). Configuration is one INI file, echoed verbatim into every output
-directory. Exit codes: 0 success, 2 validation error, 3 runtime error.
+prediction, resumable), ``evaluate`` (metrics reports and the
+cross-algorithm comparison), ``pareto`` (front export). A run file counts
+only when ``read_run`` accepts it as the run its name and index claim. One
+INI file configures all, echoed verbatim into every output directory. Exit
+codes: 0 success, 2 validation error, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -28,10 +29,12 @@ from .explainers import (
     MODES,
     ExplainerConfig,
     ExplanationRun,
+    _three_ints,
     criage_first_order,
     data_poisoning_direct,
     exhaustive_length1,
-    load_run_payload,
+    load_json,
+    read_run,
     variable_length_builder,
     write_text_atomic,
 )
@@ -92,6 +95,10 @@ class ExperimentConfig:
             raise ConfigurationError("selection count must be >= 1")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown explanation mode: {self.mode!r}")
+        if not self.algorithms:
+            raise ConfigurationError("config [explain] algorithms names no algorithm")
+        if self.mode == "c-sufficient" and self.targets_size < 1:
+            raise ConfigurationError("config [targets] size must be >= 1 in mode 'c-sufficient'")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm: {algo!r}")
@@ -260,8 +267,8 @@ def cmd_select(
 def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[dict]:
     """The ``triples`` entries of a selection file, each holding ``keys``.
 
-    ``ids`` must be three integers. A file that does not parse, or is not
-    such a list, names itself.
+    ``ids`` must be three integers and ``rank``, when asked for, a positive
+    integer. A file that does not parse, or is not such a list, names itself.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -270,14 +277,14 @@ def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[
     entries = data.get("triples") if isinstance(data, dict) else None
 
     def valid(entry) -> bool:
-        ids = entry.get("ids") if isinstance(entry, dict) else None
-        return (
-            isinstance(ids, list) and len(ids) == 3 and all(isinstance(i, int) for i in ids)
-            and set(keys) <= entry.keys()
-        )
+        if not isinstance(entry, dict) or not set(keys) <= entry.keys():
+            return False
+        rank = entry["rank"] if "rank" in keys else 1
+        return _three_ints(entry["ids"]) and type(rank) is int and rank >= 1  # not a bool
 
     if not isinstance(entries, list) or not all(map(valid, entries)):
         want = f"expected a triples list of {{{', '.join(keys)}}}, ids three integers"
+        want += ", rank a positive integer" * ("rank" in keys)
         raise ConfigurationError(f"not a selection file: {path} ({want})")
     return entries
 
@@ -331,24 +338,26 @@ def cmd_explain(
     out: str | None = None,
     workers: int = 1,
 ) -> list[Path]:
-    """One run file per (prediction, algorithm); existing readable files are kept.
+    """One run file per (prediction, algorithm); existing valid files are kept.
 
     A checkpoint trained with a ``[training]`` configuration other than the
     INI's is a validation error naming each field that differs.
 
     One task per prediction runs every algorithm in order, from one search
     space and one c-sufficient target set, so a worker thread (``workers``)
-    post-trains from one prediction at a time. An existing run file that does
-    not parse (say, one truncated by a killed writer) is logged and recomputed.
+    post-trains from one prediction at a time. An existing run file is kept
+    only when :func:`read_run` accepts it as the run of its algorithm and
+    prediction; any other (truncated, malformed, or of another prediction)
+    is logged by name and recomputed. Each task returns its runs' payloads.
 
     A failed (prediction, algorithm) run is logged and the remaining runs
     still go ahead; then ``runs/failures.json`` lists every failure
     (prediction index and ids, algorithm, exception class and message) and
     the command raises, so it exits 3. A run without failures removes a stale
     manifest. With simultaneous removal enabled, each algorithm's best
-    necessary explanations are pooled, removed in one shot, and a single
-    retrained model produces every after-rank. A last line counts the run
-    files written, resumed, recomputed and failed.
+    necessary explanations are pooled from those payloads, removed in one
+    shot, and a single retrained model produces every after-rank. A last
+    line counts the run files written, resumed, recomputed and failed.
     """
     config.validate()
     if workers < 1:
@@ -362,20 +371,14 @@ def cmd_explain(
     model = load_checkpoint(checkpoint, kg)
     predictions = [Triple(*entry["ids"]) for entry in _load_selection(selection)]
 
-    if config.mode in ("latent-positive", "latent-negative"):
-        space = _latent_space(config, kg, model)
-    else:
-        space = None
+    latent = _latent_space(config, kg, model) if config.mode.startswith("latent-") else None
+    tasks = [
+        (i, p, latent or build_search_space(kg, config.explainer.search_space, p))
+        for i, p in enumerate(predictions)
+    ]
 
-    tasks = []
-    for index, prediction in enumerate(predictions):
-        pred_space = space
-        if space is None:
-            pred_space = build_search_space(kg, config.explainer.search_space, prediction)
-        tasks.append((index, prediction, pred_space))
-
-    def execute(task) -> list[tuple[str, Path | dict]]:
-        """Each algorithm's status and run file, or its failure as a manifest entry."""
+    def execute(task) -> list[tuple[str, Path, dict]]:
+        """Each algorithm's status, run file, and payload or, on failure, manifest entry."""
         index, prediction, pred_space = task
         targets = None  # built for the first algorithm that runs, then shared
         outcomes = []
@@ -384,13 +387,13 @@ def cmd_explain(
             status = "written"
             if path.exists():
                 try:
-                    load_run_payload(path)
+                    payload = read_run(path, algorithm, prediction)
                 except ConfigurationError as exc:
                     logger.warning("recomputing %s: %s", path.name, exc)
                     status = "recomputed"
                 else:
                     logger.info("run file %s already exists; skipping", path.name)
-                    outcomes.append(("resumed", path))
+                    outcomes.append(("resumed", path, payload))
                     continue
             try:
                 if targets is None and config.mode == "c-sufficient":
@@ -400,7 +403,7 @@ def cmd_explain(
                 run = _run_one(config, kg, model, prediction, algorithm, (pred_space, targets))
             except KgExplainError as exc:
                 logger.error("run failed for %s / %s: %s", prediction, algorithm, exc)
-                outcomes.append(("failed", {
+                outcomes.append(("failed", path, {
                     "index": index,
                     "prediction": list(prediction),
                     "algorithm": algorithm,
@@ -408,8 +411,7 @@ def cmd_explain(
                     "message": str(exc),
                 }))
                 continue
-            run.save(path, kg)
-            outcomes.append((status, path))
+            outcomes.append((status, path, run.save(path, kg)))
         return outcomes
 
     if workers > 1:
@@ -418,12 +420,12 @@ def cmd_explain(
     else:
         grouped = [execute(task) for task in tasks]
     results = [outcome for outcomes in grouped for outcome in outcomes]
-    written = [r for status, r in results if status != "failed"]
-    failures = [r for status, r in results if status == "failed"]
+    done = [(path, payload) for status, path, payload in results if status != "failed"]
+    failures = [payload for status, _, payload in results if status == "failed"]
 
     if config.simultaneous_removal and config.mode == "necessary":
-        _simultaneous_removal(config, kg, model, predictions, runs_dir)
-    statuses = [status for status, _ in results]
+        _simultaneous_removal(config, kg, model, predictions, runs_dir, [p for _, p in done])
+    statuses = [status for status, *_ in results]
     logger.info(
         "explain: %d run files written, %d resumed, %d recomputed, %d failed",
         *map(statuses.count, ("written", "resumed", "recomputed", "failed")),
@@ -431,7 +433,7 @@ def cmd_explain(
     manifest = runs_dir / "failures.json"
     if not failures:
         manifest.unlink(missing_ok=True)
-        return written
+        return [path for path, _ in done]
     write_text_atomic(manifest, json.dumps({"failures": failures}, indent=2, sort_keys=True))
     raise KgExplainError(f"{len(failures)} of {len(results)} explain runs failed; see {manifest}")
 
@@ -442,18 +444,16 @@ def _simultaneous_removal(
     model,
     predictions: list[Triple],
     runs_dir: Path,
+    payloads: list[dict],
 ) -> None:
+    """Pool each algorithm's best triples over ``payloads``, the sweep's kept and written runs."""
     for algorithm in config.algorithms:
-        removed: set[Triple] = set()
-        for index in range(len(predictions)):
-            path = runs_dir / f"run_{algorithm}_{index:04d}.json"
-            if not path.exists():
-                continue
-            payload = load_run_payload(path)
-            if not isinstance(payload, dict):
-                raise ConfigurationError(f"not a run file: {path} (expected a JSON object)")
-            if payload.get("best"):
-                removed.update(Triple(*t["ids"]) for t in payload["best"]["triples"])
+        removed = {
+            Triple(*t["ids"])
+            for payload in payloads
+            if payload["algorithm"] == algorithm and payload["best"]
+            for t in payload["best"]["triples"]
+        }
         if not removed:
             continue
         retrained = _retrained(
@@ -461,16 +461,15 @@ def _simultaneous_removal(
         )
         checkpoint = runs_dir / f"simultaneous_{algorithm}_model.npz"
         save_checkpoint(retrained, kg, checkpoint, config.train)
-        entries = []
-        for prediction in predictions:
-            entries.append(
-                {
-                    "ids": list(prediction),
-                    "labels": list(kg.label_triple(prediction)),
-                    "rank_before": rank(model, prediction, kg),
-                    "rank_after": rank(retrained, prediction, kg),
-                }
-            )
+        entries = [
+            {
+                "ids": list(prediction),
+                "labels": list(kg.label_triple(prediction)),
+                "rank_before": rank(model, prediction, kg),
+                "rank_after": rank(retrained, prediction, kg),
+            }
+            for prediction in predictions
+        ]
         payload = {
             "algorithm": algorithm,
             "removed": sorted(list(t) for t in removed),
@@ -480,41 +479,6 @@ def _simultaneous_removal(
         path = runs_dir / f"simultaneous_{algorithm}.json"
         write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
         logger.info("simultaneous removal for %s: %d triples removed", algorithm, len(removed))
-
-
-_RUN_KEYS = ("algorithm", "prediction", "candidates", "best", "front")
-
-
-def _has_numbers(entry, keys: tuple[str, ...]) -> bool:
-    """Whether ``entry`` is an object holding a number under each of ``keys``."""
-    return isinstance(entry, dict) and all(
-        isinstance(entry.get(key), (int, float)) and not isinstance(entry.get(key), bool)
-        for key in keys
-    )
-
-
-def _load_run(path: Path) -> dict:
-    """A run file's payload; a file that parses but is not a run names itself.
-
-    Beyond its keys, the entries ``evaluate`` and ``pareto`` read are checked:
-    each candidate and front point has a numeric ``length`` and ``psi``, and
-    ``best`` is null or has a numeric ``length`` and ``rank_after``.
-    """
-    payload = load_run_payload(path)
-    if not isinstance(payload, dict) or not all(key in payload for key in _RUN_KEYS):
-        raise ConfigurationError(f"not a run file: {path} (expected keys {', '.join(_RUN_KEYS)})")
-    for key in ("candidates", "front"):
-        entries = payload[key]
-        if not isinstance(entries, list) or not all(
-            _has_numbers(e, ("length", "psi")) for e in entries
-        ):
-            want = "a list of objects with numeric length and psi"
-            raise ConfigurationError(f"not a run file: {path} ({key} must be {want})")
-    best = payload["best"]
-    if best is not None and not _has_numbers(best, ("length", "rank_after")):
-        want = "null or an object with numeric length and rank_after"
-        raise ConfigurationError(f"not a run file: {path} (best must be {want})")
-    return payload
 
 
 def _rank_table_for_algorithm(
@@ -529,7 +493,7 @@ def _rank_table_for_algorithm(
 
     after_ranks: dict[Triple, int] = {}
     if simultaneous.exists():
-        data = load_run_payload(simultaneous)
+        data = load_json(simultaneous)
         entries = data.get("after_ranks") if isinstance(data, dict) else None
         if not isinstance(entries, list) or not all(
             isinstance(e, dict) and {"ids", "rank_after"} <= e.keys() for e in entries
@@ -544,15 +508,10 @@ def _rank_table_for_algorithm(
         if not path.exists():
             gaps.append(path.name)
             continue
-        payload = _load_run(path)
-        payloads.append(payload)
-        if prediction in after_ranks:
-            rank_after = after_ranks[prediction]
-        elif payload.get("best"):
-            rank_after = int(payload["best"]["rank_after"])
-        else:
-            rank_after = rank_before
-        rows.append(RankRow(prediction, rank_before, rank_after))
+        payloads.append(read_run(path, algorithm, prediction))
+        best = payloads[-1]["best"]
+        rank_after = int(best["rank_after"]) if best else rank_before
+        rows.append(RankRow(prediction, rank_before, after_ranks.get(prediction, rank_after)))
     return RankTable(rows=tuple(rows)), payloads, gaps
 
 
@@ -569,7 +528,7 @@ def cmd_evaluate(
     runs_dir = Path(runs_dir)
     kg = load_dataset(config.dataset_path)
     predictions = [
-        (Triple(*entry["ids"]), int(entry["rank"]))
+        (Triple(*entry["ids"]), entry["rank"])
         for entry in _load_selection(selection, ("ids", "rank"))
     ]
 
@@ -593,9 +552,7 @@ def cmd_evaluate(
             }
         )
     if all_gaps:
-        raise ConfigurationError(
-            "missing run files: " + ", ".join(sorted(all_gaps))
-        )
+        raise ConfigurationError("missing run files: " + ", ".join(sorted(all_gaps)))
 
     rows = comparison_table(summaries)
     if output_format == "csv":
@@ -621,26 +578,23 @@ def cmd_pareto(
         raise ConfigurationError(f"no run files found under {runs_dir}")
     by_algorithm: dict[str, list[dict]] = {}
     for path in run_files:
-        payload = _load_run(path)
-        by_algorithm.setdefault(payload["algorithm"], []).extend(payload["candidates"])
+        algorithm = path.stem.removeprefix("run_").rsplit("_", 1)[0]
+        payload = read_run(path, algorithm)
+        by_algorithm.setdefault(algorithm, []).extend(payload["candidates"])
 
     fronts = {}
     for algorithm, candidates in sorted(by_algorithm.items()):
         points = [(float(c["length"]), float(c["psi"])) for c in candidates]
-        keep = non_dominated(points)
-        fronts[algorithm] = sorted(
-            {(points[i][0], points[i][1]) for i in range(len(points)) if keep[i]}
-        )
+        fronts[algorithm] = sorted({p for p, keep in zip(points, non_dominated(points)) if keep})
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if output_format == "csv":
         with out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "length", "psi"])
-            for algorithm, points in fronts.items():
-                for length, psi in points:
-                    writer.writerow([algorithm, length, f"{psi:.6g}"])
+            csv.writer(fh).writerows([["algorithm", "length", "psi"]] + [
+                [algorithm, length, f"{psi:.6g}"]
+                for algorithm, points in fronts.items() for length, psi in points
+            ])
     else:
         payload = {
             algo: [{"length": length, "psi": psi} for length, psi in points]

@@ -25,6 +25,7 @@ import itertools
 import json
 import logging
 import os
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
@@ -186,8 +187,66 @@ class ExplanationRun:
             "warnings": list(self.warnings),
         }
 
-    def save(self, path: str | Path, kg: KnowledgeGraph) -> None:
-        write_text_atomic(path, json.dumps(self.to_payload(kg), indent=2, sort_keys=True))
+    def save(self, path: str | Path, kg: KnowledgeGraph) -> dict:
+        payload = self.to_payload(kg)
+        write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
+        return payload
+
+
+def _three_ints(value) -> bool:
+    """Three integers; ``type`` rules out booleans."""
+    return isinstance(value, list) and len(value) == 3 and all(type(i) is int for i in value)
+
+
+def _numbers(entry, *keys: str) -> bool:
+    """An object holding, under each key, a number that fits a finite float."""
+    return isinstance(entry, dict) and all(
+        type(entry.get(key)) in (int, float) and abs(entry[key]) <= sys.float_info.max
+        for key in keys
+    )
+
+
+def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str | None:
+    """What keeps ``run`` from being the run of ``algorithm`` for ``prediction``, if anything."""
+    if not isinstance(run, dict) or type(run.get("algorithm")) is not str:
+        return "expected an object with a string algorithm"
+    if not (isinstance(run.get("prediction"), dict) and _three_ints(run["prediction"].get("ids"))):
+        return "prediction ids must be three integers"
+    for key in ("candidates", "front"):
+        entries = run.get(key)
+        if not (isinstance(entries, list) and all(_numbers(e, "length", "psi") for e in entries)):
+            return f"{key} must be a list of objects with numeric length and psi"
+    for triples in (point.get("triples", 0) for point in run["front"]):  # null, not missing
+        if not (triples is None or isinstance(triples, list) and all(map(_three_ints, triples))):
+            return "front triples must be null or lists of three integers"
+    best = run.get("best", 0)  # null, not missing
+    if best is not None and not (
+        _numbers(best, "length", "rank_after") and best["rank_after"] >= 1
+        and isinstance(best.get("triples"), list)
+        and all(isinstance(t, dict) and _three_ints(t.get("ids")) for t in best["triples"])
+    ):
+        return "best must be null or an object with numeric length, rank_after >= 1, triples {ids}"
+    if algorithm is not None and run["algorithm"] != algorithm:
+        return f"a run of algorithm {run['algorithm']!r}, not {algorithm!r}"
+    if prediction is not None and run["prediction"]["ids"] != list(prediction):
+        return f"a run of prediction {run['prediction']['ids']}, not {list(prediction)}"
+    return None
+
+
+def read_run(
+    path: str | Path, algorithm: str | None = None, prediction: Triple | None = None
+) -> dict:
+    """The payload of a run file, checked in every field that any reader uses.
+
+    ``algorithm`` and ``prediction``, when known, are what the file's name and
+    index claim. A file that does not parse, lacks or mistypes a field, or is
+    another algorithm's or prediction's run raises ConfigurationError naming it.
+    """
+    run = load_json(path)
+    problem = _run_problem(run, algorithm, prediction)
+    if problem:
+        raise ConfigurationError(f"not a run file: {path} ({problem})")
+    return run
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -209,7 +268,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         Path(fh.name).unlink(missing_ok=True)
 
 
-def load_run_payload(path: str | Path) -> dict:
+def load_json(path: str | Path):
     """Parse a run (or simultaneous-removal) file; an unreadable one names itself."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -192,15 +192,9 @@ def build_metrics_report(
     if kg is not None:
         max_delta["labels"] = list(kg.label_triple(table.rows[worst].triple))
 
-    mean_length = None
-    if runs:
-        lengths = []
-        for run in runs:
-            payload = _as_payload(run, kg)
-            if payload.get("best"):
-                lengths.append(payload["best"]["length"])
-        if lengths:
-            mean_length = float(np.mean(lengths))
+    payloads = [_as_payload(run, kg) for run in runs]
+    lengths = [payload["best"]["length"] for payload in payloads if payload["best"]]
+    mean_length = float(np.mean(lengths)) if lengths else None
 
     return MetricsReport(
         mrr_before=mrr(table, "before"),
@@ -223,7 +217,8 @@ def emit_report(
 ) -> dict[str, Path]:
     """Write ``report.json``, ``report_per_triple.csv`` and ``report_pareto.csv``.
 
-    Runs must describe predictions present in the table. Returns the paths
+    Runs are :class:`ExplanationRun` objects or payloads that ``read_run``
+    returned, for predictions present in the table. Returns the paths
     written, keyed ``json``, ``per_triple``, and ``pareto``.
     """
     out_dir = Path(out_dir)
@@ -245,35 +240,26 @@ def emit_report(
     with per_triple_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PER_TRIPLE_CSV_COLUMNS)
-        for row in table.rows:
-            labels = kg.label_triple(row.triple)
-            writer.writerow(
-                [
-                    labels[0],
-                    labels[1],
-                    labels[2],
-                    row.rank_before,
-                    row.rank_after,
-                    f"{1.0 / row.rank_before:.6g}",
-                    f"{1.0 / row.rank_after:.6g}",
-                    int(row.rank_after != row.rank_before),
-                ]
-            )
+        writer.writerows(
+            [
+                *kg.label_triple(row.triple), row.rank_before, row.rank_after,
+                f"{1.0 / row.rank_before:.6g}", f"{1.0 / row.rank_after:.6g}",
+                int(row.rank_after != row.rank_before),
+            ]
+            for row in table.rows
+        )
 
     pareto_path = out_dir / "report_pareto.csv"
     with pareto_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["length", "psi", "triples"])
-        for payload in payloads:
-            for point in payload.get("front", ()):
-                triples = point.get("triples")
-                writer.writerow(
-                    [
-                        point["length"],
-                        f"{point['psi']:.6g}",
-                        ";".join(",".join(map(str, t)) for t in triples) if triples else "",
-                    ]
-                )
+        writer.writerows(
+            [
+                p["length"], f"{p['psi']:.6g}",
+                ";".join(",".join(map(str, t)) for t in p["triples"] or ()),
+            ]
+            for payload in payloads for p in payload["front"]
+        )
 
     return {"json": json_path, "per_triple": per_triple_path, "pareto": pareto_path}
 

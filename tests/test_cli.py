@@ -28,6 +28,7 @@ from kgexplain.cli import (
     main,
     parse_experiment_config,
 )
+from kgexplain.explainers import read_run
 
 from conftest import make_desk_kg, write_dataset
 
@@ -74,6 +75,20 @@ directory = {root}/out
 """
     )
     return root, config_path
+
+
+# Run files that parse but are not runs, each made from a valid run payload.
+INVALID_RUNS = {
+    "not-an-object": lambda run: [1],
+    "best-without-triples": lambda run: {
+        **run, "best": {k: v for k, v in run["best"].items() if k != "triples"}
+    },
+    "best-triples-a-number": lambda run: {**run, "best": {**run["best"], "triples": 5}},
+    "prediction-a-number": lambda run: {**run, "prediction": 5},
+    "front-triples-a-number": lambda run: {**run, "front": [{**run["front"][0], "triples": 5}]},
+    "algorithm-a-list": lambda run: {**run, "algorithm": [1]},
+    "another-algorithm": lambda run: {**run, "algorithm": "criage-first-order"},
+}
 
 
 def sha(path):
@@ -165,14 +180,57 @@ class TestExplain:
     def test_resume_skips_existing_run_files(self, explained):
         root, config, checkpoint, selection, _ = explained
         target = next((root / "out" / "runs").glob("run_exhaustive*_0000.json"))
-        sentinel = '{"sentinel": true}'
         original = target.read_text()
+        sentinel = json.dumps({**json.loads(original), "sentinel": True})
         target.write_text(sentinel)
         try:
             cmd_explain(config, checkpoint, selection, out=root / "out")
-            assert target.read_text() == sentinel  # untouched: resumed by presence
+            assert target.read_text() == sentinel  # untouched: a valid run of its name is kept
         finally:
             target.write_text(original)
+
+    @pytest.mark.parametrize("case", sorted(INVALID_RUNS) + ["swapped-pair"])
+    def test_invalid_run_file_is_recomputed_and_rejected(
+        self, explained, tmp_path, caplog, case
+    ):
+        """A file that is not the run its name and index claim never counts.
+
+        ``evaluate`` and ``pareto`` exit 2 naming it; ``explain`` recomputes
+        it, names it, and writes the run it should have held.
+        """
+        root, config, checkpoint, selection, _ = explained
+        runs = tmp_path / "out" / "runs"
+        shutil.copytree(root / "out" / "runs", runs)
+        victim, twin = (runs / f"run_exhaustive-length-1_000{i}.json" for i in (0, 1))
+        originals = {path: json.loads(path.read_text()) for path in (victim, twin)}
+        if case == "swapped-pair":
+            victim.write_text(json.dumps(originals[twin]))
+            twin.write_text(json.dumps(originals[victim]))
+        else:
+            victim.write_text(json.dumps(INVALID_RUNS[case](originals[victim])))
+        ini = str(root / "experiment.ini")
+        argv = [
+            "evaluate", "--config", ini, "--selection", str(selection),
+            "--runs", str(runs), "--out", str(tmp_path / "ev"),
+        ]
+        assert main(argv) == EXIT_VALIDATION
+        assert victim.name in caplog.text
+        caplog.clear()
+        argv = ["pareto", "--runs", str(runs), "--out", str(tmp_path / "front.json")]
+        if case == "swapped-pair":  # fronts pool each algorithm's runs, whatever their index
+            assert main(argv) == EXIT_OK
+        else:
+            assert main(argv) == EXIT_VALIDATION
+            assert victim.name in caplog.text
+        caplog.clear()
+        assert main(_explain_argv(ini, checkpoint, selection, tmp_path / "out")) == EXIT_OK
+        recomputed = [victim, twin] if case == "swapped-pair" else [victim]
+        for path in recomputed:
+            assert f"recomputing {path.name}" in caplog.text
+            rewritten, original = json.loads(path.read_text()), originals[path]
+            for run in (rewritten, original):
+                run["counters"].pop("wall_clock_s")
+            assert rewritten == original
 
     def test_unreadable_run_file_is_recomputed(self, explained, tmp_path, caplog):
         root, config, checkpoint, selection, _ = explained
@@ -269,22 +327,6 @@ class TestExplain:
             assert rank(retrained, Triple(*entry["ids"]), kg) == entry["rank_after"]
         removed = {Triple(*ids) for ids in payload["removed"]}
         assert removed and removed <= kg.train_set
-
-
-    def test_kept_run_file_that_is_not_an_object_is_validation_error_naming_it(
-        self, explained, tmp_path, caplog
-    ):
-        root, config, checkpoint, selection, _ = explained
-        runs = tmp_path / "out" / "runs"
-        shutil.copytree(root / "out" / "runs", runs)
-        victim = sorted(runs.glob("run_*.json"))[0]
-        victim.write_text("[1]")  # parses, so resume keeps it
-        argv = [
-            "explain", "--config", str(root / "experiment.ini"), "--checkpoint", str(checkpoint),
-            "--selection", str(selection), "--out", str(tmp_path / "out"),
-        ]
-        assert main(argv) == EXIT_VALIDATION
-        assert victim.name in caplog.text
 
     def test_interrupted_save_leaves_no_run_file(self, explained, tmp_path, monkeypatch):
         root, config, checkpoint, selection, _ = explained
@@ -649,3 +691,70 @@ def test_failed_task_goes_to_the_failures_manifest_and_explain_exits_3(
     monkeypatch.setattr(cli, "_run_one", run_one)
     assert main(argv) == EXIT_OK
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, algorithms",
+    [
+        ("necessary", "exhaustive-length-1, data-poisoning-direct, criage-first-order"),
+        ("sufficient", "exhaustive-length-1, variable-length-builder"),
+        ("c-sufficient", "exhaustive-length-1, variable-length-builder"),
+        ("latent-negative", "exhaustive-length-1"),
+    ],
+)
+def test_every_run_file_a_sweep_writes_passes_the_reader(
+    explained, tmp_path, mode, algorithms
+):
+    root, _, checkpoint, selection, _ = explained
+    text = (root / "experiment.ini").read_text().replace("mode = necessary", f"mode = {mode}")
+    text = text.replace("exhaustive-length-1, data-poisoning-direct", algorithms)
+    text = text.replace("post_train_epochs = 20", "post_train_epochs = 2")
+    path = tmp_path / f"{mode}.ini"
+    path.write_text(text + "\n[targets]\nsize = 2\n\n[latent]\nbudget = 3\n")
+    assert main(_explain_argv(path, checkpoint, selection, tmp_path / "out")) == EXIT_OK
+    predictions = [Triple(*entry["ids"]) for entry in json.loads(selection.read_text())["triples"]]
+    written = sorted((tmp_path / "out" / "runs").glob("run_*.json"))
+    assert len(written) == len(predictions) * len(algorithms.split(","))
+    for run_file in written:
+        algorithm, index = run_file.stem.removeprefix("run_").rsplit("_", 1)
+        payload = read_run(run_file, algorithm, predictions[int(index)])
+        assert payload == json.loads(run_file.read_text())
+
+
+@pytest.mark.parametrize("case", ["no-algorithms", "c-sufficient-without-targets"])
+def test_config_that_leaves_explain_no_work_is_validation_error_naming_the_key(
+    explained, tmp_path, caplog, case
+):
+    root, _, checkpoint, selection, _ = explained
+    text = (root / "experiment.ini").read_text()
+    if case == "no-algorithms":
+        text = text.replace("exhaustive-length-1, data-poisoning-direct", "")
+        named = "[explain] algorithms"
+    else:
+        text = text.replace("mode = necessary", "mode = c-sufficient")
+        text = text.replace("exhaustive-length-1, data-poisoning-direct", "exhaustive-length-1")
+        text += "\n[targets]\nsize = 0\n"
+        named = "[targets] size"
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(_explain_argv(path, checkpoint, selection, out)) == EXIT_VALIDATION
+    assert named in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rank", ["x", None, 1.5, True, 0], ids=["text", "null", "float", "bool", "zero"])
+def test_selection_rank_that_is_not_a_positive_integer_is_validation_error_naming_it(
+    explained, tmp_path, caplog, rank
+):
+    root, _, _, selection, _ = explained
+    data = json.loads(selection.read_text())
+    data["triples"][-1]["rank"] = rank
+    bad = tmp_path / "selection.json"
+    bad.write_text(json.dumps(data))
+    argv = [
+        "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(bad),
+        "--runs", str(root / "out" / "runs"), "--out", str(tmp_path / "ev"),
+    ]
+    assert main(argv) == EXIT_VALIDATION
+    assert str(bad) in caplog.text and "rank a positive integer" in caplog.text
