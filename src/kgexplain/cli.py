@@ -29,6 +29,7 @@ from .explainers import (
     MODES,
     ExplainerConfig,
     ExplanationRun,
+    _numbers,
     _three_ints,
     criage_first_order,
     data_poisoning_direct,
@@ -40,13 +41,7 @@ from .explainers import (
 )
 from .kg import KnowledgeGraph, SearchSpace, Triple, build_search_space, load_dataset
 from .latent import calibrate_ensemble, sample_latent_candidates
-from .metrics import (
-    RankRow,
-    RankTable,
-    build_metrics_report,
-    comparison_table,
-    emit_report,
-)
+from .metrics import RankRow, RankTable, comparison_table, emit_report
 from .model import (
     TrainConfig,
     _check_train_config,
@@ -481,38 +476,28 @@ def _simultaneous_removal(
         logger.info("simultaneous removal for %s: %d triples removed", algorithm, len(removed))
 
 
-def _rank_table_for_algorithm(
-    algorithm: str,
-    predictions: list[tuple[Triple, int]],
-    runs_dir: Path,
-) -> tuple[RankTable, list[dict], list[str]]:
-    simultaneous = runs_dir / f"simultaneous_{algorithm}.json"
-    payloads: list[dict] = []
-    gaps: list[str] = []
-    rows: list[RankRow] = []
+def _read_simultaneous(path: Path, algorithm: str) -> dict[Triple, tuple[float, float]]:
+    """Each listed prediction's (rank_before, rank_after) in ``algorithm``'s simultaneous file.
 
-    after_ranks: dict[Triple, int] = {}
-    if simultaneous.exists():
-        data = load_json(simultaneous)
-        entries = data.get("after_ranks") if isinstance(data, dict) else None
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and {"ids", "rank_after"} <= e.keys() for e in entries
-        ):
-            want = "expected an after_ranks list of {ids, rank_after}"
-            raise ConfigurationError(f"not a simultaneous-removal file: {simultaneous} ({want})")
-        for entry in entries:
-            after_ranks[Triple(*entry["ids"])] = entry["rank_after"]
+    A file that is another algorithm's, or holds an entry without three-int
+    ``ids`` and numeric ranks >= 1, raises ConfigurationError naming it.
+    """
+    data = load_json(path)
+    entries = data.get("after_ranks") if isinstance(data, dict) else None
 
-    for index, (prediction, rank_before) in enumerate(predictions):
-        path = runs_dir / f"run_{algorithm}_{index:04d}.json"
-        if not path.exists():
-            gaps.append(path.name)
-            continue
-        payloads.append(read_run(path, algorithm, prediction))
-        best = payloads[-1]["best"]
-        rank_after = int(best["rank_after"]) if best else rank_before
-        rows.append(RankRow(prediction, rank_before, after_ranks.get(prediction, rank_after)))
-    return RankTable(rows=tuple(rows)), payloads, gaps
+    def valid(entry) -> bool:
+        return (
+            _numbers(entry, "rank_before", "rank_after") and _three_ints(entry.get("ids"))
+            and min(entry["rank_before"], entry["rank_after"]) >= 1
+        )
+
+    if not (
+        isinstance(entries, list) and data.get("algorithm") == algorithm and all(map(valid, entries))
+    ):
+        want = f"expected algorithm {algorithm!r} and an after_ranks list of"
+        want += " {ids, rank_before, rank_after}, ids three integers, ranks numbers >= 1"
+        raise ConfigurationError(f"not a simultaneous-removal file: {path} ({want})")
+    return {Triple(*e["ids"]): (e["rank_before"], e["rank_after"]) for e in entries}
 
 
 def cmd_evaluate(
@@ -522,7 +507,12 @@ def cmd_evaluate(
     out: str | None = None,
     output_format: str = "json",
 ) -> Path:
-    """Per-algorithm metrics reports plus the comparison table sorted by MDR."""
+    """Per-algorithm metrics reports plus the comparison table sorted by MDR.
+
+    A row's (rank_before, rank_after) comes from one record: the prediction's
+    simultaneous-removal entry, else its best candidate's ranks (the targets'
+    mean ranks in mode ``c-sufficient``), else the selection's rank as both.
+    """
     config.validate()
     out_dir = _prepare_output(config, out)
     runs_dir = Path(runs_dir)
@@ -533,14 +523,24 @@ def cmd_evaluate(
     ]
 
     summaries = []
-    all_gaps: list[str] = []
+    gaps: list[str] = []
     for algorithm in config.algorithms:
-        table, payloads, gaps = _rank_table_for_algorithm(algorithm, predictions, runs_dir)
-        all_gaps.extend(gaps)
-        if not table.rows:
+        simultaneous = runs_dir / f"simultaneous_{algorithm}.json"
+        shot = _read_simultaneous(simultaneous, algorithm) if simultaneous.exists() else {}
+        rank_rows, payloads = [], []
+        for index, (prediction, selected) in enumerate(predictions):
+            path = runs_dir / f"run_{algorithm}_{index:04d}.json"
+            if not path.exists():
+                gaps.append(path.name)
+                continue
+            payloads.append(read_run(path, algorithm, prediction))
+            best = payloads[-1]["best"]
+            ranks = (best["rank_before"], best["rank_after"]) if best else (selected, selected)
+            rank_rows.append(RankRow(prediction, *shot.get(prediction, ranks)))
+        if not rank_rows:
             continue
-        emit_report(table, payloads, kg, out_dir / f"metrics_{algorithm}")
-        report = build_metrics_report(table, payloads, kg)
+        table = RankTable(tuple(rank_rows))
+        report = emit_report(table, payloads, kg, out_dir / f"metrics_{algorithm}")
         summaries.append(
             {
                 "algorithm": algorithm,
@@ -551,8 +551,8 @@ def cmd_evaluate(
                 "hits1_after_pct": report.hits["1"]["pct_after"],
             }
         )
-    if all_gaps:
-        raise ConfigurationError("missing run files: " + ", ".join(sorted(all_gaps)))
+    if gaps:
+        raise ConfigurationError("missing run files: " + ", ".join(sorted(gaps)))
 
     rows = comparison_table(summaries)
     if output_format == "csv":

@@ -221,11 +221,12 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
             return "front triples must be null or lists of three integers"
     best = run.get("best", 0)  # null, not missing
     if best is not None and not (
-        _numbers(best, "length", "rank_after") and best["rank_after"] >= 1
+        _numbers(best, "length", "rank_before", "rank_after")
+        and min(best["rank_before"], best["rank_after"]) >= 1
         and isinstance(best.get("triples"), list)
         and all(isinstance(t, dict) and _three_ints(t.get("ids")) for t in best["triples"])
     ):
-        return "best must be null or an object with numeric length, rank_after >= 1, triples {ids}"
+        return "best must be null or an object with numeric length, rank_before/after >= 1, triples {ids}"
     if algorithm is not None and run["algorithm"] != algorithm:
         return f"a run of algorithm {run['algorithm']!r}, not {algorithm!r}"
     if prediction is not None and run["prediction"]["ids"] != list(prediction):
@@ -336,7 +337,7 @@ class _Search:
         prediction: Triple,
         mode: str,
         config: ExplainerConfig,
-        train_config: TrainConfig | None,
+        train_config: TrainConfig,
         targets: TargetSet | None = None,
     ) -> None:
         self.started = time.perf_counter()
@@ -345,7 +346,7 @@ class _Search:
         self.prediction = prediction
         self.mode = mode
         self.config = config
-        self.train_config = train_config or TrainConfig()
+        self.train_config = train_config
         self.targets = targets
         self.rank_before = rank(model, prediction, kg)
         self.candidates: list[CandidateRecord] = []
@@ -386,7 +387,7 @@ def exhaustive_length1(
     space: SearchSpace,
     mode: str,
     config: ExplainerConfig,
-    train_config: TrainConfig | None = None,
+    train_config: TrainConfig,
     targets: TargetSet | None = None,
 ) -> ExplanationRun:
     """Evaluate every singleton in the space; the argmax is flagged best.
@@ -407,7 +408,7 @@ def data_poisoning_direct(
     model: EmbeddingModel,
     prediction: Triple,
     config: ExplainerConfig,
-    train_config: TrainConfig | None = None,
+    train_config: TrainConfig,
 ) -> ExplanationRun:
     """Rank the subject's outgoing triples by a gradient-shift heuristic.
 
@@ -497,7 +498,7 @@ def criage_first_order(
     model: EmbeddingModel,
     prediction: Triple,
     config: ExplainerConfig,
-    train_config: TrainConfig | None = None,
+    train_config: TrainConfig,
 ) -> ExplanationRun:
     """Order removals of the object's incoming triples by estimated damage.
 
@@ -567,7 +568,7 @@ def variable_length_builder(
     prediction: Triple,
     mode: str,
     config: ExplainerConfig,
-    train_config: TrainConfig | None = None,
+    train_config: TrainConfig,
     targets: TargetSet | None = None,
 ) -> ExplanationRun:
     """Grow explanations from singletons up to ``max_length`` (at most 4).

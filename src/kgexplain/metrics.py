@@ -40,9 +40,11 @@ PER_TRIPLE_CSV_COLUMNS = (
 
 
 class RankRow(NamedTuple):
+    """A prediction's ranks before and after; in mode ``c-sufficient``, its targets' mean ranks."""
+
     triple: Triple
-    rank_before: int
-    rank_after: int
+    rank_before: float
+    rank_after: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class MetricsReport:
     hits: dict
     m_delta_r: float
     mean_explanation_length: float | None
-    per_triple_delta: tuple[int, ...]
+    per_triple_delta: tuple[float, ...]
     max_delta: dict
     cohort: str | None
     n_triples: int
@@ -167,11 +169,7 @@ class MetricsReport:
         }
 
 
-def build_metrics_report(
-    table: RankTable,
-    runs: Sequence = (),
-    kg: KnowledgeGraph | None = None,
-) -> MetricsReport:
+def build_metrics_report(table: RankTable, runs: Sequence, kg: KnowledgeGraph) -> MetricsReport:
     """Compute the aggregate metrics, Hits at each of ``HITS_KS``, for a table and its runs."""
     if not table.rows:
         raise DomainError("cannot build a metrics report from an empty table")
@@ -183,14 +181,13 @@ def build_metrics_report(
             "pct_before": _sig6(100.0 * hits_at_k(table, k, "before", fraction=True)),
             "pct_after": _sig6(100.0 * hits_at_k(table, k, "after", fraction=True)),
         }
-    deltas = [int(r.rank_after - r.rank_before) for r in table.rows]
+    deltas = [r.rank_after - r.rank_before for r in table.rows]
     worst = max(range(len(deltas)), key=lambda i: deltas[i])
     max_delta = {
         "value": deltas[worst],
         "triple": list(table.rows[worst].triple),
+        "labels": list(kg.label_triple(table.rows[worst].triple)),
     }
-    if kg is not None:
-        max_delta["labels"] = list(kg.label_triple(table.rows[worst].triple))
 
     payloads = [_as_payload(run, kg) for run in runs]
     lengths = [payload["best"]["length"] for payload in payloads if payload["best"]]
@@ -214,12 +211,12 @@ def emit_report(
     runs: Sequence,
     kg: KnowledgeGraph,
     out_dir: str | Path,
-) -> dict[str, Path]:
+) -> MetricsReport:
     """Write ``report.json``, ``report_per_triple.csv`` and ``report_pareto.csv``.
 
     Runs are :class:`ExplanationRun` objects or payloads that ``read_run``
-    returned, for predictions present in the table. Returns the paths
-    written, keyed ``json``, ``per_triple``, and ``pareto``.
+    returned, for predictions present in the table. Returns the report that
+    ``report.json`` holds.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,13 +228,11 @@ def emit_report(
             raise DomainError(f"run prediction {pred} is missing from the rank table")
 
     report = build_metrics_report(table, payloads, kg)
-    json_path = out_dir / "report.json"
-    json_path.write_text(
+    (out_dir / "report.json").write_text(
         json.dumps(report.to_payload(), indent=2, sort_keys=True), encoding="utf-8"
     )
 
-    per_triple_path = out_dir / "report_per_triple.csv"
-    with per_triple_path.open("w", newline="", encoding="utf-8") as fh:
+    with (out_dir / "report_per_triple.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PER_TRIPLE_CSV_COLUMNS)
         writer.writerows(
@@ -249,8 +244,7 @@ def emit_report(
             for row in table.rows
         )
 
-    pareto_path = out_dir / "report_pareto.csv"
-    with pareto_path.open("w", newline="", encoding="utf-8") as fh:
+    with (out_dir / "report_pareto.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["length", "psi", "triples"])
         writer.writerows(
@@ -261,7 +255,7 @@ def emit_report(
             for payload in payloads for p in payload["front"]
         )
 
-    return {"json": json_path, "per_triple": per_triple_path, "pareto": pareto_path}
+    return report
 
 
 def comparison_table(summaries: Sequence[dict]) -> list[dict]:

@@ -1,6 +1,7 @@
 """Command-line workflow: train, select, explain, evaluate, pareto."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import kgexplain
 from kgexplain import DomainError, Triple, load_dataset, load_checkpoint, rank
-from kgexplain import cli, training
+from kgexplain import cli, metrics, training
 from kgexplain.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -84,10 +85,35 @@ INVALID_RUNS = {
         **run, "best": {k: v for k, v in run["best"].items() if k != "triples"}
     },
     "best-triples-a-number": lambda run: {**run, "best": {**run["best"], "triples": 5}},
+    "best-without-rank-before": lambda run: {
+        **run, "best": {k: v for k, v in run["best"].items() if k != "rank_before"}
+    },
     "prediction-a-number": lambda run: {**run, "prediction": 5},
     "front-triples-a-number": lambda run: {**run, "front": [{**run["front"][0], "triples": 5}]},
     "algorithm-a-list": lambda run: {**run, "algorithm": [1]},
     "another-algorithm": lambda run: {**run, "algorithm": "criage-first-order"},
+}
+
+# Simultaneous-removal files that are not one, each made from a valid file of
+# the same name (``own``) and the other algorithm's (``other``).
+MALFORMED_SIMULTANEOUS = {
+    "empty-object": lambda own, other: {},
+    "list": lambda own, other: [1],
+    "after-ranks-not-a-list": lambda own, other: {"after_ranks": 3},
+    "entry-without-rank": lambda own, other: {"after_ranks": [{"ids": [0, 0, 1]}]},
+    "ids-a-number": lambda own, other: {
+        **own, "after_ranks": [{**own["after_ranks"][0], "ids": 5}]
+    },
+    "rank-after-a-string": lambda own, other: {
+        **own, "after_ranks": [{**own["after_ranks"][0], "rank_after": "x"}]
+    },
+    "another-algorithms-file": lambda own, other: other,
+    "entry-without-rank-before": lambda own, other: {
+        **own,
+        "after_ranks": [
+            {k: v for k, v in entry.items() if k != "rank_before"} for entry in own["after_ranks"]
+        ],
+    },
 }
 
 
@@ -391,25 +417,62 @@ class TestEvaluate:
             assert main(argv) == EXIT_VALIDATION, payload
             assert victim.name in caplog.text
 
-    @pytest.mark.parametrize(
-        "content",
-        ["{}", "[1]", '{"after_ranks": 3}', '{"after_ranks": [{"ids": [0, 0, 1]}]}'],
-        ids=["empty-object", "list", "after-ranks-not-a-list", "entry-without-rank"],
-    )
+    @pytest.mark.parametrize("case", MALFORMED_SIMULTANEOUS)
     def test_malformed_simultaneous_file_is_validation_error_naming_it(
-        self, explained, tmp_path, caplog, content
+        self, explained, tmp_path, caplog, case
     ):
         root, config, checkpoint, selection, _ = explained
         runs = tmp_path / "runs"
         shutil.copytree(root / "out" / "runs", runs)
-        victim = sorted(runs.glob("simultaneous_*.json"))[0]
-        victim.write_text(content)
+        victim, other = sorted(runs.glob("simultaneous_*.json"))
+        own, other = (json.loads(path.read_text()) for path in (victim, other))
+        victim.write_text(json.dumps(MALFORMED_SIMULTANEOUS[case](own, other)))
         argv = [
             "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
             "--runs", str(runs), "--out", str(tmp_path / "ev"),
         ]
         assert main(argv) == EXIT_VALIDATION
         assert victim.name in caplog.text
+
+    def test_each_report_is_built_once(self, explained, tmp_path, monkeypatch):
+        root, config, checkpoint, selection, _ = explained
+        built = []
+        build = metrics.build_metrics_report
+
+        def counted(table, *args):
+            built.append(table)
+            return build(table, *args)
+
+        monkeypatch.setattr(metrics, "build_metrics_report", counted)
+        # a direct call from the command counts as well as one through emit_report
+        monkeypatch.setattr(cli, "build_metrics_report", counted, raising=False)
+        cmd_evaluate(config, selection, root / "out" / "runs", out=tmp_path / "ev")
+        assert len(built) == len(config.algorithms)
+
+    def test_c_sufficient_rows_are_the_best_candidates_mean_target_ranks(
+        self, explained, tmp_path
+    ):
+        root, _, checkpoint, selection, _ = explained
+        text = (root / "experiment.ini").read_text()
+        text = text.replace("mode = necessary", "mode = c-sufficient")
+        text = text.replace("exhaustive-length-1, data-poisoning-direct", "exhaustive-length-1")
+        text = text.replace("post_train_epochs = 20", "post_train_epochs = 2")
+        path = tmp_path / "c-sufficient.ini"
+        path.write_text(text + "\n[targets]\nsize = 2\n")
+        out = tmp_path / "out"
+        assert main(_explain_argv(path, checkpoint, selection, out)) == EXIT_OK
+        argv = [
+            "evaluate", "--config", str(path), "--selection", str(selection),
+            "--runs", str(out / "runs"), "--out", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        bests = [json.loads(p.read_text())["best"] for p in sorted((out / "runs").glob("run_*"))]
+        assert all(bests)
+        with (out / "metrics_exhaustive-length-1" / "report_per_triple.csv").open() as fh:
+            rows = [(float(r["rank_before"]), float(r["rank_after"])) for r in csv.DictReader(fh)]
+        assert rows == [(best["rank_before"], best["rank_after"]) for best in bests]
+        (summary,) = json.loads((out / "comparison.json").read_text())
+        assert summary["m_delta_r"] == pytest.approx(-np.mean([b["psi"] for b in bests]), abs=1e-12)
 
     def test_reports_and_comparison_written(self, explained, tmp_path):
         root, config, checkpoint, selection, _ = explained

@@ -172,19 +172,19 @@ class TestEmitReport(object):
 
     def test_writes_three_files_with_expected_content(self, run_setup, tiny_kg, tmp_path):
         t, runs = run_setup
-        paths = emit_report(t, runs, tiny_kg, tmp_path)
-        report = json.loads(paths["json"].read_text())
+        emit_report(t, runs, tiny_kg, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["n_triples"] == len(t)
         assert "full_precision" in report
         assert report["max_delta"]["value"] == max(
             r.rank_after - r.rank_before for r in t.rows
         )
-        with paths["per_triple"].open() as fh:
+        with (tmp_path / "report_per_triple.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(t)
         for row, rank_row in zip(rows, t.rows):
             assert int(row["changed"]) == int(rank_row.rank_after != rank_row.rank_before)
-        with paths["pareto"].open() as fh:
+        with (tmp_path / "report_pareto.csv").open() as fh:
             front_rows = list(csv.DictReader(fh))
         assert len(front_rows) == sum(len(r.front.points) for r in runs)
 
@@ -196,8 +196,8 @@ class TestEmitReport(object):
 
     def test_unchanged_runs_all_flagged_unchanged(self, tiny_kg, tmp_path):
         t = table([(2, 2), (3, 3)])
-        paths = emit_report(t, [], tiny_kg, tmp_path)
-        with paths["per_triple"].open() as fh:
+        emit_report(t, [], tiny_kg, tmp_path)
+        with (tmp_path / "report_per_triple.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["changed"] == "0" for row in rows)
 
@@ -209,15 +209,15 @@ class TestEmitReport(object):
 
     def test_six_significant_digit_serialization(self, tiny_kg, tmp_path):
         t = table([(3, 7), (3, 9), (3, 11)])
-        paths = emit_report(t, [], tiny_kg, tmp_path)
-        report = json.loads(paths["json"].read_text())
+        emit_report(t, [], tiny_kg, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["mrr_after"] == float(f"{mrr(t, 'after'):.6g}")
         assert float(report["full_precision"]["mrr_after"]) == mrr(t, "after")
 
     def test_worked_example_report_reproduces_columns(self, tiny_kg, tmp_path):
         t = table([(2, 2), (2, 8)])
-        paths = emit_report(t, [], tiny_kg, tmp_path)
-        report = json.loads(paths["json"].read_text())
+        emit_report(t, [], tiny_kg, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["mrr_after"] == 0.3125
         assert report["mrr_before"] == 0.5
         assert report["hits"]["1"]["count_after"] == 0
