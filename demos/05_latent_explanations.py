@@ -69,4 +69,3 @@ candidate = {t("france", "neighbor_of", "germany"), t("france", "neighbor_of", "
 result = effectiveness_latent(kg, model, prediction, candidate, "positive", "full-retrain", config)
 print("\nadding {france->germany, france->italy} neighbor links and retraining:")
 print(f"  rank {result.rank_before:.0f} -> {result.rank_after:.0f}  psi {result.psi:+.0f}")
-print(f"  score {result.score_before:+.3f} -> {result.score_after:+.3f}")

@@ -11,7 +11,6 @@ from kgexplain import (
     RankRow,
     RankTable,
     Triple,
-    cohort_filter,
     comparison_table,
     hits_at_k,
     m_delta_r,
@@ -50,8 +49,10 @@ mixed = RankTable(
         RankRow(Triple(2, 0, 3), 1, 1),
     )
 )
-cohort = cohort_filter(mixed, 1)
-print(f"  cohort '{cohort.cohort}' keeps {len(cohort)} of {len(mixed)} rows")
+# `select` samples predictions of one starting rank, [selection] cohort_rank,
+# and each report names that cohort as rank-<cohort_rank>
+cohort = RankTable(rows=tuple(r for r in mixed.rows if r.rank_before == 1))
+print(f"  cohort 'rank-1' keeps {len(cohort)} of {len(mixed)} rows")
 
 print("\ncross-algorithm comparison, sorted by mean rank difference;")
 print("rows not dominated in (mean length, mean rank difference) are flagged:")

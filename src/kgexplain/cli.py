@@ -88,6 +88,10 @@ class ExperimentConfig:
         self.explainer.validate()
         if self.selection_count < 1:
             raise ConfigurationError("selection count must be >= 1")
+        if self.cohort_rank < 1:
+            raise ConfigurationError(
+                f"config [selection] cohort_rank must be >= 1, got {self.cohort_rank}"
+            )
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown explanation mode: {self.mode!r}")
         if not self.algorithms:
@@ -512,6 +516,7 @@ def cmd_evaluate(
     A row's (rank_before, rank_after) comes from one record: the prediction's
     simultaneous-removal entry, else its best candidate's ranks (the targets'
     mean ranks in mode ``c-sufficient``), else the selection's rank as both.
+    Each report names the selection's cohort, ``rank-<[selection] cohort_rank>``.
     """
     config.validate()
     out_dir = _prepare_output(config, out)
@@ -540,7 +545,9 @@ def cmd_evaluate(
         if not rank_rows:
             continue
         table = RankTable(tuple(rank_rows))
-        report = emit_report(table, payloads, kg, out_dir / f"metrics_{algorithm}")
+        report = emit_report(
+            table, payloads, kg, out_dir / f"metrics_{algorithm}", f"rank-{config.cohort_rank}"
+        )
         summaries.append(
             {
                 "algorithm": algorithm,

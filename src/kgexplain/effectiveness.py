@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, TrainingError
 from .kg import KnowledgeGraph, Triple, _one_hop_entities
-from .model import EmbeddingModel, TrainConfig, init_model, rank, score
+from .model import EmbeddingModel, TrainConfig, init_model, rank
 from .training import _pair_rows, _train_rows, _TrainRows, post_train
 
 logger = logging.getLogger(__name__)
@@ -39,10 +39,9 @@ OPERATORS = ("remove-retrain", "keep-only-retrain", "add-swap-retrain", "add-ret
 
 @dataclass(frozen=True)
 class CandidateExplanation:
-    """A non-empty set of triples with its search-space provenance."""
+    """A non-empty set of triples."""
 
     triples: frozenset[Triple]
-    provenance: str = "train-all"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triples", frozenset(self.triples))
@@ -76,8 +75,6 @@ class EffectivenessResult:
     retrains: int
     per_target: tuple[TargetOutcome, ...] | None = None
     warnings: tuple[str, ...] = ()
-    score_before: float | None = None
-    score_after: float | None = None
 
 
 @dataclass(frozen=True)
@@ -378,8 +375,7 @@ def effectiveness_latent(
 
     ``positive`` rewards rank improvement (requires base rank > 1);
     ``negative`` rewards degradation (requires base rank below the entity
-    count). Either way a higher value is better. Score deltas are reported
-    alongside as auxiliary output.
+    count). Either way a higher value is better.
     """
     triples = _as_triples(candidate)
     if triples & kg.train_set:
@@ -414,6 +410,4 @@ def effectiveness_latent(
         operator="add-retrain",
         evaluator=evaluator,
         retrains=1,
-        score_before=score(model, prediction),
-        score_after=score(retrained, prediction),
     )

@@ -74,7 +74,6 @@ RUN_SCHEMA_VERSION = 1
 _ANNEAL_INITIAL_TEMPERATURE = 1.0
 _ANNEAL_DECAY = 0.9
 _ANNEAL_PROPOSALS = 50
-_BUILDER_PROVENANCE = "prefilter-top-k"
 
 
 @dataclass
@@ -351,8 +350,8 @@ class _Search:
         self.rank_before = rank(model, prediction, kg)
         self.candidates: list[CandidateRecord] = []
 
-    def evaluate(self, triples, provenance: str, heuristic: float | None = None) -> CandidateRecord:
-        explanation = CandidateExplanation(triples, provenance=provenance)
+    def evaluate(self, triples, heuristic: float | None = None) -> CandidateRecord:
+        explanation = CandidateExplanation(triples)
         result = _evaluate_candidate(
             self.kg, self.model, self.prediction, explanation, self.mode, self.config,
             self.train_config, self.targets,
@@ -362,7 +361,10 @@ class _Search:
         return record
 
     def finish(self, algorithm: str, warnings: tuple[str, ...] = ()) -> ExplanationRun:
+        """The run; its warnings are the explainer's, then each new candidate warning in order."""
         candidates = self.candidates
+        found = (w for c in candidates for w in c.result.warnings)
+        warnings = tuple(dict.fromkeys((*warnings, *found)))
         front = (
             pareto_front([(c.explanation, c.result) for c in candidates]) if candidates else None
         )
@@ -399,7 +401,7 @@ def exhaustive_length1(
         raise DomainError(f"search space {space.preset!r} is empty")
     search = _Search(kg, model, prediction, mode, config, train_config, targets)
     for t in space.members:
-        search.evaluate((t,), space.preset)
+        search.evaluate((t,))
     return search.finish("exhaustive-length-1")
 
 
@@ -437,7 +439,7 @@ def data_poisoning_direct(
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
 
     for heuristic, t in scored[: config.top_m]:
-        search.evaluate((t,), "subject-match", heuristic)
+        search.evaluate((t,), heuristic)
     return search.finish("data-poisoning-direct")
 
 
@@ -522,7 +524,7 @@ def criage_first_order(
     estimates.sort(key=lambda pair: (pair[0], pair[1]))
 
     for estimate, t in estimates:
-        search.evaluate((t,), "shares-entity", estimate)
+        search.evaluate((t,), estimate)
     return search.finish("criage-first-order")
 
 
@@ -592,7 +594,7 @@ def variable_length_builder(
 
     singleton_psi: dict[Triple, float] = {}
     for t in sorted(pool):
-        record = search.evaluate((t,), _BUILDER_PROVENANCE)
+        record = search.evaluate((t,))
         singleton_psi[t] = record.result.psi
 
     best_psi = max(singleton_psi.values())
@@ -605,7 +607,7 @@ def variable_length_builder(
         ordered = sorted(combos, key=lambda combo: (-relevance[combo], combo))
         if len(ordered) <= config.max_evals_per_length:
             for combo in ordered:
-                record = search.evaluate(combo, _BUILDER_PROVENANCE, relevance[combo])
+                record = search.evaluate(combo, relevance[combo])
                 if record.result.psi >= config.acceptance_threshold:
                     accepted = True
                     break
@@ -627,7 +629,7 @@ def _anneal_length(
     universe = sorted({t for combo in ordered for t in combo})
     current = ordered[0]  # start from the top preliminary relevance
     seen = {current}
-    record = search.evaluate(current, _BUILDER_PROVENANCE, relevance[current])
+    record = search.evaluate(current, relevance[current])
     if record.result.psi >= config.acceptance_threshold:
         return True
     temperature = _ANNEAL_INITIAL_TEMPERATURE
@@ -649,7 +651,7 @@ def _anneal_length(
         if proposal not in seen:
             seen.add(proposal)
             evals += 1
-            record = search.evaluate(proposal, _BUILDER_PROVENANCE, relevance[proposal])
+            record = search.evaluate(proposal, relevance[proposal])
             if record.result.psi >= config.acceptance_threshold:
                 return True
     return False

@@ -192,14 +192,6 @@ class KnowledgeGraph:
         return {k: frozenset(v) for k, v in known.items()}
 
     @cached_property
-    def known_subjects(self) -> dict[tuple[int, int], frozenset[int]]:
-        """(object, relation) -> subjects appearing in any split."""
-        known: dict[tuple[int, int], set[int]] = {}
-        for t in self.all_triples:
-            known.setdefault((t.object, t.relation), set()).add(t.subject)
-        return {k: frozenset(v) for k, v in known.items()}
-
-    @cached_property
     def _train_component_roots(self) -> list[int]:
         uf = _UnionFind(self.num_entities)
         for t in self.train:

@@ -3,14 +3,15 @@
 Hits@k follows the inclusive convention (rank <= k) and is reported both
 as a count and as a percentage. The mean rank difference (after minus
 before) is checked against its algebraic twin, the difference of mean
-ranks, on every call. Equal-rank cohorts restrict a table to rows sharing
-one starting rank so reciprocal-rank differences become comparable.
+ranks, on every call. Ranks are filtered object-completion ranks with
+optimistic ties (:func:`kgexplain.model.rank`). A report names its
+equal-rank cohort, ``rank-<k>``: reciprocal-rank differences are comparable
+only between equal starting ranks.
 """
 from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -21,8 +22,6 @@ from .errors import DomainError, KgExplainError
 from .explainers import ExplanationRun
 from .kg import KnowledgeGraph, Triple
 from .pareto import non_dominated
-
-logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
 HITS_KS = (1, 2, 10)
@@ -49,10 +48,9 @@ class RankRow(NamedTuple):
 
 @dataclass(frozen=True)
 class RankTable:
-    """Before/after ranks for an evaluation set, optionally cohort-tagged."""
+    """Before/after ranks for an evaluation set, one row per prediction."""
 
     rows: tuple[RankRow, ...]
-    cohort: str | None = None
 
     def __post_init__(self) -> None:
         seen = set()
@@ -110,14 +108,6 @@ def m_delta_r(table: RankTable) -> float:
     return mean_of_diffs
 
 
-def cohort_filter(table: RankTable, rank_value: int) -> RankTable:
-    """Rows whose starting rank equals the given value, tagged as a cohort."""
-    rows = tuple(r for r in table.rows if r.rank_before == rank_value)
-    if not rows:
-        logger.warning("cohort rank=%d is empty", rank_value)
-    return RankTable(rows=rows, cohort=f"rank-{rank_value}")
-
-
 def _sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
@@ -139,7 +129,7 @@ class MetricsReport:
     mean_explanation_length: float | None
     per_triple_delta: tuple[float, ...]
     max_delta: dict
-    cohort: str | None
+    cohort: str
     n_triples: int
 
     def to_payload(self) -> dict:
@@ -169,8 +159,13 @@ class MetricsReport:
         }
 
 
-def build_metrics_report(table: RankTable, runs: Sequence, kg: KnowledgeGraph) -> MetricsReport:
-    """Compute the aggregate metrics, Hits at each of ``HITS_KS``, for a table and its runs."""
+def build_metrics_report(
+    table: RankTable, runs: Sequence, kg: KnowledgeGraph, cohort: str
+) -> MetricsReport:
+    """Compute the aggregate metrics, Hits at each of ``HITS_KS``, for a table and its runs.
+
+    ``cohort`` names the equal-rank cohort the table's predictions come from.
+    """
     if not table.rows:
         raise DomainError("cannot build a metrics report from an empty table")
     hits = {}
@@ -201,7 +196,7 @@ def build_metrics_report(table: RankTable, runs: Sequence, kg: KnowledgeGraph) -
         mean_explanation_length=mean_length,
         per_triple_delta=tuple(deltas),
         max_delta=max_delta,
-        cohort=table.cohort,
+        cohort=cohort,
         n_triples=len(table),
     )
 
@@ -211,6 +206,7 @@ def emit_report(
     runs: Sequence,
     kg: KnowledgeGraph,
     out_dir: str | Path,
+    cohort: str,
 ) -> MetricsReport:
     """Write ``report.json``, ``report_per_triple.csv`` and ``report_pareto.csv``.
 
@@ -227,7 +223,7 @@ def emit_report(
         if pred not in table_triples:
             raise DomainError(f"run prediction {pred} is missing from the rank table")
 
-    report = build_metrics_report(table, payloads, kg)
+    report = build_metrics_report(table, payloads, kg, cohort)
     (out_dir / "report.json").write_text(
         json.dumps(report.to_payload(), indent=2, sort_keys=True), encoding="utf-8"
     )

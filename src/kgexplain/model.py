@@ -6,11 +6,11 @@ Re<e_s, w_r, conj(e_o)> is one complex product followed by a plain real dot
 product, so scoring every entity is one matrix-vector product. Checkpoints
 still store the four real halves, so older files keep loading.
 
-Subject completion is served by materialized reciprocal relations: relation
-``r`` owns a twin row ``r + num_relations`` and subject queries are scored
-as object queries under the twin. Ranking follows the filtered protocol:
-candidates already forming graph triples are excluded, and only strictly
-greater scores worsen the rank (ties are optimistic by default).
+Relation ``r`` owns a reciprocal twin row ``r + num_relations``, which
+training uses to learn subject queries as object queries under the twin.
+Ranking follows one protocol: filtered object completion, where candidates
+already forming graph triples are excluded and only strictly greater
+scores worsen the rank (optimistic ties).
 """
 from __future__ import annotations
 
@@ -179,40 +179,19 @@ def score_objects(model: EmbeddingModel, head: int, relation_row: int) -> np.nda
     return model.ent @ _cmul(model.ent[head], model.rel[relation_row])
 
 
-def rank(
-    model: EmbeddingModel,
-    triple: Triple,
-    kg: KnowledgeGraph,
-    direction: str = "object",
-    ties: str = "optimistic",
-) -> int:
-    """Filtered rank of the triple's completion.
+def rank(model: EmbeddingModel, triple: Triple, kg: KnowledgeGraph) -> int:
+    """Filtered rank of the triple's object completion.
 
-    Candidates forming graph triples (any split) are excluded. With the
-    default ``optimistic`` tie convention only strictly greater scores count;
-    ``pessimistic`` also counts ties against the target.
+    Candidates forming graph triples (any split) are excluded, and ties are
+    optimistic: only strictly greater scores count against the target.
     """
     _check_ids(model, triple)
-    if direction == "object":
-        head, rel_row, target = triple.subject, triple.relation, triple.object
-        known = kg.known_objects.get((triple.subject, triple.relation), frozenset())
-    elif direction == "subject":
-        head, rel_row, target = triple.object, triple.relation + model.num_relations, triple.subject
-        known = kg.known_subjects.get((triple.object, triple.relation), frozenset())
-    else:
-        raise ConfigurationError(f"unknown direction: {direction!r}")
-    scores = score_objects(model, head, rel_row)
-    target_score = scores[target]
+    known = kg.known_objects.get((triple.subject, triple.relation), frozenset())
+    scores = score_objects(model, triple.subject, triple.relation)
     mask = np.ones(model.num_entities, dtype=bool)
     mask[list(known)] = False
-    mask[target] = False
-    if ties == "optimistic":
-        worse = scores[mask] > target_score
-    elif ties == "pessimistic":
-        worse = scores[mask] >= target_score
-    else:
-        raise ConfigurationError(f"unknown tie convention: {ties!r}")
-    return 1 + int(np.count_nonzero(worse))
+    mask[triple.object] = False
+    return 1 + int(np.count_nonzero(scores[mask] > scores[triple.object]))
 
 
 def grad_score_wrt_subject(model: EmbeddingModel, triple: Triple) -> np.ndarray:

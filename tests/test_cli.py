@@ -481,6 +481,9 @@ class TestEvaluate:
         assert {r["algorithm"] for r in rows} == set(config.algorithms)
         mdrs = [r["m_delta_r"] for r in rows]
         assert mdrs == sorted(mdrs, reverse=True)
+        for algorithm in config.algorithms:
+            report = json.loads((tmp_path / "ev" / f"metrics_{algorithm}" / "report.json").read_text())
+            assert report["cohort"] == f"rank-{config.cohort_rank}"
 
     def test_flags_agree_with_dominance_oracle(self, explained, tmp_path):
         root, config, checkpoint, selection, _ = explained
@@ -640,7 +643,7 @@ def test_readme_ini_block_parses(tmp_path):
 @pytest.mark.parametrize(
     "case",
     [
-        "ini-value", "ini-no-section", "ini-unknown-key",
+        "ini-value", "ini-no-section", "ini-unknown-key", "ini-cohort-rank-zero",
         "checkpoint-truncated", "checkpoint-foreign",
     ],
 )
@@ -658,6 +661,10 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
     elif case == "ini-unknown-key":
         bad.write_text(config_path.read_text().replace("post_train_epochs", "post_train_epoch"))
         expected = (str(bad), "[explain] post_train_epoch")
+    elif case == "ini-cohort-rank-zero":
+        bad.write_text(config_path.read_text().replace("cohort_rank = 1", "cohort_rank = 0"))
+        argv = ["select", "--config", str(bad), "--checkpoint", str(checkpoint), "--out", out]
+        expected = ("[selection] cohort_rank",)
     else:
         if case == "checkpoint-truncated":
             blob = checkpoint.read_bytes()

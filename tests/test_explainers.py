@@ -110,6 +110,22 @@ class TestExhaustive:
         for p in run.front.points:
             assert p.explanation.triples in evaluated
 
+    def test_candidate_warnings_reach_the_run_file_once(self, tmp_path):
+        kg = make_random_kg(seed=3, n_entities=10, n_relations=2, n_triples=25)
+        config = TrainConfig(dimension=4, epochs=5, batch_size=64, seed=3)
+        model = train(init_model(kg, config), kg, config)
+        prediction = kg.train[0]
+        run = exhaustive_length1(
+            kg, model, prediction, explicit_space(kg.train[:2]), "sufficient",
+            ExplainerConfig(evaluator="full-retrain"), config,
+        )
+        assert len(run.candidates) == 2
+        run.save(tmp_path / "run.json", kg)
+        payload = json.loads((tmp_path / "run.json").read_text())
+        assert payload["warnings"] == [
+            "training on the candidate alone likely produced meaningless embeddings"
+        ]
+
     @pytest.mark.parametrize(
         "algorithm",
         [

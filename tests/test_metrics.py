@@ -17,7 +17,6 @@ from kgexplain import (
     Triple,
     build_metrics_report,
     build_search_space,
-    cohort_filter,
     comparison_table,
     emit_report,
     exhaustive_length1,
@@ -28,11 +27,11 @@ from kgexplain import (
 )
 
 
-def table(before_after, cohort=None):
+def table(before_after):
     rows = tuple(
         RankRow(Triple(i, 0, i + 1), b, a) for i, (b, a) in enumerate(before_after)
     )
-    return RankTable(rows=rows, cohort=cohort)
+    return RankTable(rows=rows)
 
 
 class TestWorkedToyExample:
@@ -125,26 +124,6 @@ class TestMeanRankDifference:
             assert abs(value - diff_of_means) <= 1e-12
 
 
-class TestCohort:
-    def test_rank_one_cohort(self):
-        t = table([(1, 4), (2, 2), (1, 1)])
-        cohort = cohort_filter(t, 1)
-        assert len(cohort) == 2
-        assert cohort.cohort == "rank-1"
-        assert all(r.rank_before == 1 for r in cohort.rows)
-
-    def test_absent_rank_gives_empty_with_warning(self, caplog):
-        with caplog.at_level("WARNING"):
-            cohort = cohort_filter(table([(2, 2)]), 9)
-        assert len(cohort) == 0
-
-    def test_idempotent(self):
-        t = table([(1, 4), (1, 2), (3, 3)])
-        once = cohort_filter(t, 1)
-        twice = cohort_filter(once, 1)
-        assert once.rows == twice.rows
-
-
 class TestRankTableValidation:
     def test_duplicate_triple_rejected(self):
         rows = (RankRow(Triple(0, 0, 1), 1, 1), RankRow(Triple(0, 0, 1), 2, 2))
@@ -172,9 +151,10 @@ class TestEmitReport(object):
 
     def test_writes_three_files_with_expected_content(self, run_setup, tiny_kg, tmp_path):
         t, runs = run_setup
-        emit_report(t, runs, tiny_kg, tmp_path)
+        emit_report(t, runs, tiny_kg, tmp_path, "rank-1")
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["n_triples"] == len(t)
+        assert report["cohort"] == "rank-1"
         assert "full_precision" in report
         assert report["max_delta"]["value"] == max(
             r.rank_after - r.rank_before for r in t.rows
@@ -190,13 +170,13 @@ class TestEmitReport(object):
 
     def test_mean_length_cross_checked_by_hand(self, run_setup, tiny_kg):
         t, runs = run_setup
-        report = build_metrics_report(t, runs, tiny_kg)
+        report = build_metrics_report(t, runs, tiny_kg, "rank-1")
         by_hand = np.mean([len(r.best.explanation) for r in runs])
         assert report.mean_explanation_length == pytest.approx(by_hand)
 
     def test_unchanged_runs_all_flagged_unchanged(self, tiny_kg, tmp_path):
         t = table([(2, 2), (3, 3)])
-        emit_report(t, [], tiny_kg, tmp_path)
+        emit_report(t, [], tiny_kg, tmp_path, "rank-1")
         with (tmp_path / "report_per_triple.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["changed"] == "0" for row in rows)
@@ -205,18 +185,18 @@ class TestEmitReport(object):
         t, runs = run_setup
         shorter = RankTable(rows=t.rows[1:])
         with pytest.raises(DomainError):
-            emit_report(shorter, runs, tiny_kg, tmp_path)
+            emit_report(shorter, runs, tiny_kg, tmp_path, "rank-1")
 
     def test_six_significant_digit_serialization(self, tiny_kg, tmp_path):
         t = table([(3, 7), (3, 9), (3, 11)])
-        emit_report(t, [], tiny_kg, tmp_path)
+        emit_report(t, [], tiny_kg, tmp_path, "rank-3")
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["mrr_after"] == float(f"{mrr(t, 'after'):.6g}")
         assert float(report["full_precision"]["mrr_after"]) == mrr(t, "after")
 
     def test_worked_example_report_reproduces_columns(self, tiny_kg, tmp_path):
         t = table([(2, 2), (2, 8)])
-        emit_report(t, [], tiny_kg, tmp_path)
+        emit_report(t, [], tiny_kg, tmp_path, "rank-2")
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["mrr_after"] == 0.3125
         assert report["mrr_before"] == 0.5

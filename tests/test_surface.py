@@ -7,9 +7,9 @@ from pathlib import Path
 import kgexplain
 
 SURFACE = Path(__file__).resolve().parents[1] / "tools" / "surface.py"
-MAX_SETTABLE_VALUES = 89
-MAX_ALL_NAMES = 57
-MAX_SRC_LINES = 4072
+MAX_SETTABLE_VALUES = 83
+MAX_ALL_NAMES = 56
+MAX_SRC_LINES = 4040
 
 
 def _surface():
