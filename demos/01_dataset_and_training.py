@@ -18,7 +18,6 @@ CHAINS = [
     ("seoul", "gyeonggi", "korea", "asia"),
 ]
 
-workdir = Path(tempfile.mkdtemp(prefix="kgx-demo-"))
 train_rows, test_rows = [], []
 for city, region, country, continent in CHAINS:
     train_rows += [
@@ -30,11 +29,13 @@ for city, region, country, continent in CHAINS:
     row = (city, "city_in", continent)
     (test_rows if city in ("paris", "tokyo") else train_rows).append(row)
 
-for name, rows in [("train", train_rows), ("valid", []), ("test", test_rows)]:
-    (workdir / f"{name}.txt").write_text("".join("\t".join(r) + "\n" for r in rows))
-print(f"dataset written to {workdir}")
+with tempfile.TemporaryDirectory(prefix="kgx-demo-") as tmp:
+    workdir = Path(tmp)
+    for name, rows in [("train", train_rows), ("valid", []), ("test", test_rows)]:
+        (workdir / f"{name}.txt").write_text("".join("\t".join(r) + "\n" for r in rows))
+    print(f"dataset written to {workdir}")
+    kg = load_dataset(workdir)
 
-kg = load_dataset(workdir)
 print(f"{kg.num_entities} entities, {kg.num_relations} relations, {len(kg.train)} training triples")
 
 config = TrainConfig(dimension=16, epochs=120, batch_size=64, seed=11)

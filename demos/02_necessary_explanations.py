@@ -83,5 +83,5 @@ for name, algo in [("score-shift ranking", data_poisoning_direct),
           f"(oracle bound {best.result.psi:+.0f} holds: {top.result.psi <= best.result.psi})")
 
 print("\nnon-dominated (length, psi) points of the oracle run:")
-for p in oracle.front.points:
-    print(f"  length {p.length:.0f}  psi {p.psi:+.0f}")
+for explanation, result in oracle.front:
+    print(f"  length {len(explanation)}  psi {result.psi:+.0f}")

@@ -74,4 +74,4 @@ for record in run.candidates:
     ]
     print(f"  psi {record.result.psi:+5.0f}  {' + '.join(triples)}")
 
-print("\nfront (length, psi):", [(p.length, p.psi) for p in run.front.points])
+print("\nfront (length, psi):", [(len(e), r.psi) for e, r in run.front])

@@ -82,7 +82,6 @@ class TargetSet:
     """Entities whose completions under the prediction's pattern start below rank 1."""
 
     entities: tuple[int, ...]
-    prediction: Triple
 
 
 def _as_triples(x) -> frozenset[Triple]:
@@ -277,7 +276,7 @@ def build_target_set(
         logger.warning(
             "target set smaller than requested: %d of %d eligible", len(chosen), size
         )
-    return TargetSet(entities=tuple(chosen), prediction=prediction)
+    return TargetSet(entities=tuple(chosen))
 
 
 def _swap_subject(t: Triple, s_x: int, c: int) -> Triple:
@@ -315,27 +314,18 @@ def effectiveness_c_sufficient(
     if not triples <= kg.train_set:
         raise DomainError("a targeted-sufficiency candidate must be a subset of the training set")
 
-    swapped: dict[int, list[Triple]] = {}
-    skipped: dict[int, int] = {}
-    for c in targets.entities:
-        kept: list[Triple] = []
-        n_skipped = 0
-        for t in sorted(triples):
-            sw = _swap_subject(t, s_x, c)
-            if sw in kg.train_set:
-                n_skipped += 1
-                logger.info("swapped triple %s already in training set; skipped", sw)
-            else:
-                kept.append(sw)
-        swapped[c] = kept
-        skipped[c] = n_skipped
-
     outcomes: list[TargetOutcome] = []
     retrains = 0
     for c in targets.entities:
+        additions: list[Triple] = []
+        for t in sorted(triples):
+            sw = _swap_subject(t, s_x, c)
+            if sw in kg.train_set:
+                logger.info("swapped triple %s already in training set; skipped", sw)
+            else:
+                additions.append(sw)
         probe = Triple(c, prediction.relation, prediction.object)
         before = rank(model, probe, kg)
-        additions = swapped[c]
         if not additions:
             after_model = model  # nothing to add: the operator is the identity
         else:
@@ -347,7 +337,8 @@ def effectiveness_c_sufficient(
             )
             retrains += 1
         after = rank(after_model, probe, kg)
-        outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped[c]))
+        skipped = len(triples) - len(additions)
+        outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped))
 
     return EffectivenessResult(
         psi=float(np.mean([o.psi for o in outcomes])),

@@ -15,9 +15,9 @@ Four strategies over the joint (length, effectiveness) objective:
 All four go through one private search object, :class:`_Search`: it
 scores each candidate with the mode's effectiveness operator and the
 configured evaluator, records it, and closes the run. Runs record every
-evaluated candidate, the non-dominated front, and the exact retrain count
-spent (the sum of the candidates' own counts), and serialize to JSON for
-the metrics layer.
+evaluated candidate, the front (the candidates no other one dominates),
+and the exact retrain count spent (the sum of the candidates' own
+counts), and serialize to JSON for the metrics layer.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .effectiveness import (
     effectiveness_sufficient,
 )
 from .errors import ConfigurationError, DomainError
-from .kg import KnowledgeGraph, SearchSpace, Triple
+from .kg import KnowledgeGraph, SearchSpace, Triple, _distances
 from .model import (
     EmbeddingModel,
     TrainConfig,
@@ -55,7 +55,7 @@ from .model import (
     score,
     score_objects,
 )
-from .pareto import ParetoFront, pareto_front
+from .pareto import pareto_front
 
 logger = logging.getLogger(__name__)
 
@@ -99,6 +99,10 @@ class ExplainerConfig:
             raise ConfigurationError(f"unknown algorithm: {self.algorithm!r}")
         if self.evaluator not in EVALUATORS:
             raise ConfigurationError(f"unknown evaluator: {self.evaluator!r}")
+        if self.evaluator == "full-retrain" and self.post_train_epochs is not None:
+            raise ConfigurationError(
+                "post_train_epochs is set, but evaluator 'full-retrain' never post-trains"
+            )
         if self.max_length < 1:
             raise ConfigurationError("max_length must be >= 1")
         if self.prefilter_k < 1:
@@ -131,7 +135,7 @@ class ExplanationRun:
     mode: str
     prediction: Triple
     candidates: list[CandidateRecord]
-    front: ParetoFront | None
+    front: tuple[tuple[CandidateExplanation, EffectivenessResult], ...]
     best: CandidateRecord | None
     wall_clock_s: float
     config: ExplainerConfig
@@ -174,13 +178,11 @@ class ExplanationRun:
             "best": candidate_entry(self.best) if self.best else None,
             "front": [
                 {
-                    "length": p.length,
-                    "psi": p.psi,
-                    "triples": [list(t) for t in sorted(p.explanation.triples)]
-                    if p.explanation
-                    else None,
+                    "length": float(len(explanation)),
+                    "psi": result.psi,
+                    "triples": [list(t) for t in explanation.sorted_triples()],
                 }
-                for p in (self.front.points if self.front else ())
+                for explanation, result in self.front
             ],
             "counters": {"retrains": self.retrain_count, "wall_clock_s": self.wall_clock_s},
             "warnings": list(self.warnings),
@@ -365,9 +367,7 @@ class _Search:
         candidates = self.candidates
         found = (w for c in candidates for w in c.result.warnings)
         warnings = tuple(dict.fromkeys((*warnings, *found)))
-        front = (
-            pareto_front([(c.explanation, c.result) for c in candidates]) if candidates else None
-        )
+        front = pareto_front([(c.explanation, c.result) for c in candidates]) if candidates else ()
         return ExplanationRun(
             algorithm=algorithm,
             mode=self.mode,
@@ -544,18 +544,7 @@ def prefilter_topk(kg: KnowledgeGraph, prediction: Triple, k: int) -> tuple[Trip
         logger.warning("prediction subject %d is isolated in the training graph", s_x)
         return ()
 
-    # single breadth-first pass from the object gives all endpoint distances
-    dist = {prediction.object: 0}
-    frontier = [prediction.object]
-    while frontier:
-        next_frontier = []
-        for e in frontier:
-            for t in kg.train_adjacency.get(e, ()):
-                for other in (t.subject, t.object):
-                    if other not in dist:
-                        dist[other] = dist[e] + 1
-                        next_frontier.append(other)
-        frontier = next_frontier
+    dist = _distances(kg, prediction.object)
 
     def sort_key(t: Triple) -> tuple[float, Triple]:
         other = t.object if t.subject == s_x else t.subject

@@ -68,30 +68,6 @@ class LoadReport:
                 )
 
 
-class _UnionFind:
-    """Disjoint sets over dense integer ids with path compression."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-
 class KnowledgeGraph:
     """Immutable triple store with dictionaries, splits, and adjacency indices.
 
@@ -191,13 +167,6 @@ class KnowledgeGraph:
             known.setdefault((t.subject, t.relation), set()).add(t.object)
         return {k: frozenset(v) for k, v in known.items()}
 
-    @cached_property
-    def _train_component_roots(self) -> list[int]:
-        uf = _UnionFind(self.num_entities)
-        for t in self.train:
-            uf.union(t.subject, t.object)
-        return [uf.find(e) for e in range(self.num_entities)]
-
     def eval_split(self, split: str) -> tuple[Triple, ...]:
         """Triples of `split` whose entities and relation all appear in train.
 
@@ -283,13 +252,11 @@ def load_dataset(directory: str | Path) -> KnowledgeGraph:
     report = LoadReport(directory=str(directory))
     splits: dict[str, tuple[Triple, ...]] = {}
     earlier: set[Triple] = set()
-    train_entities: set[int] = set()
-    train_relations: set[int] = set()
 
     for split in ("train", "valid", "test"):
         kept: list[Triple] = []
         seen: set[Triple] = set()
-        dup = cross = unseen = 0
+        dup = cross = 0
         for s, r, o in raw[split]:
             t = Triple(entity_id(s), relation_id(r), entity_id(o))
             if t in seen:
@@ -300,25 +267,13 @@ def load_dataset(directory: str | Path) -> KnowledgeGraph:
                 continue
             seen.add(t)
             kept.append(t)
-            if split == "train":
-                train_entities.update((t.subject, t.object))
-                train_relations.add(t.relation)
-            elif (
-                t.subject not in train_entities
-                or t.object not in train_entities
-                or t.relation not in train_relations
-            ):
-                unseen += 1
         earlier.update(seen)
         splits[split] = tuple(kept)
         report.triples_read[split] = len(kept)
         report.duplicates_dropped[split] = dup
         report.cross_split_dropped[split] = cross
-        if split != "train":
-            report.unseen_in_train[split] = unseen
 
-    report.log()
-    return KnowledgeGraph(
+    kg = KnowledgeGraph(
         entity_labels,
         relation_labels,
         splits["train"],
@@ -326,19 +281,41 @@ def load_dataset(directory: str | Path) -> KnowledgeGraph:
         splits["test"],
         load_report=report,
     )
+    for split in ("valid", "test"):
+        report.unseen_in_train[split] = len(splits[split]) - len(kg.eval_split(split))
+    report.log()
+    return kg
+
+
+def _distances(kg: KnowledgeGraph, source: int) -> dict[int, int]:
+    """Breadth-first distances from `source` over the undirected training graph.
+
+    Entities the traversal does not reach are absent.
+    """
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        next_frontier = []
+        for e in frontier:
+            for t in kg.train_adjacency.get(e, ()):
+                for other in (t.subject, t.object):
+                    if other not in dist:
+                        dist[other] = dist[e] + 1
+                        next_frontier.append(other)
+        frontier = next_frontier
+    return dist
 
 
 def weakly_connected_component(kg: KnowledgeGraph, entity: int) -> frozenset[Triple]:
     """All train triples in the component containing `entity`, direction ignored.
 
-    The result is identical for any seed entity inside the same component.
-    Computed from a union-find built once per graph and cached.
+    The result is identical for any seed entity inside the same component:
+    the training triples whose subject the traversal from `entity` reaches.
     """
     if not 0 <= entity < kg.num_entities:
         raise DomainError(f"unknown entity id: {entity}")
-    roots = kg._train_component_roots
-    root = roots[entity]
-    return frozenset(t for t in kg.train if roots[t.subject] == root)
+    reached = _distances(kg, entity)
+    return frozenset(t for t in kg.train if t.subject in reached)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Embeddings are complex vectors packed as real rows ``[re | im]``: one
 ``(rows, 2 * dimension)`` array per table. With that layout the score
 Re<e_s, w_r, conj(e_o)> is one complex product followed by a plain real dot
 product, so scoring every entity is one matrix-vector product. Checkpoints
-still store the four real halves, so older files keep loading.
+still store the four real halves, the layout every checkpoint has had.
 
 Relation ``r`` owns a reciprocal twin row ``r + num_relations``, which
 training uses to learn subject queries as object queries under the twin.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -26,8 +25,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .kg import KnowledgeGraph, Triple
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -252,7 +249,8 @@ def _read_checkpoint(path: str | Path, tables: bool = True) -> tuple[EmbeddingMo
     """The model (``None`` without ``tables``) and the metadata of a checkpoint file.
 
     A file that is missing, not an ``.npz`` archive, or lacks the checkpoint
-    arrays and metadata raises :class:`ConfigurationError` naming the file.
+    arrays and metadata (its ``train_config`` object included) raises
+    :class:`ConfigurationError` naming the file.
     """
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
@@ -267,6 +265,8 @@ def _read_checkpoint(path: str | Path, tables: bool = True) -> tuple[EmbeddingMo
                 )
             if not isinstance(meta["kg_hash"], str):
                 raise ValueError("the graph hash is not a string")
+            if not isinstance(meta.get("train_config"), dict):
+                raise ValueError("no train_config object")
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"not a readable checkpoint: {path} ({exc})") from None
     return model, meta
@@ -275,34 +275,20 @@ def _read_checkpoint(path: str | Path, tables: bool = True) -> tuple[EmbeddingMo
 def load_checkpoint(path: str | Path, kg: KnowledgeGraph) -> EmbeddingModel:
     """Read a checkpoint, verifying it was trained against this graph.
 
-    A file that is missing, not an ``.npz`` archive, or lacks the checkpoint
-    arrays and metadata raises :class:`ConfigurationError` naming the file. A
-    checkpoint written before its training configuration was stored still
-    loads, with a warning that names the missing ``train_config`` field.
+    A file :func:`_read_checkpoint` cannot read, one without ``train_config``
+    among them, raises :class:`ConfigurationError` naming the file.
     """
     model, meta = _read_checkpoint(path)
     if meta["kg_hash"] != kg_fingerprint(kg):
         raise ConfigurationError(
             "checkpoint does not match the loaded dataset (graph hash differs)"
         )
-    if "train_config" not in meta:
-        logger.warning(
-            "checkpoint %s has no train_config field; its training configuration "
-            "cannot be checked",
-            path,
-        )
     return model
 
 
 def _check_train_config(path: str | Path, config: TrainConfig) -> None:
-    """:class:`ConfigurationError` naming each field where the checkpoint's config differs.
-
-    A checkpoint without a stored configuration passes (:func:`load_checkpoint`
-    warns about it).
-    """
-    stored = _read_checkpoint(path, tables=False)[1].get("train_config")
-    if stored is None:
-        return
+    """:class:`ConfigurationError` naming each field where the checkpoint's config differs."""
+    stored = _read_checkpoint(path, tables=False)[1]["train_config"]
     wanted = asdict(config)
     differ = [
         f"{name} (checkpoint {stored.get(name)!r}, config {value!r})"

@@ -2,30 +2,15 @@
 
 A point dominates another when it is no longer, at least as effective, and
 strictly better in one of the two. Shorter is better; higher effectiveness
-is better. The front keeps every tied point.
+is better. A front is the subset of an explainer's evaluated candidates
+that no other candidate dominates; it keeps every tied candidate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .effectiveness import CandidateExplanation, EffectivenessResult
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    length: float
-    psi: float
-    explanation: CandidateExplanation | None = None
-
-
-@dataclass(frozen=True)
-class ParetoFront:
-    points: tuple[ParetoPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -62,15 +47,9 @@ def non_dominated(points: Sequence[tuple[float, float]]) -> list[bool]:
 
 def pareto_front(
     candidates: Sequence[tuple[CandidateExplanation, EffectivenessResult]],
-) -> ParetoFront:
-    """Exactly the non-dominated (length, psi) points among the candidates."""
+) -> tuple[tuple[CandidateExplanation, EffectivenessResult], ...]:
+    """Exactly the candidates whose (length, psi) no other candidate dominates, in input order."""
     if not candidates:
         raise DomainError("cannot build a front from an empty candidate list")
-    objectives = [(float(len(expl)), float(result.psi)) for expl, result in candidates]
-    keep = non_dominated(objectives)
-    points = tuple(
-        ParetoPoint(length=obj[0], psi=obj[1], explanation=expl)
-        for (expl, _), obj, k in zip(candidates, objectives, keep)
-        if k
-    )
-    return ParetoFront(points=points)
+    keep = non_dominated([(float(len(expl)), float(result.psi)) for expl, result in candidates])
+    return tuple(c for c, k in zip(candidates, keep) if k)

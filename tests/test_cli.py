@@ -644,7 +644,8 @@ def test_readme_ini_block_parses(tmp_path):
     "case",
     [
         "ini-value", "ini-no-section", "ini-unknown-key", "ini-cohort-rank-zero",
-        "checkpoint-truncated", "checkpoint-foreign",
+        "ini-post-train-epochs-under-full-retrain",
+        "checkpoint-truncated", "checkpoint-foreign", "checkpoint-without-train-config",
     ],
 )
 def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, caplog, case):
@@ -665,17 +666,33 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
         bad.write_text(config_path.read_text().replace("cohort_rank = 1", "cohort_rank = 0"))
         argv = ["select", "--config", str(bad), "--checkpoint", str(checkpoint), "--out", out]
         expected = ("[selection] cohort_rank",)
+    elif case == "ini-post-train-epochs-under-full-retrain":
+        text = config_path.read_text()
+        bad.write_text(text.replace("evaluator = post-train", "evaluator = full-retrain"))
+        expected = ("post_train_epochs", "evaluator 'full-retrain'")
     else:
         if case == "checkpoint-truncated":
             blob = checkpoint.read_bytes()
             bad.write_bytes(blob[: len(blob) // 2])
-        else:
+        elif case == "checkpoint-foreign":
             with bad.open("wb") as fh:
                 np.savez(fh, weights=np.zeros(3))
+        else:  # the format written before checkpoints stored their training config
+            with np.load(checkpoint) as data:
+                arrays = {name: data[name] for name in data.files}
+            meta = json.loads(str(arrays["meta"]))
+            del meta["train_config"]
+            with bad.open("wb") as fh:
+                np.savez(fh, **arrays | {"meta": np.array(json.dumps(meta, sort_keys=True))})
         argv = ["select", "--config", str(config_path), "--checkpoint", str(bad), "--out", out]
         expected = (str(bad),)
     assert main(argv) == EXIT_VALIDATION
     assert all(text in caplog.text for text in expected)
+    if case == "checkpoint-without-train-config":
+        caplog.clear()
+        explain = _explain_argv(config_path, bad, tmp_path / "none.json", out)
+        assert main(explain) == EXIT_VALIDATION
+        assert str(bad) in caplog.text and "train_config" in caplog.text
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -14,9 +14,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(scratch)}
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert not list(scratch.iterdir()), "the demo left temporary files behind"

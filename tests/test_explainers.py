@@ -16,6 +16,7 @@ from kgexplain import (
     build_search_space,
     criage_first_order,
     data_poisoning_direct,
+    dominates,
     effectiveness_necessary,
     exhaustive_length1,
     first_order_score_change,
@@ -107,8 +108,8 @@ class TestExhaustive:
         )
         assert len(run.candidates) == len(space.members)
         evaluated = {c.explanation.triples for c in run.candidates}
-        for p in run.front.points:
-            assert p.explanation.triples in evaluated
+        for explanation, _ in run.front:
+            assert explanation.triples in evaluated
 
     def test_candidate_warnings_reach_the_run_file_once(self, tmp_path):
         kg = make_random_kg(seed=3, n_entities=10, n_relations=2, n_triples=25)
@@ -359,9 +360,9 @@ class TestBuilder:
                 )
                 candidates.append((explanation, result))
         truth = pareto_front(candidates)
-        true_points = {(p.length, p.psi, p.explanation.triples) for p in truth.points}
-        for p in run.front.points:
-            assert (p.length, p.psi, p.explanation.triples) in true_points
+        true_points = {(len(e), r.psi, e.triples) for e, r in truth}
+        for e, r in run.front:
+            assert (len(e), r.psi, e.triples) in true_points
 
     def test_deterministic_under_fixed_seed(self, setup):
         kg, config, model, prediction = setup
@@ -435,4 +436,30 @@ class TestRunSerialization:
         assert len(payload["candidates"]) == len(run.candidates)
         assert payload["counters"]["retrains"] == run.retrain_count
         front_lengths = [p["length"] for p in payload["front"]]
-        assert front_lengths == [p.length for p in run.front.points]
+        assert front_lengths == [len(e) for e, _ in run.front]
+
+    def test_front_entries_are_the_non_dominated_candidates_with_float_lengths(
+        self, setup, tmp_path
+    ):
+        kg, config, model, prediction = setup
+        ec = ExplainerConfig(
+            max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
+            evaluator="post-train",
+        )
+        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        path = tmp_path / "run.json"
+        run.save(path, kg)
+        payload = json.loads(path.read_text())
+        points = [(c["length"], c["psi"]) for c in payload["candidates"]]
+        expected = [
+            {
+                "length": float(c["length"]),
+                "psi": c["psi"],
+                "triples": [t["ids"] for t in c["triples"]],
+            }
+            for c, p in zip(payload["candidates"], points)
+            if not any(dominates(q, p) for q in points)
+        ]
+        assert payload["front"] == expected
+        assert {p["length"] for p in payload["front"]} == {1.0, 2.0}
+        assert all(type(p["length"]) is float for p in payload["front"])

@@ -173,7 +173,7 @@ class TestWeaklyConnectedComponent:
                     | {t.object for t in _bfs_component(kg, y)}
                     or not _bfs_component(kg, y)
                 )
-                # components agree exactly when union-find connects the pair
+                # components agree exactly when the reference traversals agree
                 assert (components[x] == components[y]) == (
                     _bfs_component(kg, x) == _bfs_component(kg, y)
                 )

@@ -166,7 +166,7 @@ class TestEmitReport(object):
             assert int(row["changed"]) == int(rank_row.rank_after != rank_row.rank_before)
         with (tmp_path / "report_pareto.csv").open() as fh:
             front_rows = list(csv.DictReader(fh))
-        assert len(front_rows) == sum(len(r.front.points) for r in runs)
+        assert len(front_rows) == sum(len(r.front) for r in runs)
 
     def test_mean_length_cross_checked_by_hand(self, run_setup, tiny_kg):
         t, runs = run_setup

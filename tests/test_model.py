@@ -320,9 +320,7 @@ class TestFingerprintAndStoredConfig:
             assert kg_fingerprint(kg) == _reference_fingerprint(kg)
         assert kg_fingerprint(desk_kg) != kg_fingerprint(no_valid)
 
-    def test_checkpoint_without_stored_config_loads_with_a_warning_naming_it(
-        self, desk_kg, desk_model, tmp_path, caplog
-    ):
+    def test_checkpoint_without_stored_config_is_rejected(self, desk_kg, desk_model, tmp_path):
         # the layout and metadata every checkpoint had before the config was stored
         path = tmp_path / "old.npz"
         meta = {
@@ -334,10 +332,11 @@ class TestFingerprintAndStoredConfig:
             path, **{name: getattr(desk_model, name) for name in ARRAYS},
             meta=np.array(json.dumps(meta, sort_keys=True)),
         )
-        loaded = load_checkpoint(path, desk_kg)
-        assert np.array_equal(loaded.ent, desk_model.ent)
-        assert np.array_equal(loaded.rel, desk_model.rel)
-        assert "train_config" in caplog.text and str(path) in caplog.text
+        with pytest.raises(ConfigurationError) as caught:
+            load_checkpoint(path, desk_kg)
+        assert "train_config" in str(caught.value) and str(path) in str(caught.value)
+        with pytest.raises(ConfigurationError, match="train_config"):
+            _check_train_config(path, TrainConfig())
 
     def test_stored_config_round_trips_and_names_each_differing_field(self, tmp_path):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)

@@ -44,15 +44,15 @@ def oracle_front(points):
 class TestWorkedExample:
     def test_short_weak_and_long_strong_both_survive(self):
         front = pareto_front([candidate(1, 15.0), candidate(2, 30.0)])
-        assert sorted((p.length, p.psi) for p in front.points) == [(1.0, 15.0), (2.0, 30.0)]
+        assert sorted((len(e), r.psi) for e, r in front) == [(1, 15.0), (2, 30.0)]
 
     def test_longer_and_weaker_is_dominated(self):
         front = pareto_front([candidate(1, 15.0), candidate(2, 10.0)])
-        assert [(p.length, p.psi) for p in front.points] == [(1.0, 15.0)]
+        assert [(len(e), r.psi) for e, r in front] == [(1, 15.0)]
 
     def test_equal_points_all_retained(self):
         front = pareto_front([candidate(1, 5.0), candidate(1, 5.0), candidate(1, 4.0)])
-        assert [(p.length, p.psi) for p in front.points] == [(1.0, 5.0), (1.0, 5.0)]
+        assert [(len(e), r.psi) for e, r in front] == [(1, 5.0), (1, 5.0)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(DomainError):

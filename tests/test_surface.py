@@ -7,9 +7,9 @@ from pathlib import Path
 import kgexplain
 
 SURFACE = Path(__file__).resolve().parents[1] / "tools" / "surface.py"
-MAX_SETTABLE_VALUES = 83
-MAX_ALL_NAMES = 56
-MAX_SRC_LINES = 4040
+MAX_SETTABLE_VALUES = 78
+MAX_ALL_NAMES = 54
+MAX_SRC_LINES = 3960
 
 
 def _surface():
