@@ -6,8 +6,9 @@ and see how well the prediction survives. A full region chain preserves a
 held-out city->continent completion better than any of its single links.
 
 Then the transfer proxy: swap the prediction's subject for target entities
-whose completions are not yet top-ranked, add the swapped copies to
-training, and measure the targets' average rank improvement.
+whose completions are not yet top-ranked (``build_target_set`` returns their
+ids as a tuple), add the swapped copies to training, and measure the targets'
+average rank improvement.
 """
 from kgexplain import (
     KnowledgeGraph,
@@ -68,7 +69,7 @@ for link in path:
 print("\ntransfer proxy: graft (paris, located_in, ile_de_france) onto targets")
 targets = build_target_set(kg, model, prediction, size=5, seed=3)
 print(f"  target entities (completions not top-ranked): "
-      f"{[kg.entity_labels[c] for c in targets.entities]}")
+      f"{[kg.entity_labels[c] for c in targets]}")
 result = effectiveness_c_sufficient(
     kg, model, prediction, {path[0]}, targets, "post-train", config
 )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .effectiveness import TargetSet, _retrained, _rows_without, build_target_set
+from .effectiveness import _retrained, _rows_without, build_target_set
 from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplainError
 from .explainers import (
     ALGORITHMS,
@@ -305,7 +305,7 @@ def _run_one(
     model,
     prediction: Triple,
     algorithm: str,
-    inputs: tuple[SearchSpace, TargetSet | None],
+    inputs: tuple[SearchSpace, tuple[int, ...] | None],
 ) -> ExplanationRun:
     """One algorithm's run; ``inputs`` are the prediction's search space and c-sufficient targets."""
     explainer = replace(config.explainer, algorithm=algorithm)

@@ -1,13 +1,18 @@
 """Effectiveness of candidate explanations under retraining operators.
 
-Four operators are offered, one per explanation mode:
+Every operator measures a candidate the same way: change the training set,
+retrain once (full retraining or post-training, dispatched by
+:func:`_retrained`), and compare a probe triple's rank before and after.
+The four operators, one per explanation mode, differ only in the candidate
+they accept, the fit rows, the trainable rows, the probe and the sign:
 
 * ``remove-retrain``     (necessary): drop the candidate from training and
   measure how much the prediction's rank worsens.
 * ``keep-only-retrain``  (sufficient): relearn from the candidate alone,
   anchored in frozen context, and measure how little the rank degrades.
 * ``add-swap-retrain``   (targeted sufficiency): graft the candidate onto
-  target entities and measure how much their ranks improve, on average.
+  each target entity, a tuple of entity ids from :func:`build_target_set`,
+  and measure how much the targets' ranks improve, on average.
 * ``add-retrain``        (latent): add unobserved triples and measure the
   rank shift in either direction.
 
@@ -15,8 +20,7 @@ Every mode is signed so that a no-op candidate scores 0 and higher is
 better. Each result reports its own retraining cost in ``retrains``. The
 base model is never mutated; retraining always happens on a clone or a
 fresh initialization, with the original seed, so results are
-deterministic. :func:`_retrained` is the one place that dispatches a
-retrain to full retraining or post-training.
+deterministic.
 """
 from __future__ import annotations
 
@@ -34,7 +38,6 @@ from .training import _pair_rows, _train_rows, _TrainRows, post_train
 logger = logging.getLogger(__name__)
 
 EVALUATORS = ("full-retrain", "post-train")
-OPERATORS = ("remove-retrain", "keep-only-retrain", "add-swap-retrain", "add-retrain")
 
 
 @dataclass(frozen=True)
@@ -77,20 +80,21 @@ class EffectivenessResult:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TargetSet:
-    """Entities whose completions under the prediction's pattern start below rank 1."""
-
-    entities: tuple[int, ...]
-
-
 def _as_triples(x) -> frozenset[Triple]:
-    if isinstance(x, CandidateExplanation):
-        return x.triples
-    triples = frozenset(x)
-    if not triples:
-        raise DomainError("an explanation must contain at least one triple")
+    return (x if isinstance(x, CandidateExplanation) else CandidateExplanation(x)).triples
+
+
+def _training_triples(kg: KnowledgeGraph, candidate) -> frozenset[Triple]:
+    """The triples of a candidate that must come from the training set."""
+    triples = _as_triples(candidate)
+    if not triples <= kg.train_set:
+        missing = min(triples - kg.train_set)
+        raise DomainError(f"the explanation must be a subset of the training set; {missing} is not")
     return triples
+
+
+def _entities(triples: Iterable[Triple]) -> set[int]:
+    return {e for t in triples for e in (t.subject, t.object)}
 
 
 def _positions(kg: KnowledgeGraph, triples: frozenset[Triple]) -> np.ndarray:
@@ -151,9 +155,23 @@ def _retrained(
     )
 
 
-def _filtered_candidate_count(kg: KnowledgeGraph, prediction: Triple) -> int:
-    known = kg.known_objects.get((prediction.subject, prediction.relation), frozenset())
-    return kg.num_entities - len(known)
+def _rank_after(
+    kg: KnowledgeGraph, model: EmbeddingModel, probe: Triple, fit: _TrainRows, evaluator: str,
+    config: TrainConfig, **options,
+) -> int:
+    """The probe's rank after one retrain of ``model`` on ``fit``; ``options`` go to the retrain."""
+    return rank(_retrained(kg, model, fit, evaluator, config, **options), probe, kg)
+
+
+def _one_retrain(
+    operator: str, evaluator: str, rank_before: int, rank_after: int, sign: int,
+    warnings: tuple[str, ...] = (),
+) -> EffectivenessResult:
+    """A one-retrain result; ``sign`` 1 scores a worse rank after as positive, -1 a better one."""
+    psi = float(sign * (rank_after - rank_before))
+    return EffectivenessResult(
+        psi, rank_before, rank_after, operator, evaluator, retrains=1, warnings=warnings
+    )
 
 
 def effectiveness_necessary(
@@ -172,29 +190,18 @@ def effectiveness_necessary(
     load-bearing. Requires the base rank to be below the filtered candidate
     count, otherwise there is no room left to degrade.
     """
-    triples = _as_triples(candidate)
-    if not triples <= kg.train_set:
-        raise DomainError("a necessary explanation must be a subset of the training set")
+    triples = _training_triples(kg, candidate)
     rank_before = rank(model, prediction, kg)
-    if rank_before >= _filtered_candidate_count(kg, prediction):
-        raise DomainError(
-            "necessary effectiveness requires the base rank to be below the "
-            "filtered candidate count"
-        )
-    retrained = _retrained(
-        kg, model, _rows_without(kg, triples), evaluator, config,
+    known = kg.known_objects.get((prediction.subject, prediction.relation), frozenset())
+    if rank_before >= kg.num_entities - len(known):
+        raise DomainError("necessary effectiveness requires the base rank to be below the "
+                          "filtered candidate count")
+    rank_after = _rank_after(
+        kg, model, prediction, _rows_without(kg, triples), evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject),
         post_epochs=post_epochs,
     )
-    rank_after = rank(retrained, prediction, kg)
-    return EffectivenessResult(
-        psi=float(rank_after - rank_before),
-        rank_before=rank_before,
-        rank_after=rank_after,
-        operator="remove-retrain",
-        evaluator=evaluator,
-        retrains=1,
-    )
+    return _one_retrain("remove-retrain", evaluator, rank_before, rank_after, 1)
 
 
 def effectiveness_sufficient(
@@ -219,42 +226,25 @@ def effectiveness_sufficient(
     embeddings, so the result carries a warning. Preserving or improving
     the rank scores at least 0.
     """
-    triples = _as_triples(candidate)
-    if not triples <= kg.train_set:
-        raise DomainError("a sufficient explanation must be a subset of the training set")
+    triples = _training_triples(kg, candidate)
+    elsewhere = {t.relation for t in kg.train if t not in triples}
     rank_before = rank(model, prediction, kg)
-    support: dict[int, set[Triple]] = {}
-    for t in kg.train:
-        support.setdefault(t.relation, set()).add(t)
-    retrained = _retrained(
-        kg, model, _rows_of(kg, triples), evaluator, config,
-        trainable_entities={t.subject for t in triples} | {t.object for t in triples},
-        trainable_relations={r for r, sup in support.items() if sup <= triples},
+    rank_after = _rank_after(
+        kg, model, prediction, _rows_of(kg, triples), evaluator, config,
+        trainable_entities=_entities(triples),
+        trainable_relations={t.relation for t in triples} - elsewhere,
         reinit=True,
         post_epochs=post_epochs,
     )
     warnings: tuple[str, ...] = ()
     if evaluator == "full-retrain":
         warnings = ("training on the candidate alone likely produced meaningless embeddings",)
-    rank_after = rank(retrained, prediction, kg)
-    return EffectivenessResult(
-        psi=float(rank_before - rank_after),
-        rank_before=rank_before,
-        rank_after=rank_after,
-        operator="keep-only-retrain",
-        evaluator=evaluator,
-        retrains=1,
-        warnings=warnings,
-    )
+    return _one_retrain("keep-only-retrain", evaluator, rank_before, rank_after, -1, warnings)
 
 
 def build_target_set(
-    kg: KnowledgeGraph,
-    model: EmbeddingModel,
-    prediction: Triple,
-    size: int,
-    seed: int,
-) -> TargetSet:
+    kg: KnowledgeGraph, model: EmbeddingModel, prediction: Triple, size: int, seed: int
+) -> tuple[int, ...]:
     """Sample entities c != s_x whose (c, r_x, o_x) completion is not top-ranked."""
     if size < 1:
         raise ConfigurationError("target-set size must be >= 1")
@@ -273,18 +263,13 @@ def build_target_set(
     if not chosen:
         raise DomainError("no eligible target entities: every candidate completion is top-ranked")
     if len(chosen) < size:
-        logger.warning(
-            "target set smaller than requested: %d of %d eligible", len(chosen), size
-        )
-    return TargetSet(entities=tuple(chosen))
+        logger.warning("target set smaller than requested: %d of %d eligible", len(chosen), size)
+    return tuple(chosen)
 
 
 def _swap_subject(t: Triple, s_x: int, c: int) -> Triple:
-    return Triple(
-        c if t.subject == s_x else t.subject,
-        t.relation,
-        c if t.object == s_x else t.object,
-    )
+    subject, obj = (c if e == s_x else e for e in (t.subject, t.object))
+    return Triple(subject, t.relation, obj)
 
 
 def effectiveness_c_sufficient(
@@ -292,7 +277,7 @@ def effectiveness_c_sufficient(
     model: EmbeddingModel,
     prediction: Triple,
     candidate,
-    targets: TargetSet,
+    targets: tuple[int, ...],
     evaluator: str,
     config: TrainConfig,
     *,
@@ -306,38 +291,27 @@ def effectiveness_c_sufficient(
     triple. Per-target outcomes are retained; single targets may worsen,
     and the result is their mean.
     """
-    triples = _as_triples(candidate)
+    triples = _training_triples(kg, candidate)
     s_x = prediction.subject
     for t in triples:
         if s_x not in (t.subject, t.object):
             raise DomainError(f"candidate triple {t} does not contain the prediction subject")
-    if not triples <= kg.train_set:
-        raise DomainError("a targeted-sufficiency candidate must be a subset of the training set")
 
     outcomes: list[TargetOutcome] = []
-    retrains = 0
-    for c in targets.entities:
-        additions: list[Triple] = []
-        for t in sorted(triples):
-            sw = _swap_subject(t, s_x, c)
-            if sw in kg.train_set:
-                logger.info("swapped triple %s already in training set; skipped", sw)
-            else:
-                additions.append(sw)
-        probe = Triple(c, prediction.relation, prediction.object)
-        before = rank(model, probe, kg)
-        if not additions:
-            after_model = model  # nothing to add: the operator is the identity
-        else:
-            trainable = _one_hop_entities(kg, c)
-            trainable |= {t.subject for t in additions} | {t.object for t in additions}
-            after_model = _retrained(
-                kg, model, _rows_with(kg, additions), evaluator, config,
-                trainable_entities=trainable, post_epochs=post_epochs,
-            )
-            retrains += 1
-        after = rank(after_model, probe, kg)
+    for c in targets:
+        swapped = (_swap_subject(t, s_x, c) for t in sorted(triples))
+        additions = [sw for sw in swapped if sw not in kg.train_set]
         skipped = len(triples) - len(additions)
+        if skipped:
+            logger.info("%d swapped triples already in training set; skipped", skipped)
+        probe = Triple(c, prediction.relation, prediction.object)
+        before = after = rank(model, probe, kg)
+        if additions:  # with nothing to add the operator is the identity
+            after = _rank_after(
+                kg, model, probe, _rows_with(kg, additions), evaluator, config,
+                trainable_entities=_one_hop_entities(kg, c) | _entities(additions),
+                post_epochs=post_epochs,
+            )
         outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped))
 
     return EffectivenessResult(
@@ -346,7 +320,7 @@ def effectiveness_c_sufficient(
         rank_after=float(np.mean([o.rank_after for o in outcomes])),
         operator="add-swap-retrain",
         evaluator=evaluator,
-        retrains=retrains,
+        retrains=sum(o.skipped < len(triples) for o in outcomes),  # targets that gained a triple
         per_target=tuple(outcomes),
     )
 
@@ -374,31 +348,17 @@ def effectiveness_latent(
     for t in triples:
         if not kg.contains_ids(t):
             raise DomainError(f"latent triple {t} has out-of-range ids")
-    rank_before = rank(model, prediction, kg)
-    if polarity == "positive":
-        if rank_before <= 1:
-            raise DomainError("positive latent effectiveness requires base rank > 1")
-    elif polarity == "negative":
-        if rank_before >= kg.num_entities:
-            raise DomainError(
-                "negative latent effectiveness requires base rank below the entity count"
-            )
-    else:
+    if polarity not in ("positive", "negative"):
         raise ConfigurationError(f"unknown polarity: {polarity!r}")
-
-    trainable = _one_hop_entities(kg, prediction.subject)
-    trainable |= {t.subject for t in triples} | {t.object for t in triples}
-    retrained = _retrained(
-        kg, model, _rows_with(kg, triples), evaluator, config,
-        trainable_entities=trainable, post_epochs=post_epochs,
+    rank_before = rank(model, prediction, kg)
+    if polarity == "positive" and rank_before <= 1:
+        raise DomainError("positive latent effectiveness requires base rank > 1")
+    if polarity == "negative" and rank_before >= kg.num_entities:
+        raise DomainError("negative latent effectiveness requires base rank below the entity count")
+    rank_after = _rank_after(
+        kg, model, prediction, _rows_with(kg, triples), evaluator, config,
+        trainable_entities=_one_hop_entities(kg, prediction.subject) | _entities(triples),
+        post_epochs=post_epochs,
     )
-    rank_after = rank(retrained, prediction, kg)
-    psi = float(rank_before - rank_after) if polarity == "positive" else float(rank_after - rank_before)
-    return EffectivenessResult(
-        psi=psi,
-        rank_before=rank_before,
-        rank_after=rank_after,
-        operator="add-retrain",
-        evaluator=evaluator,
-        retrains=1,
-    )
+    sign = -1 if polarity == "positive" else 1
+    return _one_retrain("add-retrain", evaluator, rank_before, rank_after, sign)

@@ -37,7 +37,6 @@ from .effectiveness import (
     EVALUATORS,
     CandidateExplanation,
     EffectivenessResult,
-    TargetSet,
     effectiveness_c_sufficient,
     effectiveness_latent,
     effectiveness_necessary,
@@ -207,25 +206,36 @@ def _numbers(entry, *keys: str) -> bool:
     )
 
 
+def _id_entries(value) -> bool:
+    """A list of objects whose ``ids`` are three integers."""
+    return isinstance(value, list) and all(
+        isinstance(t, dict) and _three_ints(t.get("ids")) for t in value
+    )
+
+
 def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str | None:
     """What keeps ``run`` from being the run of ``algorithm`` for ``prediction``, if anything."""
     if not isinstance(run, dict) or type(run.get("algorithm")) is not str:
         return "expected an object with a string algorithm"
     if not (isinstance(run.get("prediction"), dict) and _three_ints(run["prediction"].get("ids"))):
         return "prediction ids must be three integers"
-    for key in ("candidates", "front"):
-        entries = run.get(key)
-        if not (isinstance(entries, list) and all(_numbers(e, "length", "psi") for e in entries)):
-            return f"{key} must be a list of objects with numeric length and psi"
-    for triples in (point.get("triples", 0) for point in run["front"]):  # null, not missing
-        if not (triples is None or isinstance(triples, list) and all(map(_three_ints, triples))):
-            return "front triples must be null or lists of three integers"
+    candidates = run.get("candidates")
+    if not (isinstance(candidates, list) and all(
+        _numbers(c, "length", "psi") and _id_entries(c.get("triples")) for c in candidates
+    )):
+        return "candidates must be a list of objects with numeric length and psi, triples {ids}"
+    points = [  # the front entry each candidate would have
+        {"length": float(c["length"]), "psi": c["psi"],
+         "triples": sorted(t["ids"] for t in c["triples"])}
+        for c in candidates
+    ]
+    if not (isinstance(run.get("front"), list) and all(p in points for p in run["front"])):
+        return "front must be a list of candidates' {length, psi, triples}, triple ids sorted"
     best = run.get("best", 0)  # null, not missing
     if best is not None and not (
         _numbers(best, "length", "rank_before", "rank_after")
         and min(best["rank_before"], best["rank_after"]) >= 1
-        and isinstance(best.get("triples"), list)
-        and all(isinstance(t, dict) and _three_ints(t.get("ids")) for t in best["triples"])
+        and _id_entries(best.get("triples"))
     ):
         return "best must be null or an object with numeric length, rank_before/after >= 1, triples {ids}"
     if algorithm is not None and run["algorithm"] != algorithm:
@@ -278,43 +288,6 @@ def load_json(path: str | Path):
         raise ConfigurationError(f"unreadable run file {path}: {exc}") from None
 
 
-def _evaluate_candidate(
-    kg: KnowledgeGraph,
-    model: EmbeddingModel,
-    prediction: Triple,
-    explanation: CandidateExplanation,
-    mode: str,
-    config: ExplainerConfig,
-    train_config: TrainConfig,
-    targets: TargetSet | None,
-) -> EffectivenessResult:
-    evaluator = config.evaluator
-    if mode == "necessary":
-        return effectiveness_necessary(
-            kg, model, prediction, explanation, evaluator, train_config,
-            post_epochs=config.post_train_epochs,
-        )
-    if mode == "sufficient":
-        return effectiveness_sufficient(
-            kg, model, prediction, explanation, evaluator, train_config,
-            post_epochs=config.post_train_epochs,
-        )
-    if mode == "c-sufficient":
-        if targets is None:
-            raise ConfigurationError("c-sufficient mode requires a target set")
-        return effectiveness_c_sufficient(
-            kg, model, prediction, explanation, targets, evaluator, train_config,
-            post_epochs=config.post_train_epochs,
-        )
-    if mode in ("latent-positive", "latent-negative"):
-        return effectiveness_latent(
-            kg, model, prediction, explanation, mode.removeprefix("latent-"),
-            evaluator, train_config,
-            post_epochs=config.post_train_epochs,
-        )
-    raise ConfigurationError(f"unknown mode: {mode!r}")
-
-
 def _best_record(candidates: list[CandidateRecord]) -> CandidateRecord | None:
     if not candidates:
         return None
@@ -325,10 +298,9 @@ def _best_record(candidates: list[CandidateRecord]) -> CandidateRecord | None:
 class _Search:
     """One explainer's search for one prediction: evaluates, records, finishes.
 
-    Every candidate is scored through :func:`_evaluate_candidate` with the
-    mode's operator and ``config.evaluator``, so all explainers share one
-    evaluation path and the run's retrain count is the sum of its
-    candidates' own counts.
+    :meth:`evaluate` scores every candidate with the mode's operator and
+    ``config.evaluator``, so all explainers share one evaluation path and the
+    run's retrain count is the sum of its candidates' own counts.
     """
 
     def __init__(
@@ -339,7 +311,7 @@ class _Search:
         mode: str,
         config: ExplainerConfig,
         train_config: TrainConfig,
-        targets: TargetSet | None = None,
+        targets: tuple[int, ...] | None = None,
     ) -> None:
         self.started = time.perf_counter()
         self.kg = kg
@@ -353,11 +325,25 @@ class _Search:
         self.candidates: list[CandidateRecord] = []
 
     def evaluate(self, triples, heuristic: float | None = None) -> CandidateRecord:
+        # each operator is called by its module-global name, which a tracer may rebind
+        mode = self.mode
+        if mode == "c-sufficient" and self.targets is None:
+            raise ConfigurationError("c-sufficient mode requires a target set")
         explanation = CandidateExplanation(triples)
-        result = _evaluate_candidate(
-            self.kg, self.model, self.prediction, explanation, self.mode, self.config,
-            self.train_config, self.targets,
-        )
+        head = (self.kg, self.model, self.prediction, explanation)
+        fit = (self.config.evaluator, self.train_config)
+        epochs = self.config.post_train_epochs
+        if mode == "necessary":
+            result = effectiveness_necessary(*head, *fit, post_epochs=epochs)
+        elif mode == "sufficient":
+            result = effectiveness_sufficient(*head, *fit, post_epochs=epochs)
+        elif mode == "c-sufficient":
+            result = effectiveness_c_sufficient(*head, self.targets, *fit, post_epochs=epochs)
+        elif mode in ("latent-positive", "latent-negative"):
+            polarity = mode.removeprefix("latent-")
+            result = effectiveness_latent(*head, polarity, *fit, post_epochs=epochs)
+        else:
+            raise ConfigurationError(f"unknown mode: {mode!r}")
         record = CandidateRecord(explanation, result, heuristic_score=heuristic)
         self.candidates.append(record)
         return record
@@ -390,7 +376,7 @@ def exhaustive_length1(
     mode: str,
     config: ExplainerConfig,
     train_config: TrainConfig,
-    targets: TargetSet | None = None,
+    targets: tuple[int, ...] | None = None,
 ) -> ExplanationRun:
     """Evaluate every singleton in the space; the argmax is flagged best.
 
@@ -560,7 +546,7 @@ def variable_length_builder(
     mode: str,
     config: ExplainerConfig,
     train_config: TrainConfig,
-    targets: TargetSet | None = None,
+    targets: tuple[int, ...] | None = None,
 ) -> ExplanationRun:
     """Grow explanations from singletons up to ``max_length`` (at most 4).
 

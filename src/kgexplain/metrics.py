@@ -246,7 +246,7 @@ def emit_report(
         writer.writerows(
             [
                 p["length"], f"{p['psi']:.6g}",
-                ";".join(",".join(map(str, t)) for t in p["triples"] or ()),
+                ";".join(",".join(map(str, t)) for t in p["triples"]),
             ]
             for payload in payloads for p in payload["front"]
         )

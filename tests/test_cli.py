@@ -90,6 +90,13 @@ INVALID_RUNS = {
     },
     "prediction-a-number": lambda run: {**run, "prediction": 5},
     "front-triples-a-number": lambda run: {**run, "front": [{**run["front"][0], "triples": 5}]},
+    "front-triples-null": lambda run: {**run, "front": [{**run["front"][0], "triples": None}]},
+    "front-point-of-no-candidate": lambda run: {
+        **run, "front": [{**run["front"][0], "psi": run["front"][0]["psi"] + 0.5}]
+    },
+    "candidate-ids-a-number": lambda run: {
+        **run, "candidates": [{**run["candidates"][0], "triples": [{"ids": 5}]}]
+    },
     "algorithm-a-list": lambda run: {**run, "algorithm": [1]},
     "another-algorithm": lambda run: {**run, "algorithm": "criage-first-order"},
 }
@@ -806,6 +813,40 @@ def test_every_run_file_a_sweep_writes_passes_the_reader(
         algorithm, index = run_file.stem.removeprefix("run_").rsplit("_", 1)
         payload = read_run(run_file, algorithm, predictions[int(index)])
         assert payload == json.loads(run_file.read_text())
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize(
+    "mode, algorithms",
+    [
+        ("necessary", "exhaustive-length-1, data-poisoning-direct"),
+        ("c-sufficient", "exhaustive-length-1, variable-length-builder"),
+    ],
+)
+def test_traced_explain_fits_once_per_counted_retrain(explained, tmp_path, mode, algorithms):
+    """Under the benchmark's tracer (run as a script, never edited), train plus
+    post_train spans are the run files' retrains plus one per simultaneous-removal
+    file, and effectiveness operator spans are the candidates."""
+    root, _, checkpoint, selection, _ = explained
+    text = (root / "experiment.ini").read_text().replace("mode = necessary", f"mode = {mode}")
+    text = text.replace("exhaustive-length-1, data-poisoning-direct", algorithms)
+    text = text.replace("post_train_epochs = 20", "post_train_epochs = 2")
+    path = tmp_path / f"{mode}.ini"
+    path.write_text(text + "\n[targets]\nsize = 2\n")
+    out, spans = tmp_path / "out", tmp_path / "spans.json"
+    argv = [sys.executable, str(TRACER), "--spans", str(spans), "--"]
+    argv += _explain_argv(path, checkpoint, selection, out)
+    subprocess.run(argv, cwd=TRACER.parents[1], check=True, capture_output=True)
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    runs = [json.loads(p.read_text()) for p in sorted((out / "runs").glob("run_*.json"))]
+    simultaneous = sorted((out / "runs").glob("simultaneous_*.json"))
+    assert runs and len(simultaneous) == (2 if mode == "necessary" else 0)
+    fits = names.count("training.train") + names.count("training.post_train")
+    assert fits == sum(run["counters"]["retrains"] for run in runs) + len(simultaneous)
+    operators = sum(name.startswith("effectiveness.effectiveness_") for name in names)
+    assert operators == sum(len(run["candidates"]) for run in runs)
 
 
 @pytest.mark.parametrize("case", ["no-algorithms", "c-sufficient-without-targets"])

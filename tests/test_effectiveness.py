@@ -226,8 +226,8 @@ class TestTargetSet:
         kg, config, model = pipeline
         prediction = kg.train[0]
         targets = build_target_set(kg, model, prediction, size=10, seed=1)
-        assert len(targets.entities) <= 10
-        for c in targets.entities:
+        assert len(targets) <= 10
+        for c in targets:
             assert c != prediction.subject
             assert rank(model, Triple(c, prediction.relation, prediction.object), kg) > 1
 
@@ -235,7 +235,7 @@ class TestTargetSet:
         kg, config, model = pipeline
         a = build_target_set(kg, model, kg.train[0], size=5, seed=9)
         b = build_target_set(kg, model, kg.train[0], size=5, seed=9)
-        assert a.entities == b.entities
+        assert a == b
 
 
 class TestCSufficient:
@@ -275,7 +275,7 @@ class TestCSufficient:
         result = effectiveness_c_sufficient(
             kg, model, prediction, candidate, targets, "post-train", config
         )
-        for outcome, c in zip(result.per_target, targets.entities):
+        for outcome, c in zip(result.per_target, targets):
             swapped = Triple(c, 0, 1)
             if swapped in kg.train_set:
                 assert outcome.skipped == 1
@@ -290,7 +290,7 @@ class TestCSufficient:
             kg, model, prediction, candidate, targets, "full-retrain", config
         )
         expected = []
-        for c in targets.entities:
+        for c in targets:
             swapped = Triple(c, 0, 1)
             probe = Triple(c, prediction.relation, prediction.object)
             before = rank_oracle(model, probe, kg)

@@ -117,7 +117,7 @@ def test_c_sufficient_rows_fit_like_the_addition_tuples(setting, monkeypatch, ev
     )
     outcomes = {o.entity: o for o in result.per_target}
     fits = iter(calls)
-    for c in targets.entities:
+    for c in targets:
         added = [
             sw for sw in (_swap_subject(t, prediction.subject, c) for t in sorted(candidate))
             if sw not in kg.train_set
