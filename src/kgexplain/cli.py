@@ -548,14 +548,15 @@ def cmd_evaluate(
         report = emit_report(
             table, payloads, kg, out_dir / f"metrics_{algorithm}", f"rank-{config.cohort_rank}"
         )
+        full = report["full_precision"]
         summaries.append(
             {
                 "algorithm": algorithm,
-                "mean_length": report.mean_explanation_length or 0.0,
-                "m_delta_r": report.m_delta_r,
-                "mrr_before": report.mrr_before,
-                "mrr_after": report.mrr_after,
-                "hits1_after_pct": report.hits["1"]["pct_after"],
+                "mean_length": float(full.get("mean_explanation_length", 0.0)),
+                "m_delta_r": float(full["m_delta_r"]),
+                "mrr_before": float(full["mrr_before"]),
+                "mrr_after": float(full["mrr_after"]),
+                "hits1_after_pct": report["hits"]["1"]["pct_after"],
             }
         )
     if gaps:

@@ -54,7 +54,7 @@ from .model import (
     score,
     score_objects,
 )
-from .pareto import pareto_front
+from .pareto import non_dominated, pareto_front
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +102,8 @@ class ExplainerConfig:
             raise ConfigurationError(
                 "post_train_epochs is set, but evaluator 'full-retrain' never post-trains"
             )
+        if self.post_train_epochs is not None and self.post_train_epochs < 1:
+            raise ConfigurationError("post_train_epochs must be >= 1")
         if self.max_length < 1:
             raise ConfigurationError("max_length must be >= 1")
         if self.prefilter_k < 1:
@@ -229,15 +231,20 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
          "triples": sorted(t["ids"] for t in c["triples"])}
         for c in candidates
     ]
-    if not (isinstance(run.get("front"), list) and all(p in points for p in run["front"])):
-        return "front must be a list of candidates' {length, psi, triples}, triple ids sorted"
+    keep = non_dominated([(p["length"], float(p["psi"])) for p in points])
+    if run.get("front") != [p for p, kept in zip(points, keep) if kept]:
+        return "front must be the non-dominated candidates' {length, psi, triples}, in order"
+    argmax = min(  # the rule of _best_record
+        range(len(points)), key=lambda i: (-points[i]["psi"], points[i]["triples"]), default=None
+    )
     best = run.get("best", 0)  # null, not missing
+    if best != (None if argmax is None else candidates[argmax]):
+        return "best must be the highest-psi candidate, ties to the lowest triple ids, else null"
     if best is not None and not (
-        _numbers(best, "length", "rank_before", "rank_after")
+        _numbers(best, "rank_before", "rank_after")
         and min(best["rank_before"], best["rank_after"]) >= 1
-        and _id_entries(best.get("triples"))
     ):
-        return "best must be null or an object with numeric length, rank_before/after >= 1, triples {ids}"
+        return "best must have numeric rank_before and rank_after >= 1"
     if algorithm is not None and run["algorithm"] != algorithm:
         return f"a run of algorithm {run['algorithm']!r}, not {algorithm!r}"
     if prediction is not None and run["prediction"]["ids"] != list(prediction):

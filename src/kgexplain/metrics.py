@@ -19,7 +19,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, KgExplainError
-from .explainers import ExplanationRun
 from .kg import KnowledgeGraph, Triple
 from .pareto import non_dominated
 
@@ -72,14 +71,13 @@ class RankTable:
         raise DomainError(f"which must be 'before' or 'after', got {which!r}")
 
 
-def hits_at_k(table: RankTable, k: int, which: str = "after", fraction: bool = False):
-    """Rows whose selected rank is at most k, as a count or a fraction."""
+def hits_at_k(table: RankTable, k: int, which: str = "after") -> int:
+    """Rows whose selected rank is at most k."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if not table.rows:
         raise DomainError("hits@k is undefined on an empty table")
-    count = int((table.ranks(which) <= k).sum())
-    return count / len(table) if fraction else count
+    return int((table.ranks(which) <= k).sum())
 
 
 def mrr(table: RankTable, which: str = "after") -> float:
@@ -112,120 +110,76 @@ def _sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _as_payload(run, kg: KnowledgeGraph) -> dict:
-    if isinstance(run, ExplanationRun):
-        return run.to_payload(kg)
-    return run
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Aggregated metrics plus the per-triple breakdown."""
-
-    mrr_before: float
-    mrr_after: float
-    hits: dict
-    m_delta_r: float
-    mean_explanation_length: float | None
-    per_triple_delta: tuple[float, ...]
-    max_delta: dict
-    cohort: str
-    n_triples: int
-
-    def to_payload(self) -> dict:
-        full = {
-            "mrr_before": repr(self.mrr_before),
-            "mrr_after": repr(self.mrr_after),
-            "m_delta_r": repr(self.m_delta_r),
-        }
-        if self.mean_explanation_length is not None:
-            full["mean_explanation_length"] = repr(self.mean_explanation_length)
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "n_triples": self.n_triples,
-            "cohort": self.cohort,
-            "mrr_before": _sig6(self.mrr_before),
-            "mrr_after": _sig6(self.mrr_after),
-            "m_delta_r": _sig6(self.m_delta_r),
-            "mean_explanation_length": (
-                _sig6(self.mean_explanation_length)
-                if self.mean_explanation_length is not None
-                else None
-            ),
-            "hits": self.hits,
-            "per_triple_delta": list(self.per_triple_delta),
-            "max_delta": self.max_delta,
-            "full_precision": full,
-        }
-
-
 def build_metrics_report(
-    table: RankTable, runs: Sequence, kg: KnowledgeGraph, cohort: str
-) -> MetricsReport:
-    """Compute the aggregate metrics, Hits at each of ``HITS_KS``, for a table and its runs.
+    table: RankTable, runs: Sequence[dict], kg: KnowledgeGraph, cohort: str
+) -> dict:
+    """The ``report.json`` object: aggregate metrics and Hits at each of ``HITS_KS``.
 
-    ``cohort`` names the equal-rank cohort the table's predictions come from.
+    ``runs`` are run payloads, as ``read_run`` returns them. ``cohort`` names
+    the equal-rank cohort the table's predictions come from. Each rounded
+    value has its ``repr`` under ``full_precision``.
     """
     if not table.rows:
         raise DomainError("cannot build a metrics report from an empty table")
     hits = {}
     for k in HITS_KS:
+        before, after = hits_at_k(table, k, "before"), hits_at_k(table, k, "after")
         hits[str(k)] = {
-            "count_before": hits_at_k(table, k, "before"),
-            "count_after": hits_at_k(table, k, "after"),
-            "pct_before": _sig6(100.0 * hits_at_k(table, k, "before", fraction=True)),
-            "pct_after": _sig6(100.0 * hits_at_k(table, k, "after", fraction=True)),
+            "count_before": before,
+            "count_after": after,
+            "pct_before": _sig6(100.0 * (before / len(table))),
+            "pct_after": _sig6(100.0 * (after / len(table))),
         }
     deltas = [r.rank_after - r.rank_before for r in table.rows]
     worst = max(range(len(deltas)), key=lambda i: deltas[i])
-    max_delta = {
-        "value": deltas[worst],
-        "triple": list(table.rows[worst].triple),
-        "labels": list(kg.label_triple(table.rows[worst].triple)),
+    lengths = [run["best"]["length"] for run in runs if run["best"]]
+    full = {
+        "mrr_before": mrr(table, "before"),
+        "mrr_after": mrr(table, "after"),
+        "m_delta_r": m_delta_r(table),
     }
-
-    payloads = [_as_payload(run, kg) for run in runs]
-    lengths = [payload["best"]["length"] for payload in payloads if payload["best"]]
-    mean_length = float(np.mean(lengths)) if lengths else None
-
-    return MetricsReport(
-        mrr_before=mrr(table, "before"),
-        mrr_after=mrr(table, "after"),
-        hits=hits,
-        m_delta_r=m_delta_r(table),
-        mean_explanation_length=mean_length,
-        per_triple_delta=tuple(deltas),
-        max_delta=max_delta,
-        cohort=cohort,
-        n_triples=len(table),
-    )
+    if lengths:
+        full["mean_explanation_length"] = float(np.mean(lengths))
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "n_triples": len(table),
+        "cohort": cohort,
+        "mean_explanation_length": None,
+        **{name: _sig6(value) for name, value in full.items()},
+        "hits": hits,
+        "per_triple_delta": deltas,
+        "max_delta": {
+            "value": deltas[worst],
+            "triple": list(table.rows[worst].triple),
+            "labels": list(kg.label_triple(table.rows[worst].triple)),
+        },
+        "full_precision": {name: repr(value) for name, value in full.items()},
+    }
 
 
 def emit_report(
     table: RankTable,
-    runs: Sequence,
+    runs: Sequence[dict],
     kg: KnowledgeGraph,
     out_dir: str | Path,
     cohort: str,
-) -> MetricsReport:
+) -> dict:
     """Write ``report.json``, ``report_per_triple.csv`` and ``report_pareto.csv``.
 
-    Runs are :class:`ExplanationRun` objects or payloads that ``read_run``
-    returned, for predictions present in the table. Returns the report that
-    ``report.json`` holds.
+    Runs are run payloads, as ``read_run`` returns them, for predictions
+    present in the table. Returns the object that ``report.json`` holds.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [_as_payload(run, kg) for run in runs]
     table_triples = {row.triple for row in table.rows}
-    for payload in payloads:
-        pred = Triple(*payload["prediction"]["ids"])
+    for run in runs:
+        pred = Triple(*run["prediction"]["ids"])
         if pred not in table_triples:
             raise DomainError(f"run prediction {pred} is missing from the rank table")
 
-    report = build_metrics_report(table, payloads, kg, cohort)
+    report = build_metrics_report(table, runs, kg, cohort)
     (out_dir / "report.json").write_text(
-        json.dumps(report.to_payload(), indent=2, sort_keys=True), encoding="utf-8"
+        json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
     )
 
     with (out_dir / "report_per_triple.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -248,7 +202,7 @@ def emit_report(
                 p["length"], f"{p['psi']:.6g}",
                 ";".join(",".join(map(str, t)) for t in p["triples"]),
             ]
-            for payload in payloads for p in payload["front"]
+            for run in runs for p in run["front"]
         )
 
     return report

@@ -94,6 +94,10 @@ INVALID_RUNS = {
     "front-point-of-no-candidate": lambda run: {
         **run, "front": [{**run["front"][0], "psi": run["front"][0]["psi"] + 0.5}]
     },
+    "front-missing-a-point": lambda run: {**run, "front": run["front"][1:]},
+    "best-not-the-argmax": lambda run: {
+        **run, "best": next(c for c in run["candidates"] if c != run["best"])
+    },
     "candidate-ids-a-number": lambda run: {
         **run, "candidates": [{**run["candidates"][0], "triples": [{"ids": 5}]}]
     },
@@ -518,6 +522,19 @@ class TestEvaluate:
             twin = tmp_path / "r2" / report.relative_to(tmp_path / "r1")
             assert report.read_bytes() == twin.read_bytes()
 
+    def test_csv_format_holds_the_json_rows(self, explained, tmp_path):
+        root, config, checkpoint, selection, _ = explained
+        argv = [
+            "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
+            "--runs", str(root / "out" / "runs"), "--out",
+        ]
+        assert main([*argv, str(tmp_path / "json")]) == EXIT_OK
+        assert main([*argv, str(tmp_path / "csv"), "--format", "csv"]) == EXIT_OK
+        rows = json.loads((tmp_path / "json" / "comparison.json").read_text())
+        with (tmp_path / "csv" / "comparison.csv").open(newline="") as fh:
+            assert list(csv.DictReader(fh)) == [{k: str(v) for k, v in r.items()} for r in rows]
+        assert len(rows) == len(config.algorithms)
+
     def test_missing_runs_reported_as_gaps(self, explained, tmp_path):
         root, config, checkpoint, selection, _ = explained
         from kgexplain import ConfigurationError
@@ -651,7 +668,8 @@ def test_readme_ini_block_parses(tmp_path):
     "case",
     [
         "ini-value", "ini-no-section", "ini-unknown-key", "ini-cohort-rank-zero",
-        "ini-post-train-epochs-under-full-retrain",
+        "ini-post-train-epochs-under-full-retrain", "ini-post-train-epochs-0",
+        "ini-post-train-epochs--1",
         "checkpoint-truncated", "checkpoint-foreign", "checkpoint-without-train-config",
     ],
 )
@@ -677,6 +695,11 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
         text = config_path.read_text()
         bad.write_text(text.replace("evaluator = post-train", "evaluator = full-retrain"))
         expected = ("post_train_epochs", "evaluator 'full-retrain'")
+    elif case.startswith("ini-post-train-epochs-"):
+        epochs = case.removeprefix("ini-post-train-epochs-")
+        text = config_path.read_text()
+        bad.write_text(text.replace("post_train_epochs = 20", f"post_train_epochs = {epochs}"))
+        expected = ("post_train_epochs must be >= 1",)
     else:
         if case == "checkpoint-truncated":
             blob = checkpoint.read_bytes()

@@ -7,9 +7,9 @@ from pathlib import Path
 import kgexplain
 
 SURFACE = Path(__file__).resolve().parents[1] / "tools" / "surface.py"
-MAX_SETTABLE_VALUES = 77
-MAX_ALL_NAMES = 53
-MAX_SRC_LINES = 3904
+MAX_SETTABLE_VALUES = 67
+MAX_ALL_NAMES = 52
+MAX_SRC_LINES = 3864
 
 
 def _surface():

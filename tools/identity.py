@@ -22,8 +22,9 @@ and ``heuristic_score`` deviations over all cases.
 
 Exit status 1 when a guarded value differs: a ``psi``, ``rank_before`` or
 ``rank_after`` anywhere, a ``best`` entry's triples, a ``front``, anything in
-``selection.json`` or ``comparison.json``, or a file that only one side
-wrote. Exit status 2 when a command fails.
+``selection.json``, ``comparison.json`` or a metrics report (``report.json``,
+``report_per_triple.csv``, ``report_pareto.csv``), or a file that only one
+side wrote. Exit status 2 when a command fails.
 """
 from __future__ import annotations
 
@@ -71,7 +72,10 @@ CASES = {
     },
 }
 GUARDED_KEYS = {"psi", "rank_before", "rank_after", "front"}
-GUARDED_FILES = {"selection.json", "comparison.json"}
+GUARDED_FILES = {
+    "selection.json", "comparison.json",
+    "report.json", "report_per_triple.csv", "report_pareto.csv",
+}
 
 
 def base_tree(rev: str, into: Path) -> Path:
