@@ -63,25 +63,25 @@ space = build_search_space(kg, "shares-entity", prediction)
 # score candidates the same way
 ec = ExplainerConfig(evaluator="full-retrain")
 oracle = exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
-print(f"\nexhaustive oracle evaluated {len(oracle.candidates)} removals "
-      f"({oracle.retrain_count} retrains, {oracle.wall_clock_s:.1f}s)")
-best = oracle.best
-print(f"best removal: {[kg.label_triple(t) for t in best.explanation.sorted_triples()]}")
-print(f"  effect: rank {best.result.rank_before:.0f} -> {best.result.rank_after:.0f} "
-      f"(psi = {best.result.psi:+.0f})")
-print(f"  found the reverse link: {best.explanation.triples == {reverse}}")
+print(f"\nexhaustive oracle evaluated {len(oracle['candidates'])} removals "
+      f"({oracle['counters']['retrains']} retrains, {oracle['counters']['wall_clock_s']:.1f}s)")
+best = oracle["best"]
+print(f"best removal: {[tuple(t['labels']) for t in best['triples']]}")
+print(f"  effect: rank {best['rank_before']:.0f} -> {best['rank_after']:.0f} "
+      f"(psi = {best['psi']:+.0f})")
+print(f"  found the reverse link: {[t['ids'] for t in best['triples']] == [list(reverse)]}")
 
 print("\nheuristics under the same evaluator:")
 for name, algo in [("score-shift ranking", data_poisoning_direct),
                    ("first-order influence", criage_first_order)]:
     run = algo(kg, model, prediction, ec, config)
-    top = run.best
+    top = run["best"]
     if top is None:
         print(f"  {name}: no eligible candidates")
         continue
-    print(f"  {name}: best psi {top.result.psi:+.0f} "
-          f"(oracle bound {best.result.psi:+.0f} holds: {top.result.psi <= best.result.psi})")
+    print(f"  {name}: best psi {top['psi']:+.0f} "
+          f"(oracle bound {best['psi']:+.0f} holds: {top['psi'] <= best['psi']})")
 
 print("\nnon-dominated (length, psi) points of the oracle run:")
-for explanation, result in oracle.front:
-    print(f"  length {len(explanation)}  psi {result.psi:+.0f}")
+for point in oracle["front"]:
+    print(f"  length {point['length']:.0f}  psi {point['psi']:+.0f}")

@@ -66,12 +66,10 @@ ec = ExplainerConfig(
     acceptance_threshold=3.0,  # stop once a removal degrades the rank by 3
 )
 run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-print(f"\nevaluated {len(run.candidates)} candidates with {run.retrain_count} retrains")
-for record in run.candidates:
-    triples = [
-        kg.label_triple(t)[0] + "->" + kg.label_triple(t)[2]
-        for t in record.explanation.sorted_triples()
-    ]
-    print(f"  psi {record.result.psi:+5.0f}  {' + '.join(triples)}")
+print(f"\nevaluated {len(run['candidates'])} candidates with "
+      f"{run['counters']['retrains']} retrains")
+for candidate in run["candidates"]:
+    triples = [t["labels"][0] + "->" + t["labels"][2] for t in candidate["triples"]]
+    print(f"  psi {candidate['psi']:+5.0f}  {' + '.join(triples)}")
 
-print("\nfront (length, psi):", [(len(e), r.psi) for e, r in run.front])
+print("\nfront (length, psi):", [(int(p["length"]), p["psi"]) for p in run["front"]])

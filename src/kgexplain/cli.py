@@ -28,7 +28,6 @@ from .explainers import (
     ALGORITHMS,
     MODES,
     ExplainerConfig,
-    ExplanationRun,
     _numbers,
     _three_ints,
     criage_first_order,
@@ -269,10 +268,7 @@ def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[
     ``ids`` must be three integers and ``rank``, when asked for, a positive
     integer. A file that does not parse, or is not such a list, names itself.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"unreadable selection file {path}: {exc}") from None
+    data = load_json(path, "selection")
     entries = data.get("triples") if isinstance(data, dict) else None
 
     def valid(entry) -> bool:
@@ -306,7 +302,7 @@ def _run_one(
     prediction: Triple,
     algorithm: str,
     inputs: tuple[SearchSpace, tuple[int, ...] | None],
-) -> ExplanationRun:
+) -> dict:
     """One algorithm's run; ``inputs`` are the prediction's search space and c-sufficient targets."""
     explainer = replace(config.explainer, algorithm=algorithm)
     space, targets = inputs
@@ -410,7 +406,8 @@ def cmd_explain(
                     "message": str(exc),
                 }))
                 continue
-            outcomes.append((status, path, run.save(path, kg)))
+            write_text_atomic(path, json.dumps(run, indent=2, sort_keys=True))
+            outcomes.append((status, path, run))
         return outcomes
 
     if workers > 1:
@@ -486,7 +483,7 @@ def _read_simultaneous(path: Path, algorithm: str) -> dict[Triple, tuple[float, 
     A file that is another algorithm's, or holds an entry without three-int
     ``ids`` and numeric ranks >= 1, raises ConfigurationError naming it.
     """
-    data = load_json(path)
+    data = load_json(path, "simultaneous-removal")
     entries = data.get("after_ranks") if isinstance(data, dict) else None
 
     def valid(entry) -> bool:

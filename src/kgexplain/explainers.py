@@ -14,10 +14,12 @@ Four strategies over the joint (length, effectiveness) objective:
 
 All four go through one private search object, :class:`_Search`: it
 scores each candidate with the mode's effectiveness operator and the
-configured evaluator, records it, and closes the run. Runs record every
-evaluated candidate, the front (the candidates no other one dominates),
-and the exact retrain count spent (the sum of the candidates' own
-counts), and serialize to JSON for the metrics layer.
+configured evaluator, records its run-file entry, and closes the run. Each
+returns its run as the object its run file holds, the one
+:func:`read_run` returns: every evaluated candidate, the front (the
+candidates no other one dominates), the best candidate, and the exact
+retrain count spent (the sum of the candidates' own counts). One function
+derives the front and the best, for runs made and runs read alike.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .model import (
     score,
     score_objects,
 )
-from .pareto import non_dominated, pareto_front
+from .pareto import non_dominated
 
 logger = logging.getLogger(__name__)
 
@@ -104,8 +106,8 @@ class ExplainerConfig:
             )
         if self.post_train_epochs is not None and self.post_train_epochs < 1:
             raise ConfigurationError("post_train_epochs must be >= 1")
-        if self.max_length < 1:
-            raise ConfigurationError("max_length must be >= 1")
+        if not 1 <= self.max_length <= 4:  # the builder grows explanations to length 4
+            raise ConfigurationError("max_length must lie in [1, 4]")
         if self.prefilter_k < 1:
             raise ConfigurationError("prefilter_k must be >= 1")
         if self.top_m < 1:
@@ -113,86 +115,6 @@ class ExplainerConfig:
         for name in ("lambda_weight", "perturbation_step", "influence_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
-class CandidateRecord:
-    """One evaluated candidate with its effectiveness and evaluator cost."""
-
-    explanation: CandidateExplanation
-    result: EffectivenessResult
-    heuristic_score: float | None = None
-
-    @property
-    def retrains(self) -> int:
-        return self.result.retrains
-
-
-@dataclass
-class ExplanationRun:
-    """Everything one algorithm did for one prediction."""
-
-    algorithm: str
-    mode: str
-    prediction: Triple
-    candidates: list[CandidateRecord]
-    front: tuple[tuple[CandidateExplanation, EffectivenessResult], ...]
-    best: CandidateRecord | None
-    wall_clock_s: float
-    config: ExplainerConfig
-    rank_before: int
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def retrain_count(self) -> int:
-        return sum(c.retrains for c in self.candidates)
-
-    def to_payload(self, kg: KnowledgeGraph) -> dict:
-        def triple_entry(t: Triple) -> dict:
-            return {"ids": list(t), "labels": list(kg.label_triple(t))}
-
-        def candidate_entry(record: CandidateRecord) -> dict:
-            result = record.result
-            return {
-                "triples": [triple_entry(t) for t in record.explanation.sorted_triples()],
-                "length": len(record.explanation),
-                "psi": result.psi,
-                "rank_before": result.rank_before,
-                "rank_after": result.rank_after,
-                "operator": result.operator,
-                "evaluator": result.evaluator,
-                "retrains": record.retrains,
-                "heuristic_score": record.heuristic_score,
-            }
-
-        config = asdict(self.config)
-        for key, value in config.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                config[key] = repr(value)
-        return {
-            "schema_version": RUN_SCHEMA_VERSION,
-            "algorithm": self.algorithm,
-            "mode": self.mode,
-            "prediction": triple_entry(self.prediction) | {"rank_before": self.rank_before},
-            "config": config,
-            "candidates": [candidate_entry(c) for c in self.candidates],
-            "best": candidate_entry(self.best) if self.best else None,
-            "front": [
-                {
-                    "length": float(len(explanation)),
-                    "psi": result.psi,
-                    "triples": [list(t) for t in explanation.sorted_triples()],
-                }
-                for explanation, result in self.front
-            ],
-            "counters": {"retrains": self.retrain_count, "wall_clock_s": self.wall_clock_s},
-            "warnings": list(self.warnings),
-        }
-
-    def save(self, path: str | Path, kg: KnowledgeGraph) -> dict:
-        payload = self.to_payload(kg)
-        write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
-        return payload
 
 
 def _three_ints(value) -> bool:
@@ -215,6 +137,27 @@ def _id_entries(value) -> bool:
     )
 
 
+def _front_and_best(candidates: list[dict]) -> tuple[list[dict], dict | None]:
+    """A run's ``front`` and ``best``, both derived from its candidate entries.
+
+    The front is each non-dominated candidate's ``{length, psi, triples}``
+    (float length, triple ids), in candidate order; the best is the
+    highest-psi candidate, ties going to the lowest sorted triple ids, or
+    None when there are no candidates.
+    """
+    points = [
+        {"length": float(c["length"]), "psi": c["psi"],
+         "triples": sorted(t["ids"] for t in c["triples"])}
+        for c in candidates
+    ]
+    keep = non_dominated([(p["length"], float(p["psi"])) for p in points])
+    argmax = min(
+        range(len(points)), key=lambda i: (-points[i]["psi"], points[i]["triples"]), default=None
+    )
+    front = [p for p, kept in zip(points, keep) if kept]
+    return front, None if argmax is None else candidates[argmax]
+
+
 def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str | None:
     """What keeps ``run`` from being the run of ``algorithm`` for ``prediction``, if anything."""
     if not isinstance(run, dict) or type(run.get("algorithm")) is not str:
@@ -226,19 +169,10 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
         _numbers(c, "length", "psi") and _id_entries(c.get("triples")) for c in candidates
     )):
         return "candidates must be a list of objects with numeric length and psi, triples {ids}"
-    points = [  # the front entry each candidate would have
-        {"length": float(c["length"]), "psi": c["psi"],
-         "triples": sorted(t["ids"] for t in c["triples"])}
-        for c in candidates
-    ]
-    keep = non_dominated([(p["length"], float(p["psi"])) for p in points])
-    if run.get("front") != [p for p, kept in zip(points, keep) if kept]:
+    front, best = _front_and_best(candidates)
+    if run.get("front") != front:
         return "front must be the non-dominated candidates' {length, psi, triples}, in order"
-    argmax = min(  # the rule of _best_record
-        range(len(points)), key=lambda i: (-points[i]["psi"], points[i]["triples"]), default=None
-    )
-    best = run.get("best", 0)  # null, not missing
-    if best != (None if argmax is None else candidates[argmax]):
+    if run.get("best", 0) != best:  # null, not missing
         return "best must be the highest-psi candidate, ties to the lowest triple ids, else null"
     if best is not None and not (
         _numbers(best, "rank_before", "rank_after")
@@ -261,7 +195,7 @@ def read_run(
     index claim. A file that does not parse, lacks or mistypes a field, or is
     another algorithm's or prediction's run raises ConfigurationError naming it.
     """
-    run = load_json(path)
+    run = load_json(path, "run")
     problem = _run_problem(run, algorithm, prediction)
     if problem:
         raise ConfigurationError(f"not a run file: {path} ({problem})")
@@ -287,19 +221,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         Path(fh.name).unlink(missing_ok=True)
 
 
-def load_json(path: str | Path):
-    """Parse a run (or simultaneous-removal) file; an unreadable one names itself."""
+def load_json(path: str | Path, kind: str):
+    """Parse a JSON file; one that does not parse is an unreadable ``kind`` file, named."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"unreadable run file {path}: {exc}") from None
-
-
-def _best_record(candidates: list[CandidateRecord]) -> CandidateRecord | None:
-    if not candidates:
-        return None
-    # highest psi; ties broken by the lexicographically lowest triple ids
-    return min(candidates, key=lambda c: (-c.result.psi, c.explanation.sorted_triples()))
+        raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
 
 
 class _Search:
@@ -329,9 +256,14 @@ class _Search:
         self.train_config = train_config
         self.targets = targets
         self.rank_before = rank(model, prediction, kg)
-        self.candidates: list[CandidateRecord] = []
+        self.candidates: list[dict] = []  # the run file's candidate entries
+        self.found: list[str] = []  # the candidates' warnings, in order
 
-    def evaluate(self, triples, heuristic: float | None = None) -> CandidateRecord:
+    def _triple_entry(self, t: Triple) -> dict:
+        return {"ids": list(t), "labels": list(self.kg.label_triple(t))}
+
+    def evaluate(self, triples, heuristic: float | None = None) -> EffectivenessResult:
+        """Score one candidate, record its run-file entry, and return its result."""
         # each operator is called by its module-global name, which a tracer may rebind
         mode = self.mode
         if mode == "c-sufficient" and self.targets is None:
@@ -351,28 +283,43 @@ class _Search:
             result = effectiveness_latent(*head, polarity, *fit, post_epochs=epochs)
         else:
             raise ConfigurationError(f"unknown mode: {mode!r}")
-        record = CandidateRecord(explanation, result, heuristic_score=heuristic)
-        self.candidates.append(record)
-        return record
+        self.candidates.append({
+            "triples": [self._triple_entry(t) for t in explanation.sorted_triples()],
+            "length": len(explanation),
+            "psi": result.psi,
+            "rank_before": result.rank_before,
+            "rank_after": result.rank_after,
+            "operator": result.operator,
+            "evaluator": result.evaluator,
+            "retrains": result.retrains,
+            "heuristic_score": heuristic,
+        })
+        self.found.extend(result.warnings)
+        return result
 
-    def finish(self, algorithm: str, warnings: tuple[str, ...] = ()) -> ExplanationRun:
-        """The run; its warnings are the explainer's, then each new candidate warning in order."""
+    def finish(self, algorithm: str, warnings: tuple[str, ...] = ()) -> dict:
+        """The run file's object; its warnings are the explainer's, then each new candidate's."""
         candidates = self.candidates
-        found = (w for c in candidates for w in c.result.warnings)
-        warnings = tuple(dict.fromkeys((*warnings, *found)))
-        front = pareto_front([(c.explanation, c.result) for c in candidates]) if candidates else ()
-        return ExplanationRun(
-            algorithm=algorithm,
-            mode=self.mode,
-            prediction=self.prediction,
-            candidates=candidates,
-            front=front,
-            best=_best_record(candidates),
-            wall_clock_s=time.perf_counter() - self.started,
-            config=self.config,
-            rank_before=self.rank_before,
-            warnings=warnings,
-        )
+        front, best = _front_and_best(candidates)
+        config = asdict(self.config)
+        for key, value in config.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                config[key] = repr(value)
+        return {
+            "schema_version": RUN_SCHEMA_VERSION,
+            "algorithm": algorithm,
+            "mode": self.mode,
+            "prediction": self._triple_entry(self.prediction) | {"rank_before": self.rank_before},
+            "config": config,
+            "candidates": candidates,
+            "best": best,
+            "front": front,
+            "counters": {
+                "retrains": sum(c["retrains"] for c in candidates),
+                "wall_clock_s": time.perf_counter() - self.started,
+            },
+            "warnings": list(dict.fromkeys((*warnings, *self.found))),
+        }
 
 
 def exhaustive_length1(
@@ -384,7 +331,7 @@ def exhaustive_length1(
     config: ExplainerConfig,
     train_config: TrainConfig,
     targets: tuple[int, ...] | None = None,
-) -> ExplanationRun:
+) -> dict:
     """Evaluate every singleton in the space; the argmax is flagged best.
 
     Ties on effectiveness go to the lowest triple ids. This is the oracle
@@ -404,7 +351,7 @@ def data_poisoning_direct(
     prediction: Triple,
     config: ExplainerConfig,
     train_config: TrainConfig,
-) -> ExplanationRun:
+) -> dict:
     """Rank the subject's outgoing triples by a gradient-shift heuristic.
 
     The subject embedding is shifted down the prediction's score gradient by
@@ -494,7 +441,7 @@ def criage_first_order(
     prediction: Triple,
     config: ExplainerConfig,
     train_config: TrainConfig,
-) -> ExplanationRun:
+) -> dict:
     """Order removals of the object's incoming triples by estimated damage.
 
     Damage is the first-order influence estimate of the prediction-score
@@ -554,7 +501,7 @@ def variable_length_builder(
     config: ExplainerConfig,
     train_config: TrainConfig,
     targets: tuple[int, ...] | None = None,
-) -> ExplanationRun:
+) -> dict:
     """Grow explanations from singletons up to ``max_length`` (at most 4).
 
     All singletons from the prefilter are evaluated first; if the best one
@@ -566,8 +513,6 @@ def variable_length_builder(
     explores that length instead of full enumeration.
     """
     config.validate()
-    if not 1 <= config.max_length <= 4:
-        raise ConfigurationError("builder max_length must lie in [1, 4]")
     search = _Search(kg, model, prediction, mode, config, train_config, targets)
 
     pool = prefilter_topk(kg, prediction, config.prefilter_k)
@@ -576,8 +521,7 @@ def variable_length_builder(
 
     singleton_psi: dict[Triple, float] = {}
     for t in sorted(pool):
-        record = search.evaluate((t,))
-        singleton_psi[t] = record.result.psi
+        singleton_psi[t] = search.evaluate((t,)).psi
 
     best_psi = max(singleton_psi.values())
     accepted = best_psi >= config.acceptance_threshold
@@ -589,8 +533,7 @@ def variable_length_builder(
         ordered = sorted(combos, key=lambda combo: (-relevance[combo], combo))
         if len(ordered) <= config.max_evals_per_length:
             for combo in ordered:
-                record = search.evaluate(combo, relevance[combo])
-                if record.result.psi >= config.acceptance_threshold:
+                if search.evaluate(combo, relevance[combo]).psi >= config.acceptance_threshold:
                     accepted = True
                     break
         else:
@@ -611,8 +554,7 @@ def _anneal_length(
     universe = sorted({t for combo in ordered for t in combo})
     current = ordered[0]  # start from the top preliminary relevance
     seen = {current}
-    record = search.evaluate(current, relevance[current])
-    if record.result.psi >= config.acceptance_threshold:
+    if search.evaluate(current, relevance[current]).psi >= config.acceptance_threshold:
         return True
     temperature = _ANNEAL_INITIAL_TEMPERATURE
     proposals = 0
@@ -633,7 +575,6 @@ def _anneal_length(
         if proposal not in seen:
             seen.add(proposal)
             evals += 1
-            record = search.evaluate(proposal, relevance[proposal])
-            if record.result.psi >= config.acceptance_threshold:
+            if search.evaluate(proposal, relevance[proposal]).psi >= config.acceptance_threshold:
                 return True
     return False

@@ -165,14 +165,14 @@ def test_criterion_06_necessary_causality_at_desk_scale(
     psi_mismatches = 0
     for prediction in test_rank1:
         run = desk_oracle_runs[prediction]
-        best = run.best
-        removed = next(iter(best.explanation.triples))
+        best = run["best"]
+        (removed,) = (Triple(*t["ids"]) for t in best["triples"])
         # independent script: remove, retrain from the same seeded init, re-rank
         modified = desk_kg.with_train(t for t in desk_kg.train if t != removed)
         retrained = train(init_model(desk_kg, desk_config), modified, desk_config)
         rank_before = rank_oracle(desk_model, prediction, desk_kg)
         rank_after = rank_oracle(retrained, prediction, desk_kg)
-        if best.result.psi != rank_after - rank_before:
+        if best["psi"] != rank_after - rank_before:
             psi_mismatches += 1
         if rank_after >= rank_before:
             non_improving += 1
@@ -200,13 +200,13 @@ def test_criterion_07_oracle_dominance(
     violations = 0
     compared = 0
     for prediction in desk_predictions:
-        oracle_best = desk_oracle_runs[prediction].best.result.psi
+        oracle_best = desk_oracle_runs[prediction]["best"]["psi"]
         for heuristic in (data_poisoning_direct, criage_first_order):
             run = heuristic(desk_kg, desk_model, prediction, config, desk_config)
-            if run.best is None:
+            if run["best"] is None:
                 continue
             compared += 1
-            if run.best.result.psi > oracle_best:
+            if run["best"]["psi"] > oracle_best:
                 violations += 1
     report(
         7,
@@ -223,10 +223,11 @@ def test_criterion_08_post_train_proxy_fidelity(
     agree = 0
     total = 0
     for prediction in desk_predictions:
-        for record in desk_oracle_runs[prediction].candidates:
-            full_psi = record.result.psi
+        for candidate in desk_oracle_runs[prediction]["candidates"]:
+            full_psi = candidate["psi"]
+            triples = [Triple(*t["ids"]) for t in candidate["triples"]]
             post = effectiveness_necessary(
-                desk_kg, desk_model, prediction, record.explanation,
+                desk_kg, desk_model, prediction, triples,
                 "post-train", desk_config, post_epochs=30,
             )
             agree += int(np.sign(full_psi) == np.sign(post.psi))
@@ -255,16 +256,16 @@ def test_criterion_09_comparison_table_qualitative(
         ],
     }
     for name, runs in algo_runs.items():
-        best = [r.best for r in runs if r.best is not None]
+        best = [(r, r["best"]) for r in runs if r["best"] is not None]  # each with its own run
         rows = tuple(
-            RankRow(r.prediction, int(b.result.rank_before), int(b.result.rank_after))
-            for r, b in zip(runs, best)
+            RankRow(Triple(*r["prediction"]["ids"]), int(b["rank_before"]), int(b["rank_after"]))
+            for r, b in best
         )
         t = RankTable(rows=rows)
         summaries.append(
             {
                 "algorithm": name,
-                "mean_length": float(np.mean([len(b.explanation) for b in best])),
+                "mean_length": float(np.mean([b["length"] for _, b in best])),
                 "m_delta_r": m_delta_r(t),
             }
         )

@@ -106,8 +106,10 @@ INVALID_RUNS = {
 }
 
 # Simultaneous-removal files that are not one, each made from a valid file of
-# the same name (``own``) and the other algorithm's (``other``).
+# the same name (``own``) and the other algorithm's (``other``); a string is
+# the file's text.
 MALFORMED_SIMULTANEOUS = {
+    "truncated": lambda own, other: json.dumps(own)[:40],
     "empty-object": lambda own, other: {},
     "list": lambda own, other: [1],
     "after-ranks-not-a-list": lambda own, other: {"after_ranks": 3},
@@ -437,13 +439,14 @@ class TestEvaluate:
         shutil.copytree(root / "out" / "runs", runs)
         victim, other = sorted(runs.glob("simultaneous_*.json"))
         own, other = (json.loads(path.read_text()) for path in (victim, other))
-        victim.write_text(json.dumps(MALFORMED_SIMULTANEOUS[case](own, other)))
+        malformed = MALFORMED_SIMULTANEOUS[case](own, other)
+        victim.write_text(malformed if isinstance(malformed, str) else json.dumps(malformed))
         argv = [
             "evaluate", "--config", str(root / "experiment.ini"), "--selection", str(selection),
             "--runs", str(runs), "--out", str(tmp_path / "ev"),
         ]
         assert main(argv) == EXIT_VALIDATION
-        assert victim.name in caplog.text
+        assert victim.name in caplog.text and "run file" not in caplog.text
 
     def test_each_report_is_built_once(self, explained, tmp_path, monkeypatch):
         root, config, checkpoint, selection, _ = explained
@@ -669,7 +672,7 @@ def test_readme_ini_block_parses(tmp_path):
     [
         "ini-value", "ini-no-section", "ini-unknown-key", "ini-cohort-rank-zero",
         "ini-post-train-epochs-under-full-retrain", "ini-post-train-epochs-0",
-        "ini-post-train-epochs--1",
+        "ini-post-train-epochs--1", "ini-max-length-5",
         "checkpoint-truncated", "checkpoint-foreign", "checkpoint-without-train-config",
     ],
 )
@@ -700,6 +703,12 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
         text = config_path.read_text()
         bad.write_text(text.replace("post_train_epochs = 20", f"post_train_epochs = {epochs}"))
         expected = ("post_train_epochs must be >= 1",)
+    elif case == "ini-max-length-5":  # only the builder reads max_length
+        text = config_path.read_text().replace("data-poisoning-direct", "variable-length-builder")
+        bad.write_text(text.replace("[explain]\n", "[explain]\nmax_length = 5\n"))
+        selection = cmd_select(config, checkpoint, out=tmp_path / "selected")
+        argv = _explain_argv(bad, checkpoint, selection, out)
+        expected = ("max_length must lie in [1, 4]",)
     else:
         if case == "checkpoint-truncated":
             blob = checkpoint.read_bytes()
@@ -718,6 +727,7 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
         expected = (str(bad),)
     assert main(argv) == EXIT_VALIDATION
     assert all(text in caplog.text for text in expected)
+    assert not list(Path(out).glob("runs/run_*.json"))
     if case == "checkpoint-without-train-config":
         caplog.clear()
         explain = _explain_argv(config_path, bad, tmp_path / "none.json", out)

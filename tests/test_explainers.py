@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from kgexplain import (
+    ConfigurationError,
     DomainError,
     ExplainerConfig,
     KnowledgeGraph,
@@ -29,6 +30,7 @@ from kgexplain import (
     variable_length_builder,
 )
 from kgexplain.effectiveness import CandidateExplanation
+from kgexplain.explainers import ALGORITHMS, read_run, write_text_atomic
 from kgexplain.kg import SearchSpace
 from kgexplain.training import post_train
 
@@ -45,6 +47,23 @@ def explicit_space(members, preset="custom"):
     return SearchSpace(preset, tuple(members))
 
 
+def triples_of(entry) -> frozenset[Triple]:
+    """The triples of a run file's candidate, best or front entry."""
+    return frozenset(Triple(*(t["ids"] if isinstance(t, dict) else t)) for t in entry["triples"])
+
+
+def run_algorithm(algorithm, kg, model, prediction, ec, config):
+    """One necessary-mode run of ``algorithm``; exhaustive searches shares-entity."""
+    if algorithm == "exhaustive-length-1":
+        space = build_search_space(kg, "shares-entity", prediction)
+        return exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
+    if algorithm == "data-poisoning-direct":
+        return data_poisoning_direct(kg, model, prediction, ec, config)
+    if algorithm == "criage-first-order":
+        return criage_first_order(kg, model, prediction, ec, config)
+    return variable_length_builder(kg, model, prediction, "necessary", ec, config)
+
+
 class TestExhaustive:
     def test_single_member_space_wins_by_vacuity(self, setup):
         kg, config, model, prediction = setup
@@ -52,8 +71,8 @@ class TestExhaustive:
         run = exhaustive_length1(
             kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
-        assert len(run.candidates) == 1
-        assert run.best.explanation.triples == {kg.train[1]}
+        assert len(run["candidates"]) == 1
+        assert triples_of(run["best"]) == {kg.train[1]}
 
     def test_empty_space_rejected(self, setup):
         kg, config, model, prediction = setup
@@ -74,7 +93,7 @@ class TestExhaustive:
         run_big = exhaustive_length1(
             kg, model, prediction, big, "necessary", ExplainerConfig(), config
         )
-        assert run_big.best.result.psi >= run_small.best.result.psi
+        assert run_big["best"]["psi"] >= run_small["best"]["psi"]
 
     def test_best_matches_independent_removal_sweep(self):
         kg = make_desk_kg(seed=41, clusters=4, size=10, heldout_per_cluster=2)
@@ -97,8 +116,8 @@ class TestExhaustive:
             psi = rank(tuned, prediction, kg) - base_rank
             if best_psi is None or psi > best_psi:
                 best_psi, best_triple = psi, t
-        assert run.best.result.psi == best_psi
-        assert run.best.explanation.triples == {best_triple}
+        assert run["best"]["psi"] == best_psi
+        assert triples_of(run["best"]) == {best_triple}
 
     def test_records_every_candidate_and_front_is_subset(self, setup):
         kg, config, model, prediction = setup
@@ -106,12 +125,12 @@ class TestExhaustive:
         run = exhaustive_length1(
             kg, model, prediction, space, "necessary", ExplainerConfig(), config
         )
-        assert len(run.candidates) == len(space.members)
-        evaluated = {c.explanation.triples for c in run.candidates}
-        for explanation, _ in run.front:
-            assert explanation.triples in evaluated
+        assert len(run["candidates"]) == len(space.members)
+        evaluated = {triples_of(c) for c in run["candidates"]}
+        for point in run["front"]:
+            assert triples_of(point) in evaluated
 
-    def test_candidate_warnings_reach_the_run_file_once(self, tmp_path):
+    def test_candidate_warnings_reach_the_run_file_once(self):
         kg = make_random_kg(seed=3, n_entities=10, n_relations=2, n_triples=25)
         config = TrainConfig(dimension=4, epochs=5, batch_size=64, seed=3)
         model = train(init_model(kg, config), kg, config)
@@ -120,37 +139,20 @@ class TestExhaustive:
             kg, model, prediction, explicit_space(kg.train[:2]), "sufficient",
             ExplainerConfig(evaluator="full-retrain"), config,
         )
-        assert len(run.candidates) == 2
-        run.save(tmp_path / "run.json", kg)
-        payload = json.loads((tmp_path / "run.json").read_text())
-        assert payload["warnings"] == [
+        assert len(run["candidates"]) == 2
+        assert run["warnings"] == [
             "training on the candidate alone likely produced meaningless embeddings"
         ]
 
-    @pytest.mark.parametrize(
-        "algorithm",
-        [
-            "exhaustive-length-1",
-            "data-poisoning-direct",
-            "criage-first-order",
-            "variable-length-builder",
-        ],
-    )
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_retrain_count_matches_candidates(self, setup, algorithm):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(algorithm=algorithm, top_m=3, max_length=2, prefilter_k=4)
-        if algorithm == "exhaustive-length-1":
-            space = build_search_space(kg, "shares-entity", prediction)
-            run = exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
-        elif algorithm == "data-poisoning-direct":
-            run = data_poisoning_direct(kg, model, prediction, ec, config)
-        elif algorithm == "criage-first-order":
-            run = criage_first_order(kg, model, prediction, ec, config)
-        else:
-            run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-        assert run.candidates
-        assert run.retrain_count == sum(c.retrains for c in run.candidates) == len(run.candidates)
-        assert {c.result.evaluator for c in run.candidates} == {run.config.evaluator}
+        run = run_algorithm(algorithm, kg, model, prediction, ec, config)
+        candidates = run["candidates"]
+        assert candidates
+        assert run["counters"]["retrains"] == sum(c["retrains"] for c in candidates) == len(candidates)
+        assert {c["evaluator"] for c in candidates} == {run["config"]["evaluator"]}
 
 
 class TestDataPoisoning:
@@ -159,7 +161,7 @@ class TestDataPoisoning:
         neighbors = sorted(t for t in kg.train if t.subject == prediction.subject)
         ec = ExplainerConfig(lambda_weight=0.0, top_m=len(neighbors), evaluator="post-train")
         run = data_poisoning_direct(kg, model, prediction, ec, config)
-        got = [sorted(c.explanation.triples)[0] for c in run.candidates]
+        got = [min(triples_of(c)) for c in run["candidates"]]
         expected = sorted(neighbors, key=lambda t: (-score(model, t), t))
         assert got == expected
 
@@ -171,9 +173,9 @@ class TestDataPoisoning:
             evaluator="post-train",
         )
         run = data_poisoning_direct(kg, model, prediction, ec, config)
-        for record in run.candidates:
-            t = sorted(record.explanation.triples)[0]
-            assert record.heuristic_score == pytest.approx(0.5 * score(model, t))
+        for candidate in run["candidates"]:
+            t = min(triples_of(candidate))
+            assert candidate["heuristic_score"] == pytest.approx(0.5 * score(model, t))
 
     def test_never_beats_the_exhaustive_oracle(self, setup):
         kg, config, model, prediction = setup
@@ -183,15 +185,15 @@ class TestDataPoisoning:
         oracle = exhaustive_length1(
             kg, model, prediction, space, "necessary", ec, config
         )
-        assert oracle.best.result.psi >= heuristic.best.result.psi
+        assert oracle["best"]["psi"] >= heuristic["best"]["psi"]
 
     def test_isolated_subject_warns_with_empty_run(self, setup):
         kg, config, model, _ = setup
         # entity 11 is a pure sink: never a training subject
         lonely = Triple(11, 0, 0)
         run = data_poisoning_direct(kg, model, lonely, ExplainerConfig(), config)
-        assert run.candidates == []
-        assert "no eligible neighbors" in run.warnings
+        assert run["candidates"] == []
+        assert "no eligible neighbors" in run["warnings"]
 
 
 class TestCriageFirstOrder:
@@ -233,7 +235,7 @@ class TestCriageFirstOrder:
     def test_candidates_ordered_by_estimated_damage(self, setup):
         kg, config, model, prediction = setup
         run = criage_first_order(kg, model, prediction, ExplainerConfig(), config)
-        estimates = [c.heuristic_score for c in run.candidates]
+        estimates = [c["heuristic_score"] for c in run["candidates"]]
         assert estimates == sorted(estimates)
 
     def test_never_beats_the_exhaustive_oracle(self, setup):
@@ -244,7 +246,7 @@ class TestCriageFirstOrder:
         oracle = exhaustive_length1(
             kg, model, prediction, space, "necessary", ec, config
         )
-        assert oracle.best.result.psi >= heuristic.best.result.psi
+        assert oracle["best"]["psi"] >= heuristic["best"]["psi"]
 
 
 class TestPrefilter:
@@ -303,8 +305,6 @@ class TestPrefilter:
 
     def test_k_validation(self):
         kg = KnowledgeGraph(["a", "b"], ["r"], (Triple(0, 0, 1),))
-        from kgexplain import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             prefilter_topk(kg, Triple(0, 0, 1), 0)
 
@@ -317,8 +317,8 @@ class TestBuilder:
             evaluator="post-train",
         )
         run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-        assert all(len(c.explanation) == 1 for c in run.candidates)
-        assert len(run.candidates) == len(prefilter_topk(kg, prediction, 4))
+        assert all(c["length"] == 1 for c in run["candidates"])
+        assert len(run["candidates"]) == len(prefilter_topk(kg, prediction, 4))
 
     def test_threshold_plus_infinity_exhausts_in_relevance_order(self, setup):
         kg, config, model, prediction = setup
@@ -328,19 +328,15 @@ class TestBuilder:
         )
         run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
         pool = prefilter_topk(kg, prediction, 4)
-        singles = [c for c in run.candidates if len(c.explanation) == 1]
-        pairs = [c for c in run.candidates if len(c.explanation) == 2]
+        singles = [c for c in run["candidates"] if c["length"] == 1]
+        pairs = [c for c in run["candidates"] if c["length"] == 2]
         assert len(singles) == len(pool)
         assert len(pairs) == len(list(itertools.combinations(pool, 2)))
         # pairs visited by descending preliminary relevance (sum of member psi)
-        singleton_psi = {
-            sorted(c.explanation.triples)[0]: c.result.psi for c in singles
-        }
-        relevances = [
-            sum(singleton_psi[t] for t in c.explanation.triples) for c in pairs
-        ]
+        singleton_psi = {min(triples_of(c)): c["psi"] for c in singles}
+        relevances = [sum(singleton_psi[t] for t in triples_of(c)) for c in pairs]
         assert relevances == sorted(relevances, reverse=True)
-        assert all(r == pytest.approx(c.heuristic_score) for r, c in zip(relevances, pairs))
+        assert all(r == pytest.approx(c["heuristic_score"]) for r, c in zip(relevances, pairs))
 
     def test_front_is_subset_of_exhaustive_front_up_to_length_two(self, setup):
         kg, config, model, prediction = setup
@@ -361,8 +357,8 @@ class TestBuilder:
                 candidates.append((explanation, result))
         truth = pareto_front(candidates)
         true_points = {(len(e), r.psi, e.triples) for e, r in truth}
-        for e, r in run.front:
-            assert (len(e), r.psi, e.triples) in true_points
+        for point in run["front"]:
+            assert (point["length"], point["psi"], triples_of(point)) in true_points
 
     def test_deterministic_under_fixed_seed(self, setup):
         kg, config, model, prediction = setup
@@ -372,10 +368,8 @@ class TestBuilder:
         )
         a = variable_length_builder(kg, model, prediction, "necessary", ec, config)
         b = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-        assert [c.explanation.triples for c in a.candidates] == [
-            c.explanation.triples for c in b.candidates
-        ]
-        assert [c.result.psi for c in a.candidates] == [c.result.psi for c in b.candidates]
+        assert [c["triples"] for c in a["candidates"]] == [c["triples"] for c in b["candidates"]]
+        assert [c["psi"] for c in a["candidates"]] == [c["psi"] for c in b["candidates"]]
 
     def test_annealing_respects_evaluation_budget(self, setup):
         kg, config, model, prediction = setup
@@ -385,8 +379,8 @@ class TestBuilder:
         )
         run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
         by_length = {}
-        for c in run.candidates:
-            by_length.setdefault(len(c.explanation), []).append(c)
+        for c in run["candidates"]:
+            by_length.setdefault(c["length"], []).append(c)
         for length, records in by_length.items():
             if length >= 2:
                 assert len(records) <= 5
@@ -398,7 +392,7 @@ class TestBuilder:
             evaluator="post-train",
         )
         run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-        assert max(len(c.explanation) for c in run.candidates) <= 2
+        assert max(c["length"] for c in run["candidates"]) <= 2
 
     def test_empty_pool_rejected(self, tiny_config, tiny_model, tiny_kg):
         lonely = Triple(11, 0, 0)  # sink entity: no incident training subject edge
@@ -414,7 +408,7 @@ class TestBuilder:
 
     def test_max_length_validation(self, setup):
         kg, config, model, prediction = setup
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="max_length must lie in"):
             variable_length_builder(
                 kg, model, prediction, "necessary",
                 ExplainerConfig(max_length=5), config,
@@ -422,34 +416,31 @@ class TestBuilder:
 
 
 class TestRunSerialization:
-    def test_payload_round_trip(self, setup, tmp_path):
-        kg, config, model, prediction = setup
-        space = build_search_space(kg, "shares-entity", prediction)
-        run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", ExplainerConfig(), config
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_file_round_trip(self, desk_kg, desk_config, desk_model, tmp_path, algorithm):
+        prediction = next(
+            t for t in desk_kg.eval_split("test") if rank(desk_model, t, desk_kg) == 1
         )
-        path = tmp_path / "run.json"
-        run.save(path, kg)
-        payload = json.loads(path.read_text())
-        assert payload["algorithm"] == "exhaustive-length-1"
-        assert payload["prediction"]["ids"] == list(prediction)
-        assert len(payload["candidates"]) == len(run.candidates)
-        assert payload["counters"]["retrains"] == run.retrain_count
-        front_lengths = [p["length"] for p in payload["front"]]
-        assert front_lengths == [len(e) for e, _ in run.front]
+        ec = ExplainerConfig(
+            algorithm=algorithm, evaluator="post-train", post_train_epochs=2, top_m=3,
+            max_length=2, prefilter_k=4,
+        )
+        run = run_algorithm(algorithm, desk_kg, desk_model, prediction, ec, desk_config)
+        path = tmp_path / f"run_{algorithm}_0000.json"
+        write_text_atomic(path, json.dumps(run, indent=2, sort_keys=True))  # as explain writes it
+        assert read_run(path, algorithm, prediction) == run
+        tied = [c for c in run["candidates"] if c["psi"] == run["best"]["psi"]]
+        assert run["best"] == min(tied, key=lambda c: [t["ids"] for t in c["triples"]])
+        if algorithm == "data-poisoning-direct":  # its three candidates share the best psi
+            assert len(tied) == 3
 
-    def test_front_entries_are_the_non_dominated_candidates_with_float_lengths(
-        self, setup, tmp_path
-    ):
+    def test_front_entries_are_the_non_dominated_candidates_with_float_lengths(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(
             max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
             evaluator="post-train",
         )
-        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-        path = tmp_path / "run.json"
-        run.save(path, kg)
-        payload = json.loads(path.read_text())
+        payload = variable_length_builder(kg, model, prediction, "necessary", ec, config)
         points = [(c["length"], c["psi"]) for c in payload["candidates"]]
         expected = [
             {

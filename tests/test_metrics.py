@@ -141,8 +141,8 @@ class TestEmitReport(object):
             run = exhaustive_length1(
                 tiny_kg, tiny_model, p, space, "necessary", ExplainerConfig(), tiny_config,
             )
-            runs.append(run.to_payload(tiny_kg))
-            rows.append(RankRow(p, run.rank_before, int(run.best.result.rank_after)))
+            runs.append(run)
+            rows.append(RankRow(p, run["prediction"]["rank_before"], int(run["best"]["rank_after"])))
         return RankTable(rows=tuple(rows)), runs
 
     def test_writes_three_files_with_expected_content(self, run_setup, tiny_kg, tmp_path):
