@@ -230,8 +230,9 @@ def load_json(path: str | Path, kind: str):
 
 
 class _Search:
-    """One explainer's search for one prediction: evaluates, records, finishes.
+    """One explainer's search for one prediction: validates, evaluates, records, finishes.
 
+    The explainer's config is validated first, whichever explainer runs.
     :meth:`evaluate` scores every candidate with the mode's operator and
     ``config.evaluator``, so all explainers share one evaluation path and the
     run's retrain count is the sum of its candidates' own counts.
@@ -247,14 +248,10 @@ class _Search:
         train_config: TrainConfig,
         targets: tuple[int, ...] | None = None,
     ) -> None:
+        config.validate()
         self.started = time.perf_counter()
-        self.kg = kg
-        self.model = model
-        self.prediction = prediction
-        self.mode = mode
-        self.config = config
-        self.train_config = train_config
-        self.targets = targets
+        self.kg, self.model, self.prediction, self.mode = kg, model, prediction, mode
+        self.config, self.train_config, self.targets = config, train_config, targets
         self.rank_before = rank(model, prediction, kg)
         self.candidates: list[dict] = []  # the run file's candidate entries
         self.found: list[str] = []  # the candidates' warnings, in order
@@ -337,9 +334,9 @@ def exhaustive_length1(
     Ties on effectiveness go to the lowest triple ids. This is the oracle
     any heuristic over the same space and evaluator is bounded by.
     """
+    search = _Search(kg, model, prediction, mode, config, train_config, targets)
     if not space.members:
         raise DomainError(f"search space {space.preset!r} is empty")
-    search = _Search(kg, model, prediction, mode, config, train_config, targets)
     for t in space.members:
         search.evaluate((t,))
     return search.finish("exhaustive-length-1")
@@ -512,7 +509,6 @@ def variable_length_builder(
     evaluation budget, a seeded annealing walk (geometric temperature decay)
     explores that length instead of full enumeration.
     """
-    config.validate()
     search = _Search(kg, model, prediction, mode, config, train_config, targets)
 
     pool = prefilter_topk(kg, prediction, config.prefilter_k)

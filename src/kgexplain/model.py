@@ -98,10 +98,10 @@ class EmbeddingModel:
         return self.rel.shape[0] // 2
 
     def clone(self) -> "EmbeddingModel":
-        """Value-independent copy; mutating it never touches the original."""
-        return replace(
-            self, ent=self.ent.copy(), rel=self.rel.copy(), history=list(self.history)
-        )
+        """Value-independent copy; its ``ent`` and ``rel`` are the row blocks of one new buffer."""
+        table = np.concatenate([self.ent, self.rel])
+        ent, rel = table[: len(self.ent)], table[len(self.ent) :]
+        return replace(self, ent=ent, rel=rel, history=list(self.history))
 
 
 def _split(x: np.ndarray) -> np.ndarray:

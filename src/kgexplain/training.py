@@ -14,39 +14,33 @@ per training set), followed by the examples of any triples the base lacks
 (:class:`_TrainRows`). The retraining operators build that array directly;
 :func:`post_train` maps a plain triple sequence onto it.
 
-Every fit runs :func:`_fit` over a step object, and both steps run one
-kernel (:class:`_QuerySoftmax`): the softmax over all entities, scored once
-per distinct (head, relation_row) query of a batch (the desk graph's 460
-examples hold 150), and its gradient products. Its per-query complex values
-are split, real rows then imaginary rows, so each complex product runs on
-contiguous blocks; the matrix products read and write packed ``[re | im]``
-rows, and the tables stay packed. Full training, and a post-train whose mask
-covers every row, run :class:`_DenseStep`, which passes the kernel the whole
-batch; from a fresh model that post-train is a full retrain without the
-validation NLL that :func:`train` records. It sums in another order than the
-per-example loss, within a stated bound of it.
+Every fit runs :func:`_fit` over a step object, on a copy of the model whose
+``ent`` and ``rel`` are the row blocks of one buffer, the joint table
+(:meth:`EmbeddingModel.clone`); no caller's tables are rebound. Both steps
+run one kernel (:class:`_QuerySoftmax`): the softmax over all entities,
+scored once per distinct (head, relation_row) query of a batch (the desk
+graph's 460 examples hold 150), and its gradient products. It groups a
+batch's rows by query per batch, or once per fit when the batch holds every
+fit row, as in every desk-graph fit; each gradient is formed per query in key
+order, so the bits do not depend on the batch order. Full training, and a
+post-train whose mask covers every row, run :class:`_DenseStep`: N3, the head
+and relation scatter, the update and the finiteness check each run once over
+the joint table. From a fresh model that post-train is a full retrain without
+the validation NLL that :func:`train` records. It sums in another order than
+the per-example loss, within a stated bound of it.
 
 A post-train with any frozen row runs a restricted step instead. A fit row is
 fixed when its head entity and relation row are frozen and it lies in the
 base example table: its query ``q = h∘r`` and its scores against frozen
 entities cannot change during the fit. Every other row moves, and the moving
-rows run the kernel, grouped by query once per fit. Each thread holds its own
-post-train state: the example table of its latest base training set and the
-base model of its latest post-train with a frozen row (:class:`_BaseModel`).
-The base holds what depends on it alone (the example table, ``q`` for every
-query of its training set and the N3 penalty of every table row), computed
-when it is created, and the frozen context of its latest mask, computed when
-that mask arrives: for each fixed query, the max and shifted exp-sum of its
-frozen-entity scores, and for each base example four resolved words: its
-query row, those partials and, when its target is frozen, its target score.
-Once per fit the step takes its rows of those words. Each step scores its
-fixed rows against the trainable entities only and merges the two parts into
-the normaliser; gradients are formed for the trainable rows alone. The base is
-identified by the embedding tables, compared bit for bit, and the base
-training set; a post-train from another replaces it whole, and one with
-another trainable entity or relation set replaces its context. The removal
-candidates of a prediction share one mask, whichever algorithm proposed them,
-and a worker thread runs one prediction's algorithms at a time
+rows run the kernel. Each thread holds its own post-train state: the example
+table of its latest base training set and the base model of its latest
+post-train with a frozen row (:class:`_BaseModel`), which holds what depends
+on the base alone and the frozen context of its latest mask. Each step scores
+its fixed rows against the trainable entities only and merges the two parts
+into the normaliser; gradients are formed for the trainable rows alone. The
+removal candidates of a prediction share one mask, whichever algorithm
+proposed them, and a worker thread runs one prediction's algorithms at a time
 (``cli.cmd_explain``), so their context is computed once per prediction.
 Threads share none of this state, so none of it is locked. Frozen rows stay
 bit-identical; trainable rows differ from a per-example restricted step only
@@ -69,6 +63,8 @@ from .model import EmbeddingModel, TrainConfig, _cmul, _cmul_conj, _split, init_
 logger = logging.getLogger(__name__)
 
 _ADAGRAD_EPS = 1e-10
+# a step's loss, data loss and ``ent`` and ``rel`` gradients
+_StepResult = tuple[float, float, tuple[np.ndarray, np.ndarray]]
 
 
 def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
@@ -87,18 +83,23 @@ def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
     return rows
 
 
-def _scatter_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray, flat=None) -> None:
-    """out[index] += values with repeated indices, via flat bincount (index built in ``flat``).
+def _scatter_rows(out: np.ndarray, index: np.ndarray | None, values: np.ndarray, flat=None) -> None:
+    """out[index] += values with repeated indices, via flat bincount.
 
     ``index`` may have any shape; ``values`` has that shape plus one row of
-    ``out``. Each bin receives its values in the order they are laid out.
+    ``out``. The bins are built from ``index`` into ``flat`` (allocated when
+    not given) or, without ``index``, ``flat`` holds them (:func:`_bins`).
+    Each bin receives its values in the order they are laid out.
     """
-    n_rows, n_cols = out.shape
-    flat = np.empty(values.shape, dtype=np.int64) if flat is None else flat
-    np.add(np.multiply(index[..., None], n_cols, out=flat), np.arange(n_cols), out=flat)
-    out += np.bincount(flat.ravel(), weights=values.ravel(), minlength=n_rows * n_cols).reshape(
-        n_rows, n_cols
-    )
+    if index is not None:
+        flat = _bins(index, out.shape[1], flat)
+    out += np.bincount(flat.ravel(), weights=values.ravel(), minlength=out.size).reshape(out.shape)
+
+
+def _bins(index: np.ndarray, n_cols: int, out=None) -> np.ndarray:
+    """The flat bin, in ``n_cols``-wide rows ``index``, of each value :func:`_scatter_rows` adds."""
+    out = np.empty(index.shape + (n_cols,), dtype=np.int64) if out is None else out
+    return np.add(np.multiply(index[..., None], n_cols, out=out), np.arange(n_cols), out=out)
 
 
 def _halves(table: np.ndarray) -> np.ndarray:
@@ -154,11 +155,9 @@ def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _row_max(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``x.max(axis=1)`` into ``out``, through ``work``, the ``x.T``-shaped workspace.
 
-    The max runs over the leading axis of a transposed copy: a reduction over
-    a short last axis costs several times as much (measured with numpy 2.4 on
-    x86-64: 40 against 8 µs for 512 rows of 6 columns, the restricted steps'
-    trainable entity counts being 5 to 8), and the copy costs no more than
-    the reduction at any width. A max is exact, so the values are the same.
+    A reduction over a short last axis costs several times as much as the
+    copy and a reduction over its leading axis (numpy 2.4, x86-64: 40 against
+    8 µs for 512 rows of 6 columns, as in the restricted steps). A max is exact.
     """
     np.copyto(work, x.T)
     return np.maximum.reduce(work, axis=0, out=out)
@@ -190,17 +189,26 @@ def _fit_columns(model: EmbeddingModel, examples: np.ndarray, rows: np.ndarray |
     return columns
 
 
+def _joint_table(model: EmbeddingModel) -> np.ndarray:
+    """The buffer of which ``model.ent`` and ``model.rel`` are row blocks, as ``clone()`` makes them."""
+    table, ent, rel = model.ent.base, model.ent, model.rel
+    views = (table[: len(ent)], table[len(ent) :]) if isinstance(table, np.ndarray) else ()
+    if [v.__array_interface__ for v in views] != [ent.__array_interface__, rel.__array_interface__]:
+        raise ValueError("a fit needs the model's ent and rel in one buffer, as clone() makes them")
+    return table
+
+
 class _QueryBatch(NamedTuple):
     """One batch through :class:`_QuerySoftmax`, as views of its workspaces.
 
     ``value`` holds each example's target score less its query's
-    log-normaliser and ``targets`` each example's target. The rest hold one
-    entry per query of the batch: ``held``, its index among the fit's
-    queries; ``counts``, its examples in the batch; ``ids``, its head and
-    relation row as two rows, and ``halves`` their half-row ids
-    (:func:`_half_ids`); ``q``, its packed query row; ``grad``, its
-    scores-gradient row; ``dh`` and ``dr``, the split gradients of its head
-    and relation rows. ``flat`` is the scatter workspace of ``dh`` and ``dr``.
+    log-normaliser, in batch order, and ``targets`` each example's target.
+    The rest hold one entry per query of the batch, in key order: ``held``,
+    its index among the fit's queries; ``counts``, its examples; ``ids``, its
+    head and relation row as rows of the joint table (:func:`_joint_table`),
+    and ``halves`` their half-row ids (:func:`_half_ids`); ``q``, its packed
+    query row; ``grad``, its scores-gradient row; ``dhr``, the split
+    gradients of its head, then relation rows; ``flat``, a bins workspace.
     """
 
     value: np.ndarray
@@ -211,8 +219,7 @@ class _QueryBatch(NamedTuple):
     halves: np.ndarray
     q: np.ndarray
     grad: np.ndarray
-    dh: np.ndarray
-    dr: np.ndarray
+    dhr: np.ndarray
     flat: np.ndarray
 
 
@@ -222,28 +229,33 @@ class _QuerySoftmax:
     The one kernel of both steps. It scores each distinct query (head,
     relation_row) of a batch once ("1-N scoring", as in ConvE): the query's
     examples share its score row and normaliser. Each fit example's query, an
-    index into the fit's queries in key order, is resolved once per fit. The
+    index into the fit's queries in key order, is resolved once per fit, and
+    a batch's rows are grouped by query (:meth:`group`) per call, or once per
+    fit in fit order when the batch holds every fit row; then one
+    ``np.take`` puts the per-example values back into batch order. The
     scores-gradient row of query u is ``count_u · softmax_u / n``, less
     ``1/n`` at each of its examples' targets, once per use; ``n`` is the row
     count of the whole batch, of which the kernel may see a part.
 
     Per-query complex values live in split ``(2, queries, d)`` workspaces,
-    real rows then imaginary rows, gathered through the ``(2 * rows, d)`` view
-    of each packed table (:func:`_half_ids`); ``q`` goes into the matrix
-    products packed, ``(queries, 2d)``, and ``dq`` comes out of them packed.
-    The workspaces are allocated by :meth:`reserve`, and every call
-    overwrites them.
+    real rows then imaginary rows, gathered in one ``np.take`` through the
+    ``(2 * rows, d)`` view of the joint table (:func:`_half_ids`); ``q`` goes
+    into the matrix products packed, ``(queries, 2d)``, and ``dq`` comes out
+    of them packed. The workspaces are allocated by :meth:`reserve`, and
+    every call overwrites them.
     """
 
     def __init__(self, model: EmbeddingModel, columns: np.ndarray) -> None:
         self.targets = columns[2]
         keys, self.query_of = np.unique(_query_keys(model, columns.T), return_inverse=True)
-        # each fit query's head and relation row, as the two rows of one array
-        self.query_ids = np.stack(np.divmod(keys, len(model.rel)))
-        # each fit query's slot among its batch's queries, rewritten by every call
+        heads, rels = np.divmod(keys, len(model.rel))
+        # each fit query's head and relation row as rows of the joint table, two rows of one array
+        self.query_ids = np.stack([heads, rels + len(model.ent)])
+        # each fit query's slot among its batch's queries, rewritten by every grouping
         self.slot = np.empty(len(keys), dtype=np.int64)
         self.shape = model.ent.shape
         self.capacity = -1
+        self.whole: tuple | None = None
 
     def reserve(self, n: int) -> None:
         """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
@@ -252,42 +264,55 @@ class _QuerySoftmax:
         self.capacity = n
         entities, width = self.shape
         self.ids = np.empty((4, n), dtype=np.int64)
-        # flat buffers: a batch of m queries uses the first m * width values of each,
-        # so its split halves are contiguous whatever m is
+        # flat buffers: a batch of m queries uses the first m * width values of each
+        # block, so its split halves and adjacent blocks are contiguous whatever m is
         self.half_ids = np.empty(4 * n, dtype=np.int64)
-        self.flat = np.empty(n * width, dtype=np.int64)
-        self.work, self.half = np.empty((6, n * width)), np.empty(n * width // 2)
+        self.flat = np.empty(2 * n * width, dtype=np.int64)
+        self.work, self.half = np.empty(6 * n * width), np.empty(n * width // 2)
         self.scores = np.empty((n, entities))
         self.target, self.per_row, self.shift, self.z, self.scale = np.empty((5, n))
 
-    def __call__(self, ent: np.ndarray, rel: np.ndarray, sel: np.ndarray, n: int) -> _QueryBatch:
-        """The fit rows ``sel`` of a batch of ``n`` rows: their losses and gradient terms."""
-        entities, width = ent.shape
+    def group(self, sel: np.ndarray) -> tuple:
+        """The fit rows ``sel`` grouped by query, in the workspaces, as :meth:`__call__` reads them."""
         k = len(sel)
         targets, fit_query, of_query, at = self.ids[:, :k]
         self.targets.take(sel, out=targets, mode="clip")
-        # the batch's distinct queries, in key order, and each example's among them
         self.query_of.take(sel, out=fit_query, mode="clip")
         counts = np.bincount(fit_query, minlength=len(self.slot))
         held = counts.nonzero()[0]
         m = len(held)
         self.slot[held] = np.arange(m)
         _gather(self.slot, fit_query, of_query)
-        counts = counts.take(held)
+        np.add(np.multiply(of_query, self.shape[0], out=at), targets, out=at)
         query_ids = self.query_ids.take(held, axis=1)
         halves = _half_ids(query_ids, self.half_ids[: 4 * m].reshape(2, 2, m))
-        packed = self.work[0, : m * width].reshape(m, width)
-        h, r, q, dh, dr = self.work[1:, : m * width].reshape(5, 2, m, -1)
+        return targets, of_query, at, held, counts.take(held), query_ids, halves
+
+    def __call__(self, table: np.ndarray, sel: np.ndarray, n: int) -> _QueryBatch:
+        """Losses and gradient terms of the distinct fit rows ``sel`` of a batch of ``n`` rows."""
+        entities, width = self.shape
+        k = len(sel)
+        if k < len(self.targets):
+            group = self.group(sel)
+        elif self.whole is None:
+            group = self.whole = tuple(a.copy() for a in self.group(np.arange(k)))
+        else:
+            group = self.whole
+        # per example: its target, its query's index among the batch's queries and its target's
+        # entry in their flat score rows; per query: the fields held to halves of _QueryBatch
+        targets, of_query, at, held, counts, ids, halves = group
+        m = len(held)
+        blocks = self.work[: 6 * m * width].reshape(6, m * width)
+        packed, q = blocks[0].reshape(m, width), blocks[3].reshape(2, m, -1)
+        hr, dhr = blocks[1:3].reshape(2, 2, m, -1), blocks[4:].reshape(2, 2, m, -1)
+        h, r = _gather(_halves(table), halves, hr)
         half = self.half[: m * width // 2].reshape(m, -1)
-        _gather(_halves(ent), halves[0], h)
-        _gather(_halves(rel), halves[1], r)
         np.copyto(_split(packed), _cmul(h, r, out=q, tmp=half))
 
         # softmax in place, one row per query; the target scores are read before the shift
+        ent = table[:entities]
         scores = np.matmul(packed, ent.T, out=self.scores[:m])
         flat_scores = scores.reshape(-1)
-        np.multiply(of_query, entities, out=at)
-        at += targets
         target = _gather(flat_scores, at, self.target[:k])
         shift = np.maximum.reduce(scores, axis=1, out=self.shift[:m])
         scores -= shift[:, None]
@@ -295,6 +320,8 @@ class _QuerySoftmax:
         # each query's log-normaliser shift + log z, read by each of its examples
         log_z = np.add(shift, np.log(z, out=self.scale[:m]), out=shift)
         target -= _gather(log_z, of_query, self.per_row[:k])
+        if group is self.whole:
+            target = _gather(target, sel, self.per_row[:k])
 
         # one pass normalises each row, weights it by its query's count and divides by n;
         # then each example takes 1/n off its target's entry, once per use (np.put would
@@ -303,68 +330,59 @@ class _QuerySoftmax:
         scale /= n
         scores *= scale[:, None]
         np.subtract.at(flat_scores, at, 1.0 / n)
-        # packed q stays for the caller; the product lands in dh's rows, copied out before dh fills
+        # packed q stays for the caller; the product lands in dhr's rows, copied out first
         dq = q  # q's split rows are spent once packed; dq takes their place
-        np.copyto(dq, _split(np.matmul(scores, ent, out=dh.reshape(m, width))))
-        _cmul_conj(dq, r, out=dh, tmp=half)
-        _cmul_conj(dq, h, out=dr, tmp=half)
-        flat = self.flat[: m * width].reshape(2, m, -1)
-        return _QueryBatch(target, targets, held, counts, query_ids, halves, packed, scores, dh, dr, flat)
+        np.copyto(dq, _split(np.matmul(scores, ent, out=dhr[0].reshape(m, width))))
+        _cmul_conj(dq, r, out=dhr[0], tmp=half)
+        _cmul_conj(dq, h, out=dhr[1], tmp=half)
+        flat = self.flat[: 2 * m * width].reshape(dhr.shape)
+        return _QueryBatch(target, targets, held, counts, ids, halves, packed, scores, dhr, flat)
 
 
 class _DenseStep:
     """The full training step: every row trainable, softmax over all entities.
 
     The kernel (:class:`_QuerySoftmax`) runs on the whole batch. Each example
-    keeps its own target score and data-loss term. The N3 terms are taken on
-    the tables, each row's weighted by its uses in the batch. The result is
-    within ``rtol=1e-12, atol=1e-15`` of the per-example expression of the
-    loss, which sums in another order. The returned gradients are workspaces,
-    overwritten by the next call. The fit's examples are ``examples[rows]``
-    (:func:`_fit_columns`).
+    keeps its own target score and data-loss term. N3, the head and relation
+    scatter and the fit's update run once over the joint table
+    (:func:`_joint_table`), the step's one slot; each row's N3 term is
+    weighted by its uses in the batch. The uses and the scatter bins are kept
+    while the kernel's grouping is, so a one-batch fit makes them once. The
+    result is within ``rtol=1e-12, atol=1e-15`` of the per-example expression
+    of the loss, which sums in another order. The returned gradients are
+    views of a workspace, overwritten by the next call. The fit's examples
+    are ``examples[rows]`` (:func:`_fit_columns`).
     """
 
-    ent_idx = rel_idx = slice(None)
-
-    def __init__(
-        self,
-        model: EmbeddingModel,
-        examples: np.ndarray,
-        batch_size: int,
-        rows: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int, rows=None):
         columns = _fit_columns(model, examples, rows)
+        table = _joint_table(model)
         self.softmax = _QuerySoftmax(model, columns)
         self.softmax.reserve(min(batch_size, columns.shape[1]))
-        self.d_ent, self.d_rel = np.empty_like(model.ent), np.empty_like(model.rel)
+        grad = np.empty_like(table)
+        self.slots, self.grads = [(table, slice(None), grad)], np.split(grad, [len(model.ent)])
+        self.held = None
 
-    def __call__(
-        self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
-    ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
-        """Loss, data loss and the ``ent`` and ``rel`` gradients over example rows ``sel``."""
-        ent, rel, n = model.ent, model.rel, len(sel)
-        batch = self.softmax(ent, rel, sel, n)
-        data_loss = float(-batch.value.mean())
-        d_ent = np.matmul(batch.grad.T, batch.q, out=self.d_ent)
+    def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
+        """Loss, data loss and both tables' gradients over the distinct example rows ``sel``."""
+        (table, _, grad), (d_ent, d_rel), n = self.slots[0], self.grads, len(sel)
+        batch = self.softmax(table, sel, n)
+        data_loss = -float(np.add.reduce(batch.value) / n)  # np.mean's sum, without its overhead
+        np.matmul(batch.grad.T, batch.q, out=d_ent)
+        d_rel.fill(0.0)
+        if batch.held is not self.held:
+            # each row's uses as a head, relation or target, and the bins of dhr's scatter
+            self.held = batch.held
+            self.uses = np.bincount(batch.ids.ravel(), np.tile(batch.counts, 2), len(table))
+            self.uses += np.bincount(batch.targets, minlength=len(table))
+            self.bins = _bins(batch.halves, table.shape[1] // 2, batch.flat)
 
-        loss, d_rel = data_loss, self.d_rel
+        loss = data_loss
         if reg_weight > 0:
-            # N3 terms on the tables: each row's, weighted by its uses as a head, relation or target
-            entities = len(ent)
-            (ent_penalty, ent_grad), (rel_penalty, rel_grad) = _n3(ent), _n3(rel)
-            ent_uses = np.bincount(batch.ids[0], weights=batch.counts, minlength=entities)
-            ent_uses += np.bincount(batch.targets, minlength=entities)
-            rel_uses = np.bincount(batch.ids[1], weights=batch.counts, minlength=len(rel))
-            loss += reg_weight * float(ent_penalty @ ent_uses + rel_penalty @ rel_uses) / n
-            c = 3.0 * reg_weight / n
-            d_ent += np.multiply(ent_grad, (c * ent_uses)[:, None], out=ent_grad)
-            np.multiply(rel_grad, (c * rel_uses)[:, None], out=d_rel)
-        else:
-            d_rel.fill(0.0)
-
-        at_heads, at_rels = batch.halves
-        _scatter_rows(_halves(d_ent), at_heads, batch.dh, batch.flat)
-        _scatter_rows(_halves(d_rel), at_rels, batch.dr, batch.flat)
+            penalty, n3_grad = _n3(table)
+            loss += reg_weight * float(penalty @ self.uses) / n
+            grad += np.multiply(n3_grad, (3.0 * reg_weight / n * self.uses)[:, None], out=n3_grad)
+        _scatter_rows(_halves(grad), None, batch.dhr, self.bins)
         return loss, data_loss, (d_ent, d_rel)
 
 
@@ -373,8 +391,10 @@ def batch_loss_and_grads(
 ) -> tuple[float, float, Gradients]:
     """(Total loss, data-only negative log-likelihood, analytic gradients) of a batch.
 
-    One :class:`_DenseStep` over the whole batch: the step every dense fit runs.
+    One :class:`_DenseStep` over the whole batch, on a clone of ``model``: the
+    step every dense fit runs.
     """
+    model = model.clone()
     step = _DenseStep(model, batch, len(batch))
     loss, data_loss, grads = step(model, np.arange(len(batch)), reg_weight)
     return loss, data_loss, Gradients(*grads)
@@ -476,43 +496,36 @@ def _slots(trainable: np.ndarray) -> np.ndarray:
 class _BaseModel:
     """One base model and training set, and the frozen context of one mask over them.
 
-    What depends on the base alone is computed once, when it is created: a
-    copy of the embedding tables, which identifies the base, the base example
-    table (:func:`_base_examples`), the query row ``q = h∘r`` of every
-    distinct base query with each base example's index into them
-    (``query_of``), and the N3 penalty of every table row.
+    Made when the base is: a copy of the embedding tables, which identifies
+    the base, the base example table (:func:`_base_examples`), the query row
+    ``q = h∘r`` of every distinct base query with each base example's index
+    into them (``query_of``), and the N3 penalty of every table row.
 
     The frozen context is that of the latest mask (:meth:`set_mask`). A query
-    (head, relation_row) is fixed during a post-train when neither its head
-    entity nor its relation row is trainable: its embedding and its scores
-    against every frozen entity column never change. For each fixed base
-    query the context keeps the max of those scores and the sum of their exps
-    shifted by it, computed in one pass from the query rows. In the same pass
-    it resolves every base example into the four words of the step's record
-    that depend on the mask (``resolved``): its query row, its query's max and
-    exp-sum and, when its row is fixed and its target frozen, its target score
-    ``q·e_o`` (zeros for a moving row). Fits take their rows of it; a fit's
-    rows past the base example table are moving rows of that fit, so every
-    value a fit reads is the same whichever fits ran before it.
+    is fixed when neither its head entity nor its relation row is trainable:
+    its scores against every frozen entity never change. For each fixed base
+    query the context keeps their max and the sum of their exps shifted by
+    it, and resolves every base example into four words (``resolved``): its
+    query row, those two and, when its row is fixed and its target frozen,
+    its target score ``q·e_o`` (zeros for a moving row). A fit's rows past the
+    base table move, so what a fit reads does not depend on earlier fits.
     """
 
     def __init__(self, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
-        self.tables = (model.ent.copy(), model.rel.copy())
+        self.table = _joint_table(model).copy()
         self.train = train  # held, so that its identity stays unique
         self.examples = _base_examples(train, model.num_relations)
         _check_ids(model, self.examples.T)
         keys = _query_keys(model, self.examples)
         self.keys, self.query_of = np.unique(keys, return_inverse=True)
         self.queries = _query_rows(model, self.keys, chunk)
-        self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
+        self.penalty = _n3(self.table)[0]
         self.mask: tuple[bytes, bytes] | None = None
 
     def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
         """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
-        return train is self.train and all(
-            np.array_equal(table.view(np.int64), mine.view(np.int64))
-            for table, mine in zip((model.ent, model.rel), self.tables)
-        )
+        table = _joint_table(model).view(np.int64)
+        return train is self.train and np.array_equal(table, self.table.view(np.int64))
 
     def set_mask(
         self, model: EmbeddingModel, ent_trainable: np.ndarray, rel_trainable: np.ndarray, chunk: int
@@ -563,27 +576,21 @@ class _RestrictedStep:
 
     A fit row is moving when its head entity or relation row is trainable, or
     when it lies past the base example table, which the frozen context does
-    not cover; every other row is fixed. The per-example values are resolved
-    once per fit into two tables. ``ids`` holds seven rows of one column per
-    example: the head, relation row and target, the head's and target's
-    column among the trainable entities and the relation's slot (-1 when
-    frozen), and the moving row's index among the fit's moving rows (-1 for
-    a fixed row). ``resolved`` holds four words per example, taken from the
-    thread's :class:`_BaseModel` (unread for a moving row): the query row and
-    the bits of a fixed row's frozen-column max and exp-sum and, when its
-    target is frozen, its target score ``q·e_o``.
+    not cover; every other row is fixed. Per example, resolved once per fit:
+    ``ids``, seven rows (head, relation row, target, the head's and target's
+    column among the trainable entities and the relation's slot, -1 when
+    frozen, and the row's index among the fit's moving rows, -1 when fixed),
+    and ``resolved``, its four words of the thread's :class:`_BaseModel`.
 
-    The moving rows of a batch run the kernel of the dense step
-    (:class:`_QuerySoftmax`), over the moving rows' queries, grouped once per
-    fit; their entity gradient is formed for the trainable columns alone, and
-    the gradients of their heads and relations are scattered into the
-    trainable rows, those of frozen ones into a spare last row of each
-    gradient workspace. A step gathers its batch's ``ids`` columns in one
-    ``np.take`` and its fixed rows' ``resolved`` rows in another, gathers each
-    fixed row's query, scores it against the trainable columns only and
-    completes its normaliser with the frozen partials. A step costs
-    O(n |T| d + n_moving E d) instead of O(n E d). Its batch-sized
-    temporaries live in workspaces that grow to the longest batch.
+    The moving rows of a batch run the kernel (:class:`_QuerySoftmax`); their
+    entity gradient is formed for the trainable columns alone, and the
+    gradients of their heads and relations are scattered into the trainable
+    rows, those of frozen ones into a spare last row of each gradient
+    workspace. Each fixed row's query is scored against the trainable columns
+    only and its normaliser completed with the frozen partials. A step costs
+    O(n |T| d + n_moving E d) instead of O(n E d); its temporaries live in
+    workspaces that grow to the longest batch. Its two slots are the
+    trainable rows of ``ent`` and of ``rel``.
 
     ``rows`` selects the fit's rows of ``examples``, which starts with the
     example table of ``train`` (:func:`_base_examples`). The trainable ids
@@ -603,8 +610,7 @@ class _RestrictedStep:
         columns = _fit_columns(model, examples, rows)
         heads, rels, targets = columns
         width = model.ent.shape[1]
-        self.ent_idx = ent_idx
-        self.rel_idx = rel_idx
+        self.ent_idx, self.rel_idx = ent_idx, rel_idx
         ent_trainable = np.zeros(model.num_entities, dtype=bool)
         ent_trainable[ent_idx] = True
         rel_trainable = np.zeros(len(model.rel), dtype=bool)
@@ -622,25 +628,25 @@ class _RestrictedStep:
         # each moving query's head column and relation slot, a frozen one sent to the
         # spare last row of its gradient workspace, as half-row ids
         query_heads, query_rels = self.softmax.query_ids
-        slots = np.stack([column.take(query_heads), rel_slot.take(query_rels)])
+        slots = np.stack([column.take(query_heads), rel_slot.take(query_rels - len(model.ent))])
         spare = np.array([[len(ent_idx)], [len(rel_idx)]])
         self.trainable_halves = _half_ids(np.where(slots < 0, spare, slots))
         self.resolved = np.zeros((len(heads), 4), dtype=np.int64)
+        self.table = _joint_table(model)
         if self.moving.all():
-            self.queries = np.empty((0, width))
-            self.ent_penalty, self.rel_penalty = _n3(model.ent)[0], _n3(model.rel)[0]
+            self.queries, penalty = np.empty((0, width)), _n3(self.table)[0]
         else:
             base = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
-            self.queries = base.queries
+            self.queries, penalty = base.queries, base.penalty.copy()
             # rows past the base set are moving; clipped here, their words stay unread
             np.take(base.resolved, rows, axis=0, out=self.resolved, mode="clip")
-            # N3 penalty of every row; the trainable rows' entries are refreshed each step
-            self.ent_penalty = base.ent_penalty.copy()
-            self.rel_penalty = base.rel_penalty.copy()
+        # N3 penalty of every row; the trainable rows' entries are refreshed each step
+        self.ent_penalty, self.rel_penalty = np.split(penalty, [len(model.ent)])
         self.capacity = 0
         self.ent_t = np.empty((len(ent_idx), width))
         self.d_ent = np.empty((len(ent_idx) + 1, width))
         self.d_rel = np.empty((len(rel_idx) + 1, width))
+        self.slots = [(model.ent, ent_idx, self.d_ent[:-1]), (model.rel, rel_idx, self.d_rel[:-1])]
 
     def _reserve(self, n: int) -> None:
         """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
@@ -655,14 +661,10 @@ class _RestrictedStep:
         self.fixed_probs, self.fixed_grad = np.empty(n * trainable), np.empty((trainable, width))
         self.softmax.reserve(min(n, len(self.softmax.targets)))
 
-    def __call__(
-        self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float
-    ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
-        """Loss, data loss and the trainable entity and relation rows' gradients.
+    def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
+        """Loss, data loss and the trainable rows' gradients (workspaces) over example rows ``sel``.
 
-        Covers the example rows ``sel`` and equals the dense step's values up
-        to the order of summation. The gradients are workspaces, overwritten
-        by the next call.
+        They equal the dense step's values up to the order of summation.
         """
         ent, rel, n = model.ent, model.rel, len(sel)
         trainable, width = self.ent_t.shape
@@ -678,12 +680,13 @@ class _RestrictedStep:
 
         mv = moving.nonzero()[0]
         if len(mv):
-            batch = self.softmax(ent, rel, moving_row.take(mv), n)
+            batch = self.softmax(self.table, moving_row.take(mv), n)
             nll.put(mv, np.negative(batch.value))
             d_ent += batch.grad.take(self.ent_idx, axis=1).T @ batch.q
             at_col, at_slot = self.trainable_halves.take(batch.held, axis=2)
-            _scatter_rows(_halves(self.d_ent), at_col, batch.dh, batch.flat)
-            _scatter_rows(_halves(self.d_rel), at_slot, batch.dr, batch.flat)
+            (dh, dr), flat = batch.dhr, batch.flat[0]
+            _scatter_rows(_halves(self.d_ent), at_col, dh, flat)
+            _scatter_rows(_halves(self.d_rel), at_slot, dr, flat)
         # the fixed rows' resolved words; all of the batch when no row moves
         fx = (~moving).nonzero()[0] if len(mv) else None
         at = sel if fx is None else sel.take(fx, out=self.fixed_sel[: len(fx)])
@@ -746,14 +749,15 @@ def _fit(
 ) -> None:
     """Run adaptive-gradient epochs in place.
 
-    ``step(model, sel, reg_weight)`` gives the loss, the data loss and the
-    gradients of the rows in its ``ent_idx`` and ``rel_idx`` slots; only those
-    rows move. Batch order is drawn from a stream keyed only by (seed, example
-    count), so two fits over the same example set replay the same batches.
+    ``step(model, sel, reg_weight)`` gives the loss and the data loss, and
+    writes the gradient of each of its ``slots``, (table, rows, gradient)
+    triples; only those rows move. Batch order is drawn from a stream keyed
+    only by (seed, example count), so two fits over the same example set
+    replay the same batches.
     """
     lr = config.learning_rate
-    slots = [(model.ent, step.ent_idx), (model.rel, step.rel_idx)]
-    acc = [np.zeros_like(param[idx]) for param, idx in slots]
+    slots = step.slots
+    acc = [np.zeros_like(grad) for _, _, grad in slots]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     model.history = []
 
@@ -762,16 +766,16 @@ def _fit(
         epoch_nll = 0.0
         for start in range(0, len(examples), config.batch_size):
             sel = perm[start : start + config.batch_size]
-            loss, data_loss, grads = step(model, sel, config.reg_weight)
+            loss, data_loss, _ = step(model, sel, config.reg_weight)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged (non-finite) at epoch {epoch}")
             epoch_nll += data_loss * len(sel)
-            for (param, idx), accum, grad in zip(slots, acc, grads):
+            for (param, idx, grad), accum in zip(slots, acc):
                 if len(accum):
                     accum += grad * grad
                     param[idx] -= lr * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-        for param, _ in slots:
-            if not np.all(np.isfinite(param)):
+        for param, _, _ in slots:
+            if not np.isfinite(param).all():
                 raise TrainingError(f"embeddings became non-finite at epoch {epoch}")
         record = {"epoch": epoch, "train_nll": epoch_nll / len(examples)}
         if valid_examples is not None and len(valid_examples):

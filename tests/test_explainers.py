@@ -415,6 +415,21 @@ class TestBuilder:
             )
 
 
+@pytest.mark.parametrize(
+    "algorithm", ["exhaustive-length-1", "data-poisoning-direct", "criage-first-order"]
+)
+@pytest.mark.parametrize(
+    ("field", "value"), [("top_m", 0), ("top_m", -2), ("prefilter_k", 0)]
+)
+def test_heuristic_explainers_validate_their_config_first(setup, algorithm, field, value):
+    # the Python API holds the bounds the CLI enforces: top_m=0 used to give an
+    # empty run and top_m=-2 to drop the last two neighbours
+    kg, config, model, prediction = setup
+    ec = ExplainerConfig(post_train_epochs=2, **{field: value})
+    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+        run_algorithm(algorithm, kg, model, prediction, ec, config)
+
+
 class TestRunSerialization:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_run_file_round_trip(self, desk_kg, desk_config, desk_model, tmp_path, algorithm):

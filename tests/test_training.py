@@ -361,6 +361,35 @@ class TestDenseStep:
         with pytest.raises(DomainError):
             _DenseStep(model, np.asarray([[0, 0, 12]]), batch_size=4)
 
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    @pytest.mark.parametrize("graph", ["random", "repeated-queries"])
+    def test_one_batch_fit_path_is_bit_exact(self, graph, reg_weight):
+        # a step whose rows fit one batch groups its queries once per fit; the same
+        # permutations through a step with one row more take the per-batch grouping
+        if graph == "random":
+            kg = make_random_kg(seed=4, n_entities=15, n_relations=3, n_triples=60)
+        else:
+            triples = tuple(
+                Triple(h, r, o) for h in range(4) for r in range(2) for o in range(4, 8)
+            )
+            kg = KnowledgeGraph([f"e{i}" for i in range(8)], ["r0", "r1"], triples)
+        config = TrainConfig(dimension=4, epochs=3, seed=3)
+        model = train(init_model(kg, config), kg, config)
+        examples = build_examples(kg.train, kg.num_relations)
+        whole = _DenseStep(model, examples, batch_size=len(examples))
+        per_batch = _DenseStep(
+            model, np.concatenate([examples, examples[:1]]), batch_size=len(examples)
+        )
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            sel = rng.permutation(len(examples))
+            got, want = whole(model, sel, reg_weight), per_batch(model, sel, reg_weight)
+            assert got[:2] == want[:2]
+            for a, b in zip(got[2], want[2]):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert whole.softmax.whole is not None and per_batch.softmax.whole is None
+
+
 
 def _dense_masked_fit(
     model, examples, config, epochs, ent_idx, rel_idx, step=batch_loss_and_grads
@@ -647,8 +676,29 @@ def _reference_post_train(model, kg, modified, entities, config, epochs, relatio
             tuned.rel[rel_idx] = fresh.rel[rel_idx]
     examples = build_examples(modified, kg.num_relations)
     step = _ReferenceRestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size)
-    training._fit(tuned, examples, config, epochs, step)
+    training._fit(tuned, examples, config, epochs, _IntoSlots(step, tuned))
     return tuned
+
+
+class _IntoSlots:
+    """A step returning new gradient arrays, as ``training._fit`` runs it.
+
+    ``_fit`` reads each gradient from the step's (table, rows, gradient)
+    slots, so every call copies the returned gradients into them.
+    """
+
+    def __init__(self, step, model):
+        self.step = step
+        self.slots = [
+            (table, idx, np.empty((len(idx), table.shape[1])))
+            for table, idx in ((model.ent, step.ent_idx), (model.rel, step.rel_idx))
+        ]
+
+    def __call__(self, model, sel, reg_weight):
+        loss, data_loss, grads = self.step(model, sel, reg_weight)
+        for (_, _, out), grad in zip(self.slots, grads):
+            out[...] = grad
+        return loss, data_loss, grads
 
 
 # The restricted step runs its moving rows through the per-query kernel, which
@@ -910,6 +960,38 @@ class TestPostTrain:
         assert not np.array_equal(tuned.rel_re[0], self.model.rel_re[0])
         assert not np.array_equal(tuned.rel_re[n_rel], self.model.rel_re[n_rel])
         assert np.array_equal(tuned.rel_re[1], self.model.rel_re[1])
+
+
+class TestNoAliasing:
+    """Fits work on their own joint copy of the tables and never rebind the caller's."""
+
+    def test_fits_leave_the_input_tables_alone(self):
+        kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
+        config = TrainConfig(dimension=6, epochs=4, batch_size=32, seed=5)
+        model = train(init_model(kg, config), kg, config)
+        ent, rel = model.ent, model.rel
+        bits = (ent.copy().view(np.int64), rel.copy().view(np.int64))
+        full = dict(trainable_relations=range(kg.num_relations))
+        train(model, kg, config)
+        post_train(model, kg, kg.train[1:], range(kg.num_entities), config, **full)
+        post_train(model, kg, kg.train[1:], {0, 3}, config, epochs=2)
+        post_train(model, kg, kg.train[1:], {2, 7}, config, epochs=2, trainable_relations={1})
+        batch_loss_and_grads(model, build_examples(kg.train, kg.num_relations), 1e-3)
+        assert model.ent is ent and model.rel is rel
+        assert np.array_equal(ent.view(np.int64), bits[0])
+        assert np.array_equal(rel.view(np.int64), bits[1])
+
+    def test_clone_of_a_fitted_model_shares_no_memory_with_it(self):
+        kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
+        config = TrainConfig(dimension=6, epochs=2, seed=5)
+        model = train(init_model(kg, config), kg, config)
+        twin = model.clone()
+        for mine in (twin.ent, twin.rel):
+            for theirs in (model.ent, model.rel):
+                assert not np.shares_memory(mine, theirs)
+        twin.ent += 1.0
+        twin.rel += 1.0
+        assert not np.array_equal(twin.ent, model.ent) and not np.array_equal(twin.rel, model.rel)
 
 
 def test_desk_sweeps_post_train_from_one_base_model(

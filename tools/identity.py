@@ -1,6 +1,6 @@
 """Compare the outputs of this tree and of a base revision on the benchmark graphs.
 
-    python3 tools/identity.py --base <rev> --seeds 29 4099
+    python3 tools/identity.py --base <rev> --seeds 29 4099 [--exact]
 
 Run from anywhere inside a git checkout. The base revision's tree is written
 with ``git archive`` into a scratch directory (a temporary one unless
@@ -25,6 +25,12 @@ Exit status 1 when a guarded value differs: a ``psi``, ``rank_before`` or
 ``selection.json``, ``comparison.json`` or a metrics report (``report.json``,
 ``report_per_triple.csv``, ``report_pareto.csv``), or a file that only one
 side wrote. Exit status 2 when a command fails.
+
+With ``--exact`` every output is guarded: each file byte for byte, but for a
+JSON file, whose ``counters`` (run time, which no two runs share) are
+dropped first, and each checkpoint array bit for bit (``checkpoint.npz``,
+``simultaneous_*_model.npz``), so ``loss_curve.csv`` too. A speed-up that
+claims to change no bit is checked with ``--exact``.
 """
 from __future__ import annotations
 
@@ -145,22 +151,35 @@ def _guarded(file: str, key_path: str) -> bool:
     return bool(GUARDED_KEYS & set(keys)) or key_path.startswith("best.triples")
 
 
-def compare_file(base: Path, change: Path, name: str) -> tuple[str, dict[str, float], bool]:
-    """(Verdict line, deviation per key, whether a guarded value differs) for one output file."""
+def compare_file(
+    base: Path, change: Path, name: str, exact: bool = False
+) -> tuple[str, dict[str, float], bool]:
+    """(Verdict line, deviation per key, whether a guarded value differs) for one output file.
+
+    With ``exact`` any difference is guarded, but in a JSON file's ``counters``.
+    """
     if base.read_bytes() == change.read_bytes():
         return "identical", {}, False
     if name.endswith(".npz"):
         with np.load(base) as a, np.load(change) as b:
             missing = sorted(set(a.files) ^ set(b.files))
+            shared = sorted(set(a.files) & set(b.files))
             deviations = {
                 key: float(np.abs(a[key] - b[key]).max())
                 if a[key].dtype.kind == "f" and a[key].shape == b[key].shape
                 else (0.0 if np.array_equal(a[key], b[key]) else math.nan)
-                for key in sorted(set(a.files) & set(b.files))
+                for key in shared
             }
+            same_bits = all(
+                (a[key].dtype, a[key].shape, a[key].tobytes())
+                == (b[key].dtype, b[key].shape, b[key].tobytes())
+                for key in shared
+            )
         parts = [f"{key} max |d| {value:.3g}" for key, value in deviations.items()]
         parts += [f"{key} on one side only" for key in missing]
-        return ", ".join(parts), deviations, bool(missing)
+        if same_bits and not missing:
+            parts = ["every array bit-identical"]
+        return ", ".join(parts), deviations, bool(missing) or (exact and not same_bits)
     if name.endswith(".json"):
         a, b = (json.loads(p.read_text(encoding="utf-8")) for p in (base, change))
         a, b = _drop_counters(a), _drop_counters(b)
@@ -180,12 +199,14 @@ def compare_file(base: Path, change: Path, name: str) -> tuple[str, dict[str, fl
                 except ValueError:
                     deviation = math.nan
                 diffs["(text)"] = max(diffs.get("(text)", -math.inf), deviation)
-    guarded = any(_guarded(name, key) for key in diffs)
+    guarded = exact or any(_guarded(name, key) for key in diffs)
     line = "differs: " + ", ".join(f"{key} max |d| {value:.3g}" for key, value in diffs.items())
     return line, diffs, guarded
 
 
-def compare_trees(base: Path, change: Path, label: str, worst: dict[str, float]) -> bool:
+def compare_trees(
+    base: Path, change: Path, label: str, worst: dict[str, float], exact: bool = False
+) -> bool:
     """Print one line per output file of a case; whether any guarded value differed."""
     files = {
         str(p.relative_to(root)) for root in (base, change) for p in root.rglob("*") if p.is_file()
@@ -197,7 +218,7 @@ def compare_trees(base: Path, change: Path, label: str, worst: dict[str, float])
             print(f"{label} {name}: only in {'base' if a.is_file() else 'change'}")
             bad = True
             continue
-        line, deviations, guarded = compare_file(a, b, name)
+        line, deviations, guarded = compare_file(a, b, name, exact)
         print(f"{label} {name}: {line}{'  [GUARDED]' if guarded else ''}")
         bad |= guarded
         kind = "checkpoint" if name.endswith(".npz") else None
@@ -213,6 +234,10 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--seeds", type=int, nargs="+", default=[29])
     parser.add_argument("--work", type=Path, help="new scratch directory, kept (default: a temporary one)")
+    parser.add_argument(
+        "--exact", action="store_true",
+        help="guard every output byte for byte (JSON outside counters) and every checkpoint bit",
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="kgexplain-identity-") as temp:
         work = Path(temp) if args.work is None else args.work.resolve()
@@ -226,7 +251,9 @@ def main(argv=None) -> int:
                 for side, tree in trees.items():
                     outs[side] = work / "runs" / side / label
                     run_case(tree, case, seed, outs[side])
-                bad |= compare_trees(outs["base"] / "out", outs["change"] / "out", label, worst)
+                bad |= compare_trees(
+                    outs["base"] / "out", outs["change"] / "out", label, worst, args.exact
+                )
     for key, value in sorted(worst.items()):
         print(f"largest {key} deviation: {value:.3g}")
     print("guarded values differ" if bad else "guarded values identical")
