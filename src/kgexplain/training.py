@@ -38,14 +38,17 @@ table of its latest base training set and the base model of its latest
 post-train with a frozen row (:class:`_BaseModel`), which holds what depends
 on the base alone and the frozen context of its latest mask. Each step scores
 its fixed rows against the trainable entities only and merges the two parts
-into the normaliser; gradients are formed for the trainable rows alone. The
-removal candidates of a prediction share one mask, whichever algorithm
-proposed them, and a worker thread runs one prediction's algorithms at a time
+into the normaliser; gradients are formed for the trainable rows alone. A
+one-batch post-train (every desk-graph post-train) groups its fixed rows by
+query once per fit and sums their gradient per query in key order, so, as in
+the dense step, its bits do not depend on the batch order. The removal
+candidates of a prediction share one mask, whichever algorithm proposed them,
+and a worker thread runs one prediction's algorithms at a time
 (``cli.cmd_explain``), so their context is computed once per prediction.
 Threads share none of this state, so none of it is locked. Frozen rows stay
 bit-identical; trainable rows differ from a per-example restricted step only
-by summation order (measured at most 3.4e-13 after 60 desk-graph epochs and
-4.4e-15 after one mid-graph epoch).
+by summation order (measured at most 1.1e-14 after 60 one-batch desk-graph
+epochs and 4.4e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
@@ -150,17 +153,6 @@ def _n3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``table[rows]`` into ``out``; ids are range-checked when a step is built."""
     return table.take(rows, axis=0, out=out, mode="clip")
-
-
-def _row_max(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1)`` into ``out``, through ``work``, the ``x.T``-shaped workspace.
-
-    A reduction over a short last axis costs several times as much as the
-    copy and a reduction over its leading axis (numpy 2.4, x86-64: 40 against
-    8 µs for 512 rows of 6 columns, as in the restricted steps). A max is exact.
-    """
-    np.copyto(work, x.T)
-    return np.maximum.reduce(work, axis=0, out=out)
 
 
 def _check_ids(model: EmbeddingModel, columns: np.ndarray) -> None:
@@ -486,13 +478,6 @@ def _base_examples(train: Sequence[Triple], num_relations: int) -> np.ndarray:
     return held[2]
 
 
-def _slots(trainable: np.ndarray) -> np.ndarray:
-    """Each row's slot among the trainable rows, in row order; -1 for a frozen row."""
-    slots = np.full(len(trainable), -1, dtype=np.int64)
-    slots[trainable] = np.arange(np.count_nonzero(trainable))
-    return slots
-
-
 class _BaseModel:
     """One base model and training set, and the frozen context of one mask over them.
 
@@ -577,20 +562,23 @@ class _RestrictedStep:
     A fit row is moving when its head entity or relation row is trainable, or
     when it lies past the base example table, which the frozen context does
     not cover; every other row is fixed. Per example, resolved once per fit:
-    ``ids``, seven rows (head, relation row, target, the head's and target's
-    column among the trainable entities and the relation's slot, -1 when
-    frozen, and the row's index among the fit's moving rows, -1 when fixed),
-    and ``resolved``, its four words of the thread's :class:`_BaseModel`.
+    ``ids``, five rows (head, relation row as a row of the joint table,
+    target, the target's column among the trainable entities, -1 when frozen,
+    and the row's index among the fit's moving rows, -1 when fixed), and
+    ``resolved``, its four words of the thread's :class:`_BaseModel`.
 
     The moving rows of a batch run the kernel (:class:`_QuerySoftmax`); their
     entity gradient is formed for the trainable columns alone, and the
     gradients of their heads and relations are scattered into the trainable
     rows, those of frozen ones into a spare last row of each gradient
-    workspace. Each fixed row's query is scored against the trainable columns
-    only and its normaliser completed with the frozen partials. A step costs
-    O(n |T| d + n_moving E d) instead of O(n E d); its temporaries live in
-    workspaces that grow to the longest batch. Its two slots are the
-    trainable rows of ``ent`` and of ``rel``.
+    workspace. The fixed rows run in groups (:meth:`_groups`), each scored
+    against the trainable columns only, its normaliser completed with the
+    frozen partials. Each fixed row of a batch is its own group, but a batch
+    that holds every fit row reads the fit's distinct fixed queries in key
+    order, grouped once per fit, with the N3 uses and the scatter bins, and
+    no per-row id. A step costs O(n |T| d + n_moving E d) instead of
+    O(n E d); its temporaries live in workspaces that grow to the longest
+    batch. Its two slots are the trainable rows of ``ent`` and of ``rel``.
 
     ``rows`` selects the fit's rows of ``examples``, which starts with the
     example table of ``train`` (:func:`_base_examples`). The trainable ids
@@ -608,41 +596,39 @@ class _RestrictedStep:
         rows: np.ndarray,
     ) -> None:
         columns = _fit_columns(model, examples, rows)
-        heads, rels, targets = columns
-        width = model.ent.shape[1]
-        self.ent_idx, self.rel_idx = ent_idx, rel_idx
-        ent_trainable = np.zeros(model.num_entities, dtype=bool)
-        ent_trainable[ent_idx] = True
-        rel_trainable = np.zeros(len(model.rel), dtype=bool)
-        rel_trainable[rel_idx] = True
-        self.ids = ids = np.empty((7, len(heads)), dtype=np.int64)
+        width, entities = model.ent.shape[1], len(model.ent)
+        self.ent_idx, self.rel_idx, self.table = ent_idx, rel_idx, _joint_table(model)
+        # the trainable rows of the joint table, entities first, and each row's slot among them
+        self.idx = np.concatenate([ent_idx, rel_idx + entities])
+        slot = np.full(len(self.table), -1, dtype=np.int64)
+        slot[self.idx] = np.arange(len(self.idx))
+        self.ids = ids = np.empty((5, columns.shape[1]), dtype=np.int64)
         ids[:3] = columns
-        column, rel_slot = _slots(ent_trainable), _slots(rel_trainable)
-        for row, table, of in ((3, column, heads), (4, column, targets), (5, rel_slot, rels)):
-            np.take(table, of, out=ids[row])
-        self.moving = ent_trainable[heads] | rel_trainable[rels] | (rows >= 2 * len(train))
+        ids[1] += entities
+        np.take(slot, columns[2], out=ids[3])
+        trainable = slot >= 0
+        self.moving = trainable[ids[0]] | trainable[ids[1]] | (rows >= 2 * len(train))
         moving = np.flatnonzero(self.moving)
-        ids[6] = -1
-        ids[6, moving] = np.arange(len(moving))
+        ids[4] = -1
+        ids[4, moving] = np.arange(len(moving))
         self.softmax = _QuerySoftmax(model, columns[:, moving])
         # each moving query's head column and relation slot, a frozen one sent to the
         # spare last row of its gradient workspace, as half-row ids
-        query_heads, query_rels = self.softmax.query_ids
-        slots = np.stack([column.take(query_heads), rel_slot.take(query_rels - len(model.ent))])
-        spare = np.array([[len(ent_idx)], [len(rel_idx)]])
-        self.trainable_halves = _half_ids(np.where(slots < 0, spare, slots))
-        self.resolved = np.zeros((len(heads), 4), dtype=np.int64)
-        self.table = _joint_table(model)
+        slots = slot.take(self.softmax.query_ids)
+        spare = np.array([[len(ent_idx)], [len(self.idx)]])
+        self.trainable_halves = _half_ids(np.where(slots < 0, spare, slots) - [[0], [len(ent_idx)]])
+        self.resolved = np.zeros((columns.shape[1], 4), dtype=np.int64)
+        # the N3 penalty of every row; the trainable rows' entries are refreshed each step
         if self.moving.all():
-            self.queries, penalty = np.empty((0, width)), _n3(self.table)[0]
+            self.queries, self.penalty = np.empty((0, width)), _n3(self.table)[0]
         else:
+            ent_trainable, rel_trainable = np.split(trainable, [entities])
             base = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
-            self.queries, penalty = base.queries, base.penalty.copy()
+            self.queries, self.penalty = base.queries, base.penalty.copy()
             # rows past the base set are moving; clipped here, their words stay unread
             np.take(base.resolved, rows, axis=0, out=self.resolved, mode="clip")
-        # N3 penalty of every row; the trainable rows' entries are refreshed each step
-        self.ent_penalty, self.rel_penalty = np.split(penalty, [len(model.ent)])
         self.capacity = 0
+        self.held = self.whole = None
         self.ent_t = np.empty((len(ent_idx), width))
         self.d_ent = np.empty((len(ent_idx) + 1, width))
         self.d_rel = np.empty((len(rel_idx) + 1, width))
@@ -654,88 +640,97 @@ class _RestrictedStep:
             return
         self.capacity = n
         trainable, width = self.ent_t.shape
-        self.batch = np.empty(7 * n, dtype=np.int64)
-        self.fixed_rows, self.fixed_sel = np.empty((n, 4), dtype=np.int64), np.empty(n, dtype=np.int64)
-        self.vectors = np.empty((4, n))
+        self.batch, self.vectors = np.empty(5 * n, dtype=np.int64), np.empty((3, n))
         self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * trainable)
-        self.fixed_probs, self.fixed_grad = np.empty(n * trainable), np.empty((trainable, width))
+        self.fixed_grad = np.empty((trainable, width))
         self.softmax.reserve(min(n, len(self.softmax.targets)))
+
+    def _groups(self, at: np.ndarray, by_query: bool) -> tuple:
+        """The fixed fit rows ``at`` in groups: one per distinct query if ``by_query``, else per row.
+
+        Per group, in key order when ``by_query``: its query row's index, its
+        rows' count, and its frozen max and exp-sum; then the flat cells of its
+        rows' trainable targets in the ``(|T|, groups)`` scores, with their
+        hits, and the sum of the rows' frozen target scores.
+        """
+        words = self.resolved.take(at, axis=0)
+        cols, partials = self.ids[3].take(at), words[:, 1:].view(np.float64)
+        if by_query:
+            _, first, of, count = np.unique(
+                words[:, 0], return_index=True, return_inverse=True, return_counts=True
+            )
+        else:
+            first, of, count = slice(None), np.arange(len(at)), np.ones(len(at))
+        hit = cols >= 0
+        cells, hits = cols[hit] * len(count) + of[hit], np.ones(np.count_nonzero(hit))
+        if by_query:
+            cells, hits = np.unique(cells, return_counts=True)
+        maxes, sums = partials[first, :2].T
+        return words[first, 0], count, maxes, sums, cells, hits, np.add.reduce(partials[:, 2])
 
     def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
         """Loss, data loss and the trainable rows' gradients (workspaces) over example rows ``sel``.
 
-        They equal the dense step's values up to the order of summation.
+        They equal the dense step's values up to the order of summation. A
+        ``sel`` as long as the fit holds each fit row once, as :func:`_fit` draws it.
         """
-        ent, rel, n = model.ent, model.rel, len(sel)
-        trainable, width = self.ent_t.shape
+        n, (trainable, width) = len(sel), self.ent_t.shape
         self._reserve(n)
-        ids = self.ids.take(sel, axis=1, out=self.batch[: 7 * n].reshape(7, n), mode="clip")
-        heads, rels, targets, head_col, target_col, slots, moving_row = ids
-        moving = moving_row >= 0
-        ent_t = ent.take(self.ent_idx, axis=0, out=self.ent_t)
-        nll = self.vectors[3, :n]
+        if n < len(self.moving):
+            ids = self.ids.take(sel, axis=1, out=self.batch[: 5 * n].reshape(5, n), mode="clip")
+            moving = ids[4] >= 0
+            mv, groups = ids[4, moving], self._groups(sel[~moving], False)
+            uses = np.bincount(ids[:3].ravel(), minlength=len(self.table))
+        else:
+            if self.whole is None:
+                fixed = self._groups(np.flatnonzero(~self.moving), True)
+                uses = np.bincount(self.ids[:3].ravel(), minlength=len(self.table))
+                self.whole = np.arange(len(self.softmax.targets)), fixed, uses
+            mv, groups, uses = self.whole
+        ent_t = model.ent.take(self.ent_idx, axis=0, out=self.ent_t)
         self.d_ent.fill(0.0)
         self.d_rel.fill(0.0)
         d_ent, d_rel = self.d_ent[:-1], self.d_rel[:-1]
 
-        mv = moving.nonzero()[0]
+        nll = 0.0
         if len(mv):
-            batch = self.softmax(self.table, moving_row.take(mv), n)
-            nll.put(mv, np.negative(batch.value))
+            batch = self.softmax(self.table, mv, n)
+            nll -= np.add.reduce(batch.value)
             d_ent += batch.grad.take(self.ent_idx, axis=1).T @ batch.q
-            at_col, at_slot = self.trainable_halves.take(batch.held, axis=2)
-            (dh, dr), flat = batch.dhr, batch.flat[0]
-            _scatter_rows(_halves(self.d_ent), at_col, dh, flat)
-            _scatter_rows(_halves(self.d_rel), at_slot, dr, flat)
-        # the fixed rows' resolved words; all of the batch when no row moves
-        fx = (~moving).nonzero()[0] if len(mv) else None
-        at = sel if fx is None else sel.take(fx, out=self.fixed_sel[: len(fx)])
-        nf = len(at)
-        if nf:
-            fixed = _gather(self.resolved, at, self.fixed_rows[:nf])
-            frozen_max, frozen_sum, target_score = fixed[:, 1:].view(np.float64).T
-            qf = _gather(self.queries, fixed[:, 0], self.fixed_q[: nf * width].reshape(nf, -1))
-            scores = np.matmul(qf, ent_t.T, out=self.fixed_scores[: nf * trainable].reshape(nf, -1))
-            top, z, value = self.vectors[:3, :nf]
-            work = self.fixed_probs[: nf * trainable]  # the transposed scores, then the probs
-            np.maximum(frozen_max, _row_max(scores, top, work.reshape(trainable, nf)), out=top)
-            probs = np.subtract(scores, top[:, None], out=work.reshape(nf, trainable))
-            np.exp(probs, out=probs)
+            if batch.held is not self.held:
+                # the bins of the head and relation scatter, kept while the kernel's grouping is
+                halves = self.trainable_halves.take(batch.held, axis=2)
+                self.held, self.bins = batch.held, _bins(halves, width // 2, batch.flat)
+            _scatter_rows(_halves(self.d_ent), None, batch.dhr[0], self.bins[0])
+            _scatter_rows(_halves(self.d_rel), None, batch.dhr[1], self.bins[1])
+        query_rows, count, frozen_max, frozen_sum, cells, hits, frozen_targets = groups
+        m = len(count)
+        if m:
+            qf = _gather(self.queries, query_rows, self.fixed_q[: m * width].reshape(m, -1))
+            scores = self.fixed_scores[: m * trainable].reshape(trainable, m)
+            np.matmul(ent_t, qf.T, out=scores)
+            top, z, value = self.vectors[:, :m]
+            np.maximum(frozen_max, np.maximum.reduce(scores, axis=0, out=top), out=top)
+            nll -= hits @ scores.take(cells) + frozen_targets
+            probs = np.exp(np.subtract(scores, top, out=scores), out=scores)
             np.exp(np.subtract(frozen_max, top, out=z), out=z)
             z *= frozen_sum
-            z += np.add.reduce(probs, axis=1, out=value)
-            cols = target_col if fx is None else target_col.take(fx)
-            hit = (cols >= 0).nonzero()[0]
-            if len(hit):
-                target_score[hit] = scores[hit, cols[hit]]
-            np.add(top, np.log(z, out=value), out=value)
-            value -= target_score
-            if fx is None:
-                nll[:] = value
-            else:
-                nll.put(fx, value)
-            probs /= z[:, None]
-            if len(hit):
-                probs[hit, cols[hit]] -= 1.0
+            z += np.add.reduce(probs, axis=0, out=value)
+            nll += count @ np.add(top, np.log(z, out=value), out=value)
+            probs /= np.divide(z, count, out=z)
+            probs.reshape(-1)[cells] -= hits
             probs /= n
-            d_ent += np.matmul(probs.T, qf, out=self.fixed_grad)
+            d_ent += np.matmul(probs, qf, out=self.fixed_grad)
 
-        data_loss = float(np.add.reduce(nll) / n)
+        data_loss = float(nll / n)
         loss = data_loss
         if reg_weight > 0:
             # every occurrence of a row as a head, relation or target adds its penalty
-            c = 3.0 * reg_weight / n
-            self.ent_penalty[self.ent_idx], g_ent = _n3(ent_t)
-            # columns shifted by one, so that frozen heads and targets count in bin 0
-            uses = np.bincount(head_col + 1, minlength=trainable + 1)
-            uses += np.bincount(target_col + 1, minlength=trainable + 1)
-            d_ent += (c * uses[1:])[:, None] * g_ent
-            if len(self.rel_idx):
-                self.rel_penalty[self.rel_idx], g_rel = _n3(rel[self.rel_idx])
-                uses = np.bincount(slots[slots >= 0], minlength=len(self.rel_idx))
-                d_rel += (c * uses)[:, None] * g_rel
-            penalty = self.ent_penalty[heads].sum() + self.ent_penalty[targets].sum()
-            loss += reg_weight * float(penalty + self.rel_penalty[rels].sum()) / n
+            self.penalty[self.idx], g = _n3(self.table[self.idx])
+            g *= (3.0 * reg_weight / n * uses[self.idx])[:, None]
+            d_ent += g[:trainable]
+            d_rel += g[trainable:]
+            loss += reg_weight * float(self.penalty @ uses) / n
         return loss, data_loss, (d_ent, d_rel)
 
 

@@ -701,10 +701,42 @@ class _IntoSlots:
         return loss, data_loss, grads
 
 
-# The restricted step runs its moving rows through the per-query kernel, which
-# sums in another order than the reference's per-example rows; after 12
-# desk-graph epochs trainable rows moved by at most 2.3e-15 from it.
+# The restricted step runs its moving rows through the per-query kernel and, in
+# a one-batch fit, its fixed rows per query, which sum in another order than
+# the reference's per-example rows; after 12 desk-graph epochs trainable rows
+# moved by at most 2.3e-15 from it in batches of 128, and by at most 2.5e-15
+# in one batch.
 FIT_BOUND = {"rtol": 1e-12, "atol": 1e-14}
+
+
+def _assert_fit_matches(got, want, model, entities, relations, name):
+    """Frozen rows of ``got`` bit-identical to ``model``'s; trainable rows and history within bound."""
+    frozen = np.setdiff1d(np.arange(len(model.ent)), sorted(entities))
+    frozen_rel = np.setdiff1d(np.arange(len(model.rel)), _relation_rows(relations, model.num_relations))
+    assert np.array_equal(got.ent[frozen], model.ent[frozen]), name
+    assert np.array_equal(got.rel[frozen_rel], model.rel[frozen_rel]), name
+    np.testing.assert_allclose(got.ent, want.ent, **FIT_BOUND, err_msg=name)
+    np.testing.assert_allclose(got.rel, want.rel, **FIT_BOUND, err_msg=name)
+    np.testing.assert_allclose(
+        [h["train_nll"] for h in got.history],
+        [h["train_nll"] for h in want.history],
+        **FIT_BOUND,
+        err_msg=name,
+    )
+
+
+def _restricted_and_reference_fits(model, kg, rows, ent_idx, config, epochs):
+    """A restricted fit of ``rows`` of ``kg``'s base example table, and the reference fit of them."""
+    examples = build_examples(kg.train, kg.num_relations)
+    rel_idx = np.empty(0, dtype=np.int64)
+    got, want = model.clone(), model.clone()
+    step = _RestrictedStep(got, examples, ent_idx, rel_idx, kg.train, config.batch_size, rows)
+    training._fit(got, rows, config, epochs, step)
+    reference = _ReferenceRestrictedStep(
+        want, examples[rows], ent_idx, rel_idx, kg.train, config.batch_size
+    )
+    training._fit(want, examples[rows], config, epochs, _IntoSlots(reference, want))
+    return got, want
 
 
 class TestRestrictedStepExact:
@@ -712,9 +744,20 @@ class TestRestrictedStepExact:
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
     def test_post_train_sweeps_match_reference(self, desk_kg, desk_model, desk_config, reg_weight):
-        kg = desk_kg
         # 460 examples in batches of 128: three full batches and a ragged one per epoch
-        config = dataclasses.replace(desk_config, batch_size=128, reg_weight=reg_weight)
+        self._check_sweeps(desk_kg, desk_model, desk_config, reg_weight, batch_size=128)
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_one_batch_post_train_sweeps_match_reference(
+        self, desk_kg, desk_model, desk_config, reg_weight
+    ):
+        # every fit's rows in one batch: the fixed rows grouped by query once per fit
+        assert desk_config.batch_size >= 2 * len(desk_kg.train) + 2
+        self._check_sweeps(desk_kg, desk_model, desk_config, reg_weight, desk_config.batch_size)
+
+    @staticmethod
+    def _check_sweeps(kg, desk_model, desk_config, reg_weight, batch_size):
+        config = dataclasses.replace(desk_config, batch_size=batch_size, reg_weight=reg_weight)
         r_count = kg.num_relations
         s = kg.train[0].subject
         near = _one_hop_entities(kg, s)
@@ -759,20 +802,69 @@ class TestRestrictedStepExact:
                 want = _reference_post_train(
                     desk_model, kg, modified, entities, config, 12, relations, reinit
                 )
-                frozen = np.setdiff1d(np.arange(kg.num_entities), sorted(entities))
-                frozen_rel = np.setdiff1d(
-                    np.arange(2 * r_count), _relation_rows(relations, r_count)
-                )
-                assert np.array_equal(got.ent[frozen], desk_model.ent[frozen]), name
-                assert np.array_equal(got.rel[frozen_rel], desk_model.rel[frozen_rel]), name
-                np.testing.assert_allclose(got.ent, want.ent, **FIT_BOUND, err_msg=name)
-                np.testing.assert_allclose(got.rel, want.rel, **FIT_BOUND, err_msg=name)
-                np.testing.assert_allclose(
-                    [h["train_nll"] for h in got.history],
-                    [h["train_nll"] for h in want.history],
-                    **FIT_BOUND,
-                    err_msg=name,
-                )
+                _assert_fit_matches(got, want, desk_model, entities, relations, name)
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    @pytest.mark.parametrize("case", ["no-moving-row", "repeated-fixed-hits"])
+    def test_one_batch_fixed_groups_match_reference(
+        self, desk_kg, desk_model, desk_config, reg_weight, case
+    ):
+        kg = desk_kg
+        config = dataclasses.replace(desk_config, reg_weight=reg_weight)
+        examples = build_examples(kg.train, kg.num_relations)
+        # a fixed query with several targets, one of them the trainable entity
+        keys, counts = np.unique(_query_keys(desk_model, examples), return_counts=True)
+        key = keys[counts > 1][0]
+        at = np.flatnonzero(_query_keys(desk_model, examples) == key)
+        trainable = examples[at[0], 2]
+        if case == "no-moving-row":
+            # the object queries of triples the trainable entity is not the subject of:
+            # every row is fixed, and those with it as object hit its column
+            rows = np.flatnonzero((np.arange(len(examples)) % 2 == 0) & (examples[:, 0] != trainable))
+        else:
+            # every row, the query's trainable-target row twice more: three hits in one cell
+            rows = np.concatenate([np.arange(len(examples)), at[:1], at[:1]])
+        assert config.batch_size >= len(rows)
+        step = _RestrictedStep(
+            desk_model, examples, np.array([trainable]), np.empty(0, dtype=np.int64),
+            kg.train, config.batch_size, rows,
+        )
+        fixed = examples[rows][~step.moving]
+        hit = fixed[fixed[:, 2] == trainable]
+        assert len(hit) and len(np.unique(hit[:, :2], axis=0)) < len(fixed), case
+        assert step.moving.any() == (case != "no-moving-row"), case
+        if case != "no-moving-row":
+            assert (_query_keys(desk_model, hit) == key).sum() == 3, case
+        got, want = _restricted_and_reference_fits(
+            desk_model, kg, rows, np.array([trainable]), config, epochs=12
+        )
+        _assert_fit_matches(got, want, desk_model, {int(trainable)}, (), case)
+
+    def test_one_batch_fit_does_not_depend_on_the_batch_order(self, desk_kg, desk_model, desk_config):
+        # a latent addition: moving rows past the base table, repeated fixed queries and
+        # fixed rows that hit a trainable target; the two seeds draw two permutations of
+        # the same 462 rows, in one batch each
+        kg = desk_kg
+        s = kg.train[0].subject
+        added = next(
+            Triple(s, 0, o) for o in range(kg.num_entities) if Triple(s, 0, o) not in kg.train_set
+        )
+        entities = {s, added.object}
+        examples = build_examples(kg.train + (added,), kg.num_relations)
+        fixed = examples[~np.isin(examples[:, 0], sorted(entities))]
+        assert np.isin(fixed[:, 2], sorted(entities)).any()
+        assert len(np.unique(_query_keys(desk_model, fixed))) < len(fixed)
+        tables = []
+        for seed in (3, 4):
+            config = dataclasses.replace(desk_config, seed=seed)
+            tuned = post_train(desk_model, kg, kg.train + (added,), entities, config, epochs=12)
+            tables.append(np.concatenate([tuned.ent, tuned.rel]).view(np.int64))
+            want = _reference_post_train(
+                desk_model, kg, kg.train + (added,), entities, config, 12, (), False
+            )
+            _assert_fit_matches(tuned, want, desk_model, entities, (), f"seed {seed}")
+        assert not np.array_equal(tables[0][: len(desk_model.ent)], desk_model.ent.view(np.int64))
+        assert np.array_equal(tables[0], tables[1])
 
 
 class TestPostTrain:

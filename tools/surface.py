@@ -3,7 +3,8 @@
 Three numbers: the line count of ``src/kgexplain``, the number of names in
 ``kgexplain.__all__``, and the settable values. A settable value is an
 init field of a dataclass in ``__all__``, a defaulted parameter of a
-function in ``__all__``, or a search-space preset.
+function in ``__all__``, or a search-space preset. Then each module's line
+count, largest first.
 
     python3 tools/surface.py
 """
@@ -33,18 +34,26 @@ def settable_values() -> int:
     return count
 
 
+def module_lines() -> list[tuple[str, int]]:
+    """Each of the package's modules with its line count, largest first."""
+    counts = [
+        (path.name, len(path.read_text(encoding="utf-8").splitlines()))
+        for path in (SRC / "kgexplain").glob("*.py")
+    ]
+    return sorted(counts, key=lambda count: (-count[1], count[0]))
+
+
 def src_lines() -> int:
     """The line count of the package's modules."""
-    return sum(
-        len(path.read_text(encoding="utf-8").splitlines())
-        for path in sorted((SRC / "kgexplain").glob("*.py"))
-    )
+    return sum(lines for _, lines in module_lines())
 
 
 def main() -> None:
     print(f"src/kgexplain lines: {src_lines()}")
     print(f"__all__ names: {len(kgexplain.__all__)}")
     print(f"settable values: {settable_values()}")
+    for name, lines in module_lines():
+        print(f"  {name}: {lines}")
 
 
 if __name__ == "__main__":
