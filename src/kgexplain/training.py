@@ -655,16 +655,15 @@ class _RestrictedStep:
         """
         words = self.resolved.take(at, axis=0)
         cols, partials = self.ids[3].take(at), words[:, 1:].view(np.float64)
+        hit = cols >= 0
         if by_query:
             _, first, of, count = np.unique(
                 words[:, 0], return_index=True, return_inverse=True, return_counts=True
             )
+            cells, hits = np.unique(cols[hit] * len(count) + of[hit], return_counts=True)
         else:
-            first, of, count = slice(None), np.arange(len(at)), np.ones(len(at))
-        hit = cols >= 0
-        cells, hits = cols[hit] * len(count) + of[hit], np.ones(np.count_nonzero(hit))
-        if by_query:
-            cells, hits = np.unique(cells, return_counts=True)
+            first, count = slice(None), np.ones(len(at))
+            cells, hits = cols[hit] * len(at) + hit.nonzero()[0], np.ones(np.count_nonzero(hit))
         maxes, sums = partials[first, :2].T
         return words[first, 0], count, maxes, sums, cells, hits, np.add.reduce(partials[:, 2])
 

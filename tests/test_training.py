@@ -702,10 +702,10 @@ class _IntoSlots:
 
 
 # The restricted step runs its moving rows through the per-query kernel and, in
-# a one-batch fit, its fixed rows per query, which sum in another order than
-# the reference's per-example rows; after 12 desk-graph epochs trainable rows
-# moved by at most 2.3e-15 from it in batches of 128, and by at most 2.5e-15
-# in one batch.
+# a one-batch fit, sums its fixed rows' gradient per query in key order, both
+# in another order than the reference's per-example rows; after 12 desk-graph
+# epochs trainable rows moved by at most 2.2e-15 from it in batches of 128 and
+# 1.1e-14 in one batch, and ``train_nll`` by at most 2.9e-15.
 FIT_BOUND = {"rtol": 1e-12, "atol": 1e-14}
 
 
@@ -831,7 +831,7 @@ class TestRestrictedStepExact:
         )
         fixed = examples[rows][~step.moving]
         hit = fixed[fixed[:, 2] == trainable]
-        assert len(hit) and len(np.unique(hit[:, :2], axis=0)) < len(fixed), case
+        assert len(hit) and len(np.unique(fixed[:, :2], axis=0)) < len(fixed), case
         assert step.moving.any() == (case != "no-moving-row"), case
         if case != "no-moving-row":
             assert (_query_keys(desk_model, hit) == key).sum() == 3, case
