@@ -45,7 +45,9 @@ the dense step, its bits do not depend on the batch order. The removal
 candidates of a prediction share one mask, whichever algorithm proposed them,
 and a worker thread runs one prediction's algorithms at a time
 (``cli.cmd_explain``), so their context is computed once per prediction.
-Threads share none of this state, so none of it is locked. Frozen rows stay
+Threads share none of this state, so none of it is locked. A context fill scores
+``_BLOCK`` rows at a time through one reused block, whatever the batch size.
+Frozen rows stay
 bit-identical; trainable rows differ from a per-example restricted step only
 by summation order (measured at most 1.1e-14 after 60 one-batch desk-graph
 epochs and 4.4e-15 after one mid-graph epoch).
@@ -66,6 +68,8 @@ from .model import EmbeddingModel, TrainConfig, _cmul, _cmul_conj, _split, init_
 logger = logging.getLogger(__name__)
 
 _ADAGRAD_EPS = 1e-10
+# rows per score block outside a training step (the validation NLL, a context fill)
+_BLOCK = 64
 # a step's loss, data loss and ``ent`` and ``rel`` gradients
 _StepResult = tuple[float, float, tuple[np.ndarray, np.ndarray]]
 
@@ -395,15 +399,18 @@ def batch_loss_and_grads(
 def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
     """Data negative log-likelihood averaged over query rows, no regularization."""
     ent, rel = model.ent, model.rel
-    total = 0.0
-    for start in range(0, len(examples), 4096):
-        batch = examples[start : start + 4096]
-        scores = _cmul(ent[batch[:, 0]], rel[batch[:, 1]]) @ ent.T
+    block, values = np.empty((_BLOCK, len(ent))), np.empty(len(examples))
+    for start in range(0, len(examples), _BLOCK):
+        batch = examples[start : start + _BLOCK]
+        scores = block[: len(batch)]
+        np.matmul(_cmul(ent[batch[:, 0]], rel[batch[:, 1]]), ent.T, out=scores)
         target = scores[np.arange(len(batch)), batch[:, 2]]
         shift = scores.max(axis=1)
         scores -= shift[:, None]
         log_z = np.log(np.exp(scores, out=scores).sum(axis=1)) + shift
-        total += float((log_z - target).sum())
+        np.subtract(log_z, target, out=values[start : start + len(batch)])
+    # summed 4,096 rows at a time: the order the loss curve's bits rest on
+    total = sum(float(values[i : i + 4096].sum()) for i in range(0, len(values), 4096))
     return total / len(examples)
 
 
@@ -412,12 +419,12 @@ def _query_keys(model: EmbeddingModel, examples: np.ndarray) -> np.ndarray:
     return examples[:, 0] * len(model.rel) + examples[:, 1]
 
 
-def _query_rows(model: EmbeddingModel, keys: np.ndarray, chunk: int) -> np.ndarray:
-    """The query row ``h∘r`` of each (head, relation_row) key, ``chunk`` keys at a time."""
+def _query_rows(model: EmbeddingModel, keys: np.ndarray) -> np.ndarray:
+    """The query row ``h∘r`` of each (head, relation_row) key, ``_BLOCK`` keys at a time."""
     heads, rels = np.divmod(keys, len(model.rel))
     queries = np.empty((len(keys), model.ent.shape[1]))
-    for start in range(0, len(keys), chunk):
-        part = slice(start, start + chunk)
+    for start in range(0, len(keys), _BLOCK):
+        part = slice(start, start + _BLOCK)
         queries[part] = _cmul(model.ent[heads[part]], model.rel[rels[part]])
     return queries
 
@@ -427,38 +434,23 @@ def _frozen_partials(
     queries: np.ndarray,
     rows: np.ndarray,
     ent_trainable: np.ndarray,
-    chunk: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max and shifted exp-sum of the scores of ``queries[rows]`` over the frozen columns.
 
-    Works ``chunk`` rows at a time, so no score block is larger than a
-    training step's.
+    Scores ``_BLOCK`` rows at a time into one block, so a fill holds one
+    ``(_BLOCK, E)`` block of scores whatever its row count.
     """
-    maxes = np.empty(len(rows))
-    sums = np.empty(len(rows))
-    for start in range(0, len(rows), chunk):
-        part = slice(start, start + chunk)
-        scores = queries[rows[part]] @ model.ent.T
+    maxes, sums = np.empty((2, len(rows)))
+    block = np.empty((_BLOCK, len(model.ent)))
+    for start in range(0, len(rows), _BLOCK):
+        part = slice(start, start + _BLOCK)
+        scores = block[: len(rows[part])]
+        np.matmul(queries[rows[part]], model.ent.T, out=scores)
         scores[:, ent_trainable] = -np.inf
         maxes[part] = scores.max(axis=1)
         scores -= maxes[part, None]
         sums[part] = np.exp(scores, out=scores).sum(axis=1)
     return maxes, sums
-
-
-def _target_scores(
-    model: EmbeddingModel,
-    queries: np.ndarray,
-    query_row: np.ndarray,
-    targets: np.ndarray,
-    rows: np.ndarray,
-    chunk: int,
-    out: np.ndarray,
-) -> None:
-    """``out[rows]`` = the score ``q·e_o`` of each of ``rows``, ``chunk`` rows at a time."""
-    for start in range(0, len(rows), chunk):
-        part = rows[start : start + chunk]
-        out[part] = np.einsum("ij,ij->i", queries[query_row[part]], model.ent[targets[part]])
 
 
 # Each thread's post-train state: ``examples``, the example table of its latest
@@ -496,14 +488,14 @@ class _BaseModel:
     base table move, so what a fit reads does not depend on earlier fits.
     """
 
-    def __init__(self, model: EmbeddingModel, train: Sequence[Triple], chunk: int):
+    def __init__(self, model: EmbeddingModel, train: Sequence[Triple]):
         self.table = _joint_table(model).copy()
         self.train = train  # held, so that its identity stays unique
         self.examples = _base_examples(train, model.num_relations)
         _check_ids(model, self.examples.T)
         keys = _query_keys(model, self.examples)
         self.keys, self.query_of = np.unique(keys, return_inverse=True)
-        self.queries = _query_rows(model, self.keys, chunk)
+        self.queries = _query_rows(model, self.keys)
         self.penalty = _n3(self.table)[0]
         self.mask: tuple[bytes, bytes] | None = None
 
@@ -513,7 +505,7 @@ class _BaseModel:
         return train is self.train and np.array_equal(table, self.table.view(np.int64))
 
     def set_mask(
-        self, model: EmbeddingModel, ent_trainable: np.ndarray, rel_trainable: np.ndarray, chunk: int
+        self, model: EmbeddingModel, ent_trainable: np.ndarray, rel_trainable: np.ndarray
     ) -> None:
         """Compute the frozen context of this mask, unless it is the latest; ``model`` is the base."""
         mask = (ent_trainable.tobytes(), rel_trainable.tobytes())
@@ -523,7 +515,7 @@ class _BaseModel:
         fixed = np.flatnonzero(~(ent_trainable[heads] | rel_trainable[rels]))
         # indexed like the query rows; the entries of moving queries stay unread
         maxes, sums = np.zeros((2, len(self.keys)))
-        maxes[fixed], sums[fixed] = _frozen_partials(model, self.queries, fixed, ent_trainable, chunk)
+        maxes[fixed], sums[fixed] = _frozen_partials(model, self.queries, fixed, ent_trainable)
         query_of = self.query_of
         heads, rels, targets = self.examples.T
         moving = ent_trainable[heads] | rel_trainable[rels]
@@ -533,7 +525,10 @@ class _BaseModel:
         partials[:, 0], partials[:, 1] = maxes[query_of], sums[query_of]
         # a fixed row's score against its frozen target never changes either
         out = np.flatnonzero(~(moving | ent_trainable[targets]))
-        _target_scores(model, self.queries, query_of, targets, out, chunk, partials[:, 2])
+        for start in range(0, len(out), _BLOCK):
+            part = out[start : start + _BLOCK]
+            q, e = self.queries[query_of[part]], model.ent[targets[part]]
+            partials[part, 2] = np.einsum("ij,ij->i", q, e)
         self.mask, self.resolved = mask, resolved
 
 
@@ -542,7 +537,6 @@ def _frozen_context(
     ent_trainable: np.ndarray,
     rel_trainable: np.ndarray,
     train: Sequence[Triple],
-    chunk: int,
 ) -> _BaseModel:
     """This thread's base model of this model's content and training set, set to this mask.
 
@@ -551,8 +545,8 @@ def _frozen_context(
     """
     base = getattr(_STATE, "base", None)
     if base is None or not base.serves(model, train):
-        base = _STATE.base = _BaseModel(model, train, chunk)
-    base.set_mask(model, ent_trainable, rel_trainable, chunk)
+        base = _STATE.base = _BaseModel(model, train)
+    base.set_mask(model, ent_trainable, rel_trainable)
     return base
 
 
@@ -592,7 +586,6 @@ class _RestrictedStep:
         ent_idx: np.ndarray,
         rel_idx: np.ndarray,
         train: Sequence[Triple],
-        chunk: int,
         rows: np.ndarray,
     ) -> None:
         columns = _fit_columns(model, examples, rows)
@@ -623,7 +616,7 @@ class _RestrictedStep:
             self.queries, self.penalty = np.empty((0, width)), _n3(self.table)[0]
         else:
             ent_trainable, rel_trainable = np.split(trainable, [entities])
-            base = _frozen_context(model, ent_trainable, rel_trainable, train, chunk)
+            base = _frozen_context(model, ent_trainable, rel_trainable, train)
             self.queries, self.penalty = base.queries, base.penalty.copy()
             # rows past the base set are moving; clipped here, their words stay unread
             np.take(base.resolved, rows, axis=0, out=self.resolved, mode="clip")
@@ -895,8 +888,6 @@ def post_train(
     if len(ent_idx) == model.num_entities and np.array_equal(rel_idx, np.arange(len(model.rel))):
         step = _DenseStep(tuned, examples, config.batch_size, fit.rows)
     else:
-        step = _RestrictedStep(
-            tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size, fit.rows
-        )
+        step = _RestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, fit.rows)
     _fit(tuned, fit.rows, config, epochs, step)
     return tuned

@@ -360,6 +360,37 @@ class TestBuilder:
         for point in run["front"]:
             assert (point["length"], point["psi"], triples_of(point)) in true_points
 
+    def test_exhaustive_oracle_front_dominates_the_default_builder(
+        self, desk_kg, desk_model, desk_config, desk_predictions
+    ):
+        # psi cannot exceed the entity count, so a threshold above it never accepts, and a
+        # budget of C(6, 2) = 15 enumerates every pair: 6 + 15 fits per prediction
+        oracle_config = ExplainerConfig(
+            max_length=2, prefilter_k=6, evaluator="post-train",
+            acceptance_threshold=desk_kg.num_entities + 1, max_evals_per_length=15,
+        )
+        default_config = ExplainerConfig(max_length=2, prefilter_k=6, evaluator="post-train")
+        for prediction in desk_predictions[:5]:
+            pool = prefilter_topk(desk_kg, prediction, 6)
+            assert len(pool) == 6
+            oracle, default = (
+                variable_length_builder(desk_kg, desk_model, prediction, "necessary", ec, desk_config)
+                for ec in (oracle_config, default_config)
+            )
+            subsets = {frozenset(c) for k in (1, 2) for c in itertools.combinations(pool, k)}
+            assert sorted(map(triples_of, oracle["candidates"]), key=sorted) == sorted(
+                subsets, key=sorted
+            )
+            for point in default["front"]:
+                assert any(
+                    o["length"] <= point["length"] and o["psi"] >= point["psi"]
+                    for o in oracle["front"]
+                ), (prediction, point)
+            by_triples = {triples_of(c): c for c in oracle["candidates"]}
+            for c in default["candidates"]:
+                twin = by_triples[triples_of(c)]
+                assert (c["psi"], c["rank_after"]) == (twin["psi"], twin["rank_after"])
+
     def test_deterministic_under_fixed_seed(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(

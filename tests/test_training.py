@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,7 +434,11 @@ class TestRestrictedStep:
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-2])
     @pytest.mark.parametrize("with_relations", [False, True])
-    def test_trainable_gradients_and_loss_match_dense_step(self, reg_weight, with_relations):
+    def test_trainable_gradients_and_loss_match_dense_step(
+        self, reg_weight, with_relations, monkeypatch
+    ):
+        # 7-row score blocks make the frozen-column partials span several blocks
+        monkeypatch.setattr(training, "_BLOCK", 7)
         seen = {"head": 0, "target": 0, "fixed_target_in": 0, "fixed_target_out": 0}
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -444,10 +449,9 @@ class TestRestrictedStep:
             ent_idx = np.sort(rng.choice(15, size=int(rng.integers(1, 8)), replace=False))
             relations = {int(rng.integers(3))} if with_relations else set()
             rel_idx = _relation_rows(relations, kg.num_relations)
-            # half the triples seed the shared context, the rest lie past its table and
-            # move; chunk 7 makes the frozen-column partials span several blocks
+            # half the triples seed the shared context, the rest lie past its table and move
             table, base, rows = _split_table(kg)
-            step = _RestrictedStep(model, table, ent_idx, rel_idx, base, 7, rows)
+            step = _RestrictedStep(model, table, ent_idx, rel_idx, base, rows)
             sel = rng.permutation(len(examples))[:50]
             loss, data_loss, (g_ent, g_rel) = step(model, sel, reg_weight)
             dense_loss, dense_data, dense = batch_loss_and_grads(model, examples[sel], reg_weight)
@@ -482,7 +486,7 @@ class TestRestrictedStep:
         keys = _query_keys(model, examples[rows])
         on_moving = np.isin(examples[rows, 0], ent_idx)
         assert len(np.unique(keys[on_moving])) < on_moving.sum() - 1
-        step = _RestrictedStep(model, examples, ent_idx, rel_idx, kg.train, chunk=16, rows=rows)
+        step = _RestrictedStep(model, examples, ent_idx, rel_idx, kg.train, rows=rows)
         loss, data_loss, (g_ent, g_rel) = step(model, np.arange(len(rows)), reg_weight)
         # against the per-example reference: batch_loss_and_grads runs the same kernel
         want_loss, want_data, want = _reference_batch_loss_and_grads(
@@ -730,7 +734,7 @@ def _restricted_and_reference_fits(model, kg, rows, ent_idx, config, epochs):
     examples = build_examples(kg.train, kg.num_relations)
     rel_idx = np.empty(0, dtype=np.int64)
     got, want = model.clone(), model.clone()
-    step = _RestrictedStep(got, examples, ent_idx, rel_idx, kg.train, config.batch_size, rows)
+    step = _RestrictedStep(got, examples, ent_idx, rel_idx, kg.train, rows)
     training._fit(got, rows, config, epochs, step)
     reference = _ReferenceRestrictedStep(
         want, examples[rows], ent_idx, rel_idx, kg.train, config.batch_size
@@ -827,7 +831,7 @@ class TestRestrictedStepExact:
         assert config.batch_size >= len(rows)
         step = _RestrictedStep(
             desk_model, examples, np.array([trainable]), np.empty(0, dtype=np.int64),
-            kg.train, config.batch_size, rows,
+            kg.train, rows,
         )
         fixed = examples[rows][~step.moving]
         hit = fixed[fixed[:, 2] == trainable]
@@ -1052,6 +1056,55 @@ class TestPostTrain:
         assert not np.array_equal(tuned.rel_re[0], self.model.rel_re[0])
         assert not np.array_equal(tuned.rel_re[n_rel], self.model.rel_re[n_rel])
         assert np.array_equal(tuned.rel_re[1], self.model.rel_re[1])
+
+
+class TestScoreBlocks:
+    """Scoring outside a step: one ``_BLOCK``-row block reused across the pass."""
+
+    @pytest.mark.parametrize("block", [4, 5, 20])
+    def test_block_size_changes_partials_and_nll_only_by_rounding(self, block, monkeypatch):
+        # 21 rows leave a 1-row tail block at each size, which BLAS runs as a
+        # matrix-vector product, so the bits may differ; the bound is a few ulps
+        kg = make_random_kg(seed=5, n_entities=30, n_relations=3, n_triples=90)
+        config = TrainConfig(dimension=6, epochs=5, seed=1)
+        model = train(init_model(kg, config), kg, config)
+        examples = build_examples(kg.train, kg.num_relations)[:21]
+        keys = np.unique(_query_keys(model, build_examples(kg.train, kg.num_relations)))
+        queries = training._query_rows(model, keys)
+        rows = np.random.default_rng(0).permutation(len(keys))[:21]
+        ent_trainable = np.zeros(kg.num_entities, dtype=bool)
+        ent_trainable[[2, 11, 17]] = True
+        assert len(rows) % block == 1 and len(rows) <= training._BLOCK
+        one_block = training._frozen_partials(model, queries, rows, ent_trainable)
+        one_nll = training.mean_nll(model, examples)
+        monkeypatch.setattr(training, "_BLOCK", block)
+        for got, want in zip(training._frozen_partials(model, queries, rows, ent_trainable), one_block):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(training.mean_nll(model, examples), one_nll, rtol=1e-15, atol=0)
+
+    def test_context_fill_holds_one_score_block(self, monkeypatch):
+        # 2,000 entities and about 5,000 fixed queries: a fill runs many blocks. The
+        # fill's other arrays take about a third of a block, so a fill that held a
+        # second block at once, as a fresh block per iteration does, passes two
+        kg = make_random_kg(seed=3, n_entities=2000, n_relations=4, n_triples=3000)
+        config = TrainConfig(dimension=8, epochs=1, batch_size=512, seed=0)
+        model = init_model(kg, config)
+        post_train(model, kg, kg.train, {0}, config, epochs=1)  # builds the base
+        peaks, fill = [], training._frozen_context
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return fill(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(training, "_frozen_context", traced)
+        post_train(model, kg, kg.train, {1}, config, epochs=1)
+        assert len(training._STATE.base.keys) > 50 * 64
+        block = training._BLOCK * kg.num_entities * 8
+        assert len(peaks) == 1 and peaks[0] < 2 * block, (peaks, block)
 
 
 class TestNoAliasing:

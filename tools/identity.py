@@ -20,6 +20,14 @@ absolute deviation when both values are numbers. For each checkpoint array it
 prints the largest absolute deviation. It ends with the largest checkpoint
 and ``heuristic_score`` deviations over all cases.
 
+It also prints each command's peak resident set size (``ru_maxrss`` from
+``os.wait4``) per case, seed and side, and ends with each side's largest.
+These lines are informational: they never change the exit status. On Linux a
+child's ``ru_maxrss`` also counts the peak of the process that started it
+(the high-water mark of the memory it replaced at ``exec``), so each command
+is started by a small launcher process, not by this script, whose own arrays
+would otherwise set a floor of about 40 MB under every reading.
+
 Exit status 1 when a guarded value differs: a ``psi``, ``rank_before`` or
 ``rank_after`` anywhere, a ``best`` entry's triples, a ``front``, anything in
 ``selection.json``, ``comparison.json`` or a metrics report (``report.json``,
@@ -82,6 +90,16 @@ GUARDED_FILES = {
     "selection.json", "comparison.json",
     "report.json", "report_per_triple.csv", "report_pareto.csv",
 }
+# Runs the command in argv[2:] and writes its peak RSS in kilobytes to the file argv[1].
+LAUNCHER = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+with open(sys.argv[1], "w") as out:
+    out.write(str(usage.ru_maxrss))
+sys.exit(child.returncode)
+"""
 
 
 def base_tree(rev: str, into: Path) -> Path:
@@ -94,8 +112,11 @@ def base_tree(rev: str, into: Path) -> Path:
     return into
 
 
-def run_case(tree: Path, case: str, seed: int, where: Path) -> None:
-    """``train -> select -> explain -> evaluate`` of one case with ``tree``'s source, in ``where``."""
+def run_case(tree: Path, case: str, seed: int, where: Path) -> dict[str, float]:
+    """``train -> select -> explain -> evaluate`` of one case with ``tree``'s source, in ``where``.
+
+    Returns each command's peak resident set size in MB.
+    """
     workload = CASES[case]
     where.mkdir(parents=True)
     write_dataset(where / "data", make_graph(seed, workload.clusters))
@@ -109,17 +130,21 @@ def run_case(tree: Path, case: str, seed: int, where: Path) -> None:
          "--workers", str(workload.workers)],
         ["evaluate", "--config", ini, "--selection", selection, "--runs", "out/runs"],
     ]
-    log_path = where / "commands.log"
+    log_path, peak_path = where / "commands.log", where / "peak_rss_kb"
+    peaks = {}
     with log_path.open("wb") as log:
         for argv in stages:
             done = subprocess.run(
-                [sys.executable, "-m", "kgexplain.cli", *argv], cwd=where, env=env,
-                stdout=log, stderr=log,
+                [sys.executable, "-c", LAUNCHER, str(peak_path),
+                 sys.executable, "-m", "kgexplain.cli", *argv],
+                cwd=where, env=env, stdout=log, stderr=log,
             )
             if done.returncode:
                 print(f"{case}@{seed}: {argv[0]} exited {done.returncode}; its log is {log_path}"
                       " (kept with --work)", file=sys.stderr)
                 raise SystemExit(2)
+            peaks[argv[0]] = int(peak_path.read_text()) / 1024.0
+    return peaks
 
 
 def _drop_counters(value):
@@ -243,6 +268,7 @@ def main(argv=None) -> int:
         work = Path(temp) if args.work is None else args.work.resolve()
         trees = {"base": base_tree(args.base, work / "base-tree"), "change": ROOT}
         worst: dict[str, float] = {}
+        largest_rss = dict.fromkeys(trees, (0.0, ""))
         bad = False
         for case in CASES:
             for seed in args.seeds:
@@ -250,12 +276,19 @@ def main(argv=None) -> int:
                 outs = {}
                 for side, tree in trees.items():
                     outs[side] = work / "runs" / side / label
-                    run_case(tree, case, seed, outs[side])
+                    peaks = run_case(tree, case, seed, outs[side])
+                    print(f"{label} peak RSS MB, {side}: "
+                          + ", ".join(f"{command} {mb:.1f}" for command, mb in peaks.items()))
+                    largest_rss[side] = max(
+                        largest_rss[side], *((mb, f"{label} {c}") for c, mb in peaks.items())
+                    )
                 bad |= compare_trees(
                     outs["base"] / "out", outs["change"] / "out", label, worst, args.exact
                 )
     for key, value in sorted(worst.items()):
         print(f"largest {key} deviation: {value:.3g}")
+    for side, (mb, where) in largest_rss.items():
+        print(f"largest peak RSS, {side}: {mb:.1f} MB ({where})")
     print("guarded values differ" if bad else "guarded values identical")
     return 1 if bad else 0
 
