@@ -1068,19 +1068,19 @@ class TestScoreBlocks:
         kg = make_random_kg(seed=5, n_entities=30, n_relations=3, n_triples=90)
         config = TrainConfig(dimension=6, epochs=5, seed=1)
         model = train(init_model(kg, config), kg, config)
-        examples = build_examples(kg.train, kg.num_relations)[:21]
-        keys = np.unique(_query_keys(model, build_examples(kg.train, kg.num_relations)))
-        queries = training._query_rows(model, keys)
-        rows = np.random.default_rng(0).permutation(len(keys))[:21]
+        examples = build_examples(kg.train, kg.num_relations)
+        queries = training._query_rows(model, np.unique(_query_keys(model, examples)))
+        rows = np.random.default_rng(0).permutation(len(queries))[:21]
         ent_trainable = np.zeros(kg.num_entities, dtype=bool)
         ent_trainable[[2, 11, 17]] = True
         assert len(rows) % block == 1 and len(rows) <= training._BLOCK
         one_block = training._frozen_partials(model, queries, rows, ent_trainable)
-        one_nll = training.mean_nll(model, examples)
+        one_nll = training.mean_nll(model, examples[:21])
         monkeypatch.setattr(training, "_BLOCK", block)
         for got, want in zip(training._frozen_partials(model, queries, rows, ent_trainable), one_block):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(training.mean_nll(model, examples), one_nll, rtol=1e-15, atol=0)
+        got_nll = training.mean_nll(model, examples[:21])
+        np.testing.assert_allclose(got_nll, one_nll, rtol=1e-15, atol=0)
 
     def test_context_fill_holds_one_score_block(self, monkeypatch):
         # 2,000 entities and about 5,000 fixed queries: a fill runs many blocks. The
@@ -1102,7 +1102,7 @@ class TestScoreBlocks:
 
         monkeypatch.setattr(training, "_frozen_context", traced)
         post_train(model, kg, kg.train, {1}, config, epochs=1)
-        assert len(training._STATE.base.keys) > 50 * 64
+        assert len(training._STATE.base.keys) > 50 * training._BLOCK
         block = training._BLOCK * kg.num_entities * 8
         assert len(peaks) == 1 and peaks[0] < 2 * block, (peaks, block)
 
