@@ -13,9 +13,7 @@ from kgexplain import (
     TrainConfig,
     Triple,
     build_search_space,
-    criage_first_order,
-    data_poisoning_direct,
-    exhaustive_length1,
+    explain,
     init_model,
     rank,
     train,
@@ -62,7 +60,7 @@ space = build_search_space(kg, "shares-entity", prediction)
 # every explainer reads its evaluator from the config, so all of them below
 # score candidates the same way
 ec = ExplainerConfig(evaluator="full-retrain")
-oracle = exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
+oracle = explain(kg, model, prediction, "exhaustive-length-1", "necessary", space, ec, config)
 print(f"\nexhaustive oracle evaluated {len(oracle['candidates'])} removals "
       f"({oracle['counters']['retrains']} retrains, {oracle['counters']['wall_clock_s']:.1f}s)")
 best = oracle["best"]
@@ -72,9 +70,9 @@ print(f"  effect: rank {best['rank_before']:.0f} -> {best['rank_after']:.0f} "
 print(f"  found the reverse link: {[t['ids'] for t in best['triples']] == [list(reverse)]}")
 
 print("\nheuristics under the same evaluator:")
-for name, algo in [("score-shift ranking", data_poisoning_direct),
-                   ("first-order influence", criage_first_order)]:
-    run = algo(kg, model, prediction, ec, config)
+for name, algorithm in [("score-shift ranking", "data-poisoning-direct"),
+                        ("first-order influence", "criage-first-order")]:
+    run = explain(kg, model, prediction, algorithm, "necessary", space, ec, config)
     top = run["best"]
     if top is None:
         print(f"  {name}: no eligible candidates")

@@ -13,11 +13,11 @@ from kgexplain import (
     KnowledgeGraph,
     TrainConfig,
     Triple,
+    explain,
     init_model,
     prefilter_topk,
     rank,
     train,
-    variable_length_builder,
 )
 
 
@@ -65,7 +65,8 @@ ec = ExplainerConfig(
     post_train_epochs=30,
     acceptance_threshold=3.0,  # stop once a removal degrades the rank by 3
 )
-run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+# the builder draws its candidates from the prefilter, so it takes no search space
+run = explain(kg, model, prediction, "variable-length-builder", "necessary", None, ec, config)
 print(f"\nevaluated {len(run['candidates'])} candidates with "
       f"{run['counters']['retrains']} retrains")
 for candidate in run["candidates"]:

@@ -18,12 +18,9 @@ from .errors import (
 )
 from .explainers import (
     ExplainerConfig,
-    criage_first_order,
-    data_poisoning_direct,
-    exhaustive_length1,
+    explain,
     first_order_score_change,
     prefilter_topk,
-    variable_length_builder,
 )
 from .kg import (
     KnowledgeGraph,
@@ -87,15 +84,13 @@ __all__ = [
     "build_target_set",
     "calibrate_ensemble",
     "comparison_table",
-    "criage_first_order",
-    "data_poisoning_direct",
     "dominates",
     "effectiveness_c_sufficient",
     "effectiveness_latent",
     "effectiveness_necessary",
     "effectiveness_sufficient",
     "emit_report",
-    "exhaustive_length1",
+    "explain",
     "first_order_score_change",
     "fit_logistic_calibration",
     "grad_score_wrt_subject",
@@ -115,6 +110,5 @@ __all__ = [
     "score",
     "score_objects",
     "train",
-    "variable_length_builder",
     "weakly_connected_component",
 ]

@@ -25,17 +25,13 @@ import numpy as np
 from .effectiveness import _retrained, _rows_without, build_target_set
 from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplainError
 from .explainers import (
-    ALGORITHMS,
-    MODES,
     ExplainerConfig,
+    _check_pair,
     _numbers,
     _three_ints,
-    criage_first_order,
-    data_poisoning_direct,
-    exhaustive_length1,
+    explain,
     load_json,
     read_run,
-    variable_length_builder,
     write_text_atomic,
 )
 from .kg import KnowledgeGraph, SearchSpace, Triple, build_search_space, load_dataset
@@ -91,33 +87,22 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"config [selection] cohort_rank must be >= 1, got {self.cohort_rank}"
             )
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown explanation mode: {self.mode!r}")
         if not self.algorithms:
             raise ConfigurationError("config [explain] algorithms names no algorithm")
         if self.mode == "c-sufficient" and self.targets_size < 1:
             raise ConfigurationError("config [targets] size must be >= 1 in mode 'c-sufficient'")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ConfigurationError(f"unknown algorithm: {algo!r}")
-            # these heuristics rank removals of training triples
-            if algo in ("data-poisoning-direct", "criage-first-order") and self.mode != "necessary":
-                raise ConfigurationError(
-                    f"algorithm {algo!r} only explains mode 'necessary', not {self.mode!r}"
-                )
-            if algo == "variable-length-builder" and self.mode.startswith("latent-"):
-                raise ConfigurationError(
-                    f"algorithm {algo!r} cannot run in mode {self.mode!r}: its prefilter "
-                    "proposes training triples, which latent explanations exclude"
-                )
+        for i, algo in enumerate(self.algorithms):
+            if algo in self.algorithms[:i]:
+                raise ConfigurationError(f"config [explain] algorithms names {algo!r} twice")
+            _check_pair(algo, self.mode)
 
 
 def parse_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     """Read an experiment INI; a key no setting reads is a validation error.
 
     ``[training]`` holds the :class:`TrainConfig` fields and ``[explain]``
-    the :class:`ExplainerConfig` fields but ``algorithm``; each takes the
-    dataclass default and the type of that default (``int`` for ``None``).
+    the :class:`ExplainerConfig` fields; each takes the dataclass default
+    and the type of that default (``int`` for ``None``).
     """
     path = Path(path)
     if not path.is_file():
@@ -136,9 +121,9 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
             return fallback
         kind = kind or type(fallback)
         try:
-            value = parser.get(section, key)
             if kind is bool:
-                return value.strip().lower() in ("1", "true", "yes", "on")
+                return parser.getboolean(section, key)
+            value = parser.get(section, key)
             if kind in (int, float):
                 return kind(value)
         except (configparser.Error, ValueError) as exc:
@@ -147,11 +132,10 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
             ) from None
         return value
 
-    def section(name: str, cls: type, skip: tuple[str, ...] = ()):
+    def section(name: str, cls: type):
         return cls(**{
             f.name: get(name, f.name, f.default, int if f.default is None else None)
             for f in fields(cls)
-            if f.name not in skip
         })
 
     dataset_path = get("dataset", "path", None, str)
@@ -170,7 +154,7 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
         cohort_rank=get("selection", "cohort_rank", 1),
         mode=get("explain", "mode", "necessary"),
         algorithms=algorithms,
-        explainer=section("explain", ExplainerConfig, skip=("algorithm",)),
+        explainer=section("explain", ExplainerConfig),
         simultaneous_removal=get("explain", "simultaneous_removal", False),
         latent_epsilon=get("latent", "epsilon", 0.1),
         latent_budget=get("latent", "budget", 10),
@@ -295,37 +279,6 @@ def _latent_space(
     return SearchSpace("latent-sample", tuple(sample))
 
 
-def _run_one(
-    config: ExperimentConfig,
-    kg: KnowledgeGraph,
-    model,
-    prediction: Triple,
-    algorithm: str,
-    inputs: tuple[SearchSpace, tuple[int, ...] | None],
-) -> dict:
-    """One algorithm's run; ``inputs`` are the prediction's search space and c-sufficient targets."""
-    explainer = replace(config.explainer, algorithm=algorithm)
-    space, targets = inputs
-    if algorithm == "exhaustive-length-1":
-        if config.mode == "c-sufficient":
-            s_x = prediction.subject
-            space = SearchSpace(
-                space.preset, tuple(t for t in space.members if s_x in (t.subject, t.object))
-            )
-        return exhaustive_length1(
-            kg, model, prediction, space, config.mode, explainer, config.train, targets=targets
-        )
-    if algorithm == "data-poisoning-direct":
-        return data_poisoning_direct(kg, model, prediction, explainer, config.train)
-    if algorithm == "criage-first-order":
-        return criage_first_order(kg, model, prediction, explainer, config.train)
-    if algorithm == "variable-length-builder":
-        return variable_length_builder(
-            kg, model, prediction, config.mode, explainer, config.train, targets=targets
-        )
-    raise ConfigurationError(f"unknown algorithm: {algorithm!r}")
-
-
 def cmd_explain(
     config: ExperimentConfig,
     checkpoint: str | Path,
@@ -395,7 +348,10 @@ def cmd_explain(
                     targets = build_target_set(
                         kg, model, prediction, config.targets_size, config.targets_seed
                     )
-                run = _run_one(config, kg, model, prediction, algorithm, (pred_space, targets))
+                run = explain(
+                    kg, model, prediction, algorithm, config.mode, pred_space,
+                    config.explainer, config.train, targets,
+                )
             except KgExplainError as exc:
                 logger.error("run failed for %s / %s: %s", prediction, algorithm, exc)
                 outcomes.append(("failed", path, {

@@ -12,14 +12,15 @@ Four strategies over the joint (length, effectiveness) objective:
   shortest-path prefilter, ordering multi-triple candidates by the sum of
   their members' singleton effectiveness.
 
-All four go through one private search object, :class:`_Search`: it
-scores each candidate with the mode's effectiveness operator and the
-configured evaluator, records its run-file entry, and closes the run. Each
-returns its run as the object its run file holds, the one
-:func:`read_run` returns: every evaluated candidate, the front (the
-candidates no other one dominates), the best candidate, and the exact
-retrain count spent (the sum of the candidates' own counts). One function
-derives the front and the best, for runs made and runs read alike.
+:func:`explain` is the way in: it runs any of the four for one prediction
+in one mode, under the rules of :data:`ALGORITHMS`. All four go through
+one private search object, :class:`_Search`: it scores each candidate with
+the mode's effectiveness operator and the configured evaluator, records its
+run-file entry, and closes the run. Each returns its run as the object its
+run file holds, the one :func:`read_run` returns: every evaluated candidate,
+the front (the candidates no other one dominates), the best candidate, and
+the exact retrain count spent (the sum of the candidates' own counts). One
+function derives the front and the best, for runs made and runs read alike.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .effectiveness import (
     effectiveness_sufficient,
 )
 from .errors import ConfigurationError, DomainError
-from .kg import KnowledgeGraph, SearchSpace, Triple, _distances
+from .kg import SEARCH_SPACE_PRESETS, KnowledgeGraph, SearchSpace, Triple, _distances
 from .model import (
     EmbeddingModel,
     TrainConfig,
@@ -60,15 +61,18 @@ from .pareto import non_dominated
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = (
-    "exhaustive-length-1",
-    "data-poisoning-direct",
-    "criage-first-order",
-    "variable-length-builder",
-)
 MODES = ("necessary", "sufficient", "c-sufficient", "latent-positive", "latent-negative")
+# Each algorithm and the modes it explains. The two heuristics rank removals
+# of training triples, so they explain only necessary; the builder's prefilter
+# proposes training triples, which latent explanations exclude.
+ALGORITHMS = {
+    "exhaustive-length-1": MODES,
+    "data-poisoning-direct": ("necessary",),
+    "criage-first-order": ("necessary",),
+    "variable-length-builder": ("necessary", "sufficient", "c-sufficient"),
+}
 
-RUN_SCHEMA_VERSION = 1
+RUN_SCHEMA_VERSION = 2
 
 # Annealing schedule of the builder: the temperature starts at 1 and decays
 # geometrically by 0.9 after every 50 proposals.
@@ -81,7 +85,6 @@ _ANNEAL_PROPOSALS = 50
 class ExplainerConfig:
     """Knobs for the search algorithms; scalars must be finite."""
 
-    algorithm: str = "exhaustive-length-1"
     search_space: str = "shares-entity"
     max_length: int = 1
     prefilter_k: int = 20
@@ -96,8 +99,8 @@ class ExplainerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm: {self.algorithm!r}")
+        if self.search_space not in SEARCH_SPACE_PRESETS:
+            raise ConfigurationError(f"unknown search-space preset: {self.search_space!r}")
         if self.evaluator not in EVALUATORS:
             raise ConfigurationError(f"unknown evaluator: {self.evaluator!r}")
         if self.evaluator == "full-retrain" and self.post_train_epochs is not None:
@@ -115,6 +118,16 @@ class ExplainerConfig:
         for name in ("lambda_weight", "perturbation_step", "influence_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
+
+
+def _check_pair(algorithm: str, mode: str) -> None:
+    """Reject an unknown mode or algorithm, or a pair that :data:`ALGORITHMS` does not allow."""
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown explanation mode: {mode!r} (algorithm {algorithm!r})")
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm: {algorithm!r} (mode {mode!r})")
+    if mode not in ALGORITHMS[algorithm]:
+        raise ConfigurationError(f"algorithm {algorithm!r} does not explain mode {mode!r}")
 
 
 def _three_ints(value) -> bool:
@@ -574,3 +587,39 @@ def _anneal_length(
             if search.evaluate(proposal, relevance[proposal]).psi >= config.acceptance_threshold:
                 return True
     return False
+
+
+def explain(
+    kg: KnowledgeGraph,
+    model: EmbeddingModel,
+    prediction: Triple,
+    algorithm: str,
+    mode: str,
+    space: SearchSpace | None,
+    config: ExplainerConfig,
+    train_config: TrainConfig,
+    targets: tuple[int, ...] | None = None,
+) -> dict:
+    """The run of ``algorithm`` for ``prediction`` in ``mode``; see :data:`ALGORITHMS`.
+
+    ``space`` is what ``exhaustive-length-1`` searches, and must be given for
+    it; the other algorithms pick their own candidates and ignore it. In mode ``c-sufficient`` the
+    space is narrowed to the triples holding the prediction's subject, the
+    only ones a transfer onto the ``targets`` can move.
+    """
+    _check_pair(algorithm, mode)
+    # each algorithm is called by its module-global name, which a tracer may rebind
+    if algorithm == "exhaustive-length-1":
+        if space is None:
+            raise ConfigurationError("algorithm 'exhaustive-length-1' needs a search space")
+        if mode == "c-sufficient":
+            s_x = prediction.subject
+            space = SearchSpace(
+                space.preset, tuple(t for t in space.members if s_x in (t.subject, t.object))
+            )
+        return exhaustive_length1(kg, model, prediction, space, mode, config, train_config, targets)
+    if algorithm == "data-poisoning-direct":
+        return data_poisoning_direct(kg, model, prediction, config, train_config)
+    if algorithm == "criage-first-order":
+        return criage_first_order(kg, model, prediction, config, train_config)
+    return variable_length_builder(kg, model, prediction, mode, config, train_config, targets)

@@ -13,11 +13,11 @@ from kgexplain import (
     TrainConfig,
     Triple,
     build_search_space,
-    exhaustive_length1,
     init_model,
     rank,
     train,
 )
+from kgexplain.explainers import exhaustive_length1
 from kgexplain import training
 
 DESK_SEED = 29
@@ -163,7 +163,7 @@ def desk_predictions(desk_kg, desk_model) -> list[Triple]:
 @pytest.fixture(scope="session")
 def desk_oracle_runs(desk_kg, desk_model, desk_config, desk_predictions):
     """Full-retrain exhaustive singleton sweeps over shares-entity, per prediction."""
-    config = ExplainerConfig(algorithm="exhaustive-length-1", evaluator="full-retrain")
+    config = ExplainerConfig(evaluator="full-retrain")
     runs = {}
     for pred in desk_predictions:
         space = build_search_space(desk_kg, "shares-entity", pred)

@@ -17,8 +17,6 @@ from kgexplain import (
     Triple,
     calibrate_ensemble,
     comparison_table,
-    criage_first_order,
-    data_poisoning_direct,
     effectiveness_necessary,
     hits_at_k,
     init_model,
@@ -30,6 +28,7 @@ from kgexplain import (
     score,
     train,
 )
+from kgexplain.explainers import criage_first_order, data_poisoning_direct
 from kgexplain.model import grad_score_wrt_subject
 from kgexplain.training import batch_loss_and_grads, build_examples
 

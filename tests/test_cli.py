@@ -342,14 +342,14 @@ class TestExplain:
         failing.unlink()
         algorithm, index = failing.stem.removeprefix("run_").rsplit("_", 1)
         prediction = Triple(*json.loads(selection.read_text())["triples"][int(index)]["ids"])
-        run_one = cli._run_one
+        explain = cli.explain
 
-        def run(config, kg, model, *task):
+        def run(kg, model, *task):
             if task[:2] == (prediction, algorithm):
                 raise DomainError("forced failure")
-            return run_one(config, kg, model, *task)
+            return explain(kg, model, *task)
 
-        monkeypatch.setattr(cli, "_run_one", run)
+        monkeypatch.setattr(cli, "explain", run)
         with caplog.at_level("INFO"), pytest.raises(kgexplain.KgExplainError):
             cmd_explain(config, checkpoint, selection, out=tmp_path / "out")
         summary = "explain: 1 run files written, 3 resumed, 1 recomputed, 1 failed"
@@ -672,7 +672,8 @@ def test_readme_ini_block_parses(tmp_path):
     [
         "ini-value", "ini-no-section", "ini-unknown-key", "ini-cohort-rank-zero",
         "ini-post-train-epochs-under-full-retrain", "ini-post-train-epochs-0",
-        "ini-post-train-epochs--1", "ini-max-length-5",
+        "ini-post-train-epochs--1", "ini-max-length-5", "ini-boolean-misspelt",
+        "ini-search-space-unknown", "ini-algorithm-repeated",
         "checkpoint-truncated", "checkpoint-foreign", "checkpoint-without-train-config",
     ],
 )
@@ -709,6 +710,22 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
         selection = cmd_select(config, checkpoint, out=tmp_path / "selected")
         argv = _explain_argv(bad, checkpoint, selection, out)
         expected = ("max_length must lie in [1, 4]",)
+    elif case == "ini-boolean-misspelt":  # used to read as false
+        text = config_path.read_text()
+        bad.write_text(text.replace("simultaneous_removal = true", "simultaneous_removal = ture"))
+        expected = ("[explain] simultaneous_removal", "ture")
+    elif case == "ini-search-space-unknown":  # used to fail only in explain, and never latent
+        text = config_path.read_text().replace("mode = necessary", "mode = latent-positive")
+        text = text.replace("exhaustive-length-1, data-poisoning-direct", "exhaustive-length-1")
+        bad.write_text(text.replace("search_space = shares-entity", "search_space = shares_entity"))
+        expected = ("unknown search-space preset: 'shares_entity'",)
+    elif case == "ini-algorithm-repeated":  # used to run the simultaneous removal twice
+        text = config_path.read_text()
+        twice = "data-poisoning-direct, data-poisoning-direct"
+        bad.write_text(text.replace("exhaustive-length-1, data-poisoning-direct", twice))
+        selection = cmd_select(config, checkpoint, out=tmp_path / "selected")
+        argv = _explain_argv(bad, checkpoint, selection, out)
+        expected = ("[explain] algorithms", "'data-poisoning-direct' twice")
     else:
         if case == "checkpoint-truncated":
             blob = checkpoint.read_bytes()
@@ -783,14 +800,14 @@ def test_failed_task_goes_to_the_failures_manifest_and_explain_exits_3(
 ):
     root, config, checkpoint, selection, _ = explained
     first = Triple(*json.loads(selection.read_text())["triples"][0]["ids"])
-    run_one = cli._run_one
+    explain = cli.explain
 
-    def failing(config, kg, model, prediction, algorithm, space):
+    def failing(kg, model, prediction, algorithm, *rest):
         if prediction == first and algorithm == "data-poisoning-direct":
             raise DomainError("forced failure")
-        return run_one(config, kg, model, prediction, algorithm, space)
+        return explain(kg, model, prediction, algorithm, *rest)
 
-    monkeypatch.setattr(cli, "_run_one", failing)
+    monkeypatch.setattr(cli, "explain", failing)
     out = tmp_path / "out"
     argv = _explain_argv(root / "experiment.ini", checkpoint, selection, out)
     assert main(argv) == EXIT_RUNTIME
@@ -815,7 +832,7 @@ def test_failed_task_goes_to_the_failures_manifest_and_explain_exits_3(
     # pareto reads only run files, so the manifest does not disturb it
     assert main(["pareto", "--runs", str(out / "runs"), "--out", str(tmp_path / "f.json")]) == EXIT_OK
 
-    monkeypatch.setattr(cli, "_run_one", run_one)
+    monkeypatch.setattr(cli, "explain", explain)
     assert main(argv) == EXIT_OK
     assert not manifest.exists()
 

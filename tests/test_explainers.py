@@ -15,11 +15,10 @@ from kgexplain import (
     TrainConfig,
     Triple,
     build_search_space,
-    criage_first_order,
-    data_poisoning_direct,
+    build_target_set,
     dominates,
     effectiveness_necessary,
-    exhaustive_length1,
+    explain,
     first_order_score_change,
     init_model,
     pareto_front,
@@ -27,10 +26,20 @@ from kgexplain import (
     rank,
     score,
     train,
-    variable_length_builder,
 )
+from kgexplain import explainers
+from kgexplain.cli import parse_experiment_config
 from kgexplain.effectiveness import CandidateExplanation
-from kgexplain.explainers import ALGORITHMS, read_run, write_text_atomic
+from kgexplain.explainers import (
+    ALGORITHMS,
+    MODES,
+    criage_first_order,
+    data_poisoning_direct,
+    exhaustive_length1,
+    read_run,
+    variable_length_builder,
+    write_text_atomic,
+)
 from kgexplain.kg import SearchSpace
 from kgexplain.training import post_train
 
@@ -50,18 +59,6 @@ def explicit_space(members, preset="custom"):
 def triples_of(entry) -> frozenset[Triple]:
     """The triples of a run file's candidate, best or front entry."""
     return frozenset(Triple(*(t["ids"] if isinstance(t, dict) else t)) for t in entry["triples"])
-
-
-def run_algorithm(algorithm, kg, model, prediction, ec, config):
-    """One necessary-mode run of ``algorithm``; exhaustive searches shares-entity."""
-    if algorithm == "exhaustive-length-1":
-        space = build_search_space(kg, "shares-entity", prediction)
-        return exhaustive_length1(kg, model, prediction, space, "necessary", ec, config)
-    if algorithm == "data-poisoning-direct":
-        return data_poisoning_direct(kg, model, prediction, ec, config)
-    if algorithm == "criage-first-order":
-        return criage_first_order(kg, model, prediction, ec, config)
-    return variable_length_builder(kg, model, prediction, "necessary", ec, config)
 
 
 class TestExhaustive:
@@ -147,8 +144,9 @@ class TestExhaustive:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_retrain_count_matches_candidates(self, setup, algorithm):
         kg, config, model, prediction = setup
-        ec = ExplainerConfig(algorithm=algorithm, top_m=3, max_length=2, prefilter_k=4)
-        run = run_algorithm(algorithm, kg, model, prediction, ec, config)
+        ec = ExplainerConfig(top_m=3, max_length=2, prefilter_k=4)
+        space = build_search_space(kg, "shares-entity", prediction)
+        run = explain(kg, model, prediction, algorithm, "necessary", space, ec, config)
         candidates = run["candidates"]
         assert candidates
         assert run["counters"]["retrains"] == sum(c["retrains"] for c in candidates) == len(candidates)
@@ -446,9 +444,7 @@ class TestBuilder:
             )
 
 
-@pytest.mark.parametrize(
-    "algorithm", ["exhaustive-length-1", "data-poisoning-direct", "criage-first-order"]
-)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize(
     ("field", "value"), [("top_m", 0), ("top_m", -2), ("prefilter_k", 0)]
 )
@@ -457,8 +453,86 @@ def test_heuristic_explainers_validate_their_config_first(setup, algorithm, fiel
     # empty run and top_m=-2 to drop the last two neighbours
     kg, config, model, prediction = setup
     ec = ExplainerConfig(post_train_epochs=2, **{field: value})
+    space = build_search_space(kg, "shares-entity", prediction)
     with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
-        run_algorithm(algorithm, kg, model, prediction, ec, config)
+        explain(kg, model, prediction, algorithm, "necessary", space, ec, config)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_explain_and_the_cli_reject_the_same_algorithm_mode_pairs(
+    setup, tmp_path, monkeypatch, algorithm, mode
+):
+    # the heuristics rank removals; the builder's prefilter proposes training triples
+    allowed = (
+        algorithm == "exhaustive-length-1"
+        or mode == "necessary"
+        or (algorithm == "variable-length-builder" and not mode.startswith("latent-"))
+    )
+    ini = tmp_path / "pair.ini"
+    ini.write_text(
+        f"[dataset]\npath = {tmp_path}\n\n[explain]\nmode = {mode}\nalgorithms = {algorithm}\n"
+    )
+    functions = {
+        "exhaustive-length-1": "exhaustive_length1",
+        "data-poisoning-direct": "data_poisoning_direct",
+        "criage-first-order": "criage_first_order",
+        "variable-length-builder": "variable_length_builder",
+    }
+    ran = []
+    for name in functions.values():
+        monkeypatch.setattr(explainers, name, lambda *args, name=name: ran.append(name) or {})
+    kg, config, model, prediction = setup
+    space = build_search_space(kg, "shares-entity", prediction)
+    checks = (
+        parse_experiment_config(ini).validate,
+        lambda: explain(kg, model, prediction, algorithm, mode, space, ExplainerConfig(), config),
+    )
+    for check in checks:
+        if allowed:
+            check()
+            continue
+        with pytest.raises(ConfigurationError, match="does not explain") as caught:
+            check()
+        assert repr(algorithm) in str(caught.value) and repr(mode) in str(caught.value)
+    assert ran == ([functions[algorithm]] if allowed else [])
+
+
+@pytest.mark.parametrize(
+    ("algorithm", "mode"), [("exhaustive_length1", "necessary"), ("criage-first-order", "necesary")]
+)
+def test_explain_rejects_an_unknown_algorithm_or_mode_naming_both(setup, algorithm, mode):
+    kg, config, model, prediction = setup
+    with pytest.raises(ConfigurationError, match="unknown") as caught:
+        explain(kg, model, prediction, algorithm, mode, None, ExplainerConfig(), config)
+    assert repr(algorithm) in str(caught.value) and repr(mode) in str(caught.value)
+
+
+def test_explain_runs_the_exhaustive_oracle_only_over_a_given_space(setup):
+    kg, config, model, prediction = setup
+    with pytest.raises(ConfigurationError, match="'exhaustive-length-1' needs a search space"):
+        explain(kg, model, prediction, "exhaustive-length-1", "necessary", None,
+                ExplainerConfig(), config)
+
+
+def test_explain_narrows_the_c_sufficient_space_to_the_subjects_triples(setup):
+    kg, config, model, _ = setup
+    prediction = kg.test[0]  # its object has triples without its subject
+    space = build_search_space(kg, "shares-entity", prediction)
+    narrowed = explicit_space(
+        [t for t in space.members if prediction.subject in (t.subject, t.object)], space.preset
+    )
+    assert 0 < len(narrowed.members) < len(space.members)
+    ec = ExplainerConfig(post_train_epochs=2)
+    targets = build_target_set(kg, model, prediction, 2, seed=0)
+    runs = [
+        explain(kg, model, prediction, "exhaustive-length-1", "c-sufficient", space, ec, config,
+                targets),
+        exhaustive_length1(kg, model, prediction, narrowed, "c-sufficient", ec, config, targets),
+    ]
+    for run in runs:
+        run["counters"].pop("wall_clock_s")
+    assert runs[0] == runs[1]
 
 
 class TestRunSerialization:
@@ -468,10 +542,10 @@ class TestRunSerialization:
             t for t in desk_kg.eval_split("test") if rank(desk_model, t, desk_kg) == 1
         )
         ec = ExplainerConfig(
-            algorithm=algorithm, evaluator="post-train", post_train_epochs=2, top_m=3,
-            max_length=2, prefilter_k=4,
+            evaluator="post-train", post_train_epochs=2, top_m=3, max_length=2, prefilter_k=4
         )
-        run = run_algorithm(algorithm, desk_kg, desk_model, prediction, ec, desk_config)
+        space = build_search_space(desk_kg, "shares-entity", prediction)
+        run = explain(desk_kg, desk_model, prediction, algorithm, "necessary", space, ec, desk_config)
         path = tmp_path / f"run_{algorithm}_0000.json"
         write_text_atomic(path, json.dumps(run, indent=2, sort_keys=True))  # as explain writes it
         assert read_run(path, algorithm, prediction) == run

@@ -19,12 +19,12 @@ from kgexplain import (
     build_search_space,
     comparison_table,
     emit_report,
-    exhaustive_length1,
     hits_at_k,
     m_delta_r,
     mrr,
     rank,
 )
+from kgexplain.explainers import exhaustive_length1
 
 
 def table(before_after):

@@ -20,11 +20,11 @@ from kgexplain import (
     Triple,
     build_search_space,
     build_target_set,
-    exhaustive_length1,
     init_model,
     post_train,
     train,
 )
+from kgexplain.explainers import exhaustive_length1
 from kgexplain import training
 from kgexplain.kg import _one_hop_entities
 from kgexplain.model import _cmul, _cmul_conj
