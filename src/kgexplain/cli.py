@@ -27,6 +27,7 @@ from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplai
 from .explainers import (
     ExplainerConfig,
     _check_pair,
+    _config_object,
     _numbers,
     _three_ints,
     explain,
@@ -89,6 +90,10 @@ class ExperimentConfig:
             )
         if not self.algorithms:
             raise ConfigurationError("config [explain] algorithms names no algorithm")
+        if not 0 < self.latent_epsilon < 1:
+            raise ConfigurationError("config [latent] epsilon must lie strictly between 0 and 1")
+        if self.latent_budget < 1:
+            raise ConfigurationError("config [latent] budget must be >= 1")
         if self.mode == "c-sufficient" and self.targets_size < 1:
             raise ConfigurationError("config [targets] size must be >= 1 in mode 'c-sufficient'")
         for i, algo in enumerate(self.algorithms):
@@ -279,6 +284,16 @@ def _latent_space(
     return SearchSpace("latent-sample", tuple(sample))
 
 
+def _check_settings(run: dict, wanted: dict) -> None:
+    """Raise ConfigurationError naming each of the run's ``mode`` and ``config`` not ``wanted``."""
+    recorded = run.get("config")
+    got = {"mode": run.get("mode")} | (recorded if isinstance(recorded, dict) else {})
+    keys = sorted(got.keys() | wanted.keys())
+    differ = [k for k in keys if k not in got or k not in wanted or got[k] != wanted[k]]
+    if differ:
+        raise ConfigurationError("made under another " + ", ".join(f"[explain] {k}" for k in differ))
+
+
 def cmd_explain(
     config: ExperimentConfig,
     checkpoint: str | Path,
@@ -295,8 +310,9 @@ def cmd_explain(
     space and one c-sufficient target set, so a worker thread (``workers``)
     post-trains from one prediction at a time. An existing run file is kept
     only when :func:`read_run` accepts it as the run of its algorithm and
-    prediction; any other (truncated, malformed, or of another prediction)
-    is logged by name and recomputed. Each task returns its runs' payloads.
+    prediction, made under this sweep's ``mode`` and ``config``; any other
+    (truncated, malformed, of another prediction or setting) is logged by
+    name and recomputed. Each task returns its runs' payloads.
 
     A failed (prediction, algorithm) run is logged and the remaining runs
     still go ahead; then ``runs/failures.json`` lists every failure
@@ -325,6 +341,8 @@ def cmd_explain(
         for i, p in enumerate(predictions)
     ]
 
+    wanted = {"mode": config.mode} | _config_object(config.explainer)
+
     def execute(task) -> list[tuple[str, Path, dict]]:
         """Each algorithm's status, run file, and payload or, on failure, manifest entry."""
         index, prediction, pred_space = task
@@ -336,6 +354,7 @@ def cmd_explain(
             if path.exists():
                 try:
                     payload = read_run(path, algorithm, prediction)
+                    _check_settings(payload, wanted)
                 except ConfigurationError as exc:
                     logger.warning("recomputing %s: %s", path.name, exc)
                     status = "recomputed"

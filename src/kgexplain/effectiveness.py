@@ -19,8 +19,8 @@ they accept, the fit rows, the trainable rows, the probe and the sign:
 Every mode is signed so that a no-op candidate scores 0 and higher is
 better. Each result reports its own retraining cost in ``retrains``. The
 base model is never mutated; retraining always happens on a clone or a
-fresh initialization, with the original seed, so results are
-deterministic.
+fresh initialization, for the given ``config``'s epochs with its seed, so
+results are deterministic.
 """
 from __future__ import annotations
 
@@ -130,7 +130,6 @@ def _retrained(
     trainable_entities: Iterable[int] | None = None,
     trainable_relations: set[int] | None = None,
     reinit: bool = False,
-    post_epochs: int | None = None,
 ) -> EmbeddingModel:
     if evaluator not in EVALUATORS:
         raise ConfigurationError(f"unknown evaluator: {evaluator!r}")
@@ -149,7 +148,6 @@ def _retrained(
         fit,
         trainable_entities or set(),
         config,
-        epochs=post_epochs,
         trainable_relations=trainable_relations,
         reinit_trainable=reinit,
     )
@@ -181,8 +179,6 @@ def effectiveness_necessary(
     candidate,
     evaluator: str,
     config: TrainConfig,
-    *,
-    post_epochs: int | None = None,
 ) -> EffectivenessResult:
     """Rank change caused by removing the candidate and retraining.
 
@@ -199,7 +195,6 @@ def effectiveness_necessary(
     rank_after = _rank_after(
         kg, model, prediction, _rows_without(kg, triples), evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject),
-        post_epochs=post_epochs,
     )
     return _one_retrain("remove-retrain", evaluator, rank_before, rank_after, 1)
 
@@ -211,8 +206,6 @@ def effectiveness_sufficient(
     candidate,
     evaluator: str,
     config: TrainConfig,
-    *,
-    post_epochs: int | None = None,
 ) -> EffectivenessResult:
     """How well the candidate alone preserves the prediction's rank.
 
@@ -220,11 +213,10 @@ def effectiveness_sufficient(
     relearned from the candidate's triples only, against the frozen
     remainder of the trained model; a relation is relearned the same way
     only when the candidate holds its entire training evidence, so shared
-    relation geometry stays anchored. ``post_epochs`` defaults to the
-    training epochs. ``full-retrain`` retrains from scratch on the
-    candidate alone; with this scorer that rarely produces meaningful
-    embeddings, so the result carries a warning. Preserving or improving
-    the rank scores at least 0.
+    relation geometry stays anchored. ``full-retrain`` retrains from
+    scratch on the candidate alone; with this scorer that rarely produces
+    meaningful embeddings, so the result carries a warning. Preserving or
+    improving the rank scores at least 0.
     """
     triples = _training_triples(kg, candidate)
     elsewhere = {t.relation for t in kg.train if t not in triples}
@@ -234,7 +226,6 @@ def effectiveness_sufficient(
         trainable_entities=_entities(triples),
         trainable_relations={t.relation for t in triples} - elsewhere,
         reinit=True,
-        post_epochs=post_epochs,
     )
     warnings: tuple[str, ...] = ()
     if evaluator == "full-retrain":
@@ -280,8 +271,6 @@ def effectiveness_c_sufficient(
     targets: tuple[int, ...],
     evaluator: str,
     config: TrainConfig,
-    *,
-    post_epochs: int | None = None,
 ) -> EffectivenessResult:
     """Average rank improvement of target completions after grafting the candidate.
 
@@ -310,7 +299,6 @@ def effectiveness_c_sufficient(
             after = _rank_after(
                 kg, model, probe, _rows_with(kg, additions), evaluator, config,
                 trainable_entities=_one_hop_entities(kg, c) | _entities(additions),
-                post_epochs=post_epochs,
             )
         outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped))
 
@@ -333,8 +321,6 @@ def effectiveness_latent(
     polarity: str,
     evaluator: str,
     config: TrainConfig,
-    *,
-    post_epochs: int | None = None,
 ) -> EffectivenessResult:
     """Rank shift from adding unobserved triples and retraining.
 
@@ -358,7 +344,6 @@ def effectiveness_latent(
     rank_after = _rank_after(
         kg, model, prediction, _rows_with(kg, triples), evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject) | _entities(triples),
-        post_epochs=post_epochs,
     )
     sign = -1 if polarity == "positive" else 1
     return _one_retrain("add-retrain", evaluator, rank_before, rank_after, sign)

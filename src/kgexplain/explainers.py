@@ -12,15 +12,15 @@ Four strategies over the joint (length, effectiveness) objective:
   shortest-path prefilter, ordering multi-triple candidates by the sum of
   their members' singleton effectiveness.
 
-:func:`explain` is the way in: it runs any of the four for one prediction
-in one mode, under the rules of :data:`ALGORITHMS`. All four go through
-one private search object, :class:`_Search`: it scores each candidate with
-the mode's effectiveness operator and the configured evaluator, records its
-run-file entry, and closes the run. Each returns its run as the object its
-run file holds, the one :func:`read_run` returns: every evaluated candidate,
-the front (the candidates no other one dominates), the best candidate, and
-the exact retrain count spent (the sum of the candidates' own counts). One
-function derives the front and the best, for runs made and runs read alike.
+:func:`explain` makes every run: it checks the algorithm and mode against
+:data:`ALGORITHMS`, opens one private search, :class:`_Search`, hands it to
+the algorithm and closes it. The algorithms only propose candidates; the
+search scores each with the mode's effectiveness operator and the configured
+evaluator and records its run-file entry. A run is the object its run file
+holds, the one :func:`read_run` returns: every evaluated candidate, the front
+(the candidates no other one dominates), the best candidate, and the exact
+retrain count spent (the sum of the candidates' own counts). One function
+derives the front and the best, for runs made and runs read alike.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,13 +242,23 @@ def load_json(path: str | Path, kind: str):
         raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
 
 
-class _Search:
-    """One explainer's search for one prediction: validates, evaluates, records, finishes.
+def _config_object(config: ExplainerConfig) -> dict:
+    """``config`` as a run file records it: a non-finite float as its ``repr``."""
+    return {
+        key: repr(value) if isinstance(value, float) and not np.isfinite(value) else value
+        for key, value in asdict(config).items()
+    }
 
-    The explainer's config is validated first, whichever explainer runs.
-    :meth:`evaluate` scores every candidate with the mode's operator and
-    ``config.evaluator``, so all explainers share one evaluation path and the
-    run's retrain count is the sum of its candidates' own counts.
+
+class _Search:
+    """One run of one algorithm for one prediction: validates, evaluates, records, finishes.
+
+    :func:`explain` makes it, validating the explainer's config first, and
+    closes it with :meth:`finish`. The algorithm proposes each candidate to
+    :meth:`evaluate`, which scores it with the mode's operator and
+    ``config.evaluator``, so the run's retrain count is the sum of its
+    candidates' own counts. Every retrain fits under one config: the training
+    config, for ``post_train_epochs`` epochs when that is set.
     """
 
     def __init__(
@@ -258,16 +268,17 @@ class _Search:
         prediction: Triple,
         mode: str,
         config: ExplainerConfig,
-        train_config: TrainConfig,
+        training: TrainConfig,
         targets: tuple[int, ...] | None = None,
     ) -> None:
         config.validate()
         self.started = time.perf_counter()
         self.kg, self.model, self.prediction, self.mode = kg, model, prediction, mode
-        self.config, self.train_config, self.targets = config, train_config, targets
+        self.config, self.targets = config, targets
+        self.fit_config = replace(training, epochs=config.post_train_epochs or training.epochs)
         self.rank_before = rank(model, prediction, kg)
         self.candidates: list[dict] = []  # the run file's candidate entries
-        self.found: list[str] = []  # the candidates' warnings, in order
+        self.found: list[str] = []  # the run's warnings, in order
 
     def _triple_entry(self, t: Triple) -> dict:
         return {"ids": list(t), "labels": list(self.kg.label_triple(t))}
@@ -280,19 +291,15 @@ class _Search:
             raise ConfigurationError("c-sufficient mode requires a target set")
         explanation = CandidateExplanation(triples)
         head = (self.kg, self.model, self.prediction, explanation)
-        fit = (self.config.evaluator, self.train_config)
-        epochs = self.config.post_train_epochs
+        fit = (self.config.evaluator, self.fit_config)
         if mode == "necessary":
-            result = effectiveness_necessary(*head, *fit, post_epochs=epochs)
+            result = effectiveness_necessary(*head, *fit)
         elif mode == "sufficient":
-            result = effectiveness_sufficient(*head, *fit, post_epochs=epochs)
+            result = effectiveness_sufficient(*head, *fit)
         elif mode == "c-sufficient":
-            result = effectiveness_c_sufficient(*head, self.targets, *fit, post_epochs=epochs)
-        elif mode in ("latent-positive", "latent-negative"):
-            polarity = mode.removeprefix("latent-")
-            result = effectiveness_latent(*head, polarity, *fit, post_epochs=epochs)
-        else:
-            raise ConfigurationError(f"unknown mode: {mode!r}")
+            result = effectiveness_c_sufficient(*head, self.targets, *fit)
+        else:  # latent-positive or latent-negative; explain rejects any other mode
+            result = effectiveness_latent(*head, mode.removeprefix("latent-"), *fit)
         self.candidates.append({
             "triples": [self._triple_entry(t) for t in explanation.sorted_triples()],
             "length": len(explanation),
@@ -307,20 +314,16 @@ class _Search:
         self.found.extend(result.warnings)
         return result
 
-    def finish(self, algorithm: str, warnings: tuple[str, ...] = ()) -> dict:
-        """The run file's object; its warnings are the explainer's, then each new candidate's."""
+    def finish(self, algorithm: str) -> dict:
+        """The run file's object; its warnings are :attr:`found`, each once."""
         candidates = self.candidates
         front, best = _front_and_best(candidates)
-        config = asdict(self.config)
-        for key, value in config.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                config[key] = repr(value)
         return {
             "schema_version": RUN_SCHEMA_VERSION,
             "algorithm": algorithm,
             "mode": self.mode,
             "prediction": self._triple_entry(self.prediction) | {"rank_before": self.rank_before},
-            "config": config,
+            "config": _config_object(self.config),
             "candidates": candidates,
             "best": best,
             "front": front,
@@ -328,40 +331,23 @@ class _Search:
                 "retrains": sum(c["retrains"] for c in candidates),
                 "wall_clock_s": time.perf_counter() - self.started,
             },
-            "warnings": list(dict.fromkeys((*warnings, *self.found))),
+            "warnings": list(dict.fromkeys(self.found)),
         }
 
 
-def exhaustive_length1(
-    kg: KnowledgeGraph,
-    model: EmbeddingModel,
-    prediction: Triple,
-    space: SearchSpace,
-    mode: str,
-    config: ExplainerConfig,
-    train_config: TrainConfig,
-    targets: tuple[int, ...] | None = None,
-) -> dict:
+def exhaustive_length1(search: _Search, space: SearchSpace) -> None:
     """Evaluate every singleton in the space; the argmax is flagged best.
 
     Ties on effectiveness go to the lowest triple ids. This is the oracle
     any heuristic over the same space and evaluator is bounded by.
     """
-    search = _Search(kg, model, prediction, mode, config, train_config, targets)
     if not space.members:
         raise DomainError(f"search space {space.preset!r} is empty")
     for t in space.members:
         search.evaluate((t,))
-    return search.finish("exhaustive-length-1")
 
 
-def data_poisoning_direct(
-    kg: KnowledgeGraph,
-    model: EmbeddingModel,
-    prediction: Triple,
-    config: ExplainerConfig,
-    train_config: TrainConfig,
-) -> dict:
+def data_poisoning_direct(search: _Search) -> None:
     """Rank the subject's outgoing triples by a gradient-shift heuristic.
 
     The subject embedding is shifted down the prediction's score gradient by
@@ -370,14 +356,15 @@ def data_poisoning_direct(
     subject. The ``top_m`` maximizers are kept and only then evaluated with
     the configured effectiveness evaluator for reporting.
     """
-    search = _Search(kg, model, prediction, "necessary", config, train_config)
+    model, prediction, config = search.model, search.prediction, search.config
     s_x = prediction.subject
     neighbors = sorted(
-        t for t in kg.train_adjacency.get(s_x, ()) if t.subject == s_x
+        t for t in search.kg.train_adjacency.get(s_x, ()) if t.subject == s_x
     )
     if not neighbors:
         logger.warning("prediction subject has no outgoing training triples")
-        return search.finish("data-poisoning-direct", warnings=("no eligible neighbors",))
+        search.found.append("no eligible neighbors")
+        return
 
     shifted = model.clone()
     shifted.ent[s_x] -= config.perturbation_step * grad_score_wrt_subject(model, prediction)
@@ -390,7 +377,6 @@ def data_poisoning_direct(
 
     for heuristic, t in scored[: config.top_m]:
         search.evaluate((t,), heuristic)
-    return search.finish("data-poisoning-direct")
 
 
 def _score_gradients(model: EmbeddingModel, triple: Triple) -> dict[tuple[str, int], np.ndarray]:
@@ -445,37 +431,31 @@ def first_order_score_change(
     return step * total
 
 
-def criage_first_order(
-    kg: KnowledgeGraph,
-    model: EmbeddingModel,
-    prediction: Triple,
-    config: ExplainerConfig,
-    train_config: TrainConfig,
-) -> dict:
+def criage_first_order(search: _Search) -> None:
     """Order removals of the object's incoming triples by estimated damage.
 
     Damage is the first-order influence estimate of the prediction-score
     change (most negative first); each candidate's true effectiveness is
     attached with the configured evaluator for reporting.
     """
-    search = _Search(kg, model, prediction, "necessary", config, train_config)
+    prediction = search.prediction
     o_x = prediction.object
     neighbors = sorted(
-        t for t in kg.train_adjacency.get(o_x, ()) if t.object == o_x
+        t for t in search.kg.train_adjacency.get(o_x, ()) if t.object == o_x
     )
     if not neighbors:
         logger.warning("prediction object has no incoming training triples")
-        return search.finish("criage-first-order", warnings=("no eligible neighbors",))
+        search.found.append("no eligible neighbors")
+        return
 
+    step = search.config.influence_step
     estimates = [
-        (first_order_score_change(model, prediction, t, config.influence_step), t)
-        for t in neighbors
+        (first_order_score_change(search.model, prediction, t, step), t) for t in neighbors
     ]
     estimates.sort(key=lambda pair: (pair[0], pair[1]))
 
     for estimate, t in estimates:
         search.evaluate((t,), estimate)
-    return search.finish("criage-first-order")
 
 
 def prefilter_topk(kg: KnowledgeGraph, prediction: Triple, k: int) -> tuple[Triple, ...]:
@@ -503,15 +483,7 @@ def prefilter_topk(kg: KnowledgeGraph, prediction: Triple, k: int) -> tuple[Trip
     return tuple(sorted(incident, key=sort_key)[:k])
 
 
-def variable_length_builder(
-    kg: KnowledgeGraph,
-    model: EmbeddingModel,
-    prediction: Triple,
-    mode: str,
-    config: ExplainerConfig,
-    train_config: TrainConfig,
-    targets: tuple[int, ...] | None = None,
-) -> dict:
+def variable_length_builder(search: _Search) -> None:
     """Grow explanations from singletons up to ``max_length`` (at most 4).
 
     All singletons from the prefilter are evaluated first; if the best one
@@ -522,9 +494,8 @@ def variable_length_builder(
     evaluation budget, a seeded annealing walk (geometric temperature decay)
     explores that length instead of full enumeration.
     """
-    search = _Search(kg, model, prediction, mode, config, train_config, targets)
-
-    pool = prefilter_topk(kg, prediction, config.prefilter_k)
+    config = search.config
+    pool = prefilter_topk(search.kg, search.prediction, config.prefilter_k)
     if not pool:
         raise DomainError("builder prefilter produced an empty candidate pool")
 
@@ -546,19 +517,17 @@ def variable_length_builder(
                     accepted = True
                     break
         else:
-            accepted = _anneal_length(ordered, relevance, search, config)
+            accepted = _anneal_length(ordered, relevance, search)
         length += 1
-
-    return search.finish("variable-length-builder")
 
 
 def _anneal_length(
     ordered: list[tuple[Triple, ...]],
     relevance: dict[tuple[Triple, ...], float],
     search: _Search,
-    config: ExplainerConfig,
 ) -> bool:
     """Seeded annealing walk over one length's combinations; True if accepted."""
+    config = search.config
     rng = np.random.default_rng(config.seed)
     universe = sorted({t for combo in ordered for t in combo})
     current = ordered[0]  # start from the top preliminary relevance
@@ -603,23 +572,25 @@ def explain(
     """The run of ``algorithm`` for ``prediction`` in ``mode``; see :data:`ALGORITHMS`.
 
     ``space`` is what ``exhaustive-length-1`` searches, and must be given for
-    it; the other algorithms pick their own candidates and ignore it. In mode ``c-sufficient`` the
-    space is narrowed to the triples holding the prediction's subject, the
-    only ones a transfer onto the ``targets`` can move.
+    it; the other algorithms pick their own candidates and ignore it. In mode
+    ``c-sufficient`` the space is narrowed to the triples holding the
+    prediction's subject, the only ones a transfer onto the ``targets`` can
+    move. Every retrain runs ``train_config``, for ``post_train_epochs`` epochs if set.
     """
     _check_pair(algorithm, mode)
+    if algorithm == "exhaustive-length-1" and space is None:
+        raise ConfigurationError("algorithm 'exhaustive-length-1' needs a search space")
+    search = _Search(kg, model, prediction, mode, config, train_config, targets)
     # each algorithm is called by its module-global name, which a tracer may rebind
     if algorithm == "exhaustive-length-1":
-        if space is None:
-            raise ConfigurationError("algorithm 'exhaustive-length-1' needs a search space")
         if mode == "c-sufficient":
-            s_x = prediction.subject
-            space = SearchSpace(
-                space.preset, tuple(t for t in space.members if s_x in (t.subject, t.object))
-            )
-        return exhaustive_length1(kg, model, prediction, space, mode, config, train_config, targets)
-    if algorithm == "data-poisoning-direct":
-        return data_poisoning_direct(kg, model, prediction, config, train_config)
-    if algorithm == "criage-first-order":
-        return criage_first_order(kg, model, prediction, config, train_config)
-    return variable_length_builder(kg, model, prediction, mode, config, train_config, targets)
+            members = tuple(t for t in space.members if prediction.subject in (t.subject, t.object))
+            space = SearchSpace(space.preset, members)
+        exhaustive_length1(search, space)
+    elif algorithm == "data-poisoning-direct":
+        data_poisoning_direct(search)
+    elif algorithm == "criage-first-order":
+        criage_first_order(search)
+    else:
+        variable_length_builder(search)
+    return search.finish(algorithm)

@@ -17,7 +17,7 @@ from kgexplain import (
     rank,
     train,
 )
-from kgexplain.explainers import exhaustive_length1
+from kgexplain.explainers import explain
 from kgexplain import training
 
 DESK_SEED = 29
@@ -167,8 +167,9 @@ def desk_oracle_runs(desk_kg, desk_model, desk_config, desk_predictions):
     runs = {}
     for pred in desk_predictions:
         space = build_search_space(desk_kg, "shares-entity", pred)
-        runs[pred] = exhaustive_length1(
-            desk_kg, desk_model, pred, space, "necessary", config, desk_config,
+        runs[pred] = explain(
+            desk_kg, desk_model, pred, "exhaustive-length-1", "necessary", space, config,
+            desk_config,
         )
     return runs
 

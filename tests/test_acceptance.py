@@ -7,6 +7,8 @@ full-retrain singleton evaluations over 20 rank-1 predictions on the seeded
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from kgexplain import (
@@ -28,7 +30,7 @@ from kgexplain import (
     score,
     train,
 )
-from kgexplain.explainers import criage_first_order, data_poisoning_direct
+from kgexplain.explainers import explain
 from kgexplain.model import grad_score_wrt_subject
 from kgexplain.training import batch_loss_and_grads, build_examples
 
@@ -200,8 +202,10 @@ def test_criterion_07_oracle_dominance(
     compared = 0
     for prediction in desk_predictions:
         oracle_best = desk_oracle_runs[prediction]["best"]["psi"]
-        for heuristic in (data_poisoning_direct, criage_first_order):
-            run = heuristic(desk_kg, desk_model, prediction, config, desk_config)
+        for heuristic in ("data-poisoning-direct", "criage-first-order"):
+            run = explain(
+                desk_kg, desk_model, prediction, heuristic, "necessary", None, config, desk_config
+            )
             if run["best"] is None:
                 continue
             compared += 1
@@ -227,7 +231,7 @@ def test_criterion_08_post_train_proxy_fidelity(
             triples = [Triple(*t["ids"]) for t in candidate["triples"]]
             post = effectiveness_necessary(
                 desk_kg, desk_model, prediction, triples,
-                "post-train", desk_config, post_epochs=30,
+                "post-train", dataclasses.replace(desk_config, epochs=30),
             )
             agree += int(np.sign(full_psi) == np.sign(post.psi))
             total += 1
@@ -250,7 +254,10 @@ def test_criterion_09_comparison_table_qualitative(
     algo_runs = {
         "exhaustive-length-1": [desk_oracle_runs[p] for p in desk_predictions],
         "data-poisoning-direct": [
-            data_poisoning_direct(desk_kg, desk_model, p, config, desk_config)
+            explain(
+                desk_kg, desk_model, p, "data-poisoning-direct", "necessary", None, config,
+                desk_config,
+            )
             for p in desk_predictions[:5]
         ],
     }

@@ -1,6 +1,7 @@
 """Search algorithms: exhaustive oracle, gradient heuristics, builder."""
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 
@@ -27,17 +28,13 @@ from kgexplain import (
     score,
     train,
 )
-from kgexplain import explainers
+from kgexplain import effectiveness, explainers
 from kgexplain.cli import parse_experiment_config
 from kgexplain.effectiveness import CandidateExplanation
 from kgexplain.explainers import (
     ALGORITHMS,
     MODES,
-    criage_first_order,
-    data_poisoning_direct,
-    exhaustive_length1,
     read_run,
-    variable_length_builder,
     write_text_atomic,
 )
 from kgexplain.kg import SearchSpace
@@ -65,8 +62,9 @@ class TestExhaustive:
     def test_single_member_space_wins_by_vacuity(self, setup):
         kg, config, model, prediction = setup
         space = explicit_space([kg.train[1]])
-        run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", ExplainerConfig(), config
+        run = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", space, ExplainerConfig(),
+            config,
         )
         assert len(run["candidates"]) == 1
         assert triples_of(run["best"]) == {kg.train[1]}
@@ -74,8 +72,8 @@ class TestExhaustive:
     def test_empty_space_rejected(self, setup):
         kg, config, model, prediction = setup
         with pytest.raises(DomainError):
-            exhaustive_length1(
-                kg, model, prediction, explicit_space([]), "necessary",
+            explain(
+                kg, model, prediction, "exhaustive-length-1", "necessary", explicit_space([]),
                 ExplainerConfig(), config,
             )
 
@@ -84,11 +82,13 @@ class TestExhaustive:
         small = build_search_space(kg, "subject-match", prediction)
         big = build_search_space(kg, "one-hop", prediction)
         assert set(small.members) <= set(big.members)
-        run_small = exhaustive_length1(
-            kg, model, prediction, small, "necessary", ExplainerConfig(), config
+        run_small = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", small, ExplainerConfig(),
+            config,
         )
-        run_big = exhaustive_length1(
-            kg, model, prediction, big, "necessary", ExplainerConfig(), config
+        run_big = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", big, ExplainerConfig(),
+            config,
         )
         assert run_big["best"]["psi"] >= run_small["best"]["psi"]
 
@@ -98,8 +98,9 @@ class TestExhaustive:
         model = train(init_model(kg, config), kg, config)
         prediction = next(t for t in kg.eval_split("test") if rank(model, t, kg) == 1)
         space = build_search_space(kg, "shares-entity", prediction)
-        run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", ExplainerConfig(), config
+        run = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", space, ExplainerConfig(),
+            config,
         )
         # independent sweep over the same members, composed from primitives
         base_rank = rank(model, prediction, kg)
@@ -119,8 +120,9 @@ class TestExhaustive:
     def test_records_every_candidate_and_front_is_subset(self, setup):
         kg, config, model, prediction = setup
         space = build_search_space(kg, "shares-entity", prediction)
-        run = exhaustive_length1(
-            kg, model, prediction, space, "necessary", ExplainerConfig(), config
+        run = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", space, ExplainerConfig(),
+            config,
         )
         assert len(run["candidates"]) == len(space.members)
         evaluated = {triples_of(c) for c in run["candidates"]}
@@ -132,9 +134,9 @@ class TestExhaustive:
         config = TrainConfig(dimension=4, epochs=5, batch_size=64, seed=3)
         model = train(init_model(kg, config), kg, config)
         prediction = kg.train[0]
-        run = exhaustive_length1(
-            kg, model, prediction, explicit_space(kg.train[:2]), "sufficient",
-            ExplainerConfig(evaluator="full-retrain"), config,
+        run = explain(
+            kg, model, prediction, "exhaustive-length-1", "sufficient",
+            explicit_space(kg.train[:2]), ExplainerConfig(evaluator="full-retrain"), config,
         )
         assert len(run["candidates"]) == 2
         assert run["warnings"] == [
@@ -158,7 +160,9 @@ class TestDataPoisoning:
         kg, config, model, prediction = setup
         neighbors = sorted(t for t in kg.train if t.subject == prediction.subject)
         ec = ExplainerConfig(lambda_weight=0.0, top_m=len(neighbors), evaluator="post-train")
-        run = data_poisoning_direct(kg, model, prediction, ec, config)
+        run = explain(
+            kg, model, prediction, "data-poisoning-direct", "necessary", None, ec, config,
+        )
         got = [min(triples_of(c)) for c in run["candidates"]]
         expected = sorted(neighbors, key=lambda t: (-score(model, t), t))
         assert got == expected
@@ -170,7 +174,9 @@ class TestDataPoisoning:
             perturbation_step=0.0, lambda_weight=0.5, top_m=len(neighbors),
             evaluator="post-train",
         )
-        run = data_poisoning_direct(kg, model, prediction, ec, config)
+        run = explain(
+            kg, model, prediction, "data-poisoning-direct", "necessary", None, ec, config,
+        )
         for candidate in run["candidates"]:
             t = min(triples_of(candidate))
             assert candidate["heuristic_score"] == pytest.approx(0.5 * score(model, t))
@@ -178,10 +184,12 @@ class TestDataPoisoning:
     def test_never_beats_the_exhaustive_oracle(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(top_m=3, evaluator="post-train")
-        heuristic = data_poisoning_direct(kg, model, prediction, ec, config)
+        heuristic = explain(
+            kg, model, prediction, "data-poisoning-direct", "necessary", None, ec, config,
+        )
         space = build_search_space(kg, "shares-entity", prediction)
-        oracle = exhaustive_length1(
-            kg, model, prediction, space, "necessary", ec, config
+        oracle = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", space, ec, config,
         )
         assert oracle["best"]["psi"] >= heuristic["best"]["psi"]
 
@@ -189,7 +197,10 @@ class TestDataPoisoning:
         kg, config, model, _ = setup
         # entity 11 is a pure sink: never a training subject
         lonely = Triple(11, 0, 0)
-        run = data_poisoning_direct(kg, model, lonely, ExplainerConfig(), config)
+        run = explain(
+            kg, model, lonely, "data-poisoning-direct", "necessary", None, ExplainerConfig(),
+            config,
+        )
         assert run["candidates"] == []
         assert "no eligible neighbors" in run["warnings"]
 
@@ -232,17 +243,22 @@ class TestCriageFirstOrder:
 
     def test_candidates_ordered_by_estimated_damage(self, setup):
         kg, config, model, prediction = setup
-        run = criage_first_order(kg, model, prediction, ExplainerConfig(), config)
+        run = explain(
+            kg, model, prediction, "criage-first-order", "necessary", None, ExplainerConfig(),
+            config,
+        )
         estimates = [c["heuristic_score"] for c in run["candidates"]]
         assert estimates == sorted(estimates)
 
     def test_never_beats_the_exhaustive_oracle(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(evaluator="post-train")
-        heuristic = criage_first_order(kg, model, prediction, ec, config)
+        heuristic = explain(
+            kg, model, prediction, "criage-first-order", "necessary", None, ec, config,
+        )
         space = build_search_space(kg, "shares-entity", prediction)
-        oracle = exhaustive_length1(
-            kg, model, prediction, space, "necessary", ec, config
+        oracle = explain(
+            kg, model, prediction, "exhaustive-length-1", "necessary", space, ec, config,
         )
         assert oracle["best"]["psi"] >= heuristic["best"]["psi"]
 
@@ -314,7 +330,9 @@ class TestBuilder:
             max_length=3, prefilter_k=4, acceptance_threshold=float("-inf"),
             evaluator="post-train",
         )
-        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        run = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         assert all(c["length"] == 1 for c in run["candidates"])
         assert len(run["candidates"]) == len(prefilter_topk(kg, prediction, 4))
 
@@ -324,7 +342,9 @@ class TestBuilder:
             max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
             evaluator="post-train",
         )
-        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        run = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         pool = prefilter_topk(kg, prediction, 4)
         singles = [c for c in run["candidates"] if c["length"] == 1]
         pairs = [c for c in run["candidates"] if c["length"] == 2]
@@ -342,7 +362,9 @@ class TestBuilder:
             max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
             evaluator="post-train",
         )
-        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        run = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         # true front from explicit enumeration of all subsets of the pool
         pool = prefilter_topk(kg, prediction, 4)
         candidates = []
@@ -372,7 +394,10 @@ class TestBuilder:
             pool = prefilter_topk(desk_kg, prediction, 6)
             assert len(pool) == 6
             oracle, default = (
-                variable_length_builder(desk_kg, desk_model, prediction, "necessary", ec, desk_config)
+                explain(
+                    desk_kg, desk_model, prediction, "variable-length-builder", "necessary", None,
+                    ec, desk_config,
+                )
                 for ec in (oracle_config, default_config)
             )
             subsets = {frozenset(c) for k in (1, 2) for c in itertools.combinations(pool, k)}
@@ -395,8 +420,12 @@ class TestBuilder:
             max_length=2, prefilter_k=4, acceptance_threshold=5.0, seed=3,
             evaluator="post-train", max_evals_per_length=3,
         )
-        a = variable_length_builder(kg, model, prediction, "necessary", ec, config)
-        b = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        a = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
+        b = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         assert [c["triples"] for c in a["candidates"]] == [c["triples"] for c in b["candidates"]]
         assert [c["psi"] for c in a["candidates"]] == [c["psi"] for c in b["candidates"]]
 
@@ -406,7 +435,9 @@ class TestBuilder:
             max_length=3, prefilter_k=6, acceptance_threshold=float("inf"),
             max_evals_per_length=5, evaluator="post-train", seed=11,
         )
-        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        run = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         by_length = {}
         for c in run["candidates"]:
             by_length.setdefault(c["length"], []).append(c)
@@ -420,7 +451,9 @@ class TestBuilder:
             max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
             evaluator="post-train",
         )
-        run = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        run = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         assert max(c["length"] for c in run["candidates"]) <= 2
 
     def test_empty_pool_rejected(self, tiny_config, tiny_model, tiny_kg):
@@ -430,16 +463,16 @@ class TestBuilder:
             tuple(t for t in tiny_kg.train if 11 not in (t.subject, t.object)),
         )
         with pytest.raises(DomainError):
-            variable_length_builder(
-                kg2, tiny_model, lonely, "necessary",
+            explain(
+                kg2, tiny_model, lonely, "variable-length-builder", "necessary", None,
                 ExplainerConfig(max_length=2, evaluator="post-train"), tiny_config,
             )
 
     def test_max_length_validation(self, setup):
         kg, config, model, prediction = setup
         with pytest.raises(ConfigurationError, match="max_length must lie in"):
-            variable_length_builder(
-                kg, model, prediction, "necessary",
+            explain(
+                kg, model, prediction, "variable-length-builder", "necessary", None,
                 ExplainerConfig(max_length=5), config,
             )
 
@@ -481,7 +514,7 @@ def test_explain_and_the_cli_reject_the_same_algorithm_mode_pairs(
     }
     ran = []
     for name in functions.values():
-        monkeypatch.setattr(explainers, name, lambda *args, name=name: ran.append(name) or {})
+        monkeypatch.setattr(explainers, name, lambda *args, name=name: ran.append(name))
     kg, config, model, prediction = setup
     space = build_search_space(kg, "shares-entity", prediction)
     checks = (
@@ -526,13 +559,41 @@ def test_explain_narrows_the_c_sufficient_space_to_the_subjects_triples(setup):
     ec = ExplainerConfig(post_train_epochs=2)
     targets = build_target_set(kg, model, prediction, 2, seed=0)
     runs = [
-        explain(kg, model, prediction, "exhaustive-length-1", "c-sufficient", space, ec, config,
-                targets),
-        exhaustive_length1(kg, model, prediction, narrowed, "c-sufficient", ec, config, targets),
+        explain(
+            kg, model, prediction, "exhaustive-length-1", "c-sufficient", members, ec, config,
+            targets,
+        )
+        for members in (space, narrowed)
     ]
     for run in runs:
         run["counters"].pop("wall_clock_s")
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("evaluator", ["post-train", "full-retrain"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_fit_of_a_run_gets_the_evaluators_epoch_count(
+    setup, monkeypatch, algorithm, evaluator
+):
+    # a post-train runs post_train_epochs; a full retrain keeps the training epochs
+    kg, config, model, prediction = setup
+    signature, epochs = inspect.signature(post_train), []
+
+    def recording(*args, **kwargs):
+        call = signature.bind(*args, **kwargs).arguments
+        epochs.append(call["config"].epochs if call.get("epochs") is None else call["epochs"])
+        return post_train(*args, **kwargs)
+
+    monkeypatch.setattr(effectiveness, "post_train", recording)
+    post = evaluator == "post-train"
+    ec = ExplainerConfig(
+        evaluator=evaluator, post_train_epochs=2 if post else None, top_m=3, max_length=2,
+        prefilter_k=4,
+    )
+    space = build_search_space(kg, "shares-entity", prediction)
+    run = explain(kg, model, prediction, algorithm, "necessary", space, ec, config)
+    assert len(epochs) == run["counters"]["retrains"] > 0
+    assert set(epochs) == {2 if post else config.epochs}
 
 
 class TestRunSerialization:
@@ -560,7 +621,9 @@ class TestRunSerialization:
             max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
             evaluator="post-train",
         )
-        payload = variable_length_builder(kg, model, prediction, "necessary", ec, config)
+        payload = explain(
+            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        )
         points = [(c["length"], c["psi"]) for c in payload["candidates"]]
         expected = [
             {

@@ -83,12 +83,11 @@ def _assert_same_fit(kg, base, config, call, reference: tuple[Triple, ...]):
 @pytest.mark.parametrize("evaluator", EVALUATORS)
 def test_necessary_rows_fit_like_the_removal_tuple(setting, monkeypatch, evaluator):
     kg, model, config, prediction, touching = setting
+    fit_config = dataclasses.replace(config, epochs=3)
     calls = _recording(monkeypatch)
     for removed in (frozenset(touching[:1]), frozenset(touching[1:3])):
-        result = effectiveness_necessary(
-            kg, model, prediction, removed, evaluator, config, post_epochs=3
-        )
-        want = _assert_same_fit(kg, model, config, calls[-1], _ordered_removal(kg, removed))
+        result = effectiveness_necessary(kg, model, prediction, removed, evaluator, fit_config)
+        want = _assert_same_fit(kg, model, fit_config, calls[-1], _ordered_removal(kg, removed))
         assert result.rank_before == rank(model, prediction, kg)
         assert result.rank_after == rank(want, prediction, kg)
         assert result.psi == rank(want, prediction, kg) - rank(model, prediction, kg)
@@ -97,10 +96,11 @@ def test_necessary_rows_fit_like_the_removal_tuple(setting, monkeypatch, evaluat
 @pytest.mark.parametrize("evaluator", EVALUATORS)
 def test_sufficient_rows_fit_like_the_keep_tuple(setting, monkeypatch, evaluator):
     kg, model, config, prediction, touching = setting
+    fit_config = dataclasses.replace(config, epochs=3)
     calls = _recording(monkeypatch)
     kept = frozenset(touching[:3])
-    result = effectiveness_sufficient(kg, model, prediction, kept, evaluator, config, post_epochs=3)
-    want = _assert_same_fit(kg, model, config, calls[-1], _ordered_keep(kg, kept))
+    result = effectiveness_sufficient(kg, model, prediction, kept, evaluator, fit_config)
+    want = _assert_same_fit(kg, model, fit_config, calls[-1], _ordered_keep(kg, kept))
     assert result.rank_before == rank(model, prediction, kg)
     assert result.rank_after == rank(want, prediction, kg)
     assert result.psi == rank(model, prediction, kg) - rank(want, prediction, kg)
@@ -109,11 +109,12 @@ def test_sufficient_rows_fit_like_the_keep_tuple(setting, monkeypatch, evaluator
 @pytest.mark.parametrize("evaluator", EVALUATORS)
 def test_c_sufficient_rows_fit_like_the_addition_tuples(setting, monkeypatch, evaluator):
     kg, model, config, prediction, touching = setting
+    fit_config = dataclasses.replace(config, epochs=3)
     targets = build_target_set(kg, model, prediction, 2, seed=0)
     calls = _recording(monkeypatch)
     candidate = frozenset(touching[:2])
     result = effectiveness_c_sufficient(
-        kg, model, prediction, candidate, targets, evaluator, config, post_epochs=3
+        kg, model, prediction, candidate, targets, evaluator, fit_config
     )
     outcomes = {o.entity: o for o in result.per_target}
     fits = iter(calls)
@@ -124,7 +125,7 @@ def test_c_sufficient_rows_fit_like_the_addition_tuples(setting, monkeypatch, ev
         ]
         if not added:
             continue
-        want = _assert_same_fit(kg, model, config, next(fits), _ordered_addition(kg, added))
+        want = _assert_same_fit(kg, model, fit_config, next(fits), _ordered_addition(kg, added))
         probe = Triple(c, prediction.relation, prediction.object)
         assert outcomes[c].rank_after == rank(want, probe, kg)
         assert outcomes[c].psi == outcomes[c].rank_before - rank(want, probe, kg)
@@ -134,13 +135,14 @@ def test_c_sufficient_rows_fit_like_the_addition_tuples(setting, monkeypatch, ev
 @pytest.mark.parametrize("evaluator", EVALUATORS)
 def test_latent_rows_fit_like_the_addition_tuple(setting, monkeypatch, evaluator):
     kg, model, config, prediction, _ = setting
+    fit_config = dataclasses.replace(config, epochs=3)
     unseen = (Triple(prediction.subject, 1, o) for o in range(kg.num_entities))
     latent = frozenset(tuple(t for t in unseen if t not in kg.train_set)[:2])
     calls = _recording(monkeypatch)
     result = effectiveness_latent(
-        kg, model, prediction, latent, "negative", evaluator, config, post_epochs=3
+        kg, model, prediction, latent, "negative", evaluator, fit_config
     )
-    want = _assert_same_fit(kg, model, config, calls[-1], _ordered_addition(kg, latent))
+    want = _assert_same_fit(kg, model, fit_config, calls[-1], _ordered_addition(kg, latent))
     assert result.rank_after == rank(want, prediction, kg)
     assert result.psi == rank(want, prediction, kg) - rank(model, prediction, kg)
 

@@ -24,7 +24,7 @@ from kgexplain import (
     mrr,
     rank,
 )
-from kgexplain.explainers import exhaustive_length1
+from kgexplain.explainers import explain
 
 
 def table(before_after):
@@ -138,8 +138,9 @@ class TestEmitReport(object):
         runs, rows = [], []
         for p in predictions:
             space = build_search_space(tiny_kg, "shares-entity", p)
-            run = exhaustive_length1(
-                tiny_kg, tiny_model, p, space, "necessary", ExplainerConfig(), tiny_config,
+            run = explain(
+                tiny_kg, tiny_model, p, "exhaustive-length-1", "necessary", space,
+                ExplainerConfig(), tiny_config,
             )
             runs.append(run)
             rows.append(RankRow(p, run["prediction"]["rank_before"], int(run["best"]["rank_after"])))

@@ -24,7 +24,7 @@ from kgexplain import (
     post_train,
     train,
 )
-from kgexplain.explainers import exhaustive_length1
+from kgexplain.explainers import explain
 from kgexplain import training
 from kgexplain.kg import _one_hop_entities
 from kgexplain.model import _cmul, _cmul_conj
@@ -1164,7 +1164,7 @@ def test_desk_sweeps_post_train_from_one_base_model(
     monkeypatch.setattr(
         training, "_frozen_context", lambda *args: contexts.append(1) or frozen_context(*args)
     )
-    exhaustive_length1(kg, model, prediction, space, "sufficient", config, desk_config)
+    explain(kg, model, prediction, "exhaustive-length-1", "sufficient", space, config, desk_config)
     assert not contexts and not fills
     sweeps = [
         ("necessary", space, None),
@@ -1173,8 +1173,9 @@ def test_desk_sweeps_post_train_from_one_base_model(
     ]
     for mode, members, mode_targets in sweeps:
         before = len(contexts)
-        exhaustive_length1(
-            kg, model, prediction, members, mode, config, desk_config, targets=mode_targets
+        explain(
+            kg, model, prediction, "exhaustive-length-1", mode, members, config, desk_config,
+            mode_targets,
         )
         assert len(contexts) > before, mode
     assert len(fills) == 1
