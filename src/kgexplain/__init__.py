@@ -57,7 +57,7 @@ from .model import (
     score,
     score_objects,
 )
-from .pareto import dominates, non_dominated, pareto_front
+from .pareto import non_dominated, pareto_front
 from .training import post_train, train
 
 __version__ = "0.1.0"
@@ -84,7 +84,6 @@ __all__ = [
     "build_target_set",
     "calibrate_ensemble",
     "comparison_table",
-    "dominates",
     "effectiveness_c_sufficient",
     "effectiveness_latent",
     "effectiveness_necessary",

@@ -161,6 +161,12 @@ def _rank_after(
     return rank(_retrained(kg, model, fit, evaluator, config, **options), probe, kg)
 
 
+def _worst_rank(kg: KnowledgeGraph, prediction: Triple) -> int:
+    """The worst filtered rank: 1 + every entity :func:`rank` keeps, all but ``known ∪ {o}``."""
+    known = kg.known_objects.get((prediction.subject, prediction.relation), frozenset())
+    return 1 + kg.num_entities - len(known | {prediction.object})
+
+
 def _one_retrain(
     operator: str, evaluator: str, rank_before: int, rank_after: int, sign: int,
     warnings: tuple[str, ...] = (),
@@ -183,15 +189,14 @@ def effectiveness_necessary(
     """Rank change caused by removing the candidate and retraining.
 
     Positive values mean the prediction degraded, i.e. the candidate was
-    load-bearing. Requires the base rank to be below the filtered candidate
-    count, otherwise there is no room left to degrade.
+    load-bearing. Requires the base rank to be better than the worst filtered
+    rank, otherwise there is no room left to degrade.
     """
     triples = _training_triples(kg, candidate)
     rank_before = rank(model, prediction, kg)
-    known = kg.known_objects.get((prediction.subject, prediction.relation), frozenset())
-    if rank_before >= kg.num_entities - len(known):
-        raise DomainError("necessary effectiveness requires the base rank to be below the "
-                          "filtered candidate count")
+    if rank_before >= _worst_rank(kg, prediction):
+        raise DomainError("necessary effectiveness requires the base rank to be better than the "
+                          "worst filtered rank")
     rank_after = _rank_after(
         kg, model, prediction, _rows_without(kg, triples), evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject),
@@ -325,8 +330,8 @@ def effectiveness_latent(
     """Rank shift from adding unobserved triples and retraining.
 
     ``positive`` rewards rank improvement (requires base rank > 1);
-    ``negative`` rewards degradation (requires base rank below the entity
-    count). Either way a higher value is better.
+    ``negative`` rewards degradation (requires the base rank to be better than the
+    worst filtered rank). Either way a higher value is better.
     """
     triples = _as_triples(candidate)
     if triples & kg.train_set:
@@ -339,8 +344,9 @@ def effectiveness_latent(
     rank_before = rank(model, prediction, kg)
     if polarity == "positive" and rank_before <= 1:
         raise DomainError("positive latent effectiveness requires base rank > 1")
-    if polarity == "negative" and rank_before >= kg.num_entities:
-        raise DomainError("negative latent effectiveness requires base rank below the entity count")
+    if polarity == "negative" and rank_before >= _worst_rank(kg, prediction):
+        raise DomainError("negative latent effectiveness requires the base rank to be better "
+                          "than the worst filtered rank")
     rank_after = _rank_after(
         kg, model, prediction, _rows_with(kg, triples), evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject) | _entities(triples),

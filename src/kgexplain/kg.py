@@ -128,16 +128,6 @@ class KnowledgeGraph:
             self.entity_labels[t.object],
         )
 
-    def triple_from_labels(self, subject: str, relation: str, object_: str) -> Triple:
-        try:
-            return Triple(
-                self.entity_ids[subject],
-                self.relation_ids[relation],
-                self.entity_ids[object_],
-            )
-        except KeyError as exc:
-            raise DomainError(f"unknown label: {exc.args[0]!r}") from exc
-
     def contains_ids(self, t: Triple) -> bool:
         return (
             0 <= t.subject < self.num_entities

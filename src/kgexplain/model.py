@@ -70,7 +70,6 @@ class EmbeddingModel:
     ent: np.ndarray
     rel: np.ndarray
     dimension: int
-    seed: int
     history: list[dict] = field(default_factory=list)
 
     @property
@@ -150,7 +149,7 @@ def init_model(kg: KnowledgeGraph, config: TrainConfig) -> EmbeddingModel:
     scale = 1.0 / np.sqrt(d)
     ent = rng.standard_normal((kg.num_entities, 2 * d)) * scale
     rel = rng.standard_normal((2 * kg.num_relations, 2 * d)) * scale
-    return EmbeddingModel(ent=ent, rel=rel, dimension=d, seed=config.seed)
+    return EmbeddingModel(ent=ent, rel=rel, dimension=d)
 
 
 def _check_ids(model: EmbeddingModel, triple: Triple) -> None:
@@ -226,12 +225,13 @@ def save_checkpoint(
     ``ent_im``, ``rel_re``, ``rel_im``), the layout every checkpoint has had.
     ``config``, the training configuration that produced the embeddings, is
     stored whole under ``train_config``, so that a later command can refuse
-    to pair the checkpoint with another one.
+    to pair the checkpoint with another one; the stored ``seed`` is the
+    config's.
     """
     meta = {
         "kg_hash": kg_fingerprint(kg),
         "dimension": model.dimension,
-        "seed": model.seed,
+        "seed": config.seed,
         "train_config": asdict(config),
     }
     with open(path, "wb") as fh:
@@ -261,7 +261,6 @@ def _read_checkpoint(path: str | Path, tables: bool = True) -> tuple[EmbeddingMo
                     ent=np.concatenate([data["ent_re"], data["ent_im"]], axis=1),
                     rel=np.concatenate([data["rel_re"], data["rel_im"]], axis=1),
                     dimension=int(meta["dimension"]),
-                    seed=int(meta["seed"]),
                 )
             if not isinstance(meta["kg_hash"], str):
                 raise ValueError("the graph hash is not a string")

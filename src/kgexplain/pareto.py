@@ -13,11 +13,6 @@ from .effectiveness import CandidateExplanation, EffectivenessResult
 from .errors import DomainError
 
 
-def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """True when `a` is no longer and at least as effective as `b`, one strictly."""
-    return a[0] <= b[0] and a[1] >= b[1] and (a[0] < b[0] or a[1] > b[1])
-
-
 def non_dominated(points: Sequence[tuple[float, float]]) -> list[bool]:
     """Per-point flag: not dominated by any other point.
 

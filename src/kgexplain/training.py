@@ -730,11 +730,10 @@ def _fit(
     model: EmbeddingModel,
     examples: np.ndarray,
     config: TrainConfig,
-    epochs: int,
     step: _DenseStep | _RestrictedStep,
     valid_examples: np.ndarray | None = None,
 ) -> None:
-    """Run adaptive-gradient epochs in place.
+    """Run ``config.epochs`` adaptive-gradient epochs in place.
 
     ``step(model, sel, reg_weight)`` gives the loss and the data loss, and
     writes the gradient of each of its ``slots``, (table, rows, gradient)
@@ -748,7 +747,7 @@ def _fit(
     shuffle_rng = np.random.default_rng([config.seed, 1])
     model.history = []
 
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(len(examples))
         epoch_nll = 0.0
         for start in range(0, len(examples), config.batch_size):
@@ -783,7 +782,7 @@ def train(model: EmbeddingModel, kg: KnowledgeGraph, config: TrainConfig) -> Emb
     valid = kg.eval_split("valid")
     valid_examples = build_examples(valid, model.num_relations) if valid else None
     step = _DenseStep(trained, examples, config.batch_size)
-    _fit(trained, examples, config, config.epochs, step, valid_examples)
+    _fit(trained, examples, config, step, valid_examples)
     return trained
 
 
@@ -840,7 +839,6 @@ def post_train(
     modified_train: Sequence[Triple] | _TrainRows,
     trainable_entities: Iterable[int],
     config: TrainConfig,
-    epochs: int | None = None,
     trainable_relations: Iterable[int] | None = None,
     reinit_trainable: bool = False,
 ) -> EmbeddingModel:
@@ -850,7 +848,7 @@ def post_train(
     ``trainable_relations`` and their reciprocal rows) stay bit-identical.
     ``reinit_trainable`` restores trainable rows to their seeded initial
     values before fitting, so a full mask plus the original training set
-    reproduces :func:`train` exactly. ``epochs=0`` returns an identical copy.
+    reproduces :func:`train` exactly. The fit runs ``config.epochs`` epochs.
     ``modified_train`` is a triple sequence, mapped to rows of the training
     set's example table through ``kg.train_index``, or the operators' rows of
     that table directly. A full mask fits with the dense step (from a fresh
@@ -869,10 +867,6 @@ def post_train(
         fit = _train_rows(kg, modified_train)
     if not len(fit.rows):
         raise DomainError("post-training requires a non-empty modified training set")
-    if epochs is None:
-        epochs = config.epochs
-    if epochs < 0:
-        raise ConfigurationError("epochs must be >= 0")
 
     tuned = model.clone()
     if reinit_trainable:
@@ -880,8 +874,6 @@ def post_train(
         tuned.ent[ent_idx] = fresh.ent[ent_idx]
         if len(rel_idx):
             tuned.rel[rel_idx] = fresh.rel[rel_idx]
-    if epochs == 0:
-        return tuned
     examples = _base_examples(kg.train, model.num_relations)
     if fit.added:
         examples = np.concatenate([examples, build_examples(fit.added, model.num_relations)])
@@ -889,5 +881,5 @@ def post_train(
         step = _DenseStep(tuned, examples, config.batch_size, fit.rows)
     else:
         step = _RestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, fit.rows)
-    _fit(tuned, fit.rows, config, epochs, step)
+    _fit(tuned, fit.rows, config, step)
     return tuned

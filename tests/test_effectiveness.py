@@ -18,10 +18,11 @@ from kgexplain import (
     effectiveness_sufficient,
     init_model,
     rank,
+    score_objects,
     train,
 )
 
-from kgexplain.effectiveness import _retrained
+from kgexplain.effectiveness import _retrained, _worst_rank
 
 from conftest import make_random_kg
 from test_model import rank_oracle
@@ -40,6 +41,27 @@ def unchanged(model, snap):
 @pytest.fixture(scope="module")
 def pipeline(tiny_kg, tiny_config, tiny_model):
     return tiny_kg, tiny_config, tiny_model
+
+
+def placed_last(kg, model, prediction, below):
+    """A copy of ``model`` ranking ``prediction`` last (``below``) or one above, and the worst rank.
+
+    The object's row becomes the lowest-scoring candidate's (a tie, which
+    ``rank`` does not count), or is moved below it by the gap to the second
+    lowest; the worst rank is 1 + the candidates, every entity outside the
+    known objects and the prediction's own.
+    """
+    s, r, o = prediction
+    assert s != o
+    known = kg.known_objects.get((s, r), frozenset())
+    candidates = [e for e in range(kg.num_entities) if e not in known and e != o]
+    scores = score_objects(model, s, r)
+    lowest, second = sorted(candidates, key=lambda e: scores[e])[:2]
+    placed = model.clone()
+    placed.ent[o] = placed.ent[lowest]
+    if below:
+        placed.ent[o] += placed.ent[lowest] - placed.ent[second]
+    return placed, 1 + len(candidates)
 
 
 class TestNecessary:
@@ -80,16 +102,28 @@ class TestNecessary:
 
     def test_bottom_ranked_prediction_violates_precondition(self, pipeline):
         kg, config, model = pipeline
-        # craft a prediction whose rank equals the filtered candidate count
+        # craft a prediction ranked last among its filtered candidates
         worst = None
         for t in [Triple(s, 0, o) for s in range(kg.num_entities) for o in range(kg.num_entities)]:
-            known = kg.known_objects.get((t.subject, t.relation), frozenset())
-            if rank(model, t, kg) >= kg.num_entities - len(known):
+            if rank(model, t, kg) >= _worst_rank(kg, t):
                 worst = t
                 break
         assert worst is not None
         with pytest.raises(DomainError):
             effectiveness_necessary(kg, model, worst, {kg.train[0]}, "post-train", config)
+
+    def test_in_graph_prediction_one_above_the_worst_rank_is_accepted(self, pipeline):
+        # the object is a known one, so the worst rank is 1 + E - |known|, and one
+        # above it a removal can still degrade the prediction
+        kg, config, model = pipeline
+        prediction = kg.test[0]
+        assert prediction.object in kg.known_objects[prediction.subject, prediction.relation]
+        placed, worst = placed_last(kg, model, prediction, below=False)
+        assert rank(placed, prediction, kg) == worst - 1
+        result = effectiveness_necessary(
+            kg, placed, prediction, {kg.train[1]}, "post-train", config
+        )
+        assert result.rank_before == worst - 1
 
     def test_full_retrain_matches_scripted_pipeline_exactly(self, pipeline):
         kg, config, model = pipeline
@@ -330,6 +364,23 @@ class TestLatent:
             effectiveness_latent(
                 kg, model, top, {Triple(0, 1, 11)}, "positive", "post-train", config
             )
+
+    def test_negative_polarity_requires_room_to_degrade(self, pipeline):
+        # out of the graph, (0, next, 5) ranks against the entities but 1 and 5: at the
+        # worst rank, 11, no addition can degrade it, though 11 is below the entity count
+        kg, config, model = pipeline
+        prediction, candidate = Triple(0, 0, 5), {Triple(7, 1, 0)}
+        placed, worst = placed_last(kg, model, prediction, below=True)
+        assert rank(placed, prediction, kg) == worst == kg.num_entities - 1
+        with pytest.raises(DomainError, match="worst filtered rank"):
+            effectiveness_latent(
+                kg, placed, prediction, candidate, "negative", "post-train", config
+            )
+        placed, _ = placed_last(kg, model, prediction, below=False)
+        result = effectiveness_latent(
+            kg, placed, prediction, candidate, "negative", "post-train", config
+        )
+        assert result.rank_before == worst - 1
 
     def test_noop_iff_rank_unchanged_both_polarities(self, pipeline):
         kg, config, model = pipeline

@@ -1,6 +1,7 @@
 """Search algorithms: exhaustive oracle, gradient heuristics, builder."""
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -17,7 +18,6 @@ from kgexplain import (
     Triple,
     build_search_space,
     build_target_set,
-    dominates,
     effectiveness_necessary,
     explain,
     first_order_score_change,
@@ -41,6 +41,7 @@ from kgexplain.kg import SearchSpace
 from kgexplain.training import post_train
 
 from conftest import make_desk_kg, make_random_kg
+from test_pareto import dominates
 
 
 @pytest.fixture(scope="module")
@@ -233,10 +234,11 @@ class TestCriageFirstOrder:
             trainable.update((t.subject, t.object))
         for t in kg.train_adjacency[prediction.object]:
             trainable.update((t.subject, t.object))
+        post_config = dataclasses.replace(config, epochs=20)
         for t in candidates:
             estimates.append(first_order_score_change(model, prediction, t, 0.1))
             modified = tuple(x for x in kg.train if x != t)
-            tuned = post_train(model, kg, modified, trainable, config, epochs=20)
+            tuned = post_train(model, kg, modified, trainable, post_config)
             truths.append(score(tuned, prediction) - score(model, prediction))
         rho = spearmanr(estimates, truths).statistic
         assert rho > 0
@@ -581,7 +583,7 @@ def test_every_fit_of_a_run_gets_the_evaluators_epoch_count(
 
     def recording(*args, **kwargs):
         call = signature.bind(*args, **kwargs).arguments
-        epochs.append(call["config"].epochs if call.get("epochs") is None else call["epochs"])
+        epochs.append(call["config"].epochs)
         return post_train(*args, **kwargs)
 
     monkeypatch.setattr(effectiveness, "post_train", recording)

@@ -206,8 +206,9 @@ def test_out_of_range_row_is_domain_error(desk_kg, desk_model, desk_config, full
     fit = _TrainRows(np.asarray([0, 1, bad], dtype=np.int64))
     entities = range(kg.num_entities) if full else {0}
     relations = range(kg.num_relations) if full else None
+    one_epoch = dataclasses.replace(desk_config, epochs=1)
     with pytest.raises(DomainError, match="example row out of range"):
-        post_train(desk_model, kg, fit, entities, desk_config, epochs=1, trainable_relations=relations)
+        post_train(desk_model, kg, fit, entities, one_epoch, trainable_relations=relations)
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full-mask", "frozen-mask"])
@@ -216,8 +217,9 @@ def test_out_of_range_id_in_an_added_triple_is_domain_error(desk_kg, desk_model,
     fit = effectiveness._rows_with(kg, [Triple(kg.num_entities, 0, 1)])
     entities = range(kg.num_entities) if full else {0}
     relations = range(kg.num_relations) if full else None
+    one_epoch = dataclasses.replace(desk_config, epochs=1)
     with pytest.raises(DomainError, match="example row id out of range"):
-        post_train(desk_model, kg, fit, entities, desk_config, epochs=1, trainable_relations=relations)
+        post_train(desk_model, kg, fit, entities, one_epoch, trainable_relations=relations)
 
 
 def test_empty_row_fit_is_domain_error(desk_kg, desk_model, desk_config):

@@ -116,8 +116,8 @@ class TestAdjacency:
         kg = load_dataset(
             write_dataset(tmp_path / "d", [("a", "r", "b"), ("a", "r", "a")])
         )
-        t_ab = kg.triple_from_labels("a", "r", "b")
-        t_aa = kg.triple_from_labels("a", "r", "a")
+        a, b, r = kg.entity_ids["a"], kg.entity_ids["b"], kg.relation_ids["r"]
+        t_ab, t_aa = Triple(a, r, b), Triple(a, r, a)
         assert kg.train_adjacency[0].count(t_ab) == 1
         assert kg.train_adjacency[1].count(t_ab) == 1
         assert kg.train_adjacency[0].count(t_aa) == 1  # self-loop listed once

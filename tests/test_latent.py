@@ -8,6 +8,7 @@ from kgexplain import (
     ConfigurationError,
     DomainError,
     GenerativeEnsemble,
+    KnowledgeGraph,
     TrainConfig,
     Triple,
     calibrate_ensemble,
@@ -17,6 +18,8 @@ from kgexplain import (
     score,
     train,
 )
+
+from kgexplain.latent import EXHAUSTIVE_SPACE_CAP
 
 from conftest import make_random_kg
 
@@ -119,6 +122,22 @@ class TestSampling:
         for epsilon, budget in ((0.3, 25), (0.6, 10**6), (0.9, 40)):
             sample = sample_latent_candidates(ensemble, kg30, epsilon, min(budget, 10**6), seed=5)
             assert sample == brute_force_latent(ensemble, kg30, epsilon, budget)
+
+    def test_seeded_search_above_the_enumeration_cap(self):
+        # a ring of 1,100 entities under 2 relations: 2.42M possible triples
+        n = 1100
+        ring = tuple(Triple(i, r, (i + r + 1) % n) for i in range(n) for r in range(2))
+        kg = KnowledgeGraph([f"e{i}" for i in range(n)], ["next", "skip"], ring)
+        assert kg.num_entities**2 * kg.num_relations > EXHAUSTIVE_SPACE_CAP
+        ensemble = GenerativeEnsemble(init_model(kg, TrainConfig(seed=3)), 1.0, 0.0)
+        epsilon, budget = 0.6, 15
+        sample = sample_latent_candidates(ensemble, kg, epsilon, budget, seed=5)
+        assert 0 < len(sample) <= budget
+        assert sample == sorted(set(sample))
+        for t in sample:
+            assert t not in kg.train_set
+            assert ensemble.object_probabilities(t.subject, t.relation)[t.object] >= 1 - epsilon
+        assert sample_latent_candidates(ensemble, kg, epsilon, budget, seed=5) == sample
 
     def test_validation(self, ensemble, tiny_kg):
         with pytest.raises(ConfigurationError):

@@ -260,9 +260,10 @@ class TestCheckpoint:
         save_checkpoint(model, kg, path, config)
         loaded = load_checkpoint(path, kg)
         assert all(np.array_equal(getattr(model, n), getattr(loaded, n)) for n in ARRAYS)
-        assert loaded.dimension == 4 and loaded.seed == 8
+        assert loaded.dimension == 4
         with np.load(path) as data:  # the on-disk format other tools read
             assert set(data.files) == {"ent_re", "ent_im", "rel_re", "rel_im", "meta"}
+            assert json.loads(str(data["meta"]))["seed"] == config.seed == 8
 
     def test_mismatched_graph_rejected(self, tmp_path):
         kg = make_random_kg(seed=4, n_entities=8, n_relations=2, n_triples=15)
@@ -320,13 +321,15 @@ class TestFingerprintAndStoredConfig:
             assert kg_fingerprint(kg) == _reference_fingerprint(kg)
         assert kg_fingerprint(desk_kg) != kg_fingerprint(no_valid)
 
-    def test_checkpoint_without_stored_config_is_rejected(self, desk_kg, desk_model, tmp_path):
+    def test_checkpoint_without_stored_config_is_rejected(
+        self, desk_kg, desk_config, desk_model, tmp_path
+    ):
         # the layout and metadata every checkpoint had before the config was stored
         path = tmp_path / "old.npz"
         meta = {
             "kg_hash": _reference_fingerprint(desk_kg),
             "dimension": desk_model.dimension,
-            "seed": desk_model.seed,
+            "seed": desk_config.seed,
         }
         np.savez(
             path, **{name: getattr(desk_model, name) for name in ARRAYS},

@@ -11,7 +11,6 @@ from kgexplain import (
     DomainError,
     EffectivenessResult,
     Triple,
-    dominates,
     non_dominated,
     pareto_front,
 )
@@ -26,19 +25,14 @@ def candidate(length: int, psi: float):
     return CandidateExplanation(triples), result
 
 
+def dominates(a, b):
+    """True when `a` is no longer and at least as effective as `b`, one strictly."""
+    return a[0] <= b[0] and a[1] >= b[1] and (a[0] < b[0] or a[1] > b[1])
+
+
 def oracle_front(points):
     """O(n^2) pairwise dominance check."""
-    keep = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
-            if q[0] <= p[0] and q[1] >= p[1] and (q[0] < p[0] or q[1] > p[1]):
-                dominated = True
-                break
-        keep.append(not dominated)
-    return keep
+    return [not any(dominates(q, p) for q in points) for p in points]
 
 
 class TestWorkedExample:

@@ -502,15 +502,15 @@ class TestRestrictedStep:
         config = TrainConfig(dimension=6, epochs=20, batch_size=32, seed=5)
         model = train(init_model(kg, config), kg, config)
         modified = kg.train[1:]
+        config = dataclasses.replace(config, epochs=15)
         for entities, relations in (({0, 3, 4}, set()), ({2, 7}, {1})):
-            tuned = post_train(
-                model, kg, modified, entities, config, epochs=15, trainable_relations=relations
-            )
+            tuned = post_train(model, kg, modified, entities, config, trainable_relations=relations)
             reference = model.clone()
             ent_idx = np.asarray(sorted(entities))
             rel_idx = _relation_rows(relations, kg.num_relations)
             _dense_masked_fit(
-                reference, build_examples(modified, kg.num_relations), config, 15, ent_idx, rel_idx
+                reference, build_examples(modified, kg.num_relations), config, config.epochs,
+                ent_idx, rel_idx,
             )
             frozen = np.setdiff1d(np.arange(kg.num_entities), ent_idx)
             assert np.array_equal(tuned.ent[frozen], model.ent[frozen])
@@ -668,7 +668,7 @@ class _ReferenceRestrictedStep:
         return loss, data_loss, (d_ent, d_rel)
 
 
-def _reference_post_train(model, kg, modified, entities, config, epochs, relations, reinit):
+def _reference_post_train(model, kg, modified, entities, config, relations, reinit):
     """``post_train``'s set-up around the reference step."""
     tuned = model.clone()
     ent_idx = np.asarray(sorted(entities), dtype=np.int64)
@@ -680,7 +680,7 @@ def _reference_post_train(model, kg, modified, entities, config, epochs, relatio
             tuned.rel[rel_idx] = fresh.rel[rel_idx]
     examples = build_examples(modified, kg.num_relations)
     step = _ReferenceRestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, config.batch_size)
-    training._fit(tuned, examples, config, epochs, _IntoSlots(step, tuned))
+    training._fit(tuned, examples, config, _IntoSlots(step, tuned))
     return tuned
 
 
@@ -729,17 +729,17 @@ def _assert_fit_matches(got, want, model, entities, relations, name):
     )
 
 
-def _restricted_and_reference_fits(model, kg, rows, ent_idx, config, epochs):
+def _restricted_and_reference_fits(model, kg, rows, ent_idx, config):
     """A restricted fit of ``rows`` of ``kg``'s base example table, and the reference fit of them."""
     examples = build_examples(kg.train, kg.num_relations)
     rel_idx = np.empty(0, dtype=np.int64)
     got, want = model.clone(), model.clone()
     step = _RestrictedStep(got, examples, ent_idx, rel_idx, kg.train, rows)
-    training._fit(got, rows, config, epochs, step)
+    training._fit(got, rows, config, step)
     reference = _ReferenceRestrictedStep(
         want, examples[rows], ent_idx, rel_idx, kg.train, config.batch_size
     )
-    training._fit(want, examples[rows], config, epochs, _IntoSlots(reference, want))
+    training._fit(want, examples[rows], config, _IntoSlots(reference, want))
     return got, want
 
 
@@ -761,7 +761,9 @@ class TestRestrictedStepExact:
 
     @staticmethod
     def _check_sweeps(kg, desk_model, desk_config, reg_weight, batch_size):
-        config = dataclasses.replace(desk_config, batch_size=batch_size, reg_weight=reg_weight)
+        config = dataclasses.replace(
+            desk_config, epochs=12, batch_size=batch_size, reg_weight=reg_weight
+        )
         r_count = kg.num_relations
         s = kg.train[0].subject
         near = _one_hop_entities(kg, s)
@@ -800,11 +802,11 @@ class TestRestrictedStepExact:
         for name, fits in sweeps.items():
             for modified, entities, relations, reinit in fits:
                 got = post_train(
-                    desk_model, kg, modified, entities, config, epochs=12,
+                    desk_model, kg, modified, entities, config,
                     trainable_relations=relations, reinit_trainable=reinit,
                 )
                 want = _reference_post_train(
-                    desk_model, kg, modified, entities, config, 12, relations, reinit
+                    desk_model, kg, modified, entities, config, relations, reinit
                 )
                 _assert_fit_matches(got, want, desk_model, entities, relations, name)
 
@@ -814,7 +816,7 @@ class TestRestrictedStepExact:
         self, desk_kg, desk_model, desk_config, reg_weight, case
     ):
         kg = desk_kg
-        config = dataclasses.replace(desk_config, reg_weight=reg_weight)
+        config = dataclasses.replace(desk_config, epochs=12, reg_weight=reg_weight)
         examples = build_examples(kg.train, kg.num_relations)
         # a fixed query with several targets, one of them the trainable entity
         keys, counts = np.unique(_query_keys(desk_model, examples), return_counts=True)
@@ -840,7 +842,7 @@ class TestRestrictedStepExact:
         if case != "no-moving-row":
             assert (_query_keys(desk_model, hit) == key).sum() == 3, case
         got, want = _restricted_and_reference_fits(
-            desk_model, kg, rows, np.array([trainable]), config, epochs=12
+            desk_model, kg, rows, np.array([trainable]), config
         )
         _assert_fit_matches(got, want, desk_model, {int(trainable)}, (), case)
 
@@ -860,11 +862,11 @@ class TestRestrictedStepExact:
         assert len(np.unique(_query_keys(desk_model, fixed))) < len(fixed)
         tables = []
         for seed in (3, 4):
-            config = dataclasses.replace(desk_config, seed=seed)
-            tuned = post_train(desk_model, kg, kg.train + (added,), entities, config, epochs=12)
+            config = dataclasses.replace(desk_config, epochs=12, seed=seed)
+            tuned = post_train(desk_model, kg, kg.train + (added,), entities, config)
             tables.append(np.concatenate([tuned.ent, tuned.rel]).view(np.int64))
             want = _reference_post_train(
-                desk_model, kg, kg.train + (added,), entities, config, 12, (), False
+                desk_model, kg, kg.train + (added,), entities, config, (), False
             )
             _assert_fit_matches(tuned, want, desk_model, entities, (), f"seed {seed}")
         assert not np.array_equal(tables[0][: len(desk_model.ent)], desk_model.ent.view(np.int64))
@@ -879,9 +881,8 @@ class TestPostTrain:
 
     def test_frozen_mask_keeps_other_rows_bit_identical(self):
         s_x = self.kg.train[0].subject
-        tuned = post_train(
-            self.model, self.kg, self.kg.train, {s_x}, self.config, epochs=5
-        )
+        config = dataclasses.replace(self.config, epochs=5)
+        tuned = post_train(self.model, self.kg, self.kg.train, {s_x}, config)
         for e in range(self.kg.num_entities):
             same_re = np.array_equal(tuned.ent_re[e], self.model.ent_re[e])
             same_im = np.array_equal(tuned.ent_im[e], self.model.ent_im[e])
@@ -892,11 +893,10 @@ class TestPostTrain:
         assert np.array_equal(tuned.rel_re, self.model.rel_re)
         assert np.array_equal(tuned.rel_im, self.model.rel_im)
 
-    def test_zero_epochs_is_identity(self):
-        tuned = post_train(
-            self.model, self.kg, self.kg.train, {0}, self.config, epochs=0
-        )
-        assert arrays_equal(tuned, self.model)
+    def test_zero_epoch_config_is_configuration_error(self):
+        config = dataclasses.replace(self.config, epochs=0)
+        with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
+            post_train(self.model, self.kg, self.kg.train, {0}, config)
 
     def test_empty_trainable_set_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
@@ -922,8 +922,10 @@ class TestPostTrain:
         assert arrays_equal(reproduced, self.model)
 
     def test_context_shared_per_mask_and_never_served_for_another_model(self):
+        config = dataclasses.replace(self.config, epochs=3)
+
         def fit(model, triples, entities):
-            return post_train(model, self.kg, triples, entities, self.config, epochs=3)
+            return post_train(model, self.kg, triples, entities, config)
 
         mask = {self.kg.train[0].subject}
         frozen_row = next(e for e in range(self.kg.num_entities) if e not in mask)
@@ -945,7 +947,7 @@ class TestPostTrain:
     def test_out_of_range_trainable_relation_is_domain_error_naming_it(self, relation):
         with pytest.raises(DomainError, match=f"relation id {relation} "):
             post_train(
-                self.model, self.kg, self.kg.train, {0}, self.config, epochs=1,
+                self.model, self.kg, self.kg.train, {0}, dataclasses.replace(self.config, epochs=1),
                 trainable_relations={relation},
             )
 
@@ -957,12 +959,14 @@ class TestPostTrain:
         with pytest.raises(DomainError, match="example row id out of range"):
             post_train(
                 self.model, self.kg, self.kg.train + (Triple(entity, 0, 1),), entities,
-                self.config, epochs=1, trainable_relations=relations,
+                dataclasses.replace(self.config, epochs=1), trainable_relations=relations,
             )
 
     def _fit(self, entities, triples=None):
         triples = self.kg.train[1:] if triples is None else triples
-        return post_train(self.model, self.kg, triples, entities, self.config, 2)
+        return post_train(
+            self.model, self.kg, triples, entities, dataclasses.replace(self.config, epochs=2)
+        )
 
     def _partials_passes(self, monkeypatch) -> list:
         passes = []
@@ -1018,15 +1022,16 @@ class TestPostTrain:
         jobs = [
             tuple(t for t in self.kg.train if t not in extra) + extra for extra in additions
         ]
+        config = dataclasses.replace(self.config, epochs=2)
         serial = []
         for job in jobs:
             reset_post_train_state()
-            serial.append(post_train(self.model, self.kg, job, mask, self.config, epochs=2))
+            serial.append(post_train(self.model, self.kg, job, mask, config))
         reset_post_train_state()
         results = [None] * len(jobs)
 
         def run(i):
-            results[i] = post_train(self.model, self.kg, jobs[i], mask, self.config, epochs=2)
+            results[i] = post_train(self.model, self.kg, jobs[i], mask, config)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1048,8 +1053,7 @@ class TestPostTrain:
             self.kg,
             self.kg.train,
             {0},
-            self.config,
-            epochs=5,
+            dataclasses.replace(self.config, epochs=5),
             trainable_relations={0},
         )
         n_rel = self.kg.num_relations
@@ -1089,7 +1093,7 @@ class TestScoreBlocks:
         kg = make_random_kg(seed=3, n_entities=2000, n_relations=4, n_triples=3000)
         config = TrainConfig(dimension=8, epochs=1, batch_size=512, seed=0)
         model = init_model(kg, config)
-        post_train(model, kg, kg.train, {0}, config, epochs=1)  # builds the base
+        post_train(model, kg, kg.train, {0}, config)  # builds the base
         peaks, fill = [], training._frozen_context
 
         def traced(*args):
@@ -1101,7 +1105,7 @@ class TestScoreBlocks:
                 tracemalloc.stop()
 
         monkeypatch.setattr(training, "_frozen_context", traced)
-        post_train(model, kg, kg.train, {1}, config, epochs=1)
+        post_train(model, kg, kg.train, {1}, config)
         assert len(training._STATE.base.keys) > 50 * training._BLOCK
         block = training._BLOCK * kg.num_entities * 8
         assert len(peaks) == 1 and peaks[0] < 2 * block, (peaks, block)
@@ -1119,8 +1123,9 @@ class TestNoAliasing:
         full = dict(trainable_relations=range(kg.num_relations))
         train(model, kg, config)
         post_train(model, kg, kg.train[1:], range(kg.num_entities), config, **full)
-        post_train(model, kg, kg.train[1:], {0, 3}, config, epochs=2)
-        post_train(model, kg, kg.train[1:], {2, 7}, config, epochs=2, trainable_relations={1})
+        short = dataclasses.replace(config, epochs=2)
+        post_train(model, kg, kg.train[1:], {0, 3}, short)
+        post_train(model, kg, kg.train[1:], {2, 7}, short, trainable_relations={1})
         batch_loss_and_grads(model, build_examples(kg.train, kg.num_relations), 1e-3)
         assert model.ent is ent and model.rel is rel
         assert np.array_equal(ent.view(np.int64), bits[0])

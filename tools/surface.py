@@ -4,12 +4,15 @@ Three numbers: the line count of ``src/kgexplain``, the number of names in
 ``kgexplain.__all__``, and the settable values. A settable value is an
 init field of a dataclass in ``__all__``, a defaulted parameter of a
 function in ``__all__``, or a search-space preset. Then each module's line
-count, largest first.
+count, largest first. With ``--list`` it goes on to print each settable
+value (``Owner.field``, ``function(param)``, ``search_space:preset``) and
+each ``__all__`` name, so that two trees' lists can be compared.
 
-    python3 tools/surface.py
+    python3 tools/surface.py [--list]
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import inspect
 import sys
@@ -22,16 +25,21 @@ import kgexplain  # noqa: E402
 from kgexplain.kg import SEARCH_SPACE_PRESETS  # noqa: E402
 
 
-def settable_values() -> int:
-    count = len(SEARCH_SPACE_PRESETS)
+def settable_names() -> list[str]:
+    """Each settable value, as ``search_space:preset``, ``Owner.field`` or ``function(param)``."""
+    names = [f"search_space:{preset}" for preset in SEARCH_SPACE_PRESETS]
     for name in kgexplain.__all__:
         obj = getattr(kgexplain, name)
         if dataclasses.is_dataclass(obj):
-            count += sum(1 for f in dataclasses.fields(obj) if f.init)
+            names += [f"{name}.{f.name}" for f in dataclasses.fields(obj) if f.init]
         elif inspect.isfunction(obj):
             params = inspect.signature(obj).parameters.values()
-            count += sum(1 for p in params if p.default is not p.empty)
-    return count
+            names += [f"{name}({p.name})" for p in params if p.default is not p.empty]
+    return names
+
+
+def settable_values() -> int:
+    return len(settable_names())
 
 
 def module_lines() -> list[tuple[str, int]]:
@@ -49,11 +57,23 @@ def src_lines() -> int:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Print the size of kgexplain's public surface.")
+    parser.add_argument(
+        "--list", action="store_true", help="also print each settable value and __all__ name"
+    )
+    args = parser.parse_args()
     print(f"src/kgexplain lines: {src_lines()}")
     print(f"__all__ names: {len(kgexplain.__all__)}")
     print(f"settable values: {settable_values()}")
     for name, lines in module_lines():
         print(f"  {name}: {lines}")
+    if args.list:
+        print("settable values:")
+        for name in settable_names():
+            print(f"  {name}")
+        print("__all__ names:")
+        for name in kgexplain.__all__:
+            print(f"  {name}")
 
 
 if __name__ == "__main__":
