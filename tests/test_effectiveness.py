@@ -22,7 +22,7 @@ from kgexplain import (
     train,
 )
 
-from kgexplain.effectiveness import _retrained, _worst_rank
+from kgexplain.effectiveness import _retrained
 
 from conftest import make_random_kg
 from test_model import rank_oracle
@@ -103,14 +103,11 @@ class TestNecessary:
     def test_bottom_ranked_prediction_violates_precondition(self, pipeline):
         kg, config, model = pipeline
         # craft a prediction ranked last among its filtered candidates
-        worst = None
-        for t in [Triple(s, 0, o) for s in range(kg.num_entities) for o in range(kg.num_entities)]:
-            if rank(model, t, kg) >= _worst_rank(kg, t):
-                worst = t
-                break
-        assert worst is not None
+        prediction = kg.test[0]
+        placed, worst = placed_last(kg, model, prediction, below=True)
+        assert rank(placed, prediction, kg) == worst
         with pytest.raises(DomainError):
-            effectiveness_necessary(kg, model, worst, {kg.train[0]}, "post-train", config)
+            effectiveness_necessary(kg, placed, prediction, {kg.train[0]}, "post-train", config)
 
     def test_in_graph_prediction_one_above_the_worst_rank_is_accepted(self, pipeline):
         # the object is a known one, so the worst rank is 1 + E - |known|, and one

@@ -4,15 +4,14 @@ Three numbers: the line count of ``src/kgexplain``, the number of names in
 ``kgexplain.__all__``, and the settable values. A settable value is an
 init field of a dataclass in ``__all__``, a defaulted parameter of a
 function in ``__all__``, or a search-space preset. Then each module's line
-count, largest first. With ``--list`` it goes on to print each settable
-value (``Owner.field``, ``function(param)``, ``search_space:preset``) and
-each ``__all__`` name, so that two trees' lists can be compared.
+count, largest first, each settable value (``Owner.field``,
+``function(param)``, ``search_space:preset``) and each ``__all__`` name, so
+that two trees' lists can be compared.
 
-    python3 tools/surface.py [--list]
+    python3 tools/surface.py
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import inspect
 import sys
@@ -38,10 +37,6 @@ def settable_names() -> list[str]:
     return names
 
 
-def settable_values() -> int:
-    return len(settable_names())
-
-
 def module_lines() -> list[tuple[str, int]]:
     """Each of the package's modules with its line count, largest first."""
     counts = [
@@ -57,23 +52,18 @@ def src_lines() -> int:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description="Print the size of kgexplain's public surface.")
-    parser.add_argument(
-        "--list", action="store_true", help="also print each settable value and __all__ name"
-    )
-    args = parser.parse_args()
+    settable = settable_names()
     print(f"src/kgexplain lines: {src_lines()}")
     print(f"__all__ names: {len(kgexplain.__all__)}")
-    print(f"settable values: {settable_values()}")
+    print(f"settable values: {len(settable)}")
     for name, lines in module_lines():
         print(f"  {name}: {lines}")
-    if args.list:
-        print("settable values:")
-        for name in settable_names():
-            print(f"  {name}")
-        print("__all__ names:")
-        for name in kgexplain.__all__:
-            print(f"  {name}")
+    print("settable values:")
+    for name in settable:
+        print(f"  {name}")
+    print("__all__ names:")
+    for name in kgexplain.__all__:
+        print(f"  {name}")
 
 
 if __name__ == "__main__":
