@@ -44,8 +44,8 @@ class GenerativeEnsemble:
     bias: float
 
     def probability(self, triple: Triple) -> float:
-        z = self.scale * score(self.model, triple) + self.bias
-        return float(_sigmoid(np.asarray([z]))[0])
+        """p(present) of ``triple``: its entry of the sampler's :meth:`object_probabilities` row."""
+        return float(self.object_probabilities(triple.subject, triple.relation)[triple.object])
 
     def object_probabilities(self, subject: int, relation: int) -> np.ndarray:
         """p(present) over every object for a fixed (subject, relation)."""

@@ -91,7 +91,8 @@ def m_delta_r(table: RankTable) -> float:
     """Mean of per-row rank differences (after minus before).
 
     Verified on every call against the difference of mean ranks; the two
-    must agree to 1e-12.
+    must agree to 1e-12 times the larger mean rank (at least 1), the scale of
+    their rounding error.
     """
     if not table.rows:
         raise DomainError("mean rank difference is undefined on an empty table")
@@ -99,9 +100,10 @@ def m_delta_r(table: RankTable) -> float:
     after = table.ranks("after")
     mean_of_diffs = float((after - before).mean())
     diff_of_means = float(after.mean() - before.mean())
-    if abs(mean_of_diffs - diff_of_means) > 1e-12:
+    bound = 1e-12 * max(1.0, abs(before.mean()), abs(after.mean()))
+    if abs(mean_of_diffs - diff_of_means) > bound:
         raise KgExplainError(
-            "mean-of-differences and difference-of-means disagree beyond 1e-12"
+            f"mean-of-differences and difference-of-means disagree beyond {bound:.3g}"
         )
     return mean_of_diffs
 

@@ -38,19 +38,20 @@ table of its latest base training set and the base model of its latest
 post-train with a frozen row (:class:`_BaseModel`), which holds what depends
 on the base alone and the frozen context of its latest mask. Each step scores
 its fixed rows against the trainable entities only and merges the two parts
-into the normaliser; gradients are formed for the trainable rows alone. A
+into the normaliser; one gradient is formed, over the joint table's trainable
+rows alone, and the fit updates them as it updates the dense step's table. A
 one-batch post-train (every desk-graph post-train) groups its fixed rows by
 query once per fit and sums their gradient per query in key order, so, as in
 the dense step, its bits do not depend on the batch order. The removal
 candidates of a prediction share one mask, whichever algorithm proposed them,
 and a worker thread runs one prediction's algorithms at a time
 (``cli.cmd_explain``), so their context is computed once per prediction.
-Threads share none of this state, so none of it is locked. A context fill scores
-``_BLOCK`` rows at a time through one reused block, whatever the batch size.
-Frozen rows stay
-bit-identical; trainable rows differ from a per-example restricted step only
-by summation order (measured at most 1.1e-14 after 60 one-batch desk-graph
-epochs and 4.4e-15 after one mid-graph epoch).
+Threads share none of this state, so none of it is locked. A context fill
+scores ``_BLOCK`` rows at a time through one reused block, whatever the batch
+size. Frozen rows stay bit-identical; trainable rows differ from a
+per-example restricted step only by summation order (measured at most
+1.1e-14 after 60 one-batch desk-graph epochs and 4.4e-15 after one mid-graph
+epoch).
 """
 from __future__ import annotations
 
@@ -70,8 +71,8 @@ logger = logging.getLogger(__name__)
 _ADAGRAD_EPS = 1e-10
 # rows per score block outside a training step (the validation NLL, a context fill)
 _BLOCK = 64
-# a step's loss, data loss and ``ent`` and ``rel`` gradients
-_StepResult = tuple[float, float, tuple[np.ndarray, np.ndarray]]
+# a step's loss, data loss and the gradient of its slot's rows
+_StepResult = tuple[float, float, np.ndarray]
 
 
 def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
@@ -127,21 +128,6 @@ def _half_ids(ids: np.ndarray, out=None) -> np.ndarray:
     np.multiply(ids, 2, out=out[..., 0, :])
     np.add(out[..., 0, :], 1, out=out[..., 1, :])
     return out
-
-
-class Gradients(tuple):
-    """Gradients of the packed ``ent`` and ``rel`` tables.
-
-    As a tuple it holds the four real halves, ordered (ent_re, ent_im,
-    rel_re, rel_im) like the model's views; ``ent`` and ``rel`` are the
-    packed tables the optimizer updates.
-    """
-
-    def __new__(cls, ent: np.ndarray, rel: np.ndarray) -> "Gradients":
-        d = ent.shape[1] // 2
-        grads = super().__new__(cls, (ent[:, :d], ent[:, d:], rel[:, :d], rel[:, d:]))
-        grads.ent, grads.rel = ent, rel
-        return grads
 
 
 def _n3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,13 +327,13 @@ class _DenseStep:
     The kernel (:class:`_QuerySoftmax`) runs on the whole batch. Each example
     keeps its own target score and data-loss term. N3, the head and relation
     scatter and the fit's update run once over the joint table
-    (:func:`_joint_table`), the step's one slot; each row's N3 term is
-    weighted by its uses in the batch. The uses and the scatter bins are kept
-    while the kernel's grouping is, so a one-batch fit makes them once. The
-    result is within ``rtol=1e-12, atol=1e-15`` of the per-example expression
-    of the loss, which sums in another order. The returned gradients are
-    views of a workspace, overwritten by the next call. The fit's examples
-    are ``examples[rows]`` (:func:`_fit_columns`).
+    (:func:`_joint_table`), every row of the step's ``slot``; each row's N3
+    term is weighted by its uses in the batch. The uses and the scatter bins
+    are kept while the kernel's grouping is, so a one-batch fit makes them
+    once. The result is within ``rtol=1e-12, atol=1e-15`` of the per-example
+    expression of the loss, which sums in another order. The returned
+    gradient is the slot's workspace, overwritten by the next call. The fit's
+    examples are ``examples[rows]`` (:func:`_fit_columns`).
     """
 
     def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int, rows=None):
@@ -355,17 +341,16 @@ class _DenseStep:
         table = _joint_table(model)
         self.softmax = _QuerySoftmax(model, columns)
         self.softmax.reserve(min(batch_size, columns.shape[1]))
-        grad = np.empty_like(table)
-        self.slots, self.grads = [(table, slice(None), grad)], np.split(grad, [len(model.ent)])
+        self.slot = (table, slice(None), np.empty_like(table))
         self.held = None
 
     def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
-        """Loss, data loss and both tables' gradients over the distinct example rows ``sel``."""
-        (table, _, grad), (d_ent, d_rel), n = self.slots[0], self.grads, len(sel)
+        """Loss, data loss and the joint table's gradient over the distinct example rows ``sel``."""
+        (table, _, grad), entities, n = self.slot, len(model.ent), len(sel)
         batch = self.softmax(table, sel, n)
         data_loss = -float(np.add.reduce(batch.value) / n)  # np.mean's sum, without its overhead
-        np.matmul(batch.grad.T, batch.q, out=d_ent)
-        d_rel.fill(0.0)
+        np.matmul(batch.grad.T, batch.q, out=grad[:entities])
+        grad[entities:].fill(0.0)
         if batch.held is not self.held:
             # each row's uses as a head, relation or target, and the bins of dhr's scatter
             self.held = batch.held
@@ -379,21 +364,18 @@ class _DenseStep:
             loss += reg_weight * float(penalty @ self.uses) / n
             grad += np.multiply(n3_grad, (3.0 * reg_weight / n * self.uses)[:, None], out=n3_grad)
         _scatter_rows(_halves(grad), None, batch.dhr, self.bins)
-        return loss, data_loss, (d_ent, d_rel)
+        return loss, data_loss, grad
 
 
-def batch_loss_and_grads(
-    model: EmbeddingModel, batch: np.ndarray, reg_weight: float
-) -> tuple[float, float, Gradients]:
-    """(Total loss, data-only negative log-likelihood, analytic gradients) of a batch.
+def batch_loss_and_grads(model: EmbeddingModel, batch: np.ndarray, reg_weight: float) -> _StepResult:
+    """(Total loss, data-only negative log-likelihood, analytic gradient) of a batch.
 
     One :class:`_DenseStep` over the whole batch, on a clone of ``model``: the
-    step every dense fit runs.
+    step every dense fit runs. The gradient is of the joint table, the rows
+    of ``ent`` then those of ``rel``; the step is dropped, so the caller owns it.
     """
     model = model.clone()
-    step = _DenseStep(model, batch, len(batch))
-    loss, data_loss, grads = step(model, np.arange(len(batch)), reg_weight)
-    return loss, data_loss, Gradients(*grads)
+    return _DenseStep(model, batch, len(batch))(model, np.arange(len(batch)), reg_weight)
 
 
 def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
@@ -561,18 +543,22 @@ class _RestrictedStep:
     and the row's index among the fit's moving rows, -1 when fixed), and
     ``resolved``, its four words of the thread's :class:`_BaseModel`.
 
-    The moving rows of a batch run the kernel (:class:`_QuerySoftmax`); their
-    entity gradient is formed for the trainable columns alone, and the
-    gradients of their heads and relations are scattered into the trainable
-    rows, those of frozen ones into a spare last row of each gradient
-    workspace. The fixed rows run in groups (:meth:`_groups`), each scored
+    The step's ``slot`` is the trainable rows of the joint table
+    (:func:`_joint_table`), ``idx``: the trainable entities, then the
+    trainable relation rows. Its gradient workspace holds one row per
+    trainable row and a spare last row; each step zeroes it once, scatters
+    into it once and adds N3 to it once. The moving rows of a batch run the
+    kernel (:class:`_QuerySoftmax`); their entity gradient is formed for the
+    trainable columns alone, and the gradients of their heads and relations
+    are scattered into the trainable rows, those of frozen ones into the
+    spare row. The fixed rows run in groups (:meth:`_groups`), each scored
     against the trainable columns only, its normaliser completed with the
     frozen partials. Each fixed row of a batch is its own group, but a batch
     that holds every fit row reads the fit's distinct fixed queries in key
     order, grouped once per fit, with the N3 uses and the scatter bins, and
     no per-row id. A step costs O(n |T| d + n_moving E d) instead of
     O(n E d); its temporaries live in workspaces that grow to the longest
-    batch. Its two slots are the trainable rows of ``ent`` and of ``rel``.
+    batch.
 
     ``rows`` selects the fit's rows of ``examples``, which starts with the
     example table of ``train`` (:func:`_base_examples`). The trainable ids
@@ -591,25 +577,24 @@ class _RestrictedStep:
         columns = _fit_columns(model, examples, rows)
         width, entities = model.ent.shape[1], len(model.ent)
         self.ent_idx, self.rel_idx, self.table = ent_idx, rel_idx, _joint_table(model)
-        # the trainable rows of the joint table, entities first, and each row's slot among them
+        # the trainable rows of the joint table, entities first, and each row's place among them
         self.idx = np.concatenate([ent_idx, rel_idx + entities])
-        slot = np.full(len(self.table), -1, dtype=np.int64)
-        slot[self.idx] = np.arange(len(self.idx))
+        place = np.full(len(self.table), -1, dtype=np.int64)
+        place[self.idx] = np.arange(len(self.idx))
         self.ids = ids = np.empty((5, columns.shape[1]), dtype=np.int64)
         ids[:3] = columns
         ids[1] += entities
-        np.take(slot, columns[2], out=ids[3])
-        trainable = slot >= 0
+        np.take(place, columns[2], out=ids[3])
+        trainable = place >= 0
         self.moving = trainable[ids[0]] | trainable[ids[1]] | (rows >= 2 * len(train))
         moving = np.flatnonzero(self.moving)
         ids[4] = -1
         ids[4, moving] = np.arange(len(moving))
         self.softmax = _QuerySoftmax(model, columns[:, moving])
-        # each moving query's head column and relation slot, a frozen one sent to the
-        # spare last row of its gradient workspace, as half-row ids
-        slots = slot.take(self.softmax.query_ids)
-        spare = np.array([[len(ent_idx)], [len(self.idx)]])
-        self.trainable_halves = _half_ids(np.where(slots < 0, spare, slots) - [[0], [len(ent_idx)]])
+        # each moving query's head and relation row in the gradient workspace, a frozen
+        # one sent to its spare last row, as half-row ids
+        places = place.take(self.softmax.query_ids)
+        self.trainable_halves = _half_ids(np.where(places < 0, len(self.idx), places))
         self.resolved = np.zeros((columns.shape[1], 4), dtype=np.int64)
         # the N3 penalty of every row; the trainable rows' entries are refreshed each step
         if self.moving.all():
@@ -623,9 +608,8 @@ class _RestrictedStep:
         self.capacity = 0
         self.held = self.whole = None
         self.ent_t = np.empty((len(ent_idx), width))
-        self.d_ent = np.empty((len(ent_idx) + 1, width))
-        self.d_rel = np.empty((len(rel_idx) + 1, width))
-        self.slots = [(model.ent, ent_idx, self.d_ent[:-1]), (model.rel, rel_idx, self.d_rel[:-1])]
+        self.grad = np.empty((len(self.idx) + 1, width))
+        self.slot = (self.table, self.idx, self.grad[:-1])
 
     def _reserve(self, n: int) -> None:
         """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
@@ -661,7 +645,7 @@ class _RestrictedStep:
         return words[first, 0], count, maxes, sums, cells, hits, np.add.reduce(partials[:, 2])
 
     def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
-        """Loss, data loss and the trainable rows' gradients (workspaces) over example rows ``sel``.
+        """Loss, data loss and the trainable rows' gradient (a workspace) over example rows ``sel``.
 
         They equal the dense step's values up to the order of summation. A
         ``sel`` as long as the fit holds each fit row once, as :func:`_fit` draws it.
@@ -680,9 +664,9 @@ class _RestrictedStep:
                 self.whole = np.arange(len(self.softmax.targets)), fixed, uses
             mv, groups, uses = self.whole
         ent_t = model.ent.take(self.ent_idx, axis=0, out=self.ent_t)
-        self.d_ent.fill(0.0)
-        self.d_rel.fill(0.0)
-        d_ent, d_rel = self.d_ent[:-1], self.d_rel[:-1]
+        self.grad.fill(0.0)
+        grad = self.grad[:-1]
+        d_ent = grad[:trainable]
 
         nll = 0.0
         if len(mv):
@@ -693,8 +677,7 @@ class _RestrictedStep:
                 # the bins of the head and relation scatter, kept while the kernel's grouping is
                 halves = self.trainable_halves.take(batch.held, axis=2)
                 self.held, self.bins = batch.held, _bins(halves, width // 2, batch.flat)
-            _scatter_rows(_halves(self.d_ent), None, batch.dhr[0], self.bins[0])
-            _scatter_rows(_halves(self.d_rel), None, batch.dhr[1], self.bins[1])
+            _scatter_rows(_halves(self.grad), None, batch.dhr, self.bins)
         query_rows, count, frozen_max, frozen_sum, cells, hits, frozen_targets = groups
         m = len(count)
         if m:
@@ -720,10 +703,9 @@ class _RestrictedStep:
             # every occurrence of a row as a head, relation or target adds its penalty
             self.penalty[self.idx], g = _n3(self.table[self.idx])
             g *= (3.0 * reg_weight / n * uses[self.idx])[:, None]
-            d_ent += g[:trainable]
-            d_rel += g[trainable:]
+            grad += g
             loss += reg_weight * float(self.penalty @ uses) / n
-        return loss, data_loss, (d_ent, d_rel)
+        return loss, data_loss, grad
 
 
 def _fit(
@@ -736,14 +718,15 @@ def _fit(
     """Run ``config.epochs`` adaptive-gradient epochs in place.
 
     ``step(model, sel, reg_weight)`` gives the loss and the data loss, and
-    writes the gradient of each of its ``slots``, (table, rows, gradient)
-    triples; only those rows move. Batch order is drawn from a stream keyed
-    only by (seed, example count), so two fits over the same example set
-    replay the same batches.
+    writes the gradient of its ``slot``, a (table, rows, gradient) triple:
+    ``table`` is the joint table (:func:`_joint_table`), and only its
+    ``rows`` move, through one accumulator. Batch order is drawn from a
+    stream keyed only by (seed, example count), so two fits over the same
+    example set replay the same batches.
     """
     lr = config.learning_rate
-    slots = step.slots
-    acc = [np.zeros_like(grad) for _, _, grad in slots]
+    table, rows, grad = step.slot
+    accum = np.zeros_like(grad)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     model.history = []
 
@@ -756,13 +739,10 @@ def _fit(
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged (non-finite) at epoch {epoch}")
             epoch_nll += data_loss * len(sel)
-            for (param, idx, grad), accum in zip(slots, acc):
-                if len(accum):
-                    accum += grad * grad
-                    param[idx] -= lr * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-        for param, _, _ in slots:
-            if not np.isfinite(param).all():
-                raise TrainingError(f"embeddings became non-finite at epoch {epoch}")
+            accum += grad * grad
+            table[rows] -= lr * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
+        if not np.isfinite(table).all():
+            raise TrainingError(f"embeddings became non-finite at epoch {epoch}")
         record = {"epoch": epoch, "train_nll": epoch_nll / len(examples)}
         if valid_examples is not None and len(valid_examples):
             record["valid_nll"] = mean_nll(model, valid_examples)

@@ -130,8 +130,12 @@ def test_criterion_05_gradient_checks():
         worst_score = max(worst_score, abs(fd - grad[k]) / max(abs(grad[k]), 1e-9))
 
     examples = build_examples(kg.train, kg.num_relations)
-    _, _, grads = batch_loss_and_grads(model, examples, 1e-3)
+    grad = batch_loss_and_grads(model, examples, 1e-3)[2]
     names = ("ent_re", "ent_im", "rel_re", "rel_im")
+    # the joint table's gradient as the four real halves, ordered like ``names``
+    d = model.dimension
+    halves = (slice(d), slice(d, None))
+    grads = [part[:, h] for part in np.split(grad, [len(model.ent)]) for h in halves]
     worst_loss = 0.0
     for _ in range(20):
         which = int(rng.integers(4))

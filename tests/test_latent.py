@@ -73,6 +73,17 @@ class TestCalibration:
         assert ensemble.scale > 0  # higher score means more plausible
         assert np.mean(probs) > 0.5
 
+    def test_probability_is_the_entry_of_the_row_the_sampler_reads(self, desk_kg, desk_model):
+        # a triple's scalar score and its entry of the object-score row can round apart
+        # in the last bits; the sampler reads the row, so probability must read it too
+        heldout = desk_kg.eval_split("valid") or desk_kg.eval_split("test")
+        ensemble = calibrate_ensemble(desk_model, desk_kg, heldout, seed=29)
+        objects = range(desk_kg.num_entities)
+        for s in range(desk_kg.num_entities):
+            for r in range(desk_kg.num_relations):
+                got = [ensemble.probability(Triple(s, r, o)) for o in objects]
+                assert np.array_equal(got, ensemble.object_probabilities(s, r)), (s, r)
+
     def test_probabilities_in_unit_interval(self, tiny_kg, tiny_model):
         ensemble = calibrate_ensemble(tiny_model, tiny_kg, tiny_kg.train, seed=0)
         for s in range(tiny_kg.num_entities):

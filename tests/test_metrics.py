@@ -119,6 +119,17 @@ class TestMeanRankDifference:
             diff_of_means = float(np.mean([a for _, a in rows]) - np.mean([b for b, _ in rows]))
             assert abs(value - diff_of_means) <= 1e-12
 
+    def test_large_ranks_agree_within_their_rounding(self):
+        # mean ranks in the thousands, as a removal on FB15k-237 can give: the two
+        # orders round apart by more than an absolute 1e-12, but within 1e-12 of the means
+        before = [2, 1, 2, 2, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2, 1]
+        after = [
+            4151, 9810, 13227, 6771, 13987, 4208, 865, 9911, 3040,
+            14163, 8187, 13982, 11207, 10030, 931, 12205, 2688,
+        ]
+        value = m_delta_r(table(list(zip(before, after))))
+        assert value == pytest.approx(np.mean(after) - np.mean(before), rel=1e-12)
+
 
 class TestRankTableValidation:
     def test_duplicate_triple_rejected(self):

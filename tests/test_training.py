@@ -30,7 +30,6 @@ from kgexplain.kg import _one_hop_entities
 from kgexplain.model import _cmul, _cmul_conj
 from conftest import reset_post_train_state
 from kgexplain.training import (
-    Gradients,
     _DenseStep,
     _RestrictedStep,
     _n3,
@@ -48,6 +47,17 @@ ARRAYS = ("ent_re", "ent_im", "rel_re", "rel_im")
 
 def arrays_equal(a, b):
     return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in ARRAYS)
+
+
+def split_grad(model, grad):
+    """A joint-table gradient as its ``ent`` and ``rel`` row blocks."""
+    return np.split(grad, [len(model.ent)])
+
+
+def grad_halves(model, grad):
+    """A joint-table gradient as its four real halves, ordered like ``ARRAYS``."""
+    d = grad.shape[1] // 2
+    return [part[:, h] for part in split_grad(model, grad) for h in (slice(d), slice(d, None))]
 
 
 class TestTrain:
@@ -124,7 +134,7 @@ class TestLossGradients:
     @staticmethod
     def _check_against_central_differences(model, examples, rows):
         """Ten random coordinates, then one random column of each (array, row) in ``rows``."""
-        _, _, grads = batch_loss_and_grads(model, examples, reg_weight=1e-3)
+        grads = grad_halves(model, batch_loss_and_grads(model, examples, reg_weight=1e-3)[2])
         rng = np.random.default_rng(0)
         h = 1e-5
 
@@ -162,8 +172,9 @@ class TestLossGradients:
 
 
 # Reference: the allocating dense step as it was written before the workspace
-# step replaced it, helpers included, kept verbatim: the plain per-example
-# expression of the loss, which the per-query step is checked against.
+# step replaced it, helpers included, kept verbatim but for its result, now the
+# joint-table gradient: the plain per-example expression of the loss, which the
+# per-query step is checked against.
 def _reference_cmul(x, y):
     d = x.shape[-1] // 2
     a, b = x[..., :d], x[..., d:]
@@ -231,7 +242,7 @@ def _reference_batch_loss_and_grads(model, batch, reg_weight):
 
     _reference_scatter_rows(d_ent, heads, dh)
     _reference_scatter_rows(d_rel, rels, dr)
-    return loss, data_loss, Gradients(d_ent, d_rel)
+    return loss, data_loss, np.concatenate([d_ent, d_rel])
 
 
 # The per-query dense step sums in another order than the reference, so they
@@ -239,13 +250,14 @@ def _reference_batch_loss_and_grads(model, batch, reg_weight):
 TOLERANCE = {"rtol": 1e-12, "atol": 1e-15}
 
 
-def assert_matches_reference(got, want):
-    """A step's (loss, data loss, (d_ent, d_rel)) against the reference's, to the bound."""
-    (loss, data_loss, (d_ent, d_rel)), (ref_loss, ref_data, ref) = got, want
+def assert_matches_reference(model, got, want):
+    """A step's (loss, data loss, joint gradient) against the reference's, to the bound."""
+    (loss, data_loss, grad), (ref_loss, ref_data, ref) = got, want
     np.testing.assert_allclose(loss, ref_loss, **TOLERANCE)
     np.testing.assert_allclose(data_loss, ref_data, **TOLERANCE)
-    np.testing.assert_allclose(d_ent, ref.ent, **TOLERANCE)
-    np.testing.assert_allclose(d_rel, ref.rel, **TOLERANCE)
+    (d_ent, d_rel), (ref_ent, ref_rel) = split_grad(model, grad), split_grad(model, ref)
+    np.testing.assert_allclose(d_ent, ref_ent, **TOLERANCE)
+    np.testing.assert_allclose(d_rel, ref_rel, **TOLERANCE)
 
 
 def assert_fits_match(got, want):
@@ -268,6 +280,7 @@ class TestDenseStep:
         # row left over from a longer batch would show in the second pair
         for sel in (perm[:50], perm[100:], perm[50:100], perm[100:]):
             assert_matches_reference(
+                model,
                 step(model, sel, reg_weight),
                 _reference_batch_loss_and_grads(model, examples[sel], reg_weight),
             )
@@ -278,10 +291,10 @@ class TestDenseStep:
         config = TrainConfig(dimension=4, epochs=3, seed=6)
         model = train(init_model(kg, config), kg, config)
         examples = build_examples(kg.train, kg.num_relations)
-        loss, data_loss, grads = batch_loss_and_grads(model, examples, reg_weight)
+        got = batch_loss_and_grads(model, examples, reg_weight)
         want = _reference_batch_loss_and_grads(model, examples, reg_weight)
-        assert_matches_reference((loss, data_loss, (grads.ent, grads.rel)), want)
-        for got_half, want_half in zip(grads, want[2]):
+        assert_matches_reference(model, got, want)
+        for got_half, want_half in zip(grad_halves(model, got[2]), grad_halves(model, want[2])):
             np.testing.assert_allclose(got_half, want_half, **TOLERANCE)
 
     def test_train_with_ragged_last_batch_matches_reference_loop(self):
@@ -315,6 +328,7 @@ class TestDenseStep:
         step = _DenseStep(model, examples, batch_size=len(examples))
         sel = np.random.default_rng(1).permutation(len(examples))
         assert_matches_reference(
+            model,
             step(model, sel, reg_weight),
             _reference_batch_loss_and_grads(model, examples[sel], reg_weight),
         )
@@ -330,6 +344,7 @@ class TestDenseStep:
         batch = np.concatenate([examples[:9], examples[2:5], examples[2:3]])
         step = _DenseStep(model, batch, batch_size=len(batch))
         assert_matches_reference(
+            model,
             step(model, np.arange(len(batch)), reg_weight),
             _reference_batch_loss_and_grads(model, batch, reg_weight),
         )
@@ -386,8 +401,7 @@ class TestDenseStep:
             sel = rng.permutation(len(examples))
             got, want = whole(model, sel, reg_weight), per_batch(model, sel, reg_weight)
             assert got[:2] == want[:2]
-            for a, b in zip(got[2], want[2]):
-                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
         assert whole.softmax.whole is not None and per_batch.softmax.whole is None
 
 
@@ -404,8 +418,8 @@ def _dense_masked_fit(
         perm = rng.permutation(len(examples))
         for start in range(0, len(examples), config.batch_size):
             batch = examples[perm[start : start + config.batch_size]]
-            _, _, grads = step(model, batch, config.reg_weight)
-            pairs = ((grads.ent, ent_idx), (grads.rel, rel_idx))
+            _, _, joint = step(model, batch, config.reg_weight)
+            pairs = zip(split_grad(model, joint), (ent_idx, rel_idx))
             for param, accum, (grad, idx) in zip(params, acc, pairs):
                 if len(idx):
                     g = grad[idx]
@@ -453,13 +467,15 @@ class TestRestrictedStep:
             table, base, rows = _split_table(kg)
             step = _RestrictedStep(model, table, ent_idx, rel_idx, base, rows)
             sel = rng.permutation(len(examples))[:50]
-            loss, data_loss, (g_ent, g_rel) = step(model, sel, reg_weight)
+            loss, data_loss, grad = step(model, sel, reg_weight)
             dense_loss, dense_data, dense = batch_loss_and_grads(model, examples[sel], reg_weight)
+            g_ent, g_rel = np.split(grad, [len(ent_idx)])
+            dense_ent, dense_rel = split_grad(model, dense)
 
             np.testing.assert_allclose(loss, dense_loss, rtol=1e-12)
             np.testing.assert_allclose(data_loss, dense_data, rtol=1e-12)
-            np.testing.assert_allclose(g_ent, dense.ent[ent_idx], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(g_rel, dense.rel[rel_idx], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(g_ent, dense_ent[ent_idx], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(g_rel, dense_rel[rel_idx], rtol=1e-12, atol=1e-15)
             batch = examples[sel]
             in_t = np.isin(batch, ent_idx)
             fixed = ~step.moving[sel]
@@ -487,15 +503,17 @@ class TestRestrictedStep:
         on_moving = np.isin(examples[rows, 0], ent_idx)
         assert len(np.unique(keys[on_moving])) < on_moving.sum() - 1
         step = _RestrictedStep(model, examples, ent_idx, rel_idx, kg.train, rows=rows)
-        loss, data_loss, (g_ent, g_rel) = step(model, np.arange(len(rows)), reg_weight)
+        loss, data_loss, grad = step(model, np.arange(len(rows)), reg_weight)
+        g_ent, g_rel = np.split(grad, [len(ent_idx)])
         # against the per-example reference: batch_loss_and_grads runs the same kernel
         want_loss, want_data, want = _reference_batch_loss_and_grads(
             model, examples[rows], reg_weight
         )
+        want_ent, want_rel = split_grad(model, want)
         np.testing.assert_allclose(loss, want_loss, **TOLERANCE)
         np.testing.assert_allclose(data_loss, want_data, **TOLERANCE)
-        np.testing.assert_allclose(g_ent, want.ent[ent_idx], **TOLERANCE)
-        assert g_rel.shape == (0, want.rel.shape[1])
+        np.testing.assert_allclose(g_ent, want_ent[ent_idx], **TOLERANCE)
+        assert g_rel.shape == (0, want_rel.shape[1])
 
     def test_post_train_matches_dense_masked_reference(self):
         kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
@@ -518,6 +536,37 @@ class TestRestrictedStep:
                 tuned.ent[ent_idx], reference.ent[ent_idx], rtol=1e-11, atol=1e-13
             )
             np.testing.assert_allclose(tuned.rel, reference.rel, rtol=1e-11, atol=1e-13)
+
+
+class TestSlot:
+    """Every fit updates one slot: the fitted model's joint table, at exactly its trainable rows."""
+
+    def test_each_step_slot_is_the_joint_table_at_its_trainable_rows(self, monkeypatch):
+        kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
+        config = TrainConfig(dimension=6, epochs=2, batch_size=32, seed=5)
+        model = train(init_model(kg, config), kg, config)
+        entities, rel_rows = kg.num_entities, 2 * kg.num_relations
+        seen, fit = [], training._fit
+
+        def record(tuned, rows, fit_config, step, *rest):
+            seen.append((tuned, step))
+            fit(tuned, rows, fit_config, step, *rest)
+
+        monkeypatch.setattr(training, "_fit", record)
+        train(model, kg, config)
+        post_train(model, kg, kg.train[1:], {0, 3, 4}, config)
+        post_train(model, kg, kg.train, {2, 7}, config, trainable_relations={1})
+        expected = [
+            np.arange(entities + rel_rows),
+            np.array([0, 3, 4]),
+            np.array([2, 7, entities + 1, entities + 1 + kg.num_relations]),
+        ]
+        assert [type(step) for _, step in seen] == [_DenseStep, _RestrictedStep, _RestrictedStep]
+        for (tuned, step), rows in zip(seen, expected):
+            table, slot_rows, grad = step.slot
+            assert table is training._joint_table(tuned)
+            assert np.array_equal(np.arange(len(table))[slot_rows], rows)
+            assert grad.shape == (len(rows), table.shape[1])
 
 
 # Reference: the restricted step and its frozen-context partials as they were
@@ -685,24 +734,22 @@ def _reference_post_train(model, kg, modified, entities, config, relations, rein
 
 
 class _IntoSlots:
-    """A step returning new gradient arrays, as ``training._fit`` runs it.
+    """A step returning new ``ent`` and ``rel`` gradient arrays, as ``training._fit`` runs it.
 
-    ``_fit`` reads each gradient from the step's (table, rows, gradient)
-    slots, so every call copies the returned gradients into them.
+    ``_fit`` reads the gradient from the step's (table, rows, gradient) slot:
+    the joint table's trainable entity rows, then its trainable relation
+    rows. Every call copies the returned gradients into it, in that order.
     """
 
     def __init__(self, step, model):
         self.step = step
-        self.slots = [
-            (table, idx, np.empty((len(idx), table.shape[1])))
-            for table, idx in ((model.ent, step.ent_idx), (model.rel, step.rel_idx))
-        ]
+        rows = np.concatenate([step.ent_idx, step.rel_idx + len(model.ent)])
+        self.slot = (training._joint_table(model), rows, np.empty((len(rows), model.ent.shape[1])))
 
     def __call__(self, model, sel, reg_weight):
         loss, data_loss, grads = self.step(model, sel, reg_weight)
-        for (_, _, out), grad in zip(self.slots, grads):
-            out[...] = grad
-        return loss, data_loss, grads
+        np.concatenate(grads, out=self.slot[2])
+        return loss, data_loss, self.slot[2]
 
 
 # The restricted step runs its moving rows through the per-query kernel and, in
