@@ -35,7 +35,7 @@ from .explainers import (
     read_run,
     write_text_atomic,
 )
-from .kg import KnowledgeGraph, SearchSpace, Triple, build_search_space, load_dataset
+from .kg import KnowledgeGraph, SearchSpace, Triple, _text_lines, build_search_space, load_dataset
 from .latent import calibrate_ensemble, sample_latent_candidates
 from .metrics import RankRow, RankTable, comparison_table, emit_report
 from .model import (
@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigurationError("config [latent] budget must be >= 1")
         if self.mode == "c-sufficient" and self.targets_size < 1:
             raise ConfigurationError("config [targets] size must be >= 1 in mode 'c-sufficient'")
+        seeds = {"selection": self.selection_seed, "latent": self.latent_seed, "targets": self.targets_seed}
+        for section, seed in seeds.items():
+            if seed < 0:
+                raise ConfigurationError(f"config [{section}] seed must be >= 0")
         for i, algo in enumerate(self.algorithms):
             if algo in self.algorithms[:i]:
                 raise ConfigurationError(f"config [explain] algorithms names {algo!r} twice")
@@ -109,10 +113,7 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
     the :class:`ExplainerConfig` fields; each takes the dataclass default
     and the type of that default (``int`` for ``None``).
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
-    raw_text = path.read_text(encoding="utf-8")
+    raw_text = "".join(_text_lines(path, "config"))
     parser = configparser.ConfigParser()
     try:
         parser.read_string(raw_text, source=str(path))

@@ -46,7 +46,7 @@ from .effectiveness import (
     effectiveness_sufficient,
 )
 from .errors import ConfigurationError, DomainError
-from .kg import SEARCH_SPACE_PRESETS, KnowledgeGraph, SearchSpace, Triple, _distances
+from .kg import SEARCH_SPACE_PRESETS, KnowledgeGraph, SearchSpace, Triple, _distances, _text_lines
 from .model import (
     EmbeddingModel,
     TrainConfig,
@@ -111,10 +111,11 @@ class ExplainerConfig:
             raise ConfigurationError("post_train_epochs must be >= 1")
         if not 1 <= self.max_length <= 4:  # the builder grows explanations to length 4
             raise ConfigurationError("max_length must lie in [1, 4]")
-        if self.prefilter_k < 1:
-            raise ConfigurationError("prefilter_k must be >= 1")
-        if self.top_m < 1:
-            raise ConfigurationError("top_m must be >= 1")
+        for name in ("prefilter_k", "top_m", "max_evals_per_length"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         for name in ("lambda_weight", "perturbation_step", "influence_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
@@ -235,10 +236,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def load_json(path: str | Path, kind: str):
-    """Parse a JSON file; one that does not parse is an unreadable ``kind`` file, named."""
+    """Parse a JSON text file; one that cannot be read or parsed is an unreadable ``kind`` file, named."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads("".join(_text_lines(path, kind)))
+    except json.JSONDecodeError as exc:
         raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
 
 

@@ -48,24 +48,18 @@ class LoadReport:
     def log(self) -> None:
         for split, n in self.triples_read.items():
             logger.info("load %s: %d triples kept", split, n)
-        for split, n in self.duplicates_dropped.items():
-            if n:
-                logger.warning("load %s: dropped %d duplicate triples", split, n)
-        for split, n in self.cross_split_dropped.items():
-            if n:
-                logger.warning(
-                    "load %s: dropped %d triples already present in an earlier split",
-                    split,
-                    n,
-                )
-        for split, n in self.unseen_in_train.items():
-            if n:
-                logger.warning(
-                    "load %s: %d triples use entities/relations unseen in train; "
-                    "kept in storage but excluded from rank evaluation",
-                    split,
-                    n,
-                )
+        for counts, message in (
+            (self.duplicates_dropped, "dropped %d duplicate triples"),
+            (self.cross_split_dropped, "dropped %d triples already present in an earlier split"),
+            (
+                self.unseen_in_train,
+                "%d triples use entities/relations unseen in train; "
+                "kept in storage but excluded from rank evaluation",
+            ),
+        ):
+            for split, n in counts.items():
+                if n:
+                    logger.warning("load %s: " + message, split, n)
 
 
 class KnowledgeGraph:
@@ -185,20 +179,30 @@ class KnowledgeGraph:
         )
 
 
-def _parse_split(path: Path) -> list[tuple[str, str, str]]:
-    rows: list[tuple[str, str, str]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DatasetParseError(
-                    f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}"
-                )
-            rows.append((fields[0], fields[1], fields[2]))
-    return rows
+def _text_lines(path: str | Path, kind: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are consumed.
+
+    A file that cannot be opened or read, or is not UTF-8, raises
+    :class:`ConfigurationError` naming ``kind`` and ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
+
+
+def _parse_split(path: Path) -> Iterator[list[str]]:
+    for lineno, line in enumerate(_text_lines(path, "dataset"), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DatasetParseError(
+                f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}"
+            )
+        yield fields
 
 
 def load_dataset(directory: str | Path) -> KnowledgeGraph:
@@ -215,40 +219,22 @@ def load_dataset(directory: str | Path) -> KnowledgeGraph:
     if not directory.is_dir():
         raise ConfigurationError(f"dataset directory not found: {directory}")
 
-    raw: dict[str, list[tuple[str, str, str]]] = {}
-    for split, fname in SPLIT_FILES.items():
-        path = directory / fname
-        if not path.is_file():
-            raise ConfigurationError(f"missing dataset file: {path}")
-        raw[split] = _parse_split(path)
-
-    entity_labels: list[str] = []
     entity_ids: dict[str, int] = {}
-    relation_labels: list[str] = []
     relation_ids: dict[str, int] = {}
-
-    def entity_id(label: str) -> int:
-        if label not in entity_ids:
-            entity_ids[label] = len(entity_labels)
-            entity_labels.append(label)
-        return entity_ids[label]
-
-    def relation_id(label: str) -> int:
-        if label not in relation_ids:
-            relation_ids[label] = len(relation_labels)
-            relation_labels.append(label)
-        return relation_ids[label]
-
     report = LoadReport(directory=str(directory))
     splits: dict[str, tuple[Triple, ...]] = {}
     earlier: set[Triple] = set()
 
-    for split in ("train", "valid", "test"):
+    for split, fname in SPLIT_FILES.items():
         kept: list[Triple] = []
         seen: set[Triple] = set()
         dup = cross = 0
-        for s, r, o in raw[split]:
-            t = Triple(entity_id(s), relation_id(r), entity_id(o))
+        for s, r, o in _parse_split(directory / fname):
+            t = Triple(
+                entity_ids.setdefault(s, len(entity_ids)),
+                relation_ids.setdefault(r, len(relation_ids)),
+                entity_ids.setdefault(o, len(entity_ids)),
+            )
             if t in seen:
                 dup += 1
                 continue
@@ -264,8 +250,8 @@ def load_dataset(directory: str | Path) -> KnowledgeGraph:
         report.cross_split_dropped[split] = cross
 
     kg = KnowledgeGraph(
-        entity_labels,
-        relation_labels,
+        list(entity_ids),
+        list(relation_ids),
         splits["train"],
         splits["valid"],
         splits["test"],

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.learning_rate < 0 or not np.isfinite(self.learning_rate):
             raise ConfigurationError("learning_rate must be finite and >= 0")
         if self.reg_weight < 0 or not np.isfinite(self.reg_weight):

@@ -957,3 +957,54 @@ def test_selection_rank_that_is_not_a_positive_integer_is_validation_error_namin
     ]
     assert main(argv) == EXIT_VALIDATION
     assert str(bad) in caplog.text and "rank a positive integer" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "training-seed", "selection-seed", "latent-seed", "targets-seed", "explain-seed",
+        "seed-override", "max-evals-per-length-0", "ini-not-utf8", "train-txt-not-utf8",
+        "selection-missing",
+    ],
+)
+def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog, case):
+    root, config_path, _, checkpoint = trained
+    text = config_path.read_text()
+    bad = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(bad), "--out", str(out)]
+    if case == "training-seed":
+        bad.write_text(text.replace("seed = 17", "seed = -1"))
+        expected = "seed must be >= 0"
+    elif case == "selection-seed":
+        bad.write_text(text.replace("seed = 5", "seed = -1"))
+        expected = "[selection] seed must be >= 0"
+    elif case in ("latent-seed", "targets-seed"):
+        section = case.removesuffix("-seed")
+        bad.write_text(text + f"\n[{section}]\nseed = -1\n")
+        expected = f"[{section}] seed must be >= 0"
+    elif case == "explain-seed":
+        bad.write_text(text.replace("[explain]\n", "[explain]\nseed = -1\n"))
+        expected = "seed must be >= 0"
+    elif case == "seed-override":
+        bad.write_text(text)
+        argv = ["--seed-override", "-1"] + argv
+        expected = "seed must be >= 0"
+    elif case == "max-evals-per-length-0":
+        bad.write_text(text.replace("[explain]\n", "[explain]\nmax_evals_per_length = 0\n"))
+        expected = "max_evals_per_length must be >= 1"
+    elif case == "ini-not-utf8":
+        bad.write_bytes(b"\xff\xfe")
+        expected = str(bad)
+    elif case == "train-txt-not-utf8":
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        (data / "train.txt").write_bytes(b"\xff\xfe")
+        bad.write_text(text.replace(str(root / "data"), str(data)))
+        expected = str(data / "train.txt")
+    else:
+        expected = str(tmp_path / "none.json")
+        argv = _explain_argv(config_path, checkpoint, expected, out)
+    assert main(argv) == EXIT_VALIDATION
+    assert expected in caplog.text
+    assert not (out / "checkpoint.npz").exists()
