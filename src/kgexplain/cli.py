@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,11 +29,12 @@ from .explainers import (
     _numbers,
     _three_ints,
     explain,
-    load_json,
     read_run,
-    write_text_atomic,
 )
-from .kg import KnowledgeGraph, SearchSpace, Triple, _text_lines, build_search_space, load_dataset
+from .kg import (
+    KnowledgeGraph, SearchSpace, Triple, _atomic_open, _text_lines, _write_csv, _write_json,
+    build_search_space, load_dataset, load_json,
+)
 from .latent import calibrate_ensemble, sample_latent_candidates
 from .metrics import RankRow, RankTable, comparison_table, emit_report
 from .model import (
@@ -80,8 +79,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.dataset_path.is_dir():
             raise ConfigurationError(f"dataset path does not exist: {self.dataset_path}")
-        self.train.validate()
-        self.explainer.validate()
+        for section, part in (("training", self.train), ("explain", self.explainer)):
+            try:
+                part.validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"config [{section}] {exc}") from None
         if self.selection_count < 1:
             raise ConfigurationError("selection count must be >= 1")
         if self.cohort_rank < 1:
@@ -186,7 +188,8 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
 def _prepare_output(config: ExperimentConfig, out: str | None) -> Path:
     out_dir = Path(out) if out else config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_echo.ini").write_text(config.raw_text, encoding="utf-8")
+    with _atomic_open(out_dir / "config_echo.ini") as fh:
+        fh.write(config.raw_text)
     return out_dir
 
 
@@ -198,17 +201,14 @@ def cmd_train(config: ExperimentConfig, out: str | None = None) -> Path:
     model = train(init_model(kg, config.train), kg, config.train)
     checkpoint = out_dir / "checkpoint.npz"
     save_checkpoint(model, kg, checkpoint, config.train)
-    with (out_dir / "loss_curve.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_nll", "valid_nll"])
-        for record in model.history:
-            writer.writerow(
-                [
-                    record["epoch"],
-                    f"{record['train_nll']:.10g}",
-                    f"{record['valid_nll']:.10g}" if "valid_nll" in record else "",
-                ]
-            )
+    _write_csv(out_dir / "loss_curve.csv", [["epoch", "train_nll", "valid_nll"]] + [
+        [
+            record["epoch"],
+            f"{record['train_nll']:.10g}",
+            f"{record['valid_nll']:.10g}" if "valid_nll" in record else "",
+        ]
+        for record in model.history
+    ])
     logger.info("checkpoint written to %s", checkpoint)
     return checkpoint
 
@@ -247,7 +247,7 @@ def cmd_select(
         ],
     }
     path = out_dir / "selection.json"
-    path.write_text(json.dumps(selection, indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(path, selection)
     logger.info("selected %d triples into %s", len(chosen), path)
     return path
 
@@ -382,7 +382,7 @@ def cmd_explain(
                     "message": str(exc),
                 }))
                 continue
-            write_text_atomic(path, json.dumps(run, indent=2, sort_keys=True))
+            _write_json(path, run)
             outcomes.append((status, path, run))
         return outcomes
 
@@ -406,7 +406,7 @@ def cmd_explain(
     if not failures:
         manifest.unlink(missing_ok=True)
         return [path for path, _ in done]
-    write_text_atomic(manifest, json.dumps({"failures": failures}, indent=2, sort_keys=True))
+    _write_json(manifest, {"failures": failures})
     raise KgExplainError(f"{len(failures)} of {len(results)} explain runs failed; see {manifest}")
 
 
@@ -449,7 +449,7 @@ def _simultaneous_removal(
             "after_ranks": entries,
         }
         path = runs_dir / f"simultaneous_{algorithm}.json"
-        write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(path, payload)
         logger.info("simultaneous removal for %s: %d triples removed", algorithm, len(removed))
 
 
@@ -536,15 +536,12 @@ def cmd_evaluate(
         raise ConfigurationError("missing run files: " + ", ".join(sorted(gaps)))
 
     rows = comparison_table(summaries)
+    path = out_dir / f"comparison.{output_format}"
     if output_format == "csv":
-        path = out_dir / "comparison.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()) if rows else [])
-            writer.writeheader()
-            writer.writerows(rows)
+        header = list(rows[0]) if rows else []
+        _write_csv(path, [header] + [[row[key] for key in header] for row in rows])
     else:
-        path = out_dir / "comparison.json"
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True), encoding="utf-8")
+        _write_json(path, rows)
     logger.info("comparison written to %s", path)
     return path
 
@@ -571,17 +568,15 @@ def cmd_pareto(
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if output_format == "csv":
-        with out.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([["algorithm", "length", "psi"]] + [
-                [algorithm, length, f"{psi:.6g}"]
-                for algorithm, points in fronts.items() for length, psi in points
-            ])
+        _write_csv(out, [["algorithm", "length", "psi"]] + [
+            [algorithm, length, f"{psi:.6g}"]
+            for algorithm, points in fronts.items() for length, psi in points
+        ])
     else:
-        payload = {
+        _write_json(out, {
             algo: [{"length": length, "psi": psi} for length, psi in points]
             for algo, points in fronts.items()
-        }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+        })
     return out
 
 

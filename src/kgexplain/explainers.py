@@ -25,11 +25,8 @@ derives the front and the best, for runs made and runs read alike.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
-import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -46,7 +43,7 @@ from .effectiveness import (
     effectiveness_sufficient,
 )
 from .errors import ConfigurationError, DomainError
-from .kg import SEARCH_SPACE_PRESETS, KnowledgeGraph, SearchSpace, Triple, _distances, _text_lines
+from .kg import SEARCH_SPACE_PRESETS, KnowledgeGraph, SearchSpace, Triple, _distances, load_json
 from .model import (
     EmbeddingModel,
     TrainConfig,
@@ -214,33 +211,6 @@ def read_run(
     if problem:
         raise ConfigurationError(f"not a run file: {path} ({problem})")
     return run
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write through a temporary sibling file and rename it into place.
-
-    A writer killed part-way leaves at most a stray hidden ``.tmp`` file,
-    never a truncated ``path``.
-    """
-    path = Path(path)
-    fh = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp",
-        delete=False,
-    )
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(fh.name, path)
-    finally:
-        Path(fh.name).unlink(missing_ok=True)
-
-
-def load_json(path: str | Path, kind: str):
-    """Parse a JSON text file; one that cannot be read or parsed is an unreadable ``kind`` file, named."""
-    try:
-        return json.loads("".join(_text_lines(path, kind)))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
 
 
 def _config_object(config: ExplainerConfig) -> dict:

@@ -6,11 +6,16 @@ on ids.
 """
 from __future__ import annotations
 
+import csv
+import json
 import logging
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, DatasetParseError, DomainError
 
@@ -190,6 +195,44 @@ def _text_lines(path: str | Path, kind: str) -> Iterator[str]:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
+
+
+def load_json(path: str | Path, kind: str):
+    """Parse a JSON text file; one that cannot be read or parsed is an unreadable ``kind`` file, named."""
+    try:
+        return json.loads("".join(_text_lines(path, kind)))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"unreadable {kind} file {path}: {exc}") from None
+
+
+@contextmanager
+def _atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write ``path`` through a hidden sibling, renamed onto it when the block completes.
+
+    The sibling is opened as a plain ``open`` opens a new file: mode 0666 less
+    the umask, and text as UTF-8 with ``newline=""``. Its name carries the
+    process and thread, so concurrent writers of different files never share
+    it. A block that raises leaves ``path`` as it was and no sibling behind.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "wb") if binary else open(temp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def _write_json(path: str | Path, value) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(value, indent=2, sort_keys=True))
+
+
+def _write_csv(path: str | Path, rows: Iterable[Iterable]) -> None:
+    """Write ``rows``, the header row first, as CSV."""
+    with _atomic_open(path) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _parse_split(path: Path) -> Iterator[list[str]]:

@@ -10,8 +10,6 @@ only between equal starting ranks.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -19,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, KgExplainError
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, _write_csv, _write_json
 from .pareto import non_dominated
 
 REPORT_SCHEMA_VERSION = 1
@@ -180,33 +178,19 @@ def emit_report(
             raise DomainError(f"run prediction {pred} is missing from the rank table")
 
     report = build_metrics_report(table, runs, kg, cohort)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
-    )
-
-    with (out_dir / "report_per_triple.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PER_TRIPLE_CSV_COLUMNS)
-        writer.writerows(
-            [
-                *kg.label_triple(row.triple), row.rank_before, row.rank_after,
-                f"{1.0 / row.rank_before:.6g}", f"{1.0 / row.rank_after:.6g}",
-                int(row.rank_after != row.rank_before),
-            ]
-            for row in table.rows
-        )
-
-    with (out_dir / "report_pareto.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["length", "psi", "triples"])
-        writer.writerows(
-            [
-                p["length"], f"{p['psi']:.6g}",
-                ";".join(",".join(map(str, t)) for t in p["triples"]),
-            ]
-            for run in runs for p in run["front"]
-        )
-
+    _write_json(out_dir / "report.json", report)
+    _write_csv(out_dir / "report_per_triple.csv", [PER_TRIPLE_CSV_COLUMNS] + [
+        [
+            *kg.label_triple(row.triple), row.rank_before, row.rank_after,
+            f"{1.0 / row.rank_before:.6g}", f"{1.0 / row.rank_after:.6g}",
+            int(row.rank_after != row.rank_before),
+        ]
+        for row in table.rows
+    ])
+    _write_csv(out_dir / "report_pareto.csv", [["length", "psi", "triples"]] + [
+        [p["length"], f"{p['psi']:.6g}", ";".join(",".join(map(str, t)) for t in p["triples"])]
+        for run in runs for p in run["front"]
+    ])
     return report
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, _atomic_open
 
 
 @dataclass
@@ -236,7 +236,7 @@ def save_checkpoint(
         "seed": config.seed,
         "train_config": asdict(config),
     }
-    with open(path, "wb") as fh:
+    with _atomic_open(path, binary=True) as fh:
         np.savez(
             fh,
             ent_re=model.ent_re,

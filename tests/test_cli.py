@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -383,17 +384,6 @@ class TestExplain:
         removed = {Triple(*ids) for ids in payload["removed"]}
         assert removed and removed <= kg.train_set
 
-    def test_interrupted_save_leaves_no_run_file(self, explained, tmp_path, monkeypatch):
-        root, config, checkpoint, selection, _ = explained
-
-        def killed(src, dst):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(os, "replace", killed)
-        with pytest.raises(KeyboardInterrupt):
-            cmd_explain(config, checkpoint, selection, out=tmp_path / "cut")
-        assert list((tmp_path / "cut" / "runs").iterdir()) == []
-
 
 class TestEvaluate:
     def test_truncated_run_file_is_validation_error_naming_it(self, explained, tmp_path, caplog):
@@ -582,6 +572,63 @@ class TestPareto:
         assert main(["pareto", "--runs", str(root / "out" / "runs"), "--out", str(out), "--format", "csv"]) == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header == "algorithm,length,psi"
+
+
+@pytest.mark.parametrize("command", ["train", "select", "explain", "evaluate", "pareto"])
+def test_interrupted_command_leaves_every_output_as_it_was(
+    explained, tmp_path, monkeypatch, command
+):
+    root, config, checkpoint, selection, _ = explained
+    ini, runs, out = root / "experiment.ini", root / "out" / "runs", tmp_path / "out"
+    reports = ("report.json", "report_per_triple.csv", "report_pareto.csv")
+    argv, written = {
+        "train": (["train", "--config", ini], ["checkpoint.npz", "loss_curve.csv"]),
+        "select": (["select", "--config", ini, "--checkpoint", checkpoint], ["selection.json"]),
+        "explain": (
+            ["explain", "--config", ini, "--checkpoint", checkpoint, "--selection", selection],
+            [f"runs/{path.name}" for path in runs.iterdir()],
+        ),
+        "evaluate": (
+            ["evaluate", "--config", ini, "--selection", selection, "--runs", runs],
+            ["comparison.json"] + [f"metrics_{a}/{r}" for a in config.algorithms for r in reports],
+        ),
+        "pareto": (["pareto", "--runs", runs], []),
+    }[command]
+    if command == "pareto":
+        argv += ["--out", out / "front.json"]
+        written.append("front.json")
+    else:
+        argv += ["--out", out]
+        written.append("config_echo.ini")
+    sentinels = {out / name: f"sentinel {name}".encode() for name in written}
+    for path, data in sentinels.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        main([str(arg) for arg in argv])
+    # every output still holds its sentinel, and no temporary sibling is left
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == sentinels
+
+
+def test_every_output_has_the_mode_a_plain_open_gives(explained):
+    root, *_ = explained
+    out = root / "out"
+    probe = out / "probe.txt"
+    with open(probe, "w"):
+        pass
+    mode = stat.S_IMODE(probe.stat().st_mode)
+    probe.unlink()
+    modes = {
+        path.relative_to(out).as_posix(): stat.S_IMODE(path.stat().st_mode)
+        for path in out.rglob("*") if path.is_file()
+    }
+    assert any(name.startswith("runs/run_") for name in modes)
+    assert modes == dict.fromkeys(modes, mode)
 
 
 class TestSeedOverride:
@@ -975,7 +1022,7 @@ def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog,
     argv = ["train", "--config", str(bad), "--out", str(out)]
     if case == "training-seed":
         bad.write_text(text.replace("seed = 17", "seed = -1"))
-        expected = "seed must be >= 0"
+        expected = "config [training] seed must be >= 0"
     elif case == "selection-seed":
         bad.write_text(text.replace("seed = 5", "seed = -1"))
         expected = "[selection] seed must be >= 0"
@@ -985,14 +1032,14 @@ def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog,
         expected = f"[{section}] seed must be >= 0"
     elif case == "explain-seed":
         bad.write_text(text.replace("[explain]\n", "[explain]\nseed = -1\n"))
-        expected = "seed must be >= 0"
+        expected = "config [explain] seed must be >= 0"
     elif case == "seed-override":
         bad.write_text(text)
         argv = ["--seed-override", "-1"] + argv
         expected = "seed must be >= 0"
     elif case == "max-evals-per-length-0":
         bad.write_text(text.replace("[explain]\n", "[explain]\nmax_evals_per_length = 0\n"))
-        expected = "max_evals_per_length must be >= 1"
+        expected = "config [explain] max_evals_per_length must be >= 1"
     elif case == "ini-not-utf8":
         bad.write_bytes(b"\xff\xfe")
         expected = str(bad)

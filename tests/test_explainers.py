@@ -4,7 +4,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import itertools
-import json
 
 import pytest
 from scipy.stats import spearmanr
@@ -35,9 +34,8 @@ from kgexplain.explainers import (
     ALGORITHMS,
     MODES,
     read_run,
-    write_text_atomic,
 )
-from kgexplain.kg import SearchSpace
+from kgexplain.kg import SearchSpace, _write_json
 from kgexplain.training import post_train
 
 from conftest import make_desk_kg, make_random_kg
@@ -610,7 +608,7 @@ class TestRunSerialization:
         space = build_search_space(desk_kg, "shares-entity", prediction)
         run = explain(desk_kg, desk_model, prediction, algorithm, "necessary", space, ec, desk_config)
         path = tmp_path / f"run_{algorithm}_0000.json"
-        write_text_atomic(path, json.dumps(run, indent=2, sort_keys=True))  # as explain writes it
+        _write_json(path, run)  # as explain writes it
         assert read_run(path, algorithm, prediction) == run
         tied = [c for c in run["candidates"] if c["psi"] == run["best"]["psi"]]
         assert run["best"] == min(tied, key=lambda c: [t["ids"] for t in c["triples"]])
