@@ -15,7 +15,7 @@ import configparser
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplai
 from .explainers import (
     ExplainerConfig,
     _check_pair,
-    _config_object,
     _numbers,
     _three_ints,
     explain,
@@ -178,7 +177,6 @@ def parse_experiment_config(path: str | Path, seed_override: int | None = None) 
                 raise ConfigurationError(f"config {path}: unknown key [{name}] {key}")
     if seed_override is not None:
         config.train = replace(config.train, seed=seed_override)
-        config.explainer = replace(config.explainer, seed=seed_override)
         config.selection_seed = seed_override
         config.latent_seed = seed_override
         config.targets_seed = seed_override
@@ -342,7 +340,7 @@ def cmd_explain(
         for i, p in enumerate(predictions)
     ]
 
-    wanted = {"mode": config.mode} | _config_object(config.explainer)
+    wanted = {"mode": config.mode} | asdict(config.explainer)
 
     def execute(task) -> list[tuple[str, Path, dict]]:
         """Each algorithm's status, run file, and payload or, on failure, manifest entry."""
@@ -643,6 +641,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         logger.error("i/o error: %s", exc)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        logger.error("runtime error: %s ran out of memory: %s", args.command, exc)
         return EXIT_RUNTIME
 
 

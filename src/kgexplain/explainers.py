@@ -9,8 +9,9 @@ Four strategies over the joint (length, effectiveness) objective:
 * :func:`criage_first_order` estimates each removal's score impact with a
   one-step influence approximation through shared embeddings.
 * :func:`variable_length_builder` grows explanations up to length 4 from a
-  shortest-path prefilter, ordering multi-triple candidates by the sum of
-  their members' singleton effectiveness.
+  shortest-path prefilter, evaluating each length's combinations in order of
+  the sum of their members' singleton effectiveness, up to a per-length
+  budget.
 
 :func:`explain` makes every run: it checks the algorithm and mode against
 :data:`ALGORITHMS`, opens one private search, :class:`_Search`, hands it to
@@ -71,12 +72,6 @@ ALGORITHMS = {
 
 RUN_SCHEMA_VERSION = 2
 
-# Annealing schedule of the builder: the temperature starts at 1 and decays
-# geometrically by 0.9 after every 50 proposals.
-_ANNEAL_INITIAL_TEMPERATURE = 1.0
-_ANNEAL_DECAY = 0.9
-_ANNEAL_PROPOSALS = 50
-
 
 @dataclass
 class ExplainerConfig:
@@ -93,7 +88,6 @@ class ExplainerConfig:
     acceptance_threshold: float = 1.0
     max_evals_per_length: int = 256
     post_train_epochs: int | None = None
-    seed: int = 0
 
     def validate(self) -> None:
         if self.search_space not in SEARCH_SPACE_PRESETS:
@@ -111,9 +105,7 @@ class ExplainerConfig:
         for name in ("prefilter_k", "top_m", "max_evals_per_length"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
-        for name in ("lambda_weight", "perturbation_step", "influence_step"):
+        for name in ("lambda_weight", "perturbation_step", "influence_step", "acceptance_threshold"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
 
@@ -213,14 +205,6 @@ def read_run(
     return run
 
 
-def _config_object(config: ExplainerConfig) -> dict:
-    """``config`` as a run file records it: a non-finite float as its ``repr``."""
-    return {
-        key: repr(value) if isinstance(value, float) and not np.isfinite(value) else value
-        for key, value in asdict(config).items()
-    }
-
-
 class _Search:
     """One run of one algorithm for one prediction: validates, evaluates, records, finishes.
 
@@ -294,7 +278,7 @@ class _Search:
             "algorithm": algorithm,
             "mode": self.mode,
             "prediction": self._triple_entry(self.prediction) | {"rank_before": self.rank_before},
-            "config": _config_object(self.config),
+            "config": asdict(self.config),
             "candidates": candidates,
             "best": best,
             "front": front,
@@ -458,12 +442,12 @@ def variable_length_builder(search: _Search) -> None:
     """Grow explanations from singletons up to ``max_length`` (at most 4).
 
     All singletons from the prefilter are evaluated first; if the best one
-    reaches the acceptance threshold the search stops there. Longer
-    candidates are then evaluated in order of preliminary relevance, the sum
-    of their members' singleton effectiveness, stopping as soon as one
-    reaches the threshold. When a length's combination count exceeds the
-    evaluation budget, a seeded annealing walk (geometric temperature decay)
-    explores that length instead of full enumeration.
+    reaches the acceptance threshold the search stops there. Each longer
+    length then evaluates its combinations in order of preliminary relevance,
+    the sum of their members' singleton effectiveness (ties to the lowest
+    triple ids), up to ``max_evals_per_length`` of them, stopping as soon as
+    one reaches the threshold. A length whose combinations fit the budget is
+    enumerated in full.
     """
     config = search.config
     pool = prefilter_topk(search.kg, search.prediction, config.prefilter_k)
@@ -482,51 +466,11 @@ def variable_length_builder(search: _Search) -> None:
         combos = list(itertools.combinations(sorted(pool), length))
         relevance = {combo: sum(singleton_psi[t] for t in combo) for combo in combos}
         ordered = sorted(combos, key=lambda combo: (-relevance[combo], combo))
-        if len(ordered) <= config.max_evals_per_length:
-            for combo in ordered:
-                if search.evaluate(combo, relevance[combo]).psi >= config.acceptance_threshold:
-                    accepted = True
-                    break
-        else:
-            accepted = _anneal_length(ordered, relevance, search)
+        for combo in ordered[: config.max_evals_per_length]:
+            if search.evaluate(combo, relevance[combo]).psi >= config.acceptance_threshold:
+                accepted = True
+                break
         length += 1
-
-
-def _anneal_length(
-    ordered: list[tuple[Triple, ...]],
-    relevance: dict[tuple[Triple, ...], float],
-    search: _Search,
-) -> bool:
-    """Seeded annealing walk over one length's combinations; True if accepted."""
-    config = search.config
-    rng = np.random.default_rng(config.seed)
-    universe = sorted({t for combo in ordered for t in combo})
-    current = ordered[0]  # start from the top preliminary relevance
-    seen = {current}
-    if search.evaluate(current, relevance[current]).psi >= config.acceptance_threshold:
-        return True
-    temperature = _ANNEAL_INITIAL_TEMPERATURE
-    proposals = 0
-    evals = 1
-    while evals < config.max_evals_per_length:
-        drop = int(rng.integers(len(current)))
-        replacements = [t for t in universe if t not in current]
-        if not replacements:
-            break
-        add = replacements[int(rng.integers(len(replacements)))]
-        proposal = tuple(sorted(set(current) - {current[drop]} | {add}))
-        proposals += 1
-        if proposals % _ANNEAL_PROPOSALS == 0:
-            temperature *= _ANNEAL_DECAY
-        gain = relevance[proposal] - relevance[current]
-        if gain >= 0 or rng.random() < np.exp(gain / max(temperature, 1e-9)):
-            current = proposal
-        if proposal not in seen:
-            seen.add(proposal)
-            evals += 1
-            if search.evaluate(proposal, relevance[proposal]).psi >= config.acceptance_threshold:
-                return True
-    return False
 
 
 def explain(

@@ -44,8 +44,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.dimension < 1:
-            raise ConfigurationError("dimension must be >= 1")
+        if not 1 <= 2 * self.dimension <= np.iinfo(np.int64).max:  # the packed row width
+            raise ConfigurationError("dimension must be >= 1, and twice it must fit in an int64")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:

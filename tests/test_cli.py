@@ -637,7 +637,6 @@ class TestSeedOverride:
         config = parse_experiment_config(config_path, seed_override=99)
         assert config.train.seed == 99
         assert config.selection_seed == 99
-        assert config.explainer.seed == 99
 
 
 @pytest.mark.parametrize(
@@ -818,6 +817,20 @@ def test_malformed_input_file_is_validation_error_naming_it(trained, tmp_path, c
         explain = _explain_argv(config_path, bad, tmp_path / "none.json", out)
         assert main(explain) == EXIT_VALIDATION
         assert str(bad) in caplog.text and "train_config" in caplog.text
+
+
+def test_dimension_no_memory_can_hold_is_runtime_error_naming_the_command(
+    trained, tmp_path, caplog
+):
+    # an entity table of 2**46 columns takes petabytes, far above any address space, so the
+    # allocation fails at once and nothing is allocated
+    root, config_path, _, _ = trained
+    bad = tmp_path / "bad.ini"
+    bad.write_text(config_path.read_text().replace("dimension = 16", f"dimension = {2**45}"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_RUNTIME
+    assert "train ran out of memory" in caplog.text
+    assert not (out / "checkpoint.npz").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -1010,8 +1023,8 @@ def test_selection_rank_that_is_not_a_positive_integer_is_validation_error_namin
     "case",
     [
         "training-seed", "selection-seed", "latent-seed", "targets-seed", "explain-seed",
-        "seed-override", "max-evals-per-length-0", "ini-not-utf8", "train-txt-not-utf8",
-        "selection-missing",
+        "seed-override", "max-evals-per-length-0", "acceptance-threshold-nan",
+        "dimension-over-int64", "ini-not-utf8", "train-txt-not-utf8", "selection-missing",
     ],
 )
 def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog, case):
@@ -1030,9 +1043,9 @@ def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog,
         section = case.removesuffix("-seed")
         bad.write_text(text + f"\n[{section}]\nseed = -1\n")
         expected = f"[{section}] seed must be >= 0"
-    elif case == "explain-seed":
-        bad.write_text(text.replace("[explain]\n", "[explain]\nseed = -1\n"))
-        expected = "config [explain] seed must be >= 0"
+    elif case == "explain-seed":  # the builder's one pass draws nothing at random
+        bad.write_text(text.replace("[explain]\n", "[explain]\nseed = 0\n"))
+        expected = "unknown key [explain] seed"
     elif case == "seed-override":
         bad.write_text(text)
         argv = ["--seed-override", "-1"] + argv
@@ -1040,6 +1053,12 @@ def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog,
     elif case == "max-evals-per-length-0":
         bad.write_text(text.replace("[explain]\n", "[explain]\nmax_evals_per_length = 0\n"))
         expected = "config [explain] max_evals_per_length must be >= 1"
+    elif case == "acceptance-threshold-nan":
+        bad.write_text(text.replace("[explain]\n", "[explain]\nacceptance_threshold = nan\n"))
+        expected = "config [explain] acceptance_threshold must be finite"
+    elif case == "dimension-over-int64":  # used to exit 1 with a TypeError from init_model
+        bad.write_text(text.replace("dimension = 16", "dimension = 99999999999999999999"))
+        expected = "config [training] dimension"
     elif case == "ini-not-utf8":
         bad.write_bytes(b"\xff\xfe")
         expected = str(bad)

@@ -4,6 +4,10 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.stats import spearmanr
@@ -40,6 +44,8 @@ from kgexplain.training import post_train
 
 from conftest import make_desk_kg, make_random_kg
 from test_pareto import dominates
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +333,7 @@ class TestBuilder:
     def test_threshold_minus_infinity_stops_after_singletons(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(
-            max_length=3, prefilter_k=4, acceptance_threshold=float("-inf"),
+            max_length=3, prefilter_k=4, acceptance_threshold=-(kg.num_entities + 1),
             evaluator="post-train",
         )
         run = explain(
@@ -339,7 +345,7 @@ class TestBuilder:
     def test_threshold_plus_infinity_exhausts_in_relevance_order(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
+            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
             evaluator="post-train",
         )
         run = explain(
@@ -359,7 +365,7 @@ class TestBuilder:
     def test_front_is_subset_of_exhaustive_front_up_to_length_two(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
+            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
             evaluator="post-train",
         )
         run = explain(
@@ -414,41 +420,87 @@ class TestBuilder:
                 twin = by_triples[triples_of(c)]
                 assert (c["psi"], c["rank_after"]) == (twin["psi"], twin["rank_after"])
 
-    def test_deterministic_under_fixed_seed(self, setup):
-        kg, config, model, prediction = setup
+    def test_deterministic_under_fixed_seed(
+        self, desk_kg, desk_model, desk_config, desk_predictions
+    ):
+        kg, prediction = desk_kg, desk_predictions[0]
+        assert len(prefilter_topk(kg, prediction, 4)) == 4
         ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=5.0, seed=3,
-            evaluator="post-train", max_evals_per_length=3,
+            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
+            evaluator="post-train", max_evals_per_length=3,  # below C(4, 2) = 6
         )
-        a = explain(
-            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+        a, b = (
+            explain(
+                kg, desk_model, prediction, "variable-length-builder", "necessary", None, ec,
+                desk_config,
+            )
+            for _ in range(2)
         )
-        b = explain(
-            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
-        )
+        assert len(a["candidates"]) == 4 + 3
         assert [c["triples"] for c in a["candidates"]] == [c["triples"] for c in b["candidates"]]
         assert [c["psi"] for c in a["candidates"]] == [c["psi"] for c in b["candidates"]]
 
-    def test_annealing_respects_evaluation_budget(self, setup):
-        kg, config, model, prediction = setup
+    def test_a_budget_below_the_combination_count_keeps_the_relevance_ordered_prefix(
+        self, desk_kg, desk_model, desk_config, desk_predictions
+    ):
+        kg, prediction = desk_kg, desk_predictions[0]
         ec = ExplainerConfig(
-            max_length=3, prefilter_k=6, acceptance_threshold=float("inf"),
-            max_evals_per_length=5, evaluator="post-train", seed=11,
+            max_length=3, prefilter_k=6, acceptance_threshold=kg.num_entities + 1,
+            max_evals_per_length=5, evaluator="post-train",
         )
         run = explain(
-            kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
+            kg, desk_model, prediction, "variable-length-builder", "necessary", None, ec,
+            desk_config,
         )
-        by_length = {}
-        for c in run["candidates"]:
-            by_length.setdefault(c["length"], []).append(c)
-        for length, records in by_length.items():
-            if length >= 2:
-                assert len(records) <= 5
+        pool = sorted(prefilter_topk(kg, prediction, 6))
+        assert len(pool) == 6  # C(6, 2) = 15 pairs and C(6, 3) = 20 triples, budget 5
+        singles = [c for c in run["candidates"] if c["length"] == 1]
+        singleton_psi = {min(triples_of(c)): c["psi"] for c in singles}
+        for length in (2, 3):
+            combos = itertools.combinations(pool, length)
+            relevance = {combo: sum(singleton_psi[t] for t in combo) for combo in combos}
+            prefix = sorted(relevance, key=lambda combo: (-relevance[combo], combo))[:5]
+            got = [c for c in run["candidates"] if c["length"] == length]
+            assert [tuple(sorted(triples_of(c))) for c in got] == prefix
+            assert [c["heuristic_score"] for c in got] == [relevance[combo] for combo in prefix]
+
+    def test_a_length_whose_combinations_exceed_the_budget_ends(self, tmp_path):
+        # singleton psi 9, 7, 5, 3, 2, 1, 0, 0, psi 0 for every pair and a threshold no
+        # candidate reaches: the 28 pairs exceed the budget of 20, which must end the length
+        code = """
+from types import SimpleNamespace
+from kgexplain import ExplainerConfig, KnowledgeGraph, Triple
+from kgexplain.explainers import variable_length_builder
+
+class Search:
+    kg = KnowledgeGraph(list("abcdefghij"), ["r"], tuple(Triple(0, 0, o) for o in range(1, 9)))
+    prediction = Triple(0, 0, 9)
+    config = ExplainerConfig(
+        max_length=2, prefilter_k=8, max_evals_per_length=20, acceptance_threshold=10
+    )
+    psi = dict(zip(sorted(kg.train), (9, 7, 5, 3, 2, 1, 0, 0)))
+    candidates = []
+
+    def evaluate(self, triples, heuristic=None):
+        self.candidates.append(triples)
+        return SimpleNamespace(psi=self.psi[triples[0]] if len(triples) == 1 else 0)
+
+search = Search()
+variable_length_builder(search)
+print(sum(len(c) == 1 for c in search.candidates), sum(len(c) == 2 for c in search.candidates))
+"""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["8", "20"]
 
     def test_max_length_bound_respected(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
+            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
             evaluator="post-train",
         )
         run = explain(
@@ -618,7 +670,7 @@ class TestRunSerialization:
     def test_front_entries_are_the_non_dominated_candidates_with_float_lengths(self, setup):
         kg, config, model, prediction = setup
         ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=float("inf"),
+            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
             evaluator="post-train",
         )
         payload = explain(
