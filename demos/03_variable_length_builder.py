@@ -2,9 +2,9 @@
 
 The builder evaluates all prefiltered singletons first, then explores pairs
 (and longer sets, up to four) in order of preliminary relevance: the sum of
-each member's singleton effectiveness. The run stops as soon as a candidate
-clears the acceptance threshold, and reports its Pareto front over
-(length, effectiveness).
+each member's singleton effectiveness. It stops at ``max_length``; a length
+whose combinations fit ``max_evals_per_length`` is enumerated in full. The
+run reports its Pareto front over (length, effectiveness).
 """
 import numpy as np
 
@@ -62,8 +62,7 @@ ec = ExplainerConfig(
     max_length=2,
     prefilter_k=6,
     evaluator="post-train",
-    post_train_epochs=30,
-    acceptance_threshold=3.0,  # stop once a removal degrades the rank by 3
+    post_train_epochs=30,  # 6 singletons and all C(6, 2) = 15 pairs: 21 fits
 )
 # the builder draws its candidates from the prefilter, so it takes no search space
 run = explain(kg, model, prediction, "variable-length-builder", "necessary", None, ec, config)

@@ -253,8 +253,8 @@ def cmd_select(
 def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[dict]:
     """The ``triples`` entries of a selection file, each holding ``keys``.
 
-    ``ids`` must be three integers and ``rank``, when asked for, a positive
-    integer. A file that does not parse, or is not such a list, names itself.
+    ``ids`` must be three integers, each listed once, and ``rank``, when asked
+    for, a positive integer. A file that is not such a list names itself.
     """
     data = load_json(path, "selection")
     entries = data.get("triples") if isinstance(data, dict) else None
@@ -269,6 +269,10 @@ def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[
         want = f"expected a triples list of {{{', '.join(keys)}}}, ids three integers"
         want += ", rank a positive integer" * ("rank" in keys)
         raise ConfigurationError(f"not a selection file: {path} ({want})")
+    ids = [tuple(entry["ids"]) for entry in entries]
+    if len(set(ids)) < len(ids):
+        twice = next(list(i) for n, i in enumerate(ids) if i in ids[:n])
+        raise ConfigurationError(f"not a selection file: {path} (ids {twice} listed twice)")
     return entries
 
 

@@ -25,6 +25,7 @@ derives the front and the best, for runs made and runs read alike.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 import sys
@@ -85,7 +86,6 @@ class ExplainerConfig:
     perturbation_step: float = 0.1
     influence_step: float = 0.1
     top_m: int = 1
-    acceptance_threshold: float = 1.0
     max_evals_per_length: int = 256
     post_train_epochs: int | None = None
 
@@ -105,7 +105,7 @@ class ExplainerConfig:
         for name in ("prefilter_k", "top_m", "max_evals_per_length"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        for name in ("lambda_weight", "perturbation_step", "influence_step", "acceptance_threshold"):
+        for name in ("lambda_weight", "perturbation_step", "influence_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
 
@@ -172,6 +172,8 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
         _numbers(c, "length", "psi") and _id_entries(c.get("triples")) for c in candidates
     )):
         return "candidates must be a list of objects with numeric length and psi, triples {ids}"
+    if any(c["length"] != len({tuple(t["ids"]) for t in c["triples"]}) for c in candidates):
+        return "a candidate's length must be the number of distinct triples it holds"
     front, best = _front_and_best(candidates)
     if run.get("front") != front:
         return "front must be the non-dominated candidates' {length, psi, triples}, in order"
@@ -441,36 +443,24 @@ def prefilter_topk(kg: KnowledgeGraph, prediction: Triple, k: int) -> tuple[Trip
 def variable_length_builder(search: _Search) -> None:
     """Grow explanations from singletons up to ``max_length`` (at most 4).
 
-    All singletons from the prefilter are evaluated first; if the best one
-    reaches the acceptance threshold the search stops there. Each longer
-    length then evaluates its combinations in order of preliminary relevance,
-    the sum of their members' singleton effectiveness (ties to the lowest
-    triple ids), up to ``max_evals_per_length`` of them, stopping as soon as
-    one reaches the threshold. A length whose combinations fit the budget is
-    enumerated in full.
+    Every singleton from the prefilter is evaluated first. Each longer length
+    then evaluates the ``max_evals_per_length`` combinations of highest
+    preliminary relevance, the sum of their members' singleton effectiveness
+    (ties to the lowest triple ids), in that order. A length whose
+    combinations fit the budget is enumerated in full, so the builder is the
+    exact oracle over its pool up to such a length.
     """
     config = search.config
-    pool = prefilter_topk(search.kg, search.prediction, config.prefilter_k)
+    pool = sorted(prefilter_topk(search.kg, search.prediction, config.prefilter_k))
     if not pool:
         raise DomainError("builder prefilter produced an empty candidate pool")
 
-    singleton_psi: dict[Triple, float] = {}
-    for t in sorted(pool):
-        singleton_psi[t] = search.evaluate((t,)).psi
-
-    best_psi = max(singleton_psi.values())
-    accepted = best_psi >= config.acceptance_threshold
-
-    length = 2
-    while not accepted and length <= config.max_length:
-        combos = list(itertools.combinations(sorted(pool), length))
-        relevance = {combo: sum(singleton_psi[t] for t in combo) for combo in combos}
-        ordered = sorted(combos, key=lambda combo: (-relevance[combo], combo))
-        for combo in ordered[: config.max_evals_per_length]:
-            if search.evaluate(combo, relevance[combo]).psi >= config.acceptance_threshold:
-                accepted = True
-                break
-        length += 1
+    singleton_psi = {t: search.evaluate((t,)).psi for t in pool}
+    for length in range(2, config.max_length + 1):
+        combos = itertools.combinations(pool, length)
+        scored = ((-sum(singleton_psi[t] for t in combo), combo) for combo in combos)
+        for minus_relevance, combo in heapq.nsmallest(config.max_evals_per_length, scored):
+            search.evaluate(combo, -minus_relevance)
 
 
 def explain(

@@ -30,7 +30,7 @@ from kgexplain.cli import (
     main,
     parse_experiment_config,
 )
-from kgexplain.explainers import read_run
+from kgexplain.explainers import _front_and_best, read_run
 
 from conftest import make_desk_kg, write_dataset
 
@@ -413,7 +413,10 @@ class TestEvaluate:
         run = json.loads(victim.read_text())
         assert run["candidates"] and run["best"] and run["front"]
         candidate, point = run["candidates"][0], run["front"][0]
+        relabelled = [{**c, "length": 3} for c in run["candidates"]]  # each holds one triple
+        front, best = _front_and_best(relabelled)
         malformed = [
+            {**run, "candidates": relabelled, "front": front, "best": best},
             {"sentinel": True},
             {**run, "candidates": [{k: v for k, v in candidate.items() if k != "length"}]},
             {**run, "candidates": {"length": 1, "psi": 0}},
@@ -641,8 +644,11 @@ class TestSeedOverride:
 
 @pytest.mark.parametrize(
     "content",
-    ["{not json", "{}", "[]", '{"triples": [{"ids": [0, 1], "rank": 1}]}'],
-    ids=["not-json", "empty-object", "list", "two-ids"],
+    [
+        "{not json", "{}", "[]", '{"triples": [{"ids": [0, 1], "rank": 1}]}',
+        '{"triples": [{"ids": [0, 0, 1], "rank": 1}, {"ids": [0, 0, 1], "rank": 2}]}',
+    ],
+    ids=["not-json", "empty-object", "list", "two-ids", "listed-twice"],
 )
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
 def test_malformed_selection_file_is_validation_error_naming_it(
@@ -658,6 +664,7 @@ def test_malformed_selection_file_is_validation_error_naming_it(
         argv += ["--runs", str(root / "out" / "runs"), "--out", str(tmp_path / "ev")]
     assert main(argv) == EXIT_VALIDATION
     assert str(bad) in caplog.text
+    assert not list(tmp_path.rglob("run_*.json"))
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -1053,9 +1060,9 @@ def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog,
     elif case == "max-evals-per-length-0":
         bad.write_text(text.replace("[explain]\n", "[explain]\nmax_evals_per_length = 0\n"))
         expected = "config [explain] max_evals_per_length must be >= 1"
-    elif case == "acceptance-threshold-nan":
+    elif case == "acceptance-threshold-nan":  # the builder stops at max_length alone
         bad.write_text(text.replace("[explain]\n", "[explain]\nacceptance_threshold = nan\n"))
-        expected = "config [explain] acceptance_threshold must be finite"
+        expected = "unknown key [explain] acceptance_threshold"
     elif case == "dimension-over-int64":  # used to exit 1 with a TypeError from init_model
         bad.write_text(text.replace("dimension = 16", "dimension = 99999999999999999999"))
         expected = "config [training] dimension"

@@ -7,7 +7,9 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from scipy.stats import spearmanr
@@ -38,6 +40,7 @@ from kgexplain.explainers import (
     ALGORITHMS,
     MODES,
     read_run,
+    variable_length_builder,
 )
 from kgexplain.kg import SearchSpace, _write_json
 from kgexplain.training import post_train
@@ -330,24 +333,18 @@ class TestPrefilter:
 
 
 class TestBuilder:
-    def test_threshold_minus_infinity_stops_after_singletons(self, setup):
+    def test_max_length_one_stops_after_singletons(self, setup):
         kg, config, model, prediction = setup
-        ec = ExplainerConfig(
-            max_length=3, prefilter_k=4, acceptance_threshold=-(kg.num_entities + 1),
-            evaluator="post-train",
-        )
+        ec = ExplainerConfig(max_length=1, prefilter_k=4, evaluator="post-train")
         run = explain(
             kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
         )
         assert all(c["length"] == 1 for c in run["candidates"])
         assert len(run["candidates"]) == len(prefilter_topk(kg, prediction, 4))
 
-    def test_threshold_plus_infinity_exhausts_in_relevance_order(self, setup):
+    def test_pairs_are_exhausted_in_relevance_order(self, setup):
         kg, config, model, prediction = setup
-        ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
-            evaluator="post-train",
-        )
+        ec = ExplainerConfig(max_length=2, prefilter_k=4, evaluator="post-train")
         run = explain(
             kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
         )
@@ -364,10 +361,7 @@ class TestBuilder:
 
     def test_front_is_subset_of_exhaustive_front_up_to_length_two(self, setup):
         kg, config, model, prediction = setup
-        ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
-            evaluator="post-train",
-        )
+        ec = ExplainerConfig(max_length=2, prefilter_k=4, evaluator="post-train")
         run = explain(
             kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
         )
@@ -389,11 +383,9 @@ class TestBuilder:
     def test_exhaustive_oracle_front_dominates_the_default_builder(
         self, desk_kg, desk_model, desk_config, desk_predictions
     ):
-        # psi cannot exceed the entity count, so a threshold above it never accepts, and a
-        # budget of C(6, 2) = 15 enumerates every pair: 6 + 15 fits per prediction
+        # a budget of C(6, 2) = 15 enumerates every pair: 6 + 15 fits per prediction
         oracle_config = ExplainerConfig(
-            max_length=2, prefilter_k=6, evaluator="post-train",
-            acceptance_threshold=desk_kg.num_entities + 1, max_evals_per_length=15,
+            max_length=2, prefilter_k=6, evaluator="post-train", max_evals_per_length=15,
         )
         default_config = ExplainerConfig(max_length=2, prefilter_k=6, evaluator="post-train")
         for prediction in desk_predictions[:5]:
@@ -420,14 +412,31 @@ class TestBuilder:
                 twin = by_triples[triples_of(c)]
                 assert (c["psi"], c["rank_after"]) == (twin["psi"], twin["rank_after"])
 
+    def test_the_default_builder_puts_a_pair_on_every_front(
+        self, desk_kg, desk_model, desk_config, desk_predictions
+    ):
+        # every subset fits the default budget, so the run is the oracle over its pool
+        ec = ExplainerConfig(max_length=2, evaluator="post-train")
+        for prediction in desk_predictions[:5]:
+            pool = prefilter_topk(desk_kg, prediction, ec.prefilter_k)
+            run = explain(
+                desk_kg, desk_model, prediction, "variable-length-builder", "necessary", None,
+                ec, desk_config,
+            )
+            subsets = {frozenset(c) for k in (1, 2) for c in itertools.combinations(pool, k)}
+            assert sorted(map(triples_of, run["candidates"]), key=sorted) == sorted(
+                subsets, key=sorted
+            )
+            assert any(point["length"] == 2 for point in run["front"]), prediction
+
     def test_deterministic_under_fixed_seed(
         self, desk_kg, desk_model, desk_config, desk_predictions
     ):
         kg, prediction = desk_kg, desk_predictions[0]
         assert len(prefilter_topk(kg, prediction, 4)) == 4
         ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
-            evaluator="post-train", max_evals_per_length=3,  # below C(4, 2) = 6
+            max_length=2, prefilter_k=4, evaluator="post-train",
+            max_evals_per_length=3,  # below C(4, 2) = 6
         )
         a, b = (
             explain(
@@ -445,8 +454,7 @@ class TestBuilder:
     ):
         kg, prediction = desk_kg, desk_predictions[0]
         ec = ExplainerConfig(
-            max_length=3, prefilter_k=6, acceptance_threshold=kg.num_entities + 1,
-            max_evals_per_length=5, evaluator="post-train",
+            max_length=3, prefilter_k=6, max_evals_per_length=5, evaluator="post-train",
         )
         run = explain(
             kg, desk_model, prediction, "variable-length-builder", "necessary", None, ec,
@@ -465,8 +473,8 @@ class TestBuilder:
             assert [c["heuristic_score"] for c in got] == [relevance[combo] for combo in prefix]
 
     def test_a_length_whose_combinations_exceed_the_budget_ends(self, tmp_path):
-        # singleton psi 9, 7, 5, 3, 2, 1, 0, 0, psi 0 for every pair and a threshold no
-        # candidate reaches: the 28 pairs exceed the budget of 20, which must end the length
+        # singleton psi 9, 7, 5, 3, 2, 1, 0, 0 and psi 0 for every pair: the 28 pairs exceed
+        # the budget of 20, which must end the length
         code = """
 from types import SimpleNamespace
 from kgexplain import ExplainerConfig, KnowledgeGraph, Triple
@@ -475,9 +483,7 @@ from kgexplain.explainers import variable_length_builder
 class Search:
     kg = KnowledgeGraph(list("abcdefghij"), ["r"], tuple(Triple(0, 0, o) for o in range(1, 9)))
     prediction = Triple(0, 0, 9)
-    config = ExplainerConfig(
-        max_length=2, prefilter_k=8, max_evals_per_length=20, acceptance_threshold=10
-    )
+    config = ExplainerConfig(max_length=2, prefilter_k=8, max_evals_per_length=20)
     psi = dict(zip(sorted(kg.train), (9, 7, 5, 3, 2, 1, 0, 0)))
     candidates = []
 
@@ -497,12 +503,40 @@ print(sum(len(c) == 1 for c in search.candidates), sum(len(c) == 2 for c in sear
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["8", "20"]
 
+    def test_a_length_holds_no_more_combinations_in_memory_than_its_budget(self):
+        # a 40-triple hub up to length 4: C(40, 4) = 91,390 combinations, 20 of them evaluated
+        kg = KnowledgeGraph(
+            [f"e{i}" for i in range(42)], ["r"], tuple(Triple(0, 0, o) for o in range(1, 41))
+        )
+        psi = {t: float(t.object % 7) for t in kg.train}  # ties go to the lowest triple ids
+        evaluated = []
+
+        class Search:
+            config = ExplainerConfig(max_length=4, prefilter_k=40, max_evals_per_length=20)
+
+            def evaluate(self, triples, heuristic=None):
+                evaluated.append((tuple(triples), heuristic))
+                return SimpleNamespace(psi=psi[triples[0]] if len(triples) == 1 else 0.0)
+
+        search = Search()
+        search.kg, search.prediction = kg, Triple(0, 0, 41)
+        tracemalloc.start()
+        try:
+            variable_length_builder(search)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        expected = [((t,), None) for t in sorted(kg.train)]
+        for length in (2, 3, 4):
+            combos = itertools.combinations(sorted(kg.train), length)
+            ordered = sorted(combos, key=lambda c: (-sum(psi[t] for t in c), c))[:20]
+            expected += [(c, sum(psi[t] for t in c)) for c in ordered]
+        assert evaluated == expected
+
     def test_max_length_bound_respected(self, setup):
         kg, config, model, prediction = setup
-        ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
-            evaluator="post-train",
-        )
+        ec = ExplainerConfig(max_length=2, prefilter_k=4, evaluator="post-train")
         run = explain(
             kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
         )
@@ -669,10 +703,7 @@ class TestRunSerialization:
 
     def test_front_entries_are_the_non_dominated_candidates_with_float_lengths(self, setup):
         kg, config, model, prediction = setup
-        ec = ExplainerConfig(
-            max_length=2, prefilter_k=4, acceptance_threshold=kg.num_entities + 1,
-            evaluator="post-train",
-        )
+        ec = ExplainerConfig(max_length=2, prefilter_k=4, evaluator="post-train")
         payload = explain(
             kg, model, prediction, "variable-length-builder", "necessary", None, ec, config,
         )
