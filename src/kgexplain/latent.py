@@ -53,13 +53,34 @@ class GenerativeEnsemble:
         return _sigmoid(self.scale * scores + self.bias)
 
 
+def _strong_wolfe_step(fun, x, p, f0, d0, alpha):
+    """``(step, f, gradient)`` from ``x`` along the descent direction ``p`` meeting the strong
+    Wolfe conditions (c1 = 1e-4, c2 = 0.9), or None after 50 trials. ``fun`` returns value and
+    gradient, and ``f0`` and ``d0`` are the value and slope at ``x``. A passing first trial
+    ``alpha`` is kept; else steps double to a bracket that is bisected (Nocedal & Wright 3.5-3.6).
+    """
+    lo, f_lo, hi = 0.0, f0, np.inf
+    for _ in range(50):
+        f, g = fun(x + alpha * p)
+        d = np.dot(g, p)
+        if f > f0 + alpha * (1e-4 * d0) or f >= f_lo:
+            hi = alpha
+        elif abs(d) <= 0.9 * -d0:
+            return alpha, f, g
+        else:
+            if d * (hi - lo) >= 0:
+                hi = lo
+            lo, f_lo = alpha, f
+        alpha = 2 * alpha if hi == np.inf else (lo + hi) / 2
+    return None
+
+
 def fit_logistic_calibration(
     scores: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
-    """Maximum-likelihood (scale, bias) of a sigmoid over 1-d scores."""
-    # deferred: importing scipy.optimize dominates CLI start-up, and only latent modes fit
-    from scipy.optimize import minimize
-
+    """Maximum-likelihood (scale, bias) of a sigmoid over 1-d scores, by scipy's BFGS step for
+    step while each first line-search trial passes; a rejected trial is bisected, not interpolated.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
 
@@ -72,8 +93,29 @@ def fit_logistic_calibration(
         resid = (p - labels) / len(scores)
         return float(nll), np.asarray([float(resid @ scores), float(resid.sum())])
 
-    result = minimize(nll_and_grad, x0=np.asarray([1.0, 0.0]), jac=True, method="BFGS")
-    return float(result.x[0]), float(result.x[1])
+    x = np.asarray([1.0, 0.0])
+    f, g = nll_and_grad(x)
+    f_prev = f + np.linalg.norm(g) / 2  # scipy's start, a first trial step of about 1
+    eye = hess_inv = np.eye(2)
+    for _ in range(400):
+        if np.max(np.abs(g)) <= 1e-5:
+            break
+        p = -np.dot(hess_inv, g)
+        d0 = np.dot(g, p)
+        if not d0 < 0:
+            break
+        trial = min(1.0, 1.01 * 2 * (f - f_prev) / d0)
+        step = _strong_wolfe_step(nll_and_grad, x, p, f, d0, trial if trial > 0 else 1.0)
+        if step is None:
+            break
+        alpha, f_next, g_next = step
+        s, y = alpha * p, g_next - g
+        x, f_prev, f, g = x + s, f, f_next, g_next
+        rho = 1000.0 if np.dot(y, s) == 0 else 1.0 / np.dot(y, s)
+        a1 = eye - s[:, np.newaxis] * y[np.newaxis, :] * rho
+        a2 = eye - y[:, np.newaxis] * s[np.newaxis, :] * rho
+        hess_inv = np.dot(a1, np.dot(hess_inv, a2)) + rho * s[:, np.newaxis] * s[np.newaxis, :]
+    return float(x[0]), float(x[1])
 
 
 def calibrate_ensemble(

@@ -840,7 +840,7 @@ def test_dimension_no_memory_can_hold_is_runtime_error_naming_the_command(
     assert not (out / "checkpoint.npz").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(explained, tmp_path):
     src = str(Path(kgexplain.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import kgexplain.cli; "
@@ -850,6 +850,24 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+    # nor does a latent explain, the one command that calibrates
+    root, _, checkpoint, selection, _ = explained
+    text = (root / "experiment.ini").read_text().replace("mode = necessary", "mode = latent-negative")
+    text = text.replace("exhaustive-length-1, data-poisoning-direct", "exhaustive-length-1")
+    text = text.replace("post_train_epochs = 20", "post_train_epochs = 2")
+    path = tmp_path / "latent.ini"
+    path.write_text(text + "\n[latent]\nbudget = 3\n")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from kgexplain.cli import main; "
+        "print(main(sys.argv[2:]), [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    argv = _explain_argv(path, checkpoint, selection, tmp_path / "out")
+    done = subprocess.run(
+        [sys.executable, "-c", code, src, *argv], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == f"{EXIT_OK} []"
+    assert list((tmp_path / "out" / "runs").glob("run_exhaustive-length-1_*.json"))
 
 
 def _explain_argv(config_path, checkpoint, selection, out):
@@ -961,6 +979,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     [
         ("necessary", "exhaustive-length-1, data-poisoning-direct"),
         ("c-sufficient", "exhaustive-length-1, variable-length-builder"),
+        ("latent-negative", "exhaustive-length-1"),
     ],
 )
 def test_traced_explain_fits_once_per_counted_retrain(explained, tmp_path, mode, algorithms):

@@ -19,13 +19,41 @@ from kgexplain import (
     train,
 )
 
-from kgexplain.latent import EXHAUSTIVE_SPACE_CAP
+from kgexplain import latent
+from kgexplain.latent import EXHAUSTIVE_SPACE_CAP, _strong_wolfe_step
 
 from conftest import make_random_kg
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def nll_and_grad(scores, labels):
+    """The calibration objective as the fit has always stated it, for scipy to minimise."""
+    def fun(params):
+        p = latent._sigmoid(params[0] * scores + params[1])
+        nll = -np.mean(labels * np.log(p + 1e-12) + (1 - labels) * np.log(1 - p + 1e-12))
+        resid = (p - labels) / len(scores)
+        return float(nll), np.asarray([float(resid @ scores), float(resid.sum())])
+    return fun
+
+
+def calibration_set(monkeypatch, model, kg, heldout, seed):
+    """The (scores, labels) that ``calibrate_ensemble`` hands to the fit."""
+    seen = []
+    fit = latent.fit_logistic_calibration
+    monkeypatch.setattr(latent, "fit_logistic_calibration", lambda *a: seen.append(a) or fit(*a))
+    calibrate_ensemble(model, kg, heldout, seed=seed)
+    (scores_labels,) = seen
+    return scores_labels
+
+
+@pytest.fixture(scope="module")
+def kg30_model():
+    kg30 = make_random_kg(seed=21, n_entities=30, n_relations=2, n_triples=90)
+    config = TrainConfig(dimension=8, epochs=40, batch_size=128, seed=2)
+    return kg30, train(init_model(kg30, config), kg30, config)
 
 
 class TestCalibration:
@@ -52,6 +80,44 @@ class TestCalibration:
         scale, bias = fit_logistic_calibration(scores, labels)
         assert abs(scale - true_scale) / abs(true_scale) < 0.10
         assert abs(bias - true_bias) / abs(true_bias) < 0.10
+
+    def test_fit_is_scipys_bfgs_bit_for_bit_where_every_first_trial_passes(
+        self, desk_kg, desk_model, monkeypatch
+    ):
+        from scipy.optimize import minimize
+
+        heldout = desk_kg.eval_split("valid") or desk_kg.eval_split("test")
+        scores, labels = calibration_set(monkeypatch, desk_model, desk_kg, heldout, seed=29)
+        fun = nll_and_grad(scores, labels)
+        want = minimize(fun, x0=np.asarray([1.0, 0.0]), jac=True, method="BFGS").x
+        assert fit_logistic_calibration(scores, labels) == (want[0], want[1])
+
+    def test_fit_converges_where_scipys_first_trial_is_rejected(self, kg30_model, monkeypatch):
+        # on this 450-score set a bisected step replaces the one scipy's MINPACK search takes,
+        # so the two stop at different points, each under the gradient tolerance
+        from scipy.optimize import minimize
+
+        kg30, model = kg30_model
+        scores, labels = calibration_set(monkeypatch, model, kg30, kg30.train, seed=1)
+        assert len(scores) == 450
+        fun = nll_and_grad(scores, labels)
+        got = fit_logistic_calibration(scores, labels)
+        assert np.max(np.abs(fun(np.asarray(got))[1])) <= 1e-5
+        want = minimize(fun, x0=np.asarray([1.0, 0.0]), jac=True, method="BFGS").x
+        assert got != (want[0], want[1]) and got == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [1.95, 3.0])
+    def test_rejected_first_trial_is_bisected_to_a_strong_wolfe_step(self, alpha):
+        # f(x) = x**2 from x = 1 along p = -1: the minimum is at step 1; a step of 1.95 decreases
+        # f enough but is too steep uphill (f' = 1.9 > 0.9 * 2), and a step of 3 increases f
+        fun = lambda x: (float(x @ x), 2 * x)
+        x, p = np.asarray([1.0]), np.asarray([-1.0])
+        f0, d0 = fun(x)[0], float(fun(x)[1] @ p)
+        step, f, g = _strong_wolfe_step(fun, x, p, f0, d0, alpha)
+        assert step != alpha
+        assert f == fun(x + step * p)[0] and np.array_equal(g, fun(x + step * p)[1])
+        assert f <= f0 + 1e-4 * step * d0
+        assert abs(g @ p) <= 0.9 * abs(d0)
 
     def test_degenerate_scores_fall_back_to_identity(self, caplog):
         kg = make_random_kg(seed=1, n_entities=6, n_relations=2, n_triples=12)
@@ -125,10 +191,8 @@ class TestSampling:
             assert t not in tiny_kg.train_set
             assert ensemble.probability(t) >= 1 - epsilon
 
-    def test_equals_brute_force_on_small_graph(self, tiny_kg, tiny_model):
-        kg30 = make_random_kg(seed=21, n_entities=30, n_relations=2, n_triples=90)
-        config = TrainConfig(dimension=8, epochs=40, batch_size=128, seed=2)
-        model = train(init_model(kg30, config), kg30, config)
+    def test_equals_brute_force_on_small_graph(self, kg30_model):
+        kg30, model = kg30_model
         ensemble = calibrate_ensemble(model, kg30, kg30.train, seed=1)
         for epsilon, budget in ((0.3, 25), (0.6, 10**6), (0.9, 40)):
             sample = sample_latent_candidates(ensemble, kg30, epsilon, min(budget, 10**6), seed=5)
