@@ -2,7 +2,8 @@
 
 The builder evaluates all prefiltered singletons first, then explores pairs
 (and longer sets, up to four) in order of preliminary relevance: the sum of
-each member's singleton effectiveness. It stops at ``max_length``; a length
+each member's singleton effectiveness. It stops at ``max_length``, or
+earlier once a candidate reaches the highest psi the mode allows; a length
 whose combinations fit ``max_evals_per_length`` is enumerated in full. The
 run reports its Pareto front over (length, effectiveness).
 """

@@ -23,6 +23,8 @@ import numpy as np
 from .effectiveness import _retrained, _rows_without, build_target_set
 from .errors import ConfigurationError, DatasetParseError, DomainError, KgExplainError
 from .explainers import (
+    ALGORITHMS,
+    MODES,
     ExplainerConfig,
     _check_pair,
     _numbers,
@@ -77,14 +79,15 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not self.dataset_path.is_dir():
-            raise ConfigurationError(f"dataset path does not exist: {self.dataset_path}")
+            path = self.dataset_path
+            raise ConfigurationError(f"config [dataset] path is not a directory: {path}")
         for section, part in (("training", self.train), ("explain", self.explainer)):
             try:
                 part.validate()
             except ConfigurationError as exc:
                 raise ConfigurationError(f"config [{section}] {exc}") from None
         if self.selection_count < 1:
-            raise ConfigurationError("selection count must be >= 1")
+            raise ConfigurationError("config [selection] count must be >= 1")
         if self.cohort_rank < 1:
             raise ConfigurationError(
                 f"config [selection] cohort_rank must be >= 1, got {self.cohort_rank}"
@@ -101,10 +104,18 @@ class ExperimentConfig:
         for section, seed in seeds.items():
             if seed < 0:
                 raise ConfigurationError(f"config [{section}] seed must be >= 0")
+        if self.mode not in MODES:
+            raise ConfigurationError(f"config [explain] mode: unknown explanation mode: {self.mode!r}")
         for i, algo in enumerate(self.algorithms):
             if algo in self.algorithms[:i]:
                 raise ConfigurationError(f"config [explain] algorithms names {algo!r} twice")
-            _check_pair(algo, self.mode)
+            if algo not in ALGORITHMS:
+                raise ConfigurationError(f"config [explain] algorithms: unknown algorithm: {algo!r}")
+            try:
+                _check_pair(algo, self.mode)
+            except ConfigurationError as exc:
+                keys = "[explain] mode and [explain] algorithms"
+                raise ConfigurationError(f"config {keys}: {exc}") from None
 
 
 def parse_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -250,30 +261,52 @@ def cmd_select(
     return path
 
 
-def _load_selection(path: str | Path, keys: tuple[str, ...] = ("ids",)) -> list[dict]:
-    """The ``triples`` entries of a selection file, each holding ``keys``.
+def _load_selection(path: str | Path) -> list[dict]:
+    """The ``triples`` entries of a selection file, each holding ``ids`` and ``rank``.
 
-    ``ids`` must be three integers, each listed once, and ``rank``, when asked
-    for, a positive integer. A file that is not such a list names itself.
+    ``ids`` must be three integers, each listed once, and ``rank`` a positive
+    integer. A file that is not such a list names itself.
     """
     data = load_json(path, "selection")
     entries = data.get("triples") if isinstance(data, dict) else None
 
     def valid(entry) -> bool:
-        if not isinstance(entry, dict) or not set(keys) <= entry.keys():
+        if not isinstance(entry, dict) or not {"ids", "rank"} <= entry.keys():
             return False
-        rank = entry["rank"] if "rank" in keys else 1
+        rank = entry["rank"]
         return _three_ints(entry["ids"]) and type(rank) is int and rank >= 1  # not a bool
 
     if not isinstance(entries, list) or not all(map(valid, entries)):
-        want = f"expected a triples list of {{{', '.join(keys)}}}, ids three integers"
-        want += ", rank a positive integer" * ("rank" in keys)
+        want = "expected a triples list of {ids, rank}, ids three integers, rank a positive integer"
         raise ConfigurationError(f"not a selection file: {path} ({want})")
     ids = [tuple(entry["ids"]) for entry in entries]
     if len(set(ids)) < len(ids):
         twice = next(list(i) for n, i in enumerate(ids) if i in ids[:n])
         raise ConfigurationError(f"not a selection file: {path} (ids {twice} listed twice)")
     return entries
+
+
+def _ranked_selection(path: str | Path, kg: KnowledgeGraph, model) -> list[Triple]:
+    """The predictions of a selection file whose every ``rank`` is the prediction's under ``model``.
+
+    A prediction that ``model`` cannot rank, or whose rank differs from the
+    file's (a selection made with another checkpoint), raises
+    ConfigurationError naming the file and the prediction.
+    """
+    predictions = []
+    for entry in _load_selection(path):
+        prediction, where = Triple(*entry["ids"]), f"selection {path}: prediction {entry['ids']}"
+        try:
+            got = rank(model, prediction, kg)
+        except DomainError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        if got != entry["rank"]:
+            raise ConfigurationError(
+                f"{where} has rank {got} under the checkpoint, not the selection's "
+                f"{entry['rank']}: the selection was made with another checkpoint"
+            )
+        predictions.append(prediction)
+    return predictions
 
 
 def _latent_space(
@@ -307,7 +340,8 @@ def cmd_explain(
     """One run file per (prediction, algorithm); existing valid files are kept.
 
     A checkpoint trained with a ``[training]`` configuration other than the
-    INI's is a validation error naming each field that differs.
+    INI's is a validation error naming each field that differs, and so is a
+    selection whose ranks are not the checkpoint's (:func:`_ranked_selection`).
 
     One task per prediction runs every algorithm in order, from one search
     space and one c-sufficient target set, so a worker thread (``workers``)
@@ -336,7 +370,7 @@ def cmd_explain(
     runs_dir.mkdir(exist_ok=True)
     kg = load_dataset(config.dataset_path)
     model = load_checkpoint(checkpoint, kg)
-    predictions = [Triple(*entry["ids"]) for entry in _load_selection(selection)]
+    predictions = _ranked_selection(selection, kg, model)
 
     latent = _latent_space(config, kg, model) if config.mode.startswith("latent-") else None
     tasks = [
@@ -497,10 +531,7 @@ def cmd_evaluate(
     out_dir = _prepare_output(config, out)
     runs_dir = Path(runs_dir)
     kg = load_dataset(config.dataset_path)
-    predictions = [
-        (Triple(*entry["ids"]), entry["rank"])
-        for entry in _load_selection(selection, ("ids", "rank"))
-    ]
+    predictions = [(Triple(*entry["ids"]), entry["rank"]) for entry in _load_selection(selection)]
 
     summaries = []
     gaps: list[str] = []

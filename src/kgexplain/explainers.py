@@ -39,6 +39,7 @@ from .effectiveness import (
     EVALUATORS,
     CandidateExplanation,
     EffectivenessResult,
+    _worst_rank,
     effectiveness_c_sufficient,
     effectiveness_latent,
     effectiveness_necessary,
@@ -91,9 +92,10 @@ class ExplainerConfig:
 
     def validate(self) -> None:
         if self.search_space not in SEARCH_SPACE_PRESETS:
-            raise ConfigurationError(f"unknown search-space preset: {self.search_space!r}")
+            preset = self.search_space
+            raise ConfigurationError(f"search_space: unknown search-space preset: {preset!r}")
         if self.evaluator not in EVALUATORS:
-            raise ConfigurationError(f"unknown evaluator: {self.evaluator!r}")
+            raise ConfigurationError(f"evaluator: unknown evaluator: {self.evaluator!r}")
         if self.evaluator == "full-retrain" and self.post_train_epochs is not None:
             raise ConfigurationError(
                 "post_train_epochs is set, but evaluator 'full-retrain' never post-trains"
@@ -145,8 +147,9 @@ def _front_and_best(candidates: list[dict]) -> tuple[list[dict], dict | None]:
 
     The front is each non-dominated candidate's ``{length, psi, triples}``
     (float length, triple ids), in candidate order; the best is the
-    highest-psi candidate, ties going to the lowest sorted triple ids, or
-    None when there are no candidates.
+    highest-psi candidate, ties going to the fewest triples, then to the
+    lowest sorted triple ids, so it is a front point; it is None when there
+    are no candidates.
     """
     points = [
         {"length": float(c["length"]), "psi": c["psi"],
@@ -155,7 +158,9 @@ def _front_and_best(candidates: list[dict]) -> tuple[list[dict], dict | None]:
     ]
     keep = non_dominated([(p["length"], float(p["psi"])) for p in points])
     argmax = min(
-        range(len(points)), key=lambda i: (-points[i]["psi"], points[i]["triples"]), default=None
+        range(len(points)),
+        key=lambda i: (-points[i]["psi"], points[i]["length"], points[i]["triples"]),
+        default=None,
     )
     front = [p for p, kept in zip(points, keep) if kept]
     return front, None if argmax is None else candidates[argmax]
@@ -178,7 +183,7 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
     if run.get("front") != front:
         return "front must be the non-dominated candidates' {length, psi, triples}, in order"
     if run.get("best", 0) != best:  # null, not missing
-        return "best must be the highest-psi candidate, ties to the lowest triple ids, else null"
+        return "best must be the highest-psi candidate, ties to the fewest, lowest ids, else null"
     if best is not None and not (
         _numbers(best, "rank_before", "rank_after")
         and min(best["rank_before"], best["rank_after"]) >= 1
@@ -215,7 +220,10 @@ class _Search:
     :meth:`evaluate`, which scores it with the mode's operator and
     ``config.evaluator``, so the run's retrain count is the sum of its
     candidates' own counts. Every retrain fits under one config: the training
-    config, for ``post_train_epochs`` epochs when that is set.
+    config, for ``post_train_epochs`` epochs when that is set. ``ceiling`` is
+    the highest psi the mode's operator can give, ``rank_before - 1`` under
+    ``sufficient`` and the room to the worst rank under ``necessary``; it is
+    None in the other modes.
     """
 
     def __init__(
@@ -234,6 +242,10 @@ class _Search:
         self.config, self.targets = config, targets
         self.fit_config = replace(training, epochs=config.post_train_epochs or training.epochs)
         self.rank_before = rank(model, prediction, kg)
+        self.ceiling = {
+            "necessary": _worst_rank(kg, prediction) - self.rank_before,
+            "sufficient": self.rank_before - 1,
+        }.get(mode)
         self.candidates: list[dict] = []  # the run file's candidate entries
         self.found: list[str] = []  # the run's warnings, in order
 
@@ -448,7 +460,9 @@ def variable_length_builder(search: _Search) -> None:
     preliminary relevance, the sum of their members' singleton effectiveness
     (ties to the lowest triple ids), in that order. A length whose
     combinations fit the budget is enumerated in full, so the builder is the
-    exact oracle over its pool up to such a length.
+    exact oracle over its pool up to such a length. It stops before a length
+    once a candidate has reached the search's ``ceiling``: every longer
+    candidate is then dominated by it, and is no better ``best``.
     """
     config = search.config
     pool = sorted(prefilter_topk(search.kg, search.prediction, config.prefilter_k))
@@ -456,11 +470,14 @@ def variable_length_builder(search: _Search) -> None:
         raise DomainError("builder prefilter produced an empty candidate pool")
 
     singleton_psi = {t: search.evaluate((t,)).psi for t in pool}
+    best = max(singleton_psi.values())
     for length in range(2, config.max_length + 1):
+        if best == search.ceiling:
+            break
         combos = itertools.combinations(pool, length)
         scored = ((-sum(singleton_psi[t] for t in combo), combo) for combo in combos)
         for minus_relevance, combo in heapq.nsmallest(config.max_evals_per_length, scored):
-            search.evaluate(combo, -minus_relevance)
+            best = max(best, search.evaluate(combo, -minus_relevance).psi)
 
 
 def explain(

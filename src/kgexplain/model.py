@@ -64,15 +64,23 @@ class EmbeddingModel:
 
     ``ent`` and ``rel`` are packed ``[re | im]`` tables; the relation table
     holds ``2 * num_relations`` rows, the second half being the reciprocal
-    twins used for subject completion. ``ent_re``, ``ent_im``, ``rel_re`` and
-    ``rel_im`` are write-through views of the halves. ``history`` carries the
-    per-epoch train/validation negative log-likelihood of the last fit.
+    twins used for subject completion. Every model holds them as the two row
+    blocks of one buffer, ``table``, copied from the given arrays when it is
+    made; ``ent`` and ``rel`` are views of ``table`` and are not rebound.
+    ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are write-through views
+    of the halves. ``history`` carries the per-epoch train/validation
+    negative log-likelihood of the last fit.
     """
 
     ent: np.ndarray
     rel: np.ndarray
     dimension: int
     history: list[dict] = field(default_factory=list)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.table = np.concatenate([self.ent, self.rel])
+        self.ent, self.rel = self.table[: len(self.ent)], self.table[len(self.ent) :]
 
     @property
     def ent_re(self) -> np.ndarray:
@@ -99,10 +107,8 @@ class EmbeddingModel:
         return self.rel.shape[0] // 2
 
     def clone(self) -> "EmbeddingModel":
-        """Value-independent copy; its ``ent`` and ``rel`` are the row blocks of one new buffer."""
-        table = np.concatenate([self.ent, self.rel])
-        ent, rel = table[: len(self.ent)], table[len(self.ent) :]
-        return replace(self, ent=ent, rel=rel, history=list(self.history))
+        """Value-independent copy, with a ``table`` of its own."""
+        return replace(self, history=list(self.history))
 
 
 def _split(x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,10 @@ per training set), followed by the examples of any triples the base lacks
 (:class:`_TrainRows`). The retraining operators build that array directly;
 :func:`post_train` maps a plain triple sequence onto it.
 
-Every fit runs :func:`_fit` over a step object, on a copy of the model whose
-``ent`` and ``rel`` are the row blocks of one buffer, the joint table
-(:meth:`EmbeddingModel.clone`); no caller's tables are rebound. Both steps
-run one kernel (:class:`_QuerySoftmax`): the softmax over all entities,
+Every fit runs :func:`_fit` over a step object, on a copy of the model
+(:meth:`EmbeddingModel.clone`). Every model is one buffer, ``model.table``,
+whose row blocks are ``ent`` and ``rel``; a fit updates it in place. Both
+steps run one kernel (:class:`_QuerySoftmax`): the softmax over all entities,
 scored once per distinct (head, relation_row) query of a batch (the desk
 graph's 460 examples hold 150), and its gradient products. It groups a
 batch's rows by query per batch, or once per fit when the batch holds every
@@ -25,7 +25,7 @@ fit row, as in every desk-graph fit; each gradient is formed per query in key
 order, so the bits do not depend on the batch order. Full training, and a
 post-train whose mask covers every row, run :class:`_DenseStep`: N3, the head
 and relation scatter, the update and the finiteness check each run once over
-the joint table. From a fresh model that post-train is a full retrain without
+the table. From a fresh model that post-train is a full retrain without
 the validation NLL that :func:`train` records. It sums in another order than
 the per-example loss, within a stated bound of it.
 
@@ -38,7 +38,7 @@ table of its latest base training set and the base model of its latest
 post-train with a frozen row (:class:`_BaseModel`), which holds what depends
 on the base alone and the frozen context of its latest mask. Each step scores
 its fixed rows against the trainable entities only and merges the two parts
-into the normaliser; one gradient is formed, over the joint table's trainable
+into the normaliser; one gradient is formed, over the table's trainable
 rows alone, and the fit updates them as it updates the dense step's table. A
 one-batch post-train (every desk-graph post-train) groups its fixed rows by
 query once per fit and sums their gradient per query in key order, so, as in
@@ -171,26 +171,17 @@ def _fit_columns(model: EmbeddingModel, examples: np.ndarray, rows: np.ndarray |
     return columns
 
 
-def _joint_table(model: EmbeddingModel) -> np.ndarray:
-    """The buffer of which ``model.ent`` and ``model.rel`` are row blocks, as ``clone()`` makes them."""
-    table, ent, rel = model.ent.base, model.ent, model.rel
-    views = (table[: len(ent)], table[len(ent) :]) if isinstance(table, np.ndarray) else ()
-    if [v.__array_interface__ for v in views] != [ent.__array_interface__, rel.__array_interface__]:
-        raise ValueError("a fit needs the model's ent and rel in one buffer, as clone() makes them")
-    return table
-
-
 class _QueryBatch(NamedTuple):
     """One batch through :class:`_QuerySoftmax`, as views of its workspaces.
 
     ``value`` holds each example's target score less its query's
-    log-normaliser, in batch order, and ``targets`` each example's target.
-    The rest hold one entry per query of the batch, in key order: ``held``,
-    its index among the fit's queries; ``counts``, its examples; ``ids``, its
-    head and relation row as rows of the joint table (:func:`_joint_table`),
-    and ``halves`` their half-row ids (:func:`_half_ids`); ``q``, its packed
-    query row; ``grad``, its scores-gradient row; ``dhr``, the split
-    gradients of its head, then relation rows; ``flat``, a bins workspace.
+    log-normaliser, in batch order, and ``targets`` each example's target. The
+    rest hold one entry per query of the batch, in key order: ``held``, its
+    index among the fit's queries; ``counts``, its examples; ``ids``, its head
+    and relation row as rows of ``model.table``, and ``halves`` their half-row
+    ids (:func:`_half_ids`); ``q``, its packed query row; ``grad``, its
+    scores-gradient row; ``dhr``, the split gradients of its head, then
+    relation rows; ``flat``, a bins workspace.
     """
 
     value: np.ndarray
@@ -221,7 +212,7 @@ class _QuerySoftmax:
 
     Per-query complex values live in split ``(2, queries, d)`` workspaces,
     real rows then imaginary rows, gathered in one ``np.take`` through the
-    ``(2 * rows, d)`` view of the joint table (:func:`_half_ids`); ``q`` goes
+    ``(2 * rows, d)`` view of ``model.table`` (:func:`_half_ids`); ``q`` goes
     into the matrix products packed, ``(queries, 2d)``, and ``dq`` comes out
     of them packed. The workspaces are allocated by :meth:`reserve`, and
     every call overwrites them.
@@ -231,7 +222,7 @@ class _QuerySoftmax:
         self.targets = columns[2]
         keys, self.query_of = np.unique(_query_keys(model, columns.T), return_inverse=True)
         heads, rels = np.divmod(keys, len(model.rel))
-        # each fit query's head and relation row as rows of the joint table, two rows of one array
+        # each fit query's head and relation row as rows of model.table, two rows of one array
         self.query_ids = np.stack([heads, rels + len(model.ent)])
         # each fit query's slot among its batch's queries, rewritten by every grouping
         self.slot = np.empty(len(keys), dtype=np.int64)
@@ -326,26 +317,25 @@ class _DenseStep:
 
     The kernel (:class:`_QuerySoftmax`) runs on the whole batch. Each example
     keeps its own target score and data-loss term. N3, the head and relation
-    scatter and the fit's update run once over the joint table
-    (:func:`_joint_table`), every row of the step's ``slot``; each row's N3
-    term is weighted by its uses in the batch. The uses and the scatter bins
-    are kept while the kernel's grouping is, so a one-batch fit makes them
-    once. The result is within ``rtol=1e-12, atol=1e-15`` of the per-example
-    expression of the loss, which sums in another order. The returned
-    gradient is the slot's workspace, overwritten by the next call. The fit's
-    examples are ``examples[rows]`` (:func:`_fit_columns`).
+    scatter and the fit's update run once over ``model.table``, every row of
+    the step's ``slot``; each row's N3 term is weighted by its uses in the
+    batch. The uses and the scatter bins are kept while the kernel's grouping
+    is, so a one-batch fit makes them once. The result is within ``rtol=1e-12,
+    atol=1e-15`` of the per-example expression of the loss, which sums in
+    another order. The returned gradient is the slot's workspace, overwritten
+    by the next call. The fit's examples are ``examples[rows]``
+    (:func:`_fit_columns`).
     """
 
     def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int, rows=None):
         columns = _fit_columns(model, examples, rows)
-        table = _joint_table(model)
         self.softmax = _QuerySoftmax(model, columns)
         self.softmax.reserve(min(batch_size, columns.shape[1]))
-        self.slot = (table, slice(None), np.empty_like(table))
+        self.slot = (model.table, slice(None), np.empty_like(model.table))
         self.held = None
 
     def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
-        """Loss, data loss and the joint table's gradient over the distinct example rows ``sel``."""
+        """Loss, data loss and ``model.table``'s gradient over the distinct example rows ``sel``."""
         (table, _, grad), entities, n = self.slot, len(model.ent), len(sel)
         batch = self.softmax(table, sel, n)
         data_loss = -float(np.add.reduce(batch.value) / n)  # np.mean's sum, without its overhead
@@ -370,11 +360,10 @@ class _DenseStep:
 def batch_loss_and_grads(model: EmbeddingModel, batch: np.ndarray, reg_weight: float) -> _StepResult:
     """(Total loss, data-only negative log-likelihood, analytic gradient) of a batch.
 
-    One :class:`_DenseStep` over the whole batch, on a clone of ``model``: the
-    step every dense fit runs. The gradient is of the joint table, the rows
-    of ``ent`` then those of ``rel``; the step is dropped, so the caller owns it.
+    One :class:`_DenseStep` over the whole batch, the step every dense fit
+    runs, which leaves ``model`` as it is. The gradient is of ``model.table``,
+    the rows of ``ent`` then those of ``rel``; the caller owns it.
     """
-    model = model.clone()
     return _DenseStep(model, batch, len(batch))(model, np.arange(len(batch)), reg_weight)
 
 
@@ -471,7 +460,7 @@ class _BaseModel:
     """
 
     def __init__(self, model: EmbeddingModel, train: Sequence[Triple]):
-        self.table = _joint_table(model).copy()
+        self.table = model.table.copy()
         self.train = train  # held, so that its identity stays unique
         self.examples = _base_examples(train, model.num_relations)
         _check_ids(model, self.examples.T)
@@ -483,7 +472,7 @@ class _BaseModel:
 
     def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
         """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
-        table = _joint_table(model).view(np.int64)
+        table = model.table.view(np.int64)
         return train is self.train and np.array_equal(table, self.table.view(np.int64))
 
     def set_mask(
@@ -538,27 +527,26 @@ class _RestrictedStep:
     A fit row is moving when its head entity or relation row is trainable, or
     when it lies past the base example table, which the frozen context does
     not cover; every other row is fixed. Per example, resolved once per fit:
-    ``ids``, five rows (head, relation row as a row of the joint table,
+    ``ids``, five rows (head, relation row as a row of ``model.table``,
     target, the target's column among the trainable entities, -1 when frozen,
     and the row's index among the fit's moving rows, -1 when fixed), and
     ``resolved``, its four words of the thread's :class:`_BaseModel`.
 
-    The step's ``slot`` is the trainable rows of the joint table
-    (:func:`_joint_table`), ``idx``: the trainable entities, then the
-    trainable relation rows. Its gradient workspace holds one row per
-    trainable row and a spare last row; each step zeroes it once, scatters
-    into it once and adds N3 to it once. The moving rows of a batch run the
-    kernel (:class:`_QuerySoftmax`); their entity gradient is formed for the
-    trainable columns alone, and the gradients of their heads and relations
-    are scattered into the trainable rows, those of frozen ones into the
-    spare row. The fixed rows run in groups (:meth:`_groups`), each scored
-    against the trainable columns only, its normaliser completed with the
-    frozen partials. Each fixed row of a batch is its own group, but a batch
-    that holds every fit row reads the fit's distinct fixed queries in key
-    order, grouped once per fit, with the N3 uses and the scatter bins, and
-    no per-row id. A step costs O(n |T| d + n_moving E d) instead of
-    O(n E d); its temporaries live in workspaces that grow to the longest
-    batch.
+    The step's ``slot`` is the trainable rows of ``model.table``, ``idx``: the
+    trainable entities, then the trainable relation rows. Its gradient
+    workspace holds one row per trainable row and a spare last row; each step
+    zeroes it once, scatters into it once and adds N3 to it once. The moving
+    rows of a batch run the kernel (:class:`_QuerySoftmax`); their entity
+    gradient is formed for the trainable columns alone, and the gradients of
+    their heads and relations are scattered into the trainable rows, those of
+    frozen ones into the spare row. The fixed rows run in groups
+    (:meth:`_groups`), each scored against the trainable columns only, its
+    normaliser completed with the frozen partials. Each fixed row of a batch
+    is its own group, but a batch that holds every fit row reads the fit's
+    distinct fixed queries in key order, grouped once per fit, with the N3
+    uses and the scatter bins, and no per-row id. A step costs O(n |T| d +
+    n_moving E d) instead of O(n E d); its temporaries live in workspaces that
+    grow to the longest batch.
 
     ``rows`` selects the fit's rows of ``examples``, which starts with the
     example table of ``train`` (:func:`_base_examples`). The trainable ids
@@ -576,8 +564,8 @@ class _RestrictedStep:
     ) -> None:
         columns = _fit_columns(model, examples, rows)
         width, entities = model.ent.shape[1], len(model.ent)
-        self.ent_idx, self.rel_idx, self.table = ent_idx, rel_idx, _joint_table(model)
-        # the trainable rows of the joint table, entities first, and each row's place among them
+        self.ent_idx, self.rel_idx, self.table = ent_idx, rel_idx, model.table
+        # the trainable rows of the table, entities first, and each row's place among them
         self.idx = np.concatenate([ent_idx, rel_idx + entities])
         place = np.full(len(self.table), -1, dtype=np.int64)
         place[self.idx] = np.arange(len(self.idx))
@@ -719,8 +707,8 @@ def _fit(
 
     ``step(model, sel, reg_weight)`` gives the loss and the data loss, and
     writes the gradient of its ``slot``, a (table, rows, gradient) triple:
-    ``table`` is the joint table (:func:`_joint_table`), and only its
-    ``rows`` move, through one accumulator. Batch order is drawn from a
+    ``table`` is ``model.table``, and only its ``rows`` move, through one
+    accumulator. Batch order is drawn from a
     stream keyed only by (seed, example count), so two fits over the same
     example set replay the same batches.
     """

@@ -132,7 +132,7 @@ def test_criterion_05_gradient_checks():
     examples = build_examples(kg.train, kg.num_relations)
     grad = batch_loss_and_grads(model, examples, 1e-3)[2]
     names = ("ent_re", "ent_im", "rel_re", "rel_im")
-    # the joint table's gradient as the four real halves, ordered like ``names``
+    # the model table's gradient as the four real halves, ordered like ``names``
     d = model.dimension
     halves = (slice(d), slice(d, None))
     grads = [part[:, h] for part in np.split(grad, [len(model.ent)]) for h in halves]

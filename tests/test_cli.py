@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -16,7 +17,10 @@ import numpy as np
 import pytest
 
 import kgexplain
-from kgexplain import DomainError, Triple, load_dataset, load_checkpoint, rank
+from kgexplain import (
+    ConfigurationError, DomainError, ExplainerConfig, TrainConfig, Triple, load_checkpoint,
+    load_dataset, rank,
+)
 from kgexplain import cli, metrics, training
 from kgexplain.cli import (
     EXIT_OK,
@@ -901,6 +905,41 @@ class TestTrainingConfigPairing:
         assert not out.exists()
 
 
+class TestSelectionRanks:
+    """``explain`` runs a selection only with the checkpoint whose ranks it lists."""
+
+    def test_a_selection_made_with_another_checkpoint_is_validation_error_naming_it(
+        self, explained, tmp_path, caplog
+    ):
+        root, _, _, selection, _ = explained
+        other = tmp_path / "other.ini"
+        other.write_text((root / "experiment.ini").read_text().replace("seed = 17", "seed = 18"))
+        config = parse_experiment_config(other)
+        checkpoint = cmd_train(config, out=tmp_path / "trained")
+        kg = load_dataset(config.dataset_path)
+        model = load_checkpoint(checkpoint, kg)
+        listed = json.loads(selection.read_text())["triples"]
+        moved = [e["ids"] for e in listed if rank(model, Triple(*e["ids"]), kg) != e["rank"]]
+        assert moved  # the two checkpoints rank some selected prediction differently
+        out = tmp_path / "out"
+        assert main(_explain_argv(other, checkpoint, selection, out)) == EXIT_VALIDATION
+        assert f"selection {selection}: prediction {moved[0]} has rank" in caplog.text
+        assert not list(out.rglob("run_*.json"))
+
+    def test_a_prediction_the_checkpoint_cannot_rank_is_validation_error_naming_it(
+        self, explained, tmp_path, caplog
+    ):
+        root, _, checkpoint, selection, _ = explained
+        bad = tmp_path / "selection.json"
+        data = json.loads(selection.read_text())
+        data["triples"].append({"ids": [0, 0, 10**6], "rank": 1})
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(_explain_argv(root / "experiment.ini", checkpoint, bad, out)) == EXIT_VALIDATION
+        assert f"selection {bad}: prediction [0, 0, 1000000]: entity id out of range" in caplog.text
+        assert not list(out.rglob("run_*.json")) and not (out / "runs" / "failures.json").exists()
+
+
 def test_failed_task_goes_to_the_failures_manifest_and_explain_exits_3(
     explained, tmp_path, monkeypatch, caplog
 ):
@@ -1100,3 +1139,81 @@ def test_unusable_input_is_validation_error_naming_it(trained, tmp_path, caplog,
     assert main(argv) == EXIT_VALIDATION
     assert expected in caplog.text
     assert not (out / "checkpoint.npz").exists()
+
+
+# Every INI key: the [training] and [explain] dataclass fields, then the keys
+# the parser reads itself.
+INI_KEYS = [("training", f.name) for f in dataclasses.fields(TrainConfig)] + [
+    ("explain", f.name) for f in dataclasses.fields(ExplainerConfig)
+] + [
+    ("dataset", "path"), ("selection", "count"), ("selection", "seed"),
+    ("selection", "cohort_rank"), ("explain", "mode"), ("explain", "algorithms"),
+    ("explain", "simultaneous_removal"), ("latent", "epsilon"), ("latent", "budget"),
+    ("latent", "seed"), ("targets", "size"), ("targets", "seed"), ("output", "directory"),
+]
+BIG = "99999999999999999999"
+HOSTILE = ["", "-1", "0", "nan", "inf", "-inf", "1e400", "abc", BIG, "2.5"]
+# The values of HOSTILE that pass validation; every other one must fail naming its key.
+LEGAL = {
+    ("training", "epochs"): {BIG},  # runs until stopped
+    ("training", "learning_rate"): {"0", "2.5", BIG},  # 0 trains nothing
+    ("training", "reg_weight"): {"0", "2.5", BIG},
+    ("training", "batch_size"): {BIG},
+    ("training", "seed"): {"0", BIG},
+    ("explain", "prefilter_k"): {BIG},
+    ("explain", "lambda_weight"): {"-1", "0", "2.5", BIG},
+    ("explain", "perturbation_step"): {"-1", "0", "2.5", BIG},
+    ("explain", "influence_step"): {"-1", "0", "2.5", BIG},
+    ("explain", "top_m"): {BIG},
+    ("explain", "max_evals_per_length"): {BIG},
+    ("explain", "post_train_epochs"): {BIG},
+    ("dataset", "path"): {""},  # the working directory
+    ("selection", "count"): {BIG},
+    ("selection", "seed"): {"0", BIG},
+    ("selection", "cohort_rank"): {BIG},
+    ("explain", "simultaneous_removal"): {"0"},
+    ("latent", "budget"): {BIG},
+    ("latent", "seed"): {"0", BIG},
+    ("targets", "size"): {BIG},
+    ("targets", "seed"): {"0", BIG},
+    ("output", "directory"): set(HOSTILE),
+}
+
+
+@pytest.mark.parametrize("value", HOSTILE)
+@pytest.mark.parametrize("section, key", INI_KEYS, ids=[f"{s}-{k}" for s, k in INI_KEYS])
+def test_every_ini_value_passes_validation_or_names_its_key(
+    tmp_path, monkeypatch, section, key, value
+):
+    # mode c-sufficient, where [targets] size is checked too
+    settings = {"dataset": {"path": str(tmp_path)}, "explain": {"mode": "c-sufficient"}}
+    settings.setdefault(section, {})[key] = value
+    path = tmp_path / "sweep.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+        for name, pairs in settings.items()
+    ))
+    monkeypatch.chdir(tmp_path)
+    if value in LEGAL.get((section, key), ()):
+        parse_experiment_config(path).validate()
+    else:
+        with pytest.raises(ConfigurationError, match=re.escape(f"[{section}] {key}")):
+            parse_experiment_config(path).validate()
+
+
+@pytest.mark.parametrize("mode, algorithm, keys", [
+    ("no-such-mode", "exhaustive-length-1", ["[explain] mode:"]),
+    ("necessary", "no-such-algorithm", ["[explain] algorithms:"]),
+    ("sufficient", "criage-first-order", ["[explain] mode", "[explain] algorithms"]),
+])
+def test_an_unknown_mode_or_algorithm_names_only_its_own_key(
+    tmp_path, monkeypatch, mode, algorithm, keys
+):
+    path = tmp_path / "pair.ini"
+    path.write_text(f"[dataset]\npath = .\n[explain]\nmode = {mode}\nalgorithms = {algorithm}\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError) as caught:
+        parse_experiment_config(path).validate()
+    named = [key for key in ("[explain] mode", "[explain] algorithms") if key in str(caught.value)]
+    assert named == [key.removesuffix(":") for key in keys]
+    assert all(key in str(caught.value) for key in keys)

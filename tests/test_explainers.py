@@ -484,6 +484,7 @@ class Search:
     kg = KnowledgeGraph(list("abcdefghij"), ["r"], tuple(Triple(0, 0, o) for o in range(1, 9)))
     prediction = Triple(0, 0, 9)
     config = ExplainerConfig(max_length=2, prefilter_k=8, max_evals_per_length=20)
+    ceiling = None
     psi = dict(zip(sorted(kg.train), (9, 7, 5, 3, 2, 1, 0, 0)))
     candidates = []
 
@@ -513,6 +514,7 @@ print(sum(len(c) == 1 for c in search.candidates), sum(len(c) == 2 for c in sear
 
         class Search:
             config = ExplainerConfig(max_length=4, prefilter_k=40, max_evals_per_length=20)
+            ceiling = None
 
             def evaluate(self, triples, heuristic=None):
                 evaluated.append((tuple(triples), heuristic))
@@ -533,6 +535,44 @@ print(sum(len(c) == 1 for c in search.candidates), sum(len(c) == 2 for c in sear
             ordered = sorted(combos, key=lambda c: (-sum(psi[t] for t in c), c))[:20]
             expected += [(c, sum(psi[t] for t in c)) for c in ordered]
         assert evaluated == expected
+
+    @pytest.mark.parametrize("max_length, psi, evaluated", [
+        (2, {(1,): 5, (2,): 1, (3,): 0}, [(1,), (2,), (3,)]),
+        (3, {(1,): 3, (2,): 2, (3,): 0}, [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]),
+    ])
+    def test_a_psi_at_the_ceiling_ends_the_search(self, max_length, psi, evaluated):
+        # ceiling 5: a singleton at it ends the run before the pairs, a pair before the triples
+        kg = KnowledgeGraph(list("abcde"), ["r"], tuple(Triple(0, 0, o) for o in (1, 2, 3)))
+        seen = []
+
+        class Search:
+            config = ExplainerConfig(max_length=max_length, prefilter_k=3)
+            ceiling = 5
+
+            def evaluate(self, triples, heuristic=None):
+                seen.append(tuple(t.object for t in triples))
+                return SimpleNamespace(psi=sum(psi[(t.object,)] for t in triples))
+
+        search = Search()
+        search.kg, search.prediction = kg, Triple(0, 0, 4)
+        variable_length_builder(search)
+        assert seen == evaluated
+
+    def test_a_sufficient_run_at_rank_one_ends_at_its_singletons_with_a_singleton_best(
+        self, desk_kg, desk_model, desk_config, desk_predictions
+    ):
+        # at rank 1 the sufficient ceiling is psi 0, which no singleton falls short of here
+        ec = ExplainerConfig(max_length=2, evaluator="post-train", post_train_epochs=20)
+        for prediction in desk_predictions[:5]:
+            pool = prefilter_topk(desk_kg, prediction, ec.prefilter_k)
+            run = explain(
+                desk_kg, desk_model, prediction, "variable-length-builder", "sufficient", None,
+                ec, desk_config,
+            )
+            assert run["counters"]["retrains"] == len(run["candidates"]) == len(pool)
+            best = run["best"]
+            assert (best["length"], best["psi"]) == (1, 0.0), prediction
+            assert sorted(triples_of(best)) in [sorted(triples_of(p)) for p in run["front"]]
 
     def test_max_length_bound_respected(self, setup):
         kg, config, model, prediction = setup
@@ -697,7 +737,9 @@ class TestRunSerialization:
         _write_json(path, run)  # as explain writes it
         assert read_run(path, algorithm, prediction) == run
         tied = [c for c in run["candidates"] if c["psi"] == run["best"]["psi"]]
-        assert run["best"] == min(tied, key=lambda c: [t["ids"] for t in c["triples"]])
+        assert run["best"] == min(
+            tied, key=lambda c: (c["length"], [t["ids"] for t in c["triples"]])
+        )
         if algorithm == "data-poisoning-direct":  # its three candidates share the best psi
             assert len(tied) == 3
 

@@ -13,6 +13,7 @@ import pytest
 from kgexplain import (
     ConfigurationError,
     DomainError,
+    EmbeddingModel,
     KnowledgeGraph,
     TrainConfig,
     Triple,
@@ -73,6 +74,23 @@ class TestInit:
         twin = model.clone()
         twin.ent_re[0, 0] += 1.0
         assert model.ent_re[0, 0] != twin.ent_re[0, 0]
+
+    def test_every_model_holds_ent_and_rel_as_the_row_blocks_of_one_table(self, tmp_path):
+        kg = simple_kg()
+        config = TrainConfig(dimension=3, seed=0)
+        fresh = init_model(kg, config)
+        save_checkpoint(fresh, kg, tmp_path / "model.npz", config)
+        ent, rel = fresh.ent.copy(), fresh.rel.copy()
+        made = EmbeddingModel(ent=ent, rel=rel, dimension=3)
+        twin = fresh.clone()
+        for model in (made, fresh, load_checkpoint(tmp_path / "model.npz", kg), twin):
+            blocks = (model.table[: len(ent)], model.table[len(ent) :])
+            assert [b.__array_interface__ for b in blocks] == [
+                model.ent.__array_interface__, model.rel.__array_interface__
+            ]
+            assert np.array_equal(model.table, np.concatenate([ent, rel]))
+        assert not np.shares_memory(made.table, ent) and not np.shares_memory(made.table, rel)
+        assert not np.shares_memory(twin.table, fresh.table)
 
 
 class TestScore:

@@ -50,12 +50,12 @@ def arrays_equal(a, b):
 
 
 def split_grad(model, grad):
-    """A joint-table gradient as its ``ent`` and ``rel`` row blocks."""
+    """A ``model.table`` gradient as its ``ent`` and ``rel`` row blocks."""
     return np.split(grad, [len(model.ent)])
 
 
 def grad_halves(model, grad):
-    """A joint-table gradient as its four real halves, ordered like ``ARRAYS``."""
+    """A ``model.table`` gradient as its four real halves, ordered like ``ARRAYS``."""
     d = grad.shape[1] // 2
     return [part[:, h] for part in split_grad(model, grad) for h in (slice(d), slice(d, None))]
 
@@ -173,7 +173,7 @@ class TestLossGradients:
 
 # Reference: the allocating dense step as it was written before the workspace
 # step replaced it, helpers included, kept verbatim but for its result, now the
-# joint-table gradient: the plain per-example expression of the loss, which the
+# ``model.table`` gradient: the plain per-example expression of the loss, which the
 # per-query step is checked against.
 def _reference_cmul(x, y):
     d = x.shape[-1] // 2
@@ -251,7 +251,7 @@ TOLERANCE = {"rtol": 1e-12, "atol": 1e-15}
 
 
 def assert_matches_reference(model, got, want):
-    """A step's (loss, data loss, joint gradient) against the reference's, to the bound."""
+    """A step's (loss, data loss, table gradient) against the reference's, to the bound."""
     (loss, data_loss, grad), (ref_loss, ref_data, ref) = got, want
     np.testing.assert_allclose(loss, ref_loss, **TOLERANCE)
     np.testing.assert_allclose(data_loss, ref_data, **TOLERANCE)
@@ -539,9 +539,9 @@ class TestRestrictedStep:
 
 
 class TestSlot:
-    """Every fit updates one slot: the fitted model's joint table, at exactly its trainable rows."""
+    """Every fit updates one slot: the fitted model's table, at exactly its trainable rows."""
 
-    def test_each_step_slot_is_the_joint_table_at_its_trainable_rows(self, monkeypatch):
+    def test_each_step_slot_is_the_model_table_at_its_trainable_rows(self, monkeypatch):
         kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
         config = TrainConfig(dimension=6, epochs=2, batch_size=32, seed=5)
         model = train(init_model(kg, config), kg, config)
@@ -564,7 +564,7 @@ class TestSlot:
         assert [type(step) for _, step in seen] == [_DenseStep, _RestrictedStep, _RestrictedStep]
         for (tuned, step), rows in zip(seen, expected):
             table, slot_rows, grad = step.slot
-            assert table is training._joint_table(tuned)
+            assert table is tuned.table
             assert np.array_equal(np.arange(len(table))[slot_rows], rows)
             assert grad.shape == (len(rows), table.shape[1])
 
@@ -737,14 +737,14 @@ class _IntoSlots:
     """A step returning new ``ent`` and ``rel`` gradient arrays, as ``training._fit`` runs it.
 
     ``_fit`` reads the gradient from the step's (table, rows, gradient) slot:
-    the joint table's trainable entity rows, then its trainable relation
+    the model table's trainable entity rows, then its trainable relation
     rows. Every call copies the returned gradients into it, in that order.
     """
 
     def __init__(self, step, model):
         self.step = step
         rows = np.concatenate([step.ent_idx, step.rel_idx + len(model.ent)])
-        self.slot = (training._joint_table(model), rows, np.empty((len(rows), model.ent.shape[1])))
+        self.slot = (model.table, rows, np.empty((len(rows), model.ent.shape[1])))
 
     def __call__(self, model, sel, reg_weight):
         loss, data_loss, grads = self.step(model, sel, reg_weight)
@@ -1159,7 +1159,7 @@ class TestScoreBlocks:
 
 
 class TestNoAliasing:
-    """Fits work on their own joint copy of the tables and never rebind the caller's."""
+    """Fits work on their own copy of the model's table and never rebind the caller's."""
 
     def test_fits_leave_the_input_tables_alone(self):
         kg = make_random_kg(seed=12, n_entities=10, n_relations=2, n_triples=30)
