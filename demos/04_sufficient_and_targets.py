@@ -6,9 +6,10 @@ and see how well the prediction survives. A full region chain preserves a
 held-out city->continent completion better than any of its single links.
 
 Then the transfer proxy: swap the prediction's subject for target entities
-whose completions are not yet top-ranked (``build_target_set`` returns their
-ids as a tuple), add the swapped copies to training, and measure the targets'
-average rank improvement.
+whose completions are not yet top-ranked (``build_target_set`` returns each
+target's id with the base rank of its completion), add the swapped copies to
+training, and measure the targets' average rank improvement. Every operator
+takes its base rank from the caller, which ranks the prediction once.
 """
 from kgexplain import (
     KnowledgeGraph,
@@ -59,17 +60,18 @@ path = [
     t("france", "located_in", "europe"),
 ]
 print("\nkeep-only post-training (frozen context), psi = rank preserved/improved:")
-whole = effectiveness_sufficient(kg, model, prediction, set(path), "post-train", config)
+before = rank(model, prediction, kg)
+whole = effectiveness_sufficient(kg, model, prediction, set(path), "post-train", config, before)
 print(f"  full chain        psi {whole.psi:+.0f}  (rank {whole.rank_before:.0f} -> {whole.rank_after:.0f})")
 for link in path:
-    res = effectiveness_sufficient(kg, model, prediction, {link}, "post-train", config)
+    res = effectiveness_sufficient(kg, model, prediction, {link}, "post-train", config, before)
     s, r, o = kg.label_triple(link)
     print(f"  only {s}->{o:<14} psi {res.psi:+.0f}  (rank {res.rank_before:.0f} -> {res.rank_after:.0f})")
 
 print("\ntransfer proxy: graft (paris, located_in, ile_de_france) onto targets")
 targets = build_target_set(kg, model, prediction, size=5, seed=3)
 print(f"  target entities (completions not top-ranked): "
-      f"{[kg.entity_labels[c] for c in targets]}")
+      f"{[(kg.entity_labels[c], before) for c, before in targets]}")
 result = effectiveness_c_sufficient(
     kg, model, prediction, {path[0]}, targets, "post-train", config
 )

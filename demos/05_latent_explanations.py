@@ -52,7 +52,8 @@ config = TrainConfig(dimension=12, epochs=100, batch_size=128, seed=0)
 model = train(init_model(kg, config), kg, config)
 
 prediction = t("france", "located_in", "europe")
-print(f"prediction {kg.label_triple(prediction)} starts at rank {rank(model, prediction, kg)}")
+before = rank(model, prediction, kg)  # every operator takes the base rank from its caller
+print(f"prediction {kg.label_triple(prediction)} starts at rank {before}")
 
 ensemble = calibrate_ensemble(model, kg, kg.train, seed=1)
 print(f"calibrated ensemble: p = sigmoid({ensemble.scale:.2f} * score + {ensemble.bias:.2f})")
@@ -66,6 +67,8 @@ for cand in sample:
     print(f"  ({s}, {r}, {o})  p = {ensemble.probability(cand):.3f}")
 
 candidate = {t("france", "neighbor_of", "germany"), t("france", "neighbor_of", "italy")}
-result = effectiveness_latent(kg, model, prediction, candidate, "positive", "full-retrain", config)
+result = effectiveness_latent(
+    kg, model, prediction, candidate, "positive", "full-retrain", config, before
+)
 print("\nadding {france->germany, france->italy} neighbor links and retraining:")
 print(f"  rank {result.rank_before:.0f} -> {result.rank_after:.0f}  psi {result.psi:+.0f}")

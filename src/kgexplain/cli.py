@@ -4,9 +4,10 @@ Subcommands: ``train`` (fit and checkpoint a scorer), ``select`` (sample an
 evaluation set from a rank cohort), ``explain`` (run explainers per
 prediction, resumable), ``evaluate`` (metrics reports and the
 cross-algorithm comparison), ``pareto`` (front export). A run file counts
-only when ``read_run`` accepts it as the run its name and index claim. One
-INI file configures all, echoed verbatim into every output directory. Exit
-codes: 0 success, 2 validation error, 3 runtime error.
+only when ``read_run`` accepts it as the run its name and index claim, made
+(for ``explain`` and ``evaluate``) under the INI's mode and ``[explain]``
+config. One INI file configures all, echoed verbatim into every output
+directory. Exit codes: 0 success, 2 validation error, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -286,14 +287,14 @@ def _load_selection(path: str | Path) -> list[dict]:
     return entries
 
 
-def _ranked_selection(path: str | Path, kg: KnowledgeGraph, model) -> list[Triple]:
-    """The predictions of a selection file whose every ``rank`` is the prediction's under ``model``.
+def _ranked_selection(path: str | Path, kg: KnowledgeGraph, model) -> dict[Triple, int]:
+    """Each prediction of a selection file mapped to its ``rank``, which must be ``model``'s.
 
     A prediction that ``model`` cannot rank, or whose rank differs from the
     file's (a selection made with another checkpoint), raises
     ConfigurationError naming the file and the prediction.
     """
-    predictions = []
+    predictions = {}
     for entry in _load_selection(path):
         prediction, where = Triple(*entry["ids"]), f"selection {path}: prediction {entry['ids']}"
         try:
@@ -305,7 +306,7 @@ def _ranked_selection(path: str | Path, kg: KnowledgeGraph, model) -> list[Tripl
                 f"{where} has rank {got} under the checkpoint, not the selection's "
                 f"{entry['rank']}: the selection was made with another checkpoint"
             )
-        predictions.append(prediction)
+        predictions[prediction] = got
     return predictions
 
 
@@ -318,16 +319,6 @@ def _latent_space(
         ensemble, kg, config.latent_epsilon, config.latent_budget, config.latent_seed
     )
     return SearchSpace("latent-sample", tuple(sample))
-
-
-def _check_settings(run: dict, wanted: dict) -> None:
-    """Raise ConfigurationError naming each of the run's ``mode`` and ``config`` not ``wanted``."""
-    recorded = run.get("config")
-    got = {"mode": run.get("mode")} | (recorded if isinstance(recorded, dict) else {})
-    keys = sorted(got.keys() | wanted.keys())
-    differ = [k for k in keys if k not in got or k not in wanted or got[k] != wanted[k]]
-    if differ:
-        raise ConfigurationError("made under another " + ", ".join(f"[explain] {k}" for k in differ))
 
 
 def cmd_explain(
@@ -378,7 +369,7 @@ def cmd_explain(
         for i, p in enumerate(predictions)
     ]
 
-    wanted = {"mode": config.mode} | asdict(config.explainer)
+    settings = {"mode": config.mode} | asdict(config.explainer)
 
     def execute(task) -> list[tuple[str, Path, dict]]:
         """Each algorithm's status, run file, and payload or, on failure, manifest entry."""
@@ -390,8 +381,7 @@ def cmd_explain(
             status = "written"
             if path.exists():
                 try:
-                    payload = read_run(path, algorithm, prediction)
-                    _check_settings(payload, wanted)
+                    payload = read_run(path, algorithm, prediction, settings)
                 except ConfigurationError as exc:
                     logger.warning("recomputing %s: %s", path.name, exc)
                     status = "recomputed"
@@ -450,7 +440,7 @@ def _simultaneous_removal(
     config: ExperimentConfig,
     kg: KnowledgeGraph,
     model,
-    predictions: list[Triple],
+    predictions: dict[Triple, int],
     runs_dir: Path,
     payloads: list[dict],
 ) -> None:
@@ -473,10 +463,10 @@ def _simultaneous_removal(
             {
                 "ids": list(prediction),
                 "labels": list(kg.label_triple(prediction)),
-                "rank_before": rank(model, prediction, kg),
+                "rank_before": before,
                 "rank_after": rank(retrained, prediction, kg),
             }
-            for prediction in predictions
+            for prediction, before in predictions.items()
         ]
         payload = {
             "algorithm": algorithm,
@@ -526,12 +516,15 @@ def cmd_evaluate(
     simultaneous-removal entry, else its best candidate's ranks (the targets'
     mean ranks in mode ``c-sufficient``), else the selection's rank as both.
     Each report names the selection's cohort, ``rank-<[selection] cohort_rank>``.
+    A run file that :func:`read_run` rejects, one made under another mode or
+    ``[explain]`` config among them, is a validation error naming it.
     """
     config.validate()
     out_dir = _prepare_output(config, out)
     runs_dir = Path(runs_dir)
     kg = load_dataset(config.dataset_path)
     predictions = [(Triple(*entry["ids"]), entry["rank"]) for entry in _load_selection(selection)]
+    settings = {"mode": config.mode} | asdict(config.explainer)
 
     summaries = []
     gaps: list[str] = []
@@ -544,7 +537,7 @@ def cmd_evaluate(
             if not path.exists():
                 gaps.append(path.name)
                 continue
-            payloads.append(read_run(path, algorithm, prediction))
+            payloads.append(read_run(path, algorithm, prediction, settings))
             best = payloads[-1]["best"]
             ranks = (best["rank_before"], best["rank_after"]) if best else (selected, selected)
             rank_rows.append(RankRow(prediction, *shot.get(prediction, ranks)))

@@ -1,8 +1,8 @@
 """Effectiveness of candidate explanations under retraining operators.
 
 Every operator measures a candidate the same way: change the training set,
-retrain once (full retraining or post-training, dispatched by
-:func:`_retrained`), and compare a probe triple's rank before and after.
+retrain once (full or post-training, dispatched by :func:`_retrained`), and
+compare a probe triple's rank before, which the caller passes, and after.
 The four operators, one per explanation mode, differ only in the candidate
 they accept, the fit rows, the trainable rows, the probe and the sign:
 
@@ -11,7 +11,7 @@ they accept, the fit rows, the trainable rows, the probe and the sign:
 * ``keep-only-retrain``  (sufficient): relearn from the candidate alone,
   anchored in frozen context, and measure how little the rank degrades.
 * ``add-swap-retrain``   (targeted sufficiency): graft the candidate onto
-  each target entity, a tuple of entity ids from :func:`build_target_set`,
+  each target entity, sampled by :func:`build_target_set` with its base rank,
   and measure how much the targets' ranks improve, on average.
 * ``add-retrain``        (latent): add unobserved triples and measure the
   rank shift in either direction.
@@ -185,15 +185,15 @@ def effectiveness_necessary(
     candidate,
     evaluator: str,
     config: TrainConfig,
+    rank_before: int,
 ) -> EffectivenessResult:
     """Rank change caused by removing the candidate and retraining.
 
     Positive values mean the prediction degraded, i.e. the candidate was
-    load-bearing. Requires the base rank to be better than the worst filtered
-    rank, otherwise there is no room left to degrade.
+    load-bearing. Requires ``rank_before``, the base rank, to be better than
+    the worst filtered rank, otherwise there is no room left to degrade.
     """
     triples = _training_triples(kg, candidate)
-    rank_before = rank(model, prediction, kg)
     if rank_before >= _worst_rank(kg, prediction):
         raise DomainError("necessary effectiveness requires the base rank to be better than the "
                           "worst filtered rank")
@@ -211,8 +211,9 @@ def effectiveness_sufficient(
     candidate,
     evaluator: str,
     config: TrainConfig,
+    rank_before: int,
 ) -> EffectivenessResult:
-    """How well the candidate alone preserves the prediction's rank.
+    """How well the candidate alone preserves the prediction's rank, ``rank_before``.
 
     Under ``post-train`` the candidate's entities are reinitialized and
     relearned from the candidate's triples only, against the frozen
@@ -225,7 +226,6 @@ def effectiveness_sufficient(
     """
     triples = _training_triples(kg, candidate)
     elsewhere = {t.relation for t in kg.train if t not in triples}
-    rank_before = rank(model, prediction, kg)
     rank_after = _rank_after(
         kg, model, prediction, _rows_of(kg, triples), evaluator, config,
         trainable_entities=_entities(triples),
@@ -240,20 +240,20 @@ def effectiveness_sufficient(
 
 def build_target_set(
     kg: KnowledgeGraph, model: EmbeddingModel, prediction: Triple, size: int, seed: int
-) -> tuple[int, ...]:
-    """Sample entities c != s_x whose (c, r_x, o_x) completion is not top-ranked."""
+) -> tuple[tuple[int, int], ...]:
+    """Sample pairs (c, rank of (c, r_x, o_x)), c != s_x, whose rank is not 1 under ``model``."""
     if size < 1:
         raise ConfigurationError("target-set size must be >= 1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(kg.num_entities)
-    chosen: list[int] = []
+    chosen: list[tuple[int, int]] = []
     for c in order:
         c = int(c)
         if c == prediction.subject:
             continue
-        probe = Triple(c, prediction.relation, prediction.object)
-        if rank(model, probe, kg) > 1:
-            chosen.append(c)
+        before = rank(model, Triple(c, prediction.relation, prediction.object), kg)
+        if before > 1:
+            chosen.append((c, before))
             if len(chosen) == size:
                 break
     if not chosen:
@@ -273,17 +273,17 @@ def effectiveness_c_sufficient(
     model: EmbeddingModel,
     prediction: Triple,
     candidate,
-    targets: tuple[int, ...],
+    targets: tuple[tuple[int, int], ...],
     evaluator: str,
     config: TrainConfig,
 ) -> EffectivenessResult:
     """Average rank improvement of target completions after grafting the candidate.
 
-    Every candidate triple must contain the prediction's subject; it is
-    swapped for each target entity and the swapped copies are added to the
-    training set, retraining once per target that gains at least one
-    triple. Per-target outcomes are retained; single targets may worsen,
-    and the result is their mean.
+    ``targets`` are (entity, rank before) pairs. Every candidate triple must
+    contain the prediction's subject; it is swapped for each target entity
+    and the swapped copies are added to the training set, retraining once
+    per target that gains a triple. Per-target outcomes are retained; single
+    targets may worsen, and the result is their mean.
     """
     triples = _training_triples(kg, candidate)
     s_x = prediction.subject
@@ -292,14 +292,14 @@ def effectiveness_c_sufficient(
             raise DomainError(f"candidate triple {t} does not contain the prediction subject")
 
     outcomes: list[TargetOutcome] = []
-    for c in targets:
+    for c, before in targets:
         swapped = (_swap_subject(t, s_x, c) for t in sorted(triples))
         additions = [sw for sw in swapped if sw not in kg.train_set]
         skipped = len(triples) - len(additions)
         if skipped:
             logger.info("%d swapped triples already in training set; skipped", skipped)
         probe = Triple(c, prediction.relation, prediction.object)
-        before = after = rank(model, probe, kg)
+        after = before
         if additions:  # with nothing to add the operator is the identity
             after = _rank_after(
                 kg, model, probe, _rows_with(kg, additions), evaluator, config,
@@ -326,10 +326,11 @@ def effectiveness_latent(
     polarity: str,
     evaluator: str,
     config: TrainConfig,
+    rank_before: int,
 ) -> EffectivenessResult:
     """Rank shift from adding unobserved triples and retraining.
 
-    ``positive`` rewards rank improvement (requires base rank > 1);
+    ``positive`` rewards rank improvement (requires ``rank_before`` > 1);
     ``negative`` rewards degradation (requires the base rank to be better than the
     worst filtered rank). Either way a higher value is better.
     """
@@ -341,7 +342,6 @@ def effectiveness_latent(
             raise DomainError(f"latent triple {t} has out-of-range ids")
     if polarity not in ("positive", "negative"):
         raise ConfigurationError(f"unknown polarity: {polarity!r}")
-    rank_before = rank(model, prediction, kg)
     if polarity == "positive" and rank_before <= 1:
         raise DomainError("positive latent effectiveness requires base rank > 1")
     if polarity == "negative" and rank_before >= _worst_rank(kg, prediction):

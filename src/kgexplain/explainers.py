@@ -170,6 +170,8 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
     """What keeps ``run`` from being the run of ``algorithm`` for ``prediction``, if anything."""
     if not isinstance(run, dict) or type(run.get("algorithm")) is not str:
         return "expected an object with a string algorithm"
+    if run.get("schema_version") != RUN_SCHEMA_VERSION:
+        return f"schema_version must be {RUN_SCHEMA_VERSION}"
     if not (isinstance(run.get("prediction"), dict) and _three_ints(run["prediction"].get("ids"))):
         return "prediction ids must be three integers"
     candidates = run.get("candidates")
@@ -197,18 +199,30 @@ def _run_problem(run, algorithm: str | None, prediction: Triple | None) -> str |
 
 
 def read_run(
-    path: str | Path, algorithm: str | None = None, prediction: Triple | None = None
+    path: str | Path, algorithm: str | None = None, prediction: Triple | None = None,
+    settings: dict | None = None,
 ) -> dict:
     """The payload of a run file, checked in every field that any reader uses.
 
     ``algorithm`` and ``prediction``, when known, are what the file's name and
-    index claim. A file that does not parse, lacks or mistypes a field, or is
-    another algorithm's or prediction's run raises ConfigurationError naming it.
+    index claim; ``settings``, when known, are the sweep's ``mode`` and
+    ``[explain]`` config. A file that does not parse, lacks or mistypes a
+    field, has another ``schema_version`` than :data:`RUN_SCHEMA_VERSION`, or
+    is another algorithm's, prediction's or setting's run raises
+    ConfigurationError naming it.
     """
     run = load_json(path, "run")
     problem = _run_problem(run, algorithm, prediction)
     if problem:
         raise ConfigurationError(f"not a run file: {path} ({problem})")
+    if settings is not None:
+        config = run.get("config")
+        got = {"mode": run.get("mode")} | (config if isinstance(config, dict) else {})
+        differ = [k for k in sorted(got.keys() | settings.keys())
+                  if (k in got, got.get(k)) != (k in settings, settings.get(k))]
+        if differ:
+            keys = ", ".join(f"[explain] {k}" for k in differ)
+            raise ConfigurationError(f"made under another {keys}: {path}")
     return run
 
 
@@ -234,7 +248,7 @@ class _Search:
         mode: str,
         config: ExplainerConfig,
         training: TrainConfig,
-        targets: tuple[int, ...] | None = None,
+        targets: tuple[tuple[int, int], ...] | None = None,
     ) -> None:
         config.validate()
         self.started = time.perf_counter()
@@ -262,13 +276,13 @@ class _Search:
         head = (self.kg, self.model, self.prediction, explanation)
         fit = (self.config.evaluator, self.fit_config)
         if mode == "necessary":
-            result = effectiveness_necessary(*head, *fit)
+            result = effectiveness_necessary(*head, *fit, self.rank_before)
         elif mode == "sufficient":
-            result = effectiveness_sufficient(*head, *fit)
+            result = effectiveness_sufficient(*head, *fit, self.rank_before)
         elif mode == "c-sufficient":
             result = effectiveness_c_sufficient(*head, self.targets, *fit)
         else:  # latent-positive or latent-negative; explain rejects any other mode
-            result = effectiveness_latent(*head, mode.removeprefix("latent-"), *fit)
+            result = effectiveness_latent(*head, mode.removeprefix("latent-"), *fit, self.rank_before)
         self.candidates.append({
             "triples": [self._triple_entry(t) for t in explanation.sorted_triples()],
             "length": len(explanation),
@@ -489,7 +503,7 @@ def explain(
     space: SearchSpace | None,
     config: ExplainerConfig,
     train_config: TrainConfig,
-    targets: tuple[int, ...] | None = None,
+    targets: tuple[tuple[int, int], ...] | None = None,
 ) -> dict:
     """The run of ``algorithm`` for ``prediction`` in ``mode``; see :data:`ALGORITHMS`.
 

@@ -234,8 +234,9 @@ def test_criterion_08_post_train_proxy_fidelity(
             full_psi = candidate["psi"]
             triples = [Triple(*t["ids"]) for t in candidate["triples"]]
             post = effectiveness_necessary(
-                desk_kg, desk_model, prediction, triples,
-                "post-train", dataclasses.replace(desk_config, epochs=30),
+                desk_kg, desk_model, prediction, triples, "post-train",
+                dataclasses.replace(desk_config, epochs=30),
+                rank_before=rank(desk_model, prediction, desk_kg),
             )
             agree += int(np.sign(full_psi) == np.sign(post.psi))
             total += 1

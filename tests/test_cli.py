@@ -108,6 +108,7 @@ INVALID_RUNS = {
     },
     "algorithm-a-list": lambda run: {**run, "algorithm": [1]},
     "another-algorithm": lambda run: {**run, "algorithm": "criage-first-order"},
+    "schema-version-1": lambda run: {**run, "schema_version": 1},
 }
 
 # Simultaneous-removal files that are not one, each made from a valid file of
@@ -1217,3 +1218,110 @@ def test_an_unknown_mode_or_algorithm_names_only_its_own_key(
     named = [key for key in ("[explain] mode", "[explain] algorithms") if key in str(caught.value)]
     assert named == [key.removesuffix(":") for key in keys]
     assert all(key in str(caught.value) for key in keys)
+
+
+@pytest.mark.parametrize("case", ["mode", "evaluator"])
+def test_evaluate_rejects_runs_made_under_other_settings_naming_file_and_key(
+    explained, tmp_path, caplog, case
+):
+    """``evaluate`` reads a run only as ``explain``'s resume keeps it: made under the INI's settings."""
+    root, _, _, selection, _ = explained
+    runs = tmp_path / "runs"
+    shutil.copytree(root / "out" / "runs", runs)
+    ini = tmp_path / "sweep.ini"
+    text = (root / "experiment.ini").read_text()
+    if case == "mode":  # every run says sufficient; the INI says necessary
+        for path in runs.glob("run_*.json"):
+            path.write_text(json.dumps({**json.loads(path.read_text()), "mode": "sufficient"}))
+    else:  # full-retrain never post-trains, so it sets no post_train_epochs
+        text = text.replace("evaluator = post-train", "evaluator = full-retrain")
+        text = text.replace("post_train_epochs = 20\n", "")
+    ini.write_text(text)
+    argv = [
+        "evaluate", "--config", str(ini), "--selection", str(selection),
+        "--runs", str(runs), "--out", str(tmp_path / "ev"),
+    ]
+    assert main(argv) == EXIT_VALIDATION
+    assert re.search(rf"made under another .*\[explain\] {case}.*run_\S+_0000\.json", caplog.text)
+    assert not (tmp_path / "ev" / "comparison.json").exists()
+
+
+# The JSON inputs ``evaluate`` reads, each a file of the ``explained`` sweep.
+JSON_INPUTS = {
+    "selection": "selection.json",
+    "run": "runs/run_exhaustive-length-1_0000.json",
+    "simultaneous": "runs/simultaneous_exhaustive-length-1.json",
+}
+SWAPS = {"drop": None, "null": None, "string": "abc", "list": []}
+ANY = set(SWAPS)
+# The swaps that pass, by field; a swap of a field not listed must fail naming
+# the file. A list stands for its first entry, which in the run file is a
+# candidate other than the best. Every field listed with ANY is one that no
+# reader reads; an empty list passes where the file lists predictions.
+LEGAL_SWAPS = {
+    "selection": {"cohort_rank": ANY, "seed": ANY, "triples/0/labels": ANY, "triples": {"list"}},
+    "run": {
+        "counters": ANY, "counters/retrains": ANY, "counters/wall_clock_s": ANY, "warnings": ANY,
+        "prediction/labels": ANY, "prediction/rank_before": ANY,
+        "candidates/0/evaluator": ANY, "candidates/0/heuristic_score": ANY,
+        "candidates/0/operator": ANY, "candidates/0/rank_after": ANY,
+        "candidates/0/rank_before": ANY, "candidates/0/retrains": ANY,
+        "candidates/0/triples/0/labels": ANY,
+    },
+    "simultaneous": {
+        "checkpoint": ANY, "removed": ANY, "after_ranks/0/labels": ANY, "after_ranks": {"list"},
+    },
+}
+
+
+def _fields(value, path=()):
+    """The path of each object key in ``value``, through the first entry of each list."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield path + (key,)
+            yield from _fields(inner, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from _fields(value[0], path + (0,))
+
+
+@pytest.mark.parametrize("kind", JSON_INPUTS)
+def test_every_json_field_swap_passes_or_names_its_file(explained, tmp_path, caplog, kind):
+    root, _, _, _, _ = explained
+    shutil.copytree(root / "out", tmp_path / "out", ignore=shutil.ignore_patterns("metrics_*"))
+    victim = tmp_path / "out" / JSON_INPUTS[kind]
+    original = victim.read_text()
+    data = json.loads(original)
+    if kind == "run":
+        assert data["candidates"][0] != data["best"]
+    argv = [
+        "evaluate", "--config", str(root / "experiment.ini"),
+        "--selection", str(tmp_path / "out" / "selection.json"),
+        "--runs", str(tmp_path / "out" / "runs"), "--out", str(tmp_path / "ev"),
+    ]
+    wrong = []
+    for path in _fields(data):
+        name = "/".join(map(str, path))
+        for swap, value in SWAPS.items():
+            mutated = json.loads(original)
+            *head, key = path
+            holder = mutated
+            for step in head:
+                holder = holder[step]
+            if swap == "drop":
+                del holder[key]
+            elif holder[key] == value:  # not a swap
+                continue
+            else:
+                holder[key] = value
+            victim.write_text(json.dumps(mutated))
+            caplog.clear()
+            try:
+                code = main(argv)
+            finally:
+                victim.write_text(original)
+            if swap in LEGAL_SWAPS[kind].get(name, ()):
+                if code != EXIT_OK:
+                    wrong.append(f"{name} {swap}: exit {code}, expected 0")
+            elif code != EXIT_VALIDATION or victim.name not in caplog.text:
+                wrong.append(f"{name} {swap}: exit {code}, expected 2 naming {victim.name}")
+    assert wrong == []

@@ -69,7 +69,8 @@ class TestNecessary:
         kg, config, model = pipeline
         prediction = kg.train[0]
         result = effectiveness_necessary(
-            kg, model, prediction, {kg.train[1]}, "post-train", config
+            kg, model, prediction, {kg.train[1]}, "post-train", config,
+            rank_before=rank(model, prediction, kg),
         )
         assert result.psi == result.rank_after - result.rank_before
         assert result.operator == "remove-retrain"
@@ -78,26 +79,34 @@ class TestNecessary:
         kg, config, model = pipeline
         prediction = kg.train[0]
         for t in list(kg.train)[:4]:
-            result = effectiveness_necessary(kg, model, prediction, {t}, "post-train", config)
+            result = effectiveness_necessary(
+                kg, model, prediction, {t}, "post-train", config,
+                rank_before=rank(model, prediction, kg),
+            )
             assert (result.psi == 0) == (result.rank_after == result.rank_before)
 
     def test_rejects_non_training_triples(self, pipeline):
         kg, config, model = pipeline
         with pytest.raises(DomainError):
             effectiveness_necessary(
-                kg, model, kg.train[0], {Triple(0, 0, 11)}, "post-train", config
+                kg, model, kg.train[0], {Triple(0, 0, 11)}, "post-train", config,
+                rank_before=rank(model, kg.train[0], kg),
             )
 
     def test_rejects_empty_candidate(self, pipeline):
         kg, config, model = pipeline
         with pytest.raises(DomainError):
-            effectiveness_necessary(kg, model, kg.train[0], set(), "post-train", config)
+            effectiveness_necessary(
+                kg, model, kg.train[0], set(), "post-train", config,
+                rank_before=rank(model, kg.train[0], kg),
+            )
 
     def test_removing_everything_with_full_retrain_is_degenerate(self, pipeline):
         kg, config, model = pipeline
         with pytest.raises(TrainingError):
             effectiveness_necessary(
-                kg, model, kg.train[0], set(kg.train), "full-retrain", config
+                kg, model, kg.train[0], set(kg.train), "full-retrain", config,
+                rank_before=rank(model, kg.train[0], kg),
             )
 
     def test_bottom_ranked_prediction_violates_precondition(self, pipeline):
@@ -107,7 +116,10 @@ class TestNecessary:
         placed, worst = placed_last(kg, model, prediction, below=True)
         assert rank(placed, prediction, kg) == worst
         with pytest.raises(DomainError):
-            effectiveness_necessary(kg, placed, prediction, {kg.train[0]}, "post-train", config)
+            effectiveness_necessary(
+                kg, placed, prediction, {kg.train[0]}, "post-train", config,
+                rank_before=rank(placed, prediction, kg),
+            )
 
     def test_in_graph_prediction_one_above_the_worst_rank_is_accepted(self, pipeline):
         # the object is a known one, so the worst rank is 1 + E - |known|, and one
@@ -118,7 +130,8 @@ class TestNecessary:
         placed, worst = placed_last(kg, model, prediction, below=False)
         assert rank(placed, prediction, kg) == worst - 1
         result = effectiveness_necessary(
-            kg, placed, prediction, {kg.train[1]}, "post-train", config
+            kg, placed, prediction, {kg.train[1]}, "post-train", config,
+            rank_before=rank(placed, prediction, kg),
         )
         assert result.rank_before == worst - 1
 
@@ -127,7 +140,8 @@ class TestNecessary:
         prediction = kg.test[0]
         for removed in list(kg.train)[:5]:
             result = effectiveness_necessary(
-                kg, model, prediction, {removed}, "full-retrain", config
+                kg, model, prediction, {removed}, "full-retrain", config,
+                rank_before=rank(model, prediction, kg),
             )
             # independent composition: remove, retrain, re-rank with the sort oracle
             modified = kg.with_train(t for t in kg.train if t != removed)
@@ -156,15 +170,22 @@ class TestNecessary:
     def test_base_model_never_mutated(self, pipeline):
         kg, config, model = pipeline
         snap = snapshot(model)
-        effectiveness_necessary(kg, model, kg.train[0], {kg.train[1]}, "post-train", config)
-        effectiveness_necessary(kg, model, kg.train[0], {kg.train[1]}, "full-retrain", config)
+        effectiveness_necessary(
+            kg, model, kg.train[0], {kg.train[1]}, "post-train", config,
+            rank_before=rank(model, kg.train[0], kg),
+        )
+        effectiveness_necessary(
+            kg, model, kg.train[0], {kg.train[1]}, "full-retrain", config,
+            rank_before=rank(model, kg.train[0], kg),
+        )
         assert unchanged(model, snap)
 
     def test_meter_counts_retrains(self, pipeline):
         kg, config, model = pipeline
         for evaluator in ("post-train", "full-retrain"):
             result = effectiveness_necessary(
-                kg, model, kg.train[0], {kg.train[1]}, evaluator, config
+                kg, model, kg.train[0], {kg.train[1]}, evaluator, config,
+                rank_before=rank(model, kg.train[0], kg),
             )
             assert result.retrains == 1
 
@@ -173,7 +194,8 @@ class TestSufficient:
     def test_whole_training_set_preserves_everything_exactly(self, pipeline):
         kg, config, model = pipeline
         result = effectiveness_sufficient(
-            kg, model, kg.train[0], set(kg.train), "post-train", config
+            kg, model, kg.train[0], set(kg.train), "post-train", config,
+            rank_before=rank(model, kg.train[0], kg),
         )
         assert result.psi == 0.0
         assert result.rank_after == result.rank_before
@@ -181,12 +203,16 @@ class TestSufficient:
     def test_empty_candidate_rejected(self, pipeline):
         kg, config, model = pipeline
         with pytest.raises(DomainError):
-            effectiveness_sufficient(kg, model, kg.train[0], set(), "post-train", config)
+            effectiveness_sufficient(
+                kg, model, kg.train[0], set(), "post-train", config,
+                rank_before=rank(model, kg.train[0], kg),
+            )
 
     def test_none_policy_flags_meaningless_embeddings(self, pipeline):
         kg, config, model = pipeline
         result = effectiveness_sufficient(
-            kg, model, kg.train[0], {kg.train[0]}, "full-retrain", config
+            kg, model, kg.train[0], {kg.train[0]}, "full-retrain", config,
+            rank_before=rank(model, kg.train[0], kg),
         )
         assert any("meaningless" in w for w in result.warnings)
         assert result.operator == "keep-only-retrain"
@@ -194,7 +220,10 @@ class TestSufficient:
     def test_base_model_never_mutated(self, pipeline):
         kg, config, model = pipeline
         snap = snapshot(model)
-        effectiveness_sufficient(kg, model, kg.train[0], {kg.train[1]}, "post-train", config)
+        effectiveness_sufficient(
+            kg, model, kg.train[0], {kg.train[1]}, "post-train", config,
+            rank_before=rank(model, kg.train[0], kg),
+        )
         assert unchanged(model, snap)
 
 
@@ -235,10 +264,14 @@ class TestSufficientPathExample:
         model = train(init_model(kg, config), kg, config)
         assert rank(model, prediction, kg) > 1
         path_psi = effectiveness_sufficient(
-            kg, model, prediction, set(path), "post-train", config
+            kg, model, prediction, set(path), "post-train", config,
+            rank_before=rank(model, prediction, kg),
         ).psi
         single_psis = [
-            effectiveness_sufficient(kg, model, prediction, {x}, "post-train", config).psi
+            effectiveness_sufficient(
+                kg, model, prediction, {x}, "post-train", config,
+                rank_before=rank(model, prediction, kg),
+            ).psi
             for x in path
         ]
         assert all(path_psi > s for s in single_psis)
@@ -258,9 +291,9 @@ class TestTargetSet:
         prediction = kg.train[0]
         targets = build_target_set(kg, model, prediction, size=10, seed=1)
         assert len(targets) <= 10
-        for c in targets:
+        for c, before in targets:
             assert c != prediction.subject
-            assert rank(model, Triple(c, prediction.relation, prediction.object), kg) > 1
+            assert before == rank(model, Triple(c, prediction.relation, prediction.object), kg) > 1
 
     def test_fixed_seed_reproducible(self, pipeline):
         kg, config, model = pipeline
@@ -306,7 +339,7 @@ class TestCSufficient:
         result = effectiveness_c_sufficient(
             kg, model, prediction, candidate, targets, "post-train", config
         )
-        for outcome, c in zip(result.per_target, targets):
+        for outcome, (c, _) in zip(result.per_target, targets):
             swapped = Triple(c, 0, 1)
             if swapped in kg.train_set:
                 assert outcome.skipped == 1
@@ -321,7 +354,7 @@ class TestCSufficient:
             kg, model, prediction, candidate, targets, "full-retrain", config
         )
         expected = []
-        for c in targets:
+        for c, _ in targets:
             swapped = Triple(c, 0, 1)
             probe = Triple(c, prediction.relation, prediction.object)
             before = rank_oracle(model, probe, kg)
@@ -351,7 +384,8 @@ class TestLatent:
         kg, config, model = pipeline
         with pytest.raises(DomainError):
             effectiveness_latent(
-                kg, model, kg.test[0], {kg.train[0]}, "positive", "post-train", config
+                kg, model, kg.test[0], {kg.train[0]}, "positive", "post-train", config,
+                rank_before=rank(model, kg.test[0], kg),
             )
 
     def test_positive_polarity_requires_room_to_improve(self, pipeline):
@@ -359,7 +393,8 @@ class TestLatent:
         top = next(t for t in kg.train if rank(model, t, kg) == 1)
         with pytest.raises(DomainError):
             effectiveness_latent(
-                kg, model, top, {Triple(0, 1, 11)}, "positive", "post-train", config
+                kg, model, top, {Triple(0, 1, 11)}, "positive", "post-train", config,
+                rank_before=rank(model, top, kg),
             )
 
     def test_negative_polarity_requires_room_to_degrade(self, pipeline):
@@ -371,11 +406,13 @@ class TestLatent:
         assert rank(placed, prediction, kg) == worst == kg.num_entities - 1
         with pytest.raises(DomainError, match="worst filtered rank"):
             effectiveness_latent(
-                kg, placed, prediction, candidate, "negative", "post-train", config
+                kg, placed, prediction, candidate, "negative", "post-train", config,
+                rank_before=rank(placed, prediction, kg),
             )
         placed, _ = placed_last(kg, model, prediction, below=False)
         result = effectiveness_latent(
-            kg, placed, prediction, candidate, "negative", "post-train", config
+            kg, placed, prediction, candidate, "negative", "post-train", config,
+            rank_before=rank(placed, prediction, kg),
         )
         assert result.rank_before == worst - 1
 
@@ -385,8 +422,14 @@ class TestLatent:
         assert rank(model, prediction, kg) > 1
         candidate = {Triple(7, 1, 0)}
         assert candidate.isdisjoint(kg.train_set)
-        pos = effectiveness_latent(kg, model, prediction, candidate, "positive", "post-train", config)
-        neg = effectiveness_latent(kg, model, prediction, candidate, "negative", "post-train", config)
+        pos = effectiveness_latent(
+            kg, model, prediction, candidate, "positive", "post-train", config,
+            rank_before=rank(model, prediction, kg),
+        )
+        neg = effectiveness_latent(
+            kg, model, prediction, candidate, "negative", "post-train", config,
+            rank_before=rank(model, prediction, kg),
+        )
         assert (pos.psi == 0) == (pos.rank_after == pos.rank_before)
         assert (neg.psi == 0) == (neg.rank_after == neg.rank_before)
         assert pos.psi == -neg.psi
@@ -397,7 +440,8 @@ class TestLatent:
         candidate = frozenset({Triple(1, 1, 5), Triple(3, 1, 9)})
         assert candidate.isdisjoint(kg.train_set)
         result = effectiveness_latent(
-            kg, model, prediction, candidate, "positive", "full-retrain", config
+            kg, model, prediction, candidate, "positive", "full-retrain", config,
+            rank_before=rank(model, prediction, kg),
         )
         modified = kg.with_train(kg.train + tuple(sorted(candidate)))
         retrained = train(init_model(kg, config), modified, config)
@@ -447,7 +491,8 @@ class TestLatentNeighborExample:
         assert rank(model, prediction, kg) > 1
         candidate = {t("France", "neighbor_of", "Germany"), t("France", "neighbor_of", "Italy")}
         result = effectiveness_latent(
-            kg, model, prediction, candidate, "positive", "full-retrain", config
+            kg, model, prediction, candidate, "positive", "full-retrain", config,
+            rank_before=rank(model, prediction, kg),
         )
         assert result.psi >= 0.0
 

@@ -35,7 +35,7 @@ from kgexplain import (
 )
 from kgexplain import effectiveness, explainers
 from kgexplain.cli import parse_experiment_config
-from kgexplain.effectiveness import CandidateExplanation
+from kgexplain.effectiveness import CandidateExplanation, _worst_rank
 from kgexplain.explainers import (
     ALGORITHMS,
     MODES,
@@ -372,7 +372,8 @@ class TestBuilder:
             for combo in itertools.combinations(sorted(pool), length):
                 explanation = CandidateExplanation(frozenset(combo))
                 result = effectiveness_necessary(
-                    kg, model, prediction, explanation, "post-train", config
+                    kg, model, prediction, explanation, "post-train", config,
+                    rank_before=rank(model, prediction, kg),
                 )
                 candidates.append((explanation, result))
         truth = pareto_front(candidates)
@@ -762,3 +763,50 @@ class TestRunSerialization:
         assert payload["front"] == expected
         assert {p["length"] for p in payload["front"]} == {1.0, 2.0}
         assert all(type(p["length"]) is float for p in payload["front"])
+
+
+def test_one_explain_ranks_each_model_and_triple_once(
+    desk_kg, desk_model, desk_config, monkeypatch
+):
+    """A base rank is a constant of the prediction: every algorithm and mode ranks it once.
+
+    Each call after that ranks a retrained model, once per retrain, and no
+    c-sufficient call ranks a target's completion under the base model:
+    ``build_target_set`` has ranked each already.
+    """
+    kg, model = desk_kg, desk_model
+    # room to move either way, so that both latent polarities run
+    prediction = next(
+        t for t in kg.eval_split("valid") + kg.eval_split("test")
+        if 1 < rank(model, t, kg) < _worst_rank(kg, t)
+    )
+    config = ExplainerConfig(max_length=2, max_evals_per_length=3, post_train_epochs=2)
+    unseen = (Triple(prediction.subject, 1, o) for o in range(kg.num_entities))
+    spaces = {
+        "shares-entity": build_search_space(kg, "shares-entity", prediction),
+        "latent": SearchSpace("latent-sample", tuple(t for t in unseen if t not in kg.train_set)[:3]),
+    }
+    targets = build_target_set(kg, model, prediction, 2, seed=0)
+    calls = []
+
+    def counted(ranked, triple, graph):
+        calls.append((ranked, triple))  # holding each model keeps its id its own
+        return rank(ranked, triple, graph)
+
+    for module in (effectiveness, explainers):
+        monkeypatch.setattr(module, "rank", counted)
+    for algorithm, modes in ALGORITHMS.items():
+        for mode in modes:
+            calls.clear()
+            space = spaces["latent" if mode.startswith("latent-") else "shares-entity"]
+            run = explain(
+                kg, model, prediction, algorithm, mode, space, config, desk_config,
+                targets if mode == "c-sufficient" else None,
+            )
+            pairs = [(id(ranked), triple) for ranked, triple in calls]
+            assert len(pairs) == len(set(pairs)), (algorithm, mode)
+            assert len(calls) == 1 + run["counters"]["retrains"] > 1, (algorithm, mode)
+            assert calls[0] == (model, prediction)
+            if mode == "c-sufficient":
+                completions = {Triple(c, prediction.relation, prediction.object) for c, _ in targets}
+                assert not [t for m, t in calls if m is model and t in completions], algorithm

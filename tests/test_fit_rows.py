@@ -86,7 +86,10 @@ def test_necessary_rows_fit_like_the_removal_tuple(setting, monkeypatch, evaluat
     fit_config = dataclasses.replace(config, epochs=3)
     calls = _recording(monkeypatch)
     for removed in (frozenset(touching[:1]), frozenset(touching[1:3])):
-        result = effectiveness_necessary(kg, model, prediction, removed, evaluator, fit_config)
+        result = effectiveness_necessary(
+            kg, model, prediction, removed, evaluator, fit_config,
+            rank_before=rank(model, prediction, kg),
+        )
         want = _assert_same_fit(kg, model, fit_config, calls[-1], _ordered_removal(kg, removed))
         assert result.rank_before == rank(model, prediction, kg)
         assert result.rank_after == rank(want, prediction, kg)
@@ -99,7 +102,9 @@ def test_sufficient_rows_fit_like_the_keep_tuple(setting, monkeypatch, evaluator
     fit_config = dataclasses.replace(config, epochs=3)
     calls = _recording(monkeypatch)
     kept = frozenset(touching[:3])
-    result = effectiveness_sufficient(kg, model, prediction, kept, evaluator, fit_config)
+    result = effectiveness_sufficient(
+        kg, model, prediction, kept, evaluator, fit_config, rank_before=rank(model, prediction, kg),
+    )
     want = _assert_same_fit(kg, model, fit_config, calls[-1], _ordered_keep(kg, kept))
     assert result.rank_before == rank(model, prediction, kg)
     assert result.rank_after == rank(want, prediction, kg)
@@ -118,7 +123,8 @@ def test_c_sufficient_rows_fit_like_the_addition_tuples(setting, monkeypatch, ev
     )
     outcomes = {o.entity: o for o in result.per_target}
     fits = iter(calls)
-    for c in targets:
+    for c, before in targets:
+        assert outcomes[c].rank_before == before
         added = [
             sw for sw in (_swap_subject(t, prediction.subject, c) for t in sorted(candidate))
             if sw not in kg.train_set
@@ -140,7 +146,8 @@ def test_latent_rows_fit_like_the_addition_tuple(setting, monkeypatch, evaluator
     latent = frozenset(tuple(t for t in unseen if t not in kg.train_set)[:2])
     calls = _recording(monkeypatch)
     result = effectiveness_latent(
-        kg, model, prediction, latent, "negative", evaluator, fit_config
+        kg, model, prediction, latent, "negative", evaluator, fit_config,
+        rank_before=rank(model, prediction, kg),
     )
     want = _assert_same_fit(kg, model, fit_config, calls[-1], _ordered_addition(kg, latent))
     assert result.rank_after == rank(want, prediction, kg)
