@@ -266,7 +266,8 @@ def _load_selection(path: str | Path) -> list[dict]:
     """The ``triples`` entries of a selection file, each holding ``ids`` and ``rank``.
 
     ``ids`` must be three integers, each listed once, and ``rank`` a positive
-    integer. A file that is not such a list names itself.
+    integer. A file that is not such a list, or whose list is empty, names
+    itself.
     """
     data = load_json(path, "selection")
     entries = data.get("triples") if isinstance(data, dict) else None
@@ -277,8 +278,9 @@ def _load_selection(path: str | Path) -> list[dict]:
         rank = entry["rank"]
         return _three_ints(entry["ids"]) and type(rank) is int and rank >= 1  # not a bool
 
-    if not isinstance(entries, list) or not all(map(valid, entries)):
-        want = "expected a triples list of {ids, rank}, ids three integers, rank a positive integer"
+    if not isinstance(entries, list) or not entries or not all(map(valid, entries)):
+        want = "expected a non-empty triples list of {ids, rank}, ids three integers,"
+        want += " rank a positive integer"
         raise ConfigurationError(f"not a selection file: {path} ({want})")
     ids = [tuple(entry["ids"]) for entry in entries]
     if len(set(ids)) < len(ids):
@@ -482,8 +484,9 @@ def _simultaneous_removal(
 def _read_simultaneous(path: Path, algorithm: str) -> dict[Triple, tuple[float, float]]:
     """Each listed prediction's (rank_before, rank_after) in ``algorithm``'s simultaneous file.
 
-    A file that is another algorithm's, or holds an entry without three-int
-    ``ids`` and numeric ranks >= 1, raises ConfigurationError naming it.
+    A file that is another algorithm's, holds no entry, or holds an entry
+    without three-int ``ids`` and numeric ranks >= 1, raises
+    ConfigurationError naming it.
     """
     data = load_json(path, "simultaneous-removal")
     entries = data.get("after_ranks") if isinstance(data, dict) else None
@@ -495,9 +498,10 @@ def _read_simultaneous(path: Path, algorithm: str) -> dict[Triple, tuple[float, 
         )
 
     if not (
-        isinstance(entries, list) and data.get("algorithm") == algorithm and all(map(valid, entries))
+        isinstance(entries, list) and entries and data.get("algorithm") == algorithm
+        and all(map(valid, entries))
     ):
-        want = f"expected algorithm {algorithm!r} and an after_ranks list of"
+        want = f"expected algorithm {algorithm!r} and a non-empty after_ranks list of"
         want += " {ids, rank_before, rank_after}, ids three integers, ranks numbers >= 1"
         raise ConfigurationError(f"not a simultaneous-removal file: {path} ({want})")
     return {Triple(*e["ids"]): (e["rank_before"], e["rank_after"]) for e in entries}

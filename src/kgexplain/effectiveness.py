@@ -3,6 +3,9 @@
 Every operator measures a candidate the same way: change the training set,
 retrain once (full or post-training, dispatched by :func:`_retrained`), and
 compare a probe triple's rank before, which the caller passes, and after.
+Every operator ends in one executor, :func:`_one_retrain`, which retrains,
+ranks the probe and makes the result; its guards and the builder's ceiling
+read one room rule, :func:`_room`, the highest psi a sign allows.
 The four operators, one per explanation mode, differ only in the candidate
 they accept, the fit rows, the trainable rows, the probe and the sign:
 
@@ -139,26 +142,12 @@ def _retrained(
             raise TrainingError("degenerate retraining: the modified training set is empty")
         # a fresh model with every row trainable: full retraining without the
         # per-epoch validation NLL, which only the train command's loss curve reads
-        entities, relations = range(kg.num_entities), range(kg.num_relations)
-        fresh = init_model(kg, config)
-        return post_train(fresh, kg, fit, entities, config, trainable_relations=relations)
+        base, reinit = init_model(kg, config), False
+        trainable_entities, trainable_relations = range(kg.num_entities), range(kg.num_relations)
     return post_train(
-        base,
-        kg,
-        fit,
-        trainable_entities or set(),
-        config,
-        trainable_relations=trainable_relations,
-        reinit_trainable=reinit,
+        base, kg, fit, trainable_entities or set(), config,
+        trainable_relations=trainable_relations, reinit_trainable=reinit,
     )
-
-
-def _rank_after(
-    kg: KnowledgeGraph, model: EmbeddingModel, probe: Triple, fit: _TrainRows, evaluator: str,
-    config: TrainConfig, **options,
-) -> int:
-    """The probe's rank after one retrain of ``model`` on ``fit``; ``options`` go to the retrain."""
-    return rank(_retrained(kg, model, fit, evaluator, config, **options), probe, kg)
 
 
 def _worst_rank(kg: KnowledgeGraph, prediction: Triple) -> int:
@@ -167,11 +156,21 @@ def _worst_rank(kg: KnowledgeGraph, prediction: Triple) -> int:
     return 1 + kg.num_entities - len(known | {prediction.object})
 
 
+def _room(kg: KnowledgeGraph, prediction: Triple, rank_before: int, sign: int) -> int:
+    """The highest psi of ``sign``: the room to the worst filtered rank for 1, to rank 1 for -1."""
+    return _worst_rank(kg, prediction) - rank_before if sign == 1 else rank_before - 1
+
+
 def _one_retrain(
-    operator: str, evaluator: str, rank_before: int, rank_after: int, sign: int,
-    warnings: tuple[str, ...] = (),
+    operator: str, sign: int, kg: KnowledgeGraph, model: EmbeddingModel, probe: Triple,
+    rank_before: int, fit: _TrainRows, evaluator: str, config: TrainConfig,
+    warnings: tuple[str, ...] = (), **options,
 ) -> EffectivenessResult:
-    """A one-retrain result; ``sign`` 1 scores a worse rank after as positive, -1 a better one."""
+    """One retrain on ``fit``, scored at ``probe``: ``sign`` 1 counts a worse rank as positive.
+
+    ``options`` go to :func:`_retrained`.
+    """
+    rank_after = rank(_retrained(kg, model, fit, evaluator, config, **options), probe, kg)
     psi = float(sign * (rank_after - rank_before))
     return EffectivenessResult(
         psi, rank_before, rank_after, operator, evaluator, retrains=1, warnings=warnings
@@ -194,14 +193,13 @@ def effectiveness_necessary(
     the worst filtered rank, otherwise there is no room left to degrade.
     """
     triples = _training_triples(kg, candidate)
-    if rank_before >= _worst_rank(kg, prediction):
+    if _room(kg, prediction, rank_before, 1) <= 0:
         raise DomainError("necessary effectiveness requires the base rank to be better than the "
                           "worst filtered rank")
-    rank_after = _rank_after(
-        kg, model, prediction, _rows_without(kg, triples), evaluator, config,
-        trainable_entities=_one_hop_entities(kg, prediction.subject),
+    return _one_retrain(
+        "remove-retrain", 1, kg, model, prediction, rank_before, _rows_without(kg, triples),
+        evaluator, config, trainable_entities=_one_hop_entities(kg, prediction.subject),
     )
-    return _one_retrain("remove-retrain", evaluator, rank_before, rank_after, 1)
 
 
 def effectiveness_sufficient(
@@ -226,16 +224,16 @@ def effectiveness_sufficient(
     """
     triples = _training_triples(kg, candidate)
     elsewhere = {t.relation for t in kg.train if t not in triples}
-    rank_after = _rank_after(
-        kg, model, prediction, _rows_of(kg, triples), evaluator, config,
+    warnings: tuple[str, ...] = ()
+    if evaluator == "full-retrain":
+        warnings = ("training on the candidate alone likely produced meaningless embeddings",)
+    return _one_retrain(
+        "keep-only-retrain", -1, kg, model, prediction, rank_before, _rows_of(kg, triples),
+        evaluator, config, warnings,
         trainable_entities=_entities(triples),
         trainable_relations={t.relation for t in triples} - elsewhere,
         reinit=True,
     )
-    warnings: tuple[str, ...] = ()
-    if evaluator == "full-retrain":
-        warnings = ("training on the candidate alone likely produced meaningless embeddings",)
-    return _one_retrain("keep-only-retrain", evaluator, rank_before, rank_after, -1, warnings)
 
 
 def build_target_set(
@@ -301,10 +299,11 @@ def effectiveness_c_sufficient(
         probe = Triple(c, prediction.relation, prediction.object)
         after = before
         if additions:  # with nothing to add the operator is the identity
-            after = _rank_after(
-                kg, model, probe, _rows_with(kg, additions), evaluator, config,
+            after = _one_retrain(
+                "add-swap-retrain", -1, kg, model, probe, before, _rows_with(kg, additions),
+                evaluator, config,
                 trainable_entities=_one_hop_entities(kg, c) | _entities(additions),
-            )
+            ).rank_after
         outcomes.append(TargetOutcome(c, before, after, float(before - after), skipped))
 
     return EffectivenessResult(
@@ -342,14 +341,13 @@ def effectiveness_latent(
             raise DomainError(f"latent triple {t} has out-of-range ids")
     if polarity not in ("positive", "negative"):
         raise ConfigurationError(f"unknown polarity: {polarity!r}")
-    if polarity == "positive" and rank_before <= 1:
-        raise DomainError("positive latent effectiveness requires base rank > 1")
-    if polarity == "negative" and rank_before >= _worst_rank(kg, prediction):
-        raise DomainError("negative latent effectiveness requires the base rank to be better "
-                          "than the worst filtered rank")
-    rank_after = _rank_after(
-        kg, model, prediction, _rows_with(kg, triples), evaluator, config,
+    sign = -1 if polarity == "positive" else 1
+    if _room(kg, prediction, rank_before, sign) <= 0:
+        worst = "the base rank to be better than the worst filtered rank"
+        need = "base rank > 1" if sign == -1 else worst
+        raise DomainError(f"{polarity} latent effectiveness requires {need}")
+    return _one_retrain(
+        "add-retrain", sign, kg, model, prediction, rank_before, _rows_with(kg, triples),
+        evaluator, config,
         trainable_entities=_one_hop_entities(kg, prediction.subject) | _entities(triples),
     )
-    sign = -1 if polarity == "positive" else 1
-    return _one_retrain("add-retrain", evaluator, rank_before, rank_after, sign)

@@ -39,7 +39,7 @@ from .effectiveness import (
     EVALUATORS,
     CandidateExplanation,
     EffectivenessResult,
-    _worst_rank,
+    _room,
     effectiveness_c_sufficient,
     effectiveness_latent,
     effectiveness_necessary,
@@ -235,9 +235,9 @@ class _Search:
     ``config.evaluator``, so the run's retrain count is the sum of its
     candidates' own counts. Every retrain fits under one config: the training
     config, for ``post_train_epochs`` epochs when that is set. ``ceiling`` is
-    the highest psi the mode's operator can give, ``rank_before - 1`` under
-    ``sufficient`` and the room to the worst rank under ``necessary``; it is
-    None in the other modes.
+    the highest psi the operator can give under ``necessary`` and
+    ``sufficient``, the room of its sign (``_room``); it is None in the other
+    modes.
     """
 
     def __init__(
@@ -256,10 +256,8 @@ class _Search:
         self.config, self.targets = config, targets
         self.fit_config = replace(training, epochs=config.post_train_epochs or training.epochs)
         self.rank_before = rank(model, prediction, kg)
-        self.ceiling = {
-            "necessary": _worst_rank(kg, prediction) - self.rank_before,
-            "sufficient": self.rank_before - 1,
-        }.get(mode)
+        sign = {"necessary": 1, "sufficient": -1}.get(mode)
+        self.ceiling = None if sign is None else _room(kg, prediction, self.rank_before, sign)
         self.candidates: list[dict] = []  # the run file's candidate entries
         self.found: list[str] = []  # the run's warnings, in order
 

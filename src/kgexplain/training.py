@@ -214,11 +214,12 @@ class _QuerySoftmax:
     real rows then imaginary rows, gathered in one ``np.take`` through the
     ``(2 * rows, d)`` view of ``model.table`` (:func:`_half_ids`); ``q`` goes
     into the matrix products packed, ``(queries, 2d)``, and ``dq`` comes out
-    of them packed. The workspaces are allocated by :meth:`reserve`, and
-    every call overwrites them.
+    of them packed. The workspaces are allocated once, for the fit's longest
+    batch, ``batch_size`` of its rows or all of them, and every call
+    overwrites them.
     """
 
-    def __init__(self, model: EmbeddingModel, columns: np.ndarray) -> None:
+    def __init__(self, model: EmbeddingModel, columns: np.ndarray, batch_size: int) -> None:
         self.targets = columns[2]
         keys, self.query_of = np.unique(_query_keys(model, columns.T), return_inverse=True)
         heads, rels = np.divmod(keys, len(model.rel))
@@ -226,16 +227,9 @@ class _QuerySoftmax:
         self.query_ids = np.stack([heads, rels + len(model.ent)])
         # each fit query's slot among its batch's queries, rewritten by every grouping
         self.slot = np.empty(len(keys), dtype=np.int64)
-        self.shape = model.ent.shape
-        self.capacity = -1
+        self.shape = entities, width = model.ent.shape
         self.whole: tuple | None = None
-
-    def reserve(self, n: int) -> None:
-        """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
-        if n <= self.capacity:
-            return
-        self.capacity = n
-        entities, width = self.shape
+        n = min(batch_size, len(self.targets))
         self.ids = np.empty((4, n), dtype=np.int64)
         # flat buffers: a batch of m queries uses the first m * width values of each
         # block, so its split halves and adjacent blocks are contiguous whatever m is
@@ -329,8 +323,7 @@ class _DenseStep:
 
     def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int, rows=None):
         columns = _fit_columns(model, examples, rows)
-        self.softmax = _QuerySoftmax(model, columns)
-        self.softmax.reserve(min(batch_size, columns.shape[1]))
+        self.softmax = _QuerySoftmax(model, columns, batch_size)
         self.slot = (model.table, slice(None), np.empty_like(model.table))
         self.held = None
 
@@ -545,8 +538,9 @@ class _RestrictedStep:
     is its own group, but a batch that holds every fit row reads the fit's
     distinct fixed queries in key order, grouped once per fit, with the N3
     uses and the scatter bins, and no per-row id. A step costs O(n |T| d +
-    n_moving E d) instead of O(n E d); its temporaries live in workspaces that
-    grow to the longest batch.
+    n_moving E d) instead of O(n E d); its temporaries live in workspaces
+    allocated once, for the fit's longest batch, ``batch_size`` of its rows or
+    all of them.
 
     ``rows`` selects the fit's rows of ``examples``, which starts with the
     example table of ``train`` (:func:`_base_examples`). The trainable ids
@@ -561,6 +555,7 @@ class _RestrictedStep:
         rel_idx: np.ndarray,
         train: Sequence[Triple],
         rows: np.ndarray,
+        batch_size: int,
     ) -> None:
         columns = _fit_columns(model, examples, rows)
         width, entities = model.ent.shape[1], len(model.ent)
@@ -578,11 +573,6 @@ class _RestrictedStep:
         moving = np.flatnonzero(self.moving)
         ids[4] = -1
         ids[4, moving] = np.arange(len(moving))
-        self.softmax = _QuerySoftmax(model, columns[:, moving])
-        # each moving query's head and relation row in the gradient workspace, a frozen
-        # one sent to its spare last row, as half-row ids
-        places = place.take(self.softmax.query_ids)
-        self.trainable_halves = _half_ids(np.where(places < 0, len(self.idx), places))
         self.resolved = np.zeros((columns.shape[1], 4), dtype=np.int64)
         # the N3 penalty of every row; the trainable rows' entries are refreshed each step
         if self.moving.all():
@@ -593,22 +583,20 @@ class _RestrictedStep:
             self.queries, self.penalty = base.queries, base.penalty.copy()
             # rows past the base set are moving; clipped here, their words stay unread
             np.take(base.resolved, rows, axis=0, out=self.resolved, mode="clip")
-        self.capacity = 0
+        # built after the frozen context, so that a fill's blocks and these are not held at once
+        n = min(batch_size, len(rows))
+        self.softmax = _QuerySoftmax(model, columns[:, moving], n)
+        # each moving query's head and relation row in the gradient workspace, a frozen
+        # one sent to its spare last row, as half-row ids
+        places = place.take(self.softmax.query_ids)
+        self.trainable_halves = _half_ids(np.where(places < 0, len(self.idx), places))
         self.held = self.whole = None
         self.ent_t = np.empty((len(ent_idx), width))
         self.grad = np.empty((len(self.idx) + 1, width))
         self.slot = (self.table, self.idx, self.grad[:-1])
-
-    def _reserve(self, n: int) -> None:
-        """Workspaces for batches of up to ``n`` rows, allocated again only for a longer one."""
-        if n <= self.capacity:
-            return
-        self.capacity = n
-        trainable, width = self.ent_t.shape
         self.batch, self.vectors = np.empty(5 * n, dtype=np.int64), np.empty((3, n))
-        self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * trainable)
-        self.fixed_grad = np.empty((trainable, width))
-        self.softmax.reserve(min(n, len(self.softmax.targets)))
+        self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * len(ent_idx))
+        self.fixed_grad = np.empty_like(self.ent_t)
 
     def _groups(self, at: np.ndarray, by_query: bool) -> tuple:
         """The fixed fit rows ``at`` in groups: one per distinct query if ``by_query``, else per row.
@@ -639,7 +627,6 @@ class _RestrictedStep:
         ``sel`` as long as the fit holds each fit row once, as :func:`_fit` draws it.
         """
         n, (trainable, width) = len(sel), self.ent_t.shape
-        self._reserve(n)
         if n < len(self.moving):
             ids = self.ids.take(sel, axis=1, out=self.batch[: 5 * n].reshape(5, n), mode="clip")
             moving = ids[4] >= 0
@@ -848,6 +835,8 @@ def post_train(
     if len(ent_idx) == model.num_entities and np.array_equal(rel_idx, np.arange(len(model.rel))):
         step = _DenseStep(tuned, examples, config.batch_size, fit.rows)
     else:
-        step = _RestrictedStep(tuned, examples, ent_idx, rel_idx, kg.train, fit.rows)
+        step = _RestrictedStep(
+            tuned, examples, ent_idx, rel_idx, kg.train, fit.rows, config.batch_size
+        )
     _fit(tuned, fit.rows, config, step)
     return tuned

@@ -1257,9 +1257,9 @@ ANY = set(SWAPS)
 # The swaps that pass, by field; a swap of a field not listed must fail naming
 # the file. A list stands for its first entry, which in the run file is a
 # candidate other than the best. Every field listed with ANY is one that no
-# reader reads; an empty list passes where the file lists predictions.
+# reader reads; a file that lists predictions must list at least one.
 LEGAL_SWAPS = {
-    "selection": {"cohort_rank": ANY, "seed": ANY, "triples/0/labels": ANY, "triples": {"list"}},
+    "selection": {"cohort_rank": ANY, "seed": ANY, "triples/0/labels": ANY},
     "run": {
         "counters": ANY, "counters/retrains": ANY, "counters/wall_clock_s": ANY, "warnings": ANY,
         "prediction/labels": ANY, "prediction/rank_before": ANY,
@@ -1269,7 +1269,7 @@ LEGAL_SWAPS = {
         "candidates/0/triples/0/labels": ANY,
     },
     "simultaneous": {
-        "checkpoint": ANY, "removed": ANY, "after_ranks/0/labels": ANY, "after_ranks": {"list"},
+        "checkpoint": ANY, "removed": ANY, "after_ranks/0/labels": ANY,
     },
 }
 

@@ -35,7 +35,7 @@ from kgexplain import (
 )
 from kgexplain import effectiveness, explainers
 from kgexplain.cli import parse_experiment_config
-from kgexplain.effectiveness import CandidateExplanation, _worst_rank
+from kgexplain.effectiveness import CandidateExplanation, _room, _worst_rank
 from kgexplain.explainers import (
     ALGORITHMS,
     MODES,
@@ -810,3 +810,37 @@ def test_one_explain_ranks_each_model_and_triple_once(
             if mode == "c-sufficient":
                 completions = {Triple(c, prediction.relation, prediction.object) for c, _ in targets}
                 assert not [t for m, t in calls if m is model and t in completions], algorithm
+
+
+def test_no_candidate_exceeds_its_mode_room(desk_kg, desk_model, desk_config):
+    """Every psi is at most the room of its mode's sign, the builder's ceiling where it has one."""
+    kg, model = desk_kg, desk_model
+    # room to move either way, so that every mode runs
+    prediction = next(
+        t for t in kg.eval_split("valid") + kg.eval_split("test")
+        if 1 < rank(model, t, kg) < _worst_rank(kg, t)
+    )
+    before = rank(model, prediction, kg)
+    config = ExplainerConfig(max_length=2, max_evals_per_length=3, post_train_epochs=2)
+    unseen = (Triple(prediction.subject, 1, o) for o in range(kg.num_entities))
+    spaces = {
+        "shares-entity": build_search_space(kg, "shares-entity", prediction),
+        "latent": SearchSpace("latent-sample", tuple(t for t in unseen if t not in kg.train_set)[:3]),
+    }
+    targets = build_target_set(kg, model, prediction, 2, seed=0)
+    signs = {"necessary": 1, "latent-negative": 1, "sufficient": -1, "latent-positive": -1}
+    for algorithm, modes in ALGORITHMS.items():
+        for mode in modes:
+            space = spaces["latent" if mode.startswith("latent-") else "shares-entity"]
+            run = explain(
+                kg, model, prediction, algorithm, mode, space, config, desk_config,
+                targets if mode == "c-sufficient" else None,
+            )
+            if mode == "c-sufficient":
+                room = sum(b - 1 for _, b in targets) / len(targets)
+            else:
+                room = _room(kg, prediction, before, signs[mode])
+            psi = [c["psi"] for c in run["candidates"]]
+            assert psi and max(psi) <= room, (algorithm, mode)
+            search = explainers._Search(kg, model, prediction, mode, config, desk_config, targets)
+            assert search.ceiling == (room if mode in ("necessary", "sufficient") else None), mode

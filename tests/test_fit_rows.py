@@ -195,7 +195,7 @@ def test_row_fit_steps_match_the_reference_step(desk_kg, desk_model, desk_predic
         table = _base_examples(kg.train, kg.num_relations)
         if fit.added:
             table = np.concatenate([table, build_examples(fit.added, kg.num_relations)])
-        step = _RestrictedStep(model, table, ent_idx, rel_idx, kg.train, fit.rows)
+        step = _RestrictedStep(model, table, ent_idx, rel_idx, kg.train, fit.rows, len(fit.rows))
         reference = _ReferenceRestrictedStep(model, table[fit.rows], ent_idx, rel_idx, kg.train, 37)
         assert (~step.moving).any(), name
         assert step.moving[fit.rows >= 2 * len(kg.train)].all(), name

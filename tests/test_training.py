@@ -465,7 +465,7 @@ class TestRestrictedStep:
             rel_idx = _relation_rows(relations, kg.num_relations)
             # half the triples seed the shared context, the rest lie past its table and move
             table, base, rows = _split_table(kg)
-            step = _RestrictedStep(model, table, ent_idx, rel_idx, base, rows)
+            step = _RestrictedStep(model, table, ent_idx, rel_idx, base, rows, len(rows))
             sel = rng.permutation(len(examples))[:50]
             loss, data_loss, grad = step(model, sel, reg_weight)
             dense_loss, dense_data, dense = batch_loss_and_grads(model, examples[sel], reg_weight)
@@ -502,7 +502,9 @@ class TestRestrictedStep:
         keys = _query_keys(model, examples[rows])
         on_moving = np.isin(examples[rows, 0], ent_idx)
         assert len(np.unique(keys[on_moving])) < on_moving.sum() - 1
-        step = _RestrictedStep(model, examples, ent_idx, rel_idx, kg.train, rows=rows)
+        step = _RestrictedStep(
+            model, examples, ent_idx, rel_idx, kg.train, rows=rows, batch_size=len(rows)
+        )
         loss, data_loss, grad = step(model, np.arange(len(rows)), reg_weight)
         g_ent, g_rel = np.split(grad, [len(ent_idx)])
         # against the per-example reference: batch_loss_and_grads runs the same kernel
@@ -781,7 +783,9 @@ def _restricted_and_reference_fits(model, kg, rows, ent_idx, config):
     examples = build_examples(kg.train, kg.num_relations)
     rel_idx = np.empty(0, dtype=np.int64)
     got, want = model.clone(), model.clone()
-    step = _RestrictedStep(got, examples, ent_idx, rel_idx, kg.train, rows)
+    step = _RestrictedStep(
+        got, examples, ent_idx, rel_idx, kg.train, rows, config.batch_size
+    )
     training._fit(got, rows, config, step)
     reference = _ReferenceRestrictedStep(
         want, examples[rows], ent_idx, rel_idx, kg.train, config.batch_size
@@ -880,7 +884,7 @@ class TestRestrictedStepExact:
         assert config.batch_size >= len(rows)
         step = _RestrictedStep(
             desk_model, examples, np.array([trainable]), np.empty(0, dtype=np.int64),
-            kg.train, rows,
+            kg.train, rows, config.batch_size,
         )
         fixed = examples[rows][~step.moving]
         hit = fixed[fixed[:, 2] == trainable]

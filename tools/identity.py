@@ -9,9 +9,9 @@ uncommitted changes count. Both trees run ``train -> select -> explain ->
 evaluate`` as child processes with ``OPENBLAS_NUM_THREADS=1`` (and the other
 BLAS thread variables at 1) on each case and seed, in a directory of their
 own, with the same relative paths. A case is a benchmark workload of
-``perfbench/workloads.py`` (read, never written) or a desk-graph variant of
+``perfbench/workloads.py`` (read, never written), a desk-graph variant of
 ``desk-full`` that reaches the explainers and evaluators the workloads leave
-out.
+out, or ``mid-post`` in mode ``sufficient``.
 
 For each output file it prints one of: ``identical`` (same bytes), ``equal
 outside counters`` (JSON equal once every ``counters`` key is dropped), or
@@ -84,6 +84,10 @@ CASES = {
         )
         for mode in ("c-sufficient", "sufficient", "latent-negative")
     },
+    # the only case whose restricted fits move every fit row on the 2,000-entity graph
+    "mid-post-sufficient": dataclasses.replace(
+        WORKLOADS["mid-post"], name="mid-post-sufficient", mode="sufficient"
+    ),
 }
 GUARDED_KEYS = {"psi", "rank_before", "rank_after", "front"}
 GUARDED_FILES = {
