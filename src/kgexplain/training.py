@@ -14,44 +14,40 @@ per training set), followed by the examples of any triples the base lacks
 (:class:`_TrainRows`). The retraining operators build that array directly;
 :func:`post_train` maps a plain triple sequence onto it.
 
-Every fit runs :func:`_fit` over a step object, on a copy of the model
-(:meth:`EmbeddingModel.clone`). Every model is one buffer, ``model.table``,
-whose row blocks are ``ent`` and ``rel``; a fit updates it in place. Both
-steps run one kernel (:class:`_QuerySoftmax`): the softmax over all entities,
-scored once per distinct (head, relation_row) query of a batch (the desk
-graph's 460 examples hold 150), and its gradient products. It groups a
-batch's rows by query per batch, or once per fit when the batch holds every
-fit row, as in every desk-graph fit; each gradient is formed per query in key
-order, so the bits do not depend on the batch order. Full training, and a
-post-train whose mask covers every row, run :class:`_DenseStep`: N3, the head
-and relation scatter, the update and the finiteness check each run once over
-the table. From a fresh model that post-train is a full retrain without
-the validation NLL that :func:`train` records. It sums in another order than
-the per-example loss, within a stated bound of it.
+Every fit runs :func:`_fit` over one step (:class:`_Step`), on a copy of
+the model (:meth:`EmbeddingModel.clone`). Every model is one buffer,
+``model.table``, whose row blocks are ``ent`` and ``rel``; a fit updates its
+trainable rows in place. A fit row is fixed when its head entity and
+relation row are frozen and it lies in the base example table: its query
+``q = h∘r`` and its scores against frozen entities cannot change during the
+fit. Every other row moves, and the moving rows run one kernel
+(:class:`_QuerySoftmax`): the softmax over all entities, scored once per
+distinct (head, relation_row) query of a batch (the desk graph's 460
+examples hold 150), and its gradient products. It groups a batch's rows by
+query per batch, or once per fit when the batch holds every fit row, as in
+every desk-graph fit; each gradient is formed per query in key order, so the
+bits do not depend on the batch order. Full training, and a post-train whose
+mask covers every row, fix no row. The step sums in another order than the
+per-example loss, within a stated bound of it.
 
-A post-train with any frozen row runs a restricted step instead. A fit row is
-fixed when its head entity and relation row are frozen and it lies in the
-base example table: its query ``q = h∘r`` and its scores against frozen
-entities cannot change during the fit. Every other row moves, and the moving
-rows run the kernel. Each thread holds its own post-train state: the example
-table of its latest base training set and the base model of its latest
-post-train with a frozen row (:class:`_BaseModel`), which holds what depends
-on the base alone and the frozen context of its latest mask. Each step scores
-its fixed rows against the trainable entities only and merges the two parts
-into the normaliser; one gradient is formed, over the table's trainable
-rows alone, and the fit updates them as it updates the dense step's table. A
-one-batch post-train (every desk-graph post-train) groups its fixed rows by
-query once per fit and sums their gradient per query in key order, so, as in
-the dense step, its bits do not depend on the batch order. The removal
-candidates of a prediction share one mask, whichever algorithm proposed them,
-and a worker thread runs one prediction's algorithms at a time
-(``cli.cmd_explain``), so their context is computed once per prediction.
-Threads share none of this state, so none of it is locked. A context fill
-scores ``_BLOCK`` rows at a time through one reused block, whatever the batch
-size. Frozen rows stay bit-identical; trainable rows differ from a
-per-example restricted step only by summation order (measured at most
-1.1e-14 after 60 one-batch desk-graph epochs and 4.4e-15 after one mid-graph
-epoch).
+A post-train with a fixed row reads the frozen context. Each thread holds
+its own post-train state: the example table of its latest base training set
+and the base model of its latest post-train with a fixed row
+(:class:`_BaseModel`), which holds what depends on the base alone and the
+frozen context of its latest mask. Each step scores its fixed rows against
+the trainable entities only and merges the two parts into the normaliser;
+one gradient is formed, over the table's trainable rows alone. A one-batch
+post-train (every desk-graph post-train) groups its fixed rows by query once
+per fit and sums their gradient per query in key order, so its bits do not
+depend on the batch order either. The removal candidates of a prediction
+share one mask, whichever algorithm proposed them, and a worker thread runs
+one prediction's algorithms at a time (``cli.cmd_explain``), so their
+context is computed once per prediction. Threads share none of this state,
+so none of it is locked. A context fill scores ``_BLOCK`` rows at a time
+through one reused block, whatever the batch size. Frozen rows stay
+bit-identical; trainable rows differ from a per-example step with frozen
+rows only by summation order (measured at most 1.1e-14 after 60 one-batch
+desk-graph epochs and 4.4e-15 after one mid-graph epoch).
 """
 from __future__ import annotations
 
@@ -158,16 +154,18 @@ def _check_ids(model: EmbeddingModel, columns: np.ndarray) -> None:
 def _fit_columns(model: EmbeddingModel, examples: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     """The contiguous ``(3, n)`` columns of the fit's example rows, range-checked.
 
-    ``rows`` selects the fit's rows of ``examples`` in fit order; without it
-    the fit is ``examples`` itself. A row outside the table or an id outside
-    the model raises :class:`DomainError`.
+    They hold each fit row's head, relation row and target as rows of
+    ``model.table``. ``rows`` selects the fit's rows of ``examples`` in fit
+    order; without it the fit is ``examples`` itself. A row outside the
+    table or an id outside the model raises :class:`DomainError`.
     """
     if rows is not None:
         if len(rows) and (rows.min() < 0 or rows.max() >= len(examples)):
             raise DomainError("example row out of range for the fit's example table")
         examples = np.take(examples, rows, axis=0)
-    columns = np.ascontiguousarray(examples.T)
+    columns = examples.T.copy()
     _check_ids(model, columns)
+    columns[1] += len(model.ent)
     return columns
 
 
@@ -199,16 +197,17 @@ class _QueryBatch(NamedTuple):
 class _QuerySoftmax:
     """The softmax over all entities of a fit's example rows, per query, and its gradient products.
 
-    The one kernel of both steps. It scores each distinct query (head,
-    relation_row) of a batch once ("1-N scoring", as in ConvE): the query's
-    examples share its score row and normaliser. Each fit example's query, an
-    index into the fit's queries in key order, is resolved once per fit, and
-    a batch's rows are grouped by query (:meth:`group`) per call, or once per
-    fit in fit order when the batch holds every fit row; then one
-    ``np.take`` puts the per-example values back into batch order. The
-    scores-gradient row of query u is ``count_u · softmax_u / n``, less
-    ``1/n`` at each of its examples' targets, once per use; ``n`` is the row
-    count of the whole batch, of which the kernel may see a part.
+    The step's kernel, over the ``columns`` (:func:`_fit_columns`) of its moving
+    rows. It scores each distinct query (head, relation row) of a batch once
+    ("1-N scoring", as in ConvE): the query's examples share its score row
+    and normaliser. Each fit example's query, an index into the fit's queries
+    in key order, is resolved once per fit, and a batch's rows are grouped by
+    query (:meth:`group`) per call, or once per fit in fit order when the
+    batch holds every fit row; then one ``np.take`` puts the per-example
+    values back into batch order. The scores-gradient row of query u is
+    ``count_u · softmax_u / n``, less ``1/n`` at each of its examples'
+    targets, once per use; ``n`` is the row count of the whole batch, of
+    which the kernel may see a part.
 
     Per-query complex values live in split ``(2, queries, d)`` workspaces,
     real rows then imaginary rows, gathered in one ``np.take`` through the
@@ -220,11 +219,10 @@ class _QuerySoftmax:
     """
 
     def __init__(self, model: EmbeddingModel, columns: np.ndarray, batch_size: int) -> None:
-        self.targets = columns[2]
-        keys, self.query_of = np.unique(_query_keys(model, columns.T), return_inverse=True)
-        heads, rels = np.divmod(keys, len(model.rel))
+        self.targets, rows = columns[2], len(model.table)
+        keys, self.query_of = np.unique(columns[0] * rows + columns[1], return_inverse=True)
         # each fit query's head and relation row as rows of model.table, two rows of one array
-        self.query_ids = np.stack([heads, rels + len(model.ent)])
+        self.query_ids = np.stack(np.divmod(keys, rows))
         # each fit query's slot among its batch's queries, rewritten by every grouping
         self.slot = np.empty(len(keys), dtype=np.int64)
         self.shape = entities, width = model.ent.shape
@@ -306,58 +304,17 @@ class _QuerySoftmax:
         return _QueryBatch(target, targets, held, counts, ids, halves, packed, scores, dhr, flat)
 
 
-class _DenseStep:
-    """The full training step: every row trainable, softmax over all entities.
-
-    The kernel (:class:`_QuerySoftmax`) runs on the whole batch. Each example
-    keeps its own target score and data-loss term. N3, the head and relation
-    scatter and the fit's update run once over ``model.table``, every row of
-    the step's ``slot``; each row's N3 term is weighted by its uses in the
-    batch. The uses and the scatter bins are kept while the kernel's grouping
-    is, so a one-batch fit makes them once. The result is within ``rtol=1e-12,
-    atol=1e-15`` of the per-example expression of the loss, which sums in
-    another order. The returned gradient is the slot's workspace, overwritten
-    by the next call. The fit's examples are ``examples[rows]``
-    (:func:`_fit_columns`).
-    """
-
-    def __init__(self, model: EmbeddingModel, examples: np.ndarray, batch_size: int, rows=None):
-        columns = _fit_columns(model, examples, rows)
-        self.softmax = _QuerySoftmax(model, columns, batch_size)
-        self.slot = (model.table, slice(None), np.empty_like(model.table))
-        self.held = None
-
-    def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
-        """Loss, data loss and ``model.table``'s gradient over the distinct example rows ``sel``."""
-        (table, _, grad), entities, n = self.slot, len(model.ent), len(sel)
-        batch = self.softmax(table, sel, n)
-        data_loss = -float(np.add.reduce(batch.value) / n)  # np.mean's sum, without its overhead
-        np.matmul(batch.grad.T, batch.q, out=grad[:entities])
-        grad[entities:].fill(0.0)
-        if batch.held is not self.held:
-            # each row's uses as a head, relation or target, and the bins of dhr's scatter
-            self.held = batch.held
-            self.uses = np.bincount(batch.ids.ravel(), np.tile(batch.counts, 2), len(table))
-            self.uses += np.bincount(batch.targets, minlength=len(table))
-            self.bins = _bins(batch.halves, table.shape[1] // 2, batch.flat)
-
-        loss = data_loss
-        if reg_weight > 0:
-            penalty, n3_grad = _n3(table)
-            loss += reg_weight * float(penalty @ self.uses) / n
-            grad += np.multiply(n3_grad, (3.0 * reg_weight / n * self.uses)[:, None], out=n3_grad)
-        _scatter_rows(_halves(grad), None, batch.dhr, self.bins)
-        return loss, data_loss, grad
-
-
 def batch_loss_and_grads(model: EmbeddingModel, batch: np.ndarray, reg_weight: float) -> _StepResult:
     """(Total loss, data-only negative log-likelihood, analytic gradient) of a batch.
 
-    One :class:`_DenseStep` over the whole batch, the step every dense fit
-    runs, which leaves ``model`` as it is. The gradient is of ``model.table``,
-    the rows of ``ent`` then those of ``rel``; the caller owns it.
+    One :class:`_Step` with every row trainable over the whole batch, the
+    step of :func:`train`, which leaves ``model`` as it is. The gradient is of
+    ``model.table``, the rows of ``ent`` then those of ``rel``; the caller
+    owns it.
     """
-    return _DenseStep(model, batch, len(batch))(model, np.arange(len(batch)), reg_weight)
+    ent_idx, rel_idx = np.arange(len(model.ent)), np.arange(len(model.rel))
+    step = _Step(model, batch, ent_idx, rel_idx, (), None, len(batch))
+    return step(model, np.arange(len(batch)), reg_weight)
 
 
 def mean_nll(model: EmbeddingModel, examples: np.ndarray) -> float:
@@ -514,37 +471,42 @@ def _frozen_context(
     return base
 
 
-class _RestrictedStep:
-    """A training step that computes only what the trainable rows need.
+class _Step:
+    """The one training step: it computes only what the trainable rows need.
 
     A fit row is moving when its head entity or relation row is trainable, or
     when it lies past the base example table, which the frozen context does
     not cover; every other row is fixed. Per example, resolved once per fit:
-    ``ids``, five rows (head, relation row as a row of ``model.table``,
-    target, the target's column among the trainable entities, -1 when frozen,
-    and the row's index among the fit's moving rows, -1 when fixed), and
-    ``resolved``, its four words of the thread's :class:`_BaseModel`.
+    ``ids``, its head, relation row and target as rows of ``model.table``,
+    and, in a fit with a fixed row, ``moving_at``, its index among the fit's
+    moving rows, -1 when fixed, and ``resolved``, its four words of the
+    thread's :class:`_BaseModel`.
 
     The step's ``slot`` is the trainable rows of ``model.table``, ``idx``: the
     trainable entities, then the trainable relation rows. Its gradient
-    workspace holds one row per trainable row and a spare last row; each step
-    zeroes it once, scatters into it once and adds N3 to it once. The moving
-    rows of a batch run the kernel (:class:`_QuerySoftmax`); their entity
-    gradient is formed for the trainable columns alone, and the gradients of
+    workspace holds one row per trainable row and a spare last row. A batch's
+    moving rows run the kernel (:class:`_QuerySoftmax`); their entity
+    gradient is written for the trainable columns alone, and the gradients of
     their heads and relations are scattered into the trainable rows, those of
     frozen ones into the spare row. The fixed rows run in groups
     (:meth:`_groups`), each scored against the trainable columns only, its
     normaliser completed with the frozen partials. Each fixed row of a batch
     is its own group, but a batch that holds every fit row reads the fit's
     distinct fixed queries in key order, grouped once per fit, with the N3
-    uses and the scatter bins, and no per-row id. A step costs O(n |T| d +
-    n_moving E d) instead of O(n E d); its temporaries live in workspaces
-    allocated once, for the fit's longest batch, ``batch_size`` of its rows or
-    all of them.
+    uses, and its moving rows in fit order. N3 comes last. A step costs
+    O(n |T| d + n_moving E d) instead of O(n E d); its temporaries live in
+    workspaces allocated once, for the fit's longest batch, ``batch_size`` of
+    its rows or all of them. The returned gradient is the slot's workspace,
+    overwritten by the next call.
 
-    ``rows`` selects the fit's rows of ``examples``, which starts with the
-    example table of ``train`` (:func:`_base_examples`). The trainable ids
-    ``ent_idx`` and ``rel_idx`` are sorted.
+    With every row trainable (``full``) no row is fixed: the slot rows and
+    score columns are slices, no frozen context is read, the kernel takes
+    every batch in batch order, and N3 comes before the scatter, the order
+    :func:`train`'s bits rest on. The result is within ``rtol=1e-12,
+    atol=1e-15`` of the per-example expression of the loss. ``rows`` selects
+    the fit's rows of ``examples``, which starts with the example table of
+    ``train`` (:func:`_base_examples`); without them the fit is ``examples``,
+    every row trainable. ``ent_idx`` and ``rel_idx`` are sorted.
     """
 
     def __init__(
@@ -554,60 +516,62 @@ class _RestrictedStep:
         ent_idx: np.ndarray,
         rel_idx: np.ndarray,
         train: Sequence[Triple],
-        rows: np.ndarray,
+        rows: np.ndarray | None,
         batch_size: int,
     ) -> None:
-        columns = _fit_columns(model, examples, rows)
-        width, entities = model.ent.shape[1], len(model.ent)
-        self.ent_idx, self.rel_idx, self.table = ent_idx, rel_idx, model.table
+        self.ids = ids = _fit_columns(model, examples, rows)
+        entities, width = model.ent.shape
+        self.ent_idx, self.table = ent_idx, model.table
+        slots = len(ent_idx) + len(rel_idx)
+        self.full = slots == len(self.table)
         # the trainable rows of the table, entities first, and each row's place among them
-        self.idx = np.concatenate([ent_idx, rel_idx + entities])
-        place = np.full(len(self.table), -1, dtype=np.int64)
-        place[self.idx] = np.arange(len(self.idx))
-        self.ids = ids = np.empty((5, columns.shape[1]), dtype=np.int64)
-        ids[:3] = columns
-        ids[1] += entities
-        np.take(place, columns[2], out=ids[3])
+        self.idx = slice(None) if self.full else np.concatenate([ent_idx, rel_idx + entities])
+        self.cols = slice(None) if self.full else ent_idx
+        self.place = place = np.full(len(self.table), -1, dtype=np.int64)
+        place[self.idx] = np.arange(slots)
         trainable = place >= 0
-        self.moving = trainable[ids[0]] | trainable[ids[1]] | (rows >= 2 * len(train))
-        moving = np.flatnonzero(self.moving)
-        ids[4] = -1
-        ids[4, moving] = np.arange(len(moving))
-        self.resolved = np.zeros((columns.shape[1], 4), dtype=np.int64)
-        # the N3 penalty of every row; the trainable rows' entries are refreshed each step
-        if self.moving.all():
-            self.queries, self.penalty = np.empty((0, width)), _n3(self.table)[0]
-        else:
+        self.moving = trainable[ids[0]] | trainable[ids[1]]
+        if rows is not None:
+            self.moving |= rows >= 2 * len(train)
+        n, fixed = min(batch_size, ids.shape[1]), not self.moving.all()
+        self.moving_at = np.full(ids.shape[1], -1, dtype=np.int64) if fixed else None
+        if fixed:
+            moving = np.flatnonzero(self.moving)
+            self.moving_at[moving] = np.arange(len(moving))
             ent_trainable, rel_trainable = np.split(trainable, [entities])
             base = _frozen_context(model, ent_trainable, rel_trainable, train)
             self.queries, self.penalty = base.queries, base.penalty.copy()
             # rows past the base set are moving; clipped here, their words stay unread
-            np.take(base.resolved, rows, axis=0, out=self.resolved, mode="clip")
+            self.resolved = base.resolved.take(rows, axis=0, mode="clip")
+            self.ent_t, self.fixed_grad = np.empty((2, len(ent_idx), width))
+            self.vectors = np.empty((3, n))
+            self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * len(ent_idx))
+        else:
+            # the N3 penalty of every row; the trainable rows' entries are refreshed each step
+            self.penalty = _n3(self.table)[0]
         # built after the frozen context, so that a fill's blocks and these are not held at once
-        n = min(batch_size, len(rows))
-        self.softmax = _QuerySoftmax(model, columns[:, moving], n)
+        self.softmax = _QuerySoftmax(model, ids[:, moving] if fixed else ids, n)
         # each moving query's head and relation row in the gradient workspace, a frozen
         # one sent to its spare last row, as half-row ids
         places = place.take(self.softmax.query_ids)
-        self.trainable_halves = _half_ids(np.where(places < 0, len(self.idx), places))
+        self.trainable_halves = _half_ids(np.where(places < 0, slots, places))
         self.held = self.whole = None
-        self.ent_t = np.empty((len(ent_idx), width))
-        self.grad = np.empty((len(self.idx) + 1, width))
+        self.grad = np.empty((slots + 1, width))
         self.slot = (self.table, self.idx, self.grad[:-1])
-        self.batch, self.vectors = np.empty(5 * n, dtype=np.int64), np.empty((3, n))
-        self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * len(ent_idx))
-        self.fixed_grad = np.empty_like(self.ent_t)
+        self.batch = np.empty(3 * n, dtype=np.int64)
 
-    def _groups(self, at: np.ndarray, by_query: bool) -> tuple:
+    def _groups(self, at: np.ndarray, by_query: bool) -> tuple | None:
         """The fixed fit rows ``at`` in groups: one per distinct query if ``by_query``, else per row.
 
         Per group, in key order when ``by_query``: its query row's index, its
         rows' count, and its frozen max and exp-sum; then the flat cells of its
         rows' trainable targets in the ``(|T|, groups)`` scores, with their
-        hits, and the sum of the rows' frozen target scores.
+        hits, and the sum of the rows' frozen target scores. None without rows.
         """
+        if not len(at):
+            return None
         words = self.resolved.take(at, axis=0)
-        cols, partials = self.ids[3].take(at), words[:, 1:].view(np.float64)
+        cols, partials = self.place.take(self.ids[2].take(at)), words[:, 1:].view(np.float64)
         hit = cols >= 0
         if by_query:
             _, first, of, count = np.unique(
@@ -620,42 +584,58 @@ class _RestrictedStep:
         maxes, sums = partials[first, :2].T
         return words[first, 0], count, maxes, sums, cells, hits, np.add.reduce(partials[:, 2])
 
+    def _add_n3(self, grad: np.ndarray, uses: np.ndarray, reg_weight: float, n: int) -> float:
+        """Add the trainable rows' N3 gradient to ``grad``; return the batch's N3 loss term.
+
+        Every occurrence of a row as a head, relation or target adds its penalty.
+        """
+        self.penalty[self.idx], g = _n3(self.table[self.idx])
+        grad += np.multiply(g, (3.0 * reg_weight / n * uses[self.idx])[:, None], out=g)
+        return reg_weight * float(self.penalty @ uses) / n
+
     def __call__(self, model: EmbeddingModel, sel: np.ndarray, reg_weight: float) -> _StepResult:
         """Loss, data loss and the trainable rows' gradient (a workspace) over example rows ``sel``.
 
-        They equal the dense step's values up to the order of summation. A
-        ``sel`` as long as the fit holds each fit row once, as :func:`_fit` draws it.
+        A ``sel`` as long as the fit holds each fit row once, as :func:`_fit` draws it.
         """
-        n, (trainable, width) = len(sel), self.ent_t.shape
+        n, width = len(sel), self.table.shape[1]
         if n < len(self.moving):
-            ids = self.ids.take(sel, axis=1, out=self.batch[: 5 * n].reshape(5, n), mode="clip")
-            moving = ids[4] >= 0
-            mv, groups = ids[4, moving], self._groups(sel[~moving], False)
-            uses = np.bincount(ids[:3].ravel(), minlength=len(self.table))
+            ids = self.ids.take(sel, axis=1, out=self.batch[: 3 * n].reshape(3, n), mode="clip")
+            uses = np.bincount(ids.ravel(), minlength=len(self.table))
+            mv, groups = sel, None
+            if self.moving_at is not None:
+                at = self.moving_at.take(sel)
+                mv, groups = at[at >= 0], self._groups(sel[at < 0], False)
         else:
             if self.whole is None:
                 fixed = self._groups(np.flatnonzero(~self.moving), True)
-                uses = np.bincount(self.ids[:3].ravel(), minlength=len(self.table))
-                self.whole = np.arange(len(self.softmax.targets)), fixed, uses
+                uses = np.bincount(self.ids.ravel(), minlength=len(self.table))
+                # the kernel's rows: the moving rows in fit order, or, with no fixed row, sel
+                self.whole = None if fixed is None else np.arange(len(self.softmax.targets)), fixed, uses
             mv, groups, uses = self.whole
-        ent_t = model.ent.take(self.ent_idx, axis=0, out=self.ent_t)
-        self.grad.fill(0.0)
-        grad = self.grad[:-1]
+            mv = sel if mv is None else mv
+        grad, trainable = self.grad[:-1], len(self.ent_idx)
         d_ent = grad[:trainable]
+        self.grad[trainable:].fill(0.0)
 
-        nll = 0.0
+        nll = penalty = 0.0
         if len(mv):
             batch = self.softmax(self.table, mv, n)
             nll -= np.add.reduce(batch.value)
-            d_ent += batch.grad.take(self.ent_idx, axis=1).T @ batch.q
+            np.matmul(batch.grad[:, self.cols].T, batch.q, out=d_ent)
             if batch.held is not self.held:
                 # the bins of the head and relation scatter, kept while the kernel's grouping is
                 halves = self.trainable_halves.take(batch.held, axis=2)
                 self.held, self.bins = batch.held, _bins(halves, width // 2, batch.flat)
+            if reg_weight > 0 and self.full:
+                penalty = self._add_n3(grad, uses, reg_weight, n)
             _scatter_rows(_halves(self.grad), None, batch.dhr, self.bins)
-        query_rows, count, frozen_max, frozen_sum, cells, hits, frozen_targets = groups
-        m = len(count)
-        if m:
+        else:
+            d_ent.fill(0.0)
+        if groups is not None:
+            query_rows, count, frozen_max, frozen_sum, cells, hits, frozen_targets = groups
+            m = len(count)
+            ent_t = model.ent.take(self.ent_idx, axis=0, out=self.ent_t)
             qf = _gather(self.queries, query_rows, self.fixed_q[: m * width].reshape(m, -1))
             scores = self.fixed_scores[: m * trainable].reshape(trainable, m)
             np.matmul(ent_t, qf.T, out=scores)
@@ -673,31 +653,25 @@ class _RestrictedStep:
             d_ent += np.matmul(probs, qf, out=self.fixed_grad)
 
         data_loss = float(nll / n)
-        loss = data_loss
-        if reg_weight > 0:
-            # every occurrence of a row as a head, relation or target adds its penalty
-            self.penalty[self.idx], g = _n3(self.table[self.idx])
-            g *= (3.0 * reg_weight / n * uses[self.idx])[:, None]
-            grad += g
-            loss += reg_weight * float(self.penalty @ uses) / n
-        return loss, data_loss, grad
+        if reg_weight > 0 and not self.full:
+            penalty = self._add_n3(grad, uses, reg_weight, n)
+        return data_loss + penalty, data_loss, grad
 
 
 def _fit(
     model: EmbeddingModel,
     examples: np.ndarray,
     config: TrainConfig,
-    step: _DenseStep | _RestrictedStep,
+    step: _Step,
     valid_examples: np.ndarray | None = None,
 ) -> None:
-    """Run ``config.epochs`` adaptive-gradient epochs in place.
+    """Run ``config.epochs`` adaptive-gradient epochs of ``step`` in place.
 
     ``step(model, sel, reg_weight)`` gives the loss and the data loss, and
     writes the gradient of its ``slot``, a (table, rows, gradient) triple:
-    ``table`` is ``model.table``, and only its ``rows`` move, through one
-    accumulator. Batch order is drawn from a
-    stream keyed only by (seed, example count), so two fits over the same
-    example set replay the same batches.
+    only those ``rows`` of ``model.table`` move, through one accumulator.
+    Batch order is drawn from a stream keyed only by (seed, example count),
+    so two fits over the same example set replay the same batches.
     """
     lr = config.learning_rate
     table, rows, grad = step.slot
@@ -736,7 +710,8 @@ def train(model: EmbeddingModel, kg: KnowledgeGraph, config: TrainConfig) -> Emb
     examples = build_examples(kg.train, model.num_relations)
     valid = kg.eval_split("valid")
     valid_examples = build_examples(valid, model.num_relations) if valid else None
-    step = _DenseStep(trained, examples, config.batch_size)
+    ent_idx, rel_idx = np.arange(len(trained.ent)), np.arange(len(trained.rel))
+    step = _Step(trained, examples, ent_idx, rel_idx, kg.train, None, config.batch_size)
     _fit(trained, examples, config, step, valid_examples)
     return trained
 
@@ -806,10 +781,10 @@ def post_train(
     reproduces :func:`train` exactly. The fit runs ``config.epochs`` epochs.
     ``modified_train`` is a triple sequence, mapped to rows of the training
     set's example table through ``kg.train_index``, or the operators' rows of
-    that table directly. A full mask fits with the dense step (from a fresh
-    model, that is a full retrain without the validation NLL); any frozen row
-    selects the restricted step and the thread's frozen context (see the module
-    notes).
+    that table directly. Every mask fits with the one step (see the module
+    notes): a full mask fixes no row (from a fresh model, that is a full
+    retrain without the validation NLL), and a fixed row reads the thread's
+    frozen context.
     """
     config.validate()
     ent_idx = _distinct_ids("entity", trainable_entities, model.num_entities)
@@ -832,11 +807,6 @@ def post_train(
     examples = _base_examples(kg.train, model.num_relations)
     if fit.added:
         examples = np.concatenate([examples, build_examples(fit.added, model.num_relations)])
-    if len(ent_idx) == model.num_entities and np.array_equal(rel_idx, np.arange(len(model.rel))):
-        step = _DenseStep(tuned, examples, config.batch_size, fit.rows)
-    else:
-        step = _RestrictedStep(
-            tuned, examples, ent_idx, rel_idx, kg.train, fit.rows, config.batch_size
-        )
+    step = _Step(tuned, examples, ent_idx, rel_idx, kg.train, fit.rows, config.batch_size)
     _fit(tuned, fit.rows, config, step)
     return tuned

@@ -22,7 +22,7 @@ from kgexplain import (
 from kgexplain import effectiveness, training
 from kgexplain.effectiveness import _retrained
 from kgexplain.kg import _one_hop_entities
-from kgexplain.training import _RestrictedStep, _TrainRows, _base_examples, build_examples
+from kgexplain.training import _Step, _TrainRows, _base_examples, build_examples
 from test_training import _ReferenceRestrictedStep
 
 EVALUATORS = ("post-train", "full-retrain")
@@ -195,7 +195,7 @@ def test_row_fit_steps_match_the_reference_step(desk_kg, desk_model, desk_predic
         table = _base_examples(kg.train, kg.num_relations)
         if fit.added:
             table = np.concatenate([table, build_examples(fit.added, kg.num_relations)])
-        step = _RestrictedStep(model, table, ent_idx, rel_idx, kg.train, fit.rows, len(fit.rows))
+        step = _Step(model, table, ent_idx, rel_idx, kg.train, fit.rows, len(fit.rows))
         reference = _ReferenceRestrictedStep(model, table[fit.rows], ent_idx, rel_idx, kg.train, 37)
         assert (~step.moving).any(), name
         assert step.moving[fit.rows >= 2 * len(kg.train)].all(), name

@@ -30,8 +30,7 @@ from kgexplain.kg import _one_hop_entities
 from kgexplain.model import _cmul, _cmul_conj
 from conftest import reset_post_train_state
 from kgexplain.training import (
-    _DenseStep,
-    _RestrictedStep,
+    _Step,
     _n3,
     _query_keys,
     _relation_rows,
@@ -245,7 +244,7 @@ def _reference_batch_loss_and_grads(model, batch, reg_weight):
     return loss, data_loss, np.concatenate([d_ent, d_rel])
 
 
-# The per-query dense step sums in another order than the reference, so they
+# The per-query full-mask step sums in another order than the reference, so they
 # agree to this bound rather than bit for bit.
 TOLERANCE = {"rtol": 1e-12, "atol": 1e-15}
 
@@ -265,8 +264,14 @@ def assert_fits_match(got, want):
     np.testing.assert_allclose(got.rel, want.rel, **TOLERANCE)
 
 
-class TestDenseStep:
-    """The per-query workspace step against the per-example reference, to the bound."""
+def _full_mask_step(model, examples, batch_size):
+    """The one step over ``examples`` with every row trainable, as :func:`train` builds it."""
+    ent_idx, rel_idx = np.arange(len(model.ent)), np.arange(len(model.rel))
+    return _Step(model, examples, ent_idx, rel_idx, (), None, batch_size)
+
+
+class TestFullMaskStep:
+    """The per-query workspace step, every row trainable, against the per-example reference."""
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
     def test_repeated_full_and_ragged_batches_match_reference(self, reg_weight):
@@ -274,7 +279,7 @@ class TestDenseStep:
         config = TrainConfig(dimension=5, epochs=5, seed=4)
         model = train(init_model(kg, config), kg, config)
         examples = build_examples(kg.train, kg.num_relations)
-        step = _DenseStep(model, examples, batch_size=50)
+        step = _full_mask_step(model, examples, batch_size=50)
         perm = np.random.default_rng(0).permutation(len(examples))
         # full, ragged (20 rows), full again and ragged again: a workspace
         # row left over from a longer batch would show in the second pair
@@ -325,7 +330,7 @@ class TestDenseStep:
         examples = build_examples(kg.train, kg.num_relations)
         uses = np.unique(_query_keys(model, examples), return_counts=True)[1]
         assert len(uses) == 16 and uses.min() >= 3
-        step = _DenseStep(model, examples, batch_size=len(examples))
+        step = _full_mask_step(model, examples, batch_size=len(examples))
         sel = np.random.default_rng(1).permutation(len(examples))
         assert_matches_reference(
             model,
@@ -342,14 +347,14 @@ class TestDenseStep:
         model = train(init_model(kg, config), kg, config)
         examples = build_examples(kg.train, kg.num_relations)
         batch = np.concatenate([examples[:9], examples[2:5], examples[2:3]])
-        step = _DenseStep(model, batch, batch_size=len(batch))
+        step = _full_mask_step(model, batch, batch_size=len(batch))
         assert_matches_reference(
             model,
             step(model, np.arange(len(batch)), reg_weight),
             _reference_batch_loss_and_grads(model, batch, reg_weight),
         )
         # a post-train whose modified set lists a triple twice, under a full mask, and
-        # training on a graph built with a repeated triple: both fit with the dense step,
+        # training on a graph built with a repeated triple: both fit with the full-mask step,
         # one batch per epoch, so each batch holds both copies
         config = dataclasses.replace(config, batch_size=128)
         repeated = kg.train + kg.train[3:5]
@@ -375,7 +380,7 @@ class TestDenseStep:
         kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
         model = init_model(kg, TrainConfig(dimension=4, seed=2))
         with pytest.raises(DomainError):
-            _DenseStep(model, np.asarray([[0, 0, 12]]), batch_size=4)
+            _full_mask_step(model, np.asarray([[0, 0, 12]]), batch_size=4)
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
     @pytest.mark.parametrize("graph", ["random", "repeated-queries"])
@@ -392,8 +397,8 @@ class TestDenseStep:
         config = TrainConfig(dimension=4, epochs=3, seed=3)
         model = train(init_model(kg, config), kg, config)
         examples = build_examples(kg.train, kg.num_relations)
-        whole = _DenseStep(model, examples, batch_size=len(examples))
-        per_batch = _DenseStep(
+        whole = _full_mask_step(model, examples, batch_size=len(examples))
+        per_batch = _full_mask_step(
             model, np.concatenate([examples, examples[:1]]), batch_size=len(examples)
         )
         rng = np.random.default_rng(5)
@@ -409,7 +414,7 @@ class TestDenseStep:
 def _dense_masked_fit(
     model, examples, config, epochs, ent_idx, rel_idx, step=batch_loss_and_grads
 ):
-    """Reference: the dense step with every frozen row's gradient discarded."""
+    """Reference: the full-mask step with every frozen row's gradient discarded."""
     lr = config.learning_rate
     params = (model.ent, model.rel)
     acc = [np.zeros_like(a) for a in params]
@@ -443,12 +448,12 @@ def _split_table(kg):
     return table, base, training._pair_rows(positions)
 
 
-class TestRestrictedStep:
-    """The frozen-context step against the dense step it replaces in post-training."""
+class TestFrozenContextStep:
+    """The step with frozen rows against the full-mask step, its trainable rows read off."""
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-2])
     @pytest.mark.parametrize("with_relations", [False, True])
-    def test_trainable_gradients_and_loss_match_dense_step(
+    def test_trainable_gradients_and_loss_match_full_mask_step(
         self, reg_weight, with_relations, monkeypatch
     ):
         # 7-row score blocks make the frozen-column partials span several blocks
@@ -465,7 +470,7 @@ class TestRestrictedStep:
             rel_idx = _relation_rows(relations, kg.num_relations)
             # half the triples seed the shared context, the rest lie past its table and move
             table, base, rows = _split_table(kg)
-            step = _RestrictedStep(model, table, ent_idx, rel_idx, base, rows, len(rows))
+            step = _Step(model, table, ent_idx, rel_idx, base, rows, len(rows))
             sel = rng.permutation(len(examples))[:50]
             loss, data_loss, grad = step(model, sel, reg_weight)
             dense_loss, dense_data, dense = batch_loss_and_grads(model, examples[sel], reg_weight)
@@ -502,7 +507,7 @@ class TestRestrictedStep:
         keys = _query_keys(model, examples[rows])
         on_moving = np.isin(examples[rows, 0], ent_idx)
         assert len(np.unique(keys[on_moving])) < on_moving.sum() - 1
-        step = _RestrictedStep(
+        step = _Step(
             model, examples, ent_idx, rel_idx, kg.train, rows=rows, batch_size=len(rows)
         )
         loss, data_loss, grad = step(model, np.arange(len(rows)), reg_weight)
@@ -563,7 +568,8 @@ class TestSlot:
             np.array([0, 3, 4]),
             np.array([2, 7, entities + 1, entities + 1 + kg.num_relations]),
         ]
-        assert [type(step) for _, step in seen] == [_DenseStep, _RestrictedStep, _RestrictedStep]
+        assert [type(step) for _, step in seen] == [_Step, _Step, _Step]
+        assert seen[0][1].slot[1] == slice(None)
         for (tuned, step), rows in zip(seen, expected):
             table, slot_rows, grad = step.slot
             assert table is tuned.table
@@ -783,7 +789,7 @@ def _restricted_and_reference_fits(model, kg, rows, ent_idx, config):
     examples = build_examples(kg.train, kg.num_relations)
     rel_idx = np.empty(0, dtype=np.int64)
     got, want = model.clone(), model.clone()
-    step = _RestrictedStep(
+    step = _Step(
         got, examples, ent_idx, rel_idx, kg.train, rows, config.batch_size
     )
     training._fit(got, rows, config, step)
@@ -882,7 +888,7 @@ class TestRestrictedStepExact:
             # every row, the query's trainable-target row twice more: three hits in one cell
             rows = np.concatenate([np.arange(len(examples)), at[:1], at[:1]])
         assert config.batch_size >= len(rows)
-        step = _RestrictedStep(
+        step = _Step(
             desk_model, examples, np.array([trainable]), np.empty(0, dtype=np.int64),
             kg.train, rows, config.batch_size,
         )
@@ -957,20 +963,24 @@ class TestPostTrain:
         with pytest.raises(DomainError):
             post_train(self.model, self.kg, (), {0}, self.config)
 
-    def test_full_mask_with_reinit_reproduces_training_exactly(self):
-        # the keep-only retraining operator relies on this identity
+    @pytest.mark.parametrize("batch_size", [32, 128], ids=["per-batch", "one-batch"])
+    def test_full_mask_with_reinit_reproduces_training_exactly(self, batch_size):
+        # the keep-only retraining operator relies on this identity, through the
+        # per-batch grouping (60 rows in batches of 32) and the one-batch grouping
+        config = dataclasses.replace(self.config, batch_size=batch_size)
+        model = train(init_model(self.kg, config), self.kg, config)
         entities = set(range(self.kg.num_entities))
         relations = set(range(self.kg.num_relations))
         reproduced = post_train(
-            self.model,
+            model,
             self.kg,
             self.kg.train,
             entities,
-            self.config,
+            config,
             trainable_relations=relations,
             reinit_trainable=True,
         )
-        assert arrays_equal(reproduced, self.model)
+        assert arrays_equal(reproduced, model)
 
     def test_context_shared_per_mask_and_never_served_for_another_model(self):
         config = dataclasses.replace(self.config, epochs=3)
