@@ -20,15 +20,15 @@ the model (:meth:`EmbeddingModel.clone`). Every model is one buffer,
 trainable rows in place. A fit row is fixed when its head entity and
 relation row are frozen and it lies in the base example table: its query
 ``q = h∘r`` and its scores against frozen entities cannot change during the
-fit. Every other row moves, and the moving rows run one kernel
-(:class:`_QuerySoftmax`): the softmax over all entities, scored once per
-distinct (head, relation_row) query of a batch (the desk graph's 460
-examples hold 150), and its gradient products. It groups a batch's rows by
-query per batch, or once per fit when the batch holds every fit row, as in
-every desk-graph fit; each gradient is formed per query in key order, so the
-bits do not depend on the batch order. Full training, and a post-train whose
-mask covers every row, fix no row. The step sums in another order than the
-per-example loss, within a stated bound of it.
+fit. Every other row moves. The step scores each distinct (head,
+relation_row) query of its moving rows once per batch (the desk graph's 460
+examples hold 150), over all entities, and forms each gradient per query in
+key order, so the bits do not depend on the batch order. It groups a batch's
+moving rows by query, with the bins of their head and relation scatter, per
+batch, or once per fit when the batch holds every fit row, as in every
+desk-graph fit. Full training, and a post-train whose mask covers every row,
+fix no row. The step sums in another order than the per-example loss, within
+a stated bound of it.
 
 A post-train with a fixed row reads the frozen context. Each thread holds
 its own post-train state: the example table of its latest base training set
@@ -167,141 +167,6 @@ def _fit_columns(model: EmbeddingModel, examples: np.ndarray, rows: np.ndarray |
     _check_ids(model, columns)
     columns[1] += len(model.ent)
     return columns
-
-
-class _QueryBatch(NamedTuple):
-    """One batch through :class:`_QuerySoftmax`, as views of its workspaces.
-
-    ``value`` holds each example's target score less its query's
-    log-normaliser, in batch order, and ``targets`` each example's target. The
-    rest hold one entry per query of the batch, in key order: ``held``, its
-    index among the fit's queries; ``counts``, its examples; ``ids``, its head
-    and relation row as rows of ``model.table``, and ``halves`` their half-row
-    ids (:func:`_half_ids`); ``q``, its packed query row; ``grad``, its
-    scores-gradient row; ``dhr``, the split gradients of its head, then
-    relation rows; ``flat``, a bins workspace.
-    """
-
-    value: np.ndarray
-    targets: np.ndarray
-    held: np.ndarray
-    counts: np.ndarray
-    ids: np.ndarray
-    halves: np.ndarray
-    q: np.ndarray
-    grad: np.ndarray
-    dhr: np.ndarray
-    flat: np.ndarray
-
-
-class _QuerySoftmax:
-    """The softmax over all entities of a fit's example rows, per query, and its gradient products.
-
-    The step's kernel, over the ``columns`` (:func:`_fit_columns`) of its moving
-    rows. It scores each distinct query (head, relation row) of a batch once
-    ("1-N scoring", as in ConvE): the query's examples share its score row
-    and normaliser. Each fit example's query, an index into the fit's queries
-    in key order, is resolved once per fit, and a batch's rows are grouped by
-    query (:meth:`group`) per call, or once per fit in fit order when the
-    batch holds every fit row; then one ``np.take`` puts the per-example
-    values back into batch order. The scores-gradient row of query u is
-    ``count_u · softmax_u / n``, less ``1/n`` at each of its examples'
-    targets, once per use; ``n`` is the row count of the whole batch, of
-    which the kernel may see a part.
-
-    Per-query complex values live in split ``(2, queries, d)`` workspaces,
-    real rows then imaginary rows, gathered in one ``np.take`` through the
-    ``(2 * rows, d)`` view of ``model.table`` (:func:`_half_ids`); ``q`` goes
-    into the matrix products packed, ``(queries, 2d)``, and ``dq`` comes out
-    of them packed. The workspaces are allocated once, for the fit's longest
-    batch, ``batch_size`` of its rows or all of them, and every call
-    overwrites them.
-    """
-
-    def __init__(self, model: EmbeddingModel, columns: np.ndarray, batch_size: int) -> None:
-        self.targets, rows = columns[2], len(model.table)
-        keys, self.query_of = np.unique(columns[0] * rows + columns[1], return_inverse=True)
-        # each fit query's head and relation row as rows of model.table, two rows of one array
-        self.query_ids = np.stack(np.divmod(keys, rows))
-        # each fit query's slot among its batch's queries, rewritten by every grouping
-        self.slot = np.empty(len(keys), dtype=np.int64)
-        self.shape = entities, width = model.ent.shape
-        self.whole: tuple | None = None
-        n = min(batch_size, len(self.targets))
-        self.ids = np.empty((4, n), dtype=np.int64)
-        # flat buffers: a batch of m queries uses the first m * width values of each
-        # block, so its split halves and adjacent blocks are contiguous whatever m is
-        self.half_ids = np.empty(4 * n, dtype=np.int64)
-        self.flat = np.empty(2 * n * width, dtype=np.int64)
-        self.work, self.half = np.empty(6 * n * width), np.empty(n * width // 2)
-        self.scores = np.empty((n, entities))
-        self.target, self.per_row, self.shift, self.z, self.scale = np.empty((5, n))
-
-    def group(self, sel: np.ndarray) -> tuple:
-        """The fit rows ``sel`` grouped by query, in the workspaces, as :meth:`__call__` reads them."""
-        k = len(sel)
-        targets, fit_query, of_query, at = self.ids[:, :k]
-        self.targets.take(sel, out=targets, mode="clip")
-        self.query_of.take(sel, out=fit_query, mode="clip")
-        counts = np.bincount(fit_query, minlength=len(self.slot))
-        held = counts.nonzero()[0]
-        m = len(held)
-        self.slot[held] = np.arange(m)
-        _gather(self.slot, fit_query, of_query)
-        np.add(np.multiply(of_query, self.shape[0], out=at), targets, out=at)
-        query_ids = self.query_ids.take(held, axis=1)
-        halves = _half_ids(query_ids, self.half_ids[: 4 * m].reshape(2, 2, m))
-        return targets, of_query, at, held, counts.take(held), query_ids, halves
-
-    def __call__(self, table: np.ndarray, sel: np.ndarray, n: int) -> _QueryBatch:
-        """Losses and gradient terms of the distinct fit rows ``sel`` of a batch of ``n`` rows."""
-        entities, width = self.shape
-        k = len(sel)
-        if k < len(self.targets):
-            group = self.group(sel)
-        elif self.whole is None:
-            group = self.whole = tuple(a.copy() for a in self.group(np.arange(k)))
-        else:
-            group = self.whole
-        # per example: its target, its query's index among the batch's queries and its target's
-        # entry in their flat score rows; per query: the fields held to halves of _QueryBatch
-        targets, of_query, at, held, counts, ids, halves = group
-        m = len(held)
-        blocks = self.work[: 6 * m * width].reshape(6, m * width)
-        packed, q = blocks[0].reshape(m, width), blocks[3].reshape(2, m, -1)
-        hr, dhr = blocks[1:3].reshape(2, 2, m, -1), blocks[4:].reshape(2, 2, m, -1)
-        h, r = _gather(_halves(table), halves, hr)
-        half = self.half[: m * width // 2].reshape(m, -1)
-        np.copyto(_split(packed), _cmul(h, r, out=q, tmp=half))
-
-        # softmax in place, one row per query; the target scores are read before the shift
-        ent = table[:entities]
-        scores = np.matmul(packed, ent.T, out=self.scores[:m])
-        flat_scores = scores.reshape(-1)
-        target = _gather(flat_scores, at, self.target[:k])
-        shift = np.maximum.reduce(scores, axis=1, out=self.shift[:m])
-        scores -= shift[:, None]
-        z = np.add.reduce(np.exp(scores, out=scores), axis=1, out=self.z[:m])
-        # each query's log-normaliser shift + log z, read by each of its examples
-        log_z = np.add(shift, np.log(z, out=self.scale[:m]), out=shift)
-        target -= _gather(log_z, of_query, self.per_row[:k])
-        if group is self.whole:
-            target = _gather(target, sel, self.per_row[:k])
-
-        # one pass normalises each row, weights it by its query's count and divides by n;
-        # then each example takes 1/n off its target's entry, once per use (np.put would
-        # keep one write of an example the batch holds twice)
-        scale = np.divide(counts, z, out=self.scale[:m])
-        scale /= n
-        scores *= scale[:, None]
-        np.subtract.at(flat_scores, at, 1.0 / n)
-        # packed q stays for the caller; the product lands in dhr's rows, copied out first
-        dq = q  # q's split rows are spent once packed; dq takes their place
-        np.copyto(dq, _split(np.matmul(scores, ent, out=dhr[0].reshape(m, width))))
-        _cmul_conj(dq, r, out=dhr[0], tmp=half)
-        _cmul_conj(dq, h, out=dhr[1], tmp=half)
-        flat = self.flat[: 2 * m * width].reshape(dhr.shape)
-        return _QueryBatch(target, targets, held, counts, ids, halves, packed, scores, dhr, flat)
 
 
 def batch_loss_and_grads(model: EmbeddingModel, batch: np.ndarray, reg_weight: float) -> _StepResult:
@@ -480,33 +345,47 @@ class _Step:
     ``ids``, its head, relation row and target as rows of ``model.table``,
     and, in a fit with a fixed row, ``moving_at``, its index among the fit's
     moving rows, -1 when fixed, and ``resolved``, its four words of the
-    thread's :class:`_BaseModel`.
+    thread's :class:`_BaseModel`. Per moving row, also once per fit:
+    ``query_of``, its query (head, relation row) as an index into the fit's
+    queries in key order, whose rows of ``model.table`` are ``query_ids``.
 
     The step's ``slot`` is the trainable rows of ``model.table``, ``idx``: the
     trainable entities, then the trainable relation rows. Its gradient
-    workspace holds one row per trainable row and a spare last row. A batch's
-    moving rows run the kernel (:class:`_QuerySoftmax`); their entity
-    gradient is written for the trainable columns alone, and the gradients of
-    their heads and relations are scattered into the trainable rows, those of
-    frozen ones into the spare row. The fixed rows run in groups
-    (:meth:`_groups`), each scored against the trainable columns only, its
-    normaliser completed with the frozen partials. Each fixed row of a batch
-    is its own group, but a batch that holds every fit row reads the fit's
-    distinct fixed queries in key order, grouped once per fit, with the N3
-    uses, and its moving rows in fit order. N3 comes last. A step costs
-    O(n |T| d + n_moving E d) instead of O(n E d); its temporaries live in
-    workspaces allocated once, for the fit's longest batch, ``batch_size`` of
-    its rows or all of them. The returned gradient is the slot's workspace,
-    overwritten by the next call.
+    workspace holds one row per trainable row and a spare last row, the
+    ``place`` of every frozen row. A batch's moving rows are grouped by query
+    (:meth:`_group`) and each query is scored once ("1-N scoring", as in
+    ConvE): its examples share its score row and normaliser. Its
+    scores-gradient row is ``count · softmax / n``, less ``1/n`` at each of
+    its examples' targets, once per use; from it the entity gradient is
+    written for the trainable columns alone, and the gradients of the
+    query's head and relation are scattered to their places. The fixed rows
+    run in groups (:meth:`_groups`), each scored against the trainable
+    columns only, its normaliser completed with the frozen partials; each
+    fixed row of a batch is its own group. A batch that holds every fit row
+    reads one grouping made once per fit (``whole``): its moving rows by
+    query in fit order, its distinct fixed queries in key order, and the N3
+    uses; with no fixed row, one ``np.take`` puts the moving rows'
+    per-example values back into batch order. Every gradient is formed per
+    query in key order, so a one-batch fit's bits do not depend on the batch
+    order. N3 comes last.
+
+    Per-query complex values live in split ``(2, queries, d)`` workspaces,
+    real rows then imaginary rows, gathered in one ``np.take`` through the
+    ``(2 * rows, d)`` view of ``model.table`` (:func:`_half_ids`); ``q`` goes
+    into the matrix products packed, ``(queries, 2d)``, and ``dq`` comes out
+    of them packed. A step costs O(n |T| d + n_moving E d) instead of
+    O(n E d); its temporaries live in workspaces allocated once, for the
+    fit's longest batch, ``batch_size`` of its rows or all of them. The
+    returned gradient is the slot's workspace, overwritten by the next call.
 
     With every row trainable (``full``) no row is fixed: the slot rows and
-    score columns are slices, no frozen context is read, the kernel takes
-    every batch in batch order, and N3 comes before the scatter, the order
-    :func:`train`'s bits rest on. The result is within ``rtol=1e-12,
-    atol=1e-15`` of the per-example expression of the loss. ``rows`` selects
-    the fit's rows of ``examples``, which starts with the example table of
-    ``train`` (:func:`_base_examples`); without them the fit is ``examples``,
-    every row trainable. ``ent_idx`` and ``rel_idx`` are sorted.
+    score columns are slices, no frozen context is read, and N3 comes before
+    the scatter, the order :func:`train`'s bits rest on. The result is within
+    ``rtol=1e-12, atol=1e-15`` of the per-example expression of the loss.
+    ``rows`` selects the fit's rows of ``examples``, which starts with the
+    example table of ``train`` (:func:`_base_examples`); without them the fit
+    is ``examples``, every row trainable. ``ent_idx`` and ``rel_idx`` are
+    sorted.
     """
 
     def __init__(
@@ -524,12 +403,13 @@ class _Step:
         self.ent_idx, self.table = ent_idx, model.table
         slots = len(ent_idx) + len(rel_idx)
         self.full = slots == len(self.table)
-        # the trainable rows of the table, entities first, and each row's place among them
+        # the trainable rows of the table, entities first, and each row's place among
+        # them; a frozen row's place is the gradient workspace's spare last row
         self.idx = slice(None) if self.full else np.concatenate([ent_idx, rel_idx + entities])
         self.cols = slice(None) if self.full else ent_idx
-        self.place = place = np.full(len(self.table), -1, dtype=np.int64)
+        self.place = place = np.full(len(self.table), slots, dtype=np.int64)
         place[self.idx] = np.arange(slots)
-        trainable = place >= 0
+        trainable = place < slots
         self.moving = trainable[ids[0]] | trainable[ids[1]]
         if rows is not None:
             self.moving |= rows >= 2 * len(train)
@@ -549,16 +429,56 @@ class _Step:
         else:
             # the N3 penalty of every row; the trainable rows' entries are refreshed each step
             self.penalty = _n3(self.table)[0]
-        # built after the frozen context, so that a fill's blocks and these are not held at once
-        self.softmax = _QuerySoftmax(model, ids[:, moving] if fixed else ids, n)
-        # each moving query's head and relation row in the gradient workspace, a frozen
-        # one sent to its spare last row, as half-row ids
-        places = place.take(self.softmax.query_ids)
-        self.trainable_halves = _half_ids(np.where(places < 0, slots, places))
-        self.held = self.whole = None
         self.grad = np.empty((slots + 1, width))
         self.slot = (self.table, self.idx, self.grad[:-1])
         self.batch = np.empty(3 * n, dtype=np.int64)
+        self.whole: tuple | None = None
+
+        # the moving rows' state, built after the frozen context, so that a fill's blocks
+        # and these are not held at once
+        columns = ids[:, moving] if fixed else ids
+        self.targets, table_rows = columns[2], len(self.table)
+        keys, self.query_of = np.unique(columns[0] * table_rows + columns[1], return_inverse=True)
+        self.query_ids = np.stack(np.divmod(keys, table_rows))
+        # each fit query's index among its batch's queries, rewritten by every grouping
+        self.query_at = np.empty(len(keys), dtype=np.int64)
+        n = min(n, len(self.targets))
+        self.per_example = np.empty((4, n), dtype=np.int64)
+        # flat buffers: a batch of m queries uses the first m * width values of each
+        # block, so its split halves and adjacent blocks are contiguous whatever m is
+        self.half_ids = np.empty(4 * n, dtype=np.int64)
+        self.flat = np.empty(2 * n * width, dtype=np.int64)
+        self.work, self.half = np.empty(6 * n * width), np.empty(n * width // 2)
+        self.scores = np.empty((n, entities))
+        self.target, self.per_row, self.shift, self.z, self.scale = np.empty((5, n))
+
+    def _group(self, sel: np.ndarray) -> tuple:
+        """The moving rows ``sel`` (indices among the fit's moving rows) grouped by query.
+
+        Per example, in ``sel``'s order: its query's index among the batch's
+        queries and its target's cell in their flat score rows. Per query of
+        the batch, in key order: its example count, the half-row ids of its
+        head and relation rows (:func:`_half_ids`), and the bins of their
+        gradients in the halves of the gradient workspace (:func:`_bins`).
+        All but the counts are views of the workspaces, which the next
+        grouping overwrites.
+        """
+        k, entities, width = len(sel), self.scores.shape[1], self.table.shape[1]
+        targets, fit_query, of_query, at = self.per_example[:, :k]
+        self.targets.take(sel, out=targets, mode="clip")
+        self.query_of.take(sel, out=fit_query, mode="clip")
+        counts = np.bincount(fit_query, minlength=len(self.query_at))
+        held = counts.nonzero()[0]
+        m = len(held)
+        self.query_at[held] = np.arange(m)
+        _gather(self.query_at, fit_query, of_query)
+        np.add(np.multiply(of_query, entities, out=at), targets, out=at)
+        query_ids = self.query_ids.take(held, axis=1)
+        # the half-row ids of the rows' places make the bins, then those of the rows replace them
+        halves = self.half_ids[: 4 * m].reshape(2, 2, m)
+        flat = self.flat[: 2 * m * width].reshape(2, 2, m, width // 2)
+        bins = _bins(_half_ids(self.place.take(query_ids), halves), width // 2, flat)
+        return of_query, at, counts.take(held), _half_ids(query_ids, halves), bins
 
     def _groups(self, at: np.ndarray, by_query: bool) -> tuple | None:
         """The fixed fit rows ``at`` in groups: one per distinct query if ``by_query``, else per row.
@@ -572,7 +492,7 @@ class _Step:
             return None
         words = self.resolved.take(at, axis=0)
         cols, partials = self.place.take(self.ids[2].take(at)), words[:, 1:].view(np.float64)
-        hit = cols >= 0
+        hit = cols < len(self.ent_idx)
         if by_query:
             _, first, of, count = np.unique(
                 words[:, 0], return_index=True, return_inverse=True, return_counts=True
@@ -602,34 +522,68 @@ class _Step:
         if n < len(self.moving):
             ids = self.ids.take(sel, axis=1, out=self.batch[: 3 * n].reshape(3, n), mode="clip")
             uses = np.bincount(ids.ravel(), minlength=len(self.table))
-            mv, groups = sel, None
+            mv, groups, order = sel, None, None
             if self.moving_at is not None:
                 at = self.moving_at.take(sel)
                 mv, groups = at[at >= 0], self._groups(sel[at < 0], False)
+            moving = self._group(mv) if len(mv) else None
         else:
             if self.whole is None:
+                k = len(self.targets)
+                moving = tuple(a.copy() for a in self._group(np.arange(k))) if k else None
                 fixed = self._groups(np.flatnonzero(~self.moving), True)
-                uses = np.bincount(self.ids.ravel(), minlength=len(self.table))
-                # the kernel's rows: the moving rows in fit order, or, with no fixed row, sel
-                self.whole = None if fixed is None else np.arange(len(self.softmax.targets)), fixed, uses
-            mv, groups, uses = self.whole
-            mv = sel if mv is None else mv
+                self.whole = moving, fixed, np.bincount(self.ids.ravel(), minlength=len(self.table))
+            moving, groups, uses = self.whole
+            # with no fixed row the per-example values go back into batch order; beside
+            # fixed rows they stay in fit order
+            order = sel if groups is None else None
         grad, trainable = self.grad[:-1], len(self.ent_idx)
         d_ent = grad[:trainable]
         self.grad[trainable:].fill(0.0)
 
         nll = penalty = 0.0
-        if len(mv):
-            batch = self.softmax(self.table, mv, n)
-            nll -= np.add.reduce(batch.value)
-            np.matmul(batch.grad[:, self.cols].T, batch.q, out=d_ent)
-            if batch.held is not self.held:
-                # the bins of the head and relation scatter, kept while the kernel's grouping is
-                halves = self.trainable_halves.take(batch.held, axis=2)
-                self.held, self.bins = batch.held, _bins(halves, width // 2, batch.flat)
+        if moving is not None:
+            # per example: its query's index among the batch's queries and its target's entry
+            # in their flat score rows; per query: its count, half-row ids and scatter bins
+            of_query, at, counts, halves, bins = moving
+            k, m = len(at), len(counts)
+            blocks = self.work[: 6 * m * width].reshape(6, m * width)
+            packed, q = blocks[0].reshape(m, width), blocks[3].reshape(2, m, -1)
+            hr, dhr = blocks[1:3].reshape(2, 2, m, -1), blocks[4:].reshape(2, 2, m, -1)
+            h, r = _gather(_halves(self.table), halves, hr)
+            half = self.half[: m * width // 2].reshape(m, -1)
+            np.copyto(_split(packed), _cmul(h, r, out=q, tmp=half))
+
+            # softmax in place, one row per query; the target scores are read before the shift
+            scores = np.matmul(packed, model.ent.T, out=self.scores[:m])
+            flat_scores = scores.reshape(-1)
+            target = _gather(flat_scores, at, self.target[:k])
+            shift = np.maximum.reduce(scores, axis=1, out=self.shift[:m])
+            scores -= shift[:, None]
+            z = np.add.reduce(np.exp(scores, out=scores), axis=1, out=self.z[:m])
+            # each query's log-normaliser shift + log z, read by each of its examples
+            log_z = np.add(shift, np.log(z, out=self.scale[:m]), out=shift)
+            target -= _gather(log_z, of_query, self.per_row[:k])
+            if order is not None:
+                target = _gather(target, order, self.per_row[:k])
+
+            # one pass normalises each row, weights it by its query's count and divides by n;
+            # then each example takes 1/n off its target's entry, once per use (np.put would
+            # keep one write of an example the batch holds twice)
+            scale = np.divide(counts, z, out=self.scale[:m])
+            scale /= n
+            scores *= scale[:, None]
+            np.subtract.at(flat_scores, at, 1.0 / n)
+            # packed q stays for d_ent; the product lands in dhr's rows, copied out first
+            dq = q  # q's split rows are spent once packed; dq takes their place
+            np.copyto(dq, _split(np.matmul(scores, model.ent, out=dhr[0].reshape(m, width))))
+            _cmul_conj(dq, r, out=dhr[0], tmp=half)
+            _cmul_conj(dq, h, out=dhr[1], tmp=half)
+            nll -= np.add.reduce(target)
+            np.matmul(scores[:, self.cols].T, packed, out=d_ent)
             if reg_weight > 0 and self.full:
                 penalty = self._add_n3(grad, uses, reg_weight, n)
-            _scatter_rows(_halves(self.grad), None, batch.dhr, self.bins)
+            _scatter_rows(_halves(self.grad), None, dhr, bins)
         else:
             d_ent.fill(0.0)
         if groups is not None:

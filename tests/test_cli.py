@@ -1026,6 +1026,15 @@ def test_traced_explain_fits_once_per_counted_retrain(explained, tmp_path, mode,
     """Under the benchmark's tracer (run as a script, never edited), train plus
     post_train spans are the run files' retrains plus one per simultaneous-removal
     file, and effectiveness operator spans are the candidates."""
+    _check_traced_explain(explained, tmp_path, mode, algorithms, workers=1)
+
+
+def test_traced_explain_on_two_workers_fits_once_per_counted_retrain(explained, tmp_path):
+    """The same under ``--workers 2``, the route of the benchmark's ``desk-latent-w2``."""
+    _check_traced_explain(explained, tmp_path, "latent-negative", "exhaustive-length-1", workers=2)
+
+
+def _check_traced_explain(explained, tmp_path, mode, algorithms, workers):
     root, _, checkpoint, selection, _ = explained
     text = (root / "experiment.ini").read_text().replace("mode = necessary", f"mode = {mode}")
     text = text.replace("exhaustive-length-1, data-poisoning-direct", algorithms)
@@ -1034,7 +1043,7 @@ def test_traced_explain_fits_once_per_counted_retrain(explained, tmp_path, mode,
     path.write_text(text + "\n[targets]\nsize = 2\n")
     out, spans = tmp_path / "out", tmp_path / "spans.json"
     argv = [sys.executable, str(TRACER), "--spans", str(spans), "--"]
-    argv += _explain_argv(path, checkpoint, selection, out)
+    argv += _explain_argv(path, checkpoint, selection, out) + ["--workers", str(workers)]
     subprocess.run(argv, cwd=TRACER.parents[1], check=True, capture_output=True)
     names = [span[0] for span in json.loads(spans.read_text())["spans"]]
     runs = [json.loads(p.read_text()) for p in sorted((out / "runs").glob("run_*.json"))]

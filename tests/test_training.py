@@ -407,7 +407,7 @@ class TestFullMaskStep:
             got, want = whole(model, sel, reg_weight), per_batch(model, sel, reg_weight)
             assert got[:2] == want[:2]
             assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
-        assert whole.softmax.whole is not None and per_batch.softmax.whole is None
+        assert whole.whole is not None and per_batch.whole is None
 
 
 
@@ -492,7 +492,7 @@ class TestFrozenContextStep:
 
     @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
     def test_repeated_queries_among_moving_rows_match_reference(self, reg_weight):
-        # moving rows that repeat queries share one kernel row; an example the batch
+        # moving rows that repeat queries share one score row; an example the batch
         # holds twice takes 1/n off its target's score-gradient entry twice
         kg = make_random_kg(seed=8, n_entities=12, n_relations=2, n_triples=35)
         config = TrainConfig(dimension=4, epochs=6, batch_size=16, seed=2)
@@ -512,7 +512,7 @@ class TestFrozenContextStep:
         )
         loss, data_loss, grad = step(model, np.arange(len(rows)), reg_weight)
         g_ent, g_rel = np.split(grad, [len(ent_idx)])
-        # against the per-example reference: batch_loss_and_grads runs the same kernel
+        # against the per-example reference: batch_loss_and_grads runs the same step
         want_loss, want_data, want = _reference_batch_loss_and_grads(
             model, examples[rows], reg_weight
         )
@@ -760,7 +760,7 @@ class _IntoSlots:
         return loss, data_loss, self.slot[2]
 
 
-# The restricted step runs its moving rows through the per-query kernel and, in
+# The restricted step scores its moving rows once per query and, in
 # a one-batch fit, sums its fixed rows' gradient per query in key order, both
 # in another order than the reference's per-example rows; after 12 desk-graph
 # epochs trainable rows moved by at most 2.2e-15 from it in batches of 128 and
@@ -902,6 +902,38 @@ class TestRestrictedStepExact:
             desk_model, kg, rows, np.array([trainable]), config
         )
         _assert_fit_matches(got, want, desk_model, {int(trainable)}, (), case)
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 1e-3])
+    def test_batch_holding_every_moving_row_of_a_longer_fit_matches_reference(
+        self, desk_kg, desk_model, reg_weight
+    ):
+        # a latent addition between frozen entities: its two rows lie past the base table
+        # and move; a batch shorter than the fit holds them, every other moving row and
+        # some fixed rows, and groups its moving rows per batch
+        kg = desk_kg
+        far = sorted(set(range(kg.num_entities)) - _one_hop_entities(kg, kg.train[0].subject))
+        added = next(
+            Triple(h, 0, o) for h in far[:-1] for o in far[:-1]
+            if h != o and Triple(h, 0, o) not in kg.train_set
+        )
+        examples = build_examples(kg.train + (added,), kg.num_relations)
+        ent_idx, rel_idx = np.array(far[-1:]), np.empty(0, dtype=np.int64)
+        rng = np.random.default_rng(7)
+        rows = rng.permutation(len(examples))
+        moving = np.isin(examples[rows, 0], ent_idx) | (rows >= 2 * len(kg.train))
+        sel = rng.permutation(np.concatenate([np.flatnonzero(moving), np.flatnonzero(~moving)[:16]]))
+        step = _Step(desk_model, examples, ent_idx, rel_idx, kg.train, rows, len(sel))
+        assert np.array_equal(step.moving, moving) and moving.sum() > 2
+        loss, data_loss, grad = step(desk_model, sel, reg_weight)
+        assert step.whole is None
+        reference = _ReferenceRestrictedStep(
+            desk_model, examples[rows], ent_idx, rel_idx, kg.train, len(sel)
+        )
+        want_loss, want_data, (want_ent, want_rel) = reference(desk_model, sel, reg_weight)
+        np.testing.assert_allclose(loss, want_loss, **FIT_BOUND)
+        np.testing.assert_allclose(data_loss, want_data, **FIT_BOUND)
+        np.testing.assert_allclose(grad, want_ent, **FIT_BOUND)
+        assert want_rel.shape == (0, grad.shape[1])
 
     def test_one_batch_fit_does_not_depend_on_the_batch_order(self, desk_kg, desk_model, desk_config):
         # a latent addition: moving rows past the base table, repeated fixed queries and
