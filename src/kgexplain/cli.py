@@ -337,12 +337,12 @@ def cmd_explain(
     selection whose ranks are not the checkpoint's (:func:`_ranked_selection`).
 
     One task per prediction runs every algorithm in order, from one search
-    space and one c-sufficient target set, so a worker thread (``workers``)
-    post-trains from one prediction at a time. An existing run file is kept
-    only when :func:`read_run` accepts it as the run of its algorithm and
-    prediction, made under this sweep's ``mode`` and ``config``; any other
-    (truncated, malformed, of another prediction or setting) is logged by
-    name and recomputed. Each task returns its runs' payloads.
+    space, one c-sufficient target set and its own clone of the model, whose
+    base no other worker thread (``workers``) replaces. An existing run file
+    is kept only when :func:`read_run` accepts it as the run of its algorithm
+    and prediction, made under this sweep's ``mode`` and ``config``; any
+    other (truncated, malformed, of another prediction or setting) is logged
+    by name and recomputed. Each task returns its runs' payloads.
 
     A failed (prediction, algorithm) run is logged and the remaining runs
     still go ahead; then ``runs/failures.json`` lists every failure
@@ -377,6 +377,7 @@ def cmd_explain(
         """Each algorithm's status, run file, and payload or, on failure, manifest entry."""
         index, prediction, pred_space = task
         targets = None  # built for the first algorithm that runs, then shared
+        task_model = model.clone()
         outcomes = []
         for algorithm in config.algorithms:
             path = runs_dir / f"run_{algorithm}_{index:04d}.json"
@@ -397,7 +398,7 @@ def cmd_explain(
                         kg, model, prediction, config.targets_size, config.targets_seed
                     )
                 run = explain(
-                    kg, model, prediction, algorithm, config.mode, pred_space,
+                    kg, task_model, prediction, algorithm, config.mode, pred_space,
                     config.explainer, config.train, targets,
                 )
             except KgExplainError as exc:

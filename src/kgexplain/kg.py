@@ -14,8 +14,11 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError, DatasetParseError, DomainError
 
@@ -67,15 +70,31 @@ class LoadReport:
                     logger.warning("load %s: " + message, split, n)
 
 
+def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
+    """Expand triples into (head, relation_row, target) query rows, both directions.
+
+    Row 2i is triple i's object query (s, r, o), row 2i + 1 its reciprocal
+    subject query (o, r + num_relations, s).
+    """
+    forward = np.fromiter(chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
+    if not len(forward):
+        raise DomainError("no training examples: the triple set is empty")
+    rows = np.empty((2 * len(forward), 3), dtype=np.int64)
+    rows[0::2] = forward
+    rows[1::2] = forward[:, ::-1]
+    rows[1::2, 1] += num_relations
+    return rows
+
+
 class KnowledgeGraph:
     """Immutable triple store with dictionaries, splits, and adjacency indices.
 
     Instances are safe for concurrent reads and never edited in place. The
-    retraining operators describe a modified training set as rows of the
-    training set's example table, found through :attr:`train_index`;
-    :meth:`with_train` wraps a plain triple sequence in a derived graph
-    (sharing the dictionaries, rebuilding its indices lazily) for callers that
-    want one.
+    graph owns its training set's example table, :attr:`examples`; the
+    retraining operators describe a modified training set as rows of it,
+    found through :attr:`train_index`. :meth:`with_train` wraps a plain
+    triple sequence in a derived graph (sharing the dictionaries, rebuilding
+    its indices lazily) for callers that want one.
     """
 
     def __init__(
@@ -115,6 +134,14 @@ class KnowledgeGraph:
         for i, t in enumerate(self.train):
             index.setdefault(t, i)
         return index
+
+    @cached_property
+    def examples(self) -> np.ndarray:
+        """``build_examples(train)``, read-only; empty without training triples."""
+        train, relations = self.train, self.num_relations
+        table = build_examples(train, relations) if train else np.empty((0, 3), dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def all_triples(self) -> frozenset[Triple]:

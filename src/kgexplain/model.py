@@ -69,7 +69,8 @@ class EmbeddingModel:
     made; ``ent`` and ``rel`` are views of ``table`` and are not rebound.
     ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are write-through views
     of the halves. ``history`` carries the per-epoch train/validation
-    negative log-likelihood of the last fit.
+    negative log-likelihood of the last fit. ``_base`` is the base that its
+    post-trains share (``training._BaseModel``); a clone starts without it.
     """
 
     ent: np.ndarray
@@ -77,6 +78,7 @@ class EmbeddingModel:
     dimension: int
     history: list[dict] = field(default_factory=list)
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    _base: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.table = np.concatenate([self.ent, self.rel])

@@ -9,8 +9,8 @@ accumulators; accumulators always start at zero, so post-training does not
 depend on the original optimizer trajectory.
 
 Every fit's training set is a row array into one example table: the
-examples of the base training set (``build_examples(kg.train)``, built once
-per training set), followed by the examples of any triples the base lacks
+graph's own example table (``kg.examples``, built once per graph), followed
+by the examples of any triples the base training set lacks
 (:class:`_TrainRows`). The retraining operators build that array directly;
 :func:`post_train` maps a plain triple sequence onto it.
 
@@ -30,21 +30,22 @@ desk-graph fit. Full training, and a post-train whose mask covers every row,
 fix no row. The step sums in another order than the per-example loss, within
 a stated bound of it.
 
-A post-train with a fixed row reads the frozen context. Each thread holds
-its own post-train state: the example table of its latest base training set
-and the base model of its latest post-train with a fixed row
-(:class:`_BaseModel`), which holds what depends on the base alone and the
-frozen context of its latest mask. Each step scores its fixed rows against
-the trainable entities only and merges the two parts into the normaliser;
-one gradient is formed, over the table's trainable rows alone. A one-batch
-post-train (every desk-graph post-train) groups its fixed rows by query once
-per fit and sums their gradient per query in key order, so its bits do not
-depend on the batch order either. The removal candidates of a prediction
-share one mask, whichever algorithm proposed them, and a worker thread runs
-one prediction's algorithms at a time (``cli.cmd_explain``), so their
-context is computed once per prediction. Threads share none of this state,
-so none of it is locked. A context fill scores ``_BLOCK`` rows at a time
-through one reused block, whatever the batch size. Frozen rows stay
+A post-train with a fixed row reads the frozen context. The model it
+post-trains from owns its base (:class:`_BaseModel`, ``model._base``), which
+holds what depends on that model and the graph's example table alone and
+the frozen context of its latest mask. Each step scores its fixed rows
+against the trainable entities only and merges the two parts into the
+normaliser; one gradient is formed, over the table's trainable rows alone.
+A one-batch post-train (every desk-graph post-train) groups its fixed rows
+by query once per fit and sums their gradient per query in key order, so its
+bits do not depend on the batch order either. The removal candidates of a
+prediction share one mask, whichever algorithm proposed them, and each
+``cli.cmd_explain`` task post-trains one prediction's algorithms from its
+own clone of the model, so their context is computed once per prediction
+and worker threads never replace each other's. Threads fitting from one
+model read only the context words their mask was given, so nothing is
+locked. A context fill scores ``_BLOCK`` rows at a time through one reused
+block, whatever the batch size. Frozen rows stay
 bit-identical; trainable rows differ from a per-example step with frozen
 rows only by summation order (measured at most 1.1e-14 after 60 one-batch
 desk-graph epochs and 4.4e-15 after one mid-graph epoch).
@@ -52,14 +53,12 @@ desk-graph epochs and 4.4e-15 after one mid-graph epoch).
 from __future__ import annotations
 
 import logging
-import threading
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TrainingError
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, build_examples
 from .model import EmbeddingModel, TrainConfig, _cmul, _cmul_conj, _split, init_model
 
 logger = logging.getLogger(__name__)
@@ -69,22 +68,6 @@ _ADAGRAD_EPS = 1e-10
 _BLOCK = 64
 # a step's loss, data loss and the gradient of its slot's rows
 _StepResult = tuple[float, float, np.ndarray]
-
-
-def build_examples(triples: Iterable[Triple], num_relations: int) -> np.ndarray:
-    """Expand triples into (head, relation_row, target) query rows, both directions.
-
-    Row 2i is triple i's object query (s, r, o), row 2i + 1 its reciprocal
-    subject query (o, r + num_relations, s).
-    """
-    forward = np.fromiter(chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
-    if not len(forward):
-        raise DomainError("no training examples: the triple set is empty")
-    rows = np.empty((2 * len(forward), 3), dtype=np.int64)
-    rows[0::2] = forward
-    rows[1::2] = forward[:, ::-1]
-    rows[1::2, 1] += num_relations
-    return rows
 
 
 def _scatter_rows(out: np.ndarray, index: np.ndarray | None, values: np.ndarray, flat=None) -> None:
@@ -178,7 +161,7 @@ def batch_loss_and_grads(model: EmbeddingModel, batch: np.ndarray, reg_weight: f
     owns it.
     """
     ent_idx, rel_idx = np.arange(len(model.ent)), np.arange(len(model.rel))
-    step = _Step(model, batch, ent_idx, rel_idx, (), None, len(batch))
+    step = _Step(model, batch, ent_idx, rel_idx, None, None, len(batch))
     return step(model, np.arange(len(batch)), reg_weight)
 
 
@@ -239,64 +222,47 @@ def _frozen_partials(
     return maxes, sums
 
 
-# Each thread's post-train state: ``examples``, the example table of its latest
-# base training set (with that set, held so that its identity stays unique, and
-# the relation count it was built for), which every fit draws its rows from,
-# and ``base``, the base model of its latest post-train with a frozen row.
-# Threads share none of it, so none of it is locked.
-_STATE = threading.local()
-
-
-def _base_examples(train: Sequence[Triple], num_relations: int) -> np.ndarray:
-    """``build_examples(train)`` (empty for an empty set), built once per training set."""
-    held = getattr(_STATE, "examples", None)
-    if held is None or held[0] is not train or held[1] != num_relations:
-        table = build_examples(train, num_relations) if train else np.empty((0, 3), dtype=np.int64)
-        held = _STATE.examples = (train, num_relations, table)
-    return held[2]
-
-
 class _BaseModel:
-    """One base model and training set, and the frozen context of one mask over them.
+    """One base model and its graph's example table, and the frozen context of one mask over them.
 
     Made when the base is: a copy of the embedding tables, which identifies
-    the base, the base example table (:func:`_base_examples`), the query row
+    the base, the graph's example table (``kg.examples``), the query row
     ``q = h∘r`` of every distinct base query with each base example's index
     into them (``query_of``), and the N3 penalty of every table row.
 
-    The frozen context is that of the latest mask (:meth:`set_mask`). A query
-    is fixed when neither its head entity nor its relation row is trainable:
-    its scores against every frozen entity never change. For each fixed base
-    query the context keeps their max and the sum of their exps shifted by
-    it, and resolves every base example into four words (``resolved``): its
-    query row, those two and, when its row is fixed and its target frozen,
-    its target score ``q·e_o`` (zeros for a moving row). A fit's rows past the
-    base table move, so what a fit reads does not depend on earlier fits.
+    The frozen context is that of the latest mask, kept with it as one pair,
+    ``latest`` (:meth:`set_mask`). A query is fixed when neither its head
+    entity nor its relation row is trainable: its scores against every frozen
+    entity never change. For each fixed base query the context keeps their
+    max and the sum of their exps shifted by it, and resolves every base
+    example into four words: its query row, those two and, when its row is
+    fixed and its target frozen, its target score ``q·e_o`` (zeros for a
+    moving row). A fit's rows past the base table move, so what a fit reads
+    does not depend on earlier fits.
     """
 
-    def __init__(self, model: EmbeddingModel, train: Sequence[Triple]):
+    def __init__(self, model: EmbeddingModel, kg: KnowledgeGraph):
         self.table = model.table.copy()
-        self.train = train  # held, so that its identity stays unique
-        self.examples = _base_examples(train, model.num_relations)
+        self.examples = kg.examples
         _check_ids(model, self.examples.T)
-        keys = _query_keys(model, self.examples)
-        self.keys, self.query_of = np.unique(keys, return_inverse=True)
+        self.keys, self.query_of = np.unique(_query_keys(model, self.examples), return_inverse=True)
         self.queries = _query_rows(model, self.keys)
         self.penalty = _n3(self.table)[0]
-        self.mask: tuple[bytes, bytes] | None = None
+        self.latest: tuple[tuple[bytes, bytes] | None, np.ndarray | None] = (None, None)
 
-    def serves(self, model: EmbeddingModel, train: Sequence[Triple]) -> bool:
-        """Whether ``model`` holds these tables, bit for bit, and ``train`` is this set."""
+    def serves(self, model: EmbeddingModel, kg: KnowledgeGraph) -> bool:
+        """Whether ``model`` holds these tables, bit for bit, and ``kg`` this example table."""
         table = model.table.view(np.int64)
-        return train is self.train and np.array_equal(table, self.table.view(np.int64))
+        return kg.examples is self.examples and np.array_equal(table, self.table.view(np.int64))
 
     def set_mask(
         self, model: EmbeddingModel, ent_trainable: np.ndarray, rel_trainable: np.ndarray
-    ) -> None:
-        """Compute the frozen context of this mask, unless it is the latest; ``model`` is the base."""
+    ) -> np.ndarray:
+        """This mask's context words, made unless it is the latest's; ``model`` is the base."""
         mask = (ent_trainable.tobytes(), rel_trainable.tobytes())
-        if mask == self.mask:
-            return
+        latest, words = self.latest
+        if mask == latest:
+            return words
         heads, rels = np.divmod(self.keys, len(model.rel))
         fixed = np.flatnonzero(~(ent_trainable[heads] | rel_trainable[rels]))
         # indexed like the query rows; the entries of moving queries stay unread
@@ -305,9 +271,9 @@ class _BaseModel:
         query_of = self.query_of
         heads, rels, targets = self.examples.T
         moving = ent_trainable[heads] | rel_trainable[rels]
-        resolved = np.zeros((len(query_of), 4), dtype=np.int64)
-        resolved[:, 0] = np.where(moving, 0, query_of)
-        partials = resolved[:, 1:].view(np.float64)
+        words = np.zeros((len(query_of), 4), dtype=np.int64)
+        words[:, 0] = np.where(moving, 0, query_of)
+        partials = words[:, 1:].view(np.float64)
         partials[:, 0], partials[:, 1] = maxes[query_of], sums[query_of]
         # a fixed row's score against its frozen target never changes either
         out = np.flatnonzero(~(moving | ent_trainable[targets]))
@@ -315,25 +281,22 @@ class _BaseModel:
             part = out[start : start + _BLOCK]
             q, e = self.queries[query_of[part]], model.ent[targets[part]]
             partials[part, 2] = np.einsum("ij,ij->i", q, e)
-        self.mask, self.resolved = mask, resolved
+        self.latest = mask, words
+        return words
 
 
 def _frozen_context(
-    model: EmbeddingModel,
-    ent_trainable: np.ndarray,
-    rel_trainable: np.ndarray,
-    train: Sequence[Triple],
-) -> _BaseModel:
-    """This thread's base model of this model's content and training set, set to this mask.
+    model: EmbeddingModel, kg: KnowledgeGraph, ent_trainable: np.ndarray, rel_trainable: np.ndarray
+) -> tuple[_BaseModel, np.ndarray]:
+    """``model``'s base over ``kg``'s example table, and its context words for this mask.
 
-    A post-train from other embeddings or another training set replaces the
-    base whole; one with another mask replaces its context.
+    The base is the model's own (``model._base``); one made from other
+    embeddings or another example table is replaced whole.
     """
-    base = getattr(_STATE, "base", None)
-    if base is None or not base.serves(model, train):
-        base = _STATE.base = _BaseModel(model, train)
-    base.set_mask(model, ent_trainable, rel_trainable)
-    return base
+    base = model._base
+    if base is None or not base.serves(model, kg):
+        base = model._base = _BaseModel(model, kg)
+    return base, base.set_mask(model, ent_trainable, rel_trainable)
 
 
 class _Step:
@@ -345,7 +308,7 @@ class _Step:
     ``ids``, its head, relation row and target as rows of ``model.table``,
     and, in a fit with a fixed row, ``moving_at``, its index among the fit's
     moving rows, -1 when fixed, and ``resolved``, its four words of the
-    thread's :class:`_BaseModel`. Per moving row, also once per fit:
+    base (:class:`_BaseModel`) of ``source``. Per moving row, once per fit:
     ``query_of``, its query (head, relation row) as an index into the fit's
     queries in key order, whose rows of ``model.table`` are ``query_ids``.
 
@@ -382,10 +345,10 @@ class _Step:
     score columns are slices, no frozen context is read, and N3 comes before
     the scatter, the order :func:`train`'s bits rest on. The result is within
     ``rtol=1e-12, atol=1e-15`` of the per-example expression of the loss.
-    ``rows`` selects the fit's rows of ``examples``, which starts with the
-    example table of ``train`` (:func:`_base_examples`); without them the fit
-    is ``examples``, every row trainable. ``ent_idx`` and ``rel_idx`` are
-    sorted.
+    ``rows`` selects the fit's rows of ``examples``, which starts with
+    ``kg.examples``; without them the fit is ``examples``, every row
+    trainable, and ``kg`` is not read. ``source`` defaults to ``model``;
+    ``ent_idx`` and ``rel_idx`` are sorted.
     """
 
     def __init__(
@@ -394,9 +357,10 @@ class _Step:
         examples: np.ndarray,
         ent_idx: np.ndarray,
         rel_idx: np.ndarray,
-        train: Sequence[Triple],
+        kg: KnowledgeGraph | None,
         rows: np.ndarray | None,
         batch_size: int,
+        source: EmbeddingModel | None = None,
     ) -> None:
         self.ids = ids = _fit_columns(model, examples, rows)
         entities, width = model.ent.shape
@@ -412,17 +376,17 @@ class _Step:
         trainable = place < slots
         self.moving = trainable[ids[0]] | trainable[ids[1]]
         if rows is not None:
-            self.moving |= rows >= 2 * len(train)
+            self.moving |= rows >= len(kg.examples)
         n, fixed = min(batch_size, ids.shape[1]), not self.moving.all()
         self.moving_at = np.full(ids.shape[1], -1, dtype=np.int64) if fixed else None
         if fixed:
             moving = np.flatnonzero(self.moving)
             self.moving_at[moving] = np.arange(len(moving))
             ent_trainable, rel_trainable = np.split(trainable, [entities])
-            base = _frozen_context(model, ent_trainable, rel_trainable, train)
+            base, words = _frozen_context(source or model, kg, ent_trainable, rel_trainable)
             self.queries, self.penalty = base.queries, base.penalty.copy()
             # rows past the base set are moving; clipped here, their words stay unread
-            self.resolved = base.resolved.take(rows, axis=0, mode="clip")
+            self.resolved = words.take(rows, axis=0, mode="clip")
             self.ent_t, self.fixed_grad = np.empty((2, len(ent_idx), width))
             self.vectors = np.empty((3, n))
             self.fixed_q, self.fixed_scores = np.empty(n * width), np.empty(n * len(ent_idx))
@@ -665,7 +629,7 @@ def train(model: EmbeddingModel, kg: KnowledgeGraph, config: TrainConfig) -> Emb
     valid = kg.eval_split("valid")
     valid_examples = build_examples(valid, model.num_relations) if valid else None
     ent_idx, rel_idx = np.arange(len(trained.ent)), np.arange(len(trained.rel))
-    step = _Step(trained, examples, ent_idx, rel_idx, kg.train, None, config.batch_size)
+    step = _Step(trained, examples, ent_idx, rel_idx, None, None, config.batch_size)
     _fit(trained, examples, config, step, valid_examples)
     return trained
 
@@ -737,10 +701,13 @@ def post_train(
     set's example table through ``kg.train_index``, or the operators' rows of
     that table directly. Every mask fits with the one step (see the module
     notes): a full mask fixes no row (from a fresh model, that is a full
-    retrain without the validation NLL), and a fixed row reads the thread's
-    frozen context.
+    retrain without the validation NLL), and a fixed row reads the frozen
+    context of the base that ``model`` owns. A model whose relation count is
+    not the graph's is a :class:`DomainError`.
     """
     config.validate()
+    if model.num_relations != kg.num_relations:
+        raise DomainError(f"model has {model.num_relations} relations, graph {kg.num_relations}")
     ent_idx = _distinct_ids("entity", trainable_entities, model.num_entities)
     if ent_idx.size == 0:
         raise ConfigurationError("post-training requires a non-empty trainable entity set")
@@ -758,9 +725,9 @@ def post_train(
         tuned.ent[ent_idx] = fresh.ent[ent_idx]
         if len(rel_idx):
             tuned.rel[rel_idx] = fresh.rel[rel_idx]
-    examples = _base_examples(kg.train, model.num_relations)
+    examples = kg.examples
     if fit.added:
-        examples = np.concatenate([examples, build_examples(fit.added, model.num_relations)])
-    step = _Step(tuned, examples, ent_idx, rel_idx, kg.train, fit.rows, config.batch_size)
+        examples = np.concatenate([examples, build_examples(fit.added, kg.num_relations)])
+    step = _Step(tuned, examples, ent_idx, rel_idx, kg, fit.rows, config.batch_size, model)
     _fit(tuned, fit.rows, config, step)
     return tuned

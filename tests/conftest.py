@@ -1,7 +1,6 @@
 """Shared fixtures: small graphs, the desk-scale suite, and dataset writers."""
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +17,8 @@ from kgexplain import (
     train,
 )
 from kgexplain.explainers import explain
-from kgexplain import training
 
 DESK_SEED = 29
-
-
-def reset_post_train_state() -> None:
-    """Forget every thread's post-train state: example tables, base models and contexts."""
-    training._STATE = threading.local()
-
-
-@pytest.fixture(autouse=True)
-def fresh_post_train_state():
-    """Each test starts without any thread's post-train state."""
-    reset_post_train_state()
 
 
 def make_chain_kg(n: int = 6, extra=()) -> KnowledgeGraph:

@@ -337,10 +337,11 @@ class TestExplain:
         set_mask = training._BaseModel.set_mask
 
         def counting(base, *args):
-            before = getattr(base, "resolved", None)
-            set_mask(base, *args)
-            if base.resolved is not before:
-                fills.append(base.mask)
+            before = base.latest
+            words = set_mask(base, *args)
+            if base.latest is not before:
+                fills.append(base.latest[0])
+            return words
 
         monkeypatch.setattr(training._BaseModel, "set_mask", counting)
         cmd_explain(config, checkpoint, selection, out=tmp_path / "par", workers=2)

@@ -22,7 +22,7 @@ from kgexplain import (
 from kgexplain import effectiveness, training
 from kgexplain.effectiveness import _retrained
 from kgexplain.kg import _one_hop_entities
-from kgexplain.training import _Step, _TrainRows, _base_examples, build_examples
+from kgexplain.training import _Step, _TrainRows, build_examples
 from test_training import _ReferenceRestrictedStep
 
 EVALUATORS = ("post-train", "full-retrain")
@@ -161,9 +161,7 @@ def test_plain_sequence_maps_to_its_own_examples(desk_kg):
     sequence = (kg.train[5], outside[1], kg.train[0], outside[0], kg.train[5], outside[1])
     fit = training._train_rows(kg, sequence)
     assert fit.added == (outside[1], outside[0])
-    table = np.concatenate(
-        [_base_examples(kg.train, kg.num_relations), build_examples(fit.added, kg.num_relations)]
-    )
+    table = np.concatenate([kg.examples, build_examples(fit.added, kg.num_relations)])
     assert np.array_equal(table[fit.rows], build_examples(sequence, kg.num_relations))
 
 
@@ -192,10 +190,10 @@ def test_row_fit_steps_match_the_reference_step(desk_kg, desk_model, desk_predic
     ent_idx = np.asarray(sorted(mask), dtype=np.int64)
     rel_idx = np.empty(0, dtype=np.int64)
     for name, fit in fits.items():
-        table = _base_examples(kg.train, kg.num_relations)
+        table = kg.examples
         if fit.added:
             table = np.concatenate([table, build_examples(fit.added, kg.num_relations)])
-        step = _Step(model, table, ent_idx, rel_idx, kg.train, fit.rows, len(fit.rows))
+        step = _Step(model, table, ent_idx, rel_idx, kg, fit.rows, len(fit.rows))
         reference = _ReferenceRestrictedStep(model, table[fit.rows], ent_idx, rel_idx, kg.train, 37)
         assert (~step.moving).any(), name
         assert step.moving[fit.rows >= 2 * len(kg.train)].all(), name

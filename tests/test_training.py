@@ -28,7 +28,6 @@ from kgexplain.explainers import explain
 from kgexplain import training
 from kgexplain.kg import _one_hop_entities
 from kgexplain.model import _cmul, _cmul_conj
-from conftest import reset_post_train_state
 from kgexplain.training import (
     _Step,
     _n3,
@@ -267,7 +266,7 @@ def assert_fits_match(got, want):
 def _full_mask_step(model, examples, batch_size):
     """The one step over ``examples`` with every row trainable, as :func:`train` builds it."""
     ent_idx, rel_idx = np.arange(len(model.ent)), np.arange(len(model.rel))
-    return _Step(model, examples, ent_idx, rel_idx, (), None, batch_size)
+    return _Step(model, examples, ent_idx, rel_idx, None, None, batch_size)
 
 
 class TestFullMaskStep:
@@ -433,18 +432,16 @@ def _dense_masked_fit(
 
 
 def _split_table(kg):
-    """(Example table, base set, fit rows) of a fit of ``build_examples(kg.train)`` in order.
+    """(Example table, base graph, fit rows) of a fit of ``build_examples(kg.train)`` in order.
 
-    The base set is every other triple; the table holds its examples, then
-    those of the other triples, and the fit's rows pick triple i's pair from
-    the half it is in.
+    The base graph trains on every other triple; the table holds its
+    examples, then those of the other triples, and the fit's rows pick
+    triple i's pair from the half it is in.
     """
-    base = kg.train[::2]
-    table = np.concatenate(
-        [build_examples(base, kg.num_relations), build_examples(kg.train[1::2], kg.num_relations)]
-    )
+    base = kg.with_train(kg.train[::2])
+    table = np.concatenate([base.examples, build_examples(kg.train[1::2], kg.num_relations)])
     positions = np.arange(len(kg.train))
-    positions = np.where(positions % 2, len(base) + positions // 2, positions // 2)
+    positions = np.where(positions % 2, len(base.train) + positions // 2, positions // 2)
     return table, base, training._pair_rows(positions)
 
 
@@ -508,7 +505,7 @@ class TestFrozenContextStep:
         on_moving = np.isin(examples[rows, 0], ent_idx)
         assert len(np.unique(keys[on_moving])) < on_moving.sum() - 1
         step = _Step(
-            model, examples, ent_idx, rel_idx, kg.train, rows=rows, batch_size=len(rows)
+            model, examples, ent_idx, rel_idx, kg, rows=rows, batch_size=len(rows)
         )
         loss, data_loss, grad = step(model, np.arange(len(rows)), reg_weight)
         g_ent, g_rel = np.split(grad, [len(ent_idx)])
@@ -790,7 +787,7 @@ def _restricted_and_reference_fits(model, kg, rows, ent_idx, config):
     rel_idx = np.empty(0, dtype=np.int64)
     got, want = model.clone(), model.clone()
     step = _Step(
-        got, examples, ent_idx, rel_idx, kg.train, rows, config.batch_size
+        got, examples, ent_idx, rel_idx, kg, rows, config.batch_size
     )
     training._fit(got, rows, config, step)
     reference = _ReferenceRestrictedStep(
@@ -890,7 +887,7 @@ class TestRestrictedStepExact:
         assert config.batch_size >= len(rows)
         step = _Step(
             desk_model, examples, np.array([trainable]), np.empty(0, dtype=np.int64),
-            kg.train, rows, config.batch_size,
+            kg, rows, config.batch_size,
         )
         fixed = examples[rows][~step.moving]
         hit = fixed[fixed[:, 2] == trainable]
@@ -922,7 +919,7 @@ class TestRestrictedStepExact:
         rows = rng.permutation(len(examples))
         moving = np.isin(examples[rows, 0], ent_idx) | (rows >= 2 * len(kg.train))
         sel = rng.permutation(np.concatenate([np.flatnonzero(moving), np.flatnonzero(~moving)[:16]]))
-        step = _Step(desk_model, examples, ent_idx, rel_idx, kg.train, rows, len(sel))
+        step = _Step(desk_model, examples, ent_idx, rel_idx, kg, rows, len(sel))
         assert np.array_equal(step.moving, moving) and moving.sum() > 2
         loss, data_loss, grad = step(desk_model, sel, reg_weight)
         assert step.whole is None
@@ -1025,16 +1022,16 @@ class TestPostTrain:
         other = self.model.clone()
         other.ent[frozen_row, 0] += 0.25
         fit(self.model, self.kg.train[1:], mask)
-        base = training._STATE.base
+        base = self.model._base
         fit(self.model, self.kg.train[2:], mask)
-        assert training._STATE.base is base
+        assert self.model._base is base
+        # a base made from other tables is never served, even when the model holds it
+        other._base = base
         cached = fit(other, self.kg.train, mask)
-        assert training._STATE.base is not base
+        assert other._base is not base and self.model._base is base
         wider = fit(self.model, self.kg.train, mask | {frozen_row})
-        reset_post_train_state()
-        assert arrays_equal(cached, fit(other, self.kg.train, mask))
-        reset_post_train_state()
-        assert arrays_equal(wider, fit(self.model, self.kg.train, mask | {frozen_row}))
+        assert arrays_equal(cached, fit(other.clone(), self.kg.train, mask))
+        assert arrays_equal(wider, fit(self.model.clone(), self.kg.train, mask | {frozen_row}))
 
     @pytest.mark.parametrize("relation", [-1, 2])
     def test_out_of_range_trainable_relation_is_domain_error_naming_it(self, relation):
@@ -1055,11 +1052,10 @@ class TestPostTrain:
                 dataclasses.replace(self.config, epochs=1), trainable_relations=relations,
             )
 
-    def _fit(self, entities, triples=None):
+    def _fit(self, entities, triples=None, model=None):
         triples = self.kg.train[1:] if triples is None else triples
-        return post_train(
-            self.model, self.kg, triples, entities, dataclasses.replace(self.config, epochs=2)
-        )
+        model = self.model if model is None else model
+        return post_train(model, self.kg, triples, entities, dataclasses.replace(self.config, epochs=2))
 
     def _partials_passes(self, monkeypatch) -> list:
         passes = []
@@ -1077,33 +1073,40 @@ class TestPostTrain:
 
     def test_a_new_mask_replaces_the_old_one(self, monkeypatch):
         first = self._fit({1})
-        base, context = training._STATE.base, training._STATE.base.resolved
+        base, (_, context) = self.model._base, self.model._base.latest
         self._fit({2})
-        assert training._STATE.base is base and base.resolved is not context
+        assert self.model._base is base and base.latest[1] is not context
         passes = self._partials_passes(monkeypatch)
         assert arrays_equal(self._fit({1}), first)
         assert len(passes) == 1
 
-    def test_a_second_thread_builds_its_own_base_and_never_reads_the_first_threads(self):
+    def test_two_models_share_no_base(self):
         want = self._fit({1})
-        mine = training._STATE.base
-        # were the other thread to read this state, its fit would differ
+        mine = self.model._base
+        # were a clone to read its model's base, its fit would differ
         mine.queries[:] = np.nan
-        mine.resolved[:] = 0
-        seen = {}
+        mine.latest[1][:] = 0
+        twin = self.model.clone()
+        assert twin._base is None
+        got = self._fit({1}, model=twin)
+        assert twin._base is not mine and self.model._base is mine
+        assert arrays_equal(got, want)
 
-        def run():
-            seen["before"] = getattr(training._STATE, "base", None)
-            seen["got"] = self._fit({1})
-            seen["base"] = training._STATE.base
+    def test_a_model_changed_in_place_rebuilds_its_base(self):
+        self._fit({1})
+        base = self.model._base
+        self.model.ent[3] += 0.25
+        got = self._fit({1})
+        assert self.model._base is not base
+        assert arrays_equal(got, self._fit({1}, model=self.model.clone()))
 
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert seen["before"] is None and seen["base"] is not mine
-        assert training._STATE.base is mine
-        assert arrays_equal(seen["got"], want)
+    def test_model_with_another_relation_count_is_domain_error_naming_both(self):
+        wider = KnowledgeGraph(
+            self.kg.entity_labels, self.kg.relation_labels + ["extra"], self.kg.train
+        )
+        model = init_model(wider, self.config)
+        with pytest.raises(DomainError, match="model has 3 relations, graph 2"):
+            self._fit({1}, model=model)
 
     def test_concurrent_fits_sharing_a_context_match_serial_fits(self):
         # each fit adds a triple outside the shared context's training set, so every
@@ -1116,11 +1119,7 @@ class TestPostTrain:
             tuple(t for t in self.kg.train if t not in extra) + extra for extra in additions
         ]
         config = dataclasses.replace(self.config, epochs=2)
-        serial = []
-        for job in jobs:
-            reset_post_train_state()
-            serial.append(post_train(self.model, self.kg, job, mask, config))
-        reset_post_train_state()
+        serial = [post_train(self.model.clone(), self.kg, job, mask, config) for job in jobs]
         results = [None] * len(jobs)
 
         def run(i):
@@ -1137,6 +1136,37 @@ class TestPostTrain:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert arrays_equal(got, want)
+
+    def test_concurrent_fits_with_other_masks_from_one_model_match_serial_fits(self, monkeypatch):
+        # every thread sets its own mask on the model's one base, then waits until all have
+        # set theirs: the base's latest words are then one thread's, and a step that read
+        # them after set_mask returned would fit with another mask's context
+        masks = [{0}, {1}, {2}, {3}]
+        serial = [self._fit(mask, model=self.model.clone()) for mask in masks]
+        self._fit({4})  # builds the model's base
+        base, set_mask = self.model._base, training._BaseModel.set_mask
+        barrier = threading.Barrier(len(masks), timeout=60)
+
+        def setting(base, *args):
+            words = set_mask(base, *args)
+            barrier.wait()
+            return words
+
+        monkeypatch.setattr(training._BaseModel, "set_mask", setting)
+        results = [None] * len(masks)
+
+        def run(i):
+            results[i] = self._fit(masks[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(masks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert self.model._base is base
         for got, want in zip(results, serial):
             assert arrays_equal(got, want)
 
@@ -1199,7 +1229,7 @@ class TestScoreBlocks:
 
         monkeypatch.setattr(training, "_frozen_context", traced)
         post_train(model, kg, kg.train, {1}, config)
-        assert len(training._STATE.base.keys) > 50 * training._BLOCK
+        assert len(model._base.keys) > 50 * training._BLOCK
         block = training._BLOCK * kg.num_entities * 8
         assert len(peaks) == 1 and peaks[0] < 2 * block, (peaks, block)
 
@@ -1246,7 +1276,8 @@ def test_desk_sweeps_post_train_from_one_base_model(
     frozen contexts, and their query rows are filled once for all three; a
     sufficient sweep leaves no row fixed and builds none.
     """
-    kg, model, prediction = desk_kg, desk_model, desk_predictions[0]
+    # a clone starts without a base, so one built by an earlier test cannot hide the fill
+    kg, model, prediction = desk_kg, desk_model.clone(), desk_predictions[0]
     s_x = prediction.subject
     config = ExplainerConfig(evaluator="post-train", post_train_epochs=2)
     space = build_search_space(kg, "shares-entity", prediction)

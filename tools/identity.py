@@ -11,7 +11,8 @@ BLAS thread variables at 1) on each case and seed, in a directory of their
 own, with the same relative paths. A case is a benchmark workload of
 ``perfbench/workloads.py`` (read, never written), a desk-graph variant of
 ``desk-full`` that reaches the explainers and evaluators the workloads leave
-out, or ``mid-post`` in mode ``sufficient``.
+out, ``mid-post`` in mode ``sufficient``, or ``mid-post`` with two
+predictions on two worker threads.
 
 For each output file it prints one of: ``identical`` (same bytes), ``equal
 outside counters`` (JSON equal once every ``counters`` key is dropped), or
@@ -87,6 +88,10 @@ CASES = {
     # the only case whose restricted fits move every fit row on the 2,000-entity graph
     "mid-post-sufficient": dataclasses.replace(
         WORKLOADS["mid-post"], name="mid-post-sufficient", mode="sufficient"
+    ),
+    # the only case where two worker threads post-train with fixed rows on the 2,000-entity graph
+    "mid-post-w2": dataclasses.replace(
+        WORKLOADS["mid-post"], name="mid-post-w2", predictions=2, workers=2
     ),
 }
 GUARDED_KEYS = {"psi", "rank_before", "rank_after", "front"}
